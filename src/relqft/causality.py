@@ -137,11 +137,9 @@ def check_frame_einstein_causal(frame: FrameObservable,
     points = frame.frame_points()
     worst = 0.0
     count = 0
-    for i, f1 in enumerate(points):
-        E1 = frame.effects[f1]
-        for f2 in points[i + 1:]:
+    for i, (f1, E1) in enumerate(zip(points, frame.effects)):
+        for f2, E2 in zip(points[i + 1:], frame.effects[i + 1:]):
             if lattice.spacelike(f1.x, f2.x, params):
-                E2 = frame.effects[f2]
                 worst = max(worst, op_norm(E1 @ E2 - E2 @ E1))
                 count += 1
     return CausalReport("frame-einstein-causal", count, worst,
@@ -183,15 +181,12 @@ def joint_constraint_system(frame: FrameObservable, pmf1: BornMeasure,
     the final row.
     """
     d = frame.dim
-    points = frame.frame_points()
     rows = []
     rhs = []
-    for p in points:
-        Ep = frame.effects[p]
-        w1 = float(np.real(pmf1.pmf[p]))
-        for q in points:
-            B = Ep @ frame.effects[q]
-            target = w1 * float(np.real(pmf2.pmf[q]))
+    for Ep, w1 in zip(frame.effects, np.real(pmf1.weights)):
+        for Eq, w2 in zip(frame.effects, np.real(pmf2.weights)):
+            B = Ep @ Eq
+            target = float(w1 * w2)
             rows.append(_hermitian_basis_coords((B + dagger(B)) / 2))
             rhs.append(target)
             rows.append(_hermitian_basis_coords((B - dagger(B)) / 2j))

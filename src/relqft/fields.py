@@ -23,17 +23,13 @@ import numpy as np
 
 from relqft import lattice, operators as ops
 from relqft.frames import (
-    BornMeasure,
     FrameObservable,
     OrientedFrame,
     born_measure,
     born_measure_trace_class,
-    covariant_lorentz_povm,
-    covariant_spacetime_povm,
     disintegrate,
-    product_frame,
 )
-from relqft.lattice import FramePoint, GroupElement, LatticePoint, ModelParams
+from relqft.lattice import FramePoint, LatticePoint, ModelParams
 from relqft.operators import UnitaryRep, dagger, tensor
 from relqft.tolerances import TOL_SUPP
 
@@ -86,7 +82,7 @@ def oriented_field(sys: SystemModel, f: FramePoint) -> np.ndarray:
 def relativize(rf: RelationalField) -> np.ndarray:
     """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action."""
     total = None
-    for f, E in rf.frame.effects.items():
+    for f, E in zip(rf.params.frame_points(), rf.frame.effects):
         term = tensor(oriented_field(rf.system, f), E)
         total = term if total is None else total + term
     return total
@@ -104,24 +100,25 @@ def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarr
     return ops.partial_trace_frame(W @ O, dimS, dimR)
 
 
+def _weighted_fields(sys: SystemModel, points, weights) -> np.ndarray:
+    """sum_i weights[i] phi_(points[i]), skipping zero weights."""
+    total = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for f, w in zip(points, weights):
+        if w != 0.0:
+            total += w * oriented_field(sys, f)
+    return total
+
+
 def relational_local_observable(rf: RelationalField, omega: np.ndarray) -> np.ndarray:
     """Phi(w) = sum_f pmf_w(f) phi_f; equals restrict(relativize(.), w)."""
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    for f, w in bm.pmf.items():
-        if w != 0.0:
-            total += w * oriented_field(rf.system, f)
-    return total
+    return _weighted_fields(rf.system, rf.params.frame_points(), bm.weights)
 
 
 def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
     """Phi(T) = sum_f Tr[T E(f)] phi_f, linear in an arbitrary T."""
     bm = born_measure_trace_class(rf.frame, T)
-    total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    for f, w in bm.pmf.items():
-        if w != 0.0:
-            total += w * oriented_field(rf.system, f)
-    return total
+    return _weighted_fields(rf.system, rf.params.frame_points(), bm.weights)
 
 
 def relational_local_field(rf: RelationalField, omega: np.ndarray,
@@ -133,12 +130,11 @@ def relational_local_field(rf: RelationalField, omega: np.ndarray,
     """
     x = LatticePoint(*x)
     dis = disintegrate(born_measure(OrientedFrame(rf.frame, omega)), tol_supp)
-    if x not in dis.conditional:
+    site = rf.params.site_index(x)
+    if not dis.support[site]:
         return np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    for lam, c in dis.conditional[x].items():
-        total += c * oriented_field(rf.system, FramePoint(x, lam))
-    return total
+    fiber = [FramePoint(x, lam) for lam in rf.params.boosts()]
+    return _weighted_fields(rf.system, fiber, dis.conditional[site])
 
 
 def predual_polarization(rf: RelationalField, omega: np.ndarray,
@@ -151,7 +147,7 @@ def predual_polarization(rf: RelationalField, omega: np.ndarray,
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
     total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    for f, w in bm.pmf.items():
+    for f, w in zip(rf.params.frame_points(), bm.weights):
         if w != 0.0:
             U = rf.system.rep(lattice.frame_to_group(f))
             total += w * (dagger(U) @ np.asarray(rho, dtype=complex) @ U)
@@ -165,7 +161,7 @@ def relativization_channel(rf: RelationalField, omega: np.ndarray):
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
     terms = [(w, rf.system.rep(lattice.frame_to_group(f)))
-             for f, w in bm.pmf.items() if w != 0.0]
+             for f, w in zip(rf.params.frame_points(), bm.weights) if w != 0.0]
 
     def channel(phi: np.ndarray) -> np.ndarray:
         total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
@@ -176,31 +172,9 @@ def relativization_channel(rf: RelationalField, omega: np.ndarray):
     return channel
 
 
-def build_globally_oriented(params: ModelParams,
-                            spacetime_seed: np.ndarray,
-                            lorentz_seed: np.ndarray,
-                            omega_spacetime: np.ndarray,
-                            omega_lorentz: np.ndarray) -> OrientedFrame:
-    """Product frame on l2(M) (x) l2(C) with a product state.
-
-    The Born measure factorizes exactly, so the Lorentz conditional is the
-    same at every supported spacetime point (global orientation).
-    """
-    F, repM = covariant_spacetime_povm(params, spacetime_seed)
-    G, repC = covariant_lorentz_povm(params, lorentz_seed)
-    frame = product_frame(params, F, G, repM, repC)
-    omega = tensor(np.asarray(omega_spacetime, dtype=complex),
-                   np.asarray(omega_lorentz, dtype=complex))
-    return OrientedFrame(frame, omega)
-
-
 def certify_globally_oriented(of: OrientedFrame, tol: float = 1e-10,
                               tol_supp: float = TOL_SUPP) -> bool:
     """Check that the Lorentz conditional is position-independent."""
     dis = disintegrate(born_measure(of), tol_supp)
-    conds = list(dis.conditional.values())
-    if not conds:
-        return True
-    first = conds[0]
-    return all(
-        abs(c[lam] - first[lam]) <= tol for c in conds for lam in first)
+    conds = dis.conditional[dis.support]
+    return bool(np.all(np.abs(conds - conds[:1]) <= tol))

@@ -6,24 +6,25 @@ effects along the group action.  Orbit-averaging a seed effect with a
 symmetric K^(-1/2) .. K^(-1/2) normalization produces such POVMs for any
 invertible orbit sum; sharp and uniform frames are special cases.
 
-Also here: marginals and disintegration of Born measures, push-forwards,
-channel composition (with CP/unitality validation), product OVMs, and the
-vacuum-orthogonality checks.
+Layout: a frame's effects are one (|F|, d, d) array and a Born measure is
+one length-|F| weight array, both in ``ModelParams.frame_points()`` order.
+That order puts sites first and fibers second, so reshaping to
+(N^2, |C|, ...) and summing one axis gives the spacetime and Lorentz
+marginals.
+
+Also here: disintegration of Born measures, channel composition (with
+CP/unitality validation), and the vacuum-orthogonality checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from relqft import lattice, operators as ops
-from relqft.lattice import (
-    FramePoint,
-    GroupElement,
-    LatticePoint,
-    ModelParams,
-)
+from relqft.lattice import FramePoint, LatticePoint, ModelParams
 from relqft.operators import (
     UnitaryRep,
     dagger,
@@ -37,7 +38,6 @@ from relqft.tolerances import (
     TOL_HERM,
     TOL_PSD,
     TOL_SUPP,
-    TOL_TRACE,
 )
 
 
@@ -53,19 +53,23 @@ class ChannelValidationError(ValueError):
 # frame observables
 
 class FrameObservable:
-    """A normalized covariant POVM over the frame space.
+    """A normalized POVM over the frame space.  The builders here make it
+    covariant; channel_compose with a non-equivariant channel need not.
 
-    effects: dict FramePoint -> ndarray on H_R.  The constructor does not
-    re-verify the invariants (builders do); ``normalization_defect`` and
+    effects: complex array of shape (|F|, d, d); effects[i] is the effect of
+    ``params.frame_points()[i]``.  The constructor checks the shape but does
+    not re-verify the invariants (builders do); ``normalization_defect`` and
     ``covariance_defect`` recompute them on demand.
     """
 
-    def __init__(self, params: ModelParams, rep: UnitaryRep, effects: dict,
+    def __init__(self, params: ModelParams, rep: UnitaryRep, effects: np.ndarray,
                  label: str = "frame", globally_oriented: bool = False):
         self.params = params
         self.rep = rep
-        self.effects = {FramePoint(LatticePoint(*f[0]), f[1]): np.asarray(E, dtype=complex)
-                        for f, E in effects.items()}
+        self.effects = np.asarray(effects, dtype=complex)
+        shape = (len(params.frame_points()), rep.dim, rep.dim)
+        if self.effects.shape != shape:
+            raise ops.SizeError(f"effects shape {self.effects.shape} != {shape}")
         self.label = label
         self.globally_oriented = globally_oriented
 
@@ -77,27 +81,26 @@ class FrameObservable:
         return self.params.frame_points()
 
     def normalization_defect(self) -> float:
-        total = sum(self.effects.values())
-        return eq_defect(total, np.eye(self.dim))
+        return eq_defect(self.effects.sum(axis=0), np.eye(self.dim))
 
     def covariance_defect(self, elements=None) -> float:
         """max over sampled g, f of |U(g) E(f) U(g)^dag - E(g.f)|."""
+        params = self.params
         if elements is None:
-            elements = self.params.generators()
+            elements = params.generators()
         worst = 0.0
         for g in elements:
             Ug = self.rep(g)
-            for f, E in self.effects.items():
-                lhs = Ug @ E @ dagger(Ug)
-                worst = max(worst, eq_defect(lhs, self.effects[lattice.act(g, f, self.params)]))
+            for f, E in zip(params.frame_points(), self.effects):
+                moved = self.effects[params.frame_index(lattice.act(g, f, params))]
+                worst = max(worst, eq_defect(Ug @ E @ dagger(Ug), moved))
         return worst
 
     def spacetime_marginal_effect(self, x: LatticePoint) -> np.ndarray:
-        x = LatticePoint(*x)
-        return sum(self.effects[FramePoint(x, lam)] for lam in self.params.boosts())
-
-    def lorentz_marginal_effect(self, lam: int) -> np.ndarray:
-        return sum(self.effects[FramePoint(x, lam)] for x in self.params.lattice_points())
+        """F_R(x): the sum of the effects over the Lorentz fiber of x."""
+        N2 = self.params.N ** 2
+        fibers = self.effects.reshape(N2, -1, self.dim, self.dim)
+        return fibers[self.params.site_index(x)].sum(axis=0)
 
 
 @dataclass
@@ -117,11 +120,23 @@ def frames_equal(f1: FrameObservable, f2: FrameObservable, tol: float = TOL_EQ) 
         return True
     if f1.params != f2.params or f1.dim != f2.dim:
         return False
-    return all(eq_defect(E, f2.effects[f]) <= tol for f, E in f1.effects.items())
+    return all(eq_defect(E1, E2) <= tol for E1, E2 in zip(f1.effects, f2.effects))
 
 
 # ---------------------------------------------------------------------------
 # builders
+
+def _zero_effects(params: ModelParams, dim: int) -> np.ndarray:
+    """A zeroed (|F|, dim, dim) effect array, refused before allocation when
+    it would exceed ops.MAX_FRAME_BYTES."""
+    n_points = len(params.frame_points())
+    nbytes = n_points * dim * dim * np.dtype(complex).itemsize
+    if nbytes > ops.MAX_FRAME_BYTES:
+        raise ops.SizeError(
+            f"a frame of {n_points} effects of {dim}x{dim} needs {nbytes / 2**30:.1f} GiB,"
+            f" over the {ops.MAX_FRAME_BYTES / 2**30:.0f} GiB cap")
+    return np.zeros((n_points, dim, dim), dtype=complex)
+
 
 def _inverse_sqrt(K: np.ndarray, cutoff: float = SVD_CUTOFF) -> np.ndarray:
     eigs, V = np.linalg.eigh(K)
@@ -138,39 +153,41 @@ def build_frame(rep: UnitaryRep, seed_effect: np.ndarray,
     effects(f) = K^(-1/2) U(g_f) seed U(g_f)^dag K^(-1/2) with K the full
     orbit sum.  K is a group average, so it commutes with the
     representation and the K^(-1/2) dressing preserves covariance while
-    enforcing normalization exactly.
+    enforcing normalization exactly.  Both passes write into the one effect
+    array, a point at a time, so the build holds no second array of that
+    size.
     """
     params = rep.params
+    effects = _zero_effects(params, rep.dim)
     seed = np.asarray(seed_effect, dtype=complex)
-    orbit = {}
-    for f in params.frame_points():
+    for i, f in enumerate(params.frame_points()):
         Ug = rep(lattice.frame_to_group(f))
-        orbit[f] = Ug @ seed @ dagger(Ug)
-    K = sum(orbit.values())
-    Kinv = _inverse_sqrt(K)
-    effects = {f: Kinv @ A @ Kinv for f, A in orbit.items()}
+        effects[i] = Ug @ seed @ dagger(Ug)
+    Kinv = _inverse_sqrt(effects.sum(axis=0))
+    for i in range(len(effects)):
+        effects[i] = Kinv @ effects[i] @ Kinv
     return FrameObservable(params, rep, effects, label=label)
 
 
 def uniform_frame(rep: UnitaryRep) -> FrameObservable:
-    """effects(f) = identity / |F|; covariant for any representation."""
+    """effects(f) = identity / |F|; covariant for any representation.
+
+    The effects are a read-only broadcast view of one d x d matrix."""
     params = rep.params
     nF = len(params.frame_points())
     E = np.eye(rep.dim, dtype=complex) / nF
-    return FrameObservable(params, rep, {f: E for f in params.frame_points()},
+    return FrameObservable(params, rep, np.broadcast_to(E, (nF, rep.dim, rep.dim)),
                            label="uniform")
 
 
 def sharp_regular_frame(params: ModelParams) -> FrameObservable:
     """Rank-one PVM of the regular representation: effects(f) = |e_f><e_f|."""
-    rep = ops.regular_representation(params)
-    points = params.frame_points()
-    effects = {}
-    for i, f in enumerate(points):
-        E = np.zeros((rep.dim, rep.dim), dtype=complex)
-        E[i, i] = 1.0
-        effects[f] = E
-    return FrameObservable(params, rep, effects, label="sharp-regular")
+    nF = len(params.frame_points())
+    effects = _zero_effects(params, nF)
+    diagonal = np.arange(nF)
+    effects[diagonal, diagonal, diagonal] = 1.0
+    return FrameObservable(params, ops.regular_representation(params), effects,
+                           label="sharp-regular")
 
 
 def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
@@ -181,59 +198,26 @@ def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
     keeps the Hilbert space at dim N^2 for scaling scans.
     """
     rep = ops.spacetime_representation(params)
-    points = params.lattice_points()
     nC = len(params.boosts())
-    effects = {}
-    for i, x in enumerate(points):
-        E = np.zeros((rep.dim, rep.dim), dtype=complex)
-        E[i, i] = 1.0 / nC
-        for lam in params.boosts():
-            effects[FramePoint(x, lam)] = E
+    effects = _zero_effects(params, rep.dim)
+    fibers = effects.reshape(rep.dim, nC, rep.dim, rep.dim)
+    sites = np.arange(rep.dim)
+    fibers[sites, :, sites, sites] = 1.0 / nC
     return FrameObservable(params, rep, effects, label="fiber-uniform-sharp")
 
 
-def covariant_spacetime_povm(params: ModelParams, seed: np.ndarray,
-                             rep: UnitaryRep | None = None) -> tuple[dict, UnitaryRep]:
-    """Covariant POVM over M on l2(M): F(x) from the boost-coset orbit.
+def product_frame(params: ModelParams, spacetime_effects: np.ndarray,
+                  lorentz_effects: np.ndarray, spacetime_rep: UnitaryRep,
+                  lorentz_rep: UnitaryRep) -> FrameObservable:
+    """E(x, lam) = F(x) (x) G(lam) on the tensor-product representation.
 
-    F(x) = K^(-1/2) S(x) K^(-1/2) with S(x) the sum of U(g) seed U(g)^dag
-    over the |C| group elements sending the origin to x.
+    spacetime_effects is an (N^2, dM, dM) array in lattice_points() order,
+    lorentz_effects a (|C|, dC, dC) array in boosts() order.
     """
-    rep = rep or ops.spacetime_representation(params)
-    S = {}
-    for x in params.lattice_points():
-        total = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for b in params.boosts():
-            Ug = rep(GroupElement(x, b))
-            total += Ug @ np.asarray(seed, dtype=complex) @ dagger(Ug)
-        S[x] = total
-    K = sum(S.values())
-    Kinv = _inverse_sqrt(K)
-    return {x: Kinv @ A @ Kinv for x, A in S.items()}, rep
-
-
-def covariant_lorentz_povm(params: ModelParams, seed: np.ndarray,
-                           rep: UnitaryRep | None = None) -> tuple[dict, UnitaryRep]:
-    """Covariant POVM over C on l2(C): G(lam) from the boost orbit."""
-    rep = rep or ops.lorentz_representation(params)
-    S = {}
-    for lam in params.boosts():
-        Ug = rep(GroupElement(LatticePoint(0, 0), lam))
-        S[lam] = Ug @ np.asarray(seed, dtype=complex) @ dagger(Ug)
-    K = sum(S.values())
-    Kinv = _inverse_sqrt(K)
-    return {lam: Kinv @ A @ Kinv for lam, A in S.items()}, rep
-
-
-def product_frame(params: ModelParams, spacetime_effects: dict, lorentz_effects: dict,
-                  spacetime_rep: UnitaryRep, lorentz_rep: UnitaryRep) -> FrameObservable:
-    """E(x, lam) = F(x) (x) G(lam) on the tensor-product representation."""
     rep = ops.tensor_product_rep(spacetime_rep, lorentz_rep)
-    effects = {}
-    for x in params.lattice_points():
-        for lam in params.boosts():
-            effects[FramePoint(x, lam)] = tensor(spacetime_effects[x],
-                                                 lorentz_effects[lam])
+    effects = _zero_effects(params, rep.dim)
+    for i, (F, G) in enumerate(itertools.product(spacetime_effects, lorentz_effects)):
+        effects[i] = tensor(F, G)
     return FrameObservable(params, rep, effects, label="product",
                            globally_oriented=True)
 
@@ -241,128 +225,90 @@ def product_frame(params: ModelParams, spacetime_effects: dict, lorentz_effects:
 # ---------------------------------------------------------------------------
 # Born measures
 
+@dataclass
 class BornMeasure:
-    """Weights over frame points induced by a state (real pmf) or by a
-    general trace-class operator (complex weights)."""
+    """Weights over the frame points: weights[i] belongs to
+    ``params.frame_points()[i]``.  Real for a state (``born_measure``),
+    complex for a general trace-class operator
+    (``born_measure_trace_class``)."""
 
-    def __init__(self, pmf: dict, params: ModelParams):
-        self.pmf = {FramePoint(LatticePoint(*f[0]), f[1]): w for f, w in pmf.items()}
-        self.params = params
+    weights: np.ndarray
+    params: ModelParams
 
-    def total(self) -> complex:
-        return sum(self.pmf.values())
+    def _by_site(self) -> np.ndarray:
+        """The weights as an (N^2, |C|) table: sites by fiber elements."""
+        return self.weights.reshape(self.params.N ** 2, -1)
 
-    def is_probability(self, tol_psd: float = TOL_PSD,
-                       tol_trace: float = TOL_TRACE) -> bool:
-        vals = list(self.pmf.values())
-        if any(abs(np.imag(w)) > tol_trace for w in vals):
-            return False
-        reals = [float(np.real(w)) for w in vals]
-        return min(reals) >= -tol_psd and abs(sum(reals) - 1.0) <= tol_trace
+    def spacetime_marginal(self) -> np.ndarray:
+        """Weight of each lattice point, in lattice_points() order."""
+        return self._by_site().sum(axis=1)
 
-    def support(self, tol_supp: float = TOL_SUPP) -> list[FramePoint]:
-        return [f for f, w in self.pmf.items() if abs(w) > tol_supp]
-
-    def spacetime_marginal(self) -> dict[LatticePoint, complex]:
-        out: dict[LatticePoint, complex] = {}
-        for f, w in self.pmf.items():
-            out[f.x] = out.get(f.x, 0.0) + w
-        return out
-
-    def lorentz_marginal(self) -> dict[int, complex]:
-        out: dict[int, complex] = {}
-        for f, w in self.pmf.items():
-            out[f.lam] = out.get(f.lam, 0.0) + w
-        return out
+    def lorentz_marginal(self) -> np.ndarray:
+        """Weight of each fiber element, in boosts() order."""
+        return self._by_site().sum(axis=0)
 
     def spacetime_support(self, tol_supp: float = TOL_SUPP) -> frozenset[LatticePoint]:
-        return frozenset(x for x, w in self.spacetime_marginal().items()
-                         if abs(w) > tol_supp)
+        sites = self.params.lattice_points()
+        return frozenset(sites[i] for i in
+                         np.flatnonzero(np.abs(self.spacetime_marginal()) > tol_supp))
+
+
+def _born_weights(frame: FrameObservable, T: np.ndarray) -> np.ndarray:
+    """Tr[T E(f)] for every frame point, as one contraction.  Works on the
+    effect array in place (a broadcast view stays a view)."""
+    T = np.asarray(T, dtype=complex)
+    return frame.effects.reshape(len(frame.effects), -1) @ T.T.reshape(-1)
 
 
 def born_measure(of: OrientedFrame) -> BornMeasure:
-    """pmf(f) = Tr[omega E(f)] (real part; the imaginary part is checked)."""
-    pmf = {}
-    for f, E in of.frame.effects.items():
-        w = np.trace(of.omega @ E)
-        pmf[f] = float(np.real(w))
-    return BornMeasure(pmf, of.frame.params)
+    """pmf(f) = Tr[omega E(f)], real.
+
+    Raises ops.HermiticityError when a weight has an imaginary part above
+    TOL_HERM, which a Hermitian omega on a frame of Hermitian effects never
+    produces."""
+    w = _born_weights(of.frame, of.omega)
+    imag = float(np.max(np.abs(w.imag)))
+    if imag > TOL_HERM:
+        raise ops.HermiticityError(
+            f"Born weights have imaginary parts up to {imag:.3e}; omega is not Hermitian")
+    return BornMeasure(w.real.copy(), of.frame.params)
 
 
 def born_measure_trace_class(frame: FrameObservable, T: np.ndarray) -> BornMeasure:
     """Complex-weighted Born measure of an arbitrary operator."""
-    return BornMeasure({f: complex(np.trace(np.asarray(T) @ E))
-                        for f, E in frame.effects.items()}, frame.params)
-
-
-@dataclass
-class Marginals:
-    spacetime_pmf: dict
-    lorentz_pmf: dict
-    spacetime_effects: dict  # F_R: LatticePoint -> effect
-    lorentz_effects: dict    # G_R: lam -> effect
-
-
-def marginals(of: OrientedFrame) -> Marginals:
-    frame = of.frame
-    bm = born_measure(of)
-    F = {x: frame.spacetime_marginal_effect(x) for x in frame.params.lattice_points()}
-    G = {lam: frame.lorentz_marginal_effect(lam) for lam in frame.params.boosts()}
-    return Marginals(bm.spacetime_marginal(), bm.lorentz_marginal(), F, G)
+    return BornMeasure(_born_weights(frame, T), frame.params)
 
 
 @dataclass
 class Disintegration:
     """Spacetime marginal plus fiberwise Lorentz conditionals.
 
-    ``conditional`` only holds entries for marginal weight above tol_supp;
-    reconstruction marginal(x) * conditional(x)(lam) recovers the joint pmf
-    on the support.
+    marginal has shape (N^2,) in lattice_points() order; conditional has
+    shape (N^2, |C|), row x holding the Lorentz conditional at x in boosts()
+    order.  support marks the sites with marginal weight above tol_supp;
+    rows off the support are zero.  On the support,
+    marginal[x] * conditional[x, lam] recovers the joint pmf.
     """
 
-    marginal: dict
-    conditional: dict
-    tol_supp: float = TOL_SUPP
+    marginal: np.ndarray
+    conditional: np.ndarray
+    support: np.ndarray
 
 
 def disintegrate(mu: BornMeasure, tol_supp: float = TOL_SUPP) -> Disintegration:
-    marginal = {x: float(np.real(w)) for x, w in mu.spacetime_marginal().items()}
-    conditional = {}
-    for x, m in marginal.items():
-        if m > tol_supp:
-            conditional[x] = {
-                lam: float(np.real(mu.pmf[FramePoint(x, lam)])) / m
-                for lam in mu.params.boosts()
-            }
-    return Disintegration(marginal, conditional, tol_supp)
+    joint = np.real(mu._by_site())
+    marginal = joint.sum(axis=1)
+    support = marginal > tol_supp
+    conditional = np.zeros_like(joint)
+    conditional[support] = joint[support] / marginal[support, None]
+    return Disintegration(marginal, conditional, support)
 
 
-def support(mu: BornMeasure, tol_supp: float = TOL_SUPP) -> list[FramePoint]:
-    return mu.support(tol_supp)
-
-
-def smearing_function(of: OrientedFrame) -> dict[LatticePoint, float]:
-    """The spacetime marginal pmf, i.e. the density against counting
-    measure that reconstructs the relational observable from the field."""
-    return {x: float(np.real(w))
-            for x, w in born_measure(of).spacetime_marginal().items()}
-
-
-# ---------------------------------------------------------------------------
-# OVM constructions
-
-def pushforward(ovm: dict, map_fn) -> dict:
-    """(phi_* E)(y) = sum over the fiber of y of E(f)."""
-    out: dict = {}
-    for f, E in ovm.items():
-        y = map_fn(f)
-        out[y] = out.get(y, 0) + E
-    return out
-
-
-def product_ovm(E1: dict, E2: dict) -> dict:
-    """Product OVM (f1, f2) -> E1(f1) E2(f2); not positive in general."""
-    return {(f1, f2): A @ B for f1, A in E1.items() for f2, B in E2.items()}
+def smearing_function(of: OrientedFrame) -> np.ndarray:
+    """The spacetime marginal pmf (in lattice_points() order), i.e. the
+    density against counting measure that reconstructs the relational
+    observable from the field."""
+    return born_measure(of).spacetime_marginal()
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +426,9 @@ def channel_compose(psi: Channel, frame: FrameObservable,
     if psi.unitality_defect() > tol_eq:
         raise ChannelValidationError(
             f"channel is not unital (defect {psi.unitality_defect():.3e})")
-    effects = {f: psi.apply(E) for f, E in frame.effects.items()}
+    # psi.apply on every effect at once: rows are row-major flattened effects
+    flat = frame.effects.reshape(len(frame.effects), -1)
+    effects = (flat @ psi.M.T).reshape(frame.effects.shape)
     return FrameObservable(frame.params, frame.rep, effects,
                            label=label or f"{frame.label}+channel")
 
@@ -516,10 +464,10 @@ def vacuum_orthogonality_scan(frame_family, region, Ns,
         if defect > tol_eq:
             raise InvarianceError(
                 f"state not translation-invariant at N={N} (defect {defect:.3e})")
-        weight = 0.0
-        for x in region:
-            Fx = of.frame.spacetime_marginal_effect(LatticePoint(x[0] % N, x[1] % N))
-            weight += float(np.real(np.trace(of.omega @ Fx)))
+        marginal = born_measure(of).spacetime_marginal()
+        params = of.frame.params
+        weight = sum(float(marginal[params.site_index((x[0] % N, x[1] % N))])
+                     for x in region)
         rows.append((N, weight))
     return rows
 

@@ -109,6 +109,19 @@ class ModelParams:
             FramePoint(x, lam) for x in self.lattice_points() for lam in self.boosts()
         )
 
+    def site_index(self, x) -> int:
+        """Position of a lattice point (u, v) in lattice_points() order."""
+        u, v = x
+        if not (0 <= u < self.N and 0 <= v < self.N):
+            raise ValueError(f"lattice point {tuple(x)} is not reduced mod {self.N}")
+        return u * self.N + v
+
+    def frame_index(self, f) -> int:
+        """Position of a frame point (x, lam) in frame_points() order; frame
+        arrays reshape to (N^2, |C|) with sites first, fibers second."""
+        boosts = self.boosts()
+        return self.site_index(f[0]) * len(boosts) + boosts.index(f[1])
+
     def group_elements(self) -> tuple[GroupElement, ...]:
         return tuple(
             GroupElement(x, b) for x in self.lattice_points() for b in self.boosts()

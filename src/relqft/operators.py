@@ -12,7 +12,6 @@ import numpy as np
 
 from relqft import lattice
 from relqft.lattice import (
-    FramePoint,
     GroupElement,
     LatticePoint,
     ModelParams,
@@ -31,6 +30,9 @@ class SizeError(ValueError):
 
 
 MAX_DIM = 4096  # guard for runaway tensor products
+#: Cap on the |F| d^2 complex entries of one frame's effect array (2 GiB):
+#: the regular representation at N = 9 fits (1.7 GiB), N = 11 does not.
+MAX_FRAME_BYTES = 2 * 1024**3
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +314,10 @@ def _permutation_matrix(n: int, perm) -> np.ndarray:
 def regular_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the torsor action on F; dim = N^2 |C|."""
     points = params.frame_points()
-    index = {f: i for i, f in enumerate(points)}
 
     def fn(g: GroupElement) -> np.ndarray:
-        return _permutation_matrix(len(points),
-                                   lambda j: index[act(g, points[j], params)])
+        return _permutation_matrix(
+            len(points), lambda j: params.frame_index(act(g, points[j], params)))
 
     return UnitaryRep(params, len(points), fn, label="regular")
 
@@ -324,11 +325,10 @@ def regular_representation(params: ModelParams) -> UnitaryRep:
 def spacetime_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the (transitive) action on M; dim = N^2."""
     points = params.lattice_points()
-    index = {x: i for i, x in enumerate(points)}
 
     def fn(g: GroupElement) -> np.ndarray:
-        return _permutation_matrix(len(points),
-                                   lambda j: index[act_point(g, points[j], params)])
+        return _permutation_matrix(
+            len(points), lambda j: params.site_index(act_point(g, points[j], params)))
 
     return UnitaryRep(params, len(points), fn, label="spacetime")
 

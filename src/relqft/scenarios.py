@@ -24,7 +24,7 @@ import numpy as np
 from relqft import causality, fields, frames, lattice, net, wightman
 from relqft import operators as ops
 from relqft.config import ScenarioConfig
-from relqft.lattice import FramePoint, GroupElement, LatticePoint, ModelParams
+from relqft.lattice import GroupElement, LatticePoint, ModelParams
 
 VERDICTS = ("verified", "vacuous", "failed", "no-certificate")
 
@@ -194,23 +194,23 @@ def check_field_transformation(cfg: ScenarioConfig,
     omega = build_preparation(cfg, rng, fr.dim)
     rf = fields.RelationalField(system, fr)
     marginal = frames.smearing_function(frames.OrientedFrame(fr, omega))
-    tol_supp = cfg.tol("tol_supp")
-    supported = [x for x, w in marginal.items() if w > tol_supp]
+    sites = params.lattice_points()
+    supported = np.flatnonzero(marginal > cfg.tol("tol_supp"))
     worst_point = worst_integral = 0.0
     sample = _group_sample(params, rng, extra=2)
     for g in sample:
         shifted = _left_shift(fr.rep, g, omega)
-        for x in supported:
+        for i in supported:
             lhs = system.rep.conjugate(
-                g, fields.relational_local_field(rf, omega, x))
+                g, fields.relational_local_field(rf, omega, sites[i]))
             rhs = fields.relational_local_field(
-                rf, shifted, lattice.act_point(g, x, params))
+                rf, shifted, lattice.act_point(g, sites[i], params))
             worst_point = max(worst_point, ops.eq_defect(lhs, rhs))
         observable = fields.relational_local_observable(rf, omega)
         rebuilt = sum(
-            marginal[x] * fields.relational_local_field(
-                rf, shifted, lattice.act_point(g, x, params))
-            for x in supported)
+            marginal[i] * fields.relational_local_field(
+                rf, shifted, lattice.act_point(g, sites[i], params))
+            for i in supported)
         worst_integral = max(worst_integral, ops.eq_defect(
             system.rep.conjugate(g, observable), rebuilt))
     tol = cfg.tol("tol_eq")
@@ -234,6 +234,8 @@ def check_disintegration_covariance(cfg: ScenarioConfig,
     base = frames.disintegrate(
         frames.born_measure(frames.OrientedFrame(fr, omega)),
         cfg.tol("tol_supp"))
+    sites = params.lattice_points()
+    boosts = params.boosts()
     worst = 0.0
     compared = 0
     mismatches = 0
@@ -243,16 +245,16 @@ def check_disintegration_covariance(cfg: ScenarioConfig,
         moved = frames.disintegrate(
             frames.born_measure(frames.OrientedFrame(fr, shifted)),
             cfg.tol("tol_supp"))
-        for x, conditional in moved.conditional.items():
-            gx = lattice.act_point(g, x, params)
-            if gx not in base.conditional:
+        # fiber position of g.boost * lam, for each lam in boosts() order
+        boosted = [boosts.index((g.boost * lam) % params.N) for lam in boosts]
+        for i in np.flatnonzero(moved.support):
+            gx = params.site_index(lattice.act_point(g, sites[i], params))
+            if not base.support[gx]:
                 mismatches += 1
                 continue
-            for lam, weight in conditional.items():
-                partner = base.conditional[gx].get(
-                    (g.boost * lam) % params.N, 0.0)
-                worst = max(worst, abs(weight - partner))
-                compared += 1
+            worst = max(worst, float(np.max(np.abs(
+                moved.conditional[i] - base.conditional[gx, boosted]))))
+            compared += len(boosts)
     tol = cfg.tol("tol_eq")
     ok = worst <= tol and mismatches == 0
     return CheckOutcome(
@@ -389,24 +391,18 @@ _TWO_SITE_PAIRS = (((1, 3), (0, 0)), ((0, 0), (1, 3)),
 _CAUSALITY_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
 
 
-def _site_index(params: ModelParams) -> dict:
-    return {x: i for i, x in enumerate(params.lattice_points())}
-
-
 def _site_state(params: ModelParams, x) -> np.ndarray:
-    index = _site_index(params)
-    d = len(index)
+    d = params.N ** 2
     v = np.zeros(d, dtype=complex)
-    v[index[LatticePoint(*x)]] = 1.0
+    v[params.site_index(x)] = 1.0
     return np.outer(v, v.conj())
 
 
 def _two_site_operator(params: ModelParams, x, y) -> np.ndarray:
-    index = _site_index(params)
-    d = len(index)
+    d = params.N ** 2
+    i, j = params.site_index(x), params.site_index(y)
     A = np.zeros((d, d), dtype=complex)
-    A[index[LatticePoint(*x)], index[LatticePoint(*y)]] = 1.0
-    A[index[LatticePoint(*y)], index[LatticePoint(*x)]] = 1.0
+    A[i, j] = A[j, i] = 1.0
     return A
 
 
@@ -489,21 +485,16 @@ def _witness_frame() -> tuple[frames.FrameObservable, np.ndarray]:
     params = _WITNESS_MODEL
     st_rep = ops.spacetime_representation(params)
     lor_rep = ops.lorentz_representation(params)
-    index = _site_index(params)
-    n_sites = len(index)
-    spacetime_effects = {}
-    for x in params.lattice_points():
-        E = np.zeros((n_sites, n_sites), dtype=complex)
-        E[index[x], index[x]] = 1.0
-        spacetime_effects[x] = E
+    n_sites = params.N ** 2
     n_boosts = len(params.boosts())
-    lorentz_effects = {lam: np.eye(n_boosts, dtype=complex) / n_boosts
-                       for lam in params.boosts()}
+    spacetime_effects = np.zeros((n_sites, n_sites, n_sites), dtype=complex)
+    spacetime_effects[np.arange(n_sites), np.arange(n_sites),
+                      np.arange(n_sites)] = 1.0
+    fiber_mixed = np.eye(n_boosts, dtype=complex) / n_boosts
+    lorentz_effects = np.broadcast_to(fiber_mixed, (n_boosts, n_boosts, n_boosts))
     fr = frames.product_frame(params, spacetime_effects, lorentz_effects,
                               st_rep, lor_rep)
-    site = np.zeros((n_sites, n_sites), dtype=complex)
-    site[index[LatticePoint(1, 2)], index[LatticePoint(1, 2)]] = 1.0
-    omega = ops.tensor(site, np.eye(n_boosts, dtype=complex) / n_boosts)
+    omega = ops.tensor(_site_state(params, (1, 2)), fiber_mixed)
     return fr, omega
 
 
@@ -766,10 +757,9 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
         state = ops.random_state(rng, fr.dim)
         moved = frames.born_measure(
             frames.OrientedFrame(fr, psi.predual_apply(state)))
-        for f, effect in composed.effects.items():
-            direct = complex(np.trace(state @ effect))
-            worst_transform = max(worst_transform,
-                                  abs(direct - moved.pmf[f]))
+        direct = frames.born_measure(frames.OrientedFrame(composed, state))
+        worst_transform = max(worst_transform, float(np.max(np.abs(
+            direct.weights - moved.weights))))
     tol = cfg.tol("tol_eq")
     ok = (worst_fixed <= EXACT_TOL and worst_duality <= tol
           and worst_transform <= tol)

@@ -147,19 +147,19 @@ def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
 
     Exhaustive over the marginal supports, so keep n and N small.
     """
+    sites = frame.params.lattice_points()
     supports = []
     weights = []
     for omega, _ in spec.factors:
         marg = born_measure(OrientedFrame(frame, omega)).spacetime_marginal()
-        supp = [x for x, w in marg.items() if w > tol_supp]
-        supports.append(supp)
+        supports.append(np.flatnonzero(marg > tol_supp))
         weights.append(marg)
     total = 0.0 + 0.0j
     for tup in product(*supports):
         w = 1.0
-        for i, x in enumerate(tup):
-            w *= weights[i][x]
-        total += w * kernel(vac, spec, frame, tup, tol_supp)
+        for i, site in enumerate(tup):
+            w *= weights[i][site]
+        total += w * kernel(vac, spec, frame, [sites[i] for i in tup], tol_supp)
     return abs(total - vev(vac, spec, frame))
 
 
@@ -174,7 +174,7 @@ def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
         if not certify_globally_oriented(of, tol_supp=tol_supp):
             raise OrientationError("preparation is not globally oriented")
         marg = born_measure(of).spacetime_marginal()
-        if sum(1 for w in marg.values() if w > tol_supp) != n_points:
+        if np.count_nonzero(marg > tol_supp) != n_points:
             raise OrientationError(
                 "difference kernels need a full-support spacetime marginal")
 

@@ -22,10 +22,10 @@ def witness_frame():
     preparation smeared uniformly over the fiber."""
     rep_st = ops.spacetime_representation(P3)
     rep_lor = ops.lorentz_representation(P3)
-    sites = {x: np.zeros((9, 9), dtype=complex) for x in P3.lattice_points()}
-    for i, x in enumerate(P3.lattice_points()):
-        sites[x][i, i] = 1.0
-    boosts = {lam: np.eye(2, dtype=complex) / 2 for lam in P3.boosts()}
+    sites = np.zeros((9, 9, 9), dtype=complex)
+    for i in range(9):
+        sites[i, i, i] = 1.0
+    boosts = np.stack([np.eye(2, dtype=complex) / 2] * 2)
     fr = frames.product_frame(P3, sites, boosts, rep_st, rep_lor)
     omega = ops.tensor(site_state(P3, (1, 2)), np.eye(2, dtype=complex) / 2)
     return fr, omega
@@ -106,11 +106,10 @@ def test_joint_constraint_shape_and_witness_feasibility():
     assert b.shape == (2 * n_points ** 2 + 1,)
     # the preparation itself satisfies every factorization constraint
     worst = 0.0
-    for p in fr.frame_points():
-        for q in fr.frame_points():
-            lhs = np.trace(omega @ fr.effects[p] @ fr.effects[q])
-            rhs = mu.pmf[p] * mu.pmf[q]
-            worst = max(worst, abs(lhs - rhs))
+    for Ep, wp in zip(fr.effects, mu.weights):
+        for Eq, wq in zip(fr.effects, mu.weights):
+            lhs = np.trace(omega @ Ep @ Eq)
+            worst = max(worst, abs(lhs - wp * wq))
     assert worst < 1e-14
 
 

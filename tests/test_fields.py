@@ -87,7 +87,7 @@ def test_field_reconstruction_sums_to_observable(rng):
     omega = ops.random_state(rng, fr.dim)
     marginal = frames.smearing_function(frames.OrientedFrame(fr, omega))
     rebuilt = sum(w * fields.relational_local_field(rf, omega, x)
-                  for x, w in marginal.items())
+                  for x, w in zip(P3.lattice_points(), marginal))
     observable = fields.relational_local_observable(rf, omega)
     assert ops.eq_defect(rebuilt, observable) < 1e-12
 
@@ -119,8 +119,8 @@ def test_base_point_independence(rng):
         k = lattice.compose(lattice.frame_to_group(f), g0, P3)
         return FramePoint(k.a, k.boost)
 
-    moved_effects = {f: fr.effects[right_translate(f)] for f in fr.effects}
-    moved_frame = frames.FrameObservable(P3, fr.rep, moved_effects)
+    moved = [P3.frame_index(right_translate(f)) for f in P3.frame_points()]
+    moved_frame = frames.FrameObservable(P3, fr.rep, fr.effects[moved])
     lhs = fields.relational_local_observable(
         fields.RelationalField(system, fr), omega)
     rhs = fields.relational_local_observable(
@@ -201,4 +201,5 @@ def test_globally_oriented_certificate(rng):
     coupled = smeared(ops.regular_representation(P3), rng, strength=0.8)
     weights = frames.disintegrate(frames.born_measure(
         frames.OrientedFrame(coupled, ops.random_state(rng, coupled.dim))))
-    assert len(weights.conditional) == 9
+    assert weights.conditional.shape == (9, 2)
+    assert weights.support.all()

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from relqft import frames
+from relqft import frames, scenarios
 from relqft import operators as ops
 from relqft.lattice import FramePoint, LatticePoint, ModelParams
 
@@ -24,11 +26,18 @@ def test_builtin_frames_are_normalized_covariant():
         assert len(fr.frame_points()) == len(P3.frame_points())
 
 
+def test_uniform_frame_is_a_read_only_view():
+    fr = frames.uniform_frame(ops.regular_representation(ModelParams(7, 2)))
+    assert fr.effects.shape == (147, 147, 147)
+    assert fr.effects.strides[0] == 0
+    assert not fr.effects.flags.writeable
+
+
 def test_build_frame_normalizes_smeared_seed(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     assert fr.normalization_defect() < 1e-10
     assert fr.covariance_defect() < 1e-10
-    for E in fr.effects.values():
+    for E in fr.effects:
         assert ops.psd_gap(E) > -1e-10
 
 
@@ -38,20 +47,69 @@ def test_build_frame_rejects_degenerate_seed():
         frames.build_frame(rep, np.zeros((rep.dim, rep.dim), dtype=complex))
 
 
+def test_oversized_frames_are_refused_before_allocation():
+    # the regular representation at N = 11 would need 1210^3 complex entries
+    params = ModelParams(11, 2)
+    rep = ops.regular_representation(params)
+    seed = np.broadcast_to(np.complex128(1.0 / rep.dim), (rep.dim, rep.dim))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ops.SizeError, match="26.4 GiB"):
+            frames.sharp_regular_frame(params)
+        with pytest.raises(ops.SizeError, match="26.4 GiB"):
+            frames.build_frame(rep, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_sharp_regular_frame_is_rank_one_orthogonal():
     fr = frames.sharp_regular_frame(P3)
-    for f, E in fr.effects.items():
+    for E in fr.effects:
         assert abs(np.trace(E) - 1.0) < 1e-12
         assert ops.eq_defect(E @ E, E) < 1e-12
+
+
+def test_sharp_regular_frame_basis_state_is_a_delta():
+    fr = frames.sharp_regular_frame(P3)
+    points = P3.frame_points()
+    for i, f in enumerate(points):
+        omega = np.zeros((fr.dim, fr.dim), dtype=complex)
+        omega[i, i] = 1.0
+        mu = frames.born_measure(frames.OrientedFrame(fr, omega))
+        assert np.array_equal(mu.weights, np.eye(len(points))[i])
+        assert mu.spacetime_support() == {f.x}
+
+
+def test_swapped_effects_break_covariance():
+    fr = frames.sharp_regular_frame(P3)
+    effects = fr.effects.copy()
+    effects[[0, 1]] = effects[[1, 0]]
+    swapped = frames.FrameObservable(P3, fr.rep, effects)
+    assert fr.covariance_defect() < 1e-12
+    assert swapped.normalization_defect() < 1e-12
+    assert swapped.covariance_defect() > 0.1
 
 
 def test_born_measure_probability(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     omega = ops.random_state(rng, fr.dim)
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
-    assert mu.is_probability()
-    assert abs(mu.total() - 1.0) < 1e-12
-    assert set(mu.pmf) == set(fr.frame_points())
+    assert mu.weights.shape == (len(fr.frame_points()),)
+    assert mu.weights.dtype == np.float64
+    assert mu.weights.min() >= -1e-9
+    assert abs(mu.weights.sum() - 1.0) < 1e-12
+
+
+def test_born_measure_rejects_non_hermitian_state(rng):
+    fr = smeared(ops.regular_representation(P3), rng)
+    with pytest.raises(ops.HermiticityError):
+        frames.born_measure(frames.OrientedFrame(
+            fr, ops.random_operator(rng, fr.dim)))
+    mu = frames.born_measure(frames.OrientedFrame(
+        fr, ops.random_hermitian(rng, fr.dim)))
+    assert np.isrealobj(mu.weights)
 
 
 def test_marginals_sum_to_one(rng):
@@ -60,10 +118,10 @@ def test_marginals_sum_to_one(rng):
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
     st = mu.spacetime_marginal()
     lo = mu.lorentz_marginal()
-    assert abs(sum(st.values()) - 1.0) < 1e-12
-    assert abs(sum(lo.values()) - 1.0) < 1e-12
-    assert set(st) == set(P3.lattice_points())
-    assert set(lo) == set(P3.boosts())
+    assert abs(st.sum() - 1.0) < 1e-12
+    assert abs(lo.sum() - 1.0) < 1e-12
+    assert st.shape == (len(P3.lattice_points()),)
+    assert lo.shape == (len(P3.boosts()),)
 
 
 def test_disintegration_reconstructs_pmf(rng):
@@ -71,11 +129,13 @@ def test_disintegration_reconstructs_pmf(rng):
     omega = ops.random_state(rng, fr.dim)
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
     dis = frames.disintegrate(mu)
-    for x, conditional in dis.conditional.items():
-        assert abs(sum(conditional.values()) - 1.0) < 1e-10
-        for lam, c in conditional.items():
-            rebuilt = dis.marginal[x] * c
-            assert abs(rebuilt - mu.pmf[FramePoint(x, lam)].real) < 1e-12
+    assert dis.support.all()
+    for site, x in enumerate(P3.lattice_points()):
+        assert abs(dis.conditional[site].sum() - 1.0) < 1e-10
+        for c, lam in zip(dis.conditional[site], P3.boosts()):
+            rebuilt = dis.marginal[site] * c
+            expected = mu.weights[P3.frame_index(FramePoint(x, lam))]
+            assert abs(rebuilt - expected) < 1e-12
 
 
 def test_smearing_function_equals_spacetime_marginal(rng):
@@ -84,21 +144,74 @@ def test_smearing_function_equals_spacetime_marginal(rng):
     of = frames.OrientedFrame(fr, omega)
     marginal = frames.born_measure(of).spacetime_marginal()
     smear = frames.smearing_function(of)
-    for x, w in smear.items():
-        assert abs(w - marginal[x].real) < 1e-12
+    assert smear.shape == marginal.shape
+    assert np.abs(smear - marginal).max() < 1e-12
+
+
+def _sharp_effects(n: int) -> np.ndarray:
+    effects = np.zeros((n, n, n), dtype=complex)
+    for i in range(n):
+        effects[i, i, i] = 1.0
+    return effects
 
 
 def test_product_frame_axioms():
     rep_st = ops.spacetime_representation(P3)
     rep_lor = ops.lorentz_representation(P3)
-    sites = {x: np.zeros((9, 9), dtype=complex) for x in P3.lattice_points()}
-    for i, x in enumerate(P3.lattice_points()):
-        sites[x][i, i] = 1.0
-    boosts = {lam: np.eye(2, dtype=complex) / 2 for lam in P3.boosts()}
-    fr = frames.product_frame(P3, sites, boosts, rep_st, rep_lor)
+    boosts = np.stack([np.eye(2, dtype=complex) / 2] * 2)
+    fr = frames.product_frame(P3, _sharp_effects(9), boosts, rep_st, rep_lor)
     assert fr.dim == 18
     assert fr.normalization_defect() < 1e-12
     assert fr.covariance_defect() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# index order: every array result against a loop over frame_points()
+
+def _oracle_frame(name: str, params: ModelParams, rng) -> frames.FrameObservable:
+    if name == "product":
+        n_sites, n_boosts = params.N ** 2, len(params.boosts())
+        return frames.product_frame(
+            params, _sharp_effects(n_sites), _sharp_effects(n_boosts),
+            ops.spacetime_representation(params),
+            ops.lorentz_representation(params))
+    if name == "channel-composed":
+        fr = smeared(ops.lorentz_representation(params), rng, 0.8)
+        psi = frames.random_mixed_unitary_channel(rng, fr.dim)
+        return frames.channel_compose(psi, fr)
+    return scenarios.FRAME_BUILDERS[name](params, rng)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize(
+    "name", [*scenarios.FRAME_BUILDERS, "product", "channel-composed"])
+def test_array_results_match_a_pointwise_reference(name, N, rng):
+    params = ModelParams(N, 2)
+    fr = _oracle_frame(name, params, rng)
+    omega = ops.random_state(rng, fr.dim)
+    mu = frames.born_measure(frames.OrientedFrame(fr, omega))
+
+    reference = {f: np.trace(omega @ E).real
+                 for f, E in zip(params.frame_points(), fr.effects)}
+    spacetime = {x: sum(w for f, w in reference.items() if f.x == x)
+                 for x in params.lattice_points()}
+    lorentz = {lam: sum(w for f, w in reference.items() if f.lam == lam)
+               for lam in params.boosts()}
+
+    for f, w in reference.items():
+        assert abs(mu.weights[params.frame_index(f)] - w) < 1e-12
+    for i, x in enumerate(params.lattice_points()):
+        assert abs(mu.spacetime_marginal()[i] - spacetime[x]) < 1e-12
+    for j, lam in enumerate(params.boosts()):
+        assert abs(mu.lorentz_marginal()[j] - lorentz[lam]) < 1e-12
+
+    dis = frames.disintegrate(mu)
+    for i, x in enumerate(params.lattice_points()):
+        assert dis.support[i] == (spacetime[x] > 1e-12)
+        for j, lam in enumerate(params.boosts()):
+            expected = (reference[FramePoint(x, lam)] / spacetime[x]
+                        if dis.support[i] else 0.0)
+            assert abs(dis.conditional[i, j] - expected) < 1e-10
 
 
 def test_channel_kraus_and_predual(rng):

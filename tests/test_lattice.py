@@ -66,6 +66,18 @@ def test_sizes():
     assert len(ModelParams(9, 2).boosts()) == 6
 
 
+def test_index_helpers_follow_point_order():
+    points = P5.frame_points()
+    assert [P5.frame_index(f) for f in points] == list(range(len(points)))
+    sites = P5.lattice_points()
+    assert [P5.site_index(x) for x in sites] == list(range(len(sites)))
+    # sites first, fibers second: frame arrays reshape to (N^2, |C|)
+    assert [P5.site_index(f.x) for f in points[::len(P5.boosts())]] == list(
+        range(len(sites)))
+    with pytest.raises(ValueError):
+        P5.site_index((0, 5))
+
+
 def test_group_law_worked_example():
     # (0,0; s^1) times (1,1; e): the boost acts first on the translation
     # part of the right factor, (1,1) -> (2, 3) since 2^{-1} = 3 mod 5
