@@ -30,13 +30,11 @@ from relqft.fields import RelationalField, SystemModel, relational_local_field, 
 from relqft.frames import (
     BornMeasure,
     FrameObservable,
-    InvarianceError,
     OrientedFrame,
     born_measure,
     frames_equal,
 )
-from relqft.lattice import LatticePoint, ModelParams
-from relqft.operators import dagger, eq_defect, op_norm
+from relqft.operators import dagger, op_norm
 from relqft.tolerances import MAX_ITER_FEAS, TOL_EQ, TOL_FEAS, TOL_SUPP
 
 
@@ -292,34 +290,3 @@ def check_intrinsic_causality(frame: FrameObservable, system: SystemModel,
             "commutator_residual": commutator_residual,
         })
 
-
-# ---------------------------------------------------------------------------
-# vacuum constancy of pointwise-covariant families
-
-def check_vacuum_constancy(field_family: dict, rep: ops.UnitaryRep,
-                           omega_vec: np.ndarray,
-                           tol_eq: float = TOL_EQ) -> dict:
-    """How far a field family is from acting as a constant on an invariant
-    vector: max_x |field(x) W - field(0) W|, plus the best scalar fit.
-
-    Pointwise translation-covariant families are exactly constant here;
-    relational fields with their state shift are generically not.
-    """
-    omega_vec = np.asarray(omega_vec, dtype=complex)
-    for a in (LatticePoint(1, 0), LatticePoint(0, 1)):
-        if eq_defect(rep.translation(a) @ omega_vec, omega_vec) > tol_eq:
-            raise InvarianceError("reference vector is not translation-invariant")
-    origin = LatticePoint(0, 0)
-    base = field_family[origin] @ omega_vec
-    worst = 0.0
-    for x, F in field_family.items():
-        worst = max(worst, float(np.linalg.norm(F @ omega_vec - base)))
-    denom = float(np.real(np.vdot(omega_vec, omega_vec)))
-    c = complex(np.vdot(omega_vec, base)) / denom
-    scalar_residual = float(np.linalg.norm(base - c * omega_vec))
-    return {
-        "max_deviation": worst,
-        "constant_on_vacuum": worst <= tol_eq,
-        "best_scalar": c,
-        "scalar_fit_residual": scalar_residual,
-    }

@@ -10,7 +10,7 @@ in a config never silently degrades a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from relqft.lattice import LatticePoint, ModelParams
 from relqft.tolerances import TOLERANCE_KEYS, defaults
@@ -23,13 +23,12 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"schema", "model", "window", "system", "frames", "states",
              "suites", "tolerances", "seed"}
 _MODEL_KEYS = {"N", "s"}
-_SYSTEM_KEYS = {"kind", "momenta", "phi"}
-_SYSTEM_KINDS = {"character-orbit"}
+_SYSTEM_KEYS = {"momenta", "phi"}
 _PHI_KINDS = {"random", "identity"}
-_STATE_KEYS = {"preparation", "vacuum"}
+_STATE_KEYS = {"preparation"}
 _STATE_VALUES = {"random", "maximally-mixed"}
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -40,14 +39,12 @@ class ScenarioConfig:
     N: int = 5
     s: int = 2
     window: int = 2
-    system_kind: str = "character-orbit"
     momenta: tuple = (LatticePoint(1, 0), LatticePoint(2, 0),
                       LatticePoint(4, 0), LatticePoint(3, 0))
     phi_kind: str = "random"
     frames: tuple = ("smeared-regular", "smeared-regular-strong",
                      "smeared-lorentz", "smeared-spacetime", "sharp-regular")
-    states: dict = field(default_factory=lambda: {
-        "preparation": "random", "vacuum": "maximally-mixed"})
+    states: dict = field(default_factory=lambda: {"preparation": "random"})
     suites: tuple = ("all",)
     tolerances: dict = field(default_factory=dict)
     seed: int = 20260819
@@ -70,8 +67,7 @@ class ScenarioConfig:
             "schema": self.schema,
             "model": {"N": self.N, "s": self.s},
             "window": self.window,
-            "system": {"kind": self.system_kind,
-                       "momenta": [[p.u, p.v] for p in self.momenta],
+            "system": {"momenta": [[p.u, p.v] for p in self.momenta],
                        "phi": self.phi_kind},
             "frames": list(self.frames),
             "states": dict(self.states),
@@ -139,10 +135,6 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     _require(isinstance(system, dict),
              f"{path}:{_find_line(text, 'system')}: system must be an object")
     _reject_unknown(system, _SYSTEM_KEYS, "system", text, path)
-    kind = system.get("kind", cfg.system_kind)
-    _require(kind in _SYSTEM_KINDS,
-             f"{path}:{_find_line(text, 'kind')}: unknown system kind {kind!r}")
-    kwargs["system_kind"] = kind
     momenta = system.get("momenta")
     if momenta is None:
         kwargs["momenta"] = cfg.momenta
@@ -245,11 +237,6 @@ def parse_tol_flags(pairs) -> dict:
 def with_overrides(cfg: ScenarioConfig, seed: int | None = None,
                    tolerances: dict | None = None) -> ScenarioConfig:
     """A copy of cfg with command-line overrides applied."""
-    merged = dict(cfg.tolerances)
-    merged.update(tolerances or {})
-    return ScenarioConfig(
-        schema=cfg.schema, N=cfg.N, s=cfg.s, window=cfg.window,
-        system_kind=cfg.system_kind, momenta=cfg.momenta,
-        phi_kind=cfg.phi_kind, frames=cfg.frames, states=dict(cfg.states),
-        suites=cfg.suites, tolerances=merged,
-        seed=cfg.seed if seed is None else int(seed))
+    merged = {**cfg.tolerances, **(tolerances or {})}
+    return replace(cfg, seed=cfg.seed if seed is None else int(seed),
+                   tolerances=merged)

@@ -63,7 +63,7 @@ class FrameObservable:
     """
 
     def __init__(self, params: ModelParams, rep: UnitaryRep, effects: np.ndarray,
-                 label: str = "frame", globally_oriented: bool = False):
+                 label: str = "frame"):
         self.params = params
         self.rep = rep
         self.effects = np.asarray(effects, dtype=complex)
@@ -71,7 +71,6 @@ class FrameObservable:
         if self.effects.shape != shape:
             raise ops.SizeError(f"effects shape {self.effects.shape} != {shape}")
         self.label = label
-        self.globally_oriented = globally_oriented
 
     @property
     def dim(self) -> int:
@@ -218,8 +217,7 @@ def product_frame(params: ModelParams, spacetime_effects: np.ndarray,
     effects = _zero_effects(params, rep.dim)
     for i, (F, G) in enumerate(itertools.product(spacetime_effects, lorentz_effects)):
         effects[i] = tensor(F, G)
-    return FrameObservable(params, rep, effects, label="product",
-                           globally_oriented=True)
+    return FrameObservable(params, rep, effects, label="product")
 
 
 # ---------------------------------------------------------------------------
@@ -324,36 +322,8 @@ class Channel:
         if self.M.shape != (dim * dim, dim * dim):
             raise ops.SizeError(f"channel matrix shape {self.M.shape} != {(dim*dim,)*2}")
 
-    @classmethod
-    def from_function(cls, fn, dim: int) -> "Channel":
-        M = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for i in range(dim):
-            for j in range(dim):
-                E = np.zeros((dim, dim), dtype=complex)
-                E[i, j] = 1.0
-                M[:, i * dim + j] = ops.vec(fn(E))
-        return cls(M, dim)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Channel":
-        return cls(np.eye(dim * dim, dtype=complex), dim)
-
-    @classmethod
-    def from_conjugation(cls, U: np.ndarray) -> "Channel":
-        d = U.shape[0]
-        return cls(np.kron(U, U.conj()), d)
-
-    @classmethod
-    def from_kraus(cls, kraus: list) -> "Channel":
-        d = kraus[0].shape[0]
-        M = sum(np.kron(K, K.conj()) for K in kraus)
-        return cls(M, d)
-
     def apply(self, A: np.ndarray) -> np.ndarray:
         return ops.unvec(self.M @ ops.vec(A), self.dim)
-
-    def compose(self, other: "Channel") -> "Channel":
-        return Channel(self.M @ other.M, self.dim)
 
     def choi(self) -> np.ndarray:
         d = self.dim
@@ -363,7 +333,7 @@ class Channel:
         eye = np.eye(self.dim, dtype=complex)
         return eq_defect(self.apply(eye), eye)
 
-    def cp_gap(self, tol_herm: float = TOL_HERM) -> float:
+    def cp_gap(self) -> float:
         """Most negative eigenvalue of the Choi matrix (>= -tol_psd for CP)."""
         C = self.choi()
         return ops.psd_gap((C + dagger(C)) / 2, tol_herm=np.inf)
@@ -371,32 +341,6 @@ class Channel:
     def predual_apply(self, rho: np.ndarray) -> np.ndarray:
         """The Schroedinger-picture map: Tr[psi_*(rho) A] = Tr[rho psi(A)]."""
         return dagger(ops.unvec(dagger(self.M) @ ops.vec(dagger(rho)), self.dim))
-
-    def equivariance_defect(self, rep: UnitaryRep, elements=None) -> float:
-        """max |psi(U A U^dag) - U psi(A) U^dag| over basis units."""
-        if elements is None:
-            elements = rep.params.generators()
-        d = self.dim
-        worst = 0.0
-        for g in elements:
-            U = rep(g)
-            left = Channel.from_conjugation(U)
-            worst = max(worst, eq_defect((self.compose(left)).M, (left.compose(self)).M))
-        return worst
-
-
-def average_channel_over_group(psi: Channel, rep: UnitaryRep) -> Channel:
-    """Group-average psi into an equivariant channel:
-    (1/|G|) sum_g U(g)^dag psi(U(g) . U(g)^dag) U(g)."""
-    params = rep.params
-    elements = params.group_elements()
-    M = np.zeros_like(psi.M)
-    for g in elements:
-        U = rep(g)
-        pre = Channel.from_conjugation(U)
-        post = Channel.from_conjugation(dagger(U))
-        M += (post.compose(psi).compose(pre)).M
-    return Channel(M / len(elements), psi.dim)
 
 
 def random_mixed_unitary_channel(rng: np.random.Generator, dim: int,

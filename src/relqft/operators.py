@@ -83,14 +83,6 @@ def is_state(rho: np.ndarray, tol_herm: float = TOL_HERM,
     )
 
 
-def is_effect(E: np.ndarray, tol_herm: float = TOL_HERM,
-              tol_psd: float = TOL_PSD) -> bool:
-    if not is_hermitian(E, tol_herm):
-        return False
-    eigs = np.linalg.eigvalsh((E + dagger(E)) / 2)
-    return eigs[0] >= -tol_psd and eigs[-1] <= 1.0 + tol_psd
-
-
 def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product, with a size guard."""
     d = A.shape[0] * B.shape[0]
@@ -104,13 +96,6 @@ def partial_trace_frame(O: np.ndarray, dimS: int, dimR: int) -> np.ndarray:
     if O.shape != (dimS * dimR, dimS * dimR):
         raise SizeError(f"expected shape {(dimS * dimR,) * 2}, got {O.shape}")
     return np.einsum("arbr->ab", O.reshape(dimS, dimR, dimS, dimR))
-
-
-def partial_trace_system(O: np.ndarray, dimS: int, dimR: int) -> np.ndarray:
-    """Trace over the first (system) tensor factor."""
-    if O.shape != (dimS * dimR, dimS * dimR):
-        raise SizeError(f"expected shape {(dimS * dimR,) * 2}, got {O.shape}")
-    return np.einsum("arav->rv", O.reshape(dimS, dimR, dimS, dimR))
 
 
 def vec(A: np.ndarray) -> np.ndarray:
@@ -130,8 +115,8 @@ class AlgebraSubspace:
 
     The basis is orthonormal for the Hilbert-Schmidt inner product, held as
     the columns of a d^2 x k matrix of flattened operators.  Closure under
-    products and adjoints is checked on demand, not enforced, because the
-    same container also carries plain generator spans.
+    products is checked on demand (``is_product_closed``), not enforced,
+    because the same container also carries plain generator spans.
     """
 
     def __init__(self, dim: int, basis_matrix: np.ndarray):
@@ -177,12 +162,6 @@ class AlgebraSubspace:
 
     def equality_defect(self, other: "AlgebraSubspace") -> float:
         return max(self.containment_defect(other), other.containment_defect(self))
-
-    def contains_identity(self, tol: float = TOL_EQ) -> bool:
-        return self.contains(np.eye(self.dim, dtype=complex), tol)
-
-    def is_adjoint_closed(self, tol: float = TOL_EQ) -> bool:
-        return all(self.contains(dagger(B), tol) for B in self.basis_ops())
 
     def is_product_closed(self, tol: float = TOL_EQ) -> bool:
         ops = self.basis_ops()
@@ -289,14 +268,6 @@ class UnitaryRep:
 
     def translation(self, a: LatticePoint) -> np.ndarray:
         return self(GroupElement(LatticePoint(*a), 1))
-
-    def homomorphism_defect(self, pairs) -> float:
-        """max over (g, h) of |U(g)U(h) - U(gh)| entrywise."""
-        worst = 0.0
-        for g, h in pairs:
-            gh = lattice.compose(g, h, self.params)
-            worst = max(worst, eq_defect(self(g) @ self(h), self(gh)))
-        return worst
 
     def conjugate(self, g: GroupElement, A: np.ndarray) -> np.ndarray:
         Ug = self(g)

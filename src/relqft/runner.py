@@ -5,8 +5,10 @@ individual check names), executes each resolved check exactly once in
 registry order, and collects the outcomes into a RunReport.  Every check
 draws from its own counter-based generator keyed by the run seed and the
 check name, so adding, removing, or reordering checks never perturbs the
-randomness any other check sees, and byte-identical reports only require
-the same seed and config.
+randomness any other check sees.  Byte-identical reports require the same
+seed, the same config and the same BLAS thread count: a different thread
+count changes the summation order inside BLAS and with it the last digits
+of some residuals.
 
 Serialized reports carry a schema version.  The JSON form round-trips
 losslessly; the text form is a fixed-width table.  Timings are measured

@@ -441,16 +441,19 @@ def check_microcausality_implication(cfg: ScenarioConfig,
                           ops.random_hermitian(rng, d),
                           ops.random_hermitian(rng, d)))
     tol = cfg.tol("tol_eq")
+    tol_supp = cfg.tol("tol_supp")
     counts: dict = {}
     passing = vacuous = counterexamples = 0
     worst = 0.0
     for kind, omega1, omega2, phi1, phi2 in instances:
         system = fields.SystemModel(params, rep, phi1)
-        micro = causality.check_r_microcausal(system, fr, omega1, omega2,
-                                              phi1, phi2)
+        micro = causality.check_r_microcausal(
+            system, fr, omega1, omega2, phi1, phi2, tol_eq=tol,
+            tol_supp=tol_supp)
         if micro.verdict == "verified":
-            causal = causality.check_r_causal(system, fr, omega1, omega2,
-                                              phi1, phi2)
+            causal = causality.check_r_causal(
+                system, fr, omega1, omega2, phi1, phi2, tol_eq=tol,
+                tol_supp=tol_supp)
             worst = max(worst, causal.max_residual)
             if causal.max_residual > tol:
                 counterexamples += 1
@@ -513,7 +516,8 @@ def check_intrinsic_causality_pipeline(cfg: ScenarioConfig,
         ops.random_operator(rng, 2))
     phi2 = ops.random_operator(rng, 2)
     report = causality.check_intrinsic_causality(
-        fr, system, omega, omega, system.phi, phi2, tol_feas=tol_feas)
+        fr, system, omega, omega, system.phi, phi2, tol_eq=cfg.tol("tol_eq"),
+        tol_feas=tol_feas, tol_supp=cfg.tol("tol_supp"))
     joint_residual = float(report.details["joint_state_residual"])
     swap = float(report.details["swap_residual"])
     converged = bool(report.details["joint_state_converged"])
@@ -589,8 +593,11 @@ def check_wightman_suite(cfg: ScenarioConfig,
     omega1, omega2 = _site_state(params, a), _site_state(params, b)
     local_phi = _site_state(params, (0, 0))
     system = fields.SystemModel(params, rep, local_phi)
-    micro = causality.check_r_microcausal(system, fr, omega1, omega2)
-    causal = causality.check_r_causal(system, fr, omega1, omega2)
+    tol_supp = cfg.tol("tol_supp")
+    micro = causality.check_r_microcausal(system, fr, omega1, omega2,
+                                          tol_eq=tol, tol_supp=tol_supp)
+    causal = causality.check_r_causal(system, fr, omega1, omega2,
+                                      tol_eq=tol, tol_supp=tol_supp)
     premise = micro.verdict == "verified" and causal.verdict == "verified"
     swap_spec = wightman.VevSpec(((omega1, local_phi), (omega2, local_phi)))
     residuals["commutativity_swap"] = wightman.adjacent_swap_residual(

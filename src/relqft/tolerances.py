@@ -3,7 +3,13 @@
 All computations are sums and products of O(10^3) unit-scale terms in double
 precision, so equality-type residuals sit far below 1e-10 while eigenvalue
 clipping needs the slightly looser 1e-9.  Functions take these as default
-arguments; the CLI can override them per run.
+arguments.
+
+A scenario config or the CLI's ``--tol KEY=VAL`` can override exactly the
+names in ``TOLERANCE_KEYS``: ``tol_eq``, ``tol_psd``, ``tol_supp``,
+``tol_feas`` and ``tol_dft``.  ``TOL_HERM`` and ``TOL_TRACE`` are fixed:
+they guard ``psd_gap``, ``is_state`` and ``born_measure`` against usage
+errors and decide no check.
 """
 
 TOL_EQ = 1e-10     # entrywise operator equality / commutator residuals
@@ -17,26 +23,17 @@ TOL_DFT = 1e-9     # spectral-support violations in Fourier tables
 SVD_CUTOFF = 1e-8  # relative singular-value cutoff for rank/nullspace calls
 MAX_ITER_FEAS = 5000  # alternating-projection iteration cap
 
-#: Names accepted by the CLI's --tol KEY=VAL overrides.
-TOLERANCE_KEYS = (
-    "tol_eq",
-    "tol_herm",
-    "tol_psd",
-    "tol_trace",
-    "tol_supp",
-    "tol_feas",
-    "tol_dft",
-)
-
 
 def defaults() -> dict:
-    """Return the default tolerance set as a plain dict."""
+    """Return the overridable tolerances and their defaults as a plain dict."""
     return {
         "tol_eq": TOL_EQ,
-        "tol_herm": TOL_HERM,
         "tol_psd": TOL_PSD,
-        "tol_trace": TOL_TRACE,
         "tol_supp": TOL_SUPP,
         "tol_feas": TOL_FEAS,
         "tol_dft": TOL_DFT,
     }
+
+
+#: Names accepted as tolerance overrides, in ``defaults()`` order.
+TOLERANCE_KEYS = tuple(defaults())

@@ -382,11 +382,6 @@ def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservabl
     return total, coincident
 
 
-def time_ordered(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                 points) -> complex:
-    return time_ordered_detailed(vac, spec, frame, points)[0]
-
-
 # ---------------------------------------------------------------------------
 # irreducibility of the trace-class field span
 

@@ -6,7 +6,7 @@ from relqft.config import (ConfigError, DEFAULT_CONFIG, ScenarioConfig,
                            load_config, normalize_tolerances, parse_config,
                            parse_tol_flags, with_overrides)
 from relqft.lattice import LatticePoint
-from relqft.tolerances import defaults
+from relqft.tolerances import TOLERANCE_KEYS, defaults
 
 
 def test_default_round_trip():
@@ -56,11 +56,14 @@ def test_bad_json_reports_line():
 def test_unsupported_schema_rejected():
     with pytest.raises(ConfigError, match="unsupported schema"):
         parse_config('{"schema": 99}')
+    with pytest.raises(ConfigError, match="unsupported schema 1"):
+        parse_config('{"schema": 1}')
 
 
 def test_unknown_system_kind_rejected():
-    with pytest.raises(ConfigError, match="unknown system kind"):
-        parse_config('{"system": {"kind": "harmonic"}}')
+    # schema 2 dropped system.kind: it had one allowed value
+    with pytest.raises(ConfigError, match=r"unknown key 'kind' in system"):
+        parse_config('{"system": {"kind": "character-orbit"}}')
 
 
 def test_unknown_phi_spec_rejected():
@@ -77,9 +80,12 @@ def test_malformed_momenta_rejected():
 
 def test_unknown_state_spec_rejected():
     with pytest.raises(ConfigError, match="unknown state spec"):
-        parse_config('{"states": {"vacuum": "thermal"}}')
+        parse_config('{"states": {"preparation": "thermal"}}')
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config('{"states": {"bath": "random"}}')
+    # schema 2 dropped states.vacuum: no check read it
+    with pytest.raises(ConfigError, match=r"unknown key 'vacuum' in states"):
+        parse_config('{"states": {"vacuum": "maximally-mixed"}}')
 
 
 def test_empty_suites_rejected():
@@ -101,6 +107,11 @@ def test_tolerances_accept_both_spellings():
 def test_tolerances_reject_unknown_and_nonpositive():
     with pytest.raises(ConfigError, match="unknown tolerance"):
         normalize_tolerances({"slack": 1e-6})
+    # fixed guards, not overrides: no check decides with them
+    with pytest.raises(ConfigError, match="unknown tolerance 'herm'"):
+        parse_config('{"tolerances": {"herm": 1e-9}}')
+    with pytest.raises(ConfigError, match="unknown tolerance 'tol_trace'"):
+        normalize_tolerances({"tol_trace": 1e-9})
     with pytest.raises(ConfigError, match="must be positive"):
         normalize_tolerances({"eq": 0.0})
     with pytest.raises(ConfigError, match="not a number"):
@@ -113,6 +124,8 @@ def test_tol_flag_parsing():
     assert parse_tol_flags(None) == {}
     with pytest.raises(ConfigError, match="KEY=VAL"):
         parse_tol_flags(["eq:1e-9"])
+    with pytest.raises(ConfigError, match="unknown tolerance 'trace'"):
+        parse_tol_flags(["trace=1e-9"])
 
 
 def test_tol_lookup_uses_overrides():
@@ -121,6 +134,10 @@ def test_tol_lookup_uses_overrides():
     assert cfg.tol("tol_psd") == defaults()["tol_psd"]
     with pytest.raises(KeyError):
         cfg.tol("tol_unknown")
+    with pytest.raises(KeyError):
+        cfg.tol("tol_herm")
+    assert set(TOLERANCE_KEYS) == {"tol_eq", "tol_psd", "tol_supp",
+                                   "tol_feas", "tol_dft"}
 
 
 def test_with_overrides():

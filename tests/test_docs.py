@@ -1,10 +1,16 @@
-"""The registry page must mirror the code registry exactly."""
+"""The registry page must mirror the code registry exactly, and the
+README's scenario example must parse."""
 
+import dataclasses
 import pathlib
+import re
 
+from relqft.config import DEFAULT_CONFIG, parse_config
 from relqft.scenarios import CHECKS, SUITES
 
-DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "check_registry.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DOC = ROOT / "docs" / "check_registry.md"
+README = ROOT / "README.md"
 
 
 def markdown_tables(text):
@@ -53,3 +59,14 @@ def test_verdicts_documented():
     text = DOC.read_text(encoding="utf-8")
     for verdict in ("verified", "vacuous", "failed", "no-certificate"):
         assert verdict in text
+
+
+def test_readme_scenario_example_parses():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Scenario configs", 1)[1]
+    blocks = re.findall(r"```json\n(.*?)```", section, flags=re.S)
+    assert blocks, "no json block under 'Scenario configs'"
+    cfg = parse_config(blocks[0], path="README.md")
+    # the example spells out the bundled scenario plus one override
+    assert cfg.tolerances == {"tol_eq": 1e-10}
+    assert dataclasses.replace(cfg, tolerances={}) == DEFAULT_CONFIG

@@ -1,10 +1,11 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from relqft import runner
+from relqft import causality, runner
 from relqft.config import ConfigError, DEFAULT_CONFIG, ScenarioConfig
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
 
@@ -153,3 +154,38 @@ def test_outcome_record_shape():
     assert "seconds" not in slim
     # records must be JSON-clean all the way down
     json.dumps(record)
+
+
+@pytest.mark.parametrize("check, calls, stub", [
+    # stubbed premises keep this check fast and force the check_r_causal
+    # branch for every instance
+    ("microcausality-implication",
+     {"check_r_microcausal", "check_r_causal"}, True),
+    ("wightman-suite", {"check_r_microcausal", "check_r_causal"}, False),
+    ("intrinsic-causality-pipeline", {"check_intrinsic_causality"}, False),
+])
+def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
+                                                 stub):
+    tols = {"tol_eq": 3e-10, "tol_supp": 4e-13}
+    cfg = dataclasses.replace(DEFAULT_CONFIG, tolerances=tols)
+    seen = []
+
+    def recording(name):
+        original = getattr(causality, name)
+        signature = inspect.signature(original)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((name, bound.arguments["tol_eq"],
+                         bound.arguments["tol_supp"]))
+            if stub:
+                return causality.CausalReport(name, 1, 0.0, "verified")
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(causality, name, recording(name))
+    runner.run(cfg, targets=[check])
+    assert {name for name, _, _ in seen} == calls
+    assert {(eq, supp) for _, eq, supp in seen} == {(3e-10, 4e-13)}

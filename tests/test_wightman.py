@@ -183,8 +183,8 @@ def test_time_ordering_requires_lifted_mode(rng):
         (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim)),
         (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim))))
     with pytest.raises(wightman.TimeOrderError):
-        wightman.time_ordered(vac, spec, fr,
-                              (LatticePoint(0, 0), LatticePoint(1, 1)))
+        wightman.time_ordered_detailed(vac, spec, fr,
+                                       (LatticePoint(0, 0), LatticePoint(1, 1)))
 
 
 def test_time_ordered_two_point_split(rng):
