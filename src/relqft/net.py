@@ -3,10 +3,10 @@
 A local algebra is generated by relational observables whose frame
 preparations are localized in a region: the states come from the kernel
 intersection of the complementary marginal effects, the observables from a
-caller-chosen family of system operators, and the algebra is the double
-commutant of the generator span.  The deterministic variant localizes in
-the causal hull instead, which is what makes the time-slice comparison a
-computation rather than a definition.
+caller-chosen family of system operators, and the algebra is the word
+closure of the generator span (``operators.generated_algebra``).  The
+deterministic variant localizes in the causal hull instead, which is what
+makes the time-slice comparison a computation rather than a definition.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import numpy as np
 from relqft import lattice, operators as ops
 from relqft.causality import check_r_causal
 from relqft.fields import RelationalField, SystemModel, relational_local_observable
-from relqft.frames import FrameObservable, OrientedFrame, born_measure
-from relqft.lattice import LatticePoint, ModelParams
-from relqft.operators import AlgebraSubspace, dagger, double_commutant, op_norm
+from relqft.frames import FrameObservable, born_measure
+from relqft.lattice import ModelParams
+from relqft.operators import AlgebraSubspace, dagger, generated_algebra, op_norm
 from relqft.tolerances import SVD_CUTOFF, TOL_EQ, TOL_SUPP
 
 
@@ -84,8 +84,9 @@ class LocalAlgebraNet:
 
 def local_algebra(frame: FrameObservable, system: SystemModel, system_ops,
                   region) -> LocalAlgebra:
-    """Double commutant of {relational observable of phi at omega} over the
-    given system operators and all preparations localized in the region."""
+    """Unital *-algebra generated, by word closure, by {relational
+    observable of phi at omega} over the given system operators and all
+    preparations localized in the region."""
     lattice.require_same_params(frame.params, system.params)
     region = frozenset(region)
     states = states_supported_in(frame, region)
@@ -94,17 +95,9 @@ def local_algebra(frame: FrameObservable, system: SystemModel, system_ops,
         rf = RelationalField(system.with_phi(phi), frame)
         for omega in states:
             raw.append(relational_local_observable(rf, omega))
-    if not raw:
-        scalars = AlgebraSubspace.from_spanning(
-            system.dim, [np.eye(system.dim, dtype=complex)])
-        return LocalAlgebra(region, scalars, 0, vacuous=True)
     span = AlgebraSubspace.from_spanning(system.dim, raw)
-    # compress the *-closed generator span once so the commutant stacking
-    # stays at most d^2 rows of d^2 columns
-    starred = AlgebraSubspace.from_spanning(
-        system.dim, span.basis_ops() + [dagger(A) for A in span.basis_ops()])
-    alg = double_commutant(starred.basis_ops(), system.dim)
-    return LocalAlgebra(region, alg, span.subspace_dim, vacuous=False)
+    alg = generated_algebra(span.basis_ops(), system.dim)
+    return LocalAlgebra(region, alg, span.subspace_dim, vacuous=not raw)
 
 
 def deterministic_local_algebra(frame: FrameObservable, system: SystemModel,

@@ -195,22 +195,22 @@ def check_field_transformation(cfg: ScenarioConfig,
     rf = fields.RelationalField(system, fr)
     marginal = frames.smearing_function(frames.OrientedFrame(fr, omega))
     sites = params.lattice_points()
-    supported = np.flatnonzero(marginal > cfg.tol("tol_supp"))
+    tol_supp = cfg.tol("tol_supp")
+    supported = np.flatnonzero(marginal > tol_supp)
     worst_point = worst_integral = 0.0
     sample = _group_sample(params, rng, extra=2)
+    unshifted = [fields.relational_local_field(rf, omega, sites[i], tol_supp)
+                 for i in supported]
+    observable = fields.relational_local_observable(rf, omega)
     for g in sample:
         shifted = _left_shift(fr.rep, g, omega)
-        for i in supported:
-            lhs = system.rep.conjugate(
-                g, fields.relational_local_field(rf, omega, sites[i]))
-            rhs = fields.relational_local_field(
-                rf, shifted, lattice.act_point(g, sites[i], params))
-            worst_point = max(worst_point, ops.eq_defect(lhs, rhs))
-        observable = fields.relational_local_observable(rf, omega)
-        rebuilt = sum(
-            marginal[i] * fields.relational_local_field(
-                rf, shifted, lattice.act_point(g, sites[i], params))
-            for i in supported)
+        rebuilt = 0
+        for i, phi_x in zip(supported, unshifted):
+            moved = fields.relational_local_field(
+                rf, shifted, lattice.act_point(g, sites[i], params), tol_supp)
+            worst_point = max(worst_point, ops.eq_defect(
+                system.rep.conjugate(g, phi_x), moved))
+            rebuilt = rebuilt + marginal[i] * moved
         worst_integral = max(worst_integral, ops.eq_defect(
             system.rep.conjugate(g, observable), rebuilt))
     tol = cfg.tol("tol_eq")
@@ -783,10 +783,6 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
 # net suite
 
 _NET_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
-#: Subspace comparisons tolerate spectral-cutoff dust up to 1e-9; the
-#: commutator residuals of the causality axiom are held an order tighter.
-NET_TOL = 1e-9
-NET_CAUSALITY_TOL = 1e-10
 _NET_SLICE = ((0, 2), (1, 1), (2, 0))
 _NET_TIPS = ((0, 0), (2, 2))
 _NET_DIAMOND = tuple((u, v) for u in range(3) for v in range(3))
@@ -817,14 +813,15 @@ def check_net_axioms(cfg: ScenarioConfig,
     sample = _group_sample(params, rng,
                            extra=max(0, 10 - len(params.generators())))
 
+    tol = cfg.tol("tol_eq")
     intrinsic = net.LocalAlgebraNet(fr, system, system_ops)
     intrinsic_report = net.verify_net_axioms(
-        intrinsic, regions, sample, spacelike_pairs=[pair], tol_eq=NET_TOL)
+        intrinsic, regions, sample, spacelike_pairs=[pair], tol_eq=tol)
 
     deterministic = net.LocalAlgebraNet(fr, system, system_ops,
                                         deterministic=True)
     deterministic_report = net.verify_net_axioms(
-        deterministic, regions, [], spacelike_pairs=[pair], tol_eq=NET_TOL)
+        deterministic, regions, [], spacelike_pairs=[pair], tol_eq=tol)
 
     residuals = {}
     verdicts = {}
@@ -837,22 +834,18 @@ def check_net_axioms(cfg: ScenarioConfig,
     dims = {str(sorted((p.u, p.v) for p in region)):
             intrinsic.algebra(region).algebra.subspace_dim
             for region in regions}
-    failed = [k for k, v in verdicts.items() if v == "failed"]
+    # the other two axioms are vacuous by construction: the intrinsic net
+    # has no time-slice pairs, the deterministic one no group sample
     required = ("intrinsic_isotony", "intrinsic_covariance",
                 "intrinsic_causality", "deterministic_isotony",
                 "deterministic_causality", "deterministic_time_slice")
-    missing = [k for k in required
-               if verdicts.get(k) not in ("verified",)]
-    commutators_tight = all(
-        residuals[k] <= NET_CAUSALITY_TOL
-        for k in ("intrinsic_causality", "deterministic_causality"))
-    ok = not failed and not missing and commutators_tight
+    ok = all(verdicts[k] == "verified" for k in required)
     return CheckOutcome(
         "net-axioms", "local-net-axioms",
         "verified" if ok else "failed", residuals,
         {"verdicts": verdicts, "algebra_dims": dims,
          "group_sample": len(sample), "model": "N=5 lifted window=2",
-         "tolerance": NET_TOL, "causality_tolerance": NET_CAUSALITY_TOL})
+         "tolerance": tol})
 
 
 # ---------------------------------------------------------------------------

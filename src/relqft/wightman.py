@@ -33,7 +33,7 @@ from relqft.frames import (
 )
 from relqft.fields import certify_globally_oriented
 from relqft.lattice import LatticePoint, ModelParams
-from relqft.operators import AlgebraSubspace, commutant, dagger, double_commutant
+from relqft.operators import AlgebraSubspace, commutant, dagger, generated_algebra
 from relqft.tolerances import SVD_CUTOFF, TOL_DFT, TOL_EQ, TOL_SUPP
 
 
@@ -389,14 +389,9 @@ def field_operator_span(rf: RelationalField) -> list[np.ndarray]:
     """Orthonormal spanning basis of {extend_trace_class(rf, T)} as T runs
     over a full matrix-unit basis of the frame space."""
     d_r = rf.frame.dim
-    raw = []
-    for i in range(d_r):
-        for j in range(d_r):
-            T = np.zeros((d_r, d_r), dtype=complex)
-            T[i, j] = 1.0
-            raw.append(extend_trace_class(rf, T))
-    span = AlgebraSubspace.from_spanning(rf.system.dim, raw)
-    return span.basis_ops()
+    units = np.eye(d_r * d_r, dtype=complex).reshape(-1, d_r, d_r)
+    raw = [extend_trace_class(rf, T) for T in units]
+    return AlgebraSubspace.from_spanning(rf.system.dim, raw).basis_ops()
 
 
 @dataclass
@@ -408,37 +403,14 @@ class IrreducibilityReport:
     generates_full: bool
     cyclic: bool | None
     cyclic_rank: int | None
-    word_rounds: int | None
     implication_ok: bool
 
 
-def _cyclic_rank(basis_ops, vector: np.ndarray, dim: int,
-                 word_cap: int) -> tuple[int, int]:
-    """Rank of the span of words in basis_ops applied to the vector, grown
-    round by round until stabilization or the word-length cap."""
-    vecs = vector.reshape(1, -1) / np.linalg.norm(vector)
-    rounds = 0
-    for rounds in range(1, word_cap + 1):
-        new = [vecs]
-        for A in basis_ops:
-            new.append(vecs @ A.T)
-        stacked = np.vstack(new)
-        u, s, _ = np.linalg.svd(stacked.T, full_matrices=False)
-        keep = s > SVD_CUTOFF * s[0]
-        grown = u[:, keep].T
-        if grown.shape[0] == vecs.shape[0] or grown.shape[0] == dim:
-            vecs = grown
-            break
-        vecs = grown
-    return vecs.shape[0], rounds
-
-
 def irreducibility_check(rf: RelationalField,
-                         vacuum_vector: np.ndarray | None = None,
-                         word_cap: int | None = None) -> IrreducibilityReport:
-    """Commutant triviality of the trace-class field span, both for the
-    literal (not adjoint-closed) set and for its *-closure, plus vacuum
-    cyclicity for the polynomial algebra when a vector is supplied.
+                         vacuum_vector: np.ndarray | None = None) -> IrreducibilityReport:
+    """Commutant triviality of the trace-class field span, the *-algebra it
+    generates (its bicommutant), and when a vector v is supplied its cyclic
+    rank: the rank of {B v : B in a basis of that algebra}.
 
     Irreducibility should imply cyclicity of every nonzero vector; the
     report records whether that implication held.
@@ -446,29 +418,26 @@ def irreducibility_check(rf: RelationalField,
     dim = rf.system.dim
     basis = field_operator_span(rf)
     comm = commutant(basis, dim)
-    starred = basis + [dagger(A) for A in basis]
-    bicomm = double_commutant(starred, dim)
+    algebra = generated_algebra(basis, dim)
     irreducible = comm.subspace_dim == 1
-    generates_full = bicomm.subspace_dim == dim * dim
+    generates_full = algebra.subspace_dim == dim * dim
 
     cyclic = None
     rank = None
-    rounds = None
     if vacuum_vector is not None:
-        cap = word_cap if word_cap is not None else dim * dim
-        star_span = AlgebraSubspace.from_spanning(dim, starred).basis_ops()
-        rank, rounds = _cyclic_rank(star_span, np.asarray(vacuum_vector, dtype=complex),
-                                    dim, cap)
+        v = np.asarray(vacuum_vector, dtype=complex)
+        basis_ops = algebra.Q.T.reshape(-1, dim, dim)
+        svals = np.linalg.svd(basis_ops @ (v / np.linalg.norm(v)), compute_uv=False)
+        rank = int(np.sum(svals > SVD_CUTOFF * svals[0]))
         cyclic = rank == dim
     implication_ok = (not irreducible) or (cyclic is not False)
     return IrreducibilityReport(
         span_dim=len(basis),
         commutant_dim=comm.subspace_dim,
         irreducible=irreducible,
-        bicommutant_dim=bicomm.subspace_dim,
+        bicommutant_dim=algebra.subspace_dim,
         generates_full=generates_full,
         cyclic=cyclic,
         cyclic_rank=rank,
-        word_rounds=rounds,
         implication_ok=implication_ok,
     )

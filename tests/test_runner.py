@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from relqft import causality, runner
-from relqft.config import ConfigError, DEFAULT_CONFIG, ScenarioConfig
+from relqft import causality, fields, net, runner
+from relqft.config import ConfigError, DEFAULT_CONFIG
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
 
 FAST = ["restriction-duality", "spectral-condition"]
@@ -160,32 +160,42 @@ def test_outcome_record_shape():
     # stubbed premises keep this check fast and force the check_r_causal
     # branch for every instance
     ("microcausality-implication",
-     {"check_r_microcausal", "check_r_causal"}, True),
-    ("wightman-suite", {"check_r_microcausal", "check_r_causal"}, False),
-    ("intrinsic-causality-pipeline", {"check_intrinsic_causality"}, False),
+     {"causality.check_r_microcausal", "causality.check_r_causal"}, True),
+    ("wightman-suite",
+     {"causality.check_r_microcausal", "causality.check_r_causal"}, False),
+    ("intrinsic-causality-pipeline",
+     {"causality.check_intrinsic_causality"}, False),
+    ("net-axioms", {"net.verify_net_axioms"}, False),
+    ("field-transformation", {"fields.relational_local_field"}, False),
 ])
 def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
                                                  stub):
+    # every call records the tol_eq / tol_supp parameters it declares
     tols = {"tol_eq": 3e-10, "tol_supp": 4e-13}
     cfg = dataclasses.replace(DEFAULT_CONFIG, tolerances=tols)
+    modules = {"causality": causality, "fields": fields, "net": net}
     seen = []
 
-    def recording(name):
-        original = getattr(causality, name)
+    def recording(qualname):
+        module, name = qualname.split(".")
+        original = getattr(modules[module], name)
         signature = inspect.signature(original)
+        declared = [k for k in tols if k in signature.parameters]
+        assert declared
 
         def wrapper(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            seen.append((name, bound.arguments["tol_eq"],
-                         bound.arguments["tol_supp"]))
+            seen.append((qualname, {k: bound.arguments[k] for k in declared}))
             if stub:
                 return causality.CausalReport(name, 1, 0.0, "verified")
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(causality, name, recording(name))
+    for qualname in calls:
+        module, name = qualname.split(".")
+        monkeypatch.setattr(modules[module], name, recording(qualname))
     runner.run(cfg, targets=[check])
-    assert {name for name, _, _ in seen} == calls
-    assert {(eq, supp) for _, eq, supp in seen} == {(3e-10, 4e-13)}
+    assert {qualname for qualname, _ in seen} == calls
+    for _, received in seen:
+        assert received == {k: tols[k] for k in received}
