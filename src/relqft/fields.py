@@ -12,7 +12,9 @@ system via the Born weights:
     local field:   phi_w(x)    = sum_lam cond_w(lam | x) phi_(x,lam)
 
 All sums are finite, so the covariance and reconstruction identities hold
-to machine precision.
+to machine precision.  Each sum over frame points is one contraction over
+the stacked system unitaries (``UnitaryRep.matrices``), whose order is the
+frame-point order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from relqft.frames import (
     disintegrate,
 )
 from relqft.lattice import FramePoint, LatticePoint, ModelParams
-from relqft.operators import UnitaryRep, dagger, tensor
+from relqft.operators import UnitaryRep
 from relqft.tolerances import TOL_SUPP
 
 
@@ -80,12 +82,21 @@ def oriented_field(sys: SystemModel, f: FramePoint) -> np.ndarray:
 
 
 def relativize(rf: RelationalField) -> np.ndarray:
-    """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action."""
-    total = None
-    for f, E in zip(rf.params.frame_points(), rf.frame.effects):
-        term = tensor(oriented_field(rf.system, f), E)
-        total = term if total is None else total + term
-    return total
+    """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action.
+
+    One contraction of the stacked oriented fields with the effect array;
+    refused before allocation above ops.MAX_DIM, like ``tensor``."""
+    dimS, dimR = rf.system.dim, rf.frame.dim
+    if dimS * dimR > ops.MAX_DIM:
+        raise ops.SizeError(
+            f"tensor product dimension {dimS * dimR} exceeds {ops.MAX_DIM}")
+    unitaries = rf.system.rep.matrices()
+    oriented = unitaries @ rf.system.phi @ unitaries.conj().transpose(0, 2, 1)
+    n = len(oriented)
+    # matmul, unlike tensordot, reads a broadcast effect view without a copy
+    total = oriented.reshape(n, -1).T @ rf.frame.effects.reshape(n, -1)
+    return total.reshape(dimS, dimS, dimR, dimR).transpose(0, 2, 1, 3).reshape(
+        dimS * dimR, dimS * dimR)
 
 
 def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarray:
@@ -100,25 +111,31 @@ def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarr
     return ops.partial_trace_frame(W @ O, dimS, dimR)
 
 
+def _orbit_sum(unitaries: np.ndarray, weights: np.ndarray,
+               A: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] U_i A U_i^dag over a (n, d, d) stack, as one
+    contraction over the points of nonzero weight."""
+    kept = weights != 0.0
+    unitaries, weights = unitaries[kept], weights[kept]
+    moved = weights[:, None, None] * (unitaries @ np.asarray(A, dtype=complex))
+    return np.tensordot(moved, unitaries.conj(), axes=([0, 2], [0, 2]))
+
+
 def _weighted_fields(sys: SystemModel, points, weights) -> np.ndarray:
-    """sum_i weights[i] phi_(points[i]), skipping zero weights."""
-    total = np.zeros((sys.dim, sys.dim), dtype=complex)
-    for f, w in zip(points, weights):
-        if w != 0.0:
-            total += w * oriented_field(sys, f)
-    return total
+    """sum_i weights[i] phi_(points[i]) for frame-point indices ``points``."""
+    return _orbit_sum(sys.rep.matrices()[points], weights, sys.phi)
 
 
 def relational_local_observable(rf: RelationalField, omega: np.ndarray) -> np.ndarray:
     """Phi(w) = sum_f pmf_w(f) phi_f; equals restrict(relativize(.), w)."""
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    return _weighted_fields(rf.system, rf.params.frame_points(), bm.weights)
+    return _weighted_fields(rf.system, slice(None), bm.weights)
 
 
 def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
     """Phi(T) = sum_f Tr[T E(f)] phi_f, linear in an arbitrary T."""
     bm = born_measure_trace_class(rf.frame, T)
-    return _weighted_fields(rf.system, rf.params.frame_points(), bm.weights)
+    return _weighted_fields(rf.system, slice(None), bm.weights)
 
 
 def relational_local_field(rf: RelationalField, omega: np.ndarray,
@@ -133,7 +150,8 @@ def relational_local_field(rf: RelationalField, omega: np.ndarray,
     site = rf.params.site_index(x)
     if not dis.support[site]:
         return np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    fiber = [FramePoint(x, lam) for lam in rf.params.boosts()]
+    n_boosts = len(rf.params.boosts())
+    fiber = slice(site * n_boosts, (site + 1) * n_boosts)
     return _weighted_fields(rf.system, fiber, dis.conditional[site])
 
 
@@ -146,12 +164,8 @@ def predual_polarization(rf: RelationalField, omega: np.ndarray,
     test observable phi.
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    for f, w in zip(rf.params.frame_points(), bm.weights):
-        if w != 0.0:
-            U = rf.system.rep(lattice.frame_to_group(f))
-            total += w * (dagger(U) @ np.asarray(rho, dtype=complex) @ U)
-    return total
+    adjoints = rf.system.rep.matrices().conj().transpose(0, 2, 1)
+    return _orbit_sum(adjoints, bm.weights, rho)
 
 
 def relativization_channel(rf: RelationalField, omega: np.ndarray):
@@ -160,14 +174,10 @@ def relativization_channel(rf: RelationalField, omega: np.ndarray):
     Returns a closure; the Born weights are computed once.
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    terms = [(w, rf.system.rep(lattice.frame_to_group(f)))
-             for f, w in zip(rf.params.frame_points(), bm.weights) if w != 0.0]
+    unitaries = rf.system.rep.matrices()
 
     def channel(phi: np.ndarray) -> np.ndarray:
-        total = np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-        for w, U in terms:
-            total += w * (U @ np.asarray(phi, dtype=complex) @ dagger(U))
-        return total
+        return _orbit_sum(unitaries, bm.weights, phi)
 
     return channel
 

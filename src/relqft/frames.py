@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relqft import lattice, operators as ops
-from relqft.lattice import FramePoint, LatticePoint, ModelParams
+from relqft.lattice import FramePoint, GroupElement, LatticePoint, ModelParams
 from relqft.operators import (
     UnitaryRep,
     dagger,
@@ -87,12 +87,13 @@ class FrameObservable:
         params = self.params
         if elements is None:
             elements = params.generators()
+        moves = lattice.frame_action_table(params)
         worst = 0.0
         for g in elements:
-            Ug = self.rep(g)
-            for f, E in zip(params.frame_points(), self.effects):
-                moved = self.effects[params.frame_index(lattice.act(g, f, params))]
-                worst = max(worst, eq_defect(Ug @ E @ dagger(Ug), moved))
+            moved = moves[params.frame_index(g)]
+            for i, E in enumerate(self.effects):
+                worst = max(worst, eq_defect(self.rep.conjugate(g, E),
+                                             self.effects[moved[i]]))
         return worst
 
     def spacetime_marginal_effect(self, x: LatticePoint) -> np.ndarray:
@@ -129,12 +130,7 @@ def _zero_effects(params: ModelParams, dim: int) -> np.ndarray:
     """A zeroed (|F|, dim, dim) effect array, refused before allocation when
     it would exceed ops.MAX_FRAME_BYTES."""
     n_points = len(params.frame_points())
-    nbytes = n_points * dim * dim * np.dtype(complex).itemsize
-    if nbytes > ops.MAX_FRAME_BYTES:
-        raise ops.SizeError(
-            f"a frame of {n_points} effects of {dim}x{dim} needs {nbytes / 2**30:.1f} GiB,"
-            f" over the {ops.MAX_FRAME_BYTES / 2**30:.0f} GiB cap")
-    return np.zeros((n_points, dim, dim), dtype=complex)
+    return ops.zero_stack(n_points, dim, f"a frame of {n_points} effects")
 
 
 def _inverse_sqrt(K: np.ndarray, cutoff: float = SVD_CUTOFF) -> np.ndarray:
@@ -149,22 +145,26 @@ def build_frame(rep: UnitaryRep, seed_effect: np.ndarray,
                 label: str = "orbit") -> FrameObservable:
     """Covariant POVM from the group orbit of a seed effect.
 
-    effects(f) = K^(-1/2) U(g_f) seed U(g_f)^dag K^(-1/2) with K the full
-    orbit sum.  K is a group average, so it commutes with the
-    representation and the K^(-1/2) dressing preserves covariance while
-    enforcing normalization exactly.  Both passes write into the one effect
-    array, a point at a time, so the build holds no second array of that
-    size.
+    effects(f) = U(g_f) D U(g_f)^dag with the dressed seed
+    D = K^(-1/2) seed K^(-1/2) and K the full orbit sum.  K is a group
+    average, so it commutes with the representation, and this equals
+    K^(-1/2) U(g_f) seed U(g_f)^dag K^(-1/2): normalization holds exactly
+    up to rounding.  The orbit of the seed fills the effect array once to
+    give K, and the orbit of D then overwrites it, so the build holds no
+    second array of that size.  On a permutation representation every
+    conjugation is an index gather, so the effects are exact relabellings
+    of D and covariance holds exactly.
     """
     params = rep.params
     effects = _zero_effects(params, rep.dim)
+    elements = params.group_elements()  # g_f, in frame_points() order
     seed = np.asarray(seed_effect, dtype=complex)
-    for i, f in enumerate(params.frame_points()):
-        Ug = rep(lattice.frame_to_group(f))
-        effects[i] = Ug @ seed @ dagger(Ug)
+    for i, g in enumerate(elements):
+        effects[i] = rep.conjugate(g, seed)
     Kinv = _inverse_sqrt(effects.sum(axis=0))
-    for i in range(len(effects)):
-        effects[i] = Kinv @ effects[i] @ Kinv
+    dressed = Kinv @ seed @ Kinv
+    for i, g in enumerate(elements):
+        effects[i] = rep.conjugate(g, dressed)
     return FrameObservable(params, rep, effects, label=label)
 
 
@@ -383,8 +383,7 @@ def channel_compose(psi: Channel, frame: FrameObservable,
 def translation_invariance_defect(rep: UnitaryRep, Omega: np.ndarray) -> float:
     worst = 0.0
     for a in [LatticePoint(1, 0), LatticePoint(0, 1)]:
-        U = rep.translation(a)
-        worst = max(worst, eq_defect(U @ Omega @ dagger(U), Omega))
+        worst = max(worst, eq_defect(rep.conjugate(GroupElement(a, 1), Omega), Omega))
     return worst
 
 

@@ -11,6 +11,11 @@ and the frame space F = M x C is a torsor for G under
 
     g . (x, lam) = (g.boost |> x + g.a, g.boost * lam).
 
+Group elements are listed in the order of the frame points they send the
+base point to, and the ``*_action_table`` functions give the actions on
+M, C and F as integer index tables, one row per group element: the
+permutation representations in ``operators`` are these tables.
+
 Two causal conventions coexist.  ``modular`` declares x, y spacelike when
 the centered lift of du*dv mod N is negative; it is invariant under the
 whole group but wraps around the torus.  ``lifted`` lifts coordinates to
@@ -24,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class ModelMismatchError(ValueError):
@@ -177,6 +184,42 @@ def act_point(g: GroupElement, x: LatticePoint, params: ModelParams) -> LatticeP
 def act(g: GroupElement, f: FramePoint, params: ModelParams) -> FramePoint:
     """The free transitive action of G on the frame space F."""
     return FramePoint(act_point(g, f.x, params), (g.boost * f.lam) % params.N)
+
+
+def site_action_table(params: ModelParams) -> np.ndarray:
+    """The spacetime action as an integer (|G|, N^2) table: row i holds
+    site_index(act_point(g, x)) for every x in lattice_points() order, with
+    g = group_elements()[i]."""
+    N = params.N
+    n_boosts = len(params.boosts())
+    a = np.repeat(np.arange(N * N), n_boosts)[:, None]
+    boosts = np.tile(params.boosts(), N * N)[:, None]
+    inverses = np.tile([params.boost_inverse(b) for b in params.boosts()],
+                       N * N)[:, None]
+    x = np.arange(N * N)
+    u = (boosts * (x // N) + a // N) % N
+    v = (inverses * (x % N) + a % N) % N
+    return u * N + v
+
+
+def fiber_action_table(params: ModelParams) -> np.ndarray:
+    """The boost action lam -> g.boost * lam on C as an integer (|G|, |C|)
+    table of positions in boosts() order, rows in group_elements() order."""
+    boosts = np.array(params.boosts())
+    position = np.zeros(params.N, dtype=int)
+    position[boosts] = np.arange(len(boosts))
+    rows = np.tile(boosts, params.N ** 2)[:, None]
+    return position[(rows * boosts) % params.N]
+
+
+def frame_action_table(params: ModelParams) -> np.ndarray:
+    """The torsor action on F as an integer (|G|, |F|) table: row i holds
+    frame_index(act(g, f)) for every f in frame_points() order, with
+    g = group_elements()[i]."""
+    n_boosts = len(params.boosts())
+    sites = site_action_table(params)
+    fibers = fiber_action_table(params)
+    return (sites[:, :, None] * n_boosts + fibers[:, None, :]).reshape(len(sites), -1)
 
 
 def frame_to_group(f: FramePoint) -> GroupElement:

@@ -145,7 +145,8 @@ def _transform_region(g, region, params: ModelParams) -> frozenset:
 
 
 def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
-                      spacelike_pairs=(), tol_eq: float = TOL_EQ) -> NetReport:
+                      spacelike_pairs=(), tol_eq: float = TOL_EQ,
+                      tol_supp: float = TOL_SUPP) -> NetReport:
     """Isotony, covariance, causality, and (for deterministic nets)
     time-slice, evaluated on explicit region lists.
 
@@ -153,7 +154,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     and compares subspaces with the algebra of the transformed region.
     Causality checks commutators between algebra bases of spacelike region
     pairs, conditional on the relational-causality premise for localized
-    preparations; premise failures make the pair vacuous, not failed.
+    preparations (judged with tol_eq and tol_supp); premise failures make
+    the pair vacuous, not failed.
     """
     params = net.frame.params
     axioms = {}
@@ -205,7 +207,7 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
         su, sv = frozenset(u), frozenset(v)
         if not lattice.region_spacelike(su, sv, params):
             raise ValueError("causality pair is not spacelike separated")
-        premise_ok = _r_causal_premise(net, su, sv, tol_eq)
+        premise_ok = _r_causal_premise(net, su, sv, tol_eq, tol_supp)
         if not premise_ok:
             skipped += 1
             continue
@@ -241,7 +243,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
 
 
 def _r_causal_premise(net: LocalAlgebraNet, region_u: frozenset,
-                      region_v: frozenset, tol_eq: float) -> bool:
+                      region_v: frozenset, tol_eq: float,
+                      tol_supp: float) -> bool:
     """Relational causality of the system for representative localized
     preparations, the premise of the causality axiom."""
     states_u = states_supported_in(net.frame, region_u)
@@ -250,7 +253,8 @@ def _r_causal_premise(net: LocalAlgebraNet, region_u: frozenset,
         return False
     for phi in net.system_ops:
         report = check_r_causal(net.system, net.frame, states_u[0], states_v[0],
-                                phi1=phi, phi2=phi, tol_eq=tol_eq)
+                                phi1=phi, phi2=phi, tol_eq=tol_eq,
+                                tol_supp=tol_supp)
         if report.verdict != "verified":
             return False
     return True

@@ -11,13 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from relqft import lattice
-from relqft.lattice import (
-    GroupElement,
-    LatticePoint,
-    ModelParams,
-    act,
-    act_point,
-)
+from relqft.lattice import GroupElement, LatticePoint, ModelParams
 from relqft.tolerances import SVD_CUTOFF, TOL_EQ, TOL_HERM, TOL_PSD, TOL_TRACE
 
 
@@ -287,77 +281,104 @@ def generated_algebra(ops, dim: int) -> AlgebraSubspace:
 # unitary representations
 
 class UnitaryRep:
-    """A unitary representation of the toy group, evaluated lazily.
+    """A unitary representation of the toy group.
 
-    ``matrix_fn`` maps a GroupElement to its matrix; results are cached.
-    Builders below cover the permutation representations (regular,
-    spacetime, Lorentz), character representations, direct sums and tensor
-    products, which is everything the workbench uses.
+    A permutation representation is given by ``table``, an integer
+    (|G|, dim) array: row i holds the image j -> table[i, j] of every basis
+    index under g = params.group_elements()[i], so U(g) e_j = e_table[i, j].
+    Any other representation is given by ``matrix_fn``, mapping a
+    GroupElement to its matrix.  ``rep(g)`` returns a dense matrix, built
+    on first request and cached; ``conjugate`` on a permutation
+    representation relabels indices and builds no matrix.  Builders below
+    cover the permutation representations (regular, spacetime, Lorentz),
+    character representations, direct sums, tensor products and
+    restrictions, which is everything the workbench uses.
     """
 
-    def __init__(self, params: ModelParams, dim: int, matrix_fn, label: str = "rep"):
+    def __init__(self, params: ModelParams, dim: int, matrix_fn=None,
+                 label: str = "rep", table: np.ndarray | None = None):
+        if (matrix_fn is None) == (table is None):
+            raise ValueError("give exactly one of matrix_fn and table")
         self.params = params
         self.dim = dim
         self._fn = matrix_fn
+        self.table = table
         self._cache: dict[GroupElement, np.ndarray] = {}
+        self._stack: np.ndarray | None = None
         self.label = label
 
     def __call__(self, g: GroupElement) -> np.ndarray:
         g = GroupElement(LatticePoint(*g.a), g.boost)
         if g not in self._cache:
-            self._cache[g] = np.asarray(self._fn(g), dtype=complex)
+            if self.table is None:
+                self._cache[g] = np.asarray(self._fn(g), dtype=complex)
+            else:
+                # group_elements() shares the frame_points() order
+                U = np.zeros((self.dim, self.dim), dtype=complex)
+                U[self.table[self.params.frame_index(g)], np.arange(self.dim)] = 1.0
+                self._cache[g] = U
         return self._cache[g]
 
     def translation(self, a: LatticePoint) -> np.ndarray:
         return self(GroupElement(LatticePoint(*a), 1))
 
     def conjugate(self, g: GroupElement, A: np.ndarray) -> np.ndarray:
-        Ug = self(g)
-        return Ug @ A @ dagger(Ug)
+        """U(g) A U(g)^dag.  For a permutation representation this is the
+        gather (k, l) -> A[inv[k], inv[l]] with inv the table row of g^-1."""
+        A = np.asarray(A, dtype=complex)
+        if self.table is None:
+            Ug = self(g)
+            return Ug @ A @ dagger(Ug)
+        g = GroupElement(LatticePoint(*g.a), g.boost)
+        inv = self.table[self.params.frame_index(lattice.inverse(g, self.params))]
+        return A.reshape(-1).take(inv[:, None] * self.dim + inv)
+
+    def matrices(self) -> np.ndarray:
+        """Every U(g) as one (|G|, dim, dim) array in group_elements()
+        order, built once; refused before allocation when it would exceed
+        MAX_FRAME_BYTES."""
+        if self._stack is None:
+            elements = self.params.group_elements()
+            stack = zero_stack(len(elements), self.dim,
+                               f"a stack of {len(elements)} unitaries")
+            if self.table is None:
+                for i, g in enumerate(elements):
+                    stack[i] = self(g)
+            else:
+                stack[np.arange(len(elements))[:, None], self.table,
+                      np.arange(self.dim)] = 1.0
+            self._stack = stack
+        return self._stack
 
 
-def _permutation_matrix(n: int, perm) -> np.ndarray:
-    """Matrix with U e_j = e_{perm(j)}."""
-    U = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        U[perm(j), j] = 1.0
-    return U
+def zero_stack(n: int, dim: int, what: str) -> np.ndarray:
+    """A zeroed complex (n, dim, dim) array, refused before allocation when
+    it would exceed MAX_FRAME_BYTES; ``what`` names it in the error."""
+    nbytes = n * dim * dim * np.dtype(complex).itemsize
+    if nbytes > MAX_FRAME_BYTES:
+        raise SizeError(
+            f"{what} of {dim}x{dim} needs {nbytes / 2**30:.1f} GiB,"
+            f" over the {MAX_FRAME_BYTES / 2**30:.0f} GiB cap")
+    return np.zeros((n, dim, dim), dtype=complex)
 
 
 def regular_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the torsor action on F; dim = N^2 |C|."""
-    points = params.frame_points()
-
-    def fn(g: GroupElement) -> np.ndarray:
-        return _permutation_matrix(
-            len(points), lambda j: params.frame_index(act(g, points[j], params)))
-
-    return UnitaryRep(params, len(points), fn, label="regular")
+    table = lattice.frame_action_table(params)
+    return UnitaryRep(params, table.shape[1], label="regular", table=table)
 
 
 def spacetime_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the (transitive) action on M; dim = N^2."""
-    points = params.lattice_points()
-
-    def fn(g: GroupElement) -> np.ndarray:
-        return _permutation_matrix(
-            len(points), lambda j: params.site_index(act_point(g, points[j], params)))
-
-    return UnitaryRep(params, len(points), fn, label="spacetime")
+    table = lattice.site_action_table(params)
+    return UnitaryRep(params, table.shape[1], label="spacetime", table=table)
 
 
 def lorentz_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of lam -> boost * lam on C; translations act
     trivially (the representation factors through the boost quotient)."""
-    boosts = params.boosts()
-    index = {b: i for i, b in enumerate(boosts)}
-
-    def fn(g: GroupElement) -> np.ndarray:
-        return _permutation_matrix(
-            len(boosts),
-            lambda j: index[(g.boost * boosts[j]) % params.N])
-
-    return UnitaryRep(params, len(boosts), fn, label="lorentz")
+    table = lattice.fiber_action_table(params)
+    return UnitaryRep(params, table.shape[1], label="lorentz", table=table)
 
 
 def trivial_representation(params: ModelParams, dim: int = 1) -> UnitaryRep:

@@ -814,14 +814,17 @@ def check_net_axioms(cfg: ScenarioConfig,
                            extra=max(0, 10 - len(params.generators())))
 
     tol = cfg.tol("tol_eq")
+    tol_supp = cfg.tol("tol_supp")
     intrinsic = net.LocalAlgebraNet(fr, system, system_ops)
     intrinsic_report = net.verify_net_axioms(
-        intrinsic, regions, sample, spacelike_pairs=[pair], tol_eq=tol)
+        intrinsic, regions, sample, spacelike_pairs=[pair], tol_eq=tol,
+        tol_supp=tol_supp)
 
     deterministic = net.LocalAlgebraNet(fr, system, system_ops,
                                         deterministic=True)
     deterministic_report = net.verify_net_axioms(
-        deterministic, regions, [], spacelike_pairs=[pair], tol_eq=tol)
+        deterministic, regions, [], spacelike_pairs=[pair], tol_eq=tol,
+        tol_supp=tol_supp)
 
     residuals = {}
     verdicts = {}

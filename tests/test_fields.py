@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,55 @@ def test_globally_oriented_certificate(rng):
         frames.OrientedFrame(coupled, ops.random_state(rng, coupled.dim))))
     assert weights.conditional.shape == (9, 2)
     assert weights.support.all()
+
+
+def per_point_sum(system, weights, A, adjoint=False):
+    """sum_f weights[f] U A U^dag (or U^dag A U), one frame point at a time."""
+    total = np.zeros((system.dim, system.dim), dtype=complex)
+    for g, w in zip(system.params.group_elements(), weights):
+        U = system.rep(g)
+        total += w * (ops.dagger(U) @ A @ U if adjoint else U @ A @ ops.dagger(U))
+    return total
+
+
+@pytest.mark.parametrize("frame_rep", ["regular", "lorentz", "spacetime"])
+def test_orbit_sums_match_per_point_loops(rng, frame_rep):
+    system = character_system(rng)
+    fr = smeared(getattr(ops, f"{frame_rep}_representation")(P3), rng)
+    rf = fields.RelationalField(system, fr)
+    omega = ops.random_state(rng, fr.dim)
+    weights = frames.born_measure(frames.OrientedFrame(fr, omega)).weights
+    points = P3.frame_points()
+
+    lifted = sum(ops.tensor(fields.oriented_field(system, f), E)
+                 for f, E in zip(points, fr.effects))
+    assert ops.eq_defect(fields.relativize(rf), lifted) < 1e-14
+
+    phi = ops.random_operator(rng, system.dim)
+    channel = fields.relativization_channel(rf, omega)
+    assert ops.eq_defect(channel(phi), per_point_sum(system, weights, phi)) < 1e-14
+
+    rho = ops.random_state(rng, system.dim)
+    assert ops.eq_defect(fields.predual_polarization(rf, omega, rho),
+                         per_point_sum(system, weights, rho, adjoint=True)) < 1e-14
+
+    T = ops.random_operator(rng, fr.dim)
+    trace_weights = [np.trace(T @ E) for E in fr.effects]
+    assert ops.eq_defect(fields.extend_trace_class(rf, T),
+                         per_point_sum(system, trace_weights, system.phi)) < 1e-13
+
+
+def test_relativize_refuses_oversized_products_before_allocating():
+    # 49-dimensional system on a 147-dimensional frame: 7203 > MAX_DIM
+    P7 = ModelParams(7, 2)
+    system = fields.SystemModel(P7, ops.spacetime_representation(P7),
+                                np.eye(49, dtype=complex))
+    fr = frames.uniform_frame(ops.regular_representation(P7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ops.SizeError, match="7203"):
+            fields.relativize(fields.RelationalField(system, fr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

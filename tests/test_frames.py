@@ -41,6 +41,52 @@ def test_build_frame_normalizes_smeared_seed(rng):
         assert ops.psd_gap(E) > -1e-10
 
 
+def two_pass_frame(rep, seed):
+    """Reference build: conjugate the seed to every point with dense
+    matrices, then dress each effect with K^(-1/2) on both sides."""
+    orbit = np.stack([U @ seed @ ops.dagger(U) for U in
+                      (rep(g) for g in rep.params.group_elements())])
+    Kinv = frames._inverse_sqrt(orbit.sum(axis=0))
+    return Kinv @ orbit @ Kinv
+
+
+def test_build_frame_matches_the_two_pass_oracle(rng):
+    character = ops.character_representation(
+        P5, [LatticePoint(1, 0), LatticePoint(2, 0),
+             LatticePoint(4, 0), LatticePoint(3, 0)])
+    for rep in (ops.regular_representation(P3),
+                ops.regular_representation(P5),
+                ops.spacetime_representation(P5),
+                ops.lorentz_representation(P5), character):
+        d = rep.dim
+        seed = np.eye(d, dtype=complex) / d + 0.5 * ops.random_psd(rng, d) / d
+        fr = frames.build_frame(rep, seed)
+        assert ops.eq_defect(fr.effects, two_pass_frame(rep, seed)) < 1e-13
+        assert fr.normalization_defect() < 1e-13
+
+
+def test_build_frame_is_exactly_covariant_on_permutation_reps(rng):
+    for rep in (ops.regular_representation(P3),
+                ops.spacetime_representation(P5),
+                ops.lorentz_representation(P5)):
+        fr = smeared(rep, rng)
+        assert fr.covariance_defect(rep.params.group_elements()) == 0.0
+
+
+def test_smeared_regular_frame_builds_no_dense_matrix():
+    # N = 7: 147 effects of 147 x 147; the build relabels one dressed seed
+    params = ModelParams(7, 2)
+    rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+    tracemalloc.start()
+    try:
+        fr = scenarios.FRAME_BUILDERS["smeared-regular"](params, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fr.rep._cache == {}
+    assert peak < 1.3 * fr.effects.nbytes
+
+
 def test_build_frame_rejects_degenerate_seed():
     rep = ops.lorentz_representation(P3)
     with pytest.raises(frames.DegenerateSeedError):

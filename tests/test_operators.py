@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqft import operators as ops
-from relqft.lattice import GroupElement, LatticePoint, ModelParams
+from relqft.lattice import (
+    GroupElement,
+    LatticePoint,
+    ModelParams,
+    act,
+    act_point,
+    compose,
+)
 
 P3 = ModelParams(3, 2)
 P5 = ModelParams(5, 2)
@@ -41,7 +48,6 @@ def test_representation_dims():
 @settings(max_examples=40, deadline=None)
 @given(elements(P3), elements(P3))
 def test_homomorphism_and_unitarity(g, h):
-    from relqft.lattice import compose
     gh = compose(g, h, P3)
     for rep in ALL_REPS:
         U, V = rep(g), rep(h)
@@ -105,6 +111,78 @@ def test_restrict_representation_preserves_homomorphism():
     for g in P3.generators():
         U = reduced(g)
         assert ops.eq_defect(U @ ops.dagger(U), np.eye(reduced.dim)) < 1e-10
+
+
+#: Models at N = 3, 5 and 7 with two fiber sizes |C| each.
+TABLE_MODELS = [ModelParams(3, 2), ModelParams(3, 1), ModelParams(5, 2),
+                ModelParams(5, 4), ModelParams(7, 2), ModelParams(7, 3)]
+
+
+@pytest.mark.parametrize("params", TABLE_MODELS,
+                         ids=lambda p: f"N{p.N}-s{p.s}")
+def test_permutation_tables_match_the_scalar_action(params):
+    elements = params.group_elements()
+    sites = params.lattice_points()
+    points = params.frame_points()
+    boosts = params.boosts()
+    regular = ops.regular_representation(params).table
+    spacetime = ops.spacetime_representation(params).table
+    lorentz = ops.lorentz_representation(params).table
+    assert regular.shape == (len(elements), len(points))
+    assert spacetime.shape == (len(elements), len(sites))
+    assert lorentz.shape == (len(elements), len(boosts))
+    for i, g in enumerate(elements):
+        assert list(regular[i]) == [
+            params.frame_index(act(g, f, params)) for f in points]
+        assert list(spacetime[i]) == [
+            params.site_index(act_point(g, x, params)) for x in sites]
+        assert list(lorentz[i]) == [
+            boosts.index((g.boost * lam) % params.N) for lam in boosts]
+
+
+def test_permutation_representations_are_homomorphisms_on_all_pairs():
+    elements = P3.group_elements()
+    for rep in (ops.regular_representation(P3),
+                ops.spacetime_representation(P3),
+                ops.lorentz_representation(P3)):
+        for g1 in elements:
+            for g2 in elements:
+                g12 = compose(g1, g2, P3)
+                assert np.array_equal(rep(g12), rep(g1) @ rep(g2))
+                i1, i2, i12 = (P3.frame_index(g) for g in (g1, g2, g12))
+                assert np.array_equal(rep.table[i12],
+                                      rep.table[i1][rep.table[i2]])
+
+
+def test_conjugate_matches_dense_products(rng):
+    regular = ops.regular_representation(P3)
+    fixed = ops.translation_fixed_point_projector(regular)
+    vals, vecs = np.linalg.eigh(fixed)
+    character = ops.character_representation(
+        P3, [LatticePoint(1, 0), LatticePoint(2, 0)])
+    reps = [regular, ops.spacetime_representation(P3),
+            ops.lorentz_representation(P3), character,
+            ops.direct_sum_rep([ops.trivial_representation(P3), character]),
+            ops.tensor_product_rep(character, ops.lorentz_representation(P3)),
+            ops.restrict_representation(regular, vecs[:, vals < 0.5])]
+    for rep in reps:
+        A = ops.random_operator(rng, rep.dim)
+        for g in P3.group_elements():
+            U = rep(g)
+            assert ops.eq_defect(rep.conjugate(g, A), U @ A @ ops.dagger(U)) < 1e-15
+
+
+def test_unitary_stack_follows_group_elements_and_is_capped(monkeypatch):
+    for rep in (ops.regular_representation(P3),
+                ops.character_representation(
+                    P3, [LatticePoint(1, 0), LatticePoint(2, 0)])):
+        stack = rep.matrices()
+        assert stack.shape == (len(P3.group_elements()), rep.dim, rep.dim)
+        for U, g in zip(stack, P3.group_elements()):
+            assert np.array_equal(U, rep(g))
+    monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 1024)
+    with pytest.raises(ops.SizeError, match="stack of 18 unitaries"):
+        ops.spacetime_representation(P3).matrices()
 
 
 def test_commutant_oracles():
