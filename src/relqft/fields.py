@@ -15,6 +15,15 @@ All sums are finite, so the covariance and reconstruction identities hold
 to machine precision.  Each sum over frame points is one contraction over
 the stacked system unitaries (``UnitaryRep.matrices``), whose order is the
 frame-point order.
+
+Two whole-lattice arrays carry the pointwise quantities:
+
+* the oriented stack (``oriented_fields``): every phi_f as one
+  (|G|, dS, dS) array in frame-point order, so it reshapes to
+  (N^2, |C|, dS, dS) with sites first;
+* the site table (``relational_local_fields``): phi_w(x) for every lattice
+  point x as one (N^2, dS, dS) array in lattice_points() order, from one
+  Born measure and one disintegration of w, zero off the support.
 """
 
 from __future__ import annotations
@@ -81,6 +90,26 @@ def oriented_field(sys: SystemModel, f: FramePoint) -> np.ndarray:
     return sys.rep.conjugate(g, sys.phi)
 
 
+def oriented_fields(system: SystemModel) -> np.ndarray:
+    """Every oriented field phi_f as one (|G|, dS, dS) array in
+    frame_points() order.
+
+    On a permutation representation it is one gather, as in
+    ``UnitaryRep.conjugate``: (phi_f)[k, l] = phi[inv[k], inv[l]] with inv
+    the inverse of table row f, into a stack refused before allocation
+    above ops.MAX_FRAME_BYTES.  Otherwise it is one stacked product over
+    ``UnitaryRep.matrices()``."""
+    rep = system.rep
+    if rep.table is None:
+        unitaries = rep.matrices()
+        return unitaries @ system.phi @ unitaries.conj().transpose(0, 2, 1)
+    n, dim = rep.table.shape
+    stack = ops.zero_stack(n, dim, f"a stack of {n} oriented fields")
+    inverse = np.argsort(rep.table, axis=1)
+    index = inverse[:, :, None] * dim + inverse[:, None, :]
+    return system.phi.reshape(-1).take(index, out=stack, mode="clip")
+
+
 def relativize(rf: RelationalField) -> np.ndarray:
     """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action.
 
@@ -90,8 +119,7 @@ def relativize(rf: RelationalField) -> np.ndarray:
     if dimS * dimR > ops.MAX_DIM:
         raise ops.SizeError(
             f"tensor product dimension {dimS * dimR} exceeds {ops.MAX_DIM}")
-    unitaries = rf.system.rep.matrices()
-    oriented = unitaries @ rf.system.phi @ unitaries.conj().transpose(0, 2, 1)
+    oriented = oriented_fields(rf.system)
     n = len(oriented)
     # matmul, unlike tensordot, reads a broadcast effect view without a copy
     total = oriented.reshape(n, -1).T @ rf.frame.effects.reshape(n, -1)
@@ -121,38 +149,53 @@ def _orbit_sum(unitaries: np.ndarray, weights: np.ndarray,
     return np.tensordot(moved, unitaries.conj(), axes=([0, 2], [0, 2]))
 
 
-def _weighted_fields(sys: SystemModel, points, weights) -> np.ndarray:
-    """sum_i weights[i] phi_(points[i]) for frame-point indices ``points``."""
-    return _orbit_sum(sys.rep.matrices()[points], weights, sys.phi)
+def _weighted_fields(sys: SystemModel, weights) -> np.ndarray:
+    """sum_f weights[f] phi_f over all frame points."""
+    return _orbit_sum(sys.rep.matrices(), weights, sys.phi)
 
 
 def relational_local_observable(rf: RelationalField, omega: np.ndarray) -> np.ndarray:
     """Phi(w) = sum_f pmf_w(f) phi_f; equals restrict(relativize(.), w)."""
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    return _weighted_fields(rf.system, slice(None), bm.weights)
+    return _weighted_fields(rf.system, bm.weights)
 
 
 def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
     """Phi(T) = sum_f Tr[T E(f)] phi_f, linear in an arbitrary T."""
     bm = born_measure_trace_class(rf.frame, T)
-    return _weighted_fields(rf.system, slice(None), bm.weights)
+    return _weighted_fields(rf.system, bm.weights)
+
+
+def relational_local_fields(rf: RelationalField, omega: np.ndarray,
+                            tol_supp: float = TOL_SUPP
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The site table of phi_w: an (N^2, dS, dS) array whose row x is
+    phi_w(x) = sum_lam cond(lam | x) phi_(x, lam), in lattice_points()
+    order, and the boolean support mask of the spacetime marginal.
+
+    One Born measure, one disintegration, and one contraction of the
+    (N^2, |C|) conditional with the oriented stack read as
+    (N^2, |C|, dS^2).  Rows off the support are zero, since their
+    conditionals are; the extension by zero keeps the reconstruction sum
+    sum_x marginal(x) phi_w(x) = Phi(w) total over all of M.
+    """
+    dis = disintegrate(born_measure(OrientedFrame(rf.frame, omega)), tol_supp)
+    n_sites, dim = len(dis.conditional), rf.system.dim
+    by_site = oriented_fields(rf.system).reshape(n_sites, -1, dim * dim)
+    table = dis.conditional[:, None, :] @ by_site
+    return table.reshape(n_sites, dim, dim), dis.support
 
 
 def relational_local_field(rf: RelationalField, omega: np.ndarray,
                            x: LatticePoint, tol_supp: float = TOL_SUPP) -> np.ndarray:
     """phi_w(x) = sum_lam cond(lam | x) phi_(x, lam); zero off the support.
 
-    The extension by zero keeps the reconstruction sum
-    sum_x marginal(x) phi_w(x) = Phi(w) total over all of M.
+    Row x of the site table ``relational_local_fields(rf, omega,
+    tol_supp)``; a caller that needs several points of one preparation
+    should take the table once.
     """
-    x = LatticePoint(*x)
-    dis = disintegrate(born_measure(OrientedFrame(rf.frame, omega)), tol_supp)
-    site = rf.params.site_index(x)
-    if not dis.support[site]:
-        return np.zeros((rf.system.dim, rf.system.dim), dtype=complex)
-    n_boosts = len(rf.params.boosts())
-    fiber = slice(site * n_boosts, (site + 1) * n_boosts)
-    return _weighted_fields(rf.system, fiber, dis.conditional[site])
+    table, _ = relational_local_fields(rf, omega, tol_supp)
+    return table[rf.params.site_index(LatticePoint(*x))]
 
 
 def predual_polarization(rf: RelationalField, omega: np.ndarray,

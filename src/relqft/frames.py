@@ -430,16 +430,16 @@ def strict_vacuum_orthogonality_check(frame: FrameObservable,
 
     The residual is the largest operator norm of F_R(x) P_vac over single
     points; sums over larger regions are monotone in this, and the whole
-    space would trivially give norm 1 for any normalized frame.
+    space would trivially give norm 1 for any normalized frame.  With V an
+    orthonormal basis of the fixed space, P_vac = V V^dag and V^dag is a
+    co-isometry, so |F_R(x) P_vac| = |F_R(x) V|: the thin product is used,
+    and a trivial fixed space (rank 0) gives exactly 0.0.
     """
     averaged = ops.translation_fixed_point_projector(frame.rep)
     eigenvalues, vectors = np.linalg.eigh(averaged)
     V = vectors[:, eigenvalues > 0.5]
     rank = V.shape[1]
-    # rebuild the projector from its eigenbasis so that a trivial fixed
-    # space yields the zero matrix exactly, not averaging dust
-    P = V @ dagger(V)
     worst = 0.0
     for x in frame.params.lattice_points():
-        worst = max(worst, op_norm(frame.spacetime_marginal_effect(x) @ P))
+        worst = max(worst, op_norm(frame.spacetime_marginal_effect(x) @ V))
     return StrictOrthogonalityReport(worst <= tol_eq, worst, rank, rank == 0)

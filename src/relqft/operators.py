@@ -48,6 +48,14 @@ def op_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """op_norm of every matrix of an (n, a, b) stack, from one batched SVD."""
+    stack = np.asarray(stack)
+    if min(stack.shape[-2:]) == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
 def herm_defect(A: np.ndarray) -> float:
     return eq_defect(A, dagger(A))
 
@@ -472,11 +480,20 @@ def restrict_representation(rep: UnitaryRep, basis: np.ndarray,
 
 def translation_character_projector(rep: UnitaryRep, p: LatticePoint) -> np.ndarray:
     """Projector onto the chi_p eigenspace of the translation subgroup:
-    P_p = (1/N^2) sum_a conj(chi_p(a)) U(a)."""
+    P_p = (1/N^2) sum_a conj(chi_p(a)) U(a).
+
+    On a permutation representation each term is scattered at the entries
+    (table[a], j) of U(a), so no dense U(a) is built or cached."""
     params = rep.params
     P = np.zeros((rep.dim, rep.dim), dtype=complex)
+    columns = np.arange(rep.dim)
     for a in params.lattice_points():
-        P += np.conj(character_phase(p, a, params.N)) * rep.translation(a)
+        phase = np.conj(character_phase(p, a, params.N))
+        if rep.table is None:
+            P += phase * rep.translation(a)
+        else:
+            rows = rep.table[params.frame_index(GroupElement(a, 1))]
+            P[rows, columns] += phase
     return P / params.N**2
 
 

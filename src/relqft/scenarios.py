@@ -174,6 +174,7 @@ def check_relational_covariance(cfg: ScenarioConfig,
                 rf, _left_shift(fr.rep, g, omega))
             worst = max(worst, ops.eq_defect(lhs, rhs))
         used.append({"frame": name, "dim": fr.dim})
+        del fr, rf  # one live effect array: free this frame before the next
     tol = cfg.tol("tol_eq")
     return CheckOutcome(
         "relational-covariance", "observable-covariance-law",
@@ -199,18 +200,18 @@ def check_field_transformation(cfg: ScenarioConfig,
     supported = np.flatnonzero(marginal > tol_supp)
     worst_point = worst_integral = 0.0
     sample = _group_sample(params, rng, extra=2)
-    unshifted = [fields.relational_local_field(rf, omega, sites[i], tol_supp)
-                 for i in supported]
+    unshifted, _ = fields.relational_local_fields(rf, omega, tol_supp)
     observable = fields.relational_local_observable(rf, omega)
     for g in sample:
-        shifted = _left_shift(fr.rep, g, omega)
+        moved, _ = fields.relational_local_fields(
+            rf, _left_shift(fr.rep, g, omega), tol_supp)
         rebuilt = 0
-        for i, phi_x in zip(supported, unshifted):
-            moved = fields.relational_local_field(
-                rf, shifted, lattice.act_point(g, sites[i], params), tol_supp)
+        for i in supported:
+            moved_x = moved[params.site_index(
+                lattice.act_point(g, sites[i], params))]
             worst_point = max(worst_point, ops.eq_defect(
-                system.rep.conjugate(g, phi_x), moved))
-            rebuilt = rebuilt + marginal[i] * moved
+                system.rep.conjugate(g, unshifted[i]), moved_x))
+            rebuilt = rebuilt + marginal[i] * moved_x
         worst_integral = max(worst_integral, ops.eq_defect(
             system.rep.conjugate(g, observable), rebuilt))
     tol = cfg.tol("tol_eq")
@@ -743,6 +744,7 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
         rf = fields.RelationalField(system, fr)
         worst_fixed = max(worst_fixed, ops.eq_defect(
             fields.predual_polarization(rf, omega, invariant), invariant))
+        del fr, rf  # one live effect array: free this frame before the next
 
     fr = smeared_frame(ops.lorentz_representation(params), rng, 0.4)
     rf = fields.RelationalField(system, fr)

@@ -21,8 +21,8 @@ from relqft import lattice, operators as ops
 from relqft.fields import (
     RelationalField,
     SystemModel,
-    extend_trace_class,
-    relational_local_field,
+    oriented_fields,
+    relational_local_fields,
     relational_local_observable,
 )
 from relqft.frames import (
@@ -110,13 +110,26 @@ def _observables(vac: VacuumModel, spec: VevSpec,
     return out
 
 
-def _fields_at(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-               points, tol_supp: float = TOL_SUPP) -> list[np.ndarray]:
-    out = []
-    for (omega, phi), x in zip(spec.factors, points):
+def _site_tables(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
+                 tol_supp: float = TOL_SUPP) -> list[np.ndarray]:
+    """The site table of each factor's relational field, in factor order;
+    one Born measure per factor serves every point tuple."""
+    tables = []
+    for omega, phi in spec.factors:
         rf = RelationalField(SystemModel(vac.params, vac.rep, phi), frame)
-        out.append(relational_local_field(rf, omega, x, tol_supp))
-    return out
+        tables.append(relational_local_fields(rf, omega, tol_supp)[0])
+    return tables
+
+
+def _fields_at(vac: VacuumModel, tables, points) -> list[np.ndarray]:
+    """Factor j's field at points[j], read from its site table."""
+    return [table[vac.params.site_index(LatticePoint(*x))]
+            for table, x in zip(tables, points)]
+
+
+def _kernel_at(vac: VacuumModel, tables, points) -> complex:
+    """The pointwise kernel at one point tuple, from the site tables."""
+    return _trace_product(vac.state, _fields_at(vac, tables, points))
 
 
 def _trace_product(state: np.ndarray, factors) -> complex:
@@ -137,7 +150,7 @@ def kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     evaluated at its lattice point (zero off the marginal support)."""
     if len(points) != spec.n:
         raise ValueError("one lattice point per factor required")
-    return _trace_product(vac.state, _fields_at(vac, spec, frame, points, tol_supp))
+    return _kernel_at(vac, _site_tables(vac, spec, frame, tol_supp), points)
 
 
 def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
@@ -148,6 +161,7 @@ def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
     Exhaustive over the marginal supports, so keep n and N small.
     """
     sites = frame.params.lattice_points()
+    tables = _site_tables(vac, spec, frame, tol_supp)
     supports = []
     weights = []
     for omega, _ in spec.factors:
@@ -159,7 +173,7 @@ def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
         w = 1.0
         for i, site in enumerate(tup):
             w *= weights[i][site]
-        total += w * kernel(vac, spec, frame, [sites[i] for i in tup], tol_supp)
+        total += w * _kernel_at(vac, tables, [sites[i] for i in tup])
     return abs(total - vev(vac, spec, frame))
 
 
@@ -190,27 +204,25 @@ def _points_from_differences(xis, params: ModelParams,
 
 
 def difference_kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                      xis, certify: bool = True,
-                      check_shift: LatticePoint | None = LatticePoint(1, 1),
-                      tol_eq: float = TOL_EQ) -> complex:
+                      xis, tol_eq: float = TOL_EQ) -> complex:
     """Translation-reduced kernel evaluated at successive differences
     xi_j = x_j - x_{j+1}; well-defined for certified globally oriented,
-    fully supported preparations, and cross-checked at a shifted base."""
+    fully supported preparations, and cross-checked at the base shifted
+    by (1, 1)."""
     if len(xis) != spec.n - 1:
         raise ValueError("need n-1 difference vectors")
-    if certify:
-        _require_globally_oriented(spec, frame)
+    _require_globally_oriented(spec, frame)
     params = frame.params
+    tables = _site_tables(vac, spec, frame)
     pts = _points_from_differences(xis, params, LatticePoint(0, 0))
-    value = kernel(vac, spec, frame, pts)
-    if check_shift is not None:
-        shifted = [LatticePoint((p.u + check_shift.u) % params.N,
-                                (p.v + check_shift.v) % params.N) for p in pts]
-        other = kernel(vac, spec, frame, shifted)
-        if abs(value - other) > tol_eq:
-            raise OrientationError(
-                "difference kernel is base-dependent: |delta| = %.3e"
-                % abs(value - other))
+    value = _kernel_at(vac, tables, pts)
+    shifted = [LatticePoint((p.u + 1) % params.N, (p.v + 1) % params.N)
+               for p in pts]
+    other = _kernel_at(vac, tables, shifted)
+    if abs(value - other) > tol_eq:
+        raise OrientationError(
+            "difference kernel is base-dependent: |delta| = %.3e"
+            % abs(value - other))
     return value
 
 
@@ -220,11 +232,12 @@ def difference_kernel_table(vac: VacuumModel, spec: VevSpec,
     points."""
     _require_globally_oriented(spec, frame)
     params = frame.params
+    tables = _site_tables(vac, spec, frame)
     points = list(params.lattice_points())
     table = {}
     for tup in product(points, repeat=spec.n - 1):
-        table[tup] = difference_kernel(vac, spec, frame, list(tup),
-                                       certify=False, check_shift=None)
+        pts = _points_from_differences(tup, params, LatticePoint(0, 0))
+        table[tup] = _kernel_at(vac, tables, pts)
     return table
 
 
@@ -292,12 +305,14 @@ def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     spec, plus the kernel-level analog at sampled point tuples."""
     rev = spec.reversed_adjoint()
     residual = abs(vev(vac, spec, frame) - np.conj(vev(vac, rev, frame)))
+    tables = _site_tables(vac, spec, frame)
+    rev_tables = _site_tables(vac, rev, frame)
     points = list(frame.params.lattice_points())
     rng = ops.make_rng(len(points))
     for _ in range(point_samples):
         tup = tuple(points[rng.integers(len(points))] for _ in range(spec.n))
-        lhs = kernel(vac, spec, frame, tup)
-        rhs = np.conj(kernel(vac, rev, frame, tuple(reversed(tup))))
+        lhs = _kernel_at(vac, tables, tup)
+        rhs = np.conj(_kernel_at(vac, rev_tables, tuple(reversed(tup))))
         residual = max(residual, abs(lhs - rhs))
     return float(residual)
 
@@ -364,7 +379,7 @@ def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservabl
     if len(points) != spec.n:
         raise ValueError("one lattice point per factor required")
     taus = [lattice.time_coordinate(x, params) for x in points]
-    fields = _fields_at(vac, spec, frame, points)
+    fields = _fields_at(vac, _site_tables(vac, spec, frame), points)
     total = 0.0 + 0.0j
     coincident = False
     for perm in permutations(range(spec.n)):
@@ -387,11 +402,17 @@ def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservabl
 
 def field_operator_span(rf: RelationalField) -> list[np.ndarray]:
     """Orthonormal spanning basis of {extend_trace_class(rf, T)} as T runs
-    over a full matrix-unit basis of the frame space."""
-    d_r = rf.frame.dim
-    units = np.eye(d_r * d_r, dtype=complex).reshape(-1, d_r, d_r)
-    raw = [extend_trace_class(rf, T) for T in units]
-    return AlgebraSubspace.from_spanning(rf.system.dim, raw).basis_ops()
+    over a full matrix-unit basis of the frame space.
+
+    For the unit T = e_ij, Tr[T E(f)] = E(f)[j, i], so the whole raw span
+    is one product of the transposed effect array (a view) with the
+    oriented stack; its rows are then put back in the unit order i, j."""
+    d_s, d_r = rf.system.dim, rf.frame.dim
+    n = len(rf.frame.effects)
+    oriented = oriented_fields(rf.system).reshape(n, -1)
+    raw = (rf.frame.effects.reshape(n, -1).T @ oriented).reshape(d_r, d_r, -1)
+    raw = raw.transpose(1, 0, 2).reshape(-1, d_s, d_s)
+    return AlgebraSubspace.from_spanning(d_s, raw).basis_ops()
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relqft import causality, fields, frames
+from relqft import causality, fields, frames, lattice
 from relqft import operators as ops
 from relqft.lattice import LatticePoint, ModelParams
 
@@ -178,3 +178,49 @@ def test_r_spacelike_rejects_mismatched_frames():
     of2 = frames.OrientedFrame(other, ops.random_state(ops.make_rng(7), 9))
     with pytest.raises(causality.FrameMismatchError):
         causality.r_spacelike(of1, of2)
+
+
+def microcausal_by_pairs(system, fr, omega1, omega2, phi1, phi2):
+    """(pairs, worst commutator norm): one field and one SVD per point."""
+    rf1 = fields.RelationalField(system.with_phi(phi1), fr)
+    rf2 = fields.RelationalField(system.with_phi(phi2), fr)
+    s1 = frames.born_measure(frames.OrientedFrame(fr, omega1)).spacetime_support()
+    s2 = frames.born_measure(frames.OrientedFrame(fr, omega2)).spacetime_support()
+    pairs = [(x1, x2) for x1 in s1 for x2 in s2
+             if lattice.spacelike(x1, x2, system.params)]
+    worst = 0.0
+    for x1, x2 in pairs:
+        A = fields.relational_local_field(rf1, omega1, x1)
+        B = fields.relational_local_field(rf2, omega2, x2)
+        worst = max(worst, ops.op_norm(A @ B - B @ A),
+                    ops.op_norm(ops.dagger(A) @ B - B @ ops.dagger(A)))
+    return len(pairs), worst
+
+
+@pytest.mark.parametrize("chunk", [causality.PAIR_CHUNK, 7])
+def test_batched_microcausality_matches_the_pair_loop(monkeypatch, rng, chunk):
+    monkeypatch.setattr(causality, "PAIR_CHUNK", chunk)
+    rep = ops.spacetime_representation(L5)
+    fr = frames.fiber_uniform_spacetime_frame(L5)
+    diagonal = [np.diag(rng.random(rep.dim)).astype(complex) for _ in range(2)]
+    dense = [ops.random_operator(rng, rep.dim) for _ in range(2)]
+    full = [ops.random_state(rng, rep.dim) for _ in range(2)]
+    sites = [(site_state(L5, (1, 4)) + site_state(L5, (2, 2))) / 2,
+             site_state(L5, (4, 1))]
+    cases = [(full, dense, "failed"), (full, diagonal, "verified"),
+             (sites, dense, "failed"), (sites, diagonal, "verified")]
+    counts = []
+    for (omega1, omega2), (phi1, phi2), verdict in cases:
+        system = fields.SystemModel(L5, rep, phi1)
+        report = causality.check_r_microcausal(system, fr, omega1, omega2,
+                                               phi1, phi2)
+        pairs, worst = microcausal_by_pairs(system, fr, omega1, omega2,
+                                            phi1, phi2)
+        assert report.pairs_checked == pairs
+        assert report.verdict == verdict
+        assert abs(report.max_residual - worst) <= 1e-13 * max(1.0, worst)
+        counts.append(pairs)
+    # two full supports give 200 spacelike pairs, no multiple of the
+    # chunk, so the last chunk is a partial one
+    assert counts[0] == 200 and 200 % chunk != 0
+    assert counts[2] == 2

@@ -6,6 +6,7 @@ import pytest
 from relqft import fields, frames, lattice
 from relqft import operators as ops
 from relqft.lattice import FramePoint, GroupElement, LatticePoint, ModelParams
+from relqft.tolerances import TOL_SUPP
 
 P3 = ModelParams(3, 2)
 
@@ -257,3 +258,74 @@ def test_relativize_refuses_oversized_products_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+#: One boost-closed momentum orbit per model, for the character systems.
+ORBITS = {3: [(1, 0), (2, 0)], 5: [(1, 0), (2, 0), (4, 0), (3, 0)]}
+
+
+def table_system(kind, params, rng):
+    if kind == "character":
+        rep = ops.character_representation(
+            params, [LatticePoint(*p) for p in ORBITS[params.N]])
+    else:
+        rep = getattr(ops, f"{kind}_representation")(params)
+    return fields.SystemModel(params, rep, ops.random_operator(rng, rep.dim))
+
+
+def site_mixture(params, weights):
+    """Diagonal state on l2(M): weights[x] on the sites x it names."""
+    omega = np.zeros((params.N ** 2, params.N ** 2), dtype=complex)
+    for x, w in weights.items():
+        omega[params.site_index(x), params.site_index(x)] = w
+    return omega
+
+
+def local_fields_by_definition(system, frame, omega, tol_supp):
+    """phi_w(x) = sum_lam cond(lam | x) U phi U^dag for every site x, one
+    frame point at a time from its Born weight Tr[omega E(f)]."""
+    params = system.params
+    table = {x: np.zeros((system.dim, system.dim), dtype=complex)
+             for x in params.lattice_points()}
+    pmf = {f: np.sum(omega.T * E).real
+           for f, E in zip(params.frame_points(), frame.effects)}
+    for x in params.lattice_points():
+        fiber = [f for f in params.frame_points() if f.x == x]
+        marginal = sum(pmf[f] for f in fiber)
+        if marginal <= tol_supp:
+            continue
+        for f in fiber:
+            U = system.rep(lattice.frame_to_group(f))
+            table[x] += pmf[f] / marginal * (U @ system.phi @ ops.dagger(U))
+    return table
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("kind", ["regular", "spacetime", "lorentz", "character"])
+def test_site_table_matches_the_definition(rng, kind, N):
+    params = ModelParams(N, 2)
+    system = table_system(kind, params, rng)
+    oriented = fields.oriented_fields(system)
+    assert oriented.shape == (len(params.frame_points()), system.dim, system.dim)
+    for f, phi_f in zip(params.frame_points(), oriented):
+        assert ops.eq_defect(phi_f, fields.oriented_field(system, f)) < 1e-13
+
+    sharp = frames.fiber_uniform_spacetime_frame(params)
+    smeared_frame = smeared(ops.spacetime_representation(params), rng)
+    # three sites carry weight; tol_supp = 0.25 cuts the lightest one
+    mixture = site_mixture(params, {(0, 0): 0.5, (1, 2): 0.3, (2, 1): 0.2})
+    cases = [(sharp, mixture, 0.25, 2), (sharp, mixture, TOL_SUPP, 3),
+             (smeared_frame, ops.random_state(rng, N * N), TOL_SUPP, N * N)]
+    for fr, omega, tol_supp, n_supported in cases:
+        rf = fields.RelationalField(system, fr)
+        table, support = fields.relational_local_fields(rf, omega, tol_supp)
+        assert table.shape == (N * N, system.dim, system.dim)
+        assert support.sum() == n_supported
+        expected = local_fields_by_definition(system, fr, omega, tol_supp)
+        for x in params.lattice_points():
+            row = table[params.site_index(x)]
+            assert ops.eq_defect(row, expected[x]) < 1e-13
+            assert ops.eq_defect(
+                fields.relational_local_field(rf, omega, x, tol_supp), row) == 0.0
+            if not support[params.site_index(x)]:
+                assert not row.any()

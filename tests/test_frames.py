@@ -320,6 +320,21 @@ def test_strict_orthogonality_sharp_frame_oracle():
     assert abs(report.residual - 1.0 / 3.0) < 1e-12
 
 
+def test_strict_orthogonality_thin_norm_equals_the_projector_norm():
+    # |F_R(x) V| = |F_R(x) V V^dag| for an orthonormal fixed-space basis V
+    fr = frames.uniform_frame(ops.regular_representation(P3))
+    report = frames.strict_vacuum_orthogonality_check(fr)
+    fixed = ops.translation_fixed_point_projector(fr.rep)
+    vals, vecs = np.linalg.eigh(fixed)
+    V = vecs[:, vals > 0.5]
+    projector_norm = max(
+        ops.op_norm(fr.spacetime_marginal_effect(x) @ V @ ops.dagger(V))
+        for x in P3.lattice_points())
+    assert report.fixed_space_dim == V.shape[1] >= 1
+    assert not report.vacuous
+    assert abs(report.residual - projector_norm) < 1e-14
+
+
 def test_strict_orthogonality_on_fixed_free_subspace():
     regular = ops.regular_representation(P3)
     fixed = ops.translation_fixed_point_projector(regular)

@@ -94,6 +94,20 @@ def test_character_support():
         LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(2, 0)}
 
 
+@pytest.mark.parametrize("params", [P3, P5])
+@pytest.mark.parametrize("kind", ["regular", "spacetime", "lorentz"])
+def test_character_projector_scatter_matches_the_dense_sum(params, kind):
+    build = getattr(ops, f"{kind}_representation")
+    rep, dense = build(params), build(params)
+    for p in params.lattice_points():
+        expected = sum(
+            np.conj(ops.character_phase(p, a, params.N)) * dense.translation(a)
+            for a in params.lattice_points()) / params.N ** 2
+        assert ops.eq_defect(ops.translation_character_projector(rep, p),
+                             expected) < 1e-15
+    assert rep._cache == {}
+
+
 def test_fixed_point_projector_rank():
     P = ops.translation_fixed_point_projector(ops.regular_representation(P5))
     assert int(round(float(np.real(np.trace(P))))) == 4  # one per boost
@@ -403,6 +417,15 @@ def test_effect_and_norm_helpers(rng):
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     assert abs(ops.op_norm(sigma_x) - 1.0) < 1e-12
     assert abs(ops.psd_gap(sigma_x) + 1.0) < 1e-12
+
+
+def test_op_norms_match_op_norm_per_matrix(rng):
+    stack = np.array([ops.random_operator(rng, 6) for _ in range(5)])
+    stack[2] = 0.0
+    norms = ops.op_norms(stack)
+    assert norms.shape == (5,)
+    assert [float(v) for v in norms] == [ops.op_norm(A) for A in stack]
+    assert ops.op_norms(np.zeros((3, 6, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_make_rng_deterministic():

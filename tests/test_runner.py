@@ -166,7 +166,7 @@ def test_outcome_record_shape():
     ("intrinsic-causality-pipeline",
      {"causality.check_intrinsic_causality"}, False),
     ("net-axioms", {"net.verify_net_axioms"}, False),
-    ("field-transformation", {"fields.relational_local_field"}, False),
+    ("field-transformation", {"fields.relational_local_fields"}, False),
 ])
 def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
                                                  stub):

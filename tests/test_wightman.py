@@ -239,3 +239,36 @@ def test_identity_generator_span_is_scalar(rng):
     assert not report.irreducible
     assert not report.generates_full
     assert report.implication_ok
+
+
+@pytest.mark.parametrize("case", ["character-sharp", "spacetime-sharp",
+                                  "character-smeared-regular"])
+def test_field_span_is_the_per_unit_loop(monkeypatch, rng, case):
+    if case == "spacetime-sharp":
+        rep = ops.spacetime_representation(P3)
+    else:
+        rep = ops.direct_sum_rep([ops.trivial_representation(P3),
+                                  orbit_rep(P3, (1, 0))])
+    if case.endswith("smeared-regular"):
+        regular = ops.regular_representation(P3)
+        seed = (np.eye(regular.dim) + 0.4 * ops.random_psd(rng, regular.dim)) / regular.dim
+        fr = frames.build_frame(regular, seed)
+    else:
+        fr = frames.fiber_uniform_spacetime_frame(P3)
+    rf = fields.RelationalField(
+        fields.SystemModel(P3, rep, ops.random_operator(rng, rep.dim)), fr)
+    spanned = []
+    original = ops.AlgebraSubspace.from_spanning
+
+    def spy(dim, raw, *args):
+        spanned.append(np.asarray(list(raw)))
+        return original(dim, spanned[-1], *args)
+
+    monkeypatch.setattr(ops.AlgebraSubspace, "from_spanning", spy)
+    basis = wightman.field_operator_span(rf)
+    monkeypatch.undo()
+    units = np.eye(fr.dim ** 2, dtype=complex).reshape(-1, fr.dim, fr.dim)
+    loop = np.array([fields.extend_trace_class(rf, T) for T in units])
+    assert spanned[0].shape == loop.shape
+    assert np.max(np.abs(spanned[0] - loop)) < 1e-13
+    assert len(basis) == ops.AlgebraSubspace.from_spanning(rep.dim, loop).subspace_dim
