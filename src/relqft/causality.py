@@ -35,7 +35,8 @@ from relqft.frames import (
     frames_equal,
 )
 from relqft.operators import dagger, op_norm, op_norms
-from relqft.tolerances import MAX_ITER_FEAS, TOL_EQ, TOL_FEAS, TOL_SUPP
+from relqft.tolerances import (MAX_ITER_FEAS, TOL_EQ, TOL_FEAS, TOL_SUPP,
+                               Measurement, verdict)
 
 #: Spacelike point pairs whose commutators ``check_r_microcausal`` forms
 #: at once; bounds its working memory at a few (chunk, dS, dS) stacks.
@@ -48,6 +49,8 @@ class FrameMismatchError(ValueError):
 
 @dataclass
 class CausalReport:
+    """A law checked over pairs under a premise; also each net axiom's."""
+
     predicate: str
     pairs_checked: int
     max_residual: float
@@ -58,11 +61,13 @@ class CausalReport:
     def ok(self) -> bool:
         return self.verdict != "failed"
 
-
-def _verdict(premise_holds: bool, residual: float, tol: float) -> str:
-    if not premise_holds:
-        return "vacuous"
-    return "verified" if residual <= tol else "failed"
+    @classmethod
+    def judged(cls, predicate: str, pairs: int, residual: float,
+               tol_eq: float, premise: bool, **details) -> CausalReport:
+        """Vacuous unless the premise held, else verified exactly when the
+        residual is within tol_eq."""
+        return cls(predicate, pairs, residual, verdict(
+            [Measurement(predicate, residual, tol_eq)], premise), details)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +103,9 @@ def check_r_causal(system: SystemModel, frame: FrameObservable,
     res_plain = op_norm(A @ B - B @ A)
     res_adj = op_norm(dagger(A) @ B - B @ dagger(A))
     residual = max(res_plain, res_adj)
-    return CausalReport(
-        "r-causal", 1, residual, _verdict(premise, residual, tol_eq),
-        details={"premise_spacelike": premise,
-                 "commutator": res_plain, "adjoint_commutator": res_adj})
+    return CausalReport.judged(
+        "r-causal", 1, residual, tol_eq, premise, premise_spacelike=premise,
+        commutator=res_plain, adjoint_commutator=res_adj)
 
 
 def check_r_microcausal(system: SystemModel, frame: FrameObservable,
@@ -119,15 +123,14 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
     params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    s1 = born_measure(OrientedFrame(frame, omega1)).spacetime_support(tol_supp)
-    s2 = born_measure(OrientedFrame(frame, omega2)).spacetime_support(tol_supp)
-    pairs = [(x1, x2) for x1 in s1 for x2 in s2
-             if lattice.spacelike(x1, x2, params)]
-    fields1, _ = relational_local_fields(
+    fields1, support1 = relational_local_fields(
         RelationalField(system.with_phi(phi1), frame), omega1, tol_supp)
-    fields2, _ = relational_local_fields(
+    fields2, support2 = relational_local_fields(
         RelationalField(system.with_phi(phi2), frame), omega2, tol_supp)
-    sites = np.array([[params.site_index(x) for x in pair] for pair in pairs],
+    points = params.lattice_points()
+    sites = np.array([(i, j) for i in np.flatnonzero(support1)
+                      for j in np.flatnonzero(support2)
+                      if lattice.spacelike(points[i], points[j], params)],
                      dtype=int).reshape(-1, 2)
     worst = 0.0
     for start in range(0, len(sites), PAIR_CHUNK):
@@ -136,10 +139,9 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
         A_dag = A.conj().transpose(0, 2, 1)
         worst = max(worst, float(op_norms(A @ B - B @ A).max()),
                     float(op_norms(A_dag @ B - B @ A_dag).max()))
-    return CausalReport(
-        "r-microcausal", len(pairs), worst,
-        _verdict(bool(pairs), worst, tol_eq),
-        details={"support_sizes": (len(s1), len(s2))})
+    return CausalReport.judged(
+        "r-microcausal", len(sites), worst, tol_eq, len(sites) > 0,
+        support_sizes=(int(support1.sum()), int(support2.sum())))
 
 
 def check_frame_einstein_causal(frame: FrameObservable,
@@ -154,8 +156,8 @@ def check_frame_einstein_causal(frame: FrameObservable,
             if lattice.spacelike(f1.x, f2.x, params):
                 worst = max(worst, op_norm(E1 @ E2 - E2 @ E1))
                 count += 1
-    return CausalReport("frame-einstein-causal", count, worst,
-                        _verdict(count > 0, worst, tol_eq))
+    return CausalReport.judged("frame-einstein-causal", count, worst, tol_eq,
+                               count > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +293,13 @@ def check_intrinsic_causality(frame: FrameObservable, system: SystemModel,
 
     residual = max(swap_residual,
                    commutator_residual if self_adjoint else 0.0)
-    return CausalReport(
-        "intrinsic-causality", 1, residual,
-        _verdict(premise, residual, tol_eq),
-        details={
-            "premise_spacelike": spacelike_prep,
-            "premise_einstein_causal": einstein.ok,
-            "einstein_residual": einstein.max_residual,
-            "joint_state_converged": joint.converged,
-            "joint_state_residual": joint.residual,
-            "swap_residual": swap_residual,
-            "commutator_residual": commutator_residual,
-        })
+    return CausalReport.judged(
+        "intrinsic-causality", 1, residual, tol_eq, premise,
+        premise_spacelike=spacelike_prep,
+        premise_einstein_causal=einstein.ok,
+        einstein_residual=einstein.max_residual,
+        joint_state_converged=joint.converged,
+        joint_state_residual=joint.residual,
+        swap_residual=swap_residual,
+        commutator_residual=commutator_residual)
 

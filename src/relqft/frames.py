@@ -283,7 +283,8 @@ class Disintegration:
 
     marginal has shape (N^2,) in lattice_points() order; conditional has
     shape (N^2, |C|), row x holding the Lorentz conditional at x in boosts()
-    order.  support marks the sites with marginal weight above tol_supp;
+    order.  support marks the sites whose marginal weight exceeds tol_supp
+    in absolute value, as in ``BornMeasure.spacetime_support``;
     rows off the support are zero.  On the support,
     marginal[x] * conditional[x, lam] recovers the joint pmf.
     """
@@ -296,7 +297,7 @@ class Disintegration:
 def disintegrate(mu: BornMeasure, tol_supp: float = TOL_SUPP) -> Disintegration:
     joint = np.real(mu._by_site())
     marginal = joint.sum(axis=1)
-    support = marginal > tol_supp
+    support = np.abs(marginal) > tol_supp  # the rule of spacetime_support
     conditional = np.zeros_like(joint)
     conditional[support] = joint[support] / marginal[support, None]
     return Disintegration(marginal, conditional, support)

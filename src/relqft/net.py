@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from relqft import lattice, operators as ops
-from relqft.causality import check_r_causal
+from relqft.causality import CausalReport, check_r_causal
 from relqft.fields import RelationalField, SystemModel, relational_local_observable
 from relqft.frames import FrameObservable, born_measure
 from relqft.lattice import ModelParams
@@ -113,31 +113,12 @@ def deterministic_local_algebra(frame: FrameObservable, system: SystemModel,
 # axiom suite
 
 @dataclass
-class AxiomReport:
-    axiom: str
-    pairs_checked: int
-    max_residual: float
-    verdict: str  # "verified" | "vacuous" | "failed"
-    details: dict = dc_field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "failed"
-
-
-@dataclass
 class NetReport:
     axioms: dict
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.axioms.values())
-
-
-def _axiom_verdict(count: int, residual: float, tol: float) -> str:
-    if count == 0:
-        return "vacuous"
-    return "verified" if residual <= tol else "failed"
 
 
 def _transform_region(g, region, params: ModelParams) -> frozenset:
@@ -172,8 +153,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
             a_v = net.algebra(sv).algebra
             worst = max(worst, a_u.containment_defect(a_v))
             count += 1
-    axioms["isotony"] = AxiomReport("isotony", count, worst,
-                                    _axiom_verdict(count, worst, tol_eq))
+    axioms["isotony"] = CausalReport.judged("isotony", count, worst, tol_eq,
+                                            count > 0)
 
     # covariance: conjugated algebra equals algebra of the transformed region
     worst = 0.0
@@ -196,8 +177,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
                 [net.system.rep.conjugate(g, A) for A in a_u.basis_ops()])
             worst = max(worst, conjugated.equality_defect(a_moved))
             count += 1
-    axioms["covariance"] = AxiomReport("covariance", count, worst,
-                                       _axiom_verdict(count, worst, tol_eq))
+    axioms["covariance"] = CausalReport.judged("covariance", count, worst,
+                                               tol_eq, count > 0)
 
     # causality on spacelike region pairs, under the R-causal premise
     worst = 0.0
@@ -217,9 +198,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
             for B in a_v.basis_ops():
                 worst = max(worst, op_norm(A @ B - B @ A))
         count += 1
-    axioms["causality"] = AxiomReport(
-        "causality", count, worst, _axiom_verdict(count, worst, tol_eq),
-        details={"premise_failures": skipped})
+    axioms["causality"] = CausalReport.judged(
+        "causality", count, worst, tol_eq, count > 0, premise_failures=skipped)
 
     # time-slice for deterministic nets: a region containing a Cauchy slice
     # of another region's hull generates the same algebra
@@ -237,8 +217,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
                 a_v = net.algebra(sv).algebra
                 worst = max(worst, a_u.equality_defect(a_v))
                 count += 1
-    axioms["time-slice"] = AxiomReport("time-slice", count, worst,
-                                       _axiom_verdict(count, worst, tol_eq))
+    axioms["time-slice"] = CausalReport.judged("time-slice", count, worst,
+                                               tol_eq, count > 0)
     return NetReport(axioms)
 
 

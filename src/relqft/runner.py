@@ -11,14 +11,18 @@ count changes the summation order inside BLAS and with it the last digits
 of some residuals.
 
 Serialized reports carry a schema version.  The JSON form round-trips
-losslessly; the text form is a fixed-width table.  Timings are measured
-and reported but excluded from the canonical bytes used for determinism
-comparisons.
+losslessly; each check record holds the name, anchor, verdict, details,
+and the list of measurements, each with its name, value, bound and sense
+(``<=``, ``>=``, ``==``).  The text form is a fixed-width table, one row
+per check: the verdict, the deciding measurement with its value, sense and
+bound, and margin, and the seconds.  Timings are measured and reported but excluded
+from the canonical bytes used for determinism comparisons.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -27,10 +31,12 @@ import numpy as np
 
 from relqft.config import ConfigError, ScenarioConfig
 from relqft.scenarios import CHECKS, FRAME_BUILDERS, SUITES, build_system
+from relqft.tolerances import Measurement
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
-_TEXT_COLUMNS = ("check", "verdict", "worst-residual", "seconds")
+_TEXT_COLUMNS = ("check", "verdict", "measurement", "value", "bound",
+                 "margin", "seconds")
 
 
 def check_rng(seed: int, name: str) -> np.random.Generator:
@@ -109,28 +115,38 @@ def run(cfg: ScenarioConfig, targets=None) -> RunReport:
     names = resolve_checks(cfg.suites if targets is None else targets)
     outcomes = []
     for name in names:
-        fn = CHECKS[name].fn
-        rng = check_rng(cfg.seed, name)
         start = time.perf_counter()
-        outcome = fn(cfg, rng)
+        outcome = CHECKS[name].fn(cfg, check_rng(cfg.seed, name))
         outcome.seconds = time.perf_counter() - start
+        outcome.name, outcome.anchor = name, CHECKS[name].anchor
         outcomes.append(outcome)
     return RunReport(cfg, cfg.seed, outcomes)
 
 
-def _worst_residual(record: dict) -> str:
-    residuals = record.get("residuals", {})
-    if not residuals:
-        return "-"
-    return f"{max(abs(v) for v in residuals.values()):.3e}"
+def _deciding(measurements) -> Measurement:
+    """The most violated measurement when any fails, else the inequality
+    with the smallest margin relative to |bound| (any measurement when all
+    are equalities)."""
+    def relative(m: Measurement) -> float:
+        r = m.margin / abs(m.bound) if m.bound else m.margin
+        return -math.inf if math.isnan(r) else r
+    failing = [m for m in measurements if not m.holds]
+    inequalities = [m for m in measurements if m.sense != "=="]
+    return min(failing or inequalities or measurements, key=relative)
+
+
+def _cell(value) -> str:
+    return f"{value:.3e}" if isinstance(value, float) else str(value).lower()
 
 
 def render_text(report: RunReport) -> str:
     """Fixed-width table, one row per check; header only when empty."""
     rows = [list(_TEXT_COLUMNS)]
-    for record in (o.to_record() for o in report.outcomes):
-        rows.append([record["name"], record["verdict"],
-                     _worst_residual(record), f"{record['seconds']:.3f}"])
+    for o in report.outcomes:
+        m = _deciding(o.measurements)
+        rows.append([o.name, o.verdict, m.name, _cell(m.value),
+                     m.sense + _cell(m.bound), _cell(m.margin),
+                     f"{o.seconds:.3f}"])
     widths = [max(len(row[i]) for row in rows) for i in range(len(_TEXT_COLUMNS))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
              for row in rows]

@@ -10,7 +10,11 @@ names in ``TOLERANCE_KEYS``: ``tol_eq``, ``tol_psd``, ``tol_supp``,
 ``tol_feas`` and ``tol_dft``.  ``TOL_HERM`` and ``TOL_TRACE`` are fixed:
 they guard ``psd_gap``, ``is_state`` and ``born_measure`` against usage
 errors and decide no check.
+
+``verdict`` is the one rule that turns ``Measurement`` values into a verdict.
 """
+
+from dataclasses import dataclass
 
 TOL_EQ = 1e-10     # entrywise operator equality / commutator residuals
 TOL_HERM = 1e-10   # hermiticity defect
@@ -37,3 +41,38 @@ def defaults() -> dict:
 
 #: Names accepted as tolerance overrides, in ``defaults()`` order.
 TOLERANCE_KEYS = tuple(defaults())
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """A measured value and the bound it must meet: ``value <= bound``,
+    ``value >= bound``, or ``value == bound`` (counts and flags)."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str = "<="
+
+    @property
+    def margin(self) -> float:
+        """Signed distance to the bound, negative when it is violated: 0.0
+        for a met equality, NaN for a NaN value."""
+        v, b = float(self.value), float(self.bound)
+        return {"<=": b - v, ">=": v - b, "==": 0.0 - abs(v - b)}[self.sense]
+
+    @property
+    def holds(self) -> bool:
+        # exact for finite doubles: b - v >= 0 iff v <= b; NaN meets nothing
+        return self.margin >= 0.0
+
+
+def verdict(measurements, premise: bool = True, certified: bool = True) -> str:
+    """The verdict: "no-certificate" when a feasibility search ended
+    undecided, else "vacuous" when the premise of a conditional statement
+    never held, else "verified" exactly when every measurement meets its
+    bound, else "failed"."""
+    if not certified:
+        return "no-certificate"
+    if not premise:
+        return "vacuous"
+    return "failed" if any(not m.holds for m in measurements) else "verified"

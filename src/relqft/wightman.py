@@ -34,7 +34,8 @@ from relqft.frames import (
 from relqft.fields import certify_globally_oriented
 from relqft.lattice import LatticePoint, ModelParams
 from relqft.operators import AlgebraSubspace, commutant, dagger, generated_algebra
-from relqft.tolerances import SVD_CUTOFF, TOL_DFT, TOL_EQ, TOL_SUPP
+from relqft.tolerances import (SVD_CUTOFF, TOL_DFT, TOL_EQ, TOL_SUPP,
+                               Measurement, verdict)
 
 
 class OrientationError(ValueError):
@@ -269,10 +270,6 @@ class SpectralReport:
     vacuous: bool
     verdict: str
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "failed"
-
 
 def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
                    tol_dft: float = TOL_DFT) -> SpectralReport:
@@ -292,8 +289,9 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
         else:
             leak = max(leak, abs(val))
     vacuous = len(support) == frame.params.N ** 2
-    verdict = "vacuous" if vacuous else ("verified" if leak <= tol_dft else "failed")
-    return SpectralReport(support, table, leak, on_support, vacuous, verdict)
+    return SpectralReport(
+        support, table, leak, on_support, vacuous,
+        verdict([Measurement("outside_support", leak, tol_dft)], not vacuous))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +449,7 @@ def irreducibility_check(rf: RelationalField,
         svals = np.linalg.svd(basis_ops @ (v / np.linalg.norm(v)), compute_uv=False)
         rank = int(np.sum(svals > SVD_CUTOFF * svals[0]))
         cyclic = rank == dim
-    implication_ok = (not irreducible) or (cyclic is not False)
+    implication_ok = not irreducible or cyclic is not False
     return IrreducibilityReport(
         span_dim=len(basis),
         commutant_dim=comm.subspace_dim,

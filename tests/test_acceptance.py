@@ -5,10 +5,15 @@ tolerances for one guaranteed behavior of the workbench, so a regression
 in any module surfaces here as well as in the unit suites.
 """
 
+import json
+import pathlib
+
 import pytest
 
-from relqft import runner
+from relqft import runner, scenarios
 from relqft.config import DEFAULT_CONFIG
+
+REGISTRY = pathlib.Path(__file__).resolve().parents[1] / "docs" / "check_registry.md"
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +173,27 @@ def test_field_algebra_irreducibility(full_report):
     assert o.details["bicommutant_dim"] == d * d
     assert o.details["identity_commutant_dim"] == d * d
     assert o.details["cyclic_rank"] == d
+
+
+def test_measurement_table_matches_the_run(full_report):
+    text = REGISTRY.read_text(encoding="utf-8").split("## Measurements", 1)[1]
+    rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+            for line in text.splitlines() if line.startswith("|")]
+    assert rows[0] == ["check", "measurement", "sense", "bound"]
+    documented = rows[2:]
+    measured = [(o.name, m) for o in full_report.outcomes
+                for m in o.measurements]
+    assert [(c, name, sense) for c, name, sense, _ in documented] == [
+        (c, m.name, m.sense) for c, m in measured]
+    sources = {"EXACT_TOL": scenarios.EXACT_TOL,
+               "SWAP_TOL": scenarios.SWAP_TOL, "GRAM_TOL": scenarios.GRAM_TOL}
+    for (*_, bound), (_, m) in zip(documented, measured):
+        name = bound.lstrip("-")
+        if name.startswith("tol_"):
+            value = DEFAULT_CONFIG.tol(name)
+        else:
+            value = sources[name] if name in sources else json.loads(name)
+        assert m.bound == (-value if bound.startswith("-") else value), m.name
 
 
 def test_reports_are_bitwise_reproducible(full_report):

@@ -224,3 +224,24 @@ def test_batched_microcausality_matches_the_pair_loop(monkeypatch, rng, chunk):
     # chunk, so the last chunk is a partial one
     assert counts[0] == 200 and 200 % chunk != 0
     assert counts[2] == 2
+
+
+def test_microcausality_takes_one_born_measure_per_preparation(monkeypatch,
+                                                               rng):
+    # the pair set comes from the support masks of the two site tables
+    calls = []
+    original = frames.born_measure
+
+    def counting(of):
+        calls.append(of)
+        return original(of)
+
+    for module in (frames, fields, causality):
+        monkeypatch.setattr(module, "born_measure", counting)
+    rep = ops.spacetime_representation(L5)
+    fr = frames.fiber_uniform_spacetime_frame(L5)
+    system = fields.SystemModel(L5, rep, ops.random_operator(rng, rep.dim))
+    report = causality.check_r_microcausal(
+        system, fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    assert report.pairs_checked == 1
+    assert len(calls) == 2

@@ -50,6 +50,17 @@ def test_tol_flag_round_trips(capsys):
     assert data["config"]["tolerances"] == {"tol_eq": 1e-8}
 
 
+def test_verify_tight_tolerance_fails_on_its_measurement(capsys):
+    # covariance is about 3.5e-16, so a 1e-17 bound must fail the check
+    assert main(["verify", "relational-covariance", "--tol", "eq=1e-17"]) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split(), row.split()))
+    assert cells["verdict"] == "failed"
+    assert cells["measurement"] == "covariance"
+    assert cells["bound"] == "<=1.000e-17"
+    assert float(cells["margin"]) < 0.0
+
+
 def test_bad_tol_flag_exits_2(capsys):
     assert main(["verify", "restriction-duality", "--tol", "slack=1"]) == 2
     assert "unknown tolerance" in capsys.readouterr().err

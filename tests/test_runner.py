@@ -8,6 +8,7 @@ import pytest
 from relqft import causality, fields, net, runner
 from relqft.config import ConfigError, DEFAULT_CONFIG
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
+from relqft.tolerances import Measurement
 
 FAST = ["restriction-duality", "spectral-condition"]
 
@@ -63,7 +64,8 @@ def test_empty_target_list_passes():
     assert report.outcomes == []
     assert report.exit_code == 0
     text = runner.render_text(report)
-    assert text.splitlines() == ["check  verdict  worst-residual  seconds"]
+    assert text.splitlines() == [
+        "check  verdict  measurement  value  bound  margin  seconds"]
 
 
 def test_run_single_check():
@@ -86,6 +88,9 @@ def test_json_report_round_trip():
 def test_load_report_rejects_other_schema():
     with pytest.raises(ConfigError, match="unsupported report schema"):
         runner.load_report('{"schema": 99}')
+    # schema 1 records had no bounds or senses
+    with pytest.raises(ConfigError, match="unsupported report schema 1"):
+        runner.load_report('{"schema": 1}')
 
 
 def test_canonical_bytes_exclude_timings():
@@ -121,18 +126,25 @@ def test_check_rng_streams():
 
 
 def test_exit_code_flags_bad_verdicts():
-    good = CheckOutcome("a", "x", "verified", {}, {})
-    for bad_verdict in ("failed", "no-certificate"):
-        bad = CheckOutcome("b", "y", bad_verdict, {}, {})
+    met, missed = Measurement("r", 0.0, 1.0), Measurement("r", 2.0, 1.0)
+    good = CheckOutcome([met], name="a", anchor="x")
+    assert good.verdict == "verified"
+    for bad_verdict, bad in (
+            ("failed", CheckOutcome([missed], name="b", anchor="y")),
+            ("no-certificate",
+             CheckOutcome([met], certified=False, name="b", anchor="y"))):
+        assert bad.verdict == bad_verdict
         assert runner.RunReport(DEFAULT_CONFIG, 0, [good, bad]).exit_code == 1
-    vac = CheckOutcome("c", "z", "vacuous", {}, {})
+    vac = CheckOutcome([met], premise=False, name="c", anchor="z")
+    assert vac.verdict == "vacuous"
     assert runner.RunReport(DEFAULT_CONFIG, 0, [good, vac]).exit_code == 0
 
 
 def test_render_text_table():
     report = runner.run(DEFAULT_CONFIG, targets=FAST)
     lines = runner.render_text(report).splitlines()
-    assert lines[0].split() == ["check", "verdict", "worst-residual", "seconds"]
+    assert lines[0].split() == ["check", "verdict", "measurement", "value",
+                                "bound", "margin", "seconds"]
     assert len(lines) == 1 + len(FAST)
     assert lines[1].startswith(FAST[0])
     assert "verified" in lines[1]
@@ -147,13 +159,52 @@ def test_emit_rejects_unknown_format():
 def test_outcome_record_shape():
     report = runner.run(DEFAULT_CONFIG, targets=FAST[:1])
     record = report.outcomes[0].to_record()
-    assert set(record) == {"name", "anchor", "verdict", "residuals",
+    assert set(record) == {"name", "anchor", "verdict", "measurements",
                            "details", "seconds"}
     assert record["name"] == FAST[0]
+    for measurement in record["measurements"]:
+        assert set(measurement) == {"name", "value", "bound", "sense"}
+        assert measurement["sense"] in ("<=", ">=", "==")
     slim = report.outcomes[0].to_record(include_timing=False)
     assert "seconds" not in slim
     # records must be JSON-clean all the way down
     json.dumps(record)
+
+
+def test_render_text_names_deciding_measurement():
+    # a passing row shows the tightest bound, never a gap far above its
+    # lower bound (channel-laws' positivity_gap is about 5.4)
+    report = runner.run(DEFAULT_CONFIG, targets=["channel-laws"])
+    outcome = report.outcomes[0]
+    header, row = runner.render_text(report).splitlines()
+    assert "5.379e+00" not in row
+    cells = dict(zip(header.split(), row.split()))
+    assert cells["verdict"] == "verified"
+    assert cells["measurement"] in outcome.residuals
+    assert float(cells["margin"]) >= 0.0
+    named = [m for m in outcome.measurements if m.name == cells["measurement"]]
+    assert cells["bound"] == named[0].sense + f"{named[0].bound:.3e}"
+
+
+def test_deciding_measurement_rule():
+    def shown(*measurements):
+        report = runner.RunReport(DEFAULT_CONFIG, 0, [
+            CheckOutcome(list(measurements), name="c", anchor="x")])
+        return runner.render_text(report).splitlines()[1].split()[2]
+
+    loose = Measurement("loose", 0.5, 1.0)
+    tight = Measurement("tight", 0.9, 1.0)
+    gap = Measurement("gap", 5.0, -1e-9, ">=")
+    flag = Measurement("flag", 1, 1, "==")
+    # smallest margin relative to |bound| among the inequalities
+    assert shown(loose, gap, tight, flag) == "tight"
+    # all equalities: the first one
+    assert shown(flag, Measurement("count", 0, 0, "==")) == "flag"
+    # failures: the most violated, and a NaN value is violated most
+    assert shown(loose, Measurement("bad", 1.5, 1.0),
+                 Measurement("worse", 3.0, 1.0)) == "worse"
+    assert shown(Measurement("worse", 3.0, 1.0),
+                 Measurement("nan", float("nan"), 1.0)) == "nan"
 
 
 @pytest.mark.parametrize("check, calls, stub", [
