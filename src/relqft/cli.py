@@ -23,7 +23,7 @@ from relqft import operators as ops
 from relqft.config import (ConfigError, DEFAULT_CONFIG, load_config,
                            parse_tol_flags, with_overrides)
 from relqft.lattice import LatticePoint, ModelParams
-from relqft.scenarios import CHECKS, SUITES
+from relqft.scenarios import CHECKS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,11 +77,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_list_checks() -> int:
-    suite_of = {name: suite for suite, names in SUITES.items()
-                if suite != "all" for name in names}
     rows = [("check", "suite", "anchor", "verifies")]
     for name, check in CHECKS.items():
-        rows.append((name, suite_of[name], check.anchor, check.summary))
+        rows.append((name, check.suite, check.anchor, check.summary))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     for row in rows:
         lead = "  ".join(row[i].ljust(widths[i]) for i in range(3))

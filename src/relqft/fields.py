@@ -12,9 +12,10 @@ system via the Born weights:
     local field:   phi_w(x)    = sum_lam cond_w(lam | x) phi_(x,lam)
 
 All sums are finite, so the covariance and reconstruction identities hold
-to machine precision.  Each sum over frame points is one contraction over
-the stacked system unitaries (``UnitaryRep.matrices``), whose order is the
-frame-point order.
+to machine precision.  The system representation is monomial, so every
+phi_f is a gather of phi times phases (``UnitaryRep.orbit``), and each sum
+over frame points is one contraction over the stacked system unitaries
+(``UnitaryRep.matrices``); both stacks follow the frame-point order.
 
 Two whole-lattice arrays carry the pointwise quantities:
 
@@ -92,22 +93,10 @@ def oriented_field(sys: SystemModel, f: FramePoint) -> np.ndarray:
 
 def oriented_fields(system: SystemModel) -> np.ndarray:
     """Every oriented field phi_f as one (|G|, dS, dS) array in
-    frame_points() order.
-
-    On a permutation representation it is one gather, as in
-    ``UnitaryRep.conjugate``: (phi_f)[k, l] = phi[inv[k], inv[l]] with inv
-    the inverse of table row f, into a stack refused before allocation
-    above ops.MAX_FRAME_BYTES.  Otherwise it is one stacked product over
-    ``UnitaryRep.matrices()``."""
-    rep = system.rep
-    if rep.table is None:
-        unitaries = rep.matrices()
-        return unitaries @ system.phi @ unitaries.conj().transpose(0, 2, 1)
-    n, dim = rep.table.shape
-    stack = ops.zero_stack(n, dim, f"a stack of {n} oriented fields")
-    inverse = np.argsort(rep.table, axis=1)
-    index = inverse[:, :, None] * dim + inverse[:, None, :]
-    return system.phi.reshape(-1).take(index, out=stack, mode="clip")
+    frame_points() order: the orbit of phi under the system representation,
+    one gather (``UnitaryRep.orbit``) refused before allocation above
+    ops.MAX_FRAME_BYTES."""
+    return system.rep.orbit(system.phi)
 
 
 def relativize(rf: RelationalField) -> np.ndarray:

@@ -418,14 +418,13 @@ def vacuum_orthogonality_scan(frame_family, region, Ns,
 
 @dataclass
 class StrictOrthogonalityReport:
-    ok: bool
     residual: float
     fixed_space_dim: int
     vacuous: bool  # no translation-invariant vectors at all
 
 
-def strict_vacuum_orthogonality_check(frame: FrameObservable,
-                                      tol_eq: float = TOL_EQ) -> StrictOrthogonalityReport:
+def strict_vacuum_orthogonality_check(
+        frame: FrameObservable) -> StrictOrthogonalityReport:
     """Whether every spacetime-marginal effect annihilates the subspace of
     translation-fixed vectors.
 
@@ -443,4 +442,4 @@ def strict_vacuum_orthogonality_check(frame: FrameObservable,
     worst = 0.0
     for x in frame.params.lattice_points():
         worst = max(worst, op_norm(frame.spacetime_marginal_effect(x) @ V))
-    return StrictOrthogonalityReport(worst <= tol_eq, worst, rank, rank == 0)
+    return StrictOrthogonalityReport(worst, rank, rank == 0)

@@ -4,6 +4,11 @@ States, effects, tensor products, partial traces, commutants and unitary
 representations of the toy group.  Everything is a plain numpy array; the
 classes here only bundle arrays with the bookkeeping the rest of the
 package needs (representation tables, subspace bases).
+
+Every representation is monomial, a permutation times a diagonal of
+phases, and ``UnitaryRep`` holds it in that one format: an index table and
+a phase table over the group.  Conjugations and orbits are gathers on the
+tables; a dense U(g) is built only on request.
 """
 
 from __future__ import annotations
@@ -289,74 +294,86 @@ def generated_algebra(ops, dim: int) -> AlgebraSubspace:
 # unitary representations
 
 class UnitaryRep:
-    """A unitary representation of the toy group.
+    """A monomial unitary representation of the toy group.
 
-    A permutation representation is given by ``table``, an integer
-    (|G|, dim) array: row i holds the image j -> table[i, j] of every basis
-    index under g = params.group_elements()[i], so U(g) e_j = e_table[i, j].
-    Any other representation is given by ``matrix_fn``, mapping a
-    GroupElement to its matrix.  ``rep(g)`` returns a dense matrix, built
-    on first request and cached; ``conjugate`` on a permutation
-    representation relabels indices and builds no matrix.  Builders below
-    cover the permutation representations (regular, spacetime, Lorentz),
-    character representations, direct sums, tensor products and
-    restrictions, which is everything the workbench uses.
+    Every U(g) is a permutation times a diagonal of phases, held as two
+    (|G|, dim) arrays in group_elements() order: for g =
+    params.group_elements()[i], row i of the integer ``table`` holds the
+    image j -> table[i, j] of every basis index and row i of ``phases``
+    its phase, so U(g) e_j = phases[i, j] e_table[i, j].  ``phases`` is
+    None for a permutation representation (every phase 1).
+
+    ``conjugate`` and ``orbit`` are index gathers times phases and build
+    no matrix.  ``matrices`` scatters the tables into the dense stack of
+    every U(g) for orbit sums, and ``rep(g)`` one dense U(g) for test
+    oracles.  Builders below cover the permutation representations
+    (regular, spacetime, Lorentz), the trivial and character
+    representations, direct sums and tensor products, which is everything
+    the workbench uses.
     """
 
-    def __init__(self, params: ModelParams, dim: int, matrix_fn=None,
-                 label: str = "rep", table: np.ndarray | None = None):
-        if (matrix_fn is None) == (table is None):
-            raise ValueError("give exactly one of matrix_fn and table")
+    def __init__(self, params: ModelParams, table: np.ndarray,
+                 phases: np.ndarray | None = None, label: str = "rep"):
         self.params = params
-        self.dim = dim
-        self._fn = matrix_fn
         self.table = table
-        self._cache: dict[GroupElement, np.ndarray] = {}
+        self.phases = phases
+        self.dim = table.shape[1]
         self._stack: np.ndarray | None = None
         self.label = label
 
     def __call__(self, g: GroupElement) -> np.ndarray:
-        g = GroupElement(LatticePoint(*g.a), g.boost)
-        if g not in self._cache:
-            if self.table is None:
-                self._cache[g] = np.asarray(self._fn(g), dtype=complex)
-            else:
-                # group_elements() shares the frame_points() order
-                U = np.zeros((self.dim, self.dim), dtype=complex)
-                U[self.table[self.params.frame_index(g)], np.arange(self.dim)] = 1.0
-                self._cache[g] = U
-        return self._cache[g]
+        return self._dense([self.params.frame_index(g)])[0]
 
-    def translation(self, a: LatticePoint) -> np.ndarray:
-        return self(GroupElement(LatticePoint(*a), 1))
+    def _dense(self, rows) -> np.ndarray:
+        """The dense U(g) of the group elements at ``rows``: entry
+        (table[i, j], j) of U is phases[i, j]."""
+        stack = zero_stack(len(rows), self.dim,
+                           f"a stack of {len(rows)} unitaries")
+        stack[np.arange(len(rows))[:, None], self.table[rows],
+              np.arange(self.dim)] = _phase_table(self)[rows]
+        return stack
+
+    def _conjugates(self, rows, A: np.ndarray, what: str) -> np.ndarray:
+        """U(g) A U(g)^dag for the group elements at ``rows``: the gather
+        (k, l) -> c[k] A[inv[k], inv[l]] conj(c[l]), with inv the inverse of
+        the table row and c = phases[inv].  The row phase goes on first,
+        as a dense product rounds."""
+        inverse = np.argsort(self.table[rows], axis=1)
+        stack = zero_stack(len(inverse), self.dim, what)
+        index = inverse[:, :, None] * self.dim + inverse[:, None, :]
+        np.asarray(A, dtype=complex).reshape(-1).take(index, out=stack, mode="clip")
+        if self.phases is not None:
+            c = np.take_along_axis(self.phases[rows], inverse, axis=1)
+            stack *= c[:, :, None]
+            stack *= c.conj()[:, None, :]
+        return stack
 
     def conjugate(self, g: GroupElement, A: np.ndarray) -> np.ndarray:
-        """U(g) A U(g)^dag.  For a permutation representation this is the
-        gather (k, l) -> A[inv[k], inv[l]] with inv the table row of g^-1."""
-        A = np.asarray(A, dtype=complex)
-        if self.table is None:
-            Ug = self(g)
-            return Ug @ A @ dagger(Ug)
-        g = GroupElement(LatticePoint(*g.a), g.boost)
-        inv = self.table[self.params.frame_index(lattice.inverse(g, self.params))]
-        return A.reshape(-1).take(inv[:, None] * self.dim + inv)
+        """U(g) A U(g)^dag, as one gather."""
+        return self._conjugates([self.params.frame_index(g)], A,
+                                "a conjugate")[0]
+
+    def orbit(self, A: np.ndarray) -> np.ndarray:
+        """Every U(g) A U(g)^dag as one (|G|, dim, dim) array in
+        group_elements() order, from one gather; refused before allocation
+        when it would exceed MAX_FRAME_BYTES."""
+        n = len(self.table)
+        return self._conjugates(np.arange(n), A, f"a stack of {n} conjugates")
 
     def matrices(self) -> np.ndarray:
         """Every U(g) as one (|G|, dim, dim) array in group_elements()
         order, built once; refused before allocation when it would exceed
         MAX_FRAME_BYTES."""
         if self._stack is None:
-            elements = self.params.group_elements()
-            stack = zero_stack(len(elements), self.dim,
-                               f"a stack of {len(elements)} unitaries")
-            if self.table is None:
-                for i, g in enumerate(elements):
-                    stack[i] = self(g)
-            else:
-                stack[np.arange(len(elements))[:, None], self.table,
-                      np.arange(self.dim)] = 1.0
-            self._stack = stack
+            self._stack = self._dense(np.arange(len(self.table)))
         return self._stack
+
+
+def _phase_table(rep: UnitaryRep) -> np.ndarray:
+    """``rep.phases``, with ones for a permutation representation."""
+    if rep.phases is None:
+        return np.ones(rep.table.shape, dtype=complex)
+    return rep.phases
 
 
 def zero_stack(n: int, dim: int, what: str) -> np.ndarray:
@@ -372,26 +389,23 @@ def zero_stack(n: int, dim: int, what: str) -> np.ndarray:
 
 def regular_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the torsor action on F; dim = N^2 |C|."""
-    table = lattice.frame_action_table(params)
-    return UnitaryRep(params, table.shape[1], label="regular", table=table)
+    return UnitaryRep(params, lattice.frame_action_table(params), label="regular")
 
 
 def spacetime_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the (transitive) action on M; dim = N^2."""
-    table = lattice.site_action_table(params)
-    return UnitaryRep(params, table.shape[1], label="spacetime", table=table)
+    return UnitaryRep(params, lattice.site_action_table(params), label="spacetime")
 
 
 def lorentz_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of lam -> boost * lam on C; translations act
     trivially (the representation factors through the boost quotient)."""
-    table = lattice.fiber_action_table(params)
-    return UnitaryRep(params, table.shape[1], label="lorentz", table=table)
+    return UnitaryRep(params, lattice.fiber_action_table(params), label="lorentz")
 
 
 def trivial_representation(params: ModelParams, dim: int = 1) -> UnitaryRep:
-    eye = np.eye(dim, dtype=complex)
-    return UnitaryRep(params, dim, lambda g: eye, label="trivial")
+    table = np.tile(np.arange(dim), (len(params.group_elements()), 1))
+    return UnitaryRep(params, table, label="trivial")
 
 
 def character_phase(p: LatticePoint, a: LatticePoint, N: int) -> complex:
@@ -412,67 +426,57 @@ def character_representation(params: ModelParams,
                              momenta: list[LatticePoint]) -> UnitaryRep:
     """Representation on a boost-closed set of translation characters.
 
-    Basis vectors carry momenta p: translations act diagonally by chi_p,
-    boosts permute the labels via momentum_boost.  Raises if the label set
-    is not closed under the boost action.
+    Basis vectors carry momenta p, and U(a, b) e_p = chi_q(a) e_q with
+    q = momentum_boost(b, p): boosts permute the labels, translations
+    multiply by characters.  Raises if the label set is not closed under
+    the boost action.
     """
+    N = params.N
     momenta = [LatticePoint(*p) for p in momenta]
-    index = {p: i for i, p in enumerate(momenta)}
+    index = np.full((N, N), -1)
+    for i, p in enumerate(momenta):
+        index[p.u, p.v] = i
     for p in momenta:
         q = momentum_boost(params.s, p, params)
-        if q not in index:
+        if index[q.u, q.v] < 0:
             raise ValueError(f"momentum set not boost-closed: {p} -> {q}")
-
-    def fn(g: GroupElement) -> np.ndarray:
-        U = np.zeros((len(momenta), len(momenta)), dtype=complex)
-        for p, i in index.items():
-            q = momentum_boost(g.boost, p, params)
-            U[index[q], i] = character_phase(q, g.a, params.N)
-        return U
-
-    return UnitaryRep(params, len(momenta), fn, label="character")
+    elements = params.group_elements()
+    shift = np.array([g.a for g in elements])
+    boost = np.array([g.boost for g in elements])
+    inverse = np.array([params.boost_inverse(g.boost) for g in elements])
+    p = np.array(momenta, dtype=int).reshape(-1, 2)
+    qu = (inverse[:, None] * p[:, 0]) % N
+    qv = (boost[:, None] * p[:, 1]) % N
+    # chi_q(a) depends only on q.a mod N: one root of unity per residue
+    roots = np.array([character_phase(LatticePoint(k, 0), LatticePoint(1, 0), N)
+                      for k in range(N)])
+    phases = roots[(qu * shift[:, :1] + qv * shift[:, 1:]) % N]
+    return UnitaryRep(params, index[qu, qv], phases, label="character")
 
 
 def direct_sum_rep(reps: list[UnitaryRep]) -> UnitaryRep:
     params = reps[0].params
     for r in reps[1:]:
         lattice.require_same_params(params, r.params)
-    dims = [r.dim for r in reps]
-    total = sum(dims)
-
-    def fn(g: GroupElement) -> np.ndarray:
-        U = np.zeros((total, total), dtype=complex)
-        off = 0
-        for r, d in zip(reps, dims):
-            U[off:off + d, off:off + d] = r(g)
-            off += d
-        return U
-
-    return UnitaryRep(params, total, fn, label="direct-sum")
+    offsets = np.cumsum([0] + [r.dim for r in reps[:-1]])
+    table = np.concatenate([r.table + off for r, off in zip(reps, offsets)], axis=1)
+    phases = None
+    if any(r.phases is not None for r in reps):
+        phases = np.concatenate([_phase_table(r) for r in reps], axis=1)
+    return UnitaryRep(params, table, phases, label="direct-sum")
 
 
 def tensor_product_rep(rep1: UnitaryRep, rep2: UnitaryRep) -> UnitaryRep:
+    """U1 (x) U2 on the row-major product basis, as np.kron orders it."""
     lattice.require_same_params(rep1.params, rep2.params)
-
-    def fn(g: GroupElement) -> np.ndarray:
-        return np.kron(rep1(g), rep2(g))
-
-    return UnitaryRep(rep1.params, rep1.dim * rep2.dim, fn, label="tensor")
-
-
-def restrict_representation(rep: UnitaryRep, basis: np.ndarray,
-                            label: str = "restricted") -> UnitaryRep:
-    """Restrict to an invariant subspace given by orthonormal columns.
-
-    The caller is responsible for invariance; the result is unitary exactly
-    when the subspace is preserved by every U(g).
-    """
-    W = np.asarray(basis, dtype=complex)
-
-    def fn(g: GroupElement) -> np.ndarray:
-        return dagger(W) @ rep(g) @ W
-
-    return UnitaryRep(rep.params, W.shape[1], fn, label=label)
+    n = len(rep1.table)
+    table = (rep1.table[:, :, None] * rep2.dim
+             + rep2.table[:, None, :]).reshape(n, -1)
+    phases = None
+    if rep1.phases is not None or rep2.phases is not None:
+        phases = (_phase_table(rep1)[:, :, None]
+                  * _phase_table(rep2)[:, None, :]).reshape(n, -1)
+    return UnitaryRep(rep1.params, table, phases, label="tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +486,16 @@ def translation_character_projector(rep: UnitaryRep, p: LatticePoint) -> np.ndar
     """Projector onto the chi_p eigenspace of the translation subgroup:
     P_p = (1/N^2) sum_a conj(chi_p(a)) U(a).
 
-    On a permutation representation each term is scattered at the entries
-    (table[a], j) of U(a), so no dense U(a) is built or cached."""
+    Each term is scattered at the entries (table[a], j) of U(a), so no
+    dense U(a) is built."""
     params = rep.params
     P = np.zeros((rep.dim, rep.dim), dtype=complex)
     columns = np.arange(rep.dim)
+    phases = _phase_table(rep)
     for a in params.lattice_points():
-        phase = np.conj(character_phase(p, a, params.N))
-        if rep.table is None:
-            P += phase * rep.translation(a)
-        else:
-            rows = rep.table[params.frame_index(GroupElement(a, 1))]
-            P[rows, columns] += phase
+        i = params.frame_index(GroupElement(a, 1))
+        P[rep.table[i], columns] += (
+            np.conj(character_phase(p, a, params.N)) * phases[i])
     return P / params.N**2
 
 

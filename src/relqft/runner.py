@@ -125,14 +125,15 @@ def run(cfg: ScenarioConfig, targets=None) -> RunReport:
 
 def _deciding(measurements) -> Measurement:
     """The most violated measurement when any fails, else the inequality
-    with the smallest margin relative to |bound| (any measurement when all
-    are equalities)."""
+    with the smallest margin relative to |bound|, real-valued ones ahead of
+    integer counts (any measurement when all are equalities)."""
     def relative(m: Measurement) -> float:
         r = m.margin / abs(m.bound) if m.bound else m.margin
         return -math.inf if math.isnan(r) else r
     failing = [m for m in measurements if not m.holds]
     inequalities = [m for m in measurements if m.sense != "=="]
-    return min(failing or inequalities or measurements, key=relative)
+    real = [m for m in inequalities if not isinstance(m.value, (int, np.integer))]
+    return min(failing or real or inequalities or measurements, key=relative)
 
 
 def _cell(value) -> str:

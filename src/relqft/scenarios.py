@@ -76,10 +76,10 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, float)):
         return float(value)
+    if isinstance(value, (np.bool_, bool)):  # before int: bool is an int
+        return bool(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
     if value is None or isinstance(value, str):
@@ -679,14 +679,16 @@ def check_vacuum_orthogonality(cfg: ScenarioConfig,
     weight_error = max(abs(w - 1.0 / (N * N)) for N, w in rows)
     monotone = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
 
+    # In the momentum basis the regular representation is the character
+    # representation on all N^2 momenta tensored with the Lorentz one, and
+    # p = 0 carries its translation-fixed vectors: dropping p = 0 leaves
+    # the complement of the fixed subspace.
     params = cfg.model()
-    regular = ops.regular_representation(params)
-    fixed = ops.translation_fixed_point_projector(regular)
-    eigenvalues, vectors = np.linalg.eigh(fixed)
-    complement = vectors[:, eigenvalues < 0.5]
-    reduced = ops.restrict_representation(regular, complement)
+    reduced = ops.tensor_product_rep(
+        ops.character_representation(params, params.lattice_points()[1:]),
+        ops.lorentz_representation(params))
     strict = frames.strict_vacuum_orthogonality_check(
-        frames.uniform_frame(reduced), tol_eq=cfg.tol("tol_eq"))
+        frames.uniform_frame(reduced))
 
     # strict.vacuous is fixed_space_dim == 0
     return CheckOutcome(
@@ -925,15 +927,8 @@ CHECKS: dict = {
         check_irreducibility),
 }
 
+#: Suite name -> its checks in registry order; "all" runs every check.
 SUITES: dict = {
-    "covariance": ("relational-covariance", "field-transformation",
-                   "disintegration-covariance", "restriction-duality"),
-    "channels": ("channel-laws",),
-    "causality": ("microcausality-implication",
-                  "intrinsic-causality-pipeline"),
-    "wightman": ("wightman-suite", "spectral-condition"),
-    "vacuum": ("vacuum-orthogonality", "vacuum-polarization"),
-    "net": ("net-axioms",),
-    "irreducibility": ("irreducibility",),
-}
+    suite: tuple(name for name, check in CHECKS.items() if check.suite == suite)
+    for suite in dict.fromkeys(check.suite for check in CHECKS.values())}
 SUITES["all"] = tuple(CHECKS)

@@ -21,6 +21,15 @@ def test_verify_json_output(capsys):
     assert data["checks"][0]["verdict"] == "verified"
 
 
+def test_verify_json_writes_booleans(capsys):
+    assert main(["verify", "vacuum-orthogonality", "--format", "json"]) == 0
+    check = runner.load_report(capsys.readouterr().out)["checks"][0]
+    assert check["details"]["monotone"] is True
+    monotone = [m for m in check["measurements"] if m["name"] == "monotone"]
+    assert monotone[0]["value"] is True
+    assert monotone[0]["bound"] is True
+
+
 def test_verify_unknown_target_exits_2(capsys):
     assert main(["verify", "no-such-check"]) == 2
     assert "config error:" in capsys.readouterr().err

@@ -73,17 +73,21 @@ def test_build_frame_is_exactly_covariant_on_permutation_reps(rng):
         assert fr.covariance_defect(rep.params.group_elements()) == 0.0
 
 
-def test_smeared_regular_frame_builds_no_dense_matrix():
+def test_smeared_regular_frame_builds_no_dense_matrix(monkeypatch):
     # N = 7: 147 effects of 147 x 147; the build relabels one dressed seed
     params = ModelParams(7, 2)
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+
+    def dense(rep, g):
+        raise AssertionError("dense U(g) built")
+
+    monkeypatch.setattr(ops.UnitaryRep, "__call__", dense)
     tracemalloc.start()
     try:
         fr = scenarios.FRAME_BUILDERS["smeared-regular"](params, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fr.rep._cache == {}
     assert peak < 1.3 * fr.effects.nbytes
 
 
@@ -316,7 +320,6 @@ def test_strict_orthogonality_sharp_frame_oracle():
         frames.sharp_regular_frame(P3))
     assert report.fixed_space_dim == 2
     assert not report.vacuous
-    assert not report.ok
     assert abs(report.residual - 1.0 / 3.0) < 1e-12
 
 
@@ -336,16 +339,19 @@ def test_strict_orthogonality_thin_norm_equals_the_projector_norm():
 
 
 def test_strict_orthogonality_on_fixed_free_subspace():
+    # the regular representation less its p = 0 sector: the nonzero
+    # momenta tensored with the Lorentz representation
     regular = ops.regular_representation(P3)
-    fixed = ops.translation_fixed_point_projector(regular)
-    vals, vecs = np.linalg.eigh(fixed)
-    reduced = ops.restrict_representation(regular, vecs[:, vals < 0.5])
+    reduced = ops.tensor_product_rep(
+        ops.character_representation(P3, P3.lattice_points()[1:]),
+        ops.lorentz_representation(P3))
+    fixed_rank = round(np.trace(ops.translation_fixed_point_projector(regular)).real)
+    assert reduced.dim == regular.dim - fixed_rank == 16
     report = frames.strict_vacuum_orthogonality_check(
         frames.uniform_frame(reduced))
     assert report.vacuous
     assert report.fixed_space_dim == 0
     assert report.residual == 0.0
-    assert report.ok
 
 
 def test_frames_equal():

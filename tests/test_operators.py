@@ -94,18 +94,33 @@ def test_character_support():
         LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(2, 0)}
 
 
+def sector_representation(params):
+    """The regular representation less its translation-fixed p = 0 sector:
+    every nonzero momentum tensored with the Lorentz representation."""
+    return ops.tensor_product_rep(
+        ops.character_representation(params, params.lattice_points()[1:]),
+        ops.lorentz_representation(params))
+
+
 @pytest.mark.parametrize("params", [P3, P5])
-@pytest.mark.parametrize("kind", ["regular", "spacetime", "lorentz"])
-def test_character_projector_scatter_matches_the_dense_sum(params, kind):
-    build = getattr(ops, f"{kind}_representation")
-    rep, dense = build(params), build(params)
+@pytest.mark.parametrize("kind", ["regular", "spacetime", "lorentz", "sector"])
+def test_character_projector_scatter_matches_the_dense_sum(params, kind,
+                                                           monkeypatch):
+    build = getattr(ops, f"{kind}_representation", sector_representation)
+    rep = build(params)
+    expected = {
+        p: sum(np.conj(ops.character_phase(p, a, params.N))
+               * rep(GroupElement(a, 1))
+               for a in params.lattice_points()) / params.N ** 2
+        for p in params.lattice_points()}
+
+    def dense(rep, g):
+        raise AssertionError("dense U(g) built")
+
+    monkeypatch.setattr(ops.UnitaryRep, "__call__", dense)
     for p in params.lattice_points():
-        expected = sum(
-            np.conj(ops.character_phase(p, a, params.N)) * dense.translation(a)
-            for a in params.lattice_points()) / params.N ** 2
         assert ops.eq_defect(ops.translation_character_projector(rep, p),
-                             expected) < 1e-15
-    assert rep._cache == {}
+                             expected[p]) < 1e-15
 
 
 def test_fixed_point_projector_rank():
@@ -115,16 +130,24 @@ def test_fixed_point_projector_rank():
     assert int(round(float(np.real(np.trace(P3fix))))) == 1
 
 
-def test_restrict_representation_preserves_homomorphism():
-    regular = ops.regular_representation(P3)
-    fixed = ops.translation_fixed_point_projector(regular)
-    vals, vecs = np.linalg.eigh(fixed)
-    W = vecs[:, vals < 0.5]
-    reduced = ops.restrict_representation(regular, W)
-    assert reduced.dim == regular.dim - 2
-    for g in P3.generators():
-        U = reduced(g)
-        assert ops.eq_defect(U @ ops.dagger(U), np.eye(reduced.dim)) < 1e-10
+def test_phased_representations_are_homomorphisms_on_all_pairs():
+    character = ops.character_representation(
+        P3, [LatticePoint(1, 0), LatticePoint(2, 0)])
+    reps = [character,
+            ops.direct_sum_rep([ops.trivial_representation(P3), character]),
+            ops.tensor_product_rep(character, ops.lorentz_representation(P3)),
+            sector_representation(P3)]
+    assert [rep.dim for rep in reps] == [2, 3, 4, 16]
+    elements = P3.group_elements()
+    for rep in reps:
+        assert rep.phases is not None
+        dense = {g: rep(g) for g in elements}
+        for g1 in elements:
+            U = dense[g1]
+            assert ops.eq_defect(U @ ops.dagger(U), np.eye(rep.dim)) < 1e-15
+            for g2 in elements:
+                assert ops.eq_defect(dense[compose(g1, g2, P3)],
+                                     U @ dense[g2]) < 1e-15
 
 
 #: Models at N = 3, 5 and 7 with two fiber sizes |C| each.
@@ -169,21 +192,20 @@ def test_permutation_representations_are_homomorphisms_on_all_pairs():
 
 
 def test_conjugate_matches_dense_products(rng):
-    regular = ops.regular_representation(P3)
-    fixed = ops.translation_fixed_point_projector(regular)
-    vals, vecs = np.linalg.eigh(fixed)
     character = ops.character_representation(
         P3, [LatticePoint(1, 0), LatticePoint(2, 0)])
-    reps = [regular, ops.spacetime_representation(P3),
+    reps = [ops.regular_representation(P3), ops.spacetime_representation(P3),
             ops.lorentz_representation(P3), character,
             ops.direct_sum_rep([ops.trivial_representation(P3), character]),
             ops.tensor_product_rep(character, ops.lorentz_representation(P3)),
-            ops.restrict_representation(regular, vecs[:, vals < 0.5])]
+            sector_representation(P3)]
     for rep in reps:
         A = ops.random_operator(rng, rep.dim)
-        for g in P3.group_elements():
+        orbit = rep.orbit(A)
+        for g, conjugated in zip(P3.group_elements(), orbit):
             U = rep(g)
             assert ops.eq_defect(rep.conjugate(g, A), U @ A @ ops.dagger(U)) < 1e-15
+            assert np.array_equal(conjugated, rep.conjugate(g, A))
 
 
 def test_unitary_stack_follows_group_elements_and_is_capped(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relqft import causality, fields, net, runner
+from relqft import operators as ops
 from relqft.config import ConfigError, DEFAULT_CONFIG
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
 from relqft.tolerances import Measurement
@@ -205,6 +206,8 @@ def test_deciding_measurement_rule():
                  Measurement("worse", 3.0, 1.0)) == "worse"
     assert shown(Measurement("worse", 3.0, 1.0),
                  Measurement("nan", float("nan"), 1.0)) == "nan"
+    # a count at its bound does not hide a real-valued residual
+    assert shown(Measurement("pairs", 1, 1, ">="), tight) == "tight"
 
 
 @pytest.mark.parametrize("check, calls, stub", [
@@ -250,3 +253,14 @@ def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
     assert {qualname for qualname, _ in seen} == calls
     for _, received in seen:
         assert received == {k: tols[k] for k in received}
+
+
+def test_default_run_builds_no_dense_unitary(monkeypatch):
+    # every check reads its representations as index and phase tables
+    def dense(rep, g):
+        raise AssertionError(f"dense U(g) built for the {rep.label} representation")
+
+    monkeypatch.setattr(ops.UnitaryRep, "__call__", dense)
+    report = runner.run(DEFAULT_CONFIG)
+    assert len(report.outcomes) == 13
+    assert {o.verdict for o in report.outcomes} == {"verified"}
