@@ -14,8 +14,9 @@ system via the Born weights:
 All sums are finite, so the covariance and reconstruction identities hold
 to machine precision.  The system representation is monomial, so every
 phi_f is a gather of phi times phases (``UnitaryRep.orbit``), and each sum
-over frame points is one contraction over the stacked system unitaries
-(``UnitaryRep.matrices``); both stacks follow the frame-point order.
+over frame points is that gather over the points of nonzero weight and one
+contraction with the weights (``UnitaryRep.orbit_sum``); both follow the
+frame-point order.
 
 Two whole-lattice arrays carry the pointwise quantities:
 
@@ -128,31 +129,16 @@ def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarr
     return ops.partial_trace_frame(W @ O, dimS, dimR)
 
 
-def _orbit_sum(unitaries: np.ndarray, weights: np.ndarray,
-               A: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] U_i A U_i^dag over a (n, d, d) stack, as one
-    contraction over the points of nonzero weight."""
-    kept = weights != 0.0
-    unitaries, weights = unitaries[kept], weights[kept]
-    moved = weights[:, None, None] * (unitaries @ np.asarray(A, dtype=complex))
-    return np.tensordot(moved, unitaries.conj(), axes=([0, 2], [0, 2]))
-
-
-def _weighted_fields(sys: SystemModel, weights) -> np.ndarray:
-    """sum_f weights[f] phi_f over all frame points."""
-    return _orbit_sum(sys.rep.matrices(), weights, sys.phi)
-
-
 def relational_local_observable(rf: RelationalField, omega: np.ndarray) -> np.ndarray:
     """Phi(w) = sum_f pmf_w(f) phi_f; equals restrict(relativize(.), w)."""
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    return _weighted_fields(rf.system, bm.weights)
+    return rf.system.rep.orbit_sum(bm.weights, rf.system.phi)
 
 
 def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
     """Phi(T) = sum_f Tr[T E(f)] phi_f, linear in an arbitrary T."""
     bm = born_measure_trace_class(rf.frame, T)
-    return _weighted_fields(rf.system, bm.weights)
+    return rf.system.rep.orbit_sum(bm.weights, rf.system.phi)
 
 
 def relational_local_fields(rf: RelationalField, omega: np.ndarray,
@@ -193,11 +179,15 @@ def predual_polarization(rf: RelationalField, omega: np.ndarray,
 
     The predual of w-restricted relativization on system states: invariant
     states are fixed, and Tr[rho Phi(w; phi)] = Tr[P_w(rho) phi] for every
-    test observable phi.
+    test observable phi.  U_S(g)^dag rho U_S(g) is the conjugation by
+    g^-1, so this is the orbit sum with the weights read through the group
+    inverse.
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    adjoints = rf.system.rep.matrices().conj().transpose(0, 2, 1)
-    return _orbit_sum(adjoints, bm.weights, rho)
+    params = rf.params
+    inverses = [params.frame_index(lattice.inverse(g, params))
+                for g in params.group_elements()]
+    return rf.system.rep.orbit_sum(bm.weights[inverses], rho)
 
 
 def relativization_channel(rf: RelationalField, omega: np.ndarray):
@@ -206,10 +196,9 @@ def relativization_channel(rf: RelationalField, omega: np.ndarray):
     Returns a closure; the Born weights are computed once.
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
-    unitaries = rf.system.rep.matrices()
 
     def channel(phi: np.ndarray) -> np.ndarray:
-        return _orbit_sum(unitaries, bm.weights, phi)
+        return rf.system.rep.orbit_sum(bm.weights, phi)
 
     return channel
 

@@ -120,7 +120,7 @@ def frames_equal(f1: FrameObservable, f2: FrameObservable, tol: float = TOL_EQ) 
         return True
     if f1.params != f2.params or f1.dim != f2.dim:
         return False
-    return all(eq_defect(E1, E2) <= tol for E1, E2 in zip(f1.effects, f2.effects))
+    return eq_defect(f1.effects, f2.effects) <= tol
 
 
 # ---------------------------------------------------------------------------

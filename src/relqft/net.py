@@ -41,7 +41,7 @@ def states_supported_in(frame: FrameObservable, region,
     else:
         stacked = np.concatenate(
             [frame.spacetime_marginal_effect(x) for x in outside], axis=0)
-        _, svals, Vh = np.linalg.svd(stacked)
+        _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
         scale = max(float(svals[0]) if svals.size else 0.0, 1.0)
         rank = int(np.sum(svals > cutoff * scale))
         kernel_basis = dagger(Vh)[:, rank:]

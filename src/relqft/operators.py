@@ -7,8 +7,8 @@ package needs (representation tables, subspace bases).
 
 Every representation is monomial, a permutation times a diagonal of
 phases, and ``UnitaryRep`` holds it in that one format: an index table and
-a phase table over the group.  Conjugations and orbits are gathers on the
-tables; a dense U(g) is built only on request.
+a phase table over the group.  Conjugations, orbits and orbit sums are
+gathers on the tables; a dense U(g) is built only for test oracles.
 """
 
 from __future__ import annotations
@@ -303,13 +303,12 @@ class UnitaryRep:
     its phase, so U(g) e_j = phases[i, j] e_table[i, j].  ``phases`` is
     None for a permutation representation (every phase 1).
 
-    ``conjugate`` and ``orbit`` are index gathers times phases and build
-    no matrix.  ``matrices`` scatters the tables into the dense stack of
-    every U(g) for orbit sums, and ``rep(g)`` one dense U(g) for test
-    oracles.  Builders below cover the permutation representations
-    (regular, spacetime, Lorentz), the trivial and character
-    representations, direct sums and tensor products, which is everything
-    the workbench uses.
+    ``conjugate``, ``orbit`` and ``orbit_sum`` are index gathers times
+    phases and build no unitary; ``rep(g)`` scatters the tables into one
+    dense U(g), for test oracles only.  Builders below cover the
+    permutation representations (regular, spacetime, Lorentz), the trivial
+    and character representations, direct sums and tensor products, which
+    is everything the workbench uses.
     """
 
     def __init__(self, params: ModelParams, table: np.ndarray,
@@ -318,20 +317,15 @@ class UnitaryRep:
         self.table = table
         self.phases = phases
         self.dim = table.shape[1]
-        self._stack: np.ndarray | None = None
         self.label = label
 
     def __call__(self, g: GroupElement) -> np.ndarray:
-        return self._dense([self.params.frame_index(g)])[0]
-
-    def _dense(self, rows) -> np.ndarray:
-        """The dense U(g) of the group elements at ``rows``: entry
-        (table[i, j], j) of U is phases[i, j]."""
-        stack = zero_stack(len(rows), self.dim,
-                           f"a stack of {len(rows)} unitaries")
-        stack[np.arange(len(rows))[:, None], self.table[rows],
-              np.arange(self.dim)] = _phase_table(self)[rows]
-        return stack
+        """The dense U(g), for test oracles: entry (table[i, j], j) is
+        phases[i, j]."""
+        i = self.params.frame_index(g)
+        U = np.zeros((self.dim, self.dim), dtype=complex)
+        U[self.table[i], np.arange(self.dim)] = _phase_table(self)[i]
+        return U
 
     def _conjugates(self, rows, A: np.ndarray, what: str) -> np.ndarray:
         """U(g) A U(g)^dag for the group elements at ``rows``: the gather
@@ -360,13 +354,15 @@ class UnitaryRep:
         n = len(self.table)
         return self._conjugates(np.arange(n), A, f"a stack of {n} conjugates")
 
-    def matrices(self) -> np.ndarray:
-        """Every U(g) as one (|G|, dim, dim) array in group_elements()
-        order, built once; refused before allocation when it would exceed
-        MAX_FRAME_BYTES."""
-        if self._stack is None:
-            self._stack = self._dense(np.arange(len(self.table)))
-        return self._stack
+    def orbit_sum(self, weights, A: np.ndarray) -> np.ndarray:
+        """sum_g weights[g] U(g) A U(g)^dag, weights in group_elements()
+        order: one gather of the conjugates by the elements of nonzero
+        weight, refused before allocation when it would exceed
+        MAX_FRAME_BYTES, and one contraction with their weights."""
+        weights = np.asarray(weights)
+        rows = np.flatnonzero(weights)
+        stack = self._conjugates(rows, A, f"a stack of {len(rows)} conjugates")
+        return np.tensordot(weights[rows], stack, axes=1)
 
 
 def _phase_table(rep: UnitaryRep) -> np.ndarray:

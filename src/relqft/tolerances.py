@@ -46,7 +46,7 @@ TOLERANCE_KEYS = tuple(defaults())
 @dataclass(frozen=True)
 class Measurement:
     """A measured value and the bound it must meet: ``value <= bound``,
-    ``value >= bound``, or ``value == bound`` (counts and flags)."""
+    ``value >= bound``, or ``value == bound`` (flags and exact counts)."""
 
     name: str
     value: float

@@ -145,13 +145,23 @@ def vev(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> complex:
     return _trace_product(vac.state, _observables(vac, spec, frame))
 
 
+def kernel_values(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
+                  point_tuples, tol_supp: float = TOL_SUPP) -> list[complex]:
+    """The pointwise kernel at each point tuple, in order, from one site
+    table per factor."""
+    point_tuples = list(point_tuples)
+    if any(len(points) != spec.n for points in point_tuples):
+        raise ValueError("one lattice point per factor required")
+    tables = _site_tables(vac, spec, frame, tol_supp)
+    return [_kernel_at(vac, tables, points) for points in point_tuples]
+
+
 def kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
            points, tol_supp: float = TOL_SUPP) -> complex:
     """Pointwise spacetime kernel: the same product with each factor
-    evaluated at its lattice point (zero off the marginal support)."""
-    if len(points) != spec.n:
-        raise ValueError("one lattice point per factor required")
-    return _kernel_at(vac, _site_tables(vac, spec, frame, tol_supp), points)
+    evaluated at its lattice point (zero off the marginal support); the
+    one-tuple case of ``kernel_values``."""
+    return kernel_values(vac, spec, frame, [points], tol_supp)[0]
 
 
 def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,

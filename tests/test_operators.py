@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,17 +210,26 @@ def test_conjugate_matches_dense_products(rng):
             assert np.array_equal(conjugated, rep.conjugate(g, A))
 
 
-def test_unitary_stack_follows_group_elements_and_is_capped(monkeypatch):
-    for rep in (ops.regular_representation(P3),
-                ops.character_representation(
-                    P3, [LatticePoint(1, 0), LatticePoint(2, 0)])):
-        stack = rep.matrices()
-        assert stack.shape == (len(P3.group_elements()), rep.dim, rep.dim)
-        for U, g in zip(stack, P3.group_elements()):
-            assert np.array_equal(U, rep(g))
+def test_orbit_sum_matches_dense_conjugations_and_is_capped(rng, monkeypatch):
+    reps = [ops.regular_representation(P3),
+            ops.character_representation(
+                P3, [LatticePoint(1, 0), LatticePoint(2, 0)]),
+            sector_representation(P3)]
+    n = len(P3.group_elements())
+    real = rng.standard_normal(n)
+    partly_zero = real.copy()
+    partly_zero[::3] = 0.0
+    weight_kinds = [real, real + 1j * rng.standard_normal(n), partly_zero]
+    for rep, weights in itertools.product(reps, weight_kinds):
+        A = ops.random_operator(rng, rep.dim)
+        expected = sum(w * rep(g) @ A @ ops.dagger(rep(g))
+                       for g, w in zip(P3.group_elements(), weights))
+        assert ops.eq_defect(rep.orbit_sum(weights, A), expected) < 1e-14
     monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 1024)
-    with pytest.raises(ops.SizeError, match="stack of 18 unitaries"):
-        ops.spacetime_representation(P3).matrices()
+    weights = np.ones(n)
+    weights[:6] = 0.0
+    with pytest.raises(ops.SizeError, match="stack of 12 conjugates"):
+        ops.spacetime_representation(P3).orbit_sum(weights, np.eye(9))
 
 
 def test_commutant_oracles():

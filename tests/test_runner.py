@@ -1,17 +1,20 @@
 import dataclasses
 import inspect
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from relqft import causality, fields, net, runner
 from relqft import operators as ops
-from relqft.config import ConfigError, DEFAULT_CONFIG
+from relqft.config import ConfigError, DEFAULT_CONFIG, load_config
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
 from relqft.tolerances import Measurement
 
 FAST = ["restriction-duality", "spectral-condition"]
+#: The benchmark's N = 7 config, read only.
+N7_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "n7.json"
 
 
 def test_registry_names_and_anchors_are_stable():
@@ -255,12 +258,21 @@ def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
         assert received == {k: tols[k] for k in received}
 
 
-def test_default_run_builds_no_dense_unitary(monkeypatch):
-    # every check reads its representations as index and phase tables
+def run_without_dense_unitaries(monkeypatch, cfg):
+    # every check reads its representations as index and phase tables, and
+    # __call__ is the only code that builds a dense U(g)
     def dense(rep, g):
         raise AssertionError(f"dense U(g) built for the {rep.label} representation")
 
     monkeypatch.setattr(ops.UnitaryRep, "__call__", dense)
-    report = runner.run(DEFAULT_CONFIG)
+    report = runner.run(cfg)
     assert len(report.outcomes) == 13
     assert {o.verdict for o in report.outcomes} == {"verified"}
+
+
+def test_default_run_builds_no_dense_unitary(monkeypatch):
+    run_without_dense_unitaries(monkeypatch, DEFAULT_CONFIG)
+
+
+def test_n7_run_builds_no_dense_unitary(monkeypatch):
+    run_without_dense_unitaries(monkeypatch, load_config(str(N7_CONFIG)))

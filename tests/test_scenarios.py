@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqft import runner, scenarios
+from relqft import causality, fields, runner, scenarios, wightman
 from relqft.config import DEFAULT_CONFIG
+from relqft.tolerances import TOL_SUPP
 
 
 @pytest.mark.parametrize("name", ["relational-covariance", "vacuum-polarization"])
@@ -25,3 +26,22 @@ def test_frame_loops_hold_one_effect_array_at_a_time(name):
         tracemalloc.stop()
     assert outcome.verdict == "verified"
     assert peak < 1.3 * effect_bytes, peak / effect_bytes
+
+
+def test_wightman_suite_takes_each_site_table_once(monkeypatch):
+    # the kernel shift law takes spec's tables once for every moved pair and
+    # each shifted spec's once: 4 hermiticity + 2 time-ordered + (2 + 3 x 2)
+    # shift + 4 swap + 4 split + 2 microcausality tables
+    calls = []
+    original = fields.relational_local_fields
+
+    def counting(rf, omega, tol_supp=TOL_SUPP):
+        calls.append(rf)
+        return original(rf, omega, tol_supp)
+
+    for module in (fields, wightman, causality):
+        monkeypatch.setattr(module, "relational_local_fields", counting)
+    outcome = scenarios.CHECKS["wightman-suite"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "wightman-suite"))
+    assert outcome.verdict == "verified"
+    assert len(calls) == 24

@@ -83,6 +83,17 @@ def test_kernel_reconstruction(rng):
     assert wightman.kernel_reconstruction_defect(vac, spec, fr) < 1e-10
 
 
+def test_kernel_values_follow_the_point_tuples(rng):
+    _, vac, fr, spec = lifted_stage(rng)
+    tuples = [(LatticePoint(1, 1), LatticePoint(0, 0)),
+              (LatticePoint(0, 0), LatticePoint(1, 1)),
+              (LatticePoint(4, 4), LatticePoint(1, 0))]
+    assert wightman.kernel_values(vac, spec, fr, tuples) == [
+        wightman.kernel(vac, spec, fr, pts) for pts in tuples]
+    with pytest.raises(ValueError, match="one lattice point per factor"):
+        wightman.kernel_values(vac, spec, fr, tuples + [(LatticePoint(0, 0),)])
+
+
 def test_difference_kernel_base_independence(rng):
     rep, vac, fr, _ = lifted_stage(rng)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
