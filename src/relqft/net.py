@@ -240,8 +240,7 @@ def _r_causal_premise(net: LocalAlgebraNet, region_u: frozenset,
     return True
 
 
-def haag_duality_diagnostic(net: LocalAlgebraNet, region,
-                            tol_supp: float = TOL_SUPP) -> dict:
+def haag_duality_diagnostic(net: LocalAlgebraNet, region) -> dict:
     """Compare A(U') with A(U)': a diagnostic, not an axiom.
 
     U' is the set of points spacelike to every point of U.

@@ -549,22 +549,20 @@ def check_wightman_suite(cfg: ScenarioConfig,
         -GRAM_TOL, ">="))
 
     base_value = wightman.vev(vacuum, spec, fr)
-    point_pairs = [(LatticePoint(1, 1), LatticePoint(0, 0)),
-                   (LatticePoint(4, 4), LatticePoint(1, 0))]
-    generators = params.generators()
-    # spec's site tables are taken once, for the moved pairs of every generator
-    moved = wightman.kernel_values(vacuum, spec, fr, [
-        [lattice.act_point(g, x, params) for x in points]
-        for g in generators for points in point_pairs])
-    worst_shift = 0.0
-    shifted = []
-    for g in generators:
+    base_kernel = wightman.kernel_array(vacuum, spec, fr)
+    rows = lattice.site_action_table(params)
+    elements = params.group_elements()
+    worst_shift = worst_kernel = 0.0
+    for g in params.generators():
         shifted_spec = wightman.VevSpec(tuple(
             (_right_shift(rep, g, omega), phi) for omega, phi in spec.factors))
         worst_shift = max(worst_shift, abs(
             wightman.vev(vacuum, shifted_spec, fr) - base_value))
-        shifted += wightman.kernel_values(vacuum, shifted_spec, fr, point_pairs)
-    worst_kernel = max(abs(a - b) for a, b in zip(shifted, moved))
+        # W_shifted(x1, x2) = W(g x1, g x2) at every point pair
+        row = rows[elements.index(g)]
+        worst_kernel = max(worst_kernel, float(np.max(np.abs(
+            wightman.kernel_array(vacuum, shifted_spec, fr)
+            - base_kernel[np.ix_(row, row)]))))
     measurements += [Measurement("preparation_shift", worst_shift, tol),
                      Measurement("kernel_shift", worst_kernel, tol)]
 
@@ -633,16 +631,12 @@ def check_spectral_condition(cfg: ScenarioConfig,
         (mixed, ops.random_operator(rng, rep.dim))))
     report = wightman.spectral_check(vacuum, spec, fr,
                                      tol_dft=cfg.tol("tol_dft"))
-    table = wightman.difference_kernel_table(vacuum, spec, fr)
-    oracle_worst = 0.0
+    # the direct transform, with the e^{+2 pi i q.xi / N} pairing of ifftn
     N = params.N
-    for q in params.lattice_points():
-        direct = 0.0 + 0.0j
-        for (xi,), value in table.items():
-            direct += value * np.exp(-2j * np.pi * (q.u * xi.u + q.v * xi.v) / N)
-        direct /= N ** 2
-        oracle_worst = max(oracle_worst,
-                           abs(direct - report.table[(q,)]))
+    sites = np.array(params.lattice_points())
+    pairing = np.exp(2j * np.pi * (sites @ sites.T) / N) / N ** 2
+    direct = pairing @ wightman.difference_kernel(vacuum, spec, fr).reshape(-1)
+    oracle_worst = float(np.max(np.abs(direct - report.table.reshape(-1))))
     return CheckOutcome(
         [Measurement("outside_support", report.max_leak, cfg.tol("tol_dft")),
          Measurement("oracle_mismatch", oracle_worst, cfg.tol("tol_dft"))],

@@ -8,12 +8,25 @@ span.  The discrete Fourier transform uses the e^{+2 pi i q.xi / N}
 character pairing, so momentum support lands on the character support of
 the system representation rather than its negation; the sign is pinned by
 a unit test against the character projectors.
+
+Three whole-lattice arrays carry the pointwise quantities of an n-factor
+spec:
+
+* the kernel array (``kernel_array``): W(x_1, ..., x_n) at every point
+  tuple as one (N^2,)^n array, axis j over x_j in lattice_points() order;
+* the difference kernel (``difference_kernel``): the same values over the
+  differences xi_j = x_j - x_(j+1), one (N, N)^(n-1) array with axes
+  (xi_1.u, xi_1.v, ..., xi_(n-1).u, xi_(n-1).v);
+* the spectral table (``SpectralReport.table``): the transform of the
+  difference kernel, same shape, with axes (q_1.u, q_1.v, ...).
+
+``kernel`` at one tuple is the pointwise definition they are tested by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -32,7 +45,7 @@ from relqft.frames import (
     born_measure,
 )
 from relqft.fields import certify_globally_oriented
-from relqft.lattice import LatticePoint, ModelParams
+from relqft.lattice import ModelParams
 from relqft.operators import AlgebraSubspace, commutant, dagger, generated_algebra
 from relqft.tolerances import (SVD_CUTOFF, TOL_DFT, TOL_EQ, TOL_SUPP,
                                Measurement, verdict)
@@ -122,17 +135,6 @@ def _site_tables(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     return tables
 
 
-def _fields_at(vac: VacuumModel, tables, points) -> list[np.ndarray]:
-    """Factor j's field at points[j], read from its site table."""
-    return [table[vac.params.site_index(LatticePoint(*x))]
-            for table, x in zip(tables, points)]
-
-
-def _kernel_at(vac: VacuumModel, tables, points) -> complex:
-    """The pointwise kernel at one point tuple, from the site tables."""
-    return _trace_product(vac.state, _fields_at(vac, tables, points))
-
-
 def _trace_product(state: np.ndarray, factors) -> complex:
     acc = np.array(state, dtype=complex)
     for A in factors:
@@ -145,46 +147,47 @@ def vev(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> complex:
     return _trace_product(vac.state, _observables(vac, spec, frame))
 
 
-def kernel_values(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                  point_tuples, tol_supp: float = TOL_SUPP) -> list[complex]:
-    """The pointwise kernel at each point tuple, in order, from one site
-    table per factor."""
-    point_tuples = list(point_tuples)
-    if any(len(points) != spec.n for points in point_tuples):
+def _point_fields(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
+                  points, tol_supp: float = TOL_SUPP) -> list[np.ndarray]:
+    """Factor j's local field at points[j], read from its site table."""
+    if len(points) != spec.n:
         raise ValueError("one lattice point per factor required")
     tables = _site_tables(vac, spec, frame, tol_supp)
-    return [_kernel_at(vac, tables, points) for points in point_tuples]
+    return [table[vac.params.site_index(x)] for table, x in zip(tables, points)]
 
 
 def kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
            points, tol_supp: float = TOL_SUPP) -> complex:
     """Pointwise spacetime kernel: the same product with each factor
-    evaluated at its lattice point (zero off the marginal support); the
-    one-tuple case of ``kernel_values``."""
-    return kernel_values(vac, spec, frame, [points], tol_supp)[0]
+    evaluated at its lattice point (zero off the marginal support)."""
+    return _trace_product(vac.state, _point_fields(vac, spec, frame, points, tol_supp))
+
+
+def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
+                 tol_supp: float = TOL_SUPP) -> np.ndarray:
+    """The kernel at every point tuple: an (N^2,)^n array, one axis per
+    factor in lattice_points() order.
+
+    rho phi_1(x_1) ... phi_(n-1)(x_(n-1)) is taken for every prefix tuple
+    at once and closed by a trace with the last site table, an unoptimized
+    einsum rather than a BLAS product, so the bytes do not depend on the
+    number of BLAS threads.
+    """
+    *first, last = _site_tables(vac, spec, frame, tol_supp)
+    acc = np.array(vac.state, dtype=complex)
+    for table in first:
+        acc = acc[..., None, :, :] @ table
+    return np.einsum("...ab,yba->...y", acc, last)
 
 
 def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
                                  frame: FrameObservable,
                                  tol_supp: float = TOL_SUPP) -> float:
-    """|sum over point tuples of kernel x marginal weights - vev|.
-
-    Exhaustive over the marginal supports, so keep n and N small.
-    """
-    sites = frame.params.lattice_points()
-    tables = _site_tables(vac, spec, frame, tol_supp)
-    supports = []
-    weights = []
-    for omega, _ in spec.factors:
-        marg = born_measure(OrientedFrame(frame, omega)).spacetime_marginal()
-        supports.append(np.flatnonzero(marg > tol_supp))
-        weights.append(marg)
-    total = 0.0 + 0.0j
-    for tup in product(*supports):
-        w = 1.0
-        for i, site in enumerate(tup):
-            w *= weights[i][site]
-        total += w * _kernel_at(vac, tables, [sites[i] for i in tup])
+    """|sum over point tuples of kernel x marginal weights - vev|: the
+    kernel array contracted with each factor's spacetime marginal."""
+    total = kernel_array(vac, spec, frame, tol_supp)
+    for omega, _ in reversed(spec.factors):
+        total = total @ born_measure(OrientedFrame(frame, omega)).spacetime_marginal()
     return abs(total - vev(vac, spec, frame))
 
 
@@ -204,77 +207,38 @@ def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
                 "difference kernels need a full-support spacetime marginal")
 
 
-def _points_from_differences(xis, params: ModelParams,
-                             base: LatticePoint) -> list[LatticePoint]:
-    pts = [base]
-    for xi in reversed(list(xis)):
-        prev = pts[0]
-        pts.insert(0, LatticePoint((prev.u + xi.u) % params.N,
-                                   (prev.v + xi.v) % params.N))
-    return pts
-
-
 def difference_kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                      xis, tol_eq: float = TOL_EQ) -> complex:
-    """Translation-reduced kernel evaluated at successive differences
-    xi_j = x_j - x_{j+1}; well-defined for certified globally oriented,
-    fully supported preparations, and cross-checked at the base shifted
-    by (1, 1)."""
-    if len(xis) != spec.n - 1:
-        raise ValueError("need n-1 difference vectors")
+                      tol_eq: float = TOL_EQ) -> np.ndarray:
+    """The translation-reduced kernel over the successive differences
+    xi_j = x_j - x_(j+1), as an (N, N)^(n-1) array with axes
+    (xi_1.u, xi_1.v, ...).
+
+    Gathered from the kernel array at every base point x_n; well-defined
+    for certified globally oriented, fully supported preparations, and
+    refused when any base gives a different value."""
     _require_globally_oriented(spec, frame)
-    params = frame.params
-    tables = _site_tables(vac, spec, frame)
-    pts = _points_from_differences(xis, params, LatticePoint(0, 0))
-    value = _kernel_at(vac, tables, pts)
-    shifted = [LatticePoint((p.u + 1) % params.N, (p.v + 1) % params.N)
-               for p in pts]
-    other = _kernel_at(vac, tables, shifted)
-    if abs(value - other) > tol_eq:
-        raise OrientationError(
-            "difference kernel is base-dependent: |delta| = %.3e"
-            % abs(value - other))
-    return value
-
-
-def difference_kernel_table(vac: VacuumModel, spec: VevSpec,
-                            frame: FrameObservable) -> dict:
-    """All difference-kernel values, keyed by (n-1)-tuples of lattice
-    points."""
-    _require_globally_oriented(spec, frame)
-    params = frame.params
-    tables = _site_tables(vac, spec, frame)
-    points = list(params.lattice_points())
-    table = {}
-    for tup in product(points, repeat=spec.n - 1):
-        pts = _points_from_differences(tup, params, LatticePoint(0, 0))
-        table[tup] = _kernel_at(vac, tables, pts)
-    return table
-
-
-def spectral_table(vac: VacuumModel, spec: VevSpec,
-                   frame: FrameObservable) -> dict:
-    """Discrete Fourier transform of the difference-kernel table with the
-    e^{+2 pi i q.xi / N} pairing and 1/N^2 normalization per factor."""
     N = frame.params.N
-    m = spec.n - 1
-    table = difference_kernel_table(vac, spec, frame)
-    arr = np.zeros((N,) * (2 * m), dtype=complex)
-    for tup, val in table.items():
-        idx = tuple(c for xi in tup for c in (xi.u, xi.v))
-        arr[idx] = val
-    hat = np.fft.ifftn(arr)
-    out = {}
-    for idx in np.ndindex(*hat.shape):
-        key = tuple(LatticePoint(idx[2 * j], idx[2 * j + 1]) for j in range(m))
-        out[key] = complex(hat[idx])
-    return out
+    K = kernel_array(vac, spec, frame)
+    # base (u, v) first, then (xi_j.u, xi_j.v) for j = 1 .. n-1
+    grid = np.ogrid[(slice(0, N),) * (2 * spec.n)]
+    u, v = grid[0], grid[1]
+    index = [u * N + v]
+    for j in reversed(range(spec.n - 1)):
+        u, v = (u + grid[2 * j + 2]) % N, (v + grid[2 * j + 3]) % N
+        index.insert(0, u * N + v)
+    by_base = K[tuple(index)]
+    table = by_base[0, 0]
+    defect = float(np.max(np.abs(by_base - table)))
+    if defect > tol_eq:
+        raise OrientationError(
+            "difference kernel is base-dependent: |delta| = %.3e" % defect)
+    return table
 
 
 @dataclass
 class SpectralReport:
     support: frozenset
-    table: dict
+    table: np.ndarray
     max_leak: float
     max_on_support: float
     vacuous: bool
@@ -286,19 +250,21 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     """Transform magnitudes must vanish whenever any momentum component
     lies outside the character support of the system representation.
 
-    The assertion is vacuous when the support is all of the momentum
-    lattice (for example the regular representation).
+    The table is the inverse DFT of the difference kernel, axes
+    (q_1.u, q_1.v, ...).  The assertion is vacuous when the support is all
+    of the momentum lattice (for example the regular representation).
     """
+    N = frame.params.N
     support = frozenset(ops.translation_character_support(vac.rep))
-    table = spectral_table(vac, spec, frame)
-    leak = 0.0
-    on_support = 0.0
-    for key, val in table.items():
-        if all(q in support for q in key):
-            on_support = max(on_support, abs(val))
-        else:
-            leak = max(leak, abs(val))
-    vacuous = len(support) == frame.params.N ** 2
+    table = np.fft.ifftn(difference_kernel(vac, spec, frame))
+    inside = np.zeros((N, N), dtype=bool)
+    inside[tuple(np.array(list(support)).T)] = True
+    on = np.ones((), dtype=bool)
+    for _ in range(spec.n - 1):
+        on = np.logical_and.outer(on, inside)
+    leak = float(np.max(np.abs(table[~on]), initial=0.0))
+    on_support = float(np.max(np.abs(table[on]), initial=0.0))
+    vacuous = len(support) == N ** 2
     return SpectralReport(
         support, table, leak, on_support, vacuous,
         verdict([Measurement("outside_support", leak, tol_dft)], not vacuous))
@@ -307,22 +273,15 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
 # ---------------------------------------------------------------------------
 # hermiticity, positivity, swaps
 
-def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                      point_samples: int = 10) -> float:
+def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> float:
     """Residual of vev(spec) against the conjugate of the reversed-adjoint
-    spec, plus the kernel-level analog at sampled point tuples."""
+    spec, and of the kernel array against the conjugate of the
+    reversed-adjoint one read with its axes reversed, at every tuple."""
     rev = spec.reversed_adjoint()
     residual = abs(vev(vac, spec, frame) - np.conj(vev(vac, rev, frame)))
-    tables = _site_tables(vac, spec, frame)
-    rev_tables = _site_tables(vac, rev, frame)
-    points = list(frame.params.lattice_points())
-    rng = ops.make_rng(len(points))
-    for _ in range(point_samples):
-        tup = tuple(points[rng.integers(len(points))] for _ in range(spec.n))
-        lhs = _kernel_at(vac, tables, tup)
-        rhs = np.conj(_kernel_at(vac, rev_tables, tuple(reversed(tup))))
-        residual = max(residual, abs(lhs - rhs))
-    return float(residual)
+    kernels = np.abs(kernel_array(vac, spec, frame)
+                     - np.conj(kernel_array(vac, rev, frame).T))
+    return float(max(residual, np.max(kernels)))
 
 
 def gram_matrix(vac: VacuumModel, families, frame: FrameObservable) -> np.ndarray:
@@ -384,10 +343,8 @@ def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservabl
     params = frame.params
     if params.causal_mode != "lifted":
         raise TimeOrderError("time ordering requires the lifted causal mode")
-    if len(points) != spec.n:
-        raise ValueError("one lattice point per factor required")
+    fields = _point_fields(vac, spec, frame, points)
     taus = [lattice.time_coordinate(x, params) for x in points]
-    fields = _fields_at(vac, _site_tables(vac, spec, frame), points)
     total = 0.0 + 0.0j
     coincident = False
     for perm in permutations(range(spec.n)):

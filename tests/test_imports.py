@@ -1,9 +1,12 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and every
+parameter of the package's functions is read.
 
 An AST scan: a name bound by ``import`` or ``from ... import`` counts as
 used when the module reads it anywhere (a bare name, the root of an
 attribute chain, a decorator or an annotation).  The package
 ``__init__.py`` is skipped, since its imports are the public re-exports.
+A parameter of a ``def`` counts as read when its body (nested functions
+included) loads the name; the receiver of a method is not a parameter.
 """
 
 import ast
@@ -60,3 +63,38 @@ def test_allowed_imports_are_still_unused():
         tree = ast.parse((ROOT / rel).read_text(encoding="utf-8"))
         assert name in imported_names(tree)
         assert name not in read_names(tree)
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[str, int, str]]:
+    """(function, line, parameter) for every parameter its body never
+    reads."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg]
+                  if a is not None]
+        if id(node) in methods:
+            params = params[1:]
+        read = {name for stmt in node.body for name in read_names(stmt)}
+        out += [(node.name, node.lineno, p) for p in params if p not in read]
+    return out
+
+
+def test_no_unused_parameters():
+    # the check registry calls every scenarios.check_* as fn(cfg, rng),
+    # whether or not the check draws from rng
+    unused = []
+    for path in sorted((ROOT / "src" / "relqft").glob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        unused += [f"{rel}:{line}: {name}({param})"
+                   for name, line, param in unread_parameters(tree)
+                   if not (rel == "src/relqft/scenarios.py"
+                           and name.startswith("check_")
+                           and param in ("cfg", "rng"))]
+    assert not unused, "unread parameters:\n" + "\n".join(unused)

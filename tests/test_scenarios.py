@@ -29,7 +29,7 @@ def test_frame_loops_hold_one_effect_array_at_a_time(name):
 
 
 def test_wightman_suite_takes_each_site_table_once(monkeypatch):
-    # the kernel shift law takes spec's tables once for every moved pair and
+    # the kernel shift law takes spec's tables once for its kernel array and
     # each shifted spec's once: 4 hermiticity + 2 time-ordered + (2 + 3 x 2)
     # shift + 4 swap + 4 split + 2 microcausality tables
     calls = []
@@ -45,3 +45,14 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "wightman-suite"))
     assert outcome.verdict == "verified"
     assert len(calls) == 24
+
+
+def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
+    # an asymmetric kernel tells the e^{+2 pi i q.xi / N} pairing of ifftn
+    # from its conjugate; the bundled one has a negation-closed support
+    fixed = np.arange(9).reshape(3, 3) * (1.0 + 0.5j) + 1j * np.eye(3)[0]
+    monkeypatch.setattr(wightman, "difference_kernel", lambda *args: fixed)
+    outcome = scenarios.CHECKS["spectral-condition"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "spectral-condition"))
+    mismatch = {m.name: m.value for m in outcome.measurements}["oracle_mismatch"]
+    assert mismatch <= 1e-12

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from relqft.frames import InvarianceError
 P3 = ModelParams(3, 2)
 P7 = ModelParams(7, 2)
 L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def lifted_stage(rng):
@@ -83,15 +89,47 @@ def test_kernel_reconstruction(rng):
     assert wightman.kernel_reconstruction_defect(vac, spec, fr) < 1e-10
 
 
-def test_kernel_values_follow_the_point_tuples(rng):
-    _, vac, fr, spec = lifted_stage(rng)
-    tuples = [(LatticePoint(1, 1), LatticePoint(0, 0)),
-              (LatticePoint(0, 0), LatticePoint(1, 1)),
-              (LatticePoint(4, 4), LatticePoint(1, 0))]
-    assert wightman.kernel_values(vac, spec, fr, tuples) == [
-        wightman.kernel(vac, spec, fr, pts) for pts in tuples]
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_array_is_the_product_of_table_rows(rng, n):
+    rep, vac, fr, _ = lifted_stage(rng)
+    spec = wightman.VevSpec(tuple(
+        (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim))
+        for _ in range(n)))
+    tables = [fields.relational_local_fields(
+        fields.RelationalField(fields.SystemModel(L5, rep, phi), fr), omega)[0]
+        for omega, phi in spec.factors]
+    K = wightman.kernel_array(vac, spec, fr)
+    assert K.shape == (25,) * n
+    points = L5.lattice_points()
+    for idx in rng.integers(25, size=(20, n)):
+        acc = np.array(vac.state, dtype=complex)
+        for table, i in zip(tables, idx):
+            acc = acc @ table[i]
+        product = np.trace(acc)
+        assert abs(K[tuple(idx)] - product) < 1e-12
+        assert wightman.kernel(vac, spec, fr, [points[i] for i in idx]) == product
     with pytest.raises(ValueError, match="one lattice point per factor"):
-        wightman.kernel_values(vac, spec, fr, tuples + [(LatticePoint(0, 0),)])
+        wightman.kernel(vac, spec, fr, [LatticePoint(0, 0)] * (n + 1))
+
+
+def test_kernel_array_does_not_depend_on_blas_threads():
+    script = (
+        "import hashlib\n"
+        "from relqft import runner, scenarios, wightman\n"
+        "from relqft.config import DEFAULT_CONFIG\n"
+        "rng = runner.check_rng(DEFAULT_CONFIG.seed, 'wightman-suite')\n"
+        "_, _, vacuum, fr, spec = scenarios._wightman_stage(rng)\n"
+        "print(hashlib.sha256(wightman.kernel_array(vacuum, spec, fr)"
+        ".tobytes()).hexdigest())\n")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_difference_kernel_base_independence(rng):
@@ -100,12 +138,13 @@ def test_difference_kernel_base_independence(rng):
     spec = wightman.VevSpec((
         (omega, ops.random_operator(rng, rep.dim)),
         (omega, ops.random_operator(rng, rep.dim))))
-    xi = LatticePoint(2, 3)
-    value = wightman.difference_kernel(vac, spec, fr, [xi])
+    table = wightman.difference_kernel(vac, spec, fr)
+    assert table.shape == (5, 5)
     # the reduced kernel equals the pointwise kernel anchored anywhere
-    for base in (LatticePoint(0, 0), LatticePoint(3, 1)):
-        pts = (LatticePoint((base.u + xi.u) % 5, (base.v + xi.v) % 5), base)
-        assert abs(value - wightman.kernel(vac, spec, fr, pts)) < 1e-12
+    for xi in (LatticePoint(2, 3), LatticePoint(0, 4)):
+        for base in (LatticePoint(0, 0), LatticePoint(3, 1)):
+            pts = (LatticePoint((base.u + xi.u) % 5, (base.v + xi.v) % 5), base)
+            assert abs(table[xi] - wightman.kernel(vac, spec, fr, pts)) < 1e-12
 
 
 def test_difference_kernel_needs_oriented_full_support(rng):
@@ -116,7 +155,7 @@ def test_difference_kernel_needs_oriented_full_support(rng):
         (site, ops.random_operator(rng, rep.dim)),
         (site, ops.random_operator(rng, rep.dim))))
     with pytest.raises(wightman.OrientationError):
-        wightman.difference_kernel(vac, spec, fr, [LatticePoint(1, 0)])
+        wightman.difference_kernel(vac, spec, fr)
 
 
 def test_spectral_support_tracks_momentum_sign():
@@ -139,8 +178,8 @@ def test_spectral_support_tracks_momentum_sign():
     sigma = set(ops.translation_character_support(rep)) - {LatticePoint(0, 0)}
     mirror = {LatticePoint((-q.u) % 7, (-q.v) % 7) for q in sigma}
     assert sigma.isdisjoint(mirror)
-    assert max(abs(report.table[(q,)]) for q in sigma) > 0.1
-    assert max(abs(report.table[(q,)]) for q in mirror) <= 1e-9
+    assert max(abs(report.table[q]) for q in sigma) > 0.1
+    assert max(abs(report.table[q]) for q in mirror) <= 1e-9
 
 
 def test_mixed_vacuum_leaks_onto_momentum_differences():
@@ -156,16 +195,16 @@ def test_mixed_vacuum_leaks_onto_momentum_differences():
                              (omega, ops.random_operator(rng, rep.dim))))
     report = wightman.spectral_check(vac, spec, fr)
     assert report.verdict == "failed"
-    leak_zero = abs(report.table[(LatticePoint(0, 0),)])
+    leak_zero = abs(report.table[LatticePoint(0, 0)])
     assert leak_zero > 0.1
     assert abs(report.max_leak - leak_zero) < 1e-12
     # hermiticity balances the weight on the two orbit momenta
-    assert abs(abs(report.table[(LatticePoint(1, 0),)])
-               - abs(report.table[(LatticePoint(2, 0),)])) < 1e-10
+    assert abs(abs(report.table[LatticePoint(1, 0)])
+               - abs(report.table[LatticePoint(2, 0)])) < 1e-10
     differences = {LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(2, 0)}
-    for key, val in report.table.items():
-        if key[0] not in differences:
-            assert abs(val) <= 1e-12
+    for q in P3.lattice_points():
+        if q not in differences:
+            assert abs(report.table[q]) <= 1e-12
 
 
 def test_spectral_check_vacuous_for_full_support(rng):
@@ -178,6 +217,10 @@ def test_spectral_check_vacuous_for_full_support(rng):
     report = wightman.spectral_check(vac, spec, fr)
     assert report.vacuous
     assert report.verdict == "vacuous"
+    # one factor: no differences, so the table is the zero-dimensional vev
+    one = wightman.spectral_check(vac, wightman.VevSpec(spec.factors[:1]), fr)
+    assert one.table.shape == ()
+    assert one.verdict == "vacuous"
 
 
 def test_theta_step_weights():
