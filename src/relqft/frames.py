@@ -9,8 +9,7 @@ invertible orbit sum; sharp and uniform frames are special cases.
 Layout: a frame's effects are one (|F|, d, d) array and a Born measure is
 one length-|F| weight array, both in ``ModelParams.frame_points()`` order.
 That order puts sites first and fibers second, so reshaping to
-(N^2, |C|, ...) and summing one axis gives the spacetime and Lorentz
-marginals.
+(N^2, |C|, ...) and summing the fiber axis gives the spacetime marginal.
 
 Also here: disintegration of Born measures, channel composition (with
 CP/unitality validation), and the vacuum-orthogonality checks.
@@ -240,10 +239,6 @@ class BornMeasure:
     def spacetime_marginal(self) -> np.ndarray:
         """Weight of each lattice point, in lattice_points() order."""
         return self._by_site().sum(axis=1)
-
-    def lorentz_marginal(self) -> np.ndarray:
-        """Weight of each fiber element, in boosts() order."""
-        return self._by_site().sum(axis=0)
 
     def spacetime_support(self, tol_supp: float = TOL_SUPP) -> frozenset[LatticePoint]:
         sites = self.params.lattice_points()

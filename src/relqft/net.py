@@ -1,10 +1,14 @@
 """Nets of relational local algebras and the axiom verification suite.
 
-A local algebra is generated by relational observables whose frame
-preparations are localized in a region: the states come from the kernel
-intersection of the complementary marginal effects, the observables from a
-caller-chosen family of system operators, and the algebra is the word
-closure of the generator span (``operators.generated_algebra``).  The
+A local algebra A(O) is generated by the relational observables
+Phi_w(phi) = sum_f Tr[w E(f)] phi_f over the frame preparations w
+localized in the region O and a caller-chosen family of system operators
+phi.  The localized preparations are the states on the joint kernel K_O of
+the complementary marginal effects; Phi is linear in w, so the generators
+span exactly the images of the matrix units |v_i><v_j| of an orthonormal
+basis V of K_O.  Each phi contributes one orbit sum with the (|G|, k^2)
+Born weights of those units (``UnitaryRep.orbit_sum``), and the algebra is
+the word closure of all of them (``operators.generated_algebra``).  The
 deterministic variant localizes in the causal hull instead, which is what
 makes the time-slice comparison a computation rather than a definition.
 """
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from relqft import lattice, operators as ops
+from relqft import lattice
 from relqft.causality import CausalReport, check_r_causal
-from relqft.fields import RelationalField, SystemModel, relational_local_observable
+from relqft.fields import SystemModel
 from relqft.frames import FrameObservable, born_measure
 from relqft.lattice import ModelParams
 from relqft.operators import AlgebraSubspace, dagger, generated_algebra, op_norm
@@ -25,45 +29,31 @@ from relqft.tolerances import SVD_CUTOFF, TOL_EQ, TOL_SUPP
 
 
 def states_supported_in(frame: FrameObservable, region,
-                        cutoff: float = SVD_CUTOFF) -> list[np.ndarray]:
-    """States whose spacetime Born marginal is supported inside the region.
+                        cutoff: float = SVD_CUTOFF) -> np.ndarray:
+    """Orthonormal basis, as the columns of a (d, k) array, of the
+    subspace K carrying every state whose spacetime Born marginal is
+    supported inside the region.
 
     A state puts zero weight on x exactly when its range lies in the kernel
-    of the marginal effect F_R(x), so the joint kernel K of all outside
-    effects carries every localized preparation.  Returns a family spanning
-    the Hermitian operators on K: basis projectors plus the two standard
-    superposition projectors per pair.  Empty when K = {0}.
+    of the marginal effect F_R(x), so K is the joint kernel of all outside
+    effects.  k = 0 when K = {0}.
     """
     region = frozenset(region)
     outside = [x for x in frame.params.lattice_points() if x not in region]
     if not outside:
-        kernel_basis = np.eye(frame.dim, dtype=complex)
-    else:
-        stacked = np.concatenate(
-            [frame.spacetime_marginal_effect(x) for x in outside], axis=0)
-        _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
-        scale = max(float(svals[0]) if svals.size else 0.0, 1.0)
-        rank = int(np.sum(svals > cutoff * scale))
-        kernel_basis = dagger(Vh)[:, rank:]
-    k = kernel_basis.shape[1]
-    states = []
-    for i in range(k):
-        v = kernel_basis[:, i]
-        states.append(np.outer(v, np.conj(v)))
-    for i in range(k):
-        for j in range(i + 1, k):
-            for w in ((kernel_basis[:, i] + kernel_basis[:, j]) / np.sqrt(2.0),
-                      (kernel_basis[:, i] + 1j * kernel_basis[:, j]) / np.sqrt(2.0)):
-                states.append(np.outer(w, np.conj(w)))
-    return states
+        return np.eye(frame.dim, dtype=complex)
+    stacked = np.concatenate(
+        [frame.spacetime_marginal_effect(x) for x in outside], axis=0)
+    _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
+    scale = max(float(svals[0]) if svals.size else 0.0, 1.0)
+    rank = int(np.sum(svals > cutoff * scale))
+    return dagger(Vh)[:, rank:]
 
 
 @dataclass
 class LocalAlgebra:
     region: frozenset
     algebra: AlgebraSubspace
-    generator_rank: int
-    vacuous: bool  # no localized preparations existed; algebra is scalars
 
 
 @dataclass
@@ -84,29 +74,28 @@ class LocalAlgebraNet:
 
 def local_algebra(frame: FrameObservable, system: SystemModel, system_ops,
                   region) -> LocalAlgebra:
-    """Unital *-algebra generated, by word closure, by {relational
-    observable of phi at omega} over the given system operators and all
-    preparations localized in the region."""
+    """Unital *-algebra generated, by word closure, by the relational
+    observables of the given system operators at every preparation
+    localized in the region: the orbit sums of each operator with the Born
+    weights W[f, (i, j)] = <v_j|E(f)|v_i> of the matrix units |v_i><v_j|
+    of K's basis V."""
     lattice.require_same_params(frame.params, system.params)
     region = frozenset(region)
-    states = states_supported_in(frame, region)
-    raw = []
-    for phi in system_ops:
-        rf = RelationalField(system.with_phi(phi), frame)
-        for omega in states:
-            raw.append(relational_local_observable(rf, omega))
-    span = AlgebraSubspace.from_spanning(system.dim, raw)
-    alg = generated_algebra(span.basis_ops(), system.dim)
-    return LocalAlgebra(region, alg, span.subspace_dim, vacuous=not raw)
+    V = states_supported_in(frame, region)
+    units = dagger(V) @ frame.effects @ V  # units[f, j, i] = <v_j|E(f)|v_i>
+    weights = units.transpose(0, 2, 1).reshape(len(units), V.shape[1] ** 2)
+    weights = weights[:, weights.any(axis=0)]  # zero-weight units sum to 0
+    generators = [A for phi in system_ops
+                  for A in system.rep.orbit_sum(weights, phi)]
+    return LocalAlgebra(region, generated_algebra(generators, system.dim))
 
 
 def deterministic_local_algebra(frame: FrameObservable, system: SystemModel,
                                 system_ops, region) -> LocalAlgebra:
     """Local algebra of the causal hull of the region (lifted mode only)."""
     hull = lattice.causal_hull(region, frame.params)
-    out = local_algebra(frame, system, system_ops, hull)
-    return LocalAlgebra(frozenset(region), out.algebra, out.generator_rank,
-                        out.vacuous)
+    return LocalAlgebra(frozenset(region),
+                        local_algebra(frame, system, system_ops, hull).algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -227,36 +216,17 @@ def _r_causal_premise(net: LocalAlgebraNet, region_u: frozenset,
                       tol_supp: float) -> bool:
     """Relational causality of the system for representative localized
     preparations, the premise of the causality axiom."""
-    states_u = states_supported_in(net.frame, region_u)
-    states_v = states_supported_in(net.frame, region_v)
-    if not states_u or not states_v:
+    basis_u = states_supported_in(net.frame, region_u)
+    basis_v = states_supported_in(net.frame, region_v)
+    if not basis_u.shape[1] or not basis_v.shape[1]:
         return False
+    u, v = basis_u[:, 0], basis_v[:, 0]
+    omega_u, omega_v = np.outer(u, np.conj(u)), np.outer(v, np.conj(v))
     for phi in net.system_ops:
-        report = check_r_causal(net.system, net.frame, states_u[0], states_v[0],
+        report = check_r_causal(net.system, net.frame, omega_u, omega_v,
                                 phi1=phi, phi2=phi, tol_eq=tol_eq,
                                 tol_supp=tol_supp)
         if report.verdict != "verified":
             return False
     return True
 
-
-def haag_duality_diagnostic(net: LocalAlgebraNet, region) -> dict:
-    """Compare A(U') with A(U)': a diagnostic, not an axiom.
-
-    U' is the set of points spacelike to every point of U.
-    """
-    params = net.frame.params
-    region = frozenset(region)
-    complement = frozenset(
-        x for x in params.lattice_points()
-        if all(lattice.spacelike(x, y, params) for y in region))
-    a_u = net.algebra(region).algebra
-    a_comp = net.algebra(complement).algebra
-    comm = ops.commutant(a_u.basis_ops(), net.system.dim)
-    return {
-        "causal_complement_size": len(complement),
-        "algebra_dim": a_u.subspace_dim,
-        "complement_algebra_dim": a_comp.subspace_dim,
-        "commutant_dim": comm.subspace_dim,
-        "duality_defect": a_comp.equality_defect(comm),
-    }

@@ -358,11 +358,15 @@ class UnitaryRep:
         """sum_g weights[g] U(g) A U(g)^dag, weights in group_elements()
         order: one gather of the conjugates by the elements of nonzero
         weight, refused before allocation when it would exceed
-        MAX_FRAME_BYTES, and one contraction with their weights."""
+        MAX_FRAME_BYTES, and one contraction with their weights.
+
+        A (|G|, m) weight matrix gives the m sums, column k weighted by
+        weights[:, k], as one (m, dim, dim) array: the gather then takes
+        the elements with any nonzero weight."""
         weights = np.asarray(weights)
-        rows = np.flatnonzero(weights)
+        rows = np.flatnonzero(weights if weights.ndim == 1 else weights.any(axis=1))
         stack = self._conjugates(rows, A, f"a stack of {len(rows)} conjugates")
-        return np.tensordot(weights[rows], stack, axes=1)
+        return np.tensordot(weights[rows], stack, axes=(0, 0))
 
 
 def _phase_table(rep: UnitaryRep) -> np.ndarray:

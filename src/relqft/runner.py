@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relqft.config import ConfigError, ScenarioConfig
+from relqft.operators import SizeError
 from relqft.scenarios import CHECKS, FRAME_BUILDERS, SUITES, build_system
 from relqft.tolerances import Measurement
 
@@ -109,14 +110,19 @@ def run(cfg: ScenarioConfig, targets=None) -> RunReport:
     """Execute the resolved checks and collect a report.
 
     ``targets`` defaults to the config's suite list.  An empty target list
-    resolves to no checks and yields an empty, passing report.
+    resolves to no checks and yields an empty, passing report.  A check
+    that raises ``operators.SizeError``, for an array over a size cap or a
+    shape mismatch, ends the run with a ConfigError naming the check.
     """
     validate_semantics(cfg)
     names = resolve_checks(cfg.suites if targets is None else targets)
     outcomes = []
     for name in names:
         start = time.perf_counter()
-        outcome = CHECKS[name].fn(cfg, check_rng(cfg.seed, name))
+        try:
+            outcome = CHECKS[name].fn(cfg, check_rng(cfg.seed, name))
+        except SizeError as exc:
+            raise ConfigError(f"check {name!r}: {exc}") from exc
         outcome.seconds = time.perf_counter() - start
         outcome.name, outcome.anchor = name, CHECKS[name].anchor
         outcomes.append(outcome)

@@ -535,7 +535,9 @@ def check_wightman_suite(cfg: ScenarioConfig,
     """Two-point correlator laws on the lifted sharp-position stage:
     Hermiticity, Gram positivity, invariance under simultaneous preparation
     shifts with the kernel shift law, premise-gated commutativity swaps,
-    and the step-weighted split of the time-ordered product."""
+    the step-weighted split of the time-ordered product, and the
+    reconstruction of the vev from the kernel and the smearing functions,
+    there and on a smeared spacetime frame."""
     params, rep, vacuum, fr, spec = _wightman_stage(rng)
     tol = cfg.tol("tol_eq")
     measurements = [Measurement(
@@ -597,6 +599,13 @@ def check_wightman_suite(cfg: ScenarioConfig,
              * wightman.kernel(vacuum, spec.swapped(0), fr, (x2, x1)))
     measurements.append(
         Measurement("time_ordered_split", abs(ordered - split), tol))
+
+    # sum_x1,x2 W(x1, x2) mu1(x1) mu2(x2) = vev on the stage and on a
+    # smeared frame, whose seed is the check's last draw
+    smeared = smeared_frame(rep, rng, 0.35)
+    measurements.append(Measurement("smearing_reconstruction", max(
+        wightman.kernel_reconstruction_defect(vacuum, spec, frame, tol_supp)
+        for frame in (fr, smeared)), tol))
     return CheckOutcome(
         measurements,
         {"model": "N=5 lifted window=2", "swap_premise": premise,
@@ -894,7 +903,7 @@ CHECKS: dict = {
         check_intrinsic_causality_pipeline),
     "wightman-suite": CheckDef(
         "vacuum-correlator-laws", "wightman",
-        "hermiticity, positivity, shifts, swaps, time-ordered split",
+        "hermiticity, positivity, shifts, swaps, time-ordered split, reconstruction",
         check_wightman_suite),
     "spectral-condition": CheckDef(
         "translation-spectrum-support", "wightman",

@@ -34,7 +34,6 @@ from relqft import lattice, operators as ops
 from relqft.fields import (
     RelationalField,
     SystemModel,
-    oriented_fields,
     relational_local_fields,
     relational_local_observable,
 )
@@ -369,15 +368,15 @@ def field_operator_span(rf: RelationalField) -> list[np.ndarray]:
     """Orthonormal spanning basis of {extend_trace_class(rf, T)} as T runs
     over a full matrix-unit basis of the frame space.
 
-    For the unit T = e_ij, Tr[T E(f)] = E(f)[j, i], so the whole raw span
-    is one product of the transposed effect array (a view) with the
-    oriented stack; its rows are then put back in the unit order i, j."""
+    For the unit T = e_ij, Tr[T E(f)] = E(f)[j, i], so the effect array
+    read as (|F|, d^2), a view, holds the weights of every unit at once and
+    the whole raw span is one orbit sum (``UnitaryRep.orbit_sum``); its
+    rows are then put back in the unit order i, j."""
     d_s, d_r = rf.system.dim, rf.frame.dim
-    n = len(rf.frame.effects)
-    oriented = oriented_fields(rf.system).reshape(n, -1)
-    raw = (rf.frame.effects.reshape(n, -1).T @ oriented).reshape(d_r, d_r, -1)
-    raw = raw.transpose(1, 0, 2).reshape(-1, d_s, d_s)
-    return AlgebraSubspace.from_spanning(d_s, raw).basis_ops()
+    weights = rf.frame.effects.reshape(len(rf.frame.effects), -1)
+    raw = rf.system.rep.orbit_sum(weights, rf.system.phi)
+    raw = raw.reshape(d_r, d_r, d_s, d_s).transpose(1, 0, 2, 3)
+    return AlgebraSubspace.from_spanning(d_s, raw.reshape(-1, d_s, d_s)).basis_ops()
 
 
 @dataclass

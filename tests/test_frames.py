@@ -167,11 +167,8 @@ def test_marginals_sum_to_one(rng):
     omega = ops.random_state(rng, fr.dim)
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
     st = mu.spacetime_marginal()
-    lo = mu.lorentz_marginal()
     assert abs(st.sum() - 1.0) < 1e-12
-    assert abs(lo.sum() - 1.0) < 1e-12
     assert st.shape == (len(P3.lattice_points()),)
-    assert lo.shape == (len(P3.boosts()),)
 
 
 def test_disintegration_reconstructs_pmf(rng):
@@ -245,15 +242,11 @@ def test_array_results_match_a_pointwise_reference(name, N, rng):
                  for f, E in zip(params.frame_points(), fr.effects)}
     spacetime = {x: sum(w for f, w in reference.items() if f.x == x)
                  for x in params.lattice_points()}
-    lorentz = {lam: sum(w for f, w in reference.items() if f.lam == lam)
-               for lam in params.boosts()}
 
     for f, w in reference.items():
         assert abs(mu.weights[params.frame_index(f)] - w) < 1e-12
     for i, x in enumerate(params.lattice_points()):
         assert abs(mu.spacetime_marginal()[i] - spacetime[x]) < 1e-12
-    for j, lam in enumerate(params.boosts()):
-        assert abs(mu.lorentz_marginal()[j] - lorentz[lam]) < 1e-12
 
     dis = frames.disintegrate(mu)
     for i, x in enumerate(params.lattice_points()):

@@ -1,5 +1,6 @@
-"""Every imported name in the package and the tests is used, and every
-parameter of the package's functions is read.
+"""Every imported name in the package and the tests is used, every
+parameter of the package's functions is read, and every public function
+and method of the package is referenced by the package's own code.
 
 An AST scan: a name bound by ``import`` or ``from ... import`` counts as
 used when the module reads it anywhere (a bare name, the root of an
@@ -7,6 +8,9 @@ attribute chain, a decorator or an annotation).  The package
 ``__init__.py`` is skipped, since its imports are the public re-exports.
 A parameter of a ``def`` counts as read when its body (nested functions
 included) loads the name; the receiver of a method is not a parameter.
+A public function or method counts as referenced when any module of the
+package loads its name as a bare name or an attribute, or imports it;
+docstrings and comments are not code, so they never count.
 """
 
 import ast
@@ -15,6 +19,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "relqft").glob("*.py"))
 MODULES = sorted(
     p for p in [*(ROOT / "src" / "relqft").glob("*.py"),
                 *(ROOT / "tests").glob("*.py")]
@@ -98,3 +103,74 @@ def test_no_unused_parameters():
                            and name.startswith("check_")
                            and param in ("cfg", "rng"))]
     assert not unused, "unread parameters:\n" + "\n".join(unused)
+
+
+#: Public functions and methods that no code in the package references,
+#: kept because code outside the package calls them.
+UNREFERENCED_API = {
+    # wrapped by name by the benchmark's span tracer (perfbench/tracer.py)
+    "fields.oriented_field", "fields.extend_trace_class",
+    "fields.relational_local_field", "operators.double_commutant",
+    # oracles the tests check frame builders and algebras against
+    "frames.FrameObservable.normalization_defect",
+    "frames.FrameObservable.covariance_defect",
+    "operators.AlgebraSubspace.is_product_closed",
+    # helpers the tests and the benchmark import
+    "operators.make_rng", "runner.load_report",
+    "runner.RunReport.canonical_bytes", "lattice.transporter",
+    "lattice.ModelParams.identity", "scenarios.CheckOutcome.residuals",
+}
+
+
+def public_definitions() -> dict[str, str]:
+    """"module.name" or "module.Class.name" -> bare name, for every public
+    module-level function and every public method of the package."""
+    out = {}
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.{f.name}", f) for f in node.body
+                           if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            out.update((f"{path.stem}.{qualname}", fn.name)
+                       for qualname, fn in members
+                       if not fn.name.startswith("_"))
+    return out
+
+
+def referenced_names() -> set[str]:
+    """Every name the package's code loads as a bare name or an attribute,
+    or imports."""
+    names = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_function_is_referenced():
+    names = referenced_names()
+    unreferenced = sorted(
+        qualname for qualname, name in public_definitions().items()
+        if name not in names and qualname not in UNREFERENCED_API)
+    assert not unreferenced, (
+        "public functions no code in src/relqft references:\n"
+        + "\n".join(unreferenced))
+
+
+def test_unreferenced_allowances_are_still_needed():
+    # an allowance for a function that is gone or now referenced must go
+    definitions = public_definitions()
+    names = referenced_names()
+    for qualname in sorted(UNREFERENCED_API):
+        assert qualname in definitions, f"{qualname} is not defined"
+        assert definitions[qualname] not in names, f"{qualname} is referenced"

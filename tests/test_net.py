@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relqft import fields, frames, lattice, net
+from relqft import fields, frames, lattice, net, scenarios
 from relqft import operators as ops
 from relqft.lattice import GroupElement, LatticePoint, ModelParams
 
@@ -17,22 +17,39 @@ def diagonal_net(params, deterministic=False):
     return net.LocalAlgebraNet(fr, system, [phi], deterministic=deterministic)
 
 
+def projector_family_algebra(frame, system, system_ops, region):
+    """The reference construction: relational observables at the basis
+    projectors of K and at the two superposition projectors of each basis
+    pair, one Born measure each, spanned and then word-closed."""
+    V = net.states_supported_in(frame, region)
+    k = V.shape[1]
+    vectors = [V[:, i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            vectors += [(V[:, i] + V[:, j]) / np.sqrt(2.0),
+                        (V[:, i] + 1j * V[:, j]) / np.sqrt(2.0)]
+    raw = [fields.relational_local_observable(
+               fields.RelationalField(system.with_phi(phi), frame),
+               np.outer(w, np.conj(w)))
+           for phi in system_ops for w in vectors]
+    span = ops.AlgebraSubspace.from_spanning(system.dim, raw)
+    return ops.generated_algebra(span.basis_ops(), system.dim)
+
+
 def test_states_supported_in_single_site():
     nt = diagonal_net(P3)
-    states = net.states_supported_in(nt.frame, {LatticePoint(1, 2)})
-    assert len(states) == 1
+    V = net.states_supported_in(nt.frame, {LatticePoint(1, 2)})
+    assert V.shape == (9, 1)
     index = list(P3.lattice_points()).index(LatticePoint(1, 2))
     expected = np.zeros((9, 9), dtype=complex)
     expected[index, index] = 1.0
-    assert np.allclose(states[0], expected)
+    assert np.allclose(np.outer(V[:, 0], np.conj(V[:, 0])), expected)
 
 
 def test_empty_region_gives_scalars():
     nt = diagonal_net(P3)
-    alg = nt.algebra(frozenset())
-    assert alg.vacuous
-    assert alg.generator_rank == 0
-    assert alg.algebra.subspace_dim == 1
+    assert net.states_supported_in(nt.frame, frozenset()).shape == (9, 0)
+    assert nt.algebra(frozenset()).algebra.subspace_dim == 1
 
 
 def test_local_algebra_dims_for_diagonal_generator():
@@ -43,10 +60,38 @@ def test_local_algebra_dims_for_diagonal_generator():
     one = nt.algebra({LatticePoint(0, 0)})
     two = nt.algebra({LatticePoint(0, 0), LatticePoint(1, 2)})
     full = nt.algebra(P3.lattice_points())
-    assert one.generator_rank == 1
     assert one.algebra.subspace_dim == 5
     assert two.algebra.subspace_dim == 9
     assert full.algebra.subspace_dim == 9
+
+
+@pytest.mark.parametrize("region", [
+    (), ((1, 1),), ((0, 2), (1, 1), (2, 0)),
+    tuple((u, v) for u in range(3) for v in range(3))],
+    ids=["empty", "site", "slice", "diamond"])
+def test_local_algebra_matches_the_projector_family(region):
+    # the matrix-unit orbit sums span the same generators as one relational
+    # observable per basis and superposition projector
+    nt = diagonal_net(L5)
+    region = frozenset(LatticePoint(*x) for x in region)
+    built = nt.algebra(region).algebra
+    reference = projector_family_algebra(nt.frame, nt.system, nt.system_ops,
+                                         region)
+    assert built.subspace_dim == reference.subspace_dim
+    assert built.equality_defect(reference) < 1e-10
+
+
+def test_off_diagonal_unit_weights_match_the_projector_family():
+    # on a smeared frame the units |v_i><v_j|, i != j, carry weight too
+    rng = ops.make_rng(3)
+    rep = ops.spacetime_representation(P3)
+    fr = scenarios.smeared_frame(rep, rng, 0.35)
+    system = fields.SystemModel(P3, rep, ops.random_operator(rng, rep.dim))
+    region = frozenset(P3.lattice_points())
+    built = net.local_algebra(fr, system, [system.phi], region).algebra
+    reference = projector_family_algebra(fr, system, [system.phi], region)
+    assert built.subspace_dim == reference.subspace_dim == 81
+    assert built.equality_defect(reference) < 1e-10
 
 
 def test_intrinsic_net_axioms():
@@ -95,16 +140,3 @@ def test_causality_rejects_non_spacelike_pair():
     with pytest.raises(ValueError):
         net.verify_net_axioms(nt, [], [], spacelike_pairs=[pair])
 
-
-def test_haag_duality_diagnostic():
-    # no duality in this toy: the commutant of the one-site algebra is the
-    # full block algebra of its five orbit level sets (1 + 4 x 4 = 17),
-    # strictly larger than the diagonal algebra of the two-point causal
-    # complement
-    nt = diagonal_net(P3)
-    diag = net.haag_duality_diagnostic(nt, {LatticePoint(0, 0)})
-    assert diag["causal_complement_size"] == 2
-    assert diag["algebra_dim"] == 5
-    assert diag["complement_algebra_dim"] == 9
-    assert diag["commutant_dim"] == 17
-    assert diag["duality_defect"] > 0.5

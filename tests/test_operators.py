@@ -225,11 +225,29 @@ def test_orbit_sum_matches_dense_conjugations_and_is_capped(rng, monkeypatch):
         expected = sum(w * rep(g) @ A @ ops.dagger(rep(g))
                        for g, w in zip(P3.group_elements(), weights))
         assert ops.eq_defect(rep.orbit_sum(weights, A), expected) < 1e-14
+    # a (|G|, m) weight matrix gives the m sums at once; zero rows are
+    # skipped, a zero column sums to zero, and m = 0 gives no sums
+    matrix = np.stack([real, np.zeros(n), partly_zero * 1j], axis=1)
+    matrix[1::3] = 0.0
+    for rep in reps:
+        A = ops.random_operator(rng, rep.dim)
+        sums = rep.orbit_sum(matrix, A)
+        assert sums.shape == (3, rep.dim, rep.dim)
+        for column, total in zip(matrix.T, sums):
+            expected = sum(w * rep(g) @ A @ ops.dagger(rep(g))
+                           for g, w in zip(P3.group_elements(), column))
+            assert ops.eq_defect(total, expected) < 1e-14
+        assert not sums[1].any()
+        assert rep.orbit_sum(np.zeros((n, 0)), A).shape == (0, rep.dim, rep.dim)
     monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 1024)
     weights = np.ones(n)
     weights[:6] = 0.0
     with pytest.raises(ops.SizeError, match="stack of 12 conjugates"):
         ops.spacetime_representation(P3).orbit_sum(weights, np.eye(9))
+    # a row counts when any of its weights is nonzero
+    with pytest.raises(ops.SizeError, match="stack of 13 conjugates"):
+        ops.spacetime_representation(P3).orbit_sum(
+            np.stack([weights, np.eye(n)[0]], axis=1), np.eye(9))
 
 
 def test_commutant_oracles():

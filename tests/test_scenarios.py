@@ -31,7 +31,8 @@ def test_frame_loops_hold_one_effect_array_at_a_time(name):
 def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     # the kernel shift law takes spec's tables once for its kernel array and
     # each shifted spec's once: 4 hermiticity + 2 time-ordered + (2 + 3 x 2)
-    # shift + 4 swap + 4 split + 2 microcausality tables
+    # shift + 4 swap + 4 split + 2 microcausality + 2 x 2 smearing
+    # reconstruction tables
     calls = []
     original = fields.relational_local_fields
 
@@ -44,7 +45,7 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     outcome = scenarios.CHECKS["wightman-suite"].fn(
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "wightman-suite"))
     assert outcome.verdict == "verified"
-    assert len(calls) == 24
+    assert len(calls) == 28
 
 
 def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
