@@ -123,10 +123,11 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
     params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    fields1, support1 = relational_local_fields(
+    fields1, dis1 = relational_local_fields(
         RelationalField(system.with_phi(phi1), frame), omega1, tol_supp)
-    fields2, support2 = relational_local_fields(
+    fields2, dis2 = relational_local_fields(
         RelationalField(system.with_phi(phi2), frame), omega2, tol_supp)
+    support1, support2 = dis1.support, dis2.support
     points = params.lattice_points()
     sites = np.array([(i, j) for i in np.flatnonzero(support1)
                       for j in np.flatnonzero(support2)

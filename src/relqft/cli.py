@@ -7,8 +7,10 @@ Verbs:
   demo vacuum-orthogonality
                           print the vacuum-weight scan as a worked example
 
-Exit codes: 0 when every executed check verified or was vacuous, 1 when
-any check failed or ended without a certificate, 2 on a config error.
+Each verb accepts only the flags it reads.  Exit codes: 0 when every
+executed check verified or was vacuous, 1 when any check failed or ended
+without a certificate, 2 on a config error or a flag the verb does not
+take.
 """
 
 from __future__ import annotations
@@ -27,30 +29,30 @@ from relqft.scenarios import CHECKS
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="scenario config (JSON)")
-    common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default: text)")
-    common.add_argument("--tol", action="append", default=[],
-                        metavar="KEY=VAL", help="override one tolerance")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", metavar="PATH",
+                          help="scenario config (JSON)")
+    scenario.add_argument("--tol", action="append", default=[],
+                          metavar="KEY=VAL", help="override one tolerance")
+    run = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    run.add_argument("--seed", type=int, help="override the run seed")
+    run.add_argument("--format", choices=("text", "json"), default="text",
+                     help="report format (default: text)")
 
     parser = argparse.ArgumentParser(
         prog="relqft",
         description="Finite-model checks for frame-relative observables.")
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    verify = verbs.add_parser("verify", parents=[common],
+    verify = verbs.add_parser("verify", parents=[run],
                               help="run the named suites or checks")
     verify.add_argument("targets", nargs="+", metavar="target")
 
-    verbs.add_parser("report", parents=[common],
+    verbs.add_parser("report", parents=[run],
                      help="run the configured suites")
-    verbs.add_parser("list-checks", parents=[common],
-                     help="print the check registry")
+    verbs.add_parser("list-checks", help="print the check registry")
 
-    demo = verbs.add_parser("demo", parents=[common],
+    demo = verbs.add_parser("demo", parents=[scenario],
                             help="worked examples")
     demo.add_argument("example", choices=("vacuum-orthogonality",))
     return parser
@@ -59,18 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_scenario(args) -> "runner.ScenarioConfig":
     cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
     overrides = parse_tol_flags(args.tol) if args.tol else None
-    return with_overrides(cfg, seed=args.seed, tolerances=overrides)
+    return with_overrides(cfg, tolerances=overrides)
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_scenario(args)
+    cfg = with_overrides(_load_scenario(args), seed=args.seed)
     report = runner.run(cfg, targets=args.targets)
     print(runner.emit(report, args.format))
     return report.exit_code
 
 
 def _cmd_report(args) -> int:
-    cfg = _load_scenario(args)
+    cfg = with_overrides(_load_scenario(args), seed=args.seed)
     report = runner.run(cfg)
     print(runner.emit(report, args.format))
     return report.exit_code

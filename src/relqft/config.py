@@ -1,7 +1,7 @@
 """Scenario configuration for the verification runner.
 
-A scenario is a small JSON document choosing the model scale, the system
-and frame constructions for the generic batteries, the suites to run,
+A scenario is a small JSON document choosing the model scale, the momenta
+of the system and the frames for the generic batteries, the suites to run,
 tolerance overrides, and the seed for every randomized draw.  Parsing is
 strict: unknown keys are rejected with the line they appear on, so a typo
 in a config never silently degrades a run.
@@ -20,15 +20,12 @@ class ConfigError(ValueError):
     """A scenario config that fails to parse or validate."""
 
 
-_TOP_KEYS = {"schema", "model", "window", "system", "frames", "states",
-             "suites", "tolerances", "seed"}
+_TOP_KEYS = {"schema", "model", "window", "system", "frames", "suites",
+             "tolerances", "seed"}
 _MODEL_KEYS = {"N", "s"}
-_SYSTEM_KEYS = {"momenta", "phi"}
-_PHI_KINDS = {"random", "identity"}
-_STATE_KEYS = {"preparation"}
-_STATE_VALUES = {"random", "maximally-mixed"}
+_SYSTEM_KEYS = {"momenta"}
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -41,10 +38,8 @@ class ScenarioConfig:
     window: int = 2
     momenta: tuple = (LatticePoint(1, 0), LatticePoint(2, 0),
                       LatticePoint(4, 0), LatticePoint(3, 0))
-    phi_kind: str = "random"
     frames: tuple = ("smeared-regular", "smeared-regular-strong",
                      "smeared-lorentz", "smeared-spacetime", "sharp-regular")
-    states: dict = field(default_factory=lambda: {"preparation": "random"})
     suites: tuple = ("all",)
     tolerances: dict = field(default_factory=dict)
     seed: int = 20260819
@@ -67,10 +62,8 @@ class ScenarioConfig:
             "schema": self.schema,
             "model": {"N": self.N, "s": self.s},
             "window": self.window,
-            "system": {"momenta": [[p.u, p.v] for p in self.momenta],
-                       "phi": self.phi_kind},
+            "system": {"momenta": [[p.u, p.v] for p in self.momenta]},
             "frames": list(self.frames),
-            "states": dict(self.states),
             "suites": list(self.suites),
             "tolerances": dict(self.tolerances),
             "seed": self.seed,
@@ -145,27 +138,11 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
                  "non-empty list of [u, v] pairs")
         kwargs["momenta"] = tuple(LatticePoint(int(p[0]), int(p[1]))
                                   for p in momenta)
-    phi = system.get("phi", cfg.phi_kind)
-    _require(phi in _PHI_KINDS,
-             f"{path}:{_find_line(text, 'phi')}: unknown phi spec {phi!r}")
-    kwargs["phi_kind"] = phi
 
     frames = doc.get("frames", list(cfg.frames))
     _require(isinstance(frames, list) and all(isinstance(f, str) for f in frames),
              f"{path}:{_find_line(text, 'frames')}: frames must be a list of names")
     kwargs["frames"] = tuple(frames)
-
-    states = doc.get("states", dict(cfg.states))
-    _require(isinstance(states, dict),
-             f"{path}:{_find_line(text, 'states')}: states must be an object")
-    _reject_unknown(states, _STATE_KEYS, "states", text, path)
-    for name, value in states.items():
-        _require(value in _STATE_VALUES,
-                 f"{path}:{_find_line(text, name)}: unknown state spec "
-                 f"{value!r} for {name!r}")
-    merged_states = dict(cfg.states)
-    merged_states.update(states)
-    kwargs["states"] = merged_states
 
     suites = doc.get("suites", list(cfg.suites))
     _require(isinstance(suites, list) and suites

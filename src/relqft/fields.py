@@ -25,7 +25,8 @@ Two whole-lattice arrays carry the pointwise quantities:
   (N^2, |C|, dS, dS) with sites first;
 * the site table (``relational_local_fields``): phi_w(x) for every lattice
   point x as one (N^2, dS, dS) array in lattice_points() order, from one
-  Born measure and one disintegration of w, zero off the support.
+  Born measure and one disintegration of w, zero off the support, returned
+  with that disintegration.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from relqft import lattice, operators as ops
 from relqft.frames import (
+    Disintegration,
     FrameObservable,
     OrientedFrame,
     born_measure,
@@ -44,7 +46,7 @@ from relqft.frames import (
 )
 from relqft.lattice import FramePoint, LatticePoint, ModelParams
 from relqft.operators import UnitaryRep
-from relqft.tolerances import TOL_SUPP
+from relqft.tolerances import TOL_EQ, TOL_SUPP
 
 
 @dataclass
@@ -143,10 +145,11 @@ def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
 
 def relational_local_fields(rf: RelationalField, omega: np.ndarray,
                             tol_supp: float = TOL_SUPP
-                            ) -> tuple[np.ndarray, np.ndarray]:
+                            ) -> tuple[np.ndarray, Disintegration]:
     """The site table of phi_w: an (N^2, dS, dS) array whose row x is
     phi_w(x) = sum_lam cond(lam | x) phi_(x, lam), in lattice_points()
-    order, and the boolean support mask of the spacetime marginal.
+    order, and the disintegration it was read from, whose ``marginal`` and
+    ``support`` are the spacetime marginal and its support mask.
 
     One Born measure, one disintegration, and one contraction of the
     (N^2, |C|) conditional with the oriented stack read as
@@ -158,7 +161,7 @@ def relational_local_fields(rf: RelationalField, omega: np.ndarray,
     n_sites, dim = len(dis.conditional), rf.system.dim
     by_site = oriented_fields(rf.system).reshape(n_sites, -1, dim * dim)
     table = dis.conditional[:, None, :] @ by_site
-    return table.reshape(n_sites, dim, dim), dis.support
+    return table.reshape(n_sites, dim, dim), dis
 
 
 def relational_local_field(rf: RelationalField, omega: np.ndarray,
@@ -203,9 +206,9 @@ def relativization_channel(rf: RelationalField, omega: np.ndarray):
     return channel
 
 
-def certify_globally_oriented(of: OrientedFrame, tol: float = 1e-10,
+def certify_globally_oriented(of: OrientedFrame, tol_eq: float = TOL_EQ,
                               tol_supp: float = TOL_SUPP) -> bool:
     """Check that the Lorentz conditional is position-independent."""
     dis = disintegrate(born_measure(of), tol_supp)
     conds = dis.conditional[dis.support]
-    return bool(np.all(np.abs(conds - conds[:1]) <= tol))
+    return bool(np.all(np.abs(conds - conds[:1]) <= tol_eq))

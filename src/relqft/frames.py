@@ -17,7 +17,6 @@ CP/unitality validation), and the vacuum-orthogonality checks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from relqft.operators import (
     dagger,
     eq_defect,
     op_norm,
-    tensor,
 )
 from relqft.tolerances import (
     SVD_CUTOFF,
@@ -61,15 +59,13 @@ class FrameObservable:
     ``covariance_defect`` recompute them on demand.
     """
 
-    def __init__(self, params: ModelParams, rep: UnitaryRep, effects: np.ndarray,
-                 label: str = "frame"):
+    def __init__(self, params: ModelParams, rep: UnitaryRep, effects: np.ndarray):
         self.params = params
         self.rep = rep
         self.effects = np.asarray(effects, dtype=complex)
         shape = (len(params.frame_points()), rep.dim, rep.dim)
         if self.effects.shape != shape:
             raise ops.SizeError(f"effects shape {self.effects.shape} != {shape}")
-        self.label = label
 
     @property
     def dim(self) -> int:
@@ -114,12 +110,12 @@ class OrientedFrame:
                 f"state shape {self.omega.shape} does not match frame dim {self.frame.dim}")
 
 
-def frames_equal(f1: FrameObservable, f2: FrameObservable, tol: float = TOL_EQ) -> bool:
+def frames_equal(f1: FrameObservable, f2: FrameObservable) -> bool:
     if f1 is f2:
         return True
     if f1.params != f2.params or f1.dim != f2.dim:
         return False
-    return eq_defect(f1.effects, f2.effects) <= tol
+    return eq_defect(f1.effects, f2.effects) <= TOL_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +128,15 @@ def _zero_effects(params: ModelParams, dim: int) -> np.ndarray:
     return ops.zero_stack(n_points, dim, f"a frame of {n_points} effects")
 
 
-def _inverse_sqrt(K: np.ndarray, cutoff: float = SVD_CUTOFF) -> np.ndarray:
+def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
     eigs, V = np.linalg.eigh(K)
-    if eigs[0] <= cutoff * eigs[-1]:
+    if eigs[0] <= SVD_CUTOFF * eigs[-1]:
         raise DegenerateSeedError(
             f"orbit sum is numerically singular (eigs in [{eigs[0]:.3e}, {eigs[-1]:.3e}])")
     return V @ np.diag(eigs**-0.5) @ dagger(V)
 
 
-def build_frame(rep: UnitaryRep, seed_effect: np.ndarray,
-                label: str = "orbit") -> FrameObservable:
+def build_frame(rep: UnitaryRep, seed_effect: np.ndarray) -> FrameObservable:
     """Covariant POVM from the group orbit of a seed effect.
 
     effects(f) = U(g_f) D U(g_f)^dag with the dressed seed
@@ -164,7 +159,7 @@ def build_frame(rep: UnitaryRep, seed_effect: np.ndarray,
     dressed = Kinv @ seed @ Kinv
     for i, g in enumerate(elements):
         effects[i] = rep.conjugate(g, dressed)
-    return FrameObservable(params, rep, effects, label=label)
+    return FrameObservable(params, rep, effects)
 
 
 def uniform_frame(rep: UnitaryRep) -> FrameObservable:
@@ -174,8 +169,7 @@ def uniform_frame(rep: UnitaryRep) -> FrameObservable:
     params = rep.params
     nF = len(params.frame_points())
     E = np.eye(rep.dim, dtype=complex) / nF
-    return FrameObservable(params, rep, np.broadcast_to(E, (nF, rep.dim, rep.dim)),
-                           label="uniform")
+    return FrameObservable(params, rep, np.broadcast_to(E, (nF, rep.dim, rep.dim)))
 
 
 def sharp_regular_frame(params: ModelParams) -> FrameObservable:
@@ -184,8 +178,7 @@ def sharp_regular_frame(params: ModelParams) -> FrameObservable:
     effects = _zero_effects(params, nF)
     diagonal = np.arange(nF)
     effects[diagonal, diagonal, diagonal] = 1.0
-    return FrameObservable(params, ops.regular_representation(params), effects,
-                           label="sharp-regular")
+    return FrameObservable(params, ops.regular_representation(params), effects)
 
 
 def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
@@ -201,22 +194,7 @@ def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
     fibers = effects.reshape(rep.dim, nC, rep.dim, rep.dim)
     sites = np.arange(rep.dim)
     fibers[sites, :, sites, sites] = 1.0 / nC
-    return FrameObservable(params, rep, effects, label="fiber-uniform-sharp")
-
-
-def product_frame(params: ModelParams, spacetime_effects: np.ndarray,
-                  lorentz_effects: np.ndarray, spacetime_rep: UnitaryRep,
-                  lorentz_rep: UnitaryRep) -> FrameObservable:
-    """E(x, lam) = F(x) (x) G(lam) on the tensor-product representation.
-
-    spacetime_effects is an (N^2, dM, dM) array in lattice_points() order,
-    lorentz_effects a (|C|, dC, dC) array in boosts() order.
-    """
-    rep = ops.tensor_product_rep(spacetime_rep, lorentz_rep)
-    effects = _zero_effects(params, rep.dim)
-    for i, (F, G) in enumerate(itertools.product(spacetime_effects, lorentz_effects)):
-        effects[i] = tensor(F, G)
-    return FrameObservable(params, rep, effects, label="product")
+    return FrameObservable(params, rep, effects)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +276,6 @@ def disintegrate(mu: BornMeasure, tol_supp: float = TOL_SUPP) -> Disintegration:
     return Disintegration(marginal, conditional, support)
 
 
-def smearing_function(of: OrientedFrame) -> np.ndarray:
-    """The spacetime marginal pmf (in lattice_points() order), i.e. the
-    density against counting measure that reconstructs the relational
-    observable from the field."""
-    return born_measure(of).spacetime_marginal()
-
-
 # ---------------------------------------------------------------------------
 # channels
 
@@ -339,10 +310,9 @@ class Channel:
         return dagger(ops.unvec(dagger(self.M) @ ops.vec(dagger(rho)), self.dim))
 
 
-def random_mixed_unitary_channel(rng: np.random.Generator, dim: int,
-                                 n_terms: int = 3) -> Channel:
-    """Random convex mixture of unitary conjugations (unital and CP)."""
-    weights = rng.random(n_terms)
+def random_mixed_unitary_channel(rng: np.random.Generator, dim: int) -> Channel:
+    """Random convex mixture of three unitary conjugations (unital and CP)."""
+    weights = rng.random(3)
     weights /= weights.sum()
     M = np.zeros((dim * dim, dim * dim), dtype=complex)
     for w in weights:
@@ -352,25 +322,22 @@ def random_mixed_unitary_channel(rng: np.random.Generator, dim: int,
     return Channel(M, dim)
 
 
-def channel_compose(psi: Channel, frame: FrameObservable,
-                    tol_psd: float = TOL_PSD, tol_eq: float = TOL_EQ,
-                    label: str | None = None) -> FrameObservable:
+def channel_compose(psi: Channel, frame: FrameObservable) -> FrameObservable:
     """Post-process a frame observable by a unital CP map.
 
     Validates complete positivity (Choi) and unitality before composing;
     the result keeps the same representation.  Covariance is preserved
     exactly when psi is equivariant, which the caller can check separately.
     """
-    if psi.cp_gap() < -tol_psd:
+    if psi.cp_gap() < -TOL_PSD:
         raise ChannelValidationError(f"Choi matrix not PSD (gap {psi.cp_gap():.3e})")
-    if psi.unitality_defect() > tol_eq:
+    if psi.unitality_defect() > TOL_EQ:
         raise ChannelValidationError(
             f"channel is not unital (defect {psi.unitality_defect():.3e})")
     # psi.apply on every effect at once: rows are row-major flattened effects
     flat = frame.effects.reshape(len(frame.effects), -1)
     effects = (flat @ psi.M.T).reshape(frame.effects.shape)
-    return FrameObservable(frame.params, frame.rep, effects,
-                           label=label or f"{frame.label}+channel")
+    return FrameObservable(frame.params, frame.rep, effects)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ Born weights of those units (``UnitaryRep.orbit_sum``), and the algebra is
 the word closure of all of them (``operators.generated_algebra``).  The
 deterministic variant localizes in the causal hull instead, which is what
 makes the time-slice comparison a computation rather than a definition.
+A net caches each algebra under the region it was built on (the hull, for
+a deterministic net), so two nets of one frame and system can share one
+cache.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from relqft.operators import AlgebraSubspace, dagger, generated_algebra, op_norm
 from relqft.tolerances import SVD_CUTOFF, TOL_EQ, TOL_SUPP
 
 
-def states_supported_in(frame: FrameObservable, region,
-                        cutoff: float = SVD_CUTOFF) -> np.ndarray:
+def states_supported_in(frame: FrameObservable, region) -> np.ndarray:
     """Orthonormal basis, as the columns of a (d, k) array, of the
     subspace K carrying every state whose spacetime Born marginal is
     supported inside the region.
@@ -46,13 +48,12 @@ def states_supported_in(frame: FrameObservable, region,
         [frame.spacetime_marginal_effect(x) for x in outside], axis=0)
     _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
     scale = max(float(svals[0]) if svals.size else 0.0, 1.0)
-    rank = int(np.sum(svals > cutoff * scale))
+    rank = int(np.sum(svals > SVD_CUTOFF * scale))
     return dagger(Vh)[:, rank:]
 
 
 @dataclass
 class LocalAlgebra:
-    region: frozenset
     algebra: AlgebraSubspace
 
 
@@ -65,10 +66,15 @@ class LocalAlgebraNet:
     algebras: dict = dc_field(default_factory=dict)
 
     def algebra(self, region) -> LocalAlgebra:
+        """The algebra of the region, or of its causal hull (lifted mode
+        only) on a deterministic net, cached under the region it is built
+        on."""
         key = frozenset(region)
+        if self.deterministic:
+            key = lattice.causal_hull(key, self.frame.params)
         if key not in self.algebras:
-            build = deterministic_local_algebra if self.deterministic else local_algebra
-            self.algebras[key] = build(self.frame, self.system, self.system_ops, key)
+            self.algebras[key] = local_algebra(
+                self.frame, self.system, self.system_ops, key)
         return self.algebras[key]
 
 
@@ -80,22 +86,13 @@ def local_algebra(frame: FrameObservable, system: SystemModel, system_ops,
     weights W[f, (i, j)] = <v_j|E(f)|v_i> of the matrix units |v_i><v_j|
     of K's basis V."""
     lattice.require_same_params(frame.params, system.params)
-    region = frozenset(region)
     V = states_supported_in(frame, region)
     units = dagger(V) @ frame.effects @ V  # units[f, j, i] = <v_j|E(f)|v_i>
     weights = units.transpose(0, 2, 1).reshape(len(units), V.shape[1] ** 2)
     weights = weights[:, weights.any(axis=0)]  # zero-weight units sum to 0
     generators = [A for phi in system_ops
                   for A in system.rep.orbit_sum(weights, phi)]
-    return LocalAlgebra(region, generated_algebra(generators, system.dim))
-
-
-def deterministic_local_algebra(frame: FrameObservable, system: SystemModel,
-                                system_ops, region) -> LocalAlgebra:
-    """Local algebra of the causal hull of the region (lifted mode only)."""
-    hull = lattice.causal_hull(region, frame.params)
-    return LocalAlgebra(frozenset(region),
-                        local_algebra(frame, system, system_ops, hull).algebra)
+    return LocalAlgebra(generated_algebra(generators, system.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,11 @@ def psd_gap(A: np.ndarray, tol_herm: float = TOL_HERM) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
 
-def is_state(rho: np.ndarray, tol_herm: float = TOL_HERM,
-             tol_psd: float = TOL_PSD, tol_trace: float = TOL_TRACE) -> bool:
+def is_state(rho: np.ndarray) -> bool:
     return (
-        is_hermitian(rho, tol_herm)
-        and psd_gap(rho, tol_herm) >= -tol_psd
-        and abs(np.trace(rho) - 1.0) <= tol_trace
+        is_hermitian(rho)
+        and psd_gap(rho) >= -TOL_PSD
+        and abs(np.trace(rho) - 1.0) <= TOL_TRACE
     )
 
 
@@ -131,14 +130,14 @@ class AlgebraSubspace:
         self.Q = basis_matrix  # d^2 x k, orthonormal columns
 
     @classmethod
-    def from_spanning(cls, dim: int, ops, cutoff: float = SVD_CUTOFF) -> "AlgebraSubspace":
+    def from_spanning(cls, dim: int, ops) -> "AlgebraSubspace":
         ops = list(ops)
         if not ops:
             return cls(dim, np.zeros((dim * dim, 0), dtype=complex))
         M = np.stack([vec(A) for A in ops], axis=1)
         U, svals, _ = np.linalg.svd(M, full_matrices=False)
         if svals.size and svals[0] > 0:
-            rank = int(np.sum(svals > cutoff * svals[0]))
+            rank = int(np.sum(svals > SVD_CUTOFF * svals[0]))
         else:
             rank = 0
         return cls(dim, U[:, :rank])
@@ -158,8 +157,8 @@ class AlgebraSubspace:
         """Entrywise distance from A to its projection onto the subspace."""
         return eq_defect(A, self.project(A))
 
-    def contains(self, A: np.ndarray, tol: float = TOL_EQ) -> bool:
-        return self.membership_defect(A) <= tol
+    def contains(self, A: np.ndarray) -> bool:
+        return self.membership_defect(A) <= TOL_EQ
 
     def containment_defect(self, other: "AlgebraSubspace") -> float:
         """Max membership defect of this subspace's basis in ``other``."""
@@ -170,12 +169,12 @@ class AlgebraSubspace:
     def equality_defect(self, other: "AlgebraSubspace") -> float:
         return max(self.containment_defect(other), other.containment_defect(self))
 
-    def is_product_closed(self, tol: float = TOL_EQ) -> bool:
+    def is_product_closed(self) -> bool:
         ops = self.basis_ops()
-        return all(self.contains(A @ B, tol) for A in ops for B in ops)
+        return all(self.contains(A @ B) for A in ops for B in ops)
 
 
-def commutant(ops, dim: int | None = None, cutoff: float = SVD_CUTOFF) -> AlgebraSubspace:
+def commutant(ops, dim: int | None = None) -> AlgebraSubspace:
     """Basis of {X : [X, A] = 0 for all A}, via one SVD nullspace.
 
     The map X -> AX - XA has matrix kron(A, I) - kron(I, A.T) on row-major
@@ -236,17 +235,16 @@ def commutant(ops, dim: int | None = None, cutoff: float = SVD_CUTOFF) -> Algebr
         C = np.einsum("ab,bck->ack", A, X) - np.einsum("abk,bc->ack", X, A)
         R = np.linalg.qr(np.concatenate([R, C.reshape(d2, k)], axis=0), mode="r")
     _, svals, Vh = np.linalg.svd(R, full_matrices=False)
-    tolv = cutoff * max(svals[0] if svals.size else 0.0, scale)
+    tolv = SVD_CUTOFF * max(svals[0] if svals.size else 0.0, scale)
     rank = int(np.sum(svals > tolv))
     return AlgebraSubspace(dim, Q @ dagger(Vh)[:, rank:])
 
 
-def double_commutant(ops, dim: int | None = None,
-                     cutoff: float = SVD_CUTOFF) -> AlgebraSubspace:
+def double_commutant(ops, dim: int | None = None) -> AlgebraSubspace:
     """commutant(commutant(S)); the generated algebra for *-closed S.  The
     reference the tests compare ``generated_algebra`` against."""
-    first = commutant(ops, dim=dim, cutoff=cutoff)
-    return commutant(first.basis_ops(), dim=first.dim, cutoff=cutoff)
+    first = commutant(ops, dim=dim)
+    return commutant(first.basis_ops(), dim=first.dim)
 
 
 def generated_algebra(ops, dim: int) -> AlgebraSubspace:
@@ -312,12 +310,11 @@ class UnitaryRep:
     """
 
     def __init__(self, params: ModelParams, table: np.ndarray,
-                 phases: np.ndarray | None = None, label: str = "rep"):
+                 phases: np.ndarray | None = None):
         self.params = params
         self.table = table
         self.phases = phases
         self.dim = table.shape[1]
-        self.label = label
 
     def __call__(self, g: GroupElement) -> np.ndarray:
         """The dense U(g), for test oracles: entry (table[i, j], j) is
@@ -389,23 +386,24 @@ def zero_stack(n: int, dim: int, what: str) -> np.ndarray:
 
 def regular_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the torsor action on F; dim = N^2 |C|."""
-    return UnitaryRep(params, lattice.frame_action_table(params), label="regular")
+    return UnitaryRep(params, lattice.frame_action_table(params))
 
 
 def spacetime_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of the (transitive) action on M; dim = N^2."""
-    return UnitaryRep(params, lattice.site_action_table(params), label="spacetime")
+    return UnitaryRep(params, lattice.site_action_table(params))
 
 
 def lorentz_representation(params: ModelParams) -> UnitaryRep:
     """Permutation matrices of lam -> boost * lam on C; translations act
     trivially (the representation factors through the boost quotient)."""
-    return UnitaryRep(params, lattice.fiber_action_table(params), label="lorentz")
+    return UnitaryRep(params, lattice.fiber_action_table(params))
 
 
-def trivial_representation(params: ModelParams, dim: int = 1) -> UnitaryRep:
-    table = np.tile(np.arange(dim), (len(params.group_elements()), 1))
-    return UnitaryRep(params, table, label="trivial")
+def trivial_representation(params: ModelParams) -> UnitaryRep:
+    """The one-dimensional trivial representation."""
+    table = np.zeros((len(params.group_elements()), 1), dtype=int)
+    return UnitaryRep(params, table)
 
 
 def character_phase(p: LatticePoint, a: LatticePoint, N: int) -> complex:
@@ -451,7 +449,7 @@ def character_representation(params: ModelParams,
     roots = np.array([character_phase(LatticePoint(k, 0), LatticePoint(1, 0), N)
                       for k in range(N)])
     phases = roots[(qu * shift[:, :1] + qv * shift[:, 1:]) % N]
-    return UnitaryRep(params, index[qu, qv], phases, label="character")
+    return UnitaryRep(params, index[qu, qv], phases)
 
 
 def direct_sum_rep(reps: list[UnitaryRep]) -> UnitaryRep:
@@ -463,7 +461,7 @@ def direct_sum_rep(reps: list[UnitaryRep]) -> UnitaryRep:
     phases = None
     if any(r.phases is not None for r in reps):
         phases = np.concatenate([_phase_table(r) for r in reps], axis=1)
-    return UnitaryRep(params, table, phases, label="direct-sum")
+    return UnitaryRep(params, table, phases)
 
 
 def tensor_product_rep(rep1: UnitaryRep, rep2: UnitaryRep) -> UnitaryRep:
@@ -476,7 +474,7 @@ def tensor_product_rep(rep1: UnitaryRep, rep2: UnitaryRep) -> UnitaryRep:
     if rep1.phases is not None or rep2.phases is not None:
         phases = (_phase_table(rep1)[:, :, None]
                   * _phase_table(rep2)[:, None, :]).reshape(n, -1)
-    return UnitaryRep(rep1.params, table, phases, label="tensor")
+    return UnitaryRep(rep1.params, table, phases)
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +497,12 @@ def translation_character_projector(rep: UnitaryRep, p: LatticePoint) -> np.ndar
     return P / params.N**2
 
 
-def translation_character_support(rep: UnitaryRep,
-                                  tol: float = TOL_EQ) -> list[LatticePoint]:
+def translation_character_support(rep: UnitaryRep) -> list[LatticePoint]:
     """Momenta whose character projector is nonzero: the finite analog of
     the joint spectrum of the translation generators."""
     out = []
     for p in rep.params.lattice_points():
-        if op_norm(translation_character_projector(rep, p)) > tol:
+        if op_norm(translation_character_projector(rep, p)) > TOL_EQ:
             out.append(p)
     return out
 

@@ -122,22 +122,13 @@ FRAME_BUILDERS = {
 }
 
 
-def build_system(cfg: ScenarioConfig, rng: np.random.Generator,
-                 params: ModelParams | None = None) -> fields.SystemModel:
-    params = cfg.model() if params is None else params
+def build_system(cfg: ScenarioConfig,
+                 rng: np.random.Generator) -> fields.SystemModel:
+    """The configured character representation with a random seed
+    observable."""
+    params = cfg.model()
     rep = ops.character_representation(params, list(cfg.momenta))
-    if cfg.phi_kind == "identity":
-        phi = np.eye(rep.dim, dtype=complex)
-    else:
-        phi = ops.random_operator(rng, rep.dim)
-    return fields.SystemModel(params, rep, phi)
-
-
-def build_preparation(cfg: ScenarioConfig, rng: np.random.Generator,
-                      dim: int) -> np.ndarray:
-    if cfg.states.get("preparation", "random") == "maximally-mixed":
-        return np.eye(dim, dtype=complex) / dim
-    return ops.random_state(rng, dim)
+    return fields.SystemModel(params, rep, ops.random_operator(rng, rep.dim))
 
 
 def _right_shift(rep: ops.UnitaryRep, g: GroupElement,
@@ -169,7 +160,7 @@ def check_relational_covariance(cfg: ScenarioConfig,
     used = []
     for name in cfg.frames:
         fr = FRAME_BUILDERS[name](params, rng)
-        omega = build_preparation(cfg, rng, fr.dim)
+        omega = ops.random_state(rng, fr.dim)
         rf = fields.RelationalField(system, fr)
         observable = fields.relational_local_observable(rf, omega)
         for g in params.generators():
@@ -193,15 +184,14 @@ def check_field_transformation(cfg: ScenarioConfig,
     params = cfg.model()
     system = build_system(cfg, rng)
     fr = smeared_frame(ops.regular_representation(params), rng, 0.5)
-    omega = build_preparation(cfg, rng, fr.dim)
+    omega = ops.random_state(rng, fr.dim)
     rf = fields.RelationalField(system, fr)
-    marginal = frames.smearing_function(frames.OrientedFrame(fr, omega))
     sites = params.lattice_points()
     tol_supp = cfg.tol("tol_supp")
-    supported = np.flatnonzero(marginal > tol_supp)
     worst_point = worst_integral = 0.0
     sample = _group_sample(params, rng, extra=2)
-    unshifted, _ = fields.relational_local_fields(rf, omega, tol_supp)
+    unshifted, dis = fields.relational_local_fields(rf, omega, tol_supp)
+    supported = np.flatnonzero(dis.support)
     observable = fields.relational_local_observable(rf, omega)
     for g in sample:
         moved, _ = fields.relational_local_fields(
@@ -212,7 +202,7 @@ def check_field_transformation(cfg: ScenarioConfig,
                 lattice.act_point(g, sites[i], params))]
             worst_point = max(worst_point, ops.eq_defect(
                 system.rep.conjugate(g, unshifted[i]), moved_x))
-            rebuilt = rebuilt + marginal[i] * moved_x
+            rebuilt = rebuilt + dis.marginal[i] * moved_x
         worst_integral = max(worst_integral, ops.eq_defect(
             system.rep.conjugate(g, observable), rebuilt))
     tol = cfg.tol("tol_eq")
@@ -230,7 +220,7 @@ def check_disintegration_covariance(cfg: ScenarioConfig,
     conditional at the moved point over the boosted fiber element."""
     params = cfg.model()
     fr = smeared_frame(ops.regular_representation(params), rng, 0.5)
-    omega = build_preparation(cfg, rng, fr.dim)
+    omega = ops.random_state(rng, fr.dim)
     base = frames.disintegrate(
         frames.born_measure(frames.OrientedFrame(fr, omega)),
         cfg.tol("tol_supp"))
@@ -315,7 +305,7 @@ def check_channel_laws(cfg: ScenarioConfig,
     min_gap_unrestricted = np.inf
     for name in CHANNEL_BATTERY:
         fr = FRAME_BUILDERS[name](params, rng)
-        omega = build_preparation(cfg, rng, fr.dim)
+        omega = ops.random_state(rng, fr.dim)
         channel = fields.relativization_channel(
             fields.RelationalField(system, fr), omega)
         worst["unitality"] = max(worst["unitality"],
@@ -467,19 +457,17 @@ _WITNESS_MODEL = ModelParams(3, 2)
 def _witness_frame() -> tuple[frames.FrameObservable, np.ndarray]:
     """Product frame (sharp position x uniform boost) at N = 3 with a site
     preparation; the product of the site projector with the maximally
-    mixed fiber state satisfies the factorization constraints exactly."""
+    mixed fiber state satisfies the factorization constraints exactly.
+
+    The frame is the orbit of |0><0| (x) 1/|C|, whose orbit sum is already
+    the identity, so E(x, lam) = |x><x| (x) 1/|C|."""
     params = _WITNESS_MODEL
-    st_rep = ops.spacetime_representation(params)
-    lor_rep = ops.lorentz_representation(params)
-    n_sites = params.N ** 2
+    rep = ops.tensor_product_rep(ops.spacetime_representation(params),
+                                 ops.lorentz_representation(params))
     n_boosts = len(params.boosts())
-    spacetime_effects = np.zeros((n_sites, n_sites, n_sites), dtype=complex)
-    spacetime_effects[np.arange(n_sites), np.arange(n_sites),
-                      np.arange(n_sites)] = 1.0
     fiber_mixed = np.eye(n_boosts, dtype=complex) / n_boosts
-    lorentz_effects = np.broadcast_to(fiber_mixed, (n_boosts, n_boosts, n_boosts))
-    fr = frames.product_frame(params, spacetime_effects, lorentz_effects,
-                              st_rep, lor_rep)
+    fr = frames.build_frame(
+        rep, ops.tensor(_site_state(params, (0, 0)), fiber_mixed))
     omega = ops.tensor(_site_state(params, (1, 2)), fiber_mixed)
     return fr, omega
 
@@ -540,8 +528,10 @@ def check_wightman_suite(cfg: ScenarioConfig,
     there and on a smeared spacetime frame."""
     params, rep, vacuum, fr, spec = _wightman_stage(rng)
     tol = cfg.tol("tol_eq")
+    tol_supp = cfg.tol("tol_supp")
     measurements = [Measurement(
-        "hermiticity", wightman.hermiticity_check(vacuum, spec, fr), EXACT_TOL)]
+        "hermiticity", wightman.hermiticity_check(vacuum, spec, fr, tol_supp),
+        EXACT_TOL)]
     families = [wightman.VevSpec((
         (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
         (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim))))
@@ -551,7 +541,7 @@ def check_wightman_suite(cfg: ScenarioConfig,
         -GRAM_TOL, ">="))
 
     base_value = wightman.vev(vacuum, spec, fr)
-    base_kernel = wightman.kernel_array(vacuum, spec, fr)
+    base_kernel = wightman.kernel_array(vacuum, spec, fr, tol_supp)
     rows = lattice.site_action_table(params)
     elements = params.group_elements()
     worst_shift = worst_kernel = 0.0
@@ -563,7 +553,7 @@ def check_wightman_suite(cfg: ScenarioConfig,
         # W_shifted(x1, x2) = W(g x1, g x2) at every point pair
         row = rows[elements.index(g)]
         worst_kernel = max(worst_kernel, float(np.max(np.abs(
-            wightman.kernel_array(vacuum, shifted_spec, fr)
+            wightman.kernel_array(vacuum, shifted_spec, fr, tol_supp)
             - base_kernel[np.ix_(row, row)]))))
     measurements += [Measurement("preparation_shift", worst_shift, tol),
                      Measurement("kernel_shift", worst_kernel, tol)]
@@ -572,7 +562,6 @@ def check_wightman_suite(cfg: ScenarioConfig,
     omega1, omega2 = _site_state(params, a), _site_state(params, b)
     local_phi = _site_state(params, (0, 0))
     system = fields.SystemModel(params, rep, local_phi)
-    tol_supp = cfg.tol("tol_supp")
     micro = causality.check_r_microcausal(system, fr, omega1, omega2,
                                           tol_eq=tol, tol_supp=tol_supp)
     causal = causality.check_r_causal(system, fr, omega1, omega2,
@@ -586,17 +575,17 @@ def check_wightman_suite(cfg: ScenarioConfig,
         Measurement("commutativity_swap", wightman.adjacent_swap_residual(
             vacuum, swap_spec, fr, 0), tol),
         Measurement("kernel_swap", wightman.kernel_swap_residual(
-            vacuum, swap_spec, fr, (a, b), 0), tol)]
+            vacuum, swap_spec, fr, (a, b), 0, tol_supp), tol)]
 
     x1, x2 = LatticePoint(1, 1), LatticePoint(0, 0)
     ordered, coincident = wightman.time_ordered_detailed(
-        vacuum, spec, fr, (x1, x2))
+        vacuum, spec, fr, (x1, x2), tol_supp)
     t1 = lattice.time_coordinate(x1, params)
     t2 = lattice.time_coordinate(x2, params)
     split = (wightman.theta(t1 - t2)
-             * wightman.kernel(vacuum, spec, fr, (x1, x2))
+             * wightman.kernel(vacuum, spec, fr, (x1, x2), tol_supp)
              + wightman.theta(t2 - t1)
-             * wightman.kernel(vacuum, spec.swapped(0), fr, (x2, x1)))
+             * wightman.kernel(vacuum, spec.swapped(0), fr, (x2, x1), tol_supp))
     measurements.append(
         Measurement("time_ordered_split", abs(ordered - split), tol))
 
@@ -638,13 +627,15 @@ def check_spectral_condition(cfg: ScenarioConfig,
     spec = wightman.VevSpec((
         (mixed, ops.random_operator(rng, rep.dim)),
         (mixed, ops.random_operator(rng, rep.dim))))
-    report = wightman.spectral_check(vacuum, spec, fr,
-                                     tol_dft=cfg.tol("tol_dft"))
+    tol_eq, tol_supp = cfg.tol("tol_eq"), cfg.tol("tol_supp")
+    report = wightman.spectral_check(vacuum, spec, fr, cfg.tol("tol_dft"),
+                                     tol_eq, tol_supp)
     # the direct transform, with the e^{+2 pi i q.xi / N} pairing of ifftn
     N = params.N
     sites = np.array(params.lattice_points())
     pairing = np.exp(2j * np.pi * (sites @ sites.T) / N) / N ** 2
-    direct = pairing @ wightman.difference_kernel(vacuum, spec, fr).reshape(-1)
+    direct = pairing @ wightman.difference_kernel(
+        vacuum, spec, fr, tol_eq, tol_supp).reshape(-1)
     oracle_worst = float(np.max(np.abs(direct - report.table.reshape(-1))))
     return CheckOutcome(
         [Measurement("outside_support", report.max_leak, cfg.tol("tol_dft")),
@@ -712,7 +703,7 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
     worst_fixed = 0.0
     for name in cfg.frames:
         fr = FRAME_BUILDERS[name](params, rng)
-        omega = build_preparation(cfg, rng, fr.dim)
+        omega = ops.random_state(rng, fr.dim)
         rf = fields.RelationalField(system, fr)
         worst_fixed = max(worst_fixed, ops.eq_defect(
             fields.predual_polarization(rf, omega, invariant), invariant))
@@ -720,7 +711,7 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
 
     fr = smeared_frame(ops.lorentz_representation(params), rng, 0.4)
     rf = fields.RelationalField(system, fr)
-    omega = build_preparation(cfg, rng, fr.dim)
+    omega = ops.random_state(rng, fr.dim)
     worst_duality = 0.0
     rho = ops.random_state(rng, system.dim)
     polarized = fields.predual_polarization(rf, omega, rho)
@@ -791,7 +782,8 @@ def check_net_axioms(cfg: ScenarioConfig,
         tol_supp=tol_supp)
 
     deterministic = net.LocalAlgebraNet(fr, system, system_ops,
-                                        deterministic=True)
+                                        deterministic=True,
+                                        algebras=intrinsic.algebras)
     deterministic_report = net.verify_net_axioms(
         deterministic, regions, [], spacelike_pairs=[pair], tol_eq=tol,
         tol_supp=tol_supp)
@@ -831,8 +823,6 @@ def check_irreducibility(cfg: ScenarioConfig,
     span is irreducible."""
     params = cfg.model()
     system = build_system(cfg, rng)
-    if cfg.phi_kind == "identity":
-        system = system.with_phi(ops.random_operator(rng, system.dim))
     fr = frames.fiber_uniform_spacetime_frame(params)
     reference = np.ones(system.dim, dtype=complex)
     reference /= np.linalg.norm(reference)

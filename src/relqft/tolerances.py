@@ -2,14 +2,15 @@
 
 All computations are sums and products of O(10^3) unit-scale terms in double
 precision, so equality-type residuals sit far below 1e-10 while eigenvalue
-clipping needs the slightly looser 1e-9.  Functions take these as default
-arguments.
+clipping needs the slightly looser 1e-9.
 
 A scenario config or the CLI's ``--tol KEY=VAL`` can override exactly the
 names in ``TOLERANCE_KEYS``: ``tol_eq``, ``tol_psd``, ``tol_supp``,
-``tol_feas`` and ``tol_dft``.  ``TOL_HERM`` and ``TOL_TRACE`` are fixed:
-they guard ``psd_gap``, ``is_state`` and ``born_measure`` against usage
-errors and decide no check.
+``tol_feas`` and ``tol_dft``.  A function that a check passes one of these
+takes it as an argument defaulting to the value here; every other use
+reads the constant.  ``TOL_HERM`` and ``TOL_TRACE`` are fixed: they guard
+``psd_gap``, ``is_state`` and ``born_measure`` against usage errors and
+decide no check.
 
 ``verdict`` is the one rule that turns ``Measurement`` values into a verdict.
 """

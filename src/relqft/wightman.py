@@ -194,11 +194,11 @@ def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
 # difference kernels and the spectral condition
 
 def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
-                               tol_supp: float = TOL_SUPP) -> None:
+                               tol_eq: float, tol_supp: float) -> None:
     n_points = frame.params.N ** 2
     for omega, _ in spec.factors:
         of = OrientedFrame(frame, omega)
-        if not certify_globally_oriented(of, tol_supp=tol_supp):
+        if not certify_globally_oriented(of, tol_eq, tol_supp):
             raise OrientationError("preparation is not globally oriented")
         marg = born_measure(of).spacetime_marginal()
         if np.count_nonzero(marg > tol_supp) != n_points:
@@ -207,7 +207,8 @@ def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
 
 
 def difference_kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                      tol_eq: float = TOL_EQ) -> np.ndarray:
+                      tol_eq: float = TOL_EQ,
+                      tol_supp: float = TOL_SUPP) -> np.ndarray:
     """The translation-reduced kernel over the successive differences
     xi_j = x_j - x_(j+1), as an (N, N)^(n-1) array with axes
     (xi_1.u, xi_1.v, ...).
@@ -215,9 +216,9 @@ def difference_kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     Gathered from the kernel array at every base point x_n; well-defined
     for certified globally oriented, fully supported preparations, and
     refused when any base gives a different value."""
-    _require_globally_oriented(spec, frame)
+    _require_globally_oriented(spec, frame, tol_eq, tol_supp)
     N = frame.params.N
-    K = kernel_array(vac, spec, frame)
+    K = kernel_array(vac, spec, frame, tol_supp)
     # base (u, v) first, then (xi_j.u, xi_j.v) for j = 1 .. n-1
     grid = np.ogrid[(slice(0, N),) * (2 * spec.n)]
     u, v = grid[0], grid[1]
@@ -245,7 +246,8 @@ class SpectralReport:
 
 
 def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                   tol_dft: float = TOL_DFT) -> SpectralReport:
+                   tol_dft: float = TOL_DFT, tol_eq: float = TOL_EQ,
+                   tol_supp: float = TOL_SUPP) -> SpectralReport:
     """Transform magnitudes must vanish whenever any momentum component
     lies outside the character support of the system representation.
 
@@ -255,7 +257,7 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     """
     N = frame.params.N
     support = frozenset(ops.translation_character_support(vac.rep))
-    table = np.fft.ifftn(difference_kernel(vac, spec, frame))
+    table = np.fft.ifftn(difference_kernel(vac, spec, frame, tol_eq, tol_supp))
     inside = np.zeros((N, N), dtype=bool)
     inside[tuple(np.array(list(support)).T)] = True
     on = np.ones((), dtype=bool)
@@ -272,14 +274,15 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
 # ---------------------------------------------------------------------------
 # hermiticity, positivity, swaps
 
-def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> float:
+def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
+                      tol_supp: float = TOL_SUPP) -> float:
     """Residual of vev(spec) against the conjugate of the reversed-adjoint
     spec, and of the kernel array against the conjugate of the
     reversed-adjoint one read with its axes reversed, at every tuple."""
     rev = spec.reversed_adjoint()
     residual = abs(vev(vac, spec, frame) - np.conj(vev(vac, rev, frame)))
-    kernels = np.abs(kernel_array(vac, spec, frame)
-                     - np.conj(kernel_array(vac, rev, frame).T))
+    kernels = np.abs(kernel_array(vac, spec, frame, tol_supp)
+                     - np.conj(kernel_array(vac, rev, frame, tol_supp).T))
     return float(max(residual, np.max(kernels)))
 
 
@@ -314,12 +317,12 @@ def adjacent_swap_residual(vac: VacuumModel, spec: VevSpec,
 
 
 def kernel_swap_residual(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                         points, i: int) -> float:
+                         points, i: int, tol_supp: float = TOL_SUPP) -> float:
     """Kernel-level adjacent swap: factors and their points exchanged."""
     pts = list(points)
     pts[i], pts[i + 1] = pts[i + 1], pts[i]
-    return abs(kernel(vac, spec, frame, points)
-               - kernel(vac, spec.swapped(i), frame, pts))
+    return abs(kernel(vac, spec, frame, points, tol_supp)
+               - kernel(vac, spec.swapped(i), frame, pts, tol_supp))
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +339,14 @@ def theta(t: int) -> float:
 
 
 def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                          points) -> tuple[complex, bool]:
+                          points, tol_supp: float = TOL_SUPP
+                          ) -> tuple[complex, bool]:
     """Theta-weighted permutation sum over factor orderings; returns the
     value and whether any coincident-time pair invoked theta(0) = 1/2."""
     params = frame.params
     if params.causal_mode != "lifted":
         raise TimeOrderError("time ordering requires the lifted causal mode")
-    fields = _point_fields(vac, spec, frame, points)
+    fields = _point_fields(vac, spec, frame, points, tol_supp)
     taus = [lattice.time_coordinate(x, params) for x in points]
     total = 0.0 + 0.0j
     coincident = False

@@ -20,13 +20,10 @@ def site_state(params, x):
 def witness_frame():
     """Sharp sites times uniform boosts at N = 3, with a single-site
     preparation smeared uniformly over the fiber."""
-    rep_st = ops.spacetime_representation(P3)
-    rep_lor = ops.lorentz_representation(P3)
-    sites = np.zeros((9, 9, 9), dtype=complex)
-    for i in range(9):
-        sites[i, i, i] = 1.0
-    boosts = np.stack([np.eye(2, dtype=complex) / 2] * 2)
-    fr = frames.product_frame(P3, sites, boosts, rep_st, rep_lor)
+    rep = ops.tensor_product_rep(ops.spacetime_representation(P3),
+                                 ops.lorentz_representation(P3))
+    fr = frames.build_frame(rep, ops.tensor(site_state(P3, (0, 0)),
+                                            np.eye(2, dtype=complex) / 2))
     omega = ops.tensor(site_state(P3, (1, 2)), np.eye(2, dtype=complex) / 2)
     return fr, omega
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from relqft import runner
 from relqft.cli import main
 from relqft.scenarios import CHECKS
@@ -97,6 +99,15 @@ def test_list_checks_covers_registry(capsys):
     for name, check in CHECKS.items():
         assert name in out
         assert check.anchor in out
+
+
+def test_verbs_reject_flags_they_do_not_read(capsys):
+    for argv in (["list-checks", "--seed", "1"], ["list-checks", "--tol", "eq=1"],
+                 ["demo", "vacuum-orthogonality", "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_demo_vacuum_orthogonality(capsys):

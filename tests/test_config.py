@@ -58,6 +58,8 @@ def test_unsupported_schema_rejected():
         parse_config('{"schema": 99}')
     with pytest.raises(ConfigError, match="unsupported schema 1"):
         parse_config('{"schema": 1}')
+    with pytest.raises(ConfigError, match="unsupported schema 2"):
+        parse_config('{"schema": 2}')
 
 
 def test_unknown_system_kind_rejected():
@@ -67,8 +69,10 @@ def test_unknown_system_kind_rejected():
 
 
 def test_unknown_phi_spec_rejected():
-    with pytest.raises(ConfigError, match="unknown phi spec"):
-        parse_config('{"system": {"phi": "gaussian"}}')
+    # schema 3 dropped system.phi: every check draws a random seed observable
+    for phi in ("random", "identity"):
+        with pytest.raises(ConfigError, match=r"unknown key 'phi' in system"):
+            parse_config(f'{{"system": {{"phi": "{phi}"}}}}')
 
 
 def test_malformed_momenta_rejected():
@@ -79,13 +83,12 @@ def test_malformed_momenta_rejected():
 
 
 def test_unknown_state_spec_rejected():
-    with pytest.raises(ConfigError, match="unknown state spec"):
-        parse_config('{"states": {"preparation": "thermal"}}')
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config('{"states": {"bath": "random"}}')
-    # schema 2 dropped states.vacuum: no check read it
-    with pytest.raises(ConfigError, match=r"unknown key 'vacuum' in states"):
-        parse_config('{"states": {"vacuum": "maximally-mixed"}}')
+    # schema 3 dropped states: every check draws random preparations
+    for states in ('{"preparation": "random"}',
+                   '{"preparation": "maximally-mixed"}', '{}'):
+        with pytest.raises(ConfigError,
+                           match=r"unknown key 'states' in the top level"):
+            parse_config(f'{{"states": {states}}}')
 
 
 def test_empty_suites_rejected():

@@ -88,7 +88,8 @@ def test_field_reconstruction_sums_to_observable(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     rf = fields.RelationalField(system, fr)
     omega = ops.random_state(rng, fr.dim)
-    marginal = frames.smearing_function(frames.OrientedFrame(fr, omega))
+    marginal = frames.born_measure(
+        frames.OrientedFrame(fr, omega)).spacetime_marginal()
     rebuilt = sum(w * fields.relational_local_field(rf, omega, x)
                   for x, w in zip(P3.lattice_points(), marginal))
     observable = fields.relational_local_observable(rf, omega)
@@ -318,14 +319,14 @@ def test_site_table_matches_the_definition(rng, kind, N):
              (smeared_frame, ops.random_state(rng, N * N), TOL_SUPP, N * N)]
     for fr, omega, tol_supp, n_supported in cases:
         rf = fields.RelationalField(system, fr)
-        table, support = fields.relational_local_fields(rf, omega, tol_supp)
+        table, dis = fields.relational_local_fields(rf, omega, tol_supp)
         assert table.shape == (N * N, system.dim, system.dim)
-        assert support.sum() == n_supported
+        assert dis.support.sum() == n_supported
         expected = local_fields_by_definition(system, fr, omega, tol_supp)
         for x in params.lattice_points():
             row = table[params.site_index(x)]
             assert ops.eq_defect(row, expected[x]) < 1e-13
             assert ops.eq_defect(
                 fields.relational_local_field(rf, omega, x, tol_supp), row) == 0.0
-            if not support[params.site_index(x)]:
+            if not dis.support[params.site_index(x)]:
                 assert not row.any()

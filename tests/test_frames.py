@@ -185,31 +185,31 @@ def test_disintegration_reconstructs_pmf(rng):
             assert abs(rebuilt - expected) < 1e-12
 
 
-def test_smearing_function_equals_spacetime_marginal(rng):
-    fr = smeared(ops.regular_representation(P3), rng)
-    omega = ops.random_state(rng, fr.dim)
-    of = frames.OrientedFrame(fr, omega)
-    marginal = frames.born_measure(of).spacetime_marginal()
-    smear = frames.smearing_function(of)
-    assert smear.shape == marginal.shape
-    assert np.abs(smear - marginal).max() < 1e-12
+def _site_projector(n: int, i: int) -> np.ndarray:
+    E = np.zeros((n, n), dtype=complex)
+    E[i, i] = 1.0
+    return E
 
 
-def _sharp_effects(n: int) -> np.ndarray:
-    effects = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        effects[i, i, i] = 1.0
-    return effects
+def product_frame(params: ModelParams, fiber_seed: np.ndarray):
+    """E(x, lam) = |x><x| (x) G(lam): the orbit of |0><0| (x) fiber_seed on
+    the tensor-product representation, whose orbit sum is the identity
+    when fiber_seed's boost orbit sums to the identity."""
+    rep = ops.tensor_product_rep(ops.spacetime_representation(params),
+                                 ops.lorentz_representation(params))
+    return frames.build_frame(
+        rep, ops.tensor(_site_projector(params.N ** 2, 0), fiber_seed))
 
 
 def test_product_frame_axioms():
-    rep_st = ops.spacetime_representation(P3)
-    rep_lor = ops.lorentz_representation(P3)
-    boosts = np.stack([np.eye(2, dtype=complex) / 2] * 2)
-    fr = frames.product_frame(P3, _sharp_effects(9), boosts, rep_st, rep_lor)
+    mixed = np.eye(2, dtype=complex) / 2
+    fr = product_frame(P3, mixed)
     assert fr.dim == 18
     assert fr.normalization_defect() < 1e-12
     assert fr.covariance_defect() < 1e-12
+    for i, f in enumerate(P3.frame_points()):
+        assert np.array_equal(fr.effects[i], ops.tensor(
+            _site_projector(9, P3.site_index(f.x)), mixed))
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +217,7 @@ def test_product_frame_axioms():
 
 def _oracle_frame(name: str, params: ModelParams, rng) -> frames.FrameObservable:
     if name == "product":
-        n_sites, n_boosts = params.N ** 2, len(params.boosts())
-        return frames.product_frame(
-            params, _sharp_effects(n_sites), _sharp_effects(n_boosts),
-            ops.spacetime_representation(params),
-            ops.lorentz_representation(params))
+        return product_frame(params, _site_projector(len(params.boosts()), 0))
     if name == "channel-composed":
         fr = smeared(ops.lorentz_representation(params), rng, 0.8)
         psi = frames.random_mixed_unitary_channel(rng, fr.dim)

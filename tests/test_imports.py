@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every
-parameter of the package's functions is read, and every public function
-and method of the package is referenced by the package's own code.
+parameter of the package's functions is read, every parameter with a
+default is set by some call in the package, and every public function and
+method of the package is referenced by the package's own code.
 
 An AST scan: a name bound by ``import`` or ``from ... import`` counts as
 used when the module reads it anywhere (a bare name, the root of an
@@ -8,6 +9,9 @@ attribute chain, a decorator or an annotation).  The package
 ``__init__.py`` is skipped, since its imports are the public re-exports.
 A parameter of a ``def`` counts as read when its body (nested functions
 included) loads the name; the receiver of a method is not a parameter.
+A defaulted parameter counts as set when a call in the package, matched
+to the function by its bare name (to a constructor by its class name),
+passes it by keyword or by position, or passes *args or **kwargs.
 A public function or method counts as referenced when any module of the
 package loads its name as a bare name or an attribute, or imports it;
 docstrings and comments are not code, so they never count.
@@ -174,3 +178,96 @@ def test_unreferenced_allowances_are_still_needed():
     for qualname in sorted(UNREFERENCED_API):
         assert qualname in definitions, f"{qualname} is not defined"
         assert definitions[qualname] not in names, f"{qualname} is referenced"
+
+
+#: Parameters with a default that no call in the package sets, kept on
+#: purpose, with the reason.
+UNSET_DEFAULTS = {
+    # an oracle: the tests check covariance over the whole group
+    ("frames.FrameObservable.covariance_defect", "elements"),
+    # the pointwise reference the tracer wraps and the tests compare with
+    ("fields.relational_local_field", "tol_supp"),
+    # the reference the tests compare generated_algebra against
+    ("operators.double_commutant", "dim"),
+    # the tests cap the iterations to reach the undecided branch
+    ("causality.find_joint_state", "max_iter"),
+}
+
+
+def defaulted_parameters() -> dict[tuple[str, str], tuple[str, int | None]]:
+    """(qualified function, parameter) -> (the name a call uses, the
+    parameter's position or None when keyword-only), for every parameter
+    with a default of every function and method of the package, nested
+    ones included.  A constructor is called by its class name; the
+    receiver of a method takes no position."""
+    out = {}
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{prefix}.{child.name}"
+                called = (in_class if in_class and child.name == "__init__"
+                          else child.name)
+                args = child.args
+                positional = [*args.posonlyargs, *args.args][bool(in_class):]
+                first = len(positional) - len(args.defaults)
+                for i, a in enumerate(positional[first:], start=first):
+                    out[(qualname, a.arg)] = (called, i)
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out[(qualname, a.arg)] = (called, None)
+                visit(child, qualname, None)
+            else:
+                visit(child, prefix, in_class)
+
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        visit(tree, path.stem, None)
+    return out
+
+
+def set_parameters() -> set[tuple[str, object]]:
+    """(called name, keyword or position) for every argument some call of
+    the package passes; (name, "*") when a call passes *args or **kwargs,
+    which may set any parameter."""
+    out = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                out.add((name, "*"))
+            out.update((name, i) for i in range(len(node.args)))
+            out.update((name, k.arg) for k in node.keywords)
+    return out
+
+
+def unset_defaults() -> list[tuple[str, str]]:
+    passed = set_parameters()
+    return sorted(
+        key for key, (called, position) in defaulted_parameters().items()
+        if not {(called, "*"), (called, key[1]), (called, position)} & passed)
+
+
+def test_every_default_is_set_somewhere():
+    # a default that no call overrides is a constant: write it as one
+    unset = [f"{qualname}({param})" for qualname, param in unset_defaults()
+             if (qualname, param) not in UNSET_DEFAULTS]
+    assert not unset, (
+        "parameters no call in src/relqft sets:\n" + "\n".join(unset))
+
+
+def test_unset_default_allowances_are_still_needed():
+    # an allowance for a parameter that is gone or now set must go
+    defined = defaulted_parameters()
+    unset = set(unset_defaults())
+    for key in sorted(UNSET_DEFAULTS):
+        assert key in defined, f"{key[0]}({key[1]}) is not defined"
+        assert key in unset, f"{key[0]}({key[1]}) is set by a call"

@@ -132,6 +132,9 @@ def test_deterministic_net_time_slice():
     assert report.axioms["time-slice"].verdict == "verified"
     assert report.axioms["time-slice"].pairs_checked == 1
     assert report.axioms["time-slice"].max_residual < 1e-12
+    # both regions share the algebra of their hull, built once
+    assert nt.algebra(slice_tips) is nt.algebra(diamond)
+    assert diamond in nt.algebras and slice_tips not in nt.algebras
 
 
 def test_causality_rejects_non_spacelike_pair():

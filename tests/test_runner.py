@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from relqft import causality, fields, net, runner
+from relqft import causality, fields, net, runner, wightman
 from relqft import operators as ops
 from relqft.config import ConfigError, DEFAULT_CONFIG, load_config
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
@@ -218,19 +218,25 @@ def test_deciding_measurement_rule():
     # branch for every instance
     ("microcausality-implication",
      {"causality.check_r_microcausal", "causality.check_r_causal"}, True),
+    # every kernel in wightman reads site tables through this binding
     ("wightman-suite",
-     {"causality.check_r_microcausal", "causality.check_r_causal"}, False),
+     {"causality.check_r_microcausal", "causality.check_r_causal",
+      "wightman.relational_local_fields"}, False),
     ("intrinsic-causality-pipeline",
      {"causality.check_intrinsic_causality"}, False),
     ("net-axioms", {"net.verify_net_axioms"}, False),
     ("field-transformation", {"fields.relational_local_fields"}, False),
+    ("spectral-condition",
+     {"wightman.relational_local_fields", "wightman.difference_kernel",
+      "wightman.certify_globally_oriented"}, False),
 ])
 def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
                                                  stub):
     # every call records the tol_eq / tol_supp parameters it declares
     tols = {"tol_eq": 3e-10, "tol_supp": 4e-13}
     cfg = dataclasses.replace(DEFAULT_CONFIG, tolerances=tols)
-    modules = {"causality": causality, "fields": fields, "net": net}
+    modules = {"causality": causality, "fields": fields, "net": net,
+               "wightman": wightman}
     seen = []
 
     def recording(qualname):
@@ -262,7 +268,7 @@ def run_without_dense_unitaries(monkeypatch, cfg):
     # every check reads its representations as index and phase tables, and
     # __call__ is the only code that builds a dense U(g)
     def dense(rep, g):
-        raise AssertionError(f"dense U(g) built for the {rep.label} representation")
+        raise AssertionError(f"dense U(g) built for a representation of dim {rep.dim}")
 
     monkeypatch.setattr(ops.UnitaryRep, "__call__", dense)
     report = runner.run(cfg)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqft import causality, fields, runner, scenarios, wightman
+from relqft import causality, fields, net, runner, scenarios, wightman
 from relqft.config import DEFAULT_CONFIG
 from relqft.tolerances import TOL_SUPP
 
@@ -46,6 +46,23 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "wightman-suite"))
     assert outcome.verdict == "verified"
     assert len(calls) == 28
+
+
+def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
+    # the intrinsic and hull-completed nets share one cache keyed by the
+    # region an algebra is built on, so each of the 41 regions is built once
+    built = []
+    original = net.local_algebra
+
+    def counting(frame, system, system_ops, region):
+        built.append(frozenset(region))
+        return original(frame, system, system_ops, region)
+
+    monkeypatch.setattr(net, "local_algebra", counting)
+    outcome = scenarios.CHECKS["net-axioms"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "net-axioms"))
+    assert outcome.verdict == "verified"
+    assert len(built) == len(set(built)) == 41
 
 
 def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
