@@ -32,7 +32,6 @@ SCHEMA_VERSION = 3
 class ScenarioConfig:
     """Validated scenario parameters; see DEFAULT_CONFIG for the shape."""
 
-    schema: int = SCHEMA_VERSION
     N: int = 5
     s: int = 2
     window: int = 2
@@ -59,7 +58,7 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "model": {"N": self.N, "s": self.s},
             "window": self.window,
             "system": {"momenta": [[p.u, p.v] for p in self.momenta]},
@@ -113,7 +112,6 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     _require(schema == SCHEMA_VERSION,
              f"{path}:{_find_line(text, 'schema')}: unsupported schema "
              f"{schema!r} (this build reads schema {SCHEMA_VERSION})")
-    kwargs["schema"] = schema
 
     model = doc.get("model", {})
     _require(isinstance(model, dict),

@@ -6,10 +6,21 @@ effects along the group action.  Orbit-averaging a seed effect with a
 symmetric K^(-1/2) .. K^(-1/2) normalization produces such POVMs for any
 invertible orbit sum; sharp and uniform frames are special cases.
 
-Layout: a frame's effects are one (|F|, d, d) array and a Born measure is
-one length-|F| weight array, both in ``ModelParams.frame_points()`` order.
-That order puts sites first and fibers second, so reshaping to
-(N^2, |C|, ...) and summing the fiber axis gives the spacetime marginal.
+Layout: ``build_frame``, ``uniform_frame`` and ``sharp_regular_frame``
+make orbit frames, E(g) = U(g) D U(g)^dag, held as their representation
+and their dressed seed D.  The effects of such a frame, one (|F|, d, d)
+array, are built from D on first read and kept.  The other frames hold
+their effect arrays.  A Born measure is one length-|F| weight array.
+Effects and weights are in ``ModelParams.frame_points()`` order, which
+puts sites first and fibers second, so reshaping to (N^2, |C|, ...) and
+summing the fiber axis gives the spacetime marginal.
+
+On the regular representation the group acts freely and transitively on
+the basis, so an orbit frame is a convolution kernel on the group
+(``FrameObservable.convolution_kernel``).  The orbit sum, the Born weights
+and ``fields.relativize`` read that kernel through the representation's
+index tables (``UnitaryRep.regular_index``) and build no effect array.
+Every other frame goes through its effect array.
 
 Also here: disintegration of Born measures, channel composition (with
 CP/unitality validation), and the vacuum-orthogonality checks.
@@ -18,6 +29,7 @@ CP/unitality validation), and the vacuum-orthogonality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,19 +65,53 @@ class FrameObservable:
     """A normalized POVM over the frame space.  The builders here make it
     covariant; channel_compose with a non-equivariant channel need not.
 
+    An orbit frame holds its dressed seed: ``seed`` is D, and the effect of
+    the frame point of g = params.group_elements()[i] is U(g) D U(g)^dag.
+    A frame with no seed holds its effect array.
+
     effects: complex array of shape (|F|, d, d); effects[i] is the effect of
-    ``params.frame_points()[i]``.  The constructor checks the shape but does
-    not re-verify the invariants (builders do); ``normalization_defect`` and
-    ``covariance_defect`` recompute them on demand.
+    ``params.frame_points()[i]``.  For an orbit frame it is built on first
+    read by one gather of the orbit of D (``UnitaryRep.orbit``, refused
+    above ops.MAX_FRAME_BYTES) and kept.  The constructor checks shapes but
+    does not re-verify the invariants (builders do);
+    ``normalization_defect`` and ``covariance_defect`` recompute them on
+    demand.
     """
 
-    def __init__(self, params: ModelParams, rep: UnitaryRep, effects: np.ndarray):
+    def __init__(self, params: ModelParams, rep: UnitaryRep,
+                 effects: np.ndarray | None = None,
+                 seed: np.ndarray | None = None):
         self.params = params
         self.rep = rep
-        self.effects = np.asarray(effects, dtype=complex)
-        shape = (len(params.frame_points()), rep.dim, rep.dim)
-        if self.effects.shape != shape:
-            raise ops.SizeError(f"effects shape {self.effects.shape} != {shape}")
+        if effects is None and seed is None:
+            raise ValueError("a frame needs its effects or its seed")
+        self.seed = None if seed is None else np.asarray(seed, dtype=complex)
+        if self.seed is not None and self.seed.shape != (rep.dim, rep.dim):
+            raise ops.SizeError(
+                f"seed shape {self.seed.shape} does not match rep dim {rep.dim}")
+        self._effects = None
+        if effects is not None:
+            self._effects = np.asarray(effects, dtype=complex)
+            shape = (len(params.frame_points()), rep.dim, rep.dim)
+            if self._effects.shape != shape:
+                raise ops.SizeError(f"effects shape {self._effects.shape} != {shape}")
+
+    @property
+    def effects(self) -> np.ndarray:
+        if self._effects is None:
+            self._effects = self.rep.orbit(self.seed)
+        return self._effects
+
+    @cached_property
+    def convolution_kernel(self) -> np.ndarray | None:
+        """B[k, r] = D[k, k.r] for an orbit frame on a regular
+        representation (``UnitaryRep.regular_index`` names k.r), and None
+        for any other frame.  The effects are relabellings of B: the
+        effect at g has entry B[k, r] at (g.k, g.k.r)."""
+        index = self.rep.regular_index
+        if self.seed is None or index is None:
+            return None
+        return np.take_along_axis(self.seed, index.product, axis=1)
 
     @property
     def dim(self) -> int:
@@ -121,13 +167,6 @@ def frames_equal(f1: FrameObservable, f2: FrameObservable) -> bool:
 # ---------------------------------------------------------------------------
 # builders
 
-def _zero_effects(params: ModelParams, dim: int) -> np.ndarray:
-    """A zeroed (|F|, dim, dim) effect array, refused before allocation when
-    it would exceed ops.MAX_FRAME_BYTES."""
-    n_points = len(params.frame_points())
-    return ops.zero_stack(n_points, dim, f"a frame of {n_points} effects")
-
-
 def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
     eigs, V = np.linalg.eigh(K)
     if eigs[0] <= SVD_CUTOFF * eigs[-1]:
@@ -136,49 +175,55 @@ def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
     return V @ np.diag(eigs**-0.5) @ dagger(V)
 
 
+def _orbit_sum(rep: UnitaryRep, seed: np.ndarray) -> np.ndarray:
+    """K = sum_g U(g) seed U(g)^dag.
+
+    K commutes with the representation.  On a regular one that makes it a
+    convolution, K[k, l] = v[k^-1 l] with v[r] = sum_k seed[k, k.r]: one
+    gather of d^2 entries.  Elsewhere K is the sum of the seed's orbit."""
+    index = rep.regular_index
+    if index is None:
+        return rep.orbit(seed).sum(axis=0)
+    v = np.take_along_axis(seed, index.product, axis=1).sum(axis=0)
+    return v[index.left_quotient]
+
+
 def build_frame(rep: UnitaryRep, seed_effect: np.ndarray) -> FrameObservable:
-    """Covariant POVM from the group orbit of a seed effect.
+    """Covariant POVM from the group orbit of a seed effect, held as its
+    dressed seed.
 
     effects(f) = U(g_f) D U(g_f)^dag with the dressed seed
     D = K^(-1/2) seed K^(-1/2) and K the full orbit sum.  K is a group
     average, so it commutes with the representation, and this equals
     K^(-1/2) U(g_f) seed U(g_f)^dag K^(-1/2): normalization holds exactly
-    up to rounding.  The orbit of the seed fills the effect array once to
-    give K, and the orbit of D then overwrites it, so the build holds no
-    second array of that size.  On a permutation representation every
-    conjugation is an index gather, so the effects are exact relabellings
-    of D and covariance holds exactly.
+    up to rounding.  The build makes no effect array.  On a permutation
+    representation the effects, once read, are exact relabellings of D, so
+    covariance holds exactly.
     """
-    params = rep.params
-    effects = _zero_effects(params, rep.dim)
-    elements = params.group_elements()  # g_f, in frame_points() order
     seed = np.asarray(seed_effect, dtype=complex)
-    for i, g in enumerate(elements):
-        effects[i] = rep.conjugate(g, seed)
-    Kinv = _inverse_sqrt(effects.sum(axis=0))
-    dressed = Kinv @ seed @ Kinv
-    for i, g in enumerate(elements):
-        effects[i] = rep.conjugate(g, dressed)
-    return FrameObservable(params, rep, effects)
+    Kinv = _inverse_sqrt(_orbit_sum(rep, seed))
+    return FrameObservable(rep.params, rep, seed=Kinv @ seed @ Kinv)
 
 
 def uniform_frame(rep: UnitaryRep) -> FrameObservable:
     """effects(f) = identity / |F|; covariant for any representation.
 
-    The effects are a read-only broadcast view of one d x d matrix."""
+    The seed is identity / |F|, and the effects are a read-only broadcast
+    view of it."""
     params = rep.params
     nF = len(params.frame_points())
     E = np.eye(rep.dim, dtype=complex) / nF
-    return FrameObservable(params, rep, np.broadcast_to(E, (nF, rep.dim, rep.dim)))
+    return FrameObservable(params, rep, np.broadcast_to(E, (nF, rep.dim, rep.dim)),
+                           seed=E)
 
 
 def sharp_regular_frame(params: ModelParams) -> FrameObservable:
-    """Rank-one PVM of the regular representation: effects(f) = |e_f><e_f|."""
-    nF = len(params.frame_points())
-    effects = _zero_effects(params, nF)
-    diagonal = np.arange(nF)
-    effects[diagonal, diagonal, diagonal] = 1.0
-    return FrameObservable(params, ops.regular_representation(params), effects)
+    """Rank-one PVM of the regular representation: effects(f) = |e_f><e_f|,
+    the orbit of |e_0><e_0|."""
+    rep = ops.regular_representation(params)
+    seed = np.zeros((rep.dim, rep.dim), dtype=complex)
+    seed[0, 0] = 1.0
+    return FrameObservable(params, rep, seed=seed)
 
 
 def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
@@ -186,11 +231,14 @@ def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
 
     effects(x, lam) = |x><x| / |C| is covariant for the spacetime
     permutation representation because the effect only depends on x.  This
-    keeps the Hilbert space at dim N^2 for scaling scans.
+    keeps the Hilbert space at dim N^2 for scaling scans.  The effects are
+    scattered into a held array: the scatter needs no gather index, so it
+    peaks lower than the orbit gather of a seed.
     """
     rep = ops.spacetime_representation(params)
     nC = len(params.boosts())
-    effects = _zero_effects(params, rep.dim)
+    n_points = len(params.frame_points())
+    effects = ops.zero_stack(n_points, rep.dim, f"a frame of {n_points} effects")
     fibers = effects.reshape(rep.dim, nC, rep.dim, rep.dim)
     sites = np.arange(rep.dim)
     fibers[sites, :, sites, sites] = 1.0 / nC
@@ -225,10 +273,20 @@ class BornMeasure:
 
 
 def _born_weights(frame: FrameObservable, T: np.ndarray) -> np.ndarray:
-    """Tr[T E(f)] for every frame point, as one contraction.  Works on the
-    effect array in place (a broadcast view stays a view)."""
+    """Tr[T E(f)] for every frame point.
+
+    On a regular representation, with t its table and B the frame's
+    convolution kernel: A[k, r] = T[k.r, k], C = A B^T, and the weight of
+    the element at row i is sum_j C[t[i, j], j], so one d x d GEMM gives
+    every weight.  Any other frame takes one contraction with its effect
+    array, in place (a broadcast view stays a view)."""
     T = np.asarray(T, dtype=complex)
-    return frame.effects.reshape(len(frame.effects), -1) @ T.T.reshape(-1)
+    B = frame.convolution_kernel
+    if B is None:
+        return frame.effects.reshape(len(frame.effects), -1) @ T.T.reshape(-1)
+    rep = frame.rep
+    C = np.take_along_axis(T.T, rep.regular_index.product, axis=1) @ B.T
+    return np.take_along_axis(C, rep.table, axis=0).sum(axis=1)
 
 
 def born_measure(of: OrientedFrame) -> BornMeasure:

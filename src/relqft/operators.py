@@ -13,6 +13,9 @@ gathers on the tables; a dense U(g) is built only for test oracles.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from relqft import lattice
@@ -303,7 +306,9 @@ class UnitaryRep:
 
     ``conjugate``, ``orbit`` and ``orbit_sum`` are index gathers times
     phases and build no unitary; ``rep(g)`` scatters the tables into one
-    dense U(g), for test oracles only.  Builders below cover the
+    dense U(g), for test oracles only.  ``regular_index`` holds the index
+    tables of a regular representation, on which the frames read their
+    orbits as convolutions.  Builders below cover the
     permutation representations (regular, spacetime, Lorentz), the trivial
     and character representations, direct sums and tensor products, which
     is everything the workbench uses.
@@ -346,10 +351,13 @@ class UnitaryRep:
 
     def orbit(self, A: np.ndarray) -> np.ndarray:
         """Every U(g) A U(g)^dag as one (|G|, dim, dim) array in
-        group_elements() order, from one gather; refused before allocation
-        when it would exceed MAX_FRAME_BYTES."""
+        group_elements() order, from one gather; refused before any
+        allocation, the gather index included, when it would exceed
+        MAX_FRAME_BYTES."""
         n = len(self.table)
-        return self._conjugates(np.arange(n), A, f"a stack of {n} conjugates")
+        what = f"a stack of {n} conjugates"
+        require_stack_fits(n, self.dim, what)
+        return self._conjugates(np.arange(n), A, what)
 
     def orbit_sum(self, weights, A: np.ndarray) -> np.ndarray:
         """sum_g weights[g] U(g) A U(g)^dag, weights in group_elements()
@@ -365,6 +373,42 @@ class UnitaryRep:
         stack = self._conjugates(rows, A, f"a stack of {len(rows)} conjugates")
         return np.tensordot(weights[rows], stack, axes=(0, 0))
 
+    @cached_property
+    def regular_index(self) -> RegularIndex | None:
+        """The index tables of a regular representation, built on first
+        read and kept; None when this representation is not regular.
+
+        It is regular when it permutes (no phases) a basis of |G| vectors
+        and the orbit of basis vector 0 is the whole basis, so that the
+        group acts freely and transitively on the basis."""
+        t = self.table
+        if self.phases is not None or self.dim != len(t):
+            return None
+        order = np.argsort(t[:, 0])
+        if not np.array_equal(t[order, 0], np.arange(self.dim)):
+            return None
+        return RegularIndex(product=t[order],
+                            left_quotient=np.argsort(t, axis=1)[order],
+                            right_quotient=np.argsort(t, axis=0))
+
+
+@dataclass(frozen=True)
+class RegularIndex:
+    """Index tables of a regular representation with table t.
+
+    Basis vector k is U(g) e_0 for exactly one g, so basis indices name
+    group elements, and k.r is the basis index of their product:
+
+    * ``product[k, r]`` is k.r;
+    * ``left_quotient[k, l]`` is the r with k.r = l;
+    * ``right_quotient[k, h]`` is the row i of the element with
+      t[i, h] = k, in group_elements() order.
+    """
+
+    product: np.ndarray
+    left_quotient: np.ndarray
+    right_quotient: np.ndarray
+
 
 def _phase_table(rep: UnitaryRep) -> np.ndarray:
     """``rep.phases``, with ones for a permutation representation."""
@@ -373,14 +417,20 @@ def _phase_table(rep: UnitaryRep) -> np.ndarray:
     return rep.phases
 
 
-def zero_stack(n: int, dim: int, what: str) -> np.ndarray:
-    """A zeroed complex (n, dim, dim) array, refused before allocation when
-    it would exceed MAX_FRAME_BYTES; ``what`` names it in the error."""
+def require_stack_fits(n: int, dim: int, what: str) -> None:
+    """Raise SizeError when a complex (n, dim, dim) array would exceed
+    MAX_FRAME_BYTES; ``what`` names it in the error."""
     nbytes = n * dim * dim * np.dtype(complex).itemsize
     if nbytes > MAX_FRAME_BYTES:
         raise SizeError(
             f"{what} of {dim}x{dim} needs {nbytes / 2**30:.1f} GiB,"
             f" over the {MAX_FRAME_BYTES / 2**30:.0f} GiB cap")
+
+
+def zero_stack(n: int, dim: int, what: str) -> np.ndarray:
+    """A zeroed complex (n, dim, dim) array, refused before allocation when
+    it would exceed MAX_FRAME_BYTES; ``what`` names it in the error."""
+    require_stack_fits(n, dim, what)
     return np.zeros((n, dim, dim), dtype=complex)
 
 

@@ -34,6 +34,7 @@ from relqft import lattice, operators as ops
 from relqft.fields import (
     RelationalField,
     SystemModel,
+    certify_globally_oriented,
     relational_local_fields,
     relational_local_observable,
 )
@@ -42,8 +43,8 @@ from relqft.frames import (
     InvarianceError,
     OrientedFrame,
     born_measure,
+    disintegrate,
 )
-from relqft.fields import certify_globally_oriented
 from relqft.lattice import ModelParams
 from relqft.operators import AlgebraSubspace, commutant, dagger, generated_algebra
 from relqft.tolerances import (SVD_CUTOFF, TOL_DFT, TOL_EQ, TOL_SUPP,
@@ -195,13 +196,11 @@ def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
 
 def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
                                tol_eq: float, tol_supp: float) -> None:
-    n_points = frame.params.N ** 2
     for omega, _ in spec.factors:
-        of = OrientedFrame(frame, omega)
-        if not certify_globally_oriented(of, tol_eq, tol_supp):
+        dis = disintegrate(born_measure(OrientedFrame(frame, omega)), tol_supp)
+        if not certify_globally_oriented(dis, tol_eq):
             raise OrientationError("preparation is not globally oriented")
-        marg = born_measure(of).spacetime_marginal()
-        if np.count_nonzero(marg > tol_supp) != n_points:
+        if not dis.support.all():
             raise OrientationError(
                 "difference kernels need a full-support spacetime marginal")
 

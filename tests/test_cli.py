@@ -47,18 +47,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_oversized_check_exits_2_naming_it(tmp_path, capsys):
-    # at N = 11 one regular-representation frame is 1210 effects of
-    # 1210 x 1210; the frame-size cap refuses it before allocation
+    # at N = 11 the frame space is 1210-dimensional: relativizing a system of
+    # dimension 10 against it would need a 12100-dimensional tensor
+    # product, which the size guard refuses before allocation
     p = tmp_path / "n11.json"
     p.write_text(json.dumps({"model": {"N": 11, "s": 2}, "system": {
         "momenta": [[1, 0], [2, 0], [4, 0], [8, 0], [5, 0], [10, 0], [9, 0],
                     [7, 0], [3, 0], [6, 0]]}}), encoding="utf-8")
-    assert main(["verify", "relational-covariance", "--config", str(p)]) == 2
+    assert main(["verify", "channel-laws", "--config", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error:")
-    assert "relational-covariance" in lines[0] and "26.4 GiB" in lines[0]
+    assert err.splitlines() == [
+        "config error: check 'channel-laws': tensor product dimension 12100"
+        " exceeds 4096"]
     assert "Traceback" not in err
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from relqft.config import (ConfigError, DEFAULT_CONFIG, ScenarioConfig,
-                           load_config, normalize_tolerances, parse_config,
-                           parse_tol_flags, with_overrides)
+from relqft.config import (ConfigError, DEFAULT_CONFIG, SCHEMA_VERSION,
+                           ScenarioConfig, load_config, normalize_tolerances,
+                           parse_config, parse_tol_flags, with_overrides)
 from relqft.lattice import LatticePoint
 from relqft.tolerances import TOLERANCE_KEYS, defaults
 
@@ -60,6 +61,14 @@ def test_unsupported_schema_rejected():
         parse_config('{"schema": 1}')
     with pytest.raises(ConfigError, match="unsupported schema 2"):
         parse_config('{"schema": 2}')
+
+
+def test_schema_is_a_constant_not_a_setting():
+    # one schema is accepted, so a config carries no schema field and the
+    # report writes the version this build reads
+    assert "schema" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert parse_config('{"schema": 3}') == DEFAULT_CONFIG
+    assert DEFAULT_CONFIG.to_dict()["schema"] == SCHEMA_VERSION == 3
 
 
 def test_unknown_system_kind_rejected():

@@ -200,7 +200,8 @@ def test_predual_polarization_fixes_invariant_states(rng):
 def test_globally_oriented_certificate(rng):
     fr = frames.fiber_uniform_spacetime_frame(P3)
     omega = ops.random_state(rng, fr.dim)
-    assert fields.certify_globally_oriented(frames.OrientedFrame(fr, omega))
+    assert fields.certify_globally_oriented(frames.disintegrate(
+        frames.born_measure(frames.OrientedFrame(fr, omega))))
     # a generic smeared frame couples position and boost conditionals
     coupled = smeared(ops.regular_representation(P3), rng, strength=0.8)
     weights = frames.disintegrate(frames.born_measure(

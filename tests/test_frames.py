@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqft import frames, scenarios
+from relqft import fields, frames, scenarios
 from relqft import operators as ops
 from relqft.lattice import FramePoint, LatticePoint, ModelParams
 
@@ -74,7 +74,8 @@ def test_build_frame_is_exactly_covariant_on_permutation_reps(rng):
 
 
 def test_smeared_regular_frame_builds_no_dense_matrix(monkeypatch):
-    # N = 7: 147 effects of 147 x 147; the build relabels one dressed seed
+    # N = 7: 147 effects of 147 x 147; the build dresses one seed and makes
+    # no effect array
     params = ModelParams(7, 2)
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
 
@@ -88,7 +89,73 @@ def test_smeared_regular_frame_builds_no_dense_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * fr.effects.nbytes
+    assert fr._effects is None
+    assert peak < 16 * fr.seed.nbytes < fr.effects.nbytes / 8
+
+
+# ---------------------------------------------------------------------------
+# seed-held frames on the regular representation against the effect array
+
+def _witness_rep(params: ModelParams) -> ops.UnitaryRep:
+    return ops.tensor_product_rep(ops.spacetime_representation(params),
+                                  ops.lorentz_representation(params))
+
+
+REGULAR_REPS = {
+    "regular-N3": lambda: ops.regular_representation(P3),
+    "regular-N5": lambda: ops.regular_representation(P5),
+    "regular-N7": lambda: ops.regular_representation(ModelParams(7, 2)),
+    "witness-N3": lambda: _witness_rep(P3),
+}
+
+
+@pytest.mark.parametrize("name", REGULAR_REPS)
+def test_seed_held_frames_match_the_effect_array(name, rng):
+    rep = REGULAR_REPS[name]()
+    d = rep.dim
+    assert rep.regular_index is not None
+    raw = np.eye(d, dtype=complex) / d + 0.5 * ops.random_psd(rng, d) / d
+    K = rep.orbit(raw).sum(axis=0)
+    assert ops.eq_defect(frames._orbit_sum(rep, raw), K) < 1e-14 * np.abs(K).max()
+
+    fr = frames.build_frame(rep, raw)
+    assert fr._effects is None and fr.convolution_kernel is not None
+    dense = rep.orbit(fr.seed)
+    assert np.array_equal(fr.effects, dense)
+    flat = dense.reshape(len(dense), -1)
+    for X in (ops.random_state(rng, d), ops.random_operator(rng, d)):
+        # the dense reference: Tr[X E(f)] as one GEMV with the effect array
+        weights = frames.born_measure_trace_class(fr, X).weights
+        assert ops.eq_defect(weights, flat @ X.T.reshape(-1)) < 1e-14 * np.abs(X).max()
+
+    # a phased system: the boost orbit of the momentum (1, 0)
+    params = rep.params
+    momenta = {ops.momentum_boost(b, LatticePoint(1, 0), params)
+               for b in params.boosts()}
+    character = ops.character_representation(params, sorted(momenta))
+    system = fields.SystemModel(params, character,
+                                ops.random_operator(rng, character.dim))
+    oriented = fields.oriented_fields(system)
+    dS = system.dim
+    reference = np.einsum("fab,fkl->akbl", oriented, dense).reshape(dS * d, dS * d)
+    lifted = fields.relativize(fields.RelationalField(system, fr))
+    assert ops.eq_defect(lifted, reference) < 1e-14
+
+
+@pytest.mark.parametrize("rep", [
+    ops.lorentz_representation(P3), ops.spacetime_representation(P3),
+    # |G| basis vectors, but two orbits
+    ops.direct_sum_rep([ops.spacetime_representation(P3)] * 2),
+    # the regular representation in the momentum basis: phased
+    ops.tensor_product_rep(
+        ops.character_representation(P3, P3.lattice_points()),
+        ops.lorentz_representation(P3)),
+], ids=["lorentz", "spacetime", "two-orbits", "phased"])
+def test_other_representations_take_the_dense_path(rep, rng):
+    assert rep.regular_index is None
+    fr = smeared(rep, rng)
+    assert fr.convolution_kernel is None
+    assert fr.normalization_defect() < 1e-12
 
 
 def test_build_frame_rejects_degenerate_seed():
@@ -97,21 +164,22 @@ def test_build_frame_rejects_degenerate_seed():
         frames.build_frame(rep, np.zeros((rep.dim, rep.dim), dtype=complex))
 
 
-def test_oversized_frames_are_refused_before_allocation():
-    # the regular representation at N = 11 would need 1210^3 complex entries
+def test_oversized_frames_are_refused_before_allocation(rng):
+    # the regular representation at N = 11 would need 1210^3 complex
+    # entries: its frames are held by their seeds, and the first read of
+    # the effect array is refused before anything of that size is allocated
     params = ModelParams(11, 2)
     rep = ops.regular_representation(params)
-    seed = np.broadcast_to(np.complex128(1.0 / rep.dim), (rep.dim, rep.dim))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ops.SizeError, match="26.4 GiB"):
-            frames.sharp_regular_frame(params)
-        with pytest.raises(ops.SizeError, match="26.4 GiB"):
-            frames.build_frame(rep, seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    seed = np.eye(rep.dim, dtype=complex) + ops.random_psd(rng, rep.dim) / rep.dim
+    for fr in (frames.sharp_regular_frame(params), frames.build_frame(rep, seed)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ops.SizeError, match="26.4 GiB"):
+                fr.effects
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_sharp_regular_frame_is_rank_one_orthogonal():

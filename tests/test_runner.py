@@ -228,7 +228,7 @@ def test_deciding_measurement_rule():
     ("field-transformation", {"fields.relational_local_fields"}, False),
     ("spectral-condition",
      {"wightman.relational_local_fields", "wightman.difference_kernel",
-      "wightman.certify_globally_oriented"}, False),
+      "wightman._require_globally_oriented"}, False),
 ])
 def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
                                                  stub):
@@ -282,3 +282,23 @@ def test_default_run_builds_no_dense_unitary(monkeypatch):
 
 def test_n7_run_builds_no_dense_unitary(monkeypatch):
     run_without_dense_unitaries(monkeypatch, load_config(str(N7_CONFIG)))
+
+
+def test_n7_workload_builds_no_regular_effect_array(monkeypatch):
+    # frames on the regular representation are read from their dressed
+    # seeds; UnitaryRep.orbit is the only code that builds a whole orbit
+    orbit = ops.UnitaryRep.orbit
+
+    def guarded(rep, A):
+        if rep.regular_index is not None:
+            raise AssertionError(f"orbit stack built on a regular representation"
+                                 f" of dim {rep.dim}")
+        return orbit(rep, A)
+
+    monkeypatch.setattr(ops.UnitaryRep, "orbit", guarded)
+    # the checks of the benchmark's n7 workload
+    report = runner.run(load_config(str(N7_CONFIG)), targets=[
+        "relational-covariance", "disintegration-covariance",
+        "restriction-duality", "channel-laws", "vacuum"])
+    assert len(report.outcomes) == 6
+    assert {o.verdict for o in report.outcomes} == {"verified"}
