@@ -32,19 +32,14 @@ from relqft.frames import (
     FrameObservable,
     OrientedFrame,
     born_measure,
-    frames_equal,
 )
 from relqft.operators import dagger, op_norm, op_norms
 from relqft.tolerances import (MAX_ITER_FEAS, TOL_EQ, TOL_FEAS, TOL_SUPP,
                                Measurement, verdict)
 
-#: Spacelike point pairs whose commutators ``check_r_microcausal`` forms
-#: at once; bounds its working memory at a few (chunk, dS, dS) stacks.
+#: Operator pairs whose commutators ``_max_commutator`` forms at once;
+#: bounds its working memory at a few (chunk, d, d) stacks.
 PAIR_CHUNK = 32
-
-
-class FrameMismatchError(ValueError):
-    """Raised when two oriented frames do not share a frame observable."""
 
 
 @dataclass
@@ -73,18 +68,34 @@ class CausalReport:
 # ---------------------------------------------------------------------------
 # spacelike separation of preparations
 
-def r_spacelike(of1: OrientedFrame, of2: OrientedFrame,
+def r_spacelike(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndarray,
                 tol_supp: float = TOL_SUPP) -> bool:
-    """Spacetime supports of the two Born measures pairwise spacelike."""
-    if not frames_equal(of1.frame, of2.frame):
-        raise FrameMismatchError("oriented frames use different frame observables")
-    s1 = born_measure(of1).spacetime_support(tol_supp)
-    s2 = born_measure(of2).spacetime_support(tol_supp)
-    return lattice.region_spacelike(s1, s2, of1.frame.params)
+    """Whether the spacetime supports of the Born measures of omega1 and
+    omega2, both read through the one frame, are pairwise spacelike."""
+    s1 = born_measure(OrientedFrame(frame, omega1)).spacetime_support(tol_supp)
+    s2 = born_measure(OrientedFrame(frame, omega2)).spacetime_support(tol_supp)
+    return lattice.region_spacelike(s1, s2, frame.params)
 
 
 # ---------------------------------------------------------------------------
 # commutator checks
+
+def _max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
+                    adjoint: bool = False) -> float:
+    """Largest operator norm of [left[i], right[j]] over the (n, 2) index
+    pairs (i, j), and of [left[i]^dag, right[j]] too when ``adjoint``:
+    PAIR_CHUNK pairs at a time, normed by one batched SVD; 0.0 for no
+    pairs."""
+    worst = 0.0
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        chunk = pairs[start:start + PAIR_CHUNK]
+        A, B = left[chunk[:, 0]], right[chunk[:, 1]]
+        worst = max(worst, float(op_norms(A @ B - B @ A).max()))
+        if adjoint:
+            A_dag = A.conj().transpose(0, 2, 1)
+            worst = max(worst, float(op_norms(A_dag @ B - B @ A_dag).max()))
+    return worst
+
 
 def check_r_causal(system: SystemModel, frame: FrameObservable,
                    omega1: np.ndarray, omega2: np.ndarray,
@@ -96,8 +107,7 @@ def check_r_causal(system: SystemModel, frame: FrameObservable,
     premise; both the plain and the adjoint commutator are computed."""
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    premise = r_spacelike(OrientedFrame(frame, omega1), OrientedFrame(frame, omega2),
-                          tol_supp)
+    premise = r_spacelike(frame, omega1, omega2, tol_supp)
     A = relational_local_observable(RelationalField(system.with_phi(phi1), frame), omega1)
     B = relational_local_observable(RelationalField(system.with_phi(phi2), frame), omega2)
     res_plain = op_norm(A @ B - B @ A)
@@ -119,7 +129,7 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
 
     Both fields come from one site table per preparation
     (``relational_local_fields``); the commutators [A, B] and [A^dag, B]
-    are formed PAIR_CHUNK pairs at a time and normed by one batched SVD."""
+    are normed in batches (``_max_commutator``)."""
     params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
@@ -133,13 +143,7 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
                       for j in np.flatnonzero(support2)
                       if lattice.spacelike(points[i], points[j], params)],
                      dtype=int).reshape(-1, 2)
-    worst = 0.0
-    for start in range(0, len(sites), PAIR_CHUNK):
-        chunk = sites[start:start + PAIR_CHUNK]
-        A, B = fields1[chunk[:, 0]], fields2[chunk[:, 1]]
-        A_dag = A.conj().transpose(0, 2, 1)
-        worst = max(worst, float(op_norms(A @ B - B @ A).max()),
-                    float(op_norms(A_dag @ B - B @ A_dag).max()))
+    worst = _max_commutator(fields1, fields2, sites, adjoint=True)
     return CausalReport.judged(
         "r-microcausal", len(sites), worst, tol_eq, len(sites) > 0,
         support_sizes=(int(support1.sum()), int(support2.sum())))
@@ -147,18 +151,18 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
 
 def check_frame_einstein_causal(frame: FrameObservable,
                                 tol_eq: float = TOL_EQ) -> CausalReport:
-    """Commutators of frame effects over spacelike spacetime projections."""
+    """Commutators of frame effects over every pair of frame points whose
+    spacetime projections are spacelike, batched as in
+    ``check_r_microcausal``."""
     params = frame.params
-    points = frame.frame_points()
-    worst = 0.0
-    count = 0
-    for i, (f1, E1) in enumerate(zip(points, frame.effects)):
-        for f2, E2 in zip(points[i + 1:], frame.effects[i + 1:]):
-            if lattice.spacelike(f1.x, f2.x, params):
-                worst = max(worst, op_norm(E1 @ E2 - E2 @ E1))
-                count += 1
-    return CausalReport.judged("frame-einstein-causal", count, worst, tol_eq,
-                               count > 0)
+    points = params.lattice_points()
+    spacelike = np.array([[lattice.spacelike(x, y, params) for y in points]
+                          for x in points])
+    site = np.repeat(np.arange(len(points)), len(params.boosts()))
+    pairs = np.argwhere(np.triu(spacelike[np.ix_(site, site)], k=1))
+    worst = _max_commutator(frame.effects, frame.effects, pairs)
+    return CausalReport.judged("frame-einstein-causal", len(pairs), worst,
+                               tol_eq, len(pairs) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +282,7 @@ def check_intrinsic_causality(frame: FrameObservable, system: SystemModel,
     """
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    spacelike_prep = r_spacelike(OrientedFrame(frame, omega1),
-                                 OrientedFrame(frame, omega2), tol_supp)
+    spacelike_prep = r_spacelike(frame, omega1, omega2, tol_supp)
     einstein = check_frame_einstein_causal(frame, tol_eq)
     joint = find_joint_state(frame, omega1, omega2, tol_feas)
     premise = spacelike_prep and einstein.ok and joint.converged

@@ -125,7 +125,6 @@ def relativize(rf: RelationalField) -> np.ndarray:
     n = len(oriented)
     B = rf.frame.convolution_kernel
     if B is None:
-        # matmul, unlike tensordot, reads a broadcast effect view without a copy
         total = oriented.reshape(n, -1).T @ rf.frame.effects.reshape(n, -1)
         blocks = total.reshape(dimS, dimS, dimR, dimR).transpose(0, 2, 1, 3)
     else:

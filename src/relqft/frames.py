@@ -2,28 +2,28 @@
 
 A frame observable assigns an effect on H_R to every frame point (x, lam)
 so that the total is the identity and conjugation by U_R(g) permutes the
-effects along the group action.  Orbit-averaging a seed effect with a
-symmetric K^(-1/2) .. K^(-1/2) normalization produces such POVMs for any
-invertible orbit sum; sharp and uniform frames are special cases.
+effects along the group action.  On the homogeneous frame space it is
+fixed by its representation and one dressed seed,
+E(g.X0) = U(g) D U(g)^dag, and ``FrameObservable`` holds that pair.
+Orbit-averaging a seed with a symmetric K^(-1/2) .. K^(-1/2)
+normalization produces such POVMs for any invertible orbit sum; sharp and
+uniform frames are special cases.
 
-Layout: ``build_frame``, ``uniform_frame`` and ``sharp_regular_frame``
-make orbit frames, E(g) = U(g) D U(g)^dag, held as their representation
-and their dressed seed D.  The effects of such a frame, one (|F|, d, d)
-array, are built from D on first read and kept.  The other frames hold
-their effect arrays.  A Born measure is one length-|F| weight array.
-Effects and weights are in ``ModelParams.frame_points()`` order, which
-puts sites first and fibers second, so reshaping to (N^2, |C|, ...) and
-summing the fiber axis gives the spacetime marginal.
+The effect array, (|F|, d, d), is the orbit of the seed, built on first
+read and kept; a Born measure is one length-|F| weight array.  Both are in
+``ModelParams.frame_points()`` order, sites first and fibers second, so
+reshaping to (N^2, |C|, ...) and summing the fiber axis gives the
+spacetime marginal.  A spacetime marginal effect is read from the seed.
 
 On the regular representation the group acts freely and transitively on
-the basis, so an orbit frame is a convolution kernel on the group
+the basis, so a frame is a convolution kernel on the group
 (``FrameObservable.convolution_kernel``).  The orbit sum, the Born weights
 and ``fields.relativize`` read that kernel through the representation's
 index tables (``UnitaryRep.regular_index``) and build no effect array.
-Every other frame goes through its effect array.
 
 Also here: disintegration of Born measures, channel composition (with
-CP/unitality validation), and the vacuum-orthogonality checks.
+CP/unitality validation; the composed POVM is an array, not a frame), and
+the vacuum-orthogonality checks.
 """
 
 from __future__ import annotations
@@ -62,54 +62,41 @@ class ChannelValidationError(ValueError):
 # frame observables
 
 class FrameObservable:
-    """A normalized POVM over the frame space.  The builders here make it
-    covariant; channel_compose with a non-equivariant channel need not.
+    """A normalized covariant POVM over the frame space, held as its
+    representation and its dressed seed D: the effect of the frame point
+    of g = params.group_elements()[i] is U(g) D U(g)^dag.  In the package
+    only the builders below make one; the constructor checks the
+    seed's shape but not the POVM laws, which ``normalization_defect`` and
+    ``covariance_defect`` recompute on demand.
 
-    An orbit frame holds its dressed seed: ``seed`` is D, and the effect of
-    the frame point of g = params.group_elements()[i] is U(g) D U(g)^dag.
-    A frame with no seed holds its effect array.
-
-    effects: complex array of shape (|F|, d, d); effects[i] is the effect of
-    ``params.frame_points()[i]``.  For an orbit frame it is built on first
-    read by one gather of the orbit of D (``UnitaryRep.orbit``, refused
-    above ops.MAX_FRAME_BYTES) and kept.  The constructor checks shapes but
-    does not re-verify the invariants (builders do);
-    ``normalization_defect`` and ``covariance_defect`` recompute them on
-    demand.
+    effects: the (|F|, d, d) orbit of D, effects[i] the effect of
+    ``params.frame_points()[i]``, built on first read by one gather
+    (``UnitaryRep.orbit``, refused above ops.MAX_FRAME_BYTES) and kept.
     """
 
-    def __init__(self, params: ModelParams, rep: UnitaryRep,
-                 effects: np.ndarray | None = None,
-                 seed: np.ndarray | None = None):
-        self.params = params
+    def __init__(self, rep: UnitaryRep, seed: np.ndarray):
         self.rep = rep
-        if effects is None and seed is None:
-            raise ValueError("a frame needs its effects or its seed")
-        self.seed = None if seed is None else np.asarray(seed, dtype=complex)
-        if self.seed is not None and self.seed.shape != (rep.dim, rep.dim):
+        self.seed = np.asarray(seed, dtype=complex)
+        if self.seed.shape != (rep.dim, rep.dim):
             raise ops.SizeError(
                 f"seed shape {self.seed.shape} does not match rep dim {rep.dim}")
-        self._effects = None
-        if effects is not None:
-            self._effects = np.asarray(effects, dtype=complex)
-            shape = (len(params.frame_points()), rep.dim, rep.dim)
-            if self._effects.shape != shape:
-                raise ops.SizeError(f"effects shape {self._effects.shape} != {shape}")
 
     @property
+    def params(self) -> ModelParams:
+        return self.rep.params
+
+    @cached_property
     def effects(self) -> np.ndarray:
-        if self._effects is None:
-            self._effects = self.rep.orbit(self.seed)
-        return self._effects
+        return self.rep.orbit(self.seed)
 
     @cached_property
     def convolution_kernel(self) -> np.ndarray | None:
-        """B[k, r] = D[k, k.r] for an orbit frame on a regular
-        representation (``UnitaryRep.regular_index`` names k.r), and None
-        for any other frame.  The effects are relabellings of B: the
-        effect at g has entry B[k, r] at (g.k, g.k.r)."""
+        """B[k, r] = D[k, k.r] on a regular representation
+        (``UnitaryRep.regular_index`` names k.r), and None on any other.
+        The effects are relabellings of B: the effect at g has entry
+        B[k, r] at (g.k, g.k.r)."""
         index = self.rep.regular_index
-        if self.seed is None or index is None:
+        if index is None:
             return None
         return np.take_along_axis(self.seed, index.product, axis=1)
 
@@ -121,7 +108,7 @@ class FrameObservable:
         return self.params.frame_points()
 
     def normalization_defect(self) -> float:
-        return eq_defect(self.effects.sum(axis=0), np.eye(self.dim))
+        return eq_defect(_orbit_sum(self.rep, self.seed), np.eye(self.dim))
 
     def covariance_defect(self, elements=None) -> float:
         """max over sampled g, f of |U(g) E(f) U(g)^dag - E(g.f)|."""
@@ -137,11 +124,22 @@ class FrameObservable:
                                              self.effects[moved[i]]))
         return worst
 
+    @cached_property
+    def _origin_fiber_effect(self) -> np.ndarray:
+        """F_R(0): the sum, in boosts() order, of the |C| boost conjugates
+        of D, taken one at a time so that no (|C|, d, d) stack is built."""
+        origin = LatticePoint(0, 0)
+        first, *rest = self.params.boosts()
+        total = self.rep.conjugate(GroupElement(origin, first), self.seed)
+        for b in rest:
+            total += self.rep.conjugate(GroupElement(origin, b), self.seed)
+        return total
+
     def spacetime_marginal_effect(self, x: LatticePoint) -> np.ndarray:
-        """F_R(x): the sum of the effects over the Lorentz fiber of x."""
-        N2 = self.params.N ** 2
-        fibers = self.effects.reshape(N2, -1, self.dim, self.dim)
-        return fibers[self.params.site_index(x)].sum(axis=0)
+        """F_R(x), the sum of the effects over the Lorentz fiber of x:
+        U(x) F_R(0) U(x)^dag, one conjugate of the cached F_R(0) by the
+        translation to x, since the frame point (x, lam) is x after lam."""
+        return self.rep.conjugate(GroupElement(x, 1), self._origin_fiber_effect)
 
 
 @dataclass
@@ -154,14 +152,6 @@ class OrientedFrame:
         if self.omega.shape != (self.frame.dim, self.frame.dim):
             raise ops.SizeError(
                 f"state shape {self.omega.shape} does not match frame dim {self.frame.dim}")
-
-
-def frames_equal(f1: FrameObservable, f2: FrameObservable) -> bool:
-    if f1 is f2:
-        return True
-    if f1.params != f2.params or f1.dim != f2.dim:
-        return False
-    return eq_defect(f1.effects, f2.effects) <= TOL_EQ
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +192,14 @@ def build_frame(rep: UnitaryRep, seed_effect: np.ndarray) -> FrameObservable:
     """
     seed = np.asarray(seed_effect, dtype=complex)
     Kinv = _inverse_sqrt(_orbit_sum(rep, seed))
-    return FrameObservable(rep.params, rep, seed=Kinv @ seed @ Kinv)
+    return FrameObservable(rep, Kinv @ seed @ Kinv)
 
 
 def uniform_frame(rep: UnitaryRep) -> FrameObservable:
-    """effects(f) = identity / |F|; covariant for any representation.
-
-    The seed is identity / |F|, and the effects are a read-only broadcast
-    view of it."""
-    params = rep.params
-    nF = len(params.frame_points())
-    E = np.eye(rep.dim, dtype=complex) / nF
-    return FrameObservable(params, rep, np.broadcast_to(E, (nF, rep.dim, rep.dim)),
-                           seed=E)
+    """effects(f) = identity / |F|, the orbit of that seed; covariant for
+    any representation."""
+    nF = len(rep.params.frame_points())
+    return FrameObservable(rep, np.eye(rep.dim, dtype=complex) / nF)
 
 
 def sharp_regular_frame(params: ModelParams) -> FrameObservable:
@@ -223,26 +208,21 @@ def sharp_regular_frame(params: ModelParams) -> FrameObservable:
     rep = ops.regular_representation(params)
     seed = np.zeros((rep.dim, rep.dim), dtype=complex)
     seed[0, 0] = 1.0
-    return FrameObservable(params, rep, seed=seed)
+    return FrameObservable(rep, seed)
 
 
 def fiber_uniform_spacetime_frame(params: ModelParams) -> FrameObservable:
     """Sharp in spacetime, uniform over the Lorentz fiber, on l2(M).
 
-    effects(x, lam) = |x><x| / |C| is covariant for the spacetime
-    permutation representation because the effect only depends on x.  This
-    keeps the Hilbert space at dim N^2 for scaling scans.  The effects are
-    scattered into a held array: the scatter needs no gather index, so it
-    peaks lower than the orbit gather of a seed.
+    effects(x, lam) = |x><x| / |C|, the orbit of |0><0| / |C| under the
+    spacetime permutation representation, whose boosts fix the origin:
+    the orbit sum is already the identity.  This keeps the Hilbert space
+    at dim N^2 for scaling scans.
     """
     rep = ops.spacetime_representation(params)
-    nC = len(params.boosts())
-    n_points = len(params.frame_points())
-    effects = ops.zero_stack(n_points, rep.dim, f"a frame of {n_points} effects")
-    fibers = effects.reshape(rep.dim, nC, rep.dim, rep.dim)
-    sites = np.arange(rep.dim)
-    fibers[sites, :, sites, sites] = 1.0 / nC
-    return FrameObservable(params, rep, effects)
+    seed = np.zeros((rep.dim, rep.dim), dtype=complex)
+    seed[0, 0] = 1.0 / len(params.boosts())
+    return FrameObservable(rep, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +258,8 @@ def _born_weights(frame: FrameObservable, T: np.ndarray) -> np.ndarray:
     On a regular representation, with t its table and B the frame's
     convolution kernel: A[k, r] = T[k.r, k], C = A B^T, and the weight of
     the element at row i is sum_j C[t[i, j], j], so one d x d GEMM gives
-    every weight.  Any other frame takes one contraction with its effect
-    array, in place (a broadcast view stays a view)."""
+    every weight.  On any other representation it is one contraction
+    with the frame's effect array."""
     T = np.asarray(T, dtype=complex)
     B = frame.convolution_kernel
     if B is None:
@@ -380,12 +360,13 @@ def random_mixed_unitary_channel(rng: np.random.Generator, dim: int) -> Channel:
     return Channel(M, dim)
 
 
-def channel_compose(psi: Channel, frame: FrameObservable) -> FrameObservable:
-    """Post-process a frame observable by a unital CP map.
+def channel_compose(psi: Channel, frame: FrameObservable) -> np.ndarray:
+    """psi(E(f)) for every frame point, as one (|F|, d, d) array in
+    frame_points() order: the frame post-processed by a unital CP map.
 
-    Validates complete positivity (Choi) and unitality before composing;
-    the result keeps the same representation.  Covariance is preserved
-    exactly when psi is equivariant, which the caller can check separately.
+    Validates complete positivity (Choi) and unitality before composing,
+    so the result is a normalized POVM.  It is a frame only when psi is
+    equivariant, which a generic channel is not, so it stays an array.
     """
     if psi.cp_gap() < -TOL_PSD:
         raise ChannelValidationError(f"Choi matrix not PSD (gap {psi.cp_gap():.3e})")
@@ -394,8 +375,7 @@ def channel_compose(psi: Channel, frame: FrameObservable) -> FrameObservable:
             f"channel is not unital (defect {psi.unitality_defect():.3e})")
     # psi.apply on every effect at once: rows are row-major flattened effects
     flat = frame.effects.reshape(len(frame.effects), -1)
-    effects = (flat @ psi.M.T).reshape(frame.effects.shape)
-    return FrameObservable(frame.params, frame.rep, effects)
+    return (flat @ psi.M.T).reshape(frame.effects.shape)
 
 
 # ---------------------------------------------------------------------------

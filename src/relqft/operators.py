@@ -35,6 +35,9 @@ MAX_DIM = 4096  # guard for runaway tensor products
 #: Cap on the |F| d^2 complex entries of one frame's effect array (2 GiB):
 #: the regular representation at N = 9 fits (1.7 GiB), N = 11 does not.
 MAX_FRAME_BYTES = 2 * 1024**3
+#: Bytes of int64 gather index that ``UnitaryRep._conjugates`` builds at
+#: once (at least one row): a gather then peaks at about its stack.
+GATHER_INDEX_BYTES = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +336,17 @@ class UnitaryRep:
         """U(g) A U(g)^dag for the group elements at ``rows``: the gather
         (k, l) -> c[k] A[inv[k], inv[l]] conj(c[l]), with inv the inverse of
         the table row and c = phases[inv].  The row phase goes on first,
-        as a dense product rounds."""
+        as a dense product rounds.  The int64 gather index is built about
+        GATHER_INDEX_BYTES at a time, so it adds little to the stack."""
         inverse = np.argsort(self.table[rows], axis=1)
         stack = zero_stack(len(inverse), self.dim, what)
-        index = inverse[:, :, None] * self.dim + inverse[:, None, :]
-        np.asarray(A, dtype=complex).reshape(-1).take(index, out=stack, mode="clip")
+        flat = np.asarray(A, dtype=complex).reshape(-1)
+        block = max(1, GATHER_INDEX_BYTES // (8 * self.dim ** 2))
+        for start in range(0, len(inverse), block):
+            inv = inverse[start:start + block]
+            # inline, so one block's index is freed before the next is built
+            flat.take(inv[:, :, None] * self.dim + inv[:, None, :],
+                      out=stack[start:start + block], mode="clip")
         if self.phases is not None:
             c = np.take_along_axis(self.phases[rows], inverse, axis=1)
             stack *= c[:, :, None]
@@ -371,7 +380,9 @@ class UnitaryRep:
         weights = np.asarray(weights)
         rows = np.flatnonzero(weights if weights.ndim == 1 else weights.any(axis=1))
         stack = self._conjugates(rows, A, f"a stack of {len(rows)} conjugates")
-        return np.tensordot(weights[rows], stack, axes=(0, 0))
+        if len(rows) < len(weights):  # no copy when every element is taken
+            weights = weights[rows]
+        return np.tensordot(weights, stack, axes=(0, 0))
 
     @cached_property
     def regular_index(self) -> RegularIndex | None:

@@ -731,9 +731,10 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
         state = ops.random_state(rng, fr.dim)
         moved = frames.born_measure(
             frames.OrientedFrame(fr, psi.predual_apply(state)))
-        direct = frames.born_measure(frames.OrientedFrame(composed, state))
+        # Tr[state psi(E(f))] at every frame point
+        direct = (composed.reshape(len(composed), -1) @ state.T.reshape(-1)).real
         worst_transform = max(worst_transform, float(np.max(np.abs(
-            direct.weights - moved.weights))))
+            direct - moved.weights))))
     tol = cfg.tol("tol_eq")
     return CheckOutcome(
         [Measurement("fixed_point", worst_fixed, EXACT_TOL),

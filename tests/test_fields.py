@@ -118,13 +118,9 @@ def test_base_point_independence(rng):
     g0 = GroupElement(LatticePoint(1, 2), 2)
     U0 = system.rep(g0)
     moved_phi = U0 @ system.phi @ ops.dagger(U0)
-
-    def right_translate(f):
-        k = lattice.compose(lattice.frame_to_group(f), g0, P3)
-        return FramePoint(k.a, k.boost)
-
-    moved = [P3.frame_index(right_translate(f)) for f in P3.frame_points()]
-    moved_frame = frames.FrameObservable(P3, fr.rep, fr.effects[moved])
+    # the moved frame's effect at g is U(g) U(g0) D U(g0)^dag U(g)^dag,
+    # the old effect at g g0
+    moved_frame = frames.FrameObservable(fr.rep, fr.rep.conjugate(g0, fr.seed))
     lhs = fields.relational_local_observable(
         fields.RelationalField(system, fr), omega)
     rhs = fields.relational_local_observable(

@@ -26,13 +26,6 @@ def test_builtin_frames_are_normalized_covariant():
         assert len(fr.frame_points()) == len(P3.frame_points())
 
 
-def test_uniform_frame_is_a_read_only_view():
-    fr = frames.uniform_frame(ops.regular_representation(ModelParams(7, 2)))
-    assert fr.effects.shape == (147, 147, 147)
-    assert fr.effects.strides[0] == 0
-    assert not fr.effects.flags.writeable
-
-
 def test_build_frame_normalizes_smeared_seed(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     assert fr.normalization_defect() < 1e-10
@@ -89,7 +82,7 @@ def test_smeared_regular_frame_builds_no_dense_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fr._effects is None
+    assert "effects" not in vars(fr)
     assert peak < 16 * fr.seed.nbytes < fr.effects.nbytes / 8
 
 
@@ -119,7 +112,7 @@ def test_seed_held_frames_match_the_effect_array(name, rng):
     assert ops.eq_defect(frames._orbit_sum(rep, raw), K) < 1e-14 * np.abs(K).max()
 
     fr = frames.build_frame(rep, raw)
-    assert fr._effects is None and fr.convolution_kernel is not None
+    assert "effects" not in vars(fr) and fr.convolution_kernel is not None
     dense = rep.orbit(fr.seed)
     assert np.array_equal(fr.effects, dense)
     flat = dense.reshape(len(dense), -1)
@@ -201,12 +194,17 @@ def test_sharp_regular_frame_basis_state_is_a_delta():
 
 
 def test_swapped_effects_break_covariance():
+    # rows 0 and 3 of the table, the identity and ((0, 1), s), are not
+    # generators: swapping them swaps those two effects and keeps the rows
+    # that covariance_defect conjugates by
     fr = frames.sharp_regular_frame(P3)
-    effects = fr.effects.copy()
-    effects[[0, 1]] = effects[[1, 0]]
-    swapped = frames.FrameObservable(P3, fr.rep, effects)
+    assert {P3.frame_index(g) for g in P3.generators()}.isdisjoint({0, 3})
+    table = fr.rep.table.copy()
+    table[[0, 3]] = table[[3, 0]]
+    swapped = frames.FrameObservable(ops.UnitaryRep(P3, table), fr.seed)
     assert fr.covariance_defect() < 1e-12
     assert swapped.normalization_defect() < 1e-12
+    assert np.array_equal(swapped.effects[[3, 0]], fr.effects[[0, 3]])
     assert swapped.covariance_defect() > 0.1
 
 
@@ -281,16 +279,90 @@ def test_product_frame_axioms():
 
 
 # ---------------------------------------------------------------------------
+# a frame is its representation and its seed
+
+
+def _defined_effects(name: str, fr: frames.FrameObservable) -> np.ndarray:
+    """A builder's effect array by its definition, point by point."""
+    params, d = fr.params, fr.dim
+    points = params.frame_points()
+    if name.startswith("uniform"):
+        return np.broadcast_to(np.eye(d, dtype=complex) / len(points),
+                               (len(points), d, d))
+    basis = np.eye(d, dtype=complex)
+    if name == "sharp-regular":  # U(g_f) e_0 = e_f
+        return np.stack([np.outer(e, e) for e in basis])
+    if name == "fiber-uniform-spacetime":
+        n_boosts = len(params.boosts())
+        return np.stack([np.outer(e, e) / n_boosts
+                         for e in basis[[params.site_index(f.x) for f in points]]])
+    # a dressed seed, moved by dense permutation matrices
+    return np.stack([fr.rep(g) @ fr.seed @ ops.dagger(fr.rep(g))
+                     for g in params.group_elements()])
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", scenarios.FRAME_BUILDERS)
+def test_builder_effects_equal_their_definition(name, N, rng):
+    fr = scenarios.FRAME_BUILDERS[name](ModelParams(N, 2), rng)
+    assert fr.effects.tobytes() == _defined_effects(name, fr).tobytes()
+
+
+def _marginal_cases(params: ModelParams, rng):
+    for name, build in scenarios.FRAME_BUILDERS.items():
+        yield name, build(params, rng)
+    n_boosts = len(params.boosts())
+    yield "witness", product_frame(params, np.eye(n_boosts, dtype=complex) / n_boosts)
+    # the fixed-free sector of vacuum-orthogonality: a phased representation
+    yield "phased-uniform", frames.uniform_frame(ops.tensor_product_rep(
+        ops.character_representation(params, params.lattice_points()[1:]),
+        ops.lorentz_representation(params)))
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_spacetime_marginal_effect_is_the_fiber_sum(N, rng):
+    params = ModelParams(N, 2)
+    for name, fr in _marginal_cases(params, rng):
+        fibers = fr.effects.reshape(N * N, -1, fr.dim, fr.dim)
+        for i, x in enumerate(params.lattice_points()):
+            assert ops.eq_defect(fr.spacetime_marginal_effect(x),
+                                 fibers[i].sum(axis=0)) <= 1e-15, (name, x)
+
+
+def test_reading_effects_peaks_at_about_the_array():
+    # the gather index is built a block at a time, so reading the orbit
+    # costs little beyond the array itself
+    fr = frames.fiber_uniform_spacetime_frame(ModelParams(7, 2))
+    tracemalloc.start()
+    try:
+        effects = fr.effects
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert effects.shape == (147, 49, 49)
+    assert peak < 1.2 * effects.nbytes
+
+
+# ---------------------------------------------------------------------------
 # index order: every array result against a loop over frame_points()
 
-def _oracle_frame(name: str, params: ModelParams, rng) -> frames.FrameObservable:
-    if name == "product":
-        return product_frame(params, _site_projector(len(params.boosts()), 0))
+def _oracle_case(name: str, params: ModelParams, rng):
+    """The effect array, a random state and its Born measure: a frame's,
+    or for "channel-composed" the composed POVM's, weighted as the
+    vacuum-polarization check weighs it."""
     if name == "channel-composed":
         fr = smeared(ops.lorentz_representation(params), rng, 0.8)
         psi = frames.random_mixed_unitary_channel(rng, fr.dim)
-        return frames.channel_compose(psi, fr)
-    return scenarios.FRAME_BUILDERS[name](params, rng)
+        effects = frames.channel_compose(psi, fr)
+        omega = ops.random_state(rng, fr.dim)
+        weights = (effects.reshape(len(effects), -1) @ omega.T.reshape(-1)).real
+        return effects, omega, frames.BornMeasure(weights, params)
+    if name == "product":
+        fr = product_frame(params, _site_projector(len(params.boosts()), 0))
+    else:
+        fr = scenarios.FRAME_BUILDERS[name](params, rng)
+    omega = ops.random_state(rng, fr.dim)
+    return fr.effects, omega, frames.born_measure(frames.OrientedFrame(fr, omega))
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -298,12 +370,10 @@ def _oracle_frame(name: str, params: ModelParams, rng) -> frames.FrameObservable
     "name", [*scenarios.FRAME_BUILDERS, "product", "channel-composed"])
 def test_array_results_match_a_pointwise_reference(name, N, rng):
     params = ModelParams(N, 2)
-    fr = _oracle_frame(name, params, rng)
-    omega = ops.random_state(rng, fr.dim)
-    mu = frames.born_measure(frames.OrientedFrame(fr, omega))
+    effects, omega, mu = _oracle_case(name, params, rng)
 
     reference = {f: np.trace(omega @ E).real
-                 for f, E in zip(params.frame_points(), fr.effects)}
+                 for f, E in zip(params.frame_points(), effects)}
     spacetime = {x: sum(w for f, w in reference.items() if f.x == x)
                  for x in params.lattice_points()}
 
@@ -345,7 +415,8 @@ def test_channel_compose_preserves_normalization(rng):
     fr = frames.uniform_frame(ops.lorentz_representation(P3))
     psi = frames.random_mixed_unitary_channel(rng, fr.dim)
     composed = frames.channel_compose(psi, fr)
-    assert composed.normalization_defect() < 1e-10
+    assert composed.shape == fr.effects.shape
+    assert ops.eq_defect(composed.sum(axis=0), np.eye(fr.dim)) < 1e-10
 
 
 def test_orthogonality_scan_exact_weights():
@@ -409,10 +480,3 @@ def test_strict_orthogonality_on_fixed_free_subspace():
     assert report.vacuous
     assert report.fixed_space_dim == 0
     assert report.residual == 0.0
-
-
-def test_frames_equal():
-    f1 = frames.uniform_frame(ops.lorentz_representation(P3))
-    f2 = frames.uniform_frame(ops.lorentz_representation(P3))
-    assert frames.frames_equal(f1, f2)
-    assert not frames.frames_equal(f1, frames.fiber_uniform_spacetime_frame(P3))

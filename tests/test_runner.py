@@ -285,14 +285,18 @@ def test_n7_run_builds_no_dense_unitary(monkeypatch):
 
 
 def test_n7_workload_builds_no_regular_effect_array(monkeypatch):
-    # frames on the regular representation are read from their dressed
-    # seeds; UnitaryRep.orbit is the only code that builds a whole orbit
+    # frames are read from their dressed seeds; UnitaryRep.orbit is the only
+    # code that builds a whole orbit, and no stack over a representation
+    # larger than l2(M) is built: not on the regular representation (147),
+    # nor on the fixed-free sector of vacuum-orthogonality (144)
     orbit = ops.UnitaryRep.orbit
+    built = set()
 
     def guarded(rep, A):
-        if rep.regular_index is not None:
-            raise AssertionError(f"orbit stack built on a regular representation"
+        if rep.dim > rep.params.N ** 2:
+            raise AssertionError(f"orbit stack built on a representation"
                                  f" of dim {rep.dim}")
+        built.add(rep.dim)
         return orbit(rep, A)
 
     monkeypatch.setattr(ops.UnitaryRep, "orbit", guarded)
@@ -302,3 +306,4 @@ def test_n7_workload_builds_no_regular_effect_array(monkeypatch):
         "restriction-duality", "channel-laws", "vacuum"])
     assert len(report.outcomes) == 6
     assert {o.verdict for o in report.outcomes} == {"verified"}
+    assert max(built) == 49
