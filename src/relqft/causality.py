@@ -32,14 +32,11 @@ from relqft.frames import (
     FrameObservable,
     OrientedFrame,
     born_measure,
+    disintegrate,
 )
-from relqft.operators import dagger, op_norm, op_norms
+from relqft.operators import dagger, max_commutator, op_norm
 from relqft.tolerances import (MAX_ITER_FEAS, TOL_EQ, TOL_FEAS, TOL_SUPP,
                                Measurement, verdict)
-
-#: Operator pairs whose commutators ``_max_commutator`` forms at once;
-#: bounds its working memory at a few (chunk, d, d) stacks.
-PAIR_CHUNK = 32
 
 
 @dataclass
@@ -71,31 +68,19 @@ class CausalReport:
 def r_spacelike(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndarray,
                 tol_supp: float = TOL_SUPP) -> bool:
     """Whether the spacetime supports of the Born measures of omega1 and
-    omega2, both read through the one frame, are pairwise spacelike."""
-    s1 = born_measure(OrientedFrame(frame, omega1)).spacetime_support(tol_supp)
-    s2 = born_measure(OrientedFrame(frame, omega2)).spacetime_support(tol_supp)
-    return lattice.region_spacelike(s1, s2, frame.params)
+    omega2, both read through the one frame, are pairwise spacelike: each
+    support is the ``support`` mask of its disintegration."""
+    points = frame.params.lattice_points()
+    supports = []
+    for omega in (omega1, omega2):
+        mask = disintegrate(born_measure(OrientedFrame(frame, omega)),
+                            tol_supp).support
+        supports.append(frozenset(points[i] for i in np.flatnonzero(mask)))
+    return lattice.region_spacelike(*supports, frame.params)
 
 
 # ---------------------------------------------------------------------------
 # commutator checks
-
-def _max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
-                    adjoint: bool = False) -> float:
-    """Largest operator norm of [left[i], right[j]] over the (n, 2) index
-    pairs (i, j), and of [left[i]^dag, right[j]] too when ``adjoint``:
-    PAIR_CHUNK pairs at a time, normed by one batched SVD; 0.0 for no
-    pairs."""
-    worst = 0.0
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        chunk = pairs[start:start + PAIR_CHUNK]
-        A, B = left[chunk[:, 0]], right[chunk[:, 1]]
-        worst = max(worst, float(op_norms(A @ B - B @ A).max()))
-        if adjoint:
-            A_dag = A.conj().transpose(0, 2, 1)
-            worst = max(worst, float(op_norms(A_dag @ B - B @ A_dag).max()))
-    return worst
-
 
 def check_r_causal(system: SystemModel, frame: FrameObservable,
                    omega1: np.ndarray, omega2: np.ndarray,
@@ -129,7 +114,7 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
 
     Both fields come from one site table per preparation
     (``relational_local_fields``); the commutators [A, B] and [A^dag, B]
-    are normed in batches (``_max_commutator``)."""
+    are normed in batches (``operators.max_commutator``)."""
     params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
@@ -143,7 +128,7 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
                       for j in np.flatnonzero(support2)
                       if lattice.spacelike(points[i], points[j], params)],
                      dtype=int).reshape(-1, 2)
-    worst = _max_commutator(fields1, fields2, sites, adjoint=True)
+    worst = max_commutator(fields1, fields2, sites, adjoint=True)
     return CausalReport.judged(
         "r-microcausal", len(sites), worst, tol_eq, len(sites) > 0,
         support_sizes=(int(support1.sum()), int(support2.sum())))
@@ -160,7 +145,7 @@ def check_frame_einstein_causal(frame: FrameObservable,
                           for x in points])
     site = np.repeat(np.arange(len(points)), len(params.boosts()))
     pairs = np.argwhere(np.triu(spacelike[np.ix_(site, site)], k=1))
-    worst = _max_commutator(frame.effects, frame.effects, pairs)
+    worst = max_commutator(frame.effects, frame.effects, pairs)
     return CausalReport.judged("frame-einstein-causal", len(pairs), worst,
                                tol_eq, len(pairs) > 0)
 

@@ -18,23 +18,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from relqft import frames, runner
-from relqft import operators as ops
 from relqft.config import (ConfigError, DEFAULT_CONFIG, load_config,
                            parse_tol_flags, with_overrides)
-from relqft.lattice import LatticePoint, ModelParams
 from relqft.scenarios import CHECKS
 
 
 def build_parser() -> argparse.ArgumentParser:
-    scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("--config", metavar="PATH",
-                          help="scenario config (JSON)")
-    scenario.add_argument("--tol", action="append", default=[],
-                          metavar="KEY=VAL", help="override one tolerance")
-    run = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", metavar="PATH", help="scenario config (JSON)")
+    run.add_argument("--tol", action="append", default=[], metavar="KEY=VAL",
+                     help="override one tolerance")
     run.add_argument("--seed", type=int, help="override the run seed")
     run.add_argument("--format", choices=("text", "json"), default="text",
                      help="report format (default: text)")
@@ -52,28 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run the configured suites")
     verbs.add_parser("list-checks", help="print the check registry")
 
-    demo = verbs.add_parser("demo", parents=[scenario],
-                            help="worked examples")
+    demo = verbs.add_parser("demo", help="worked examples")
     demo.add_argument("example", choices=("vacuum-orthogonality",))
     return parser
 
 
-def _load_scenario(args) -> "runner.ScenarioConfig":
+def _cmd_run(args, targets) -> int:
+    """Run the targets, or the config's suites when None, and print the
+    report."""
     cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
     overrides = parse_tol_flags(args.tol) if args.tol else None
-    return with_overrides(cfg, tolerances=overrides)
-
-
-def _cmd_verify(args) -> int:
-    cfg = with_overrides(_load_scenario(args), seed=args.seed)
-    report = runner.run(cfg, targets=args.targets)
-    print(runner.emit(report, args.format))
-    return report.exit_code
-
-
-def _cmd_report(args) -> int:
-    cfg = with_overrides(_load_scenario(args), seed=args.seed)
-    report = runner.run(cfg)
+    cfg = with_overrides(cfg, seed=args.seed, tolerances=overrides)
+    report = runner.run(cfg, targets=targets)
     print(runner.emit(report, args.format))
     return report.exit_code
 
@@ -89,20 +73,10 @@ def _cmd_list_checks() -> int:
     return 0
 
 
-def _cmd_demo_vacuum_orthogonality(args) -> int:
-    """Weight of one lattice site under invariant preparations: exactly
-    1/N^2, however the covariant frame is chosen."""
-    cfg = _load_scenario(args)
-
-    def family(N: int) -> frames.OrientedFrame:
-        fr = frames.uniform_frame(
-            ops.lorentz_representation(ModelParams(N, cfg.s)))
-        return frames.OrientedFrame(
-            fr, np.eye(fr.dim, dtype=complex) / fr.dim)
-
-    sizes = (3, 5, 7, 9)
-    rows = frames.vacuum_orthogonality_scan(
-        family, [LatticePoint(0, 0)], sizes, tol_eq=cfg.tol("tol_eq"))
+def _cmd_demo_vacuum_orthogonality() -> int:
+    """Weight of one lattice site under an invariant preparation: exactly
+    1/N^2 (``frames.vacuum_weight_scan``)."""
+    rows = frames.vacuum_weight_scan()
     print("Born weight of the site (0,0) under the maximally mixed")
     print("preparation of a boost-uniform frame, against 1/N^2:")
     print()
@@ -123,13 +97,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "verify":
-            return _cmd_verify(args)
+            return _cmd_run(args, args.targets)
         if args.verb == "report":
-            return _cmd_report(args)
+            return _cmd_run(args, None)
         if args.verb == "list-checks":
             return _cmd_list_checks()
         if args.verb == "demo":
-            return _cmd_demo_vacuum_orthogonality(args)
+            return _cmd_demo_vacuum_orthogonality()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

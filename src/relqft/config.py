@@ -138,8 +138,10 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
                                   for p in momenta)
 
     frames = doc.get("frames", list(cfg.frames))
-    _require(isinstance(frames, list) and all(isinstance(f, str) for f in frames),
-             f"{path}:{_find_line(text, 'frames')}: frames must be a list of names")
+    _require(isinstance(frames, list) and frames
+             and all(isinstance(f, str) for f in frames),
+             f"{path}:{_find_line(text, 'frames')}: frames must be a "
+             "non-empty list of names")
     kwargs["frames"] = tuple(frames)
 
     suites = doc.get("suites", list(cfg.suites))

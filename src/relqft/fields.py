@@ -102,41 +102,16 @@ def oriented_fields(system: SystemModel) -> np.ndarray:
     return system.rep.orbit(system.phi)
 
 
-#: Frame rows per batch of ``relativize`` on a regular representation, so
-#: that its intermediates stay a fraction of its result.
-RELATIVIZE_ROWS = 64
-
-
 def relativize(rf: RelationalField) -> np.ndarray:
     """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action;
-    refused before allocation above ops.MAX_DIM, like ``tensor``.
-
-    On a regular frame representation, with B the frame's convolution
-    kernel, the frame block (k, l) of Y is sum_h phi_(k h^-1) B[h, k^-1 l]:
-    a batched GEMM of the oriented fields, gathered by right quotient, with
-    B, then a gather by left quotient, over RELATIVIZE_ROWS rows k at a
-    time.  Any other frame takes one contraction of the stacked oriented
-    fields with its effect array."""
+    refused before allocation above ops.MAX_DIM, like ``tensor``.  The
+    frame sums the stacked oriented fields against its effects
+    (``FrameObservable.tensor_sum``)."""
     dimS, dimR = rf.system.dim, rf.frame.dim
     if dimS * dimR > ops.MAX_DIM:
         raise ops.SizeError(
             f"tensor product dimension {dimS * dimR} exceeds {ops.MAX_DIM}")
-    oriented = oriented_fields(rf.system)
-    n = len(oriented)
-    B = rf.frame.convolution_kernel
-    if B is None:
-        total = oriented.reshape(n, -1).T @ rf.frame.effects.reshape(n, -1)
-        blocks = total.reshape(dimS, dimS, dimR, dimR).transpose(0, 2, 1, 3)
-    else:
-        index = rf.frame.rep.regular_index
-        flat = oriented.reshape(n, -1)
-        blocks = np.empty((dimS, dimR, dimS, dimR), dtype=complex)
-        for start in range(0, dimR, RELATIVIZE_ROWS):
-            k = slice(start, start + RELATIVIZE_ROWS)
-            Z = flat[index.right_quotient[k]].transpose(0, 2, 1) @ B  # (k, ss', r)
-            Y = np.take_along_axis(Z, index.left_quotient[k, None, :], axis=2)
-            blocks[:, k] = Y.reshape(-1, dimS, dimS, dimR).transpose(1, 0, 2, 3)
-    return blocks.reshape(dimS * dimR, dimS * dimR)
+    return rf.frame.tensor_sum(oriented_fields(rf.system))
 
 
 def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarray:

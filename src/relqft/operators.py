@@ -38,6 +38,9 @@ MAX_FRAME_BYTES = 2 * 1024**3
 #: Bytes of int64 gather index that ``UnitaryRep._conjugates`` builds at
 #: once (at least one row): a gather then peaks at about its stack.
 GATHER_INDEX_BYTES = 2**19
+#: Operator pairs whose commutators ``max_commutator`` forms at once;
+#: bounds its working memory at a few (chunk, d, d) stacks.
+PAIR_CHUNK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +68,23 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     if min(stack.shape[-2:]) == 0:
         return np.zeros(stack.shape[:-2])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
+                   adjoint: bool = False) -> float:
+    """Largest operator norm of [left[i], right[j]] over the (n, 2) index
+    pairs (i, j) of two (m, d, d) stacks, and of [left[i]^dag, right[j]]
+    too when ``adjoint``: PAIR_CHUNK pairs at a time, normed by one batched
+    SVD (``op_norms``); 0.0 for no pairs."""
+    worst = 0.0
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        chunk = pairs[start:start + PAIR_CHUNK]
+        A, B = left[chunk[:, 0]], right[chunk[:, 1]]
+        worst = max(worst, float(op_norms(A @ B - B @ A).max()))
+        if adjoint:
+            A_dag = A.conj().transpose(0, 2, 1)
+            worst = max(worst, float(op_norms(A_dag @ B - B @ A_dag).max()))
+    return worst
 
 
 def herm_defect(A: np.ndarray) -> float:
@@ -152,8 +172,9 @@ class AlgebraSubspace:
     def subspace_dim(self) -> int:
         return self.Q.shape[1]
 
-    def basis_ops(self) -> list[np.ndarray]:
-        return [unvec(self.Q[:, j], self.dim) for j in range(self.subspace_dim)]
+    def basis_ops(self) -> np.ndarray:
+        """The basis as one (k, d, d) array of operators."""
+        return self.Q.T.reshape(-1, self.dim, self.dim)
 
     def project(self, A: np.ndarray) -> np.ndarray:
         x = vec(A)
@@ -270,7 +291,7 @@ def generated_algebra(ops, dim: int) -> AlgebraSubspace:
     ops = list(ops)
     d2 = dim * dim
     gens = AlgebraSubspace.from_spanning(
-        dim, ops + [dagger(A) for A in ops]).Q.T.reshape(-1, dim, dim)
+        dim, ops + [dagger(A) for A in ops]).basis_ops()
     Q = (np.eye(dim, dtype=complex) / np.sqrt(dim)).reshape(d2, 1)
     newest = Q
     scale = 0.0
@@ -487,13 +508,18 @@ def character_representation(params: ModelParams,
 
     Basis vectors carry momenta p, and U(a, b) e_p = chi_q(a) e_q with
     q = momentum_boost(b, p): boosts permute the labels, translations
-    multiply by characters.  Raises if the label set is not closed under
-    the boost action.
+    multiply by characters.  Raises ValueError for a momentum outside
+    0 <= u, v < N, for a repeated momentum, and when the label set is not
+    closed under the boost action.
     """
     N = params.N
     momenta = [LatticePoint(*p) for p in momenta]
     index = np.full((N, N), -1)
     for i, p in enumerate(momenta):
+        if not (0 <= p.u < N and 0 <= p.v < N):
+            raise ValueError(f"momentum {tuple(p)} outside 0 <= u, v < {N}")
+        if index[p.u, p.v] >= 0:
+            raise ValueError(f"momentum {tuple(p)} listed twice")
         index[p.u, p.v] = i
     for p in momenta:
         q = momentum_boost(params.s, p, params)

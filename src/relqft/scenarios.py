@@ -367,7 +367,8 @@ _SPACELIKE_SITES = (((1, 4), (4, 1)), ((4, 1), (1, 4)), ((2, 4), (4, 2)),
 _TWO_SITE_PAIRS = (((1, 3), (0, 0)), ((0, 0), (1, 3)),
                    ((2, 4), (0, 0)), ((0, 0), (2, 4)))
 
-_CAUSALITY_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
+#: The lifted N = 5 model of the causality, correlator and net witnesses.
+_LIFTED_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
 
 
 def _site_state(params: ModelParams, x) -> np.ndarray:
@@ -391,7 +392,7 @@ def check_microcausality_implication(cfg: ScenarioConfig,
     spacelike supports, the commutator of the relational observables must
     vanish; instances failing the premise count as vacuous, never as
     counterexamples."""
-    params = _CAUSALITY_MODEL
+    params = _LIFTED_MODEL
     rep = ops.spacetime_representation(params)
     fr = frames.fiber_uniform_spacetime_frame(params)
     d = rep.dim
@@ -453,6 +454,7 @@ def check_microcausality_implication(cfg: ScenarioConfig,
         premise=passing + counterexamples > 0)
 
 
+#: The N = 3 model of the product-frame witness and the spectral check.
 _WITNESS_MODEL = ModelParams(3, 2)
 
 
@@ -505,14 +507,11 @@ def check_intrinsic_causality_pipeline(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # correlator suite
 
-_WIGHTMAN_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
-
-
 def _wightman_stage(rng: np.random.Generator):
-    params = _WIGHTMAN_MODEL
+    params = _LIFTED_MODEL
     rep = ops.spacetime_representation(params)
     vacuum = wightman.VacuumModel.pure(
-        params, rep, np.ones(rep.dim, dtype=complex) / params.N)
+        rep, np.ones(rep.dim, dtype=complex) / params.N)
     fr = frames.fiber_uniform_spacetime_frame(params)
     spec = wightman.VevSpec((
         (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
@@ -604,23 +603,20 @@ def check_wightman_suite(cfg: ScenarioConfig,
          "times": [int(t1), int(t2)], "gram_families": 3})
 
 
-_SPECTRAL_MODEL = ModelParams(3, 2)
-
-
 def check_spectral_condition(cfg: ScenarioConfig,
                              rng: np.random.Generator) -> CheckOutcome:
     """Fourier transform of the two-point difference kernel vanishes off
     the character support of the system's translation action, on a
     three-dimensional system carrying the trivial character plus one boost
     orbit; cross-checked against a directly summed transform."""
-    params = _SPECTRAL_MODEL
+    params = _WITNESS_MODEL
     rep = ops.direct_sum_rep([
         ops.trivial_representation(params),
         ops.character_representation(
             params, [LatticePoint(1, 0), LatticePoint(2, 0)])])
     vacuum_vec = np.zeros(rep.dim, dtype=complex)
     vacuum_vec[0] = 1.0
-    vacuum = wightman.VacuumModel.pure(params, rep, vacuum_vec)
+    vacuum = wightman.VacuumModel.pure(rep, vacuum_vec)
     fr, _ = _witness_frame()
     n_sites = params.N ** 2
     n_boosts = len(params.boosts())
@@ -651,24 +647,12 @@ def check_spectral_condition(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # vacuum suite
 
-_SCAN_SIZES = (3, 5, 7, 9)
-
-
 def check_vacuum_orthogonality(cfg: ScenarioConfig,
                                rng: np.random.Generator) -> CheckOutcome:
     """Born weight of a fixed singleton under invariant preparations decays
     exactly as 1/N^2 across growing lattices, and a frame carried by the
     complement of the translation-fixed subspace annihilates it outright."""
-    region = [LatticePoint(0, 0)]
-
-    def family(N: int) -> frames.OrientedFrame:
-        params = ModelParams(N, 2)
-        fr = frames.uniform_frame(ops.lorentz_representation(params))
-        return frames.OrientedFrame(
-            fr, np.eye(fr.dim, dtype=complex) / fr.dim)
-
-    rows = frames.vacuum_orthogonality_scan(family, region, _SCAN_SIZES,
-                                            tol_eq=cfg.tol("tol_eq"))
+    rows = frames.vacuum_weight_scan()
     weight_error = max(abs(w - 1.0 / (N * N)) for N, w in rows)
     monotone = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
 
@@ -682,8 +666,6 @@ def check_vacuum_orthogonality(cfg: ScenarioConfig,
         ops.lorentz_representation(params))
     strict = frames.strict_vacuum_orthogonality_check(
         frames.uniform_frame(reduced))
-
-    # strict.vacuous is fixed_space_dim == 0
     return CheckOutcome(
         [Measurement("weight_error", weight_error, EXACT_TOL),
          Measurement("monotone", monotone, True, "=="),
@@ -746,7 +728,6 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # net suite
 
-_NET_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
 _NET_SLICE = ((0, 2), (1, 1), (2, 0))
 _NET_TIPS = ((0, 0), (2, 2))
 _NET_DIAMOND = tuple((u, v) for u in range(3) for v in range(3))
@@ -766,7 +747,7 @@ def check_net_axioms(cfg: ScenarioConfig,
     """Isotony, covariance, and causality for the intrinsic local net of a
     sharp-position frame with a site generator, plus isotony, causality,
     and the time-slice property for its hull-completed variant."""
-    params = _NET_MODEL
+    params = _LIFTED_MODEL
     rep = ops.spacetime_representation(params)
     system = fields.SystemModel(params, rep, _site_state(params, (0, 0)))
     fr = frames.fiber_uniform_spacetime_frame(params)

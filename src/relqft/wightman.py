@@ -40,7 +40,6 @@ from relqft.fields import (
 )
 from relqft.frames import (
     FrameObservable,
-    InvarianceError,
     OrientedFrame,
     born_measure,
     disintegrate,
@@ -56,6 +55,10 @@ class OrientationError(ValueError):
     fully supported preparation and does not get one."""
 
 
+class InvarianceError(ValueError):
+    """Raised when a vacuum state is not invariant under the group."""
+
+
 class TimeOrderError(ValueError):
     """Raised when time-ordering is requested outside the lifted causal
     mode, where the time coordinate has no chart-independent meaning."""
@@ -63,14 +66,13 @@ class TimeOrderError(ValueError):
 
 @dataclass(frozen=True)
 class VacuumModel:
-    """An invariant state on the system, with its representation."""
+    """An invariant state on the system, with its representation; the
+    model parameters are the representation's."""
 
-    params: ModelParams
     rep: ops.UnitaryRep
     state: np.ndarray
 
     def __post_init__(self):
-        lattice.require_same_params(self.params, self.rep.params)
         if not ops.is_state(np.asarray(self.state, dtype=complex)):
             raise ops.HermiticityError("vacuum is not a density matrix")
         for g in self.params.generators():
@@ -78,15 +80,18 @@ class VacuumModel:
                 raise InvarianceError("vacuum state is not group-invariant")
 
     @property
+    def params(self) -> ModelParams:
+        return self.rep.params
+
+    @property
     def dim(self) -> int:
         return self.rep.dim
 
     @classmethod
-    def pure(cls, params: ModelParams, rep: ops.UnitaryRep,
-             vector: np.ndarray) -> "VacuumModel":
+    def pure(cls, rep: ops.UnitaryRep, vector: np.ndarray) -> "VacuumModel":
         v = np.asarray(vector, dtype=complex)
         v = v / np.linalg.norm(v)
-        return cls(params, rep, np.outer(v, np.conj(v)))
+        return cls(rep, np.outer(v, np.conj(v)))
 
 
 @dataclass(frozen=True)
@@ -414,8 +419,8 @@ def irreducibility_check(rf: RelationalField,
     rank = None
     if vacuum_vector is not None:
         v = np.asarray(vacuum_vector, dtype=complex)
-        basis_ops = algebra.Q.T.reshape(-1, dim, dim)
-        svals = np.linalg.svd(basis_ops @ (v / np.linalg.norm(v)), compute_uv=False)
+        svals = np.linalg.svd(algebra.basis_ops() @ (v / np.linalg.norm(v)),
+                              compute_uv=False)
         rank = int(np.sum(svals > SVD_CUTOFF * svals[0]))
         cyclic = rank == dim
     implication_ok = not irreducible or cyclic is not False

@@ -104,15 +104,48 @@ def test_list_checks_covers_registry(capsys):
 
 def test_verbs_reject_flags_they_do_not_read(capsys):
     for argv in (["list-checks", "--seed", "1"], ["list-checks", "--tol", "eq=1"],
-                 ["demo", "vacuum-orthogonality", "--format", "json"]):
+                 ["demo", "vacuum-orthogonality", "--format", "json"],
+                 ["demo", "vacuum-orthogonality", "--config", "X"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+DEMO_TABLE = """\
+Born weight of the site (0,0) under the maximally mixed
+preparation of a boost-uniform frame, against 1/N^2:
+
+  N                  weight                   1/N^2      error
+  3      0.1111111111111111      0.1111111111111111    0.0e+00
+  5      0.0400000000000000      0.0400000000000000    0.0e+00
+  7      0.0204081632653061      0.0204081632653061    3.5e-18
+  9      0.0123456790123457      0.0123456790123457    3.5e-18
+
+largest deviation: 3.5e-18
+"""
+
+
 def test_demo_vacuum_orthogonality(capsys):
     assert main(["demo", "vacuum-orthogonality"]) == 0
-    out = capsys.readouterr().out
-    assert "1/N^2" in out
-    assert "largest deviation" in out
+    assert capsys.readouterr().out == DEMO_TABLE
+
+
+@pytest.mark.parametrize("momenta, message", [
+    ([[1, 0], [1, 0], [2, 0], [4, 0], [3, 0]],
+     "momentum (1, 0) listed twice"),
+    ([[6, 0], [2, 0], [4, 0], [3, 0]],
+     "momentum (6, 0) outside 0 <= u, v < 5"),
+    ([[-1, 0], [2, 0], [4, 0], [3, 0]],
+     "momentum (-1, 0) outside 0 <= u, v < 5"),
+], ids=["repeated", "too-large", "negative"])
+def test_malformed_momenta_exit_2(tmp_path, capsys, momenta, message):
+    # a malformed momentum list is a config error, not a false
+    # counterexample or a traceback
+    p = tmp_path / "momenta.json"
+    p.write_text(json.dumps({"system": {"momenta": momenta}}), encoding="utf-8")
+    assert main(["verify", "relational-covariance", "--config", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: config cannot build a system model: {message}"]

@@ -105,6 +105,13 @@ def test_empty_suites_rejected():
         parse_config('{"suites": []}')
 
 
+def test_empty_frames_rejected():
+    # no frame would let the frame batteries verify after checking nothing
+    with pytest.raises(ConfigError,
+                       match="frames must be a non-empty list of names"):
+        parse_config('{"frames": []}')
+
+
 def test_invalid_model_parameters_rejected():
     # even N breaks invertibility of the boost action
     with pytest.raises(ConfigError, match="invalid model parameters"):

@@ -190,7 +190,8 @@ def test_sharp_regular_frame_basis_state_is_a_delta():
         omega[i, i] = 1.0
         mu = frames.born_measure(frames.OrientedFrame(fr, omega))
         assert np.array_equal(mu.weights, np.eye(len(points))[i])
-        assert mu.spacetime_support() == {f.x}
+        support = frames.disintegrate(mu).support
+        assert np.flatnonzero(support).tolist() == [P3.site_index(f.x)]
 
 
 def test_swapped_effects_break_covariance():
@@ -308,15 +309,22 @@ def test_builder_effects_equal_their_definition(name, N, rng):
     assert fr.effects.tobytes() == _defined_effects(name, fr).tobytes()
 
 
+def fixed_free_representation(params):
+    """The regular representation less its p = 0 sector, in the momentum
+    basis: the nonzero momenta tensored with the Lorentz representation, a
+    phased representation with no translation-fixed vector."""
+    return ops.tensor_product_rep(
+        ops.character_representation(params, params.lattice_points()[1:]),
+        ops.lorentz_representation(params))
+
+
 def _marginal_cases(params: ModelParams, rng):
     for name, build in scenarios.FRAME_BUILDERS.items():
         yield name, build(params, rng)
     n_boosts = len(params.boosts())
     yield "witness", product_frame(params, np.eye(n_boosts, dtype=complex) / n_boosts)
     # the fixed-free sector of vacuum-orthogonality: a phased representation
-    yield "phased-uniform", frames.uniform_frame(ops.tensor_product_rep(
-        ops.character_representation(params, params.lattice_points()[1:]),
-        ops.lorentz_representation(params)))
+    yield "phased-uniform", frames.uniform_frame(fixed_free_representation(params))
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -420,25 +428,10 @@ def test_channel_compose_preserves_normalization(rng):
 
 
 def test_orthogonality_scan_exact_weights():
-    def family(N):
-        fr = frames.uniform_frame(ops.lorentz_representation(ModelParams(N, 2)))
-        return frames.OrientedFrame(fr, np.eye(fr.dim, dtype=complex) / fr.dim)
-
-    rows = frames.vacuum_orthogonality_scan(family, [LatticePoint(0, 0)],
-                                            (3, 5))
-    assert abs(rows[0][1] - 1.0 / 9.0) < 1e-15
-    assert abs(rows[1][1] - 1.0 / 25.0) < 1e-15
-
-
-def test_orthogonality_scan_rejects_noninvariant_state():
-    def family(N):
-        fr = frames.sharp_regular_frame(ModelParams(N, 2))
-        omega = np.zeros((fr.dim, fr.dim), dtype=complex)
-        omega[0, 0] = 1.0
-        return frames.OrientedFrame(fr, omega)
-
-    with pytest.raises(frames.InvarianceError):
-        frames.vacuum_orthogonality_scan(family, [LatticePoint(0, 0)], (3,))
+    rows = frames.vacuum_weight_scan()
+    assert [N for N, _ in rows] == [3, 5, 7, 9]
+    for N, weight in rows:
+        assert abs(weight - 1.0 / (N * N)) < 1e-15
 
 
 def test_strict_orthogonality_sharp_frame_oracle():
@@ -447,7 +440,6 @@ def test_strict_orthogonality_sharp_frame_oracle():
     report = frames.strict_vacuum_orthogonality_check(
         frames.sharp_regular_frame(P3))
     assert report.fixed_space_dim == 2
-    assert not report.vacuous
     assert abs(report.residual - 1.0 / 3.0) < 1e-12
 
 
@@ -462,21 +454,40 @@ def test_strict_orthogonality_thin_norm_equals_the_projector_norm():
         ops.op_norm(fr.spacetime_marginal_effect(x) @ V @ ops.dagger(V))
         for x in P3.lattice_points())
     assert report.fixed_space_dim == V.shape[1] >= 1
-    assert not report.vacuous
     assert abs(report.residual - projector_norm) < 1e-14
 
 
 def test_strict_orthogonality_on_fixed_free_subspace():
-    # the regular representation less its p = 0 sector: the nonzero
-    # momenta tensored with the Lorentz representation
     regular = ops.regular_representation(P3)
-    reduced = ops.tensor_product_rep(
-        ops.character_representation(P3, P3.lattice_points()[1:]),
-        ops.lorentz_representation(P3))
+    reduced = fixed_free_representation(P3)
     fixed_rank = round(np.trace(ops.translation_fixed_point_projector(regular)).real)
     assert reduced.dim == regular.dim - fixed_rank == 16
     report = frames.strict_vacuum_orthogonality_check(
         frames.uniform_frame(reduced))
-    assert report.vacuous
     assert report.fixed_space_dim == 0
     assert report.residual == 0.0
+
+
+def all_site_residual(frame):
+    """The strict residual by its definition: the largest |F_R(x) V| over
+    every site x, with V an orthonormal basis of the fixed space."""
+    vals, vecs = np.linalg.eigh(ops.translation_fixed_point_projector(frame.rep))
+    V = vecs[:, vals > 0.5]
+    return max(ops.op_norm(frame.spacetime_marginal_effect(x) @ V)
+               for x in frame.params.lattice_points())
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_strict_residual_at_the_origin_is_the_all_site_maximum(N, rng):
+    # U(x)^dag V = V makes |F_R(x) V| the same at every site
+    params = ModelParams(N, 2)
+    regular = ops.regular_representation(params)
+    cases = {"sharp": frames.sharp_regular_frame(params),
+             "uniform": frames.uniform_frame(regular),
+             "smeared": smeared(regular, rng, 0.35),
+             "phased-fixed-free": frames.uniform_frame(
+                 fixed_free_representation(params))}
+    for name, fr in cases.items():
+        report = frames.strict_vacuum_orthogonality_check(fr)
+        assert (report.fixed_space_dim == 0) == (name == "phased-fixed-free")
+        assert abs(report.residual - all_site_residual(fr)) <= 1e-14, name

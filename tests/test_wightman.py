@@ -10,7 +10,7 @@ from relqft import fields, frames, lattice, wightman
 from relqft import operators as ops
 from relqft.lattice import LatticePoint, ModelParams
 from relqft.operators import HermiticityError
-from relqft.frames import InvarianceError
+from relqft.wightman import InvarianceError
 
 P3 = ModelParams(3, 2)
 P7 = ModelParams(7, 2)
@@ -20,7 +20,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def lifted_stage(rng):
     rep = ops.spacetime_representation(L5)
-    vac = wightman.VacuumModel.pure(L5, rep, np.ones(rep.dim, dtype=complex))
+    vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim, dtype=complex))
     fr = frames.fiber_uniform_spacetime_frame(L5)
     spec = wightman.VevSpec((
         (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
@@ -40,7 +40,7 @@ def orbit_rep(params, seed_momentum):
 def test_vacuum_model_rejects_non_density():
     rep = ops.spacetime_representation(P3)
     with pytest.raises(HermiticityError):
-        wightman.VacuumModel(P3, rep, 2.0 * np.eye(rep.dim, dtype=complex))
+        wightman.VacuumModel(rep, 2.0 * np.eye(rep.dim, dtype=complex))
 
 
 def test_vacuum_model_rejects_non_invariant_state():
@@ -48,12 +48,12 @@ def test_vacuum_model_rejects_non_invariant_state():
     site = np.zeros((rep.dim, rep.dim), dtype=complex)
     site[0, 0] = 1.0
     with pytest.raises(InvarianceError):
-        wightman.VacuumModel(P3, rep, site)
+        wightman.VacuumModel(rep, site)
 
 
 def test_pure_vacuum_normalizes():
     rep = ops.spacetime_representation(P3)
-    vac = wightman.VacuumModel.pure(P3, rep, 7.0 * np.ones(rep.dim))
+    vac = wightman.VacuumModel.pure(rep, 7.0 * np.ones(rep.dim))
     assert abs(np.trace(vac.state) - 1.0) < 1e-14
 
 
@@ -166,7 +166,7 @@ def test_spectral_support_tracks_momentum_sign():
                               orbit_rep(P7, (1, 0))])
     e0 = np.zeros(rep.dim, dtype=complex)
     e0[0] = 1.0
-    vac = wightman.VacuumModel.pure(P7, rep, e0)
+    vac = wightman.VacuumModel.pure(rep, e0)
     fr = frames.fiber_uniform_spacetime_frame(P7)
     rng = ops.make_rng(11)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
@@ -187,7 +187,7 @@ def test_mixed_vacuum_leaks_onto_momentum_differences():
     # spectral vacuum: weight appears at differences of support momenta,
     # here at zero, which lies outside the support
     rep = orbit_rep(P3, (1, 0))
-    vac = wightman.VacuumModel(P3, rep, np.eye(2, dtype=complex) / 2)
+    vac = wightman.VacuumModel(rep, np.eye(2, dtype=complex) / 2)
     fr = frames.fiber_uniform_spacetime_frame(P3)
     rng = ops.make_rng(11)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
@@ -209,7 +209,7 @@ def test_mixed_vacuum_leaks_onto_momentum_differences():
 
 def test_spectral_check_vacuous_for_full_support(rng):
     rep = ops.spacetime_representation(P3)
-    vac = wightman.VacuumModel.pure(P3, rep, np.ones(rep.dim))
+    vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim))
     fr = frames.fiber_uniform_spacetime_frame(P3)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
     spec = wightman.VevSpec(((omega, ops.random_operator(rng, rep.dim)),
@@ -231,7 +231,7 @@ def test_theta_step_weights():
 
 def test_time_ordering_requires_lifted_mode(rng):
     rep = ops.spacetime_representation(P3)
-    vac = wightman.VacuumModel.pure(P3, rep, np.ones(rep.dim))
+    vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim))
     fr = frames.fiber_uniform_spacetime_frame(P3)
     spec = wightman.VevSpec((
         (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim)),
