@@ -21,6 +21,7 @@ equal preparations are never spacelike separated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +115,9 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
 
     Both fields come from one site table per preparation
     (``relational_local_fields``); the commutators [A, B] and [A^dag, B]
-    are normed in batches (``operators.max_commutator``)."""
+    are normed in batches (``operators.max_commutator``), which forms the
+    adjoint ones only when the first table is not exactly Hermitian, as
+    it is for Hermitian phi1."""
     params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
@@ -153,27 +156,43 @@ def check_frame_einstein_causal(frame: FrameObservable,
 # ---------------------------------------------------------------------------
 # statistical independence via alternating projections
 
-def _hermitian_basis_coords(H: np.ndarray) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in the orthonormal real basis
-    {E_ii} + {(E_ij + E_ji)/sqrt2} + {i(E_ij - E_ji)/sqrt2}."""
-    d = H.shape[0]
+@lru_cache(maxsize=None)
+def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat row-major positions in a d x d matrix of the diagonal, of the
+    strict upper triangle in ``triu_indices`` order, and of its mirror
+    image in the lower triangle; read-only, built once per d."""
     iu, ju = np.triu_indices(d, k=1)
+    index = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
+    for positions in index:
+        positions.flags.writeable = False
+    return index
+
+
+def _hermitian_basis_coords(H: np.ndarray) -> np.ndarray:
+    """Coordinates of a Hermitian matrix, or of each matrix of a stack,
+    in the orthonormal real basis {E_ii} + {(E_ij + E_ji)/sqrt2} +
+    {i(E_ij - E_ji)/sqrt2}: the diagonal, then the strict upper triangle
+    in ``triu_indices`` order."""
+    d = H.shape[-1]
+    diag, upper, _ = _hermitian_index(d)
+    flat = H.reshape(*H.shape[:-2], d * d)
+    off = flat.take(upper, axis=-1)
     return np.concatenate([
-        np.real(np.diag(H)),
-        np.sqrt(2.0) * np.real(H[iu, ju]),
-        np.sqrt(2.0) * np.imag(H[iu, ju]),
-    ])
+        np.real(flat.take(diag, axis=-1)),
+        np.sqrt(2.0) * np.real(off),
+        np.sqrt(2.0) * np.imag(off),
+    ], axis=-1)
 
 
 def _coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    iu, ju = np.triu_indices(d, k=1)
-    n_off = iu.size
-    H = np.zeros((d, d), dtype=complex)
-    H[np.arange(d), np.arange(d)] = x[:d]
+    diag, upper, lower = _hermitian_index(d)
+    n_off = upper.size
+    H = np.zeros(d * d, dtype=complex)
+    H[diag] = x[:d]
     vals = (x[d:d + n_off] + 1j * x[d + n_off:]) / np.sqrt(2.0)
-    H[iu, ju] = vals
-    H[ju, iu] = np.conj(vals)
-    return H
+    H[upper] = vals
+    H[lower] = np.conj(vals)
+    return H.reshape(d, d)
 
 
 def joint_constraint_system(frame: FrameObservable, pmf1: BornMeasure,
@@ -181,23 +200,29 @@ def joint_constraint_system(frame: FrameObservable, pmf1: BornMeasure,
     """The affine system A x = b for {Tr[w E(p)E(q)] = pmf1(p) pmf2(q)}.
 
     x parametrizes a Hermitian w in the orthonormal real basis; each pair
-    contributes a real and an imaginary row, and the trace-one condition is
-    the final row.
+    (p, q), p-major, contributes a real and an imaginary row, the
+    coordinates of the Hermitian and anti-Hermitian parts of E(p)E(q), and
+    the trace-one condition is the final row.  Each E(p) takes its |F|
+    products E(p)E(q) as one batched product whose rows are written into
+    A, so the work memory beside A is one (|F|, d, d) stack; A itself is
+    refused before allocation above ops.MAX_FRAME_BYTES.
     """
-    d = frame.dim
-    rows = []
-    rhs = []
-    for Ep, w1 in zip(frame.effects, np.real(pmf1.weights)):
-        for Eq, w2 in zip(frame.effects, np.real(pmf2.weights)):
-            B = Ep @ Eq
-            target = float(w1 * w2)
-            rows.append(_hermitian_basis_coords((B + dagger(B)) / 2))
-            rhs.append(target)
-            rows.append(_hermitian_basis_coords((B - dagger(B)) / 2j))
-            rhs.append(0.0)
-    rows.append(_hermitian_basis_coords(np.eye(d, dtype=complex)))
-    rhs.append(1.0)
-    return np.array(rows), np.array(rhs)
+    E, d = frame.effects, frame.dim
+    n = len(E)
+    ops.require_stack_fits(n * n, d, f"a constraint system of {n * n} effect pairs")
+    A = np.empty((2 * n * n + 1, d * d))
+    pair_rows = A[:-1].reshape(n, n, 2, d * d)
+    for p, Ep in enumerate(E):
+        B = Ep @ E  # B[q] = E(p) E(q)
+        B_dag = dagger(B)
+        pair_rows[p, :, 0] = _hermitian_basis_coords((B + B_dag) / 2)
+        pair_rows[p, :, 1] = _hermitian_basis_coords((B - B_dag) / 2j)
+    A[-1] = _hermitian_basis_coords(np.eye(d, dtype=complex))
+    b = np.zeros(2 * n * n + 1)
+    b[:-1].reshape(n, n, 2)[..., 0] = np.outer(np.real(pmf1.weights),
+                                               np.real(pmf2.weights))
+    b[-1] = 1.0
+    return A, b
 
 
 @dataclass

@@ -191,7 +191,9 @@ def predual_polarization(rf: RelationalField, omega: np.ndarray,
 def relativization_channel(rf: RelationalField, omega: np.ndarray):
     """The restricted relativization as a map phi -> Phi_w(phi).
 
-    Returns a closure; the Born weights are computed once.
+    Returns a closure; the Born weights are computed once.  The closure
+    takes one (dS, dS) operator or an (m, dS, dS) stack, whose m images
+    come from one orbit sum (``UnitaryRep.orbit_sum``).
     """
     bm = born_measure(OrientedFrame(rf.frame, omega))
 

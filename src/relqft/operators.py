@@ -47,7 +47,8 @@ PAIR_CHUNK = 32
 # elementary helpers
 
 def dagger(A: np.ndarray) -> np.ndarray:
-    return A.conj().T
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
 
 
 def eq_defect(A: np.ndarray, B: np.ndarray) -> float:
@@ -56,34 +57,44 @@ def eq_defect(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def op_norm(A: np.ndarray) -> float:
-    """Operator norm = largest singular value (exact for matrices)."""
-    if min(A.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
+    """Operator norm = largest singular value: ``op_norms`` of the one
+    matrix."""
+    return float(op_norms(np.asarray(A)[None])[0])
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
-    """op_norm of every matrix of an (n, a, b) stack, from one batched SVD."""
+    """op_norm of every matrix C of an (n, a, b) stack: the square root of
+    the largest eigenvalue of the smaller Gram matrix, C^dag C or C C^dag,
+    from one batched ``eigvalsh``.  Squaring costs accuracy only in the
+    small singular values, not in the largest; an all-zero matrix gives
+    exactly 0.0."""
     stack = np.asarray(stack)
     if min(stack.shape[-2:]) == 0:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    adjoint = dagger(stack)
+    gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
                    adjoint: bool = False) -> float:
     """Largest operator norm of [left[i], right[j]] over the (n, 2) index
     pairs (i, j) of two (m, d, d) stacks, and of [left[i]^dag, right[j]]
-    too when ``adjoint``: PAIR_CHUNK pairs at a time, normed by one batched
-    SVD (``op_norms``); 0.0 for no pairs."""
+    too when ``adjoint``: PAIR_CHUNK pairs at a time, normed by one
+    ``op_norms`` call per chunk; 0.0 for no pairs.  When ``left`` is
+    exactly Hermitian the adjoint commutators are the plain ones, so they
+    are not formed again."""
+    if adjoint and np.array_equal(left, dagger(left)):
+        adjoint = False
     worst = 0.0
     for start in range(0, len(pairs), PAIR_CHUNK):
         chunk = pairs[start:start + PAIR_CHUNK]
         A, B = left[chunk[:, 0]], right[chunk[:, 1]]
-        worst = max(worst, float(op_norms(A @ B - B @ A).max()))
+        commutators = A @ B - B @ A
         if adjoint:
-            A_dag = A.conj().transpose(0, 2, 1)
-            worst = max(worst, float(op_norms(A_dag @ B - B @ A_dag).max()))
+            A_dag = dagger(A)
+            commutators = np.concatenate([commutators, A_dag @ B - B @ A_dag])
+        worst = max(worst, float(op_norms(commutators).max()))
     return worst
 
 
@@ -91,25 +102,31 @@ def herm_defect(A: np.ndarray) -> float:
     return eq_defect(A, dagger(A))
 
 
-def is_hermitian(A: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return herm_defect(A) <= tol
-
-
 def psd_gap(A: np.ndarray, tol_herm: float = TOL_HERM) -> float:
-    """Minimum eigenvalue of a Hermitian matrix.
+    """Minimum eigenvalue of a Hermitian matrix: ``psd_gaps`` of the one
+    matrix.
 
     A is accepted as positive semidefinite when psd_gap(A) >= -tol_psd.
-    Non-Hermitian input is a usage error, not a numerical condition.
     """
-    if not is_hermitian(A, tol_herm):
+    return float(psd_gaps(np.asarray(A)[None], tol_herm)[0])
+
+
+def psd_gaps(stack: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
+    """Minimum eigenvalue of every matrix of an (n, d, d) stack of
+    Hermitian matrices, from one batched ``eigvalsh`` of their Hermitian
+    parts.  Non-Hermitian input is a usage error, not a numerical
+    condition: HermiticityError when any matrix is not Hermitian within
+    tol_herm."""
+    stack = np.asarray(stack)
+    adjoint = dagger(stack)
+    if not eq_defect(stack, adjoint) <= tol_herm:
         raise HermiticityError(f"matrix is not Hermitian within {tol_herm}")
-    H = (A + dagger(A)) / 2
-    return float(np.linalg.eigvalsh(H)[0])
+    return np.linalg.eigvalsh((stack + adjoint) / 2)[..., 0]
 
 
 def is_state(rho: np.ndarray) -> bool:
     return (
-        is_hermitian(rho)
+        herm_defect(rho) <= TOL_HERM
         and psd_gap(rho) >= -TOL_PSD
         and abs(np.trace(rho) - 1.0) <= TOL_TRACE
     )
@@ -353,31 +370,63 @@ class UnitaryRep:
         U[self.table[i], np.arange(self.dim)] = _phase_table(self)[i]
         return U
 
-    def _conjugates(self, rows, A: np.ndarray, what: str) -> np.ndarray:
-        """U(g) A U(g)^dag for the group elements at ``rows``: the gather
-        (k, l) -> c[k] A[inv[k], inv[l]] conj(c[l]), with inv the inverse of
-        the table row and c = phases[inv].  The row phase goes on first,
-        as a dense product rounds.  The int64 gather index is built about
-        GATHER_INDEX_BYTES at a time, so it adds little to the stack."""
+    def _inverse(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
+        """The inverse of the table rows at ``rows``, argsort(table[rows],
+        axis=1), and the phases read through it (None for a permutation
+        representation)."""
         inverse = np.argsort(self.table[rows], axis=1)
-        stack = zero_stack(len(inverse), self.dim, what)
-        flat = np.asarray(A, dtype=complex).reshape(-1)
-        block = max(1, GATHER_INDEX_BYTES // (8 * self.dim ** 2))
-        for start in range(0, len(inverse), block):
+        if self.phases is None:
+            return inverse, None
+        return inverse, np.take_along_axis(self.phases[rows], inverse, axis=1)
+
+    @cached_property
+    def _inverse_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """``_inverse`` of every row, built on first read and kept for the
+        orbits and orbit sums: |G| dim entries each."""
+        return self._inverse(slice(None))
+
+    def _conjugates(self, inverse: np.ndarray, phases: np.ndarray | None,
+                    A: np.ndarray, what: str) -> np.ndarray:
+        """U(g) A U(g)^dag for the group elements whose inverse table rows
+        and phases (``_inverse``) are given, as a (k, dim, dim) array, or
+        (m, k, dim, dim) for an (m, dim, dim) stack A, each operator's
+        conjugates contiguous: the gather (k, l) -> c[k] A[inv[k], inv[l]]
+        conj(c[l]), with inv the inverse of the table row and c =
+        phases[inv].  The row phase goes on first, as a dense product
+        rounds.  The int64 gather index is built about GATHER_INDEX_BYTES
+        at a time (at least one row) and serves every operator, so it adds
+        little to the stack; the stack is refused before allocation above
+        MAX_FRAME_BYTES, named by ``what``."""
+        A = np.asarray(A, dtype=complex)
+        n, d = len(inverse), self.dim
+        flats = A.reshape(-1, d * d)
+        stack = zero_stack(len(flats) * n, d, what).reshape(len(flats), n, d, d)
+        block = max(1, GATHER_INDEX_BYTES // (8 * d * d))
+        for start in range(0, n, block):
             inv = inverse[start:start + block]
-            # inline, so one block's index is freed before the next is built
-            flat.take(inv[:, :, None] * self.dim + inv[:, None, :],
-                      out=stack[start:start + block], mode="clip")
-        if self.phases is not None:
-            c = np.take_along_axis(self.phases[rows], inverse, axis=1)
-            stack *= c[:, :, None]
-            stack *= c.conj()[:, None, :]
-        return stack
+            index = inv[:, :, None] * d + inv[:, None, :]
+            for flat, out in zip(flats, stack[:, start:start + block]):
+                flat.take(index, out=out, mode="clip")
+            del index  # freed before the next block's is built
+        if phases is not None:
+            stack *= phases[:, :, None]
+            stack *= phases.conj()[:, None, :]
+        return stack.reshape(A.shape[:-2] + (n, d, d))
+
+    def _cached_conjugates(self, rows, A: np.ndarray, what: str) -> np.ndarray:
+        """``_conjugates`` by the elements at ``rows``, read through the
+        kept inverse tables."""
+        inverse, phases = self._inverse_tables
+        return self._conjugates(inverse[rows],
+                                None if phases is None else phases[rows],
+                                A, what)
 
     def conjugate(self, g: GroupElement, A: np.ndarray) -> np.ndarray:
-        """U(g) A U(g)^dag, as one gather."""
-        return self._conjugates([self.params.frame_index(g)], A,
-                                "a conjugate")[0]
+        """U(g) A U(g)^dag, as one gather.  Only the one table row is
+        inverted, so a conjugation on a large representation keeps no
+        |G| x dim table."""
+        return self._conjugates(*self._inverse([self.params.frame_index(g)]),
+                                A, "a conjugate")[0]
 
     def orbit(self, A: np.ndarray) -> np.ndarray:
         """Every U(g) A U(g)^dag as one (|G|, dim, dim) array in
@@ -387,7 +436,7 @@ class UnitaryRep:
         n = len(self.table)
         what = f"a stack of {n} conjugates"
         require_stack_fits(n, self.dim, what)
-        return self._conjugates(np.arange(n), A, what)
+        return self._cached_conjugates(slice(None), A, what)
 
     def orbit_sum(self, weights, A: np.ndarray) -> np.ndarray:
         """sum_g weights[g] U(g) A U(g)^dag, weights in group_elements()
@@ -397,13 +446,20 @@ class UnitaryRep:
 
         A (|G|, m) weight matrix gives the m sums, column k weighted by
         weights[:, k], as one (m, dim, dim) array: the gather then takes
-        the elements with any nonzero weight."""
+        the elements with any nonzero weight.  An (n, dim, dim) stack A
+        gives, from the same one gather, n results, result[i] being
+        orbit_sum(weights, A[i]) to the bit: each operator's conjugates
+        are contracted with the weights on their own."""
         weights = np.asarray(weights)
         rows = np.flatnonzero(weights if weights.ndim == 1 else weights.any(axis=1))
-        stack = self._conjugates(rows, A, f"a stack of {len(rows)} conjugates")
+        what = f"a stack of {len(rows)} conjugates"
+        if np.ndim(A) == 3:
+            what += f" of {len(A)} operators"
+        stack = self._cached_conjugates(rows, A, what)
         if len(rows) < len(weights):  # no copy when every element is taken
             weights = weights[rows]
-        return np.tensordot(weights, stack, axes=(0, 0))
+        sums = weights.T @ stack.reshape(stack.shape[:-2] + (self.dim ** 2,))
+        return sums.reshape(sums.shape[:-1] + (self.dim, self.dim))
 
     @cached_property
     def regular_index(self) -> RegularIndex | None:

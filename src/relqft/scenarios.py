@@ -280,11 +280,11 @@ def check_restriction_duality(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # channel suite
 
-#: Mixing battery for the order-reversed two-positivity gap: frames whose
-#: Born weights stay close to uniform, where the gap has a provable margin
-#: (for exactly uniform weights it reduces to a trace Cauchy-Schwarz bound).
-#: Sharp frames genuinely violate the order-reversed form, so they are
-#: excluded here and covered by a regression test instead.
+#: The frames on which ``check_channel_laws`` measures each law, as the
+#: worst case over its random draws: uniform and lightly smeared frames on
+#: the regular and the Lorentz representation.  Sharp frames are left out:
+#: on them the order-reversed two-positivity gap reads -1
+#: (``tests/test_fields.py``).
 CHANNEL_BATTERY = ("uniform-regular", "uniform-lorentz",
                    "smeared-regular-light", "smeared-lorentz-light")
 
@@ -293,7 +293,11 @@ def check_channel_laws(cfg: ScenarioConfig,
                        rng: np.random.Generator) -> CheckOutcome:
     """Channel laws of restricted relativization (unitality, adjoints,
     linearity, positivity, contractivity, the two-positivity gap in both
-    operator orders) and diagonal invariance of the unrestricted map."""
+    operator orders) and diagonal invariance of the unrestricted map.
+
+    Each frame's random operators are drawn first; the channel then maps
+    all of them at once (one orbit sum), and each law is one batched
+    measurement over its draws."""
     params = cfg.model()
     system = build_system(cfg, rng)
     d = system.dim
@@ -308,26 +312,38 @@ def check_channel_laws(cfg: ScenarioConfig,
         omega = ops.random_state(rng, fr.dim)
         channel = fields.relativization_channel(
             fields.RelationalField(system, fr), omega)
-        worst["unitality"] = max(worst["unitality"],
-                                 ops.eq_defect(channel(eye), eye))
-        for _ in range(20):
-            phi = ops.random_operator(rng, d)
-            worst["adjoint"] = max(worst["adjoint"], ops.eq_defect(
-                channel(ops.dagger(phi)), ops.dagger(channel(phi))))
-            worst["contractivity_excess"] = max(
-                worst["contractivity_excess"],
-                ops.op_norm(channel(phi)) - ops.op_norm(phi))
-            min_gap = min(min_gap, ops.psd_gap(
-                channel(ops.dagger(phi) @ phi)
-                - channel(phi) @ ops.dagger(channel(phi))))
+        phi = np.array([ops.random_operator(rng, d) for _ in range(20)])
+        a, b, alpha, psd = [], [], [], []
         for _ in range(5):
-            a = ops.random_operator(rng, d)
-            b = ops.random_operator(rng, d)
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
-            worst["linearity"] = max(worst["linearity"], ops.eq_defect(
-                channel(alpha * a + b), alpha * channel(a) + channel(b)))
-            min_positivity = min(min_positivity,
-                                 ops.psd_gap(channel(ops.random_psd(rng, d))))
+            a.append(ops.random_operator(rng, d))
+            b.append(ops.random_operator(rng, d))
+            alpha.append(complex(rng.standard_normal(), rng.standard_normal()))
+            psd.append(ops.random_psd(rng, d))
+        a, b, psd = np.array(a), np.array(b), np.array(psd)
+        alpha = np.array(alpha)[:, None, None]
+        unrestricted = [ops.random_operator(rng, d)
+                        for _ in range(10 if fr.dim * d <= 64 else 0)]
+
+        phi_dag = ops.dagger(phi)
+        images = channel(np.concatenate(
+            [eye[None], phi, phi_dag, phi_dag @ phi, a, b, alpha * a + b, psd]))
+        parts = np.split(images, np.cumsum([1, 20, 20, 20, 5, 5, 5]))
+        unit, image, image_of_dag, image_of_square = parts[:4]
+        image_a, image_b, image_mix, image_psd = parts[4:]
+        worst["unitality"] = max(worst["unitality"],
+                                 ops.eq_defect(unit[0], eye))
+        worst["adjoint"] = max(worst["adjoint"], ops.eq_defect(
+            image_of_dag, ops.dagger(image)))
+        worst["contractivity_excess"] = max(
+            worst["contractivity_excess"],
+            float(np.max(ops.op_norms(image) - ops.op_norms(phi))))
+        min_gap = min(min_gap, float(np.min(ops.psd_gaps(
+            image_of_square - image @ ops.dagger(image)))))
+        worst["linearity"] = max(worst["linearity"], ops.eq_defect(
+            image_mix, alpha * image_a + image_b))
+        min_positivity = min(min_positivity,
+                             float(np.min(ops.psd_gaps(image_psd))))
+
         relativized = fields.relativize(fields.RelationalField(system, fr))
         diagonal = ops.tensor_product_rep(system.rep, fr.rep)
         for g in params.generators():
@@ -336,15 +352,14 @@ def check_channel_laws(cfg: ScenarioConfig,
             worst["diagonal_invariance"] = max(
                 worst["diagonal_invariance"], float(np.max(np.abs(moved))))
             del moved
-        if fr.dim * d <= 64:
-            for _ in range(10):
-                phi = ops.random_operator(rng, d)
-                lifted = fields.relativize(
-                    fields.RelationalField(system.with_phi(phi), fr))
-                squared = fields.relativize(fields.RelationalField(
-                    system.with_phi(ops.dagger(phi) @ phi), fr))
-                min_gap_unrestricted = min(min_gap_unrestricted, ops.psd_gap(
-                    squared - lifted @ ops.dagger(lifted)))
+        del relativized  # freed before the next frame is built
+        for x in unrestricted:
+            lifted = fields.relativize(
+                fields.RelationalField(system.with_phi(x), fr))
+            squared = fields.relativize(fields.RelationalField(
+                system.with_phi(ops.dagger(x) @ x), fr))
+            min_gap_unrestricted = min(min_gap_unrestricted, ops.psd_gap(
+                squared - lifted @ ops.dagger(lifted)))
     gaps = {"positivity_gap": min_positivity, "order_gap": min_gap,
             "order_gap_unrestricted": min_gap_unrestricted}
     return CheckOutcome(
@@ -804,7 +819,11 @@ def check_irreducibility(cfg: ScenarioConfig,
     """Commutant triviality of the trace-class field span for a generic
     generator on the sharp-position frame, the full-size commutant for the
     identity generator, and cyclicity of a reference vector whenever the
-    span is irreducible."""
+    span is irreducible.
+
+    The premise is a system of dimension above one: every algebra on C^1
+    is irreducible, so there the identity span cannot be reducible and
+    the check is vacuous."""
     params = cfg.model()
     system = build_system(cfg, rng)
     fr = frames.fiber_uniform_spacetime_frame(params)
@@ -832,7 +851,8 @@ def check_irreducibility(cfg: ScenarioConfig,
          "bicommutant_dim": generic.bicommutant_dim,
          "cyclic_rank": generic.cyclic_rank,
          "identity_commutant_dim": trivial.commutant_dim,
-         "system_dim": system.dim})
+         "system_dim": system.dim},
+        premise=system.dim > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,54 @@ def test_joint_constraint_shape_and_witness_feasibility():
     assert worst < 1e-14
 
 
+def per_pair_constraint_system(fr, mu1, mu2):
+    """The oracle: the constraint rows one effect pair at a time."""
+    d = fr.dim
+    iu, ju = np.triu_indices(d, k=1)
+
+    def coords(H):
+        return np.concatenate([np.real(np.diag(H)),
+                               np.sqrt(2.0) * np.real(H[iu, ju]),
+                               np.sqrt(2.0) * np.imag(H[iu, ju])])
+
+    rows, rhs = [], []
+    for Ep, w1 in zip(fr.effects, np.real(mu1.weights)):
+        for Eq, w2 in zip(fr.effects, np.real(mu2.weights)):
+            B = Ep @ Eq
+            rows.append(coords((B + ops.dagger(B)) / 2))
+            rhs.append(float(w1 * w2))
+            rows.append(coords((B - ops.dagger(B)) / 2j))
+            rhs.append(0.0)
+    rows.append(coords(np.eye(d, dtype=complex)))
+    rhs.append(1.0)
+    return np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("frame_rep", ["witness", "regular", "lorentz"])
+def test_joint_constraint_system_equals_the_per_pair_loop(rng, frame_rep):
+    if frame_rep == "witness":
+        fr, _ = witness_frame()
+    else:
+        rep = getattr(ops, f"{frame_rep}_representation")(P3)
+        d = rep.dim
+        fr = frames.build_frame(
+            rep, np.eye(d) / d + 0.4 * ops.random_psd(rng, d) / d)
+    mu1, mu2 = (frames.born_measure(frames.OrientedFrame(
+        fr, ops.random_state(rng, fr.dim))) for _ in range(2))
+    A, b = causality.joint_constraint_system(fr, mu1, mu2)
+    A_loop, b_loop = per_pair_constraint_system(fr, mu1, mu2)
+    assert np.array_equal(A, A_loop)
+    assert np.array_equal(b, b_loop)
+
+
+def test_joint_constraint_system_is_capped(monkeypatch):
+    fr, omega = witness_frame()
+    mu = frames.born_measure(frames.OrientedFrame(fr, omega))
+    monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 2**20)
+    with pytest.raises(ops.SizeError, match="constraint system of 324 effect pairs"):
+        causality.joint_constraint_system(fr, mu, mu)
+
+
 def test_find_joint_state_certificate():
     fr, omega = witness_frame()
     result = causality.find_joint_state(fr, omega, omega)

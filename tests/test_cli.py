@@ -63,6 +63,21 @@ def test_oversized_check_exits_2_naming_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_irreducibility_is_vacuous_on_a_one_dimensional_system(tmp_path,
+                                                               capsys):
+    # every algebra on C^1 is irreducible, so the identity contrast cannot
+    # hold there: no premise, not a failure
+    p = tmp_path / "dim1.json"
+    p.write_text(json.dumps({"model": {"N": 3, "s": 1}, "window": 1,
+                             "system": {"momenta": [[0, 1]]}}),
+                 encoding="utf-8")
+    assert main(["verify", "irreducibility", "--config", str(p),
+                 "--format", "json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "vacuous"
+    assert check["details"]["system_dim"] == 1
+
+
 def test_config_file_seed_applies(tmp_path, capsys):
     p = tmp_path / "scenario.json"
     p.write_text('{"seed": 31}', encoding="utf-8")

@@ -477,6 +477,95 @@ def test_op_norms_match_op_norm_per_matrix(rng):
     assert norms.shape == (5,)
     assert [float(v) for v in norms] == [ops.op_norm(A) for A in stack]
     assert ops.op_norms(np.zeros((3, 6, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert norms[2] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(4, 7, 3), (4, 3, 7), (1, 5, 5)])
+def test_op_norms_of_rectangular_stacks(rng, shape):
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = [np.linalg.norm(C, 2) for C in stack]
+    assert np.allclose(ops.op_norms(stack), expected, rtol=1e-14, atol=0)
+
+
+def test_op_norms_of_empty_stacks():
+    assert ops.op_norms(np.zeros((0, 4, 4))).shape == (0,)
+    assert ops.op_norms(np.zeros((2, 0, 5))).tolist() == [0.0, 0.0]
+
+
+def per_pair_commutator_norm(left, right, pairs, adjoint):
+    """The oracle: max_commutator one pair at a time, by a dense SVD."""
+    worst = 0.0
+    for i, j in pairs:
+        A, B = left[i], right[j]
+        worst = max(worst, np.linalg.norm(A @ B - B @ A, 2))
+        if adjoint:
+            A_dag = ops.dagger(A)
+            worst = max(worst, np.linalg.norm(A_dag @ B - B @ A_dag, 2))
+    return worst
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_max_commutator_matches_per_pair_norms(rng, hermitian):
+    draw = ops.random_hermitian if hermitian else ops.random_operator
+    left = np.array([draw(rng, 5) for _ in range(9)])
+    right = np.array([ops.random_operator(rng, 5) for _ in range(8)])
+    # more pairs than one chunk, and not a multiple of it
+    pairs = np.argwhere(np.ones((9, 8), dtype=bool))[:2 * ops.PAIR_CHUNK + 7]
+    for adjoint in (False, True):
+        expected = per_pair_commutator_norm(left, right, pairs, adjoint)
+        got = ops.max_commutator(left, right, pairs, adjoint=adjoint)
+        assert abs(got - expected) <= 1e-14 * expected
+    assert ops.max_commutator(left, right, pairs[:0], adjoint=True) == 0.0
+
+
+def test_max_commutator_of_commuting_pairs_is_zero(rng):
+    # [A, A] and [1, B] vanish in floating point too
+    stack = np.array([ops.random_operator(rng, 6) for _ in range(3)]
+                     + [np.eye(6, dtype=complex)])
+    pairs = np.array([[0, 0], [1, 1], [2, 2], [3, 0], [3, 1], [3, 2]])
+    assert ops.max_commutator(stack, stack, pairs) == 0.0
+    # the adjoint pass of [1, B] vanishes as well; that of [A, A] does not
+    assert ops.max_commutator(stack, stack, pairs[3:], adjoint=True) == 0.0
+
+
+def stacked_orbit_sum_reps():
+    return [ops.spacetime_representation(P3),
+            ops.character_representation(
+                P5, [LatticePoint(k, 0) for k in range(1, 5)]),
+            ops.tensor_product_rep(
+                ops.spacetime_representation(P3),
+                ops.character_representation(
+                    P3, [LatticePoint(1, 0), LatticePoint(2, 0)]))]
+
+
+@pytest.mark.parametrize("rep", stacked_orbit_sum_reps(),
+                         ids=["permutation", "character", "tensor-product"])
+def test_stacked_orbit_sum_matches_one_operator_at_a_time(rng, rep):
+    n = len(rep.table)
+    stack = np.array([ops.random_operator(rng, rep.dim) for _ in range(7)])
+    weights = rng.standard_normal(n)
+    weights[::4] = 0.0
+    matrix = rng.standard_normal((n, 3))
+    sums = rep.orbit_sum(weights, stack)
+    by_column = rep.orbit_sum(matrix, stack)
+    assert sums.shape == stack.shape
+    assert by_column.shape == (7, 3, rep.dim, rep.dim)
+    # each operator is contracted on its own, so the sums agree to the bit
+    for i, A in enumerate(stack):
+        assert np.array_equal(sums[i], rep.orbit_sum(weights, A))
+        assert np.array_equal(by_column[i], rep.orbit_sum(matrix, A))
+
+
+def test_stacked_orbit_sum_is_capped_naming_the_stack(monkeypatch):
+    rep = ops.spacetime_representation(P3)
+    n = len(rep.table)
+    # one operator's 18 conjugates of 9 x 9 take 23328 bytes, five take five
+    # times that
+    monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 50_000)
+    assert rep.orbit_sum(np.ones(n), np.eye(9)).shape == (9, 9)
+    with pytest.raises(ops.SizeError,
+                       match="stack of 18 conjugates of 5 operators of 9x9"):
+        rep.orbit_sum(np.ones(n), np.zeros((5, 9, 9)))
 
 
 def test_make_rng_deterministic():
