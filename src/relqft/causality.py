@@ -26,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from relqft import lattice, operators as ops
-from relqft.fields import RelationalField, SystemModel, relational_local_fields, \
-    relational_local_observable
+from relqft.fields import (RelationalField, SystemModel, relational_local_fields,
+                           relational_local_observable, relativization_channel)
 from relqft.frames import (
     BornMeasure,
     FrameObservable,
@@ -59,7 +59,7 @@ class CausalReport:
                tol_eq: float, premise: bool, **details) -> CausalReport:
         """Vacuous unless the premise held, else verified exactly when the
         residual is within tol_eq."""
-        return cls(predicate, pairs, residual, verdict(
+        return cls(predicate, pairs, float(residual), verdict(
             [Measurement(predicate, residual, tol_eq)], premise), details)
 
 
@@ -98,7 +98,7 @@ def check_r_causal(system: SystemModel, frame: FrameObservable,
     B = relational_local_observable(RelationalField(system.with_phi(phi2), frame), omega2)
     res_plain = op_norm(A @ B - B @ A)
     res_adj = op_norm(dagger(A) @ B - B @ dagger(A))
-    residual = max(res_plain, res_adj)
+    residual = np.maximum(res_plain, res_adj)
     return CausalReport.judged(
         "r-causal", 1, residual, tol_eq, premise, premise_spacelike=premise,
         commutator=res_plain, adjoint_commutator=res_adj)
@@ -297,16 +297,16 @@ def check_intrinsic_causality(frame: FrameObservable, system: SystemModel,
     joint = find_joint_state(frame, omega1, omega2, tol_feas)
     premise = spacelike_prep and einstein.ok and joint.converged
 
-    A1 = relational_local_observable(RelationalField(system.with_phi(phi1), frame), omega1)
-    A2 = relational_local_observable(RelationalField(system.with_phi(phi2), frame), omega2)
-    B1 = relational_local_observable(RelationalField(system.with_phi(phi1), frame), omega2)
-    B2 = relational_local_observable(RelationalField(system.with_phi(phi2), frame), omega1)
+    # A_k = Phi_wk(phi_k), B_1 = Phi_w2(phi_1), B_2 = Phi_w1(phi_2): one channel per w
+    rf = RelationalField(system, frame)
+    A1, B2 = relativization_channel(rf, omega1)(np.array([phi1, phi2]))
+    B1, A2 = relativization_channel(rf, omega2)(np.array([phi1, phi2]))
     swap_residual = op_norm(A1 @ A2 - B1 @ B2)
     self_adjoint = (ops.herm_defect(phi1) <= tol_eq and ops.herm_defect(phi2) <= tol_eq)
     commutator_residual = op_norm(A1 @ A2 - A2 @ A1) if self_adjoint else float("nan")
 
-    residual = max(swap_residual,
-                   commutator_residual if self_adjoint else 0.0)
+    residual = np.maximum(swap_residual,
+                          commutator_residual if self_adjoint else 0.0)
     return CausalReport.judged(
         "intrinsic-causality", 1, residual, tol_eq, premise,
         premise_spacelike=spacelike_prep,

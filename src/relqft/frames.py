@@ -151,13 +151,10 @@ class FrameObservable:
         if elements is None:
             elements = params.generators()
         moves = lattice.frame_action_table(params)
-        worst = 0.0
-        for g in elements:
-            moved = moves[params.frame_index(g)]
-            for i, E in enumerate(self.effects):
-                worst = max(worst, eq_defect(self.rep.conjugate(g, E),
-                                             self.effects[moved[i]]))
-        return worst
+        return float(np.max([
+            eq_defect(self.rep.conjugate(g, self.effects),
+                      self.effects[moves[params.frame_index(g)]])
+            for g in elements], initial=0.0))
 
     @cached_property
     def _origin_fiber_effect(self) -> np.ndarray:

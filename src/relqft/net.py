@@ -139,7 +139,7 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
                 continue
             a_u = net.algebra(su).algebra
             a_v = net.algebra(sv).algebra
-            worst = max(worst, a_u.containment_defect(a_v))
+            worst = np.maximum(worst, a_u.containment_defect(a_v))
             count += 1
     axioms["isotony"] = CausalReport.judged("isotony", count, worst, tol_eq,
                                             count > 0)
@@ -163,7 +163,7 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
             conjugated = AlgebraSubspace.from_spanning(
                 net.system.dim,
                 [net.system.rep.conjugate(g, A) for A in a_u.basis_ops()])
-            worst = max(worst, conjugated.equality_defect(a_moved))
+            worst = np.maximum(worst, conjugated.equality_defect(a_moved))
             count += 1
     axioms["covariance"] = CausalReport.judged("covariance", count, worst,
                                                tol_eq, count > 0)
@@ -183,8 +183,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
         a_u = net.algebra(su).algebra
         a_v = net.algebra(sv).algebra
         pairs = np.argwhere(np.ones((a_u.subspace_dim, a_v.subspace_dim)))
-        worst = max(worst, max_commutator(a_u.basis_ops(), a_v.basis_ops(),
-                                          pairs))
+        worst = np.maximum(worst, max_commutator(
+            a_u.basis_ops(), a_v.basis_ops(), pairs))
         count += 1
     axioms["causality"] = CausalReport.judged(
         "causality", count, worst, tol_eq, count > 0, premise_failures=skipped)
@@ -203,7 +203,7 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
                     continue
                 a_u = net.algebra(su).algebra
                 a_v = net.algebra(sv).algebra
-                worst = max(worst, a_u.equality_defect(a_v))
+                worst = np.maximum(worst, a_u.equality_defect(a_v))
                 count += 1
     axioms["time-slice"] = CausalReport.judged("time-slice", count, worst,
                                                tol_eq, count > 0)

@@ -81,9 +81,9 @@ def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
     """Largest operator norm of [left[i], right[j]] over the (n, 2) index
     pairs (i, j) of two (m, d, d) stacks, and of [left[i]^dag, right[j]]
     too when ``adjoint``: PAIR_CHUNK pairs at a time, normed by one
-    ``op_norms`` call per chunk; 0.0 for no pairs.  When ``left`` is
-    exactly Hermitian the adjoint commutators are the plain ones, so they
-    are not formed again."""
+    ``op_norms`` call per chunk; 0.0 for no pairs, NaN when any norm is.
+    When ``left`` is exactly Hermitian the adjoint commutators are the
+    plain ones, so they are not formed again."""
     if adjoint and np.array_equal(left, dagger(left)):
         adjoint = False
     worst = 0.0
@@ -94,8 +94,8 @@ def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
         if adjoint:
             A_dag = dagger(A)
             commutators = np.concatenate([commutators, A_dag @ B - B @ A_dag])
-        worst = max(worst, float(op_norms(commutators).max()))
-    return worst
+        worst = np.maximum(worst, op_norms(commutators).max())
+    return float(worst)
 
 
 def herm_defect(A: np.ndarray) -> float:
@@ -208,10 +208,12 @@ class AlgebraSubspace:
         """Max membership defect of this subspace's basis in ``other``."""
         if self.subspace_dim == 0:
             return 0.0
-        return max(other.membership_defect(B) for B in self.basis_ops())
+        return float(np.max([other.membership_defect(B)
+                             for B in self.basis_ops()]))
 
     def equality_defect(self, other: "AlgebraSubspace") -> float:
-        return max(self.containment_defect(other), other.containment_defect(self))
+        return float(np.maximum(self.containment_defect(other),
+                                other.containment_defect(self)))
 
     def is_product_closed(self) -> bool:
         ops = self.basis_ops()
@@ -422,11 +424,12 @@ class UnitaryRep:
                                 A, what)
 
     def conjugate(self, g: GroupElement, A: np.ndarray) -> np.ndarray:
-        """U(g) A U(g)^dag, as one gather.  Only the one table row is
+        """U(g) A U(g)^dag, as one gather, of one operator or of each
+        operator of an (m, dim, dim) stack.  Only the one table row is
         inverted, so a conjugation on a large representation keeps no
         |G| x dim table."""
         return self._conjugates(*self._inverse([self.params.frame_index(g)]),
-                                A, "a conjugate")[0]
+                                A, "a conjugate")[..., 0, :, :]
 
     def orbit(self, A: np.ndarray) -> np.ndarray:
         """Every U(g) A U(g)^dag as one (|G|, dim, dim) array in

@@ -20,7 +20,9 @@ spec:
 * the spectral table (``SpectralReport.table``): the transform of the
   difference kernel, same shape, with axes (q_1.u, q_1.v, ...).
 
-``kernel`` at one tuple is the pointwise definition they are tested by.
+The kernel array is the one evaluator of W at points: ``kernel`` reads
+its entry at one tuple, and the swap and time-ordering quantities read
+``kernel``.  The tests check it against products of site-table rows.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ from relqft.frames import (
 )
 from relqft.lattice import ModelParams
 from relqft.operators import AlgebraSubspace, commutant, dagger, generated_algebra
-from relqft.tolerances import (SVD_CUTOFF, TOL_DFT, TOL_EQ, TOL_SUPP,
-                               Measurement, verdict)
+from relqft.tolerances import SVD_CUTOFF, TOL_EQ, TOL_SUPP
 
 
 class OrientationError(ValueError):
@@ -140,32 +141,22 @@ def _site_tables(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     return tables
 
 
-def _trace_product(state: np.ndarray, factors) -> complex:
-    acc = np.array(state, dtype=complex)
-    for A in factors:
+def vev(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> complex:
+    """Vacuum expectation of the ordered product of relational observables."""
+    acc = np.array(vac.state, dtype=complex)
+    for A in _observables(vac, spec, frame):
         acc = acc @ A
     return complex(np.trace(acc))
 
 
-def vev(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> complex:
-    """Vacuum expectation of the ordered product of relational observables."""
-    return _trace_product(vac.state, _observables(vac, spec, frame))
-
-
-def _point_fields(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                  points, tol_supp: float = TOL_SUPP) -> list[np.ndarray]:
-    """Factor j's local field at points[j], read from its site table."""
-    if len(points) != spec.n:
-        raise ValueError("one lattice point per factor required")
-    tables = _site_tables(vac, spec, frame, tol_supp)
-    return [table[vac.params.site_index(x)] for table, x in zip(tables, points)]
-
-
 def kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
            points, tol_supp: float = TOL_SUPP) -> complex:
-    """Pointwise spacetime kernel: the same product with each factor
-    evaluated at its lattice point (zero off the marginal support)."""
-    return _trace_product(vac.state, _point_fields(vac, spec, frame, points, tol_supp))
+    """Pointwise spacetime kernel: the entry of ``kernel_array`` at one
+    lattice point per factor (zero off the marginal supports)."""
+    if len(points) != spec.n:
+        raise ValueError("one lattice point per factor required")
+    index = tuple(vac.params.site_index(x) for x in points)
+    return complex(kernel_array(vac, spec, frame, tol_supp)[index])
 
 
 def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
@@ -246,14 +237,14 @@ class SpectralReport:
     max_leak: float
     max_on_support: float
     vacuous: bool
-    verdict: str
 
 
 def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                   tol_dft: float = TOL_DFT, tol_eq: float = TOL_EQ,
+                   tol_eq: float = TOL_EQ,
                    tol_supp: float = TOL_SUPP) -> SpectralReport:
     """Transform magnitudes must vanish whenever any momentum component
-    lies outside the character support of the system representation.
+    lies outside the character support of the system representation:
+    ``max_leak`` is the largest magnitude there.
 
     The table is the inverse DFT of the difference kernel, axes
     (q_1.u, q_1.v, ...).  The assertion is vacuous when the support is all
@@ -269,10 +260,8 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
         on = np.logical_and.outer(on, inside)
     leak = float(np.max(np.abs(table[~on]), initial=0.0))
     on_support = float(np.max(np.abs(table[on]), initial=0.0))
-    vacuous = len(support) == N ** 2
-    return SpectralReport(
-        support, table, leak, on_support, vacuous,
-        verdict([Measurement("outside_support", leak, tol_dft)], not vacuous))
+    return SpectralReport(support, table, leak, on_support,
+                          len(support) == N ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,32 +281,16 @@ def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
 
 def gram_matrix(vac: VacuumModel, families, frame: FrameObservable) -> np.ndarray:
     """G[j, k] = Tr[vacuum A_k^dag A_j] for A_j the ordered product of the
-    j-th family's relational observables."""
+    j-th family's relational observables: one einsum over the stacked
+    products; positive semidefinite by the positivity of the vacuum."""
     prods = []
     for spec in families:
-        obs = _observables(vac, spec, frame)
         acc = np.eye(vac.dim, dtype=complex)
-        for A in obs:
+        for A in _observables(vac, spec, frame):
             acc = acc @ A
         prods.append(acc)
-    k = len(prods)
-    G = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        for m in range(k):
-            G[j, m] = np.trace(vac.state @ dagger(prods[m]) @ prods[j])
-    return G
-
-
-def positivity_check(vac: VacuumModel, families, frame: FrameObservable) -> float:
-    """psd_gap of the Gram matrix of family products; >= -tol_psd means
-    the positive-definiteness condition holds."""
-    return ops.psd_gap(gram_matrix(vac, families, frame))
-
-
-def adjacent_swap_residual(vac: VacuumModel, spec: VevSpec,
-                           frame: FrameObservable, i: int) -> float:
-    """|vev(spec) - vev(spec with factors i, i+1 exchanged)|."""
-    return abs(vev(vac, spec, frame) - vev(vac, spec.swapped(i), frame))
+    prods = np.array(prods)
+    return np.einsum("ab,kcb,jca->jk", vac.state, prods.conj(), prods)
 
 
 def kernel_swap_residual(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
@@ -345,12 +318,15 @@ def theta(t: int) -> float:
 def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
                           points, tol_supp: float = TOL_SUPP
                           ) -> tuple[complex, bool]:
-    """Theta-weighted permutation sum over factor orderings; returns the
-    value and whether any coincident-time pair invoked theta(0) = 1/2."""
+    """Theta-weighted permutation sum over factor orderings, each term the
+    ``kernel`` of the permuted factors at the permuted points, taken only
+    for permutations of nonzero weight; returns the value and whether any
+    coincident-time pair invoked theta(0) = 1/2."""
     params = frame.params
     if params.causal_mode != "lifted":
         raise TimeOrderError("time ordering requires the lifted causal mode")
-    fields = _point_fields(vac, spec, frame, points, tol_supp)
+    if len(points) != spec.n:
+        raise ValueError("one lattice point per factor required")
     taus = [lattice.time_coordinate(x, params) for x in points]
     total = 0.0 + 0.0j
     coincident = False
@@ -365,7 +341,9 @@ def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservabl
                 break
         if weight == 0.0:
             continue
-        total += weight * _trace_product(vac.state, [fields[j] for j in perm])
+        permuted = VevSpec(tuple(spec.factors[j] for j in perm))
+        total += weight * kernel(vac, permuted, frame, [points[j] for j in perm],
+                                 tol_supp)
     return total, coincident
 
 
@@ -396,17 +374,15 @@ class IrreducibilityReport:
     generates_full: bool
     cyclic: bool | None
     cyclic_rank: int | None
-    implication_ok: bool
 
 
 def irreducibility_check(rf: RelationalField,
                          vacuum_vector: np.ndarray | None = None) -> IrreducibilityReport:
     """Commutant triviality of the trace-class field span, the *-algebra it
     generates (its bicommutant), and when a vector v is supplied its cyclic
-    rank: the rank of {B v : B in a basis of that algebra}.
-
-    Irreducibility should imply cyclicity of every nonzero vector; the
-    report records whether that implication held.
+    rank: the rank of {B v : B in a basis of that algebra}.  An
+    irreducible span generates all d x d matrices, so every nonzero v is
+    cyclic for it.
     """
     dim = rf.system.dim
     basis = field_operator_span(rf)
@@ -423,7 +399,6 @@ def irreducibility_check(rf: RelationalField,
                               compute_uv=False)
         rank = int(np.sum(svals > SVD_CUTOFF * svals[0]))
         cyclic = rank == dim
-    implication_ok = not irreducible or cyclic is not False
     return IrreducibilityReport(
         span_dim=len(basis),
         commutant_dim=comm.subspace_dim,
@@ -432,5 +407,4 @@ def irreducibility_check(rf: RelationalField,
         generates_full=generates_full,
         cyclic=cyclic,
         cyclic_rank=rank,
-        implication_ok=implication_ok,
     )

@@ -78,6 +78,22 @@ def test_irreducibility_is_vacuous_on_a_one_dimensional_system(tmp_path,
     assert check["details"]["system_dim"] == 1
 
 
+def test_channel_laws_verify_with_a_trivial_boost_group(tmp_path, capsys):
+    # at N = 5, s = 1 the smeared regular frame is small enough for the
+    # unrestricted relativization, whose Kadison-Schwarz order
+    # Phi(x^dag x) >= Phi(x)^dag Phi(x) must hold there too
+    p = tmp_path / "s1.json"
+    p.write_text(json.dumps({"model": {"N": 5, "s": 1},
+                             "system": {"momenta": [[1, 0], [2, 0]]}}),
+                 encoding="utf-8")
+    assert main(["verify", "channel-laws", "--config", str(p),
+                 "--format", "json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "verified"
+    gaps = {m["name"]: m["value"] for m in check["measurements"]}
+    assert gaps["order_gap_unrestricted"] >= -1e-9
+
+
 def test_config_file_seed_applies(tmp_path, capsys):
     p = tmp_path / "scenario.json"
     p.write_text('{"seed": 31}', encoding="utf-8")

@@ -556,6 +556,17 @@ def test_stacked_orbit_sum_matches_one_operator_at_a_time(rng, rep):
         assert np.array_equal(by_column[i], rep.orbit_sum(matrix, A))
 
 
+@pytest.mark.parametrize("rep", stacked_orbit_sum_reps()[:2],
+                         ids=["permutation", "character"])
+def test_stacked_conjugate_matches_one_operator_at_a_time(rng, rep):
+    stack = np.array([ops.random_operator(rng, rep.dim) for _ in range(4)])
+    for g in rep.params.generators():
+        conjugated = rep.conjugate(g, stack)
+        assert conjugated.shape == stack.shape
+        for A, moved in zip(stack, conjugated):
+            assert np.array_equal(moved, rep.conjugate(g, A))
+
+
 def test_stacked_orbit_sum_is_capped_naming_the_stack(monkeypatch):
     rep = ops.spacetime_representation(P3)
     n = len(rep.table)

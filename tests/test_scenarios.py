@@ -1,4 +1,5 @@
-"""Resource bounds of the bundled checks."""
+"""Resource bounds of the bundled checks, the NaN samples they must not
+drop, and the per-site loops their array forms are checked against."""
 
 import dataclasses
 import tracemalloc
@@ -6,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqft import causality, fields, net, runner, scenarios, wightman
+from relqft import causality, fields, frames, lattice, net, runner, scenarios, wightman
+from relqft import operators as ops
 from relqft.config import DEFAULT_CONFIG
 from relqft.tolerances import TOL_SUPP
 
@@ -74,3 +76,112 @@ def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "spectral-condition"))
     mismatch = {m.name: m.value for m in outcome.measurements}["oracle_mismatch"]
     assert mismatch <= 1e-12
+
+
+def test_a_nan_covariance_sample_fails_the_check(monkeypatch):
+    # one NaN defect among the samples must reach the measurement
+    original = ops.eq_defect
+    calls = []
+
+    def nan_once(A, B):
+        calls.append(None)
+        return float("nan") if len(calls) == 1 else original(A, B)
+
+    monkeypatch.setattr(ops, "eq_defect", nan_once)
+    outcome = scenarios.CHECKS["relational-covariance"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed,
+                                         "relational-covariance"))
+    assert len(calls) > 1
+    assert np.isnan(outcome.residuals["covariance"])
+    assert outcome.verdict == "failed"
+
+
+def test_a_nan_psd_gap_fails_channel_laws(monkeypatch):
+    original = ops.psd_gaps
+
+    def first_nan(stack, *args):
+        gaps = original(stack, *args)
+        gaps[0] = np.nan
+        return gaps
+
+    monkeypatch.setattr(ops, "psd_gaps", first_nan)
+    outcome = scenarios.CHECKS["channel-laws"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "channel-laws"))
+    for name in ("positivity_gap", "order_gap", "order_gap_unrestricted"):
+        assert np.isnan(outcome.residuals[name]), name
+    assert outcome.verdict == "failed"
+
+
+def test_a_nan_causal_residual_is_a_counterexample(monkeypatch):
+    original = causality.check_r_causal
+
+    def nan_residual(*args, **kwargs):
+        report = original(*args, **kwargs)
+        report.max_residual = float("nan")
+        return report
+
+    monkeypatch.setattr(causality, "check_r_causal", nan_residual)
+    outcome = scenarios.CHECKS["microcausality-implication"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed,
+                                         "microcausality-implication"))
+    assert outcome.details["premise_passing"] == 0
+    assert outcome.details["counterexamples"] > 0
+    assert outcome.verdict == "failed"
+
+
+def test_field_transformation_matches_the_per_site_loop():
+    # the check reads g.x from the site action table and sums the moved
+    # fields in one reduction; the loop over supported sites with
+    # act_point is the reference, and the arithmetic is the same
+    name = "field-transformation"
+    rng = runner.check_rng(DEFAULT_CONFIG.seed, name)
+    outcome = scenarios.CHECKS[name].fn(DEFAULT_CONFIG,
+                                        runner.check_rng(DEFAULT_CONFIG.seed, name))
+    params = DEFAULT_CONFIG.model()
+    system = scenarios.build_system(DEFAULT_CONFIG, rng)
+    fr = scenarios.smeared_frame(ops.regular_representation(params), rng, 0.5)
+    omega = ops.random_state(rng, fr.dim)
+    rf = fields.RelationalField(system, fr)
+    sample = scenarios._group_sample(params, rng, extra=2)
+    unshifted, dis = fields.relational_local_fields(rf, omega)
+    observable = fields.relational_local_observable(rf, omega)
+    worst_point = worst_integral = 0.0
+    for g in sample:
+        moved, _ = fields.relational_local_fields(rf, fr.rep.conjugate(g, omega))
+        rebuilt = 0
+        for i in np.flatnonzero(dis.support):
+            x = params.lattice_points()[i]
+            moved_x = moved[params.site_index(lattice.act_point(g, x, params))]
+            worst_point = max(worst_point, ops.eq_defect(
+                system.rep.conjugate(g, unshifted[i]), moved_x))
+            rebuilt = rebuilt + dis.marginal[i] * moved_x
+        worst_integral = max(worst_integral, ops.eq_defect(
+            system.rep.conjugate(g, observable), rebuilt))
+    assert outcome.residuals == {"pointwise": worst_point,
+                                 "integral": worst_integral}
+
+
+def test_disintegration_covariance_matches_the_per_site_loop():
+    name = "disintegration-covariance"
+    rng = runner.check_rng(DEFAULT_CONFIG.seed, name)
+    outcome = scenarios.CHECKS[name].fn(DEFAULT_CONFIG,
+                                        runner.check_rng(DEFAULT_CONFIG.seed, name))
+    params = DEFAULT_CONFIG.model()
+    fr = scenarios.smeared_frame(ops.regular_representation(params), rng, 0.5)
+    omega = ops.random_state(rng, fr.dim)
+    base = frames.disintegrate(frames.born_measure(frames.OrientedFrame(fr, omega)))
+    boosts = params.boosts()
+    worst, compared = 0.0, 0
+    for g in scenarios._group_sample(params, rng, extra=3):
+        moved = frames.disintegrate(frames.born_measure(frames.OrientedFrame(
+            fr, scenarios._right_shift(fr.rep, g, omega))))
+        boosted = [boosts.index((g.boost * lam) % params.N) for lam in boosts]
+        for i in np.flatnonzero(moved.support):
+            gx = params.site_index(
+                lattice.act_point(g, params.lattice_points()[i], params))
+            assert base.support[gx]
+            worst = max(worst, float(np.max(np.abs(
+                moved.conditional[i] - base.conditional[gx, boosted]))))
+            compared += len(boosts)
+    assert outcome.residuals["conditional"] == worst
+    assert outcome.details["compared"] == compared
