@@ -225,6 +225,37 @@ def joint_constraint_system(frame: FrameObservable, pmf1: BornMeasure,
     return A, b
 
 
+#: Relative cutoff of the affine projection: singular values of the
+#: constraint matrix below it times the largest are dropped, as are
+#: row-space directions below it times the largest row norm.
+PROJECTION_RCOND = 1e-10
+
+
+def affine_projection(A: np.ndarray, b: np.ndarray):
+    """The map x -> x - A^+ (A x - b) for a real matrix A: the orthogonal
+    projection onto {x : A x = b}, or onto its least-squares set when that
+    is empty.
+
+    A^+ is taken as Q (A Q)^+ with Q an orthonormal basis of the row space
+    of A, so no pseudo-inverse of A itself is formed.  Q is grown a block
+    of rows at a time (``operators.fresh_directions``); a block takes a
+    third of ops.WORK_BLOCK_BYTES (at least one row), since its residual
+    and its singular vectors are as large again.  The work memory beside A
+    is then a few blocks and the (len(A), rank) matrix A Q."""
+    n = A.shape[1]
+    scale = float(np.sqrt(np.max(np.einsum("ij,ij->i", A, A), initial=0.0)))
+    step = max(1, ops.WORK_BLOCK_BYTES // (3 * A.itemsize * n))
+    Q = np.zeros((n, 0))
+    for start in range(0, len(A), step):
+        if Q.shape[1] == n:
+            break
+        fresh = ops.fresh_directions(Q, A[start:start + step].T,
+                                     PROJECTION_RCOND * scale)
+        Q = np.concatenate([Q, fresh], axis=1)
+    pinv = np.linalg.pinv(A @ Q, rcond=PROJECTION_RCOND)
+    return lambda x: x - Q @ (pinv @ (A @ x - b))
+
+
 @dataclass
 class JointStateResult:
     state: np.ndarray | None
@@ -240,8 +271,10 @@ def find_joint_state(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndar
     Born measures, by Dykstra alternating projections between the affine
     constraint set and the PSD cone.
 
-    Success means the returned iterate is PSD (exactly, after eigenvalue
-    clipping) and satisfies every affine constraint within tol_feas.  A
+    The affine step is ``affine_projection`` of the constraint system,
+    built once from an orthonormal basis of its row space.  Success means
+    the returned iterate is PSD (exactly, after eigenvalue clipping) and
+    satisfies every affine constraint within tol_feas.  A
     residual bounded away from zero after max_iter is a no-certificate
     outcome: feasibility stays undecided, but for an empty affine set the
     residual cannot vanish.
@@ -250,10 +283,7 @@ def find_joint_state(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndar
     pmf1 = born_measure(OrientedFrame(frame, omega1))
     pmf2 = born_measure(OrientedFrame(frame, omega2))
     A, b = joint_constraint_system(frame, pmf1, pmf2)
-    pinv = np.linalg.pinv(A, rcond=1e-10)
-
-    def project_affine(x: np.ndarray) -> np.ndarray:
-        return x - pinv @ (A @ x - b)
+    project_affine = affine_projection(A, b)
 
     def project_psd(x: np.ndarray) -> np.ndarray:
         H = _coords_to_hermitian(x, d)

@@ -14,8 +14,8 @@ system via the Born weights:
 All sums are finite, so the covariance and reconstruction identities hold
 to machine precision.  The system representation is monomial, so every
 phi_f is a gather of phi times phases (``UnitaryRep.orbit``), and each sum
-over frame points is that gather over the points of nonzero weight and one
-contraction with the weights (``UnitaryRep.orbit_sum``); both follow the
+over frame points is that gather over the points of nonzero weight,
+contracted with the weights (``UnitaryRep.orbit_sum``); both follow the
 frame-point order.
 
 Two whole-lattice arrays carry the pointwise quantities:

@@ -21,8 +21,9 @@ the basis, so a frame is a convolution kernel on the group
 and the tensor sum sum_f A_f (x) E(f) (``FrameObservable.tensor_sum``,
 which ``fields.relativize`` calls) read that kernel through the
 representation's index tables (``UnitaryRep.regular_index``) and build no
-effect array.  These three are the only code that chooses between the
-kernel and the effect array.
+effect array; the tensor sum takes the frame rows in batches whose
+intermediates stay within ``operators.WORK_BLOCK_BYTES``.  These three
+are the only code that chooses between the kernel and the effect array.
 
 Also here: disintegration of Born measures, whose support mask is the one
 rule for the spacetime support of a preparation; channel composition (with
@@ -60,11 +61,6 @@ class DegenerateSeedError(ValueError):
 
 class ChannelValidationError(ValueError):
     """Raised when a map fails the complete-positivity or unitality check."""
-
-
-#: Frame rows per batch of ``FrameObservable.tensor_sum`` on a regular
-#: representation, so that its intermediates stay a fraction of its result.
-TENSOR_SUM_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +116,10 @@ class FrameObservable:
         On a regular representation, with B the convolution kernel, the
         frame block (k, l) of the sum is sum_h stack[k h^-1] B[h, k^-1 l]:
         a batched GEMM of the stack, gathered by right quotient, with B,
-        then a gather by left quotient, over TENSOR_SUM_ROWS rows k at a
-        time.  Any other representation takes one contraction of the
+        then a gather by left quotient, over as many rows k at a time as
+        keep one gathered (rows, d, m m) batch within ops.WORK_BLOCK_BYTES
+        (at least one row), so the intermediates do not grow with the
+        result.  Any other representation takes one contraction of the
         stack with the effect array."""
         n, m, d = len(stack), stack.shape[1], self.dim
         flat = stack.reshape(n, -1)
@@ -132,8 +130,9 @@ class FrameObservable:
         else:
             index = self.rep.regular_index
             blocks = np.empty((m, d, m, d), dtype=complex)
-            for start in range(0, d, TENSOR_SUM_ROWS):
-                k = slice(start, start + TENSOR_SUM_ROWS)
+            step = max(1, ops.WORK_BLOCK_BYTES // (16 * flat.size))
+            for start in range(0, d, step):
+                k = slice(start, start + step)
                 Z = flat[index.right_quotient[k]].transpose(0, 2, 1) @ B  # (k, mm', r)
                 Y = np.take_along_axis(Z, index.left_quotient[k, None, :], axis=2)
                 blocks[:, k] = Y.reshape(-1, m, m, d).transpose(1, 0, 2, 3)

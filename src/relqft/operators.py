@@ -35,9 +35,12 @@ MAX_DIM = 4096  # guard for runaway tensor products
 #: Cap on the |F| d^2 complex entries of one frame's effect array (2 GiB):
 #: the regular representation at N = 9 fits (1.7 GiB), N = 11 does not.
 MAX_FRAME_BYTES = 2 * 1024**3
-#: Bytes of int64 gather index that ``UnitaryRep._conjugates`` builds at
-#: once (at least one row): a gather then peaks at about its stack.
-GATHER_INDEX_BYTES = 2**19
+#: Bytes of one block of work memory (at least one row or operator per
+#: block): the gather index of ``UnitaryRep._conjugates``, the operator
+#: blocks of a stacked ``UnitaryRep.orbit_sum``, the row batches of
+#: ``UnitaryRep.invariance_defect`` and ``FrameObservable.tensor_sum``,
+#: and the row blocks of the joint-state projection in ``causality``.
+WORK_BLOCK_BYTES = 2**19
 #: Operator pairs whose commutators ``max_commutator`` forms at once;
 #: bounds its working memory at a few (chunk, d, d) stacks.
 PAIR_CHUNK = 32
@@ -293,6 +296,17 @@ def double_commutant(ops, dim: int | None = None) -> AlgebraSubspace:
     return commutant(first.basis_ops(), dim=first.dim)
 
 
+def fresh_directions(Q: np.ndarray, P: np.ndarray, floor: float) -> np.ndarray:
+    """Orthonormal columns spanning the part of span(P) outside span(Q),
+    for Q with orthonormal columns: two passes of classical Gram-Schmidt
+    against Q, then the left singular vectors of the residual whose
+    singular values exceed ``floor``."""
+    for _ in range(2):  # classical Gram-Schmidt, reorthogonalised
+        P = P - Q @ (dagger(Q) @ P)
+    U, svals, _ = np.linalg.svd(P, full_matrices=False)
+    return U[:, svals > floor]
+
+
 def generated_algebra(ops, dim: int) -> AlgebraSubspace:
     """Unital *-algebra generated by ops, by word closure.
 
@@ -322,10 +336,7 @@ def generated_algebra(ops, dim: int) -> AlgebraSubspace:
             P = np.concatenate([(gens[:, None] @ N).reshape(-1, d2),
                                 (N @ N).reshape(-1, d2)]).T
             scale = max(scale, float(np.max(np.linalg.norm(P, axis=0))))
-            for _ in range(2):  # classical Gram-Schmidt, reorthogonalised
-                P = P - Q @ (dagger(Q) @ P)
-            U, svals, _ = np.linalg.svd(P, full_matrices=False)
-            fresh = U[:, svals > SVD_CUTOFF * scale]
+            fresh = fresh_directions(Q, P, SVD_CUTOFF * scale)
             Q = np.concatenate([Q, fresh], axis=1)
             added.append(fresh)
             if Q.shape[1] >= d2:
@@ -395,15 +406,15 @@ class UnitaryRep:
         conjugates contiguous: the gather (k, l) -> c[k] A[inv[k], inv[l]]
         conj(c[l]), with inv the inverse of the table row and c =
         phases[inv].  The row phase goes on first, as a dense product
-        rounds.  The int64 gather index is built about GATHER_INDEX_BYTES
-        at a time (at least one row) and serves every operator, so it adds
+        rounds.  The int64 gather index is built about WORK_BLOCK_BYTES at
+        a time (at least one row) and serves every operator, so it adds
         little to the stack; the stack is refused before allocation above
         MAX_FRAME_BYTES, named by ``what``."""
         A = np.asarray(A, dtype=complex)
         n, d = len(inverse), self.dim
         flats = A.reshape(-1, d * d)
         stack = zero_stack(len(flats) * n, d, what).reshape(len(flats), n, d, d)
-        block = max(1, GATHER_INDEX_BYTES // (8 * d * d))
+        block = max(1, WORK_BLOCK_BYTES // (8 * d * d))
         for start in range(0, n, block):
             inv = inverse[start:start + block]
             index = inv[:, :, None] * d + inv[:, None, :]
@@ -443,26 +454,57 @@ class UnitaryRep:
 
     def orbit_sum(self, weights, A: np.ndarray) -> np.ndarray:
         """sum_g weights[g] U(g) A U(g)^dag, weights in group_elements()
-        order: one gather of the conjugates by the elements of nonzero
-        weight, refused before allocation when it would exceed
-        MAX_FRAME_BYTES, and one contraction with their weights.
+        order: a gather of the conjugates by the elements of nonzero
+        weight, contracted with their weights.
 
         A (|G|, m) weight matrix gives the m sums, column k weighted by
         weights[:, k], as one (m, dim, dim) array: the gather then takes
         the elements with any nonzero weight.  An (n, dim, dim) stack A
-        gives, from the same one gather, n results, result[i] being
-        orbit_sum(weights, A[i]) to the bit: each operator's conjugates
-        are contracted with the weights on their own."""
+        gives n results, result[i] being orbit_sum(weights, A[i]) to the
+        bit: the operators are gathered and contracted in blocks of about
+        WORK_BLOCK_BYTES of conjugates (at least one operator), each
+        operator's conjugates with the weights on their own.  The
+        conjugates of the whole stack are refused before any allocation
+        when they would exceed MAX_FRAME_BYTES, as if built at once."""
         weights = np.asarray(weights)
         rows = np.flatnonzero(weights if weights.ndim == 1 else weights.any(axis=1))
-        what = f"a stack of {len(rows)} conjugates"
-        if np.ndim(A) == 3:
-            what += f" of {len(A)} operators"
-        stack = self._cached_conjugates(rows, A, what)
         if len(rows) < len(weights):  # no copy when every element is taken
             weights = weights[rows]
-        sums = weights.T @ stack.reshape(stack.shape[:-2] + (self.dim ** 2,))
-        return sums.reshape(sums.shape[:-1] + (self.dim, self.dim))
+        A = np.asarray(A, dtype=complex)
+        d = self.dim
+        what = f"a stack of {len(rows)} conjugates"
+        if A.ndim == 3:
+            what += f" of {len(A)} operators"
+        stack = A.reshape(-1, d, d)
+        require_stack_fits(len(stack) * len(rows), d, what)
+        sums = np.empty((len(stack),) + weights.shape[1:] + (d * d,), dtype=complex)
+        step = max(1, WORK_BLOCK_BYTES // (16 * d * d * max(1, len(rows))))
+        for start in range(0, len(stack), step):
+            block = self._cached_conjugates(rows, stack[start:start + step], what)
+            sums[start:start + step] = weights.T @ block.reshape(
+                block.shape[:-2] + (d * d,))
+        return sums.reshape(A.shape[:-2] + weights.shape[1:] + (d, d))
+
+    def invariance_defect(self, g: GroupElement, A: np.ndarray) -> float:
+        """max |U(g) A U(g)^dag - A| over the entries, with no conjugate of
+        A built: WORK_BLOCK_BYTES of rows at a time (at least one), each
+        row gathered by the inverse table row and phased as
+        ``_conjugates`` phases it, so the value is that of
+        ``eq_defect(conjugate(g, A), A)`` to the bit."""
+        inverse, phases = self._inverse([self.params.frame_index(g)])
+        inv = inverse[0]
+        A = np.asarray(A, dtype=complex)
+        worst = 0.0
+        step = max(1, WORK_BLOCK_BYTES // (16 * self.dim))
+        for start in range(0, self.dim, step):
+            rows = slice(start, start + step)
+            moved = A[np.ix_(inv[rows], inv)]
+            if phases is not None:
+                moved *= phases[0, rows, None]
+                moved *= phases[0].conj()
+            moved -= A[rows]
+            worst = np.maximum(worst, np.max(np.abs(moved)))
+        return float(worst)
 
     @cached_property
     def regular_index(self) -> RegularIndex | None:

@@ -347,11 +347,9 @@ def check_channel_laws(cfg: ScenarioConfig,
         relativized = fields.relativize(fields.RelationalField(system, fr))
         diagonal = ops.tensor_product_rep(system.rep, fr.rep)
         for g in params.generators():
-            moved = diagonal.conjugate(g, relativized)
-            moved -= relativized  # in place: at N = 9 each is 136 MB
             worst["diagonal_invariance"] = np.maximum(
-                worst["diagonal_invariance"], np.max(np.abs(moved)))
-            del moved
+                worst["diagonal_invariance"],
+                diagonal.invariance_defect(g, relativized))
         del relativized  # freed before the next frame is built
         for x in unrestricted:
             lifted = fields.relativize(
@@ -546,9 +544,9 @@ def check_wightman_suite(cfg: ScenarioConfig,
     params, rep, vacuum, fr, spec = _wightman_stage(rng)
     tol = cfg.tol("tol_eq")
     tol_supp = cfg.tol("tol_supp")
+    kernels = wightman.KernelArrays(vacuum, fr, tol_supp)
     measurements = [Measurement(
-        "hermiticity", wightman.hermiticity_check(vacuum, spec, fr, tol_supp),
-        EXACT_TOL)]
+        "hermiticity", wightman.hermiticity_check(kernels, spec), EXACT_TOL)]
     families = [wightman.VevSpec((
         (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
         (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim))))
@@ -558,7 +556,7 @@ def check_wightman_suite(cfg: ScenarioConfig,
         -GRAM_TOL, ">="))
 
     base_value = wightman.vev(vacuum, spec, fr)
-    base_kernel = wightman.kernel_array(vacuum, spec, fr, tol_supp)
+    base_kernel = kernels(spec)
     rows = lattice.site_action_table(params)
     worst_shift = worst_kernel = 0.0
     for g in params.generators():
@@ -569,8 +567,7 @@ def check_wightman_suite(cfg: ScenarioConfig,
         # W_shifted(x1, x2) = W(g x1, g x2) at every point pair
         row = rows[params.frame_index(g)]
         worst_kernel = np.maximum(worst_kernel, np.max(np.abs(
-            wightman.kernel_array(vacuum, shifted_spec, fr, tol_supp)
-            - base_kernel[np.ix_(row, row)])))
+            kernels(shifted_spec) - base_kernel[np.ix_(row, row)])))
     measurements += [Measurement("preparation_shift", worst_shift, tol),
                      Measurement("kernel_shift", worst_kernel, tol)]
 
@@ -592,17 +589,17 @@ def check_wightman_suite(cfg: ScenarioConfig,
             wightman.vev(vacuum, swap_spec, fr)
             - wightman.vev(vacuum, swap_spec.swapped(0), fr)), tol),
         Measurement("kernel_swap", wightman.kernel_swap_residual(
-            vacuum, swap_spec, fr, (a, b), 0, tol_supp), tol)]
+            kernels, swap_spec, (a, b), 0), tol)]
 
     x1, x2 = LatticePoint(1, 1), LatticePoint(0, 0)
     ordered, coincident = wightman.time_ordered_detailed(
-        vacuum, spec, fr, (x1, x2), tol_supp)
+        kernels, spec, (x1, x2))
     t1 = lattice.time_coordinate(x1, params)
     t2 = lattice.time_coordinate(x2, params)
     split = (wightman.theta(t1 - t2)
-             * wightman.kernel(vacuum, spec, fr, (x1, x2), tol_supp)
+             * wightman.kernel(kernels, spec, (x1, x2))
              + wightman.theta(t2 - t1)
-             * wightman.kernel(vacuum, spec.swapped(0), fr, (x2, x1), tol_supp))
+             * wightman.kernel(kernels, spec.swapped(0), (x2, x1)))
     measurements.append(
         Measurement("time_ordered_split", abs(ordered - split), tol))
 
@@ -610,8 +607,8 @@ def check_wightman_suite(cfg: ScenarioConfig,
     # smeared frame, whose seed is the check's last draw
     smeared = smeared_frame(rep, rng, 0.35)
     measurements.append(Measurement("smearing_reconstruction", np.max([
-        wightman.kernel_reconstruction_defect(vacuum, spec, frame, tol_supp)
-        for frame in (fr, smeared)]), tol))
+        wightman.kernel_reconstruction_defect(arrays, spec) for arrays in (
+            kernels, wightman.KernelArrays(vacuum, smeared, tol_supp))]), tol))
     return CheckOutcome(
         measurements,
         {"model": "N=5 lifted window=2", "swap_premise": premise,

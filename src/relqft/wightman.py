@@ -20,13 +20,17 @@ spec:
 * the spectral table (``SpectralReport.table``): the transform of the
   difference kernel, same shape, with axes (q_1.u, q_1.v, ...).
 
-The kernel array is the one evaluator of W at points: ``kernel`` reads
-its entry at one tuple, and the swap and time-ordering quantities read
-``kernel``.  The tests check it against products of site-table rows.
+The kernel array is the one evaluator of W at points.  ``KernelArrays``
+keeps the array of each spec on one vacuum and frame, so a spec read
+several times is evaluated once; ``kernel`` reads its entry at one
+tuple, the swap and time-ordering quantities read ``kernel``, and the
+Hermiticity and reconstruction residuals read whole arrays.  The tests
+check it against products of site-table rows.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -77,7 +81,7 @@ class VacuumModel:
         if not ops.is_state(np.asarray(self.state, dtype=complex)):
             raise ops.HermiticityError("vacuum is not a density matrix")
         for g in self.params.generators():
-            if ops.eq_defect(self.rep.conjugate(g, self.state), self.state) > TOL_EQ:
+            if self.rep.invariance_defect(g, self.state) > TOL_EQ:
                 raise InvarianceError("vacuum state is not group-invariant")
 
     @property
@@ -149,16 +153,6 @@ def vev(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> complex:
     return complex(np.trace(acc))
 
 
-def kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-           points, tol_supp: float = TOL_SUPP) -> complex:
-    """Pointwise spacetime kernel: the entry of ``kernel_array`` at one
-    lattice point per factor (zero off the marginal supports)."""
-    if len(points) != spec.n:
-        raise ValueError("one lattice point per factor required")
-    index = tuple(vac.params.site_index(x) for x in points)
-    return complex(kernel_array(vac, spec, frame, tol_supp)[index])
-
-
 def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
                  tol_supp: float = TOL_SUPP) -> np.ndarray:
     """The kernel at every point tuple: an (N^2,)^n array, one axis per
@@ -176,15 +170,51 @@ def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     return np.einsum("...ab,yba->...y", acc, last)
 
 
-def kernel_reconstruction_defect(vac: VacuumModel, spec: VevSpec,
-                                 frame: FrameObservable,
-                                 tol_supp: float = TOL_SUPP) -> float:
+class KernelArrays:
+    """``kernel_array`` on one vacuum and frame for each spec asked for,
+    built on first request and kept read-only.  A spec is known by a
+    SHA-256 digest of the values of its factors, so a spec rebuilt from the
+    same preparations and operators, such as ``spec.swapped(i)`` taken
+    twice, finds its array."""
+
+    def __init__(self, vac: VacuumModel, frame: FrameObservable,
+                 tol_supp: float = TOL_SUPP):
+        self.vac = vac
+        self.frame = frame
+        self.tol_supp = tol_supp
+        self._arrays: dict = {}
+
+    def __call__(self, spec: VevSpec) -> np.ndarray:
+        digest = hashlib.sha256()
+        for factor in spec.factors:
+            for a in factor:
+                digest.update(np.ascontiguousarray(a, dtype=complex))
+        key = digest.digest()
+        if key not in self._arrays:
+            array = kernel_array(self.vac, spec, self.frame, self.tol_supp)
+            array.flags.writeable = False
+            self._arrays[key] = array
+        return self._arrays[key]
+
+
+def kernel(kernels: KernelArrays, spec: VevSpec, points) -> complex:
+    """Pointwise spacetime kernel: the entry of the spec's kernel array at
+    one lattice point per factor (zero off the marginal supports)."""
+    if len(points) != spec.n:
+        raise ValueError("one lattice point per factor required")
+    index = tuple(kernels.vac.params.site_index(x) for x in points)
+    return complex(kernels(spec)[index])
+
+
+def kernel_reconstruction_defect(kernels: KernelArrays, spec: VevSpec) -> float:
     """|sum over point tuples of kernel x marginal weights - vev|: the
-    kernel array contracted with each factor's spacetime marginal."""
-    total = kernel_array(vac, spec, frame, tol_supp)
+    spec's kernel array contracted with each factor's spacetime
+    marginal."""
+    total = kernels(spec)
     for omega, _ in reversed(spec.factors):
-        total = total @ born_measure(OrientedFrame(frame, omega)).spacetime_marginal()
-    return abs(total - vev(vac, spec, frame))
+        total = total @ born_measure(
+            OrientedFrame(kernels.frame, omega)).spacetime_marginal()
+    return abs(total - vev(kernels.vac, spec, kernels.frame))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +297,15 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
 # ---------------------------------------------------------------------------
 # hermiticity, positivity, swaps
 
-def hermiticity_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                      tol_supp: float = TOL_SUPP) -> float:
+def hermiticity_check(kernels: KernelArrays, spec: VevSpec) -> float:
     """Residual of vev(spec) against the conjugate of the reversed-adjoint
     spec, and of the kernel array against the conjugate of the
     reversed-adjoint one read with its axes reversed, at every tuple."""
+    vac, frame = kernels.vac, kernels.frame
     rev = spec.reversed_adjoint()
     residual = abs(vev(vac, spec, frame) - np.conj(vev(vac, rev, frame)))
-    kernels = np.abs(kernel_array(vac, spec, frame, tol_supp)
-                     - np.conj(kernel_array(vac, rev, frame, tol_supp).T))
-    return float(max(residual, np.max(kernels)))
+    defects = np.abs(kernels(spec) - np.conj(kernels(rev).T))
+    return float(max(residual, np.max(defects)))
 
 
 def gram_matrix(vac: VacuumModel, families, frame: FrameObservable) -> np.ndarray:
@@ -293,13 +322,13 @@ def gram_matrix(vac: VacuumModel, families, frame: FrameObservable) -> np.ndarra
     return np.einsum("ab,kcb,jca->jk", vac.state, prods.conj(), prods)
 
 
-def kernel_swap_residual(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                         points, i: int, tol_supp: float = TOL_SUPP) -> float:
+def kernel_swap_residual(kernels: KernelArrays, spec: VevSpec, points,
+                         i: int) -> float:
     """Kernel-level adjacent swap: factors and their points exchanged."""
     pts = list(points)
     pts[i], pts[i + 1] = pts[i + 1], pts[i]
-    return abs(kernel(vac, spec, frame, points, tol_supp)
-               - kernel(vac, spec.swapped(i), frame, pts, tol_supp))
+    return abs(kernel(kernels, spec, points)
+               - kernel(kernels, spec.swapped(i), pts))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +344,13 @@ def theta(t: int) -> float:
     return 0.5
 
 
-def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                          points, tol_supp: float = TOL_SUPP
-                          ) -> tuple[complex, bool]:
+def time_ordered_detailed(kernels: KernelArrays, spec: VevSpec,
+                          points) -> tuple[complex, bool]:
     """Theta-weighted permutation sum over factor orderings, each term the
     ``kernel`` of the permuted factors at the permuted points, taken only
     for permutations of nonzero weight; returns the value and whether any
     coincident-time pair invoked theta(0) = 1/2."""
-    params = frame.params
+    params = kernels.frame.params
     if params.causal_mode != "lifted":
         raise TimeOrderError("time ordering requires the lifted causal mode")
     if len(points) != spec.n:
@@ -342,8 +370,7 @@ def time_ordered_detailed(vac: VacuumModel, spec: VevSpec, frame: FrameObservabl
         if weight == 0.0:
             continue
         permuted = VevSpec(tuple(spec.factors[j] for j in perm))
-        total += weight * kernel(vac, permuted, frame, [points[j] for j in perm],
-                                 tol_supp)
+        total += weight * kernel(kernels, permuted, [points[j] for j in perm])
     return total, coincident
 
 

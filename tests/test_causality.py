@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,10 +160,69 @@ def test_joint_constraint_system_is_capped(monkeypatch):
         causality.joint_constraint_system(fr, mu, mu)
 
 
+def pinv_projection(A, b, x):
+    """The reference affine projection, through the pseudo-inverse of all
+    of A."""
+    return x - np.linalg.pinv(A, rcond=1e-10) @ (A @ x - b)
+
+
+def disjoint_site_system():
+    """The witness system of two disjointly supported site preparations,
+    which no coordinate vector satisfies."""
+    fr, _ = witness_frame()
+    mu1, mu2 = (frames.born_measure(frames.OrientedFrame(fr, ops.tensor(
+        site_state(P3, x), np.eye(2, dtype=complex) / 2))) for x in ((0, 0), (1, 2)))
+    return causality.joint_constraint_system(fr, mu1, mu2)
+
+
+def test_affine_projection_equals_the_pseudo_inverse_projection(rng, monkeypatch):
+    fr, omega = witness_frame()
+    mu = frames.born_measure(frames.OrientedFrame(fr, omega))
+    witness = causality.joint_constraint_system(fr, mu, mu)
+    for A, b in (witness, disjoint_site_system()):
+        project = causality.affine_projection(A, b)
+        for _ in range(3):
+            x = rng.standard_normal(A.shape[1])
+            assert np.max(np.abs(project(x) - pinv_projection(A, b, x))) < 1e-12
+    # rank 9 of 16 coordinates in row blocks of 8: the first block spans 4
+    # directions, the second only combines the first, the third adds 3
+    # and the fourth 2; b is off the range, so the system is inconsistent
+    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 3 * 8 * 16 * 8)
+    R = rng.standard_normal((9, 16))
+    first = rng.standard_normal((8, 4)) @ R[:4]
+    A = np.concatenate([first, rng.standard_normal((8, 8)) @ first,
+                        rng.standard_normal((8, 7)) @ R[:7],
+                        rng.standard_normal((8, 9)) @ R])
+    assert np.linalg.matrix_rank(A) == 9
+    for b in (A @ rng.standard_normal(16), rng.standard_normal(len(A))):
+        project = causality.affine_projection(A, b)
+        for _ in range(3):
+            x = rng.standard_normal(16)
+            assert np.max(np.abs(project(x) - pinv_projection(A, b, x))) < 1e-12
+
+
+def test_find_joint_state_peaks_at_about_the_constraint_matrix():
+    # the projection keeps a few row blocks and A Q beside A, so the search
+    # peaks at about the constraint matrix it builds
+    fr, omega = witness_frame()
+    mu = frames.born_measure(frames.OrientedFrame(fr, omega))
+    A, _ = causality.joint_constraint_system(fr, mu, mu)
+    fr, omega = witness_frame()
+    tracemalloc.start()
+    try:
+        result = causality.find_joint_state(fr, omega, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak < 1.5 * A.nbytes, peak / A.nbytes
+
+
 def test_find_joint_state_certificate():
     fr, omega = witness_frame()
     result = causality.find_joint_state(fr, omega, omega)
     assert result.converged
+    assert result.iterations == 1
     assert result.residual < 1e-7
     assert ops.is_state(result.state)
 
@@ -181,6 +242,7 @@ def test_disjoint_site_preparations_admit_no_joint_state():
             > np.linalg.matrix_rank(A, tol=1e-10))
     result = causality.find_joint_state(fr, omega1, omega2, max_iter=60)
     assert not result.converged
+    assert result.iterations == 60
     assert result.state is None
     assert result.residual > 1e-7
 

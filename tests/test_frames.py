@@ -351,6 +351,43 @@ def test_reading_effects_peaks_at_about_the_array():
     assert peak < 1.2 * effects.nbytes
 
 
+def fixed_batch_tensor_sum(frame, stack):
+    """The reference tensor sum: on a regular representation the
+    convolution formula over fixed batches of 64 frame rows, on any other
+    one contraction with the effect array."""
+    n, m, d = len(stack), stack.shape[1], frame.dim
+    flat = stack.reshape(n, -1)
+    B = frame.convolution_kernel
+    if B is None:
+        total = flat.T @ frame.effects.reshape(n, -1)
+        return total.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
+    index = frame.rep.regular_index
+    blocks = np.empty((m, d, m, d), dtype=complex)
+    for start in range(0, d, 64):
+        k = slice(start, start + 64)
+        Z = flat[index.right_quotient[k]].transpose(0, 2, 1) @ B
+        Y = np.take_along_axis(Z, index.left_quotient[k, None, :], axis=2)
+        blocks[:, k] = Y.reshape(-1, m, m, d).transpose(1, 0, 2, 3)
+    return blocks.reshape(m * d, m * d)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("rep", [
+    ops.regular_representation(P5), ops.regular_representation(ModelParams(7, 2)),
+    ops.lorentz_representation(P5)], ids=["regular-N5", "regular-N7", "lorentz-N5"])
+def test_tensor_sum_does_not_depend_on_its_row_batches(rep, rows, rng,
+                                                       monkeypatch):
+    # each frame row's block is one GEMM of its own, so batches of the
+    # budget's size (20 rows at N = 5, 24 at N = 7) or of 3 rows give the
+    # 64-row sum to the bit
+    fr = smeared(rep, rng)
+    m = 4 if rep.params.N == 5 else 3
+    stack = np.array([ops.random_operator(rng, m) for _ in fr.frame_points()])
+    if rows is not None:
+        monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 16 * rows * stack.size)
+    assert np.array_equal(fr.tensor_sum(stack), fixed_batch_tensor_sum(fr, stack))
+
+
 # ---------------------------------------------------------------------------
 # index order: every array result against a loop over frame_points()
 

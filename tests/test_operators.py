@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,20 +541,24 @@ def stacked_orbit_sum_reps():
 
 @pytest.mark.parametrize("rep", stacked_orbit_sum_reps(),
                          ids=["permutation", "character", "tensor-product"])
-def test_stacked_orbit_sum_matches_one_operator_at_a_time(rng, rep):
+def test_stacked_orbit_sum_matches_one_operator_at_a_time(rng, rep, monkeypatch):
     n = len(rep.table)
     stack = np.array([ops.random_operator(rng, rep.dim) for _ in range(7)])
     weights = rng.standard_normal(n)
     weights[::4] = 0.0
     matrix = rng.standard_normal((n, 3))
-    sums = rep.orbit_sum(weights, stack)
-    by_column = rep.orbit_sum(matrix, stack)
-    assert sums.shape == stack.shape
-    assert by_column.shape == (7, 3, rep.dim, rep.dim)
-    # each operator is contracted on its own, so the sums agree to the bit
-    for i, A in enumerate(stack):
-        assert np.array_equal(sums[i], rep.orbit_sum(weights, A))
-        assert np.array_equal(by_column[i], rep.orbit_sum(matrix, A))
+    # the default budget takes the stack in one block; a budget of two
+    # operators' conjugates takes it in four
+    for budget in (ops.WORK_BLOCK_BYTES, 2 * 16 * n * rep.dim ** 2):
+        monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", budget)
+        sums = rep.orbit_sum(weights, stack)
+        by_column = rep.orbit_sum(matrix, stack)
+        assert sums.shape == stack.shape
+        assert by_column.shape == (7, 3, rep.dim, rep.dim)
+        # each operator is contracted on its own, so the sums agree to the bit
+        for i, A in enumerate(stack):
+            assert np.array_equal(sums[i], rep.orbit_sum(weights, A))
+            assert np.array_equal(by_column[i], rep.orbit_sum(matrix, A))
 
 
 @pytest.mark.parametrize("rep", stacked_orbit_sum_reps()[:2],
@@ -565,6 +570,42 @@ def test_stacked_conjugate_matches_one_operator_at_a_time(rng, rep):
         assert conjugated.shape == stack.shape
         for A, moved in zip(stack, conjugated):
             assert np.array_equal(moved, rep.conjugate(g, A))
+
+
+@pytest.mark.parametrize("rep", [
+    ops.regular_representation(P3), sector_representation(P3),
+    ops.tensor_product_rep(
+        ops.character_representation(P3, [LatticePoint(1, 0), LatticePoint(2, 0)]),
+        ops.regular_representation(P3))],
+    ids=["permutation", "phased", "tensor-product"])
+def test_invariance_defect_is_the_conjugate_defect_to_the_bit(rng, rep,
+                                                              monkeypatch):
+    # rows of 5 entries a batch: the last batch is partial
+    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 5 * 16 * rep.dim)
+    A = ops.random_operator(rng, rep.dim)
+    invariant = rep.orbit_sum(np.ones(len(rep.table)), A)
+    for g in [*P3.generators(), *P3.group_elements()[::5]]:
+        assert rep.invariance_defect(g, A) == ops.eq_defect(rep.conjugate(g, A), A)
+        assert rep.invariance_defect(g, invariant) == ops.eq_defect(
+            rep.conjugate(g, invariant), invariant)
+        assert rep.invariance_defect(g, invariant) < 1e-12
+
+
+def test_invariance_defect_builds_no_conjugate(rng):
+    # the diagonal representation of channel-laws at N = 5: Y is 400 x 400
+    # (2.56 MB), and the measurement holds about one row batch beside it
+    rep = ops.tensor_product_rep(
+        ops.character_representation(P5, [LatticePoint(k, 0) for k in range(1, 5)]),
+        ops.regular_representation(P5))
+    Y = ops.random_operator(rng, rep.dim)
+    tracemalloc.start()
+    try:
+        for g in P5.generators():
+            rep.invariance_defect(g, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ops.WORK_BLOCK_BYTES < Y.nbytes, peak
 
 
 def test_stacked_orbit_sum_is_capped_naming_the_stack(monkeypatch):

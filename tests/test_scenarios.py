@@ -31,10 +31,11 @@ def test_frame_loops_hold_one_effect_array_at_a_time(name):
 
 
 def test_wightman_suite_takes_each_site_table_once(monkeypatch):
-    # the kernel shift law takes spec's tables once for its kernel array and
-    # each shifted spec's once: 4 hermiticity + 2 time-ordered + (2 + 3 x 2)
-    # shift + 4 swap + 4 split + 2 microcausality + 2 x 2 smearing
-    # reconstruction tables
+    # each distinct spec's kernel array is built once from two tables: spec
+    # (read by the Hermiticity, shift, time-ordering, split and stage
+    # reconstruction measurements) and its reversed adjoint, the three
+    # shifted specs, the swap spec and its swap, spec's swap (split), and
+    # spec on the smeared frame; plus 2 microcausality tables
     calls = []
     original = fields.relational_local_fields
 
@@ -47,7 +48,7 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     outcome = scenarios.CHECKS["wightman-suite"].fn(
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "wightman-suite"))
     assert outcome.verdict == "verified"
-    assert len(calls) == 28
+    assert len(calls) == 20
 
 
 def test_net_axioms_builds_each_local_algebra_once(monkeypatch):

@@ -70,7 +70,8 @@ def test_one_point_vev_is_the_observable_expectation(rng):
 
 def test_hermiticity_identity_for_generic_operators(rng):
     _, vac, fr, spec = lifted_stage(rng)
-    assert wightman.hermiticity_check(vac, spec, fr) < 1e-12
+    kernels = wightman.KernelArrays(vac, fr)
+    assert wightman.hermiticity_check(kernels, spec) < 1e-12
 
 
 def test_gram_matrix_is_positive(rng):
@@ -98,7 +99,8 @@ def test_gram_matrix_is_positive(rng):
 
 def test_kernel_reconstruction(rng):
     _, vac, fr, spec = lifted_stage(rng)
-    assert wightman.kernel_reconstruction_defect(vac, spec, fr) < 1e-10
+    kernels = wightman.KernelArrays(vac, fr)
+    assert wightman.kernel_reconstruction_defect(kernels, spec) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -112,6 +114,7 @@ def test_kernel_array_is_the_product_of_table_rows(rng, n):
         for omega, phi in spec.factors]
     K = wightman.kernel_array(vac, spec, fr)
     assert K.shape == (25,) * n
+    kernels = wightman.KernelArrays(vac, fr)
     points = L5.lattice_points()
     for idx in rng.integers(25, size=(20, n)):
         acc = np.array(vac.state, dtype=complex)
@@ -119,11 +122,11 @@ def test_kernel_array_is_the_product_of_table_rows(rng, n):
             acc = acc @ table[i]
         product = np.trace(acc)
         assert abs(K[tuple(idx)] - product) < 1e-12
-        value = wightman.kernel(vac, spec, fr, [points[i] for i in idx])
+        value = wightman.kernel(kernels, spec, [points[i] for i in idx])
         assert abs(value - product) < 1e-12
         assert value == K[tuple(idx)]
     with pytest.raises(ValueError, match="one lattice point per factor"):
-        wightman.kernel(vac, spec, fr, [LatticePoint(0, 0)] * (n + 1))
+        wightman.kernel(kernels, spec, [LatticePoint(0, 0)] * (n + 1))
 
 
 def test_kernel_array_does_not_depend_on_blas_threads():
@@ -154,11 +157,12 @@ def test_difference_kernel_base_independence(rng):
         (omega, ops.random_operator(rng, rep.dim))))
     table = wightman.difference_kernel(vac, spec, fr)
     assert table.shape == (5, 5)
+    kernels = wightman.KernelArrays(vac, fr)
     # the reduced kernel equals the pointwise kernel anchored anywhere
     for xi in (LatticePoint(2, 3), LatticePoint(0, 4)):
         for base in (LatticePoint(0, 0), LatticePoint(3, 1)):
             pts = (LatticePoint((base.u + xi.u) % 5, (base.v + xi.v) % 5), base)
-            assert abs(table[xi] - wightman.kernel(vac, spec, fr, pts)) < 1e-12
+            assert abs(table[xi] - wightman.kernel(kernels, spec, pts)) < 1e-12
 
 
 def test_difference_kernel_needs_oriented_full_support(rng):
@@ -250,8 +254,9 @@ def test_time_ordering_requires_lifted_mode(rng):
     spec = wightman.VevSpec((
         (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim)),
         (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim))))
+    kernels = wightman.KernelArrays(vac, fr)
     with pytest.raises(wightman.TimeOrderError):
-        wightman.time_ordered_detailed(vac, spec, fr,
+        wightman.time_ordered_detailed(kernels, spec,
                                        (LatticePoint(0, 0), LatticePoint(1, 1)))
 
 
@@ -259,42 +264,49 @@ def test_time_ordered_two_point_split(rng):
     _, vac, fr, spec = lifted_stage(rng)
     x1, x2 = LatticePoint(1, 1), LatticePoint(0, 0)
     assert lattice.time_coordinate(x1, L5) > lattice.time_coordinate(x2, L5)
-    ordered, coincident = wightman.time_ordered_detailed(vac, spec, fr, (x1, x2))
+    kernels = wightman.KernelArrays(vac, fr)
+    ordered, coincident = wightman.time_ordered_detailed(kernels, spec, (x1, x2))
     assert not coincident
     # later factor first: only the identity permutation survives
-    assert abs(ordered - wightman.kernel(vac, spec, fr, (x1, x2))) < 1e-12
-    reversed_order, _ = wightman.time_ordered_detailed(vac, spec, fr, (x2, x1))
+    assert abs(ordered - wightman.kernel(kernels, spec, (x1, x2))) < 1e-12
+    reversed_order, _ = wightman.time_ordered_detailed(kernels, spec, (x2, x1))
     assert abs(reversed_order
-               - wightman.kernel(vac, spec.swapped(0), fr, (x1, x2))) < 1e-12
+               - wightman.kernel(kernels, spec.swapped(0), (x1, x2))) < 1e-12
 
 
 def test_point_quantities_are_kernel_array_entries(rng):
     _, vac, fr, spec = lifted_stage(rng)
     K = wightman.kernel_array(vac, spec, fr)
     K_swapped = wightman.kernel_array(vac, spec.swapped(0), fr)
+    kernels = wightman.KernelArrays(vac, fr)
+    # a spec rebuilt from the same factors finds the array built for it
+    assert np.array_equal(kernels(spec.swapped(0)), K_swapped)
+    assert kernels(spec.swapped(0)) is kernels(spec.swapped(0))
+    assert kernels(spec) is not kernels(spec.swapped(0))
     later, earlier, level = LatticePoint(1, 1), LatticePoint(0, 0), LatticePoint(1, 4)
     for x1, x2 in ((later, earlier), (earlier, later), (earlier, level)):
         i, j = L5.site_index(x1), L5.site_index(x2)
-        assert wightman.kernel(vac, spec, fr, (x1, x2)) == K[i, j]
-        assert wightman.kernel_swap_residual(vac, spec, fr, (x1, x2), 0) == abs(
+        assert wightman.kernel(kernels, spec, (x1, x2)) == K[i, j]
+        assert wightman.kernel_swap_residual(kernels, spec, (x1, x2), 0) == abs(
             K[i, j] - K_swapped[j, i])
     # theta picks the time-sorted order, and splits evenly at equal times
     i, j, k = (L5.site_index(x) for x in (later, earlier, level))
-    assert wightman.time_ordered_detailed(vac, spec, fr, (later, earlier)) == (
+    assert wightman.time_ordered_detailed(kernels, spec, (later, earlier)) == (
         K[i, j], False)
-    assert wightman.time_ordered_detailed(vac, spec, fr, (earlier, later)) == (
+    assert wightman.time_ordered_detailed(kernels, spec, (earlier, later)) == (
         K_swapped[i, j], False)
-    assert wightman.time_ordered_detailed(vac, spec, fr, (earlier, level)) == (
+    assert wightman.time_ordered_detailed(kernels, spec, (earlier, level)) == (
         0.5 * K[j, k] + 0.5 * K_swapped[k, j], True)
     with pytest.raises(ValueError, match="one lattice point per factor"):
-        wightman.time_ordered_detailed(vac, spec, fr, (later,))
+        wightman.time_ordered_detailed(kernels, spec, (later,))
 
 
 def test_time_ordered_flags_coincident_times(rng):
     _, vac, fr, spec = lifted_stage(rng)
     x1, x2 = LatticePoint(0, 0), LatticePoint(1, 4)
     assert lattice.time_coordinate(x1, L5) == lattice.time_coordinate(x2, L5)
-    _, coincident = wightman.time_ordered_detailed(vac, spec, fr, (x1, x2))
+    kernels = wightman.KernelArrays(vac, fr)
+    _, coincident = wightman.time_ordered_detailed(kernels, spec, (x1, x2))
     assert coincident
 
 
