@@ -12,22 +12,25 @@ Four layers, from weakest premise to strongest:
   two Born measures, found (or refuted) by alternating projections
   (``find_joint_state``), feeding the intrinsic-causality pipeline.
 
-Every check returns a CausalReport that distinguishes "verified" from
-"vacuous", because several of these implications have premises that are
-hard or impossible to satisfy (no lattice point is spacelike to itself, so
-equal preparations are never spacelike separated).
+The commutator predicates return what they measured: a commutator norm,
+or the number of point pairs they ran over with the largest commutator
+norm among them (0.0 for none).  They judge nothing.  The checks in
+``scenarios`` and the axiom records of ``net`` do, with
+``tolerances.verdict``, under premises that several of these implications
+make hard or impossible to meet: no lattice point is spacelike to itself,
+so equal preparations are never spacelike separated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from relqft import lattice, operators as ops
 from relqft.fields import (RelationalField, SystemModel, relational_local_fields,
-                           relational_local_observable, relativization_channel)
+                           relational_local_observable)
 from relqft.frames import (
     BornMeasure,
     FrameObservable,
@@ -35,32 +38,8 @@ from relqft.frames import (
     born_measure,
     disintegrate,
 )
-from relqft.operators import dagger, max_commutator, op_norm
-from relqft.tolerances import (MAX_ITER_FEAS, TOL_EQ, TOL_FEAS, TOL_SUPP,
-                               Measurement, verdict)
-
-
-@dataclass
-class CausalReport:
-    """A law checked over pairs under a premise; also each net axiom's."""
-
-    predicate: str
-    pairs_checked: int
-    max_residual: float
-    verdict: str  # "verified" | "vacuous" | "failed"
-    details: dict = dc_field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "failed"
-
-    @classmethod
-    def judged(cls, predicate: str, pairs: int, residual: float,
-               tol_eq: float, premise: bool, **details) -> CausalReport:
-        """Vacuous unless the premise held, else verified exactly when the
-        residual is within tol_eq."""
-        return cls(predicate, pairs, float(residual), verdict(
-            [Measurement(predicate, residual, tol_eq)], premise), details)
+from relqft.operators import dagger, max_commutator
+from relqft.tolerances import MAX_ITER_FEAS, TOL_FEAS, TOL_SUPP
 
 
 # ---------------------------------------------------------------------------
@@ -86,32 +65,27 @@ def r_spacelike(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndarray,
 def check_r_causal(system: SystemModel, frame: FrameObservable,
                    omega1: np.ndarray, omega2: np.ndarray,
                    phi1: np.ndarray | None = None,
-                   phi2: np.ndarray | None = None,
-                   tol_eq: float = TOL_EQ,
-                   tol_supp: float = TOL_SUPP) -> CausalReport:
-    """Commutator of the two relational observables, under the spacelike
-    premise; both the plain and the adjoint commutator are computed."""
+                   phi2: np.ndarray | None = None) -> float:
+    """The larger operator norm of [A, B] and [A^dag, B] for the relational
+    observables A of phi1 at omega1 and B of phi2 at omega2
+    (``operators.max_commutator`` on the one pair).  The premise of
+    R-causality, spacelike preparations (``r_spacelike``), is the
+    caller's."""
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    premise = r_spacelike(frame, omega1, omega2, tol_supp)
     A = relational_local_observable(RelationalField(system.with_phi(phi1), frame), omega1)
     B = relational_local_observable(RelationalField(system.with_phi(phi2), frame), omega2)
-    res_plain = op_norm(A @ B - B @ A)
-    res_adj = op_norm(dagger(A) @ B - B @ dagger(A))
-    residual = np.maximum(res_plain, res_adj)
-    return CausalReport.judged(
-        "r-causal", 1, residual, tol_eq, premise, premise_spacelike=premise,
-        commutator=res_plain, adjoint_commutator=res_adj)
+    return max_commutator(A[None], B[None], np.zeros((1, 2), dtype=int),
+                          adjoint=True)
 
 
 def check_r_microcausal(system: SystemModel, frame: FrameObservable,
                         omega1: np.ndarray, omega2: np.ndarray,
                         phi1: np.ndarray | None = None,
                         phi2: np.ndarray | None = None,
-                        tol_eq: float = TOL_EQ,
-                        tol_supp: float = TOL_SUPP) -> CausalReport:
-    """Pointwise commutators of the relational fields over every spacelike
-    pair of supported lattice points.
+                        tol_supp: float = TOL_SUPP) -> tuple[int, float]:
+    """The number of spacelike pairs of supported lattice points, and the
+    largest pointwise commutator norm of the relational fields over them.
 
     Both fields come from one site table per preparation
     (``relational_local_fields``); the commutators [A, B] and [A^dag, B]
@@ -125,32 +99,25 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
         RelationalField(system.with_phi(phi1), frame), omega1, tol_supp)
     fields2, dis2 = relational_local_fields(
         RelationalField(system.with_phi(phi2), frame), omega2, tol_supp)
-    support1, support2 = dis1.support, dis2.support
     points = params.lattice_points()
-    sites = np.array([(i, j) for i in np.flatnonzero(support1)
-                      for j in np.flatnonzero(support2)
+    sites = np.array([(i, j) for i in np.flatnonzero(dis1.support)
+                      for j in np.flatnonzero(dis2.support)
                       if lattice.spacelike(points[i], points[j], params)],
                      dtype=int).reshape(-1, 2)
-    worst = max_commutator(fields1, fields2, sites, adjoint=True)
-    return CausalReport.judged(
-        "r-microcausal", len(sites), worst, tol_eq, len(sites) > 0,
-        support_sizes=(int(support1.sum()), int(support2.sum())))
+    return len(sites), max_commutator(fields1, fields2, sites, adjoint=True)
 
 
-def check_frame_einstein_causal(frame: FrameObservable,
-                                tol_eq: float = TOL_EQ) -> CausalReport:
-    """Commutators of frame effects over every pair of frame points whose
-    spacetime projections are spacelike, batched as in
-    ``check_r_microcausal``."""
+def check_frame_einstein_causal(frame: FrameObservable) -> tuple[int, float]:
+    """The number of pairs of frame points whose spacetime projections are
+    spacelike, and the largest commutator norm of their effects, batched
+    as in ``check_r_microcausal``."""
     params = frame.params
     points = params.lattice_points()
     spacelike = np.array([[lattice.spacelike(x, y, params) for y in points]
                           for x in points])
     site = np.repeat(np.arange(len(points)), len(params.boosts()))
     pairs = np.argwhere(np.triu(spacelike[np.ix_(site, site)], k=1))
-    worst = max_commutator(frame.effects, frame.effects, pairs)
-    return CausalReport.judged("frame-einstein-causal", len(pairs), worst,
-                               tol_eq, len(pairs) > 0)
+    return len(pairs), max_commutator(frame.effects, frame.effects, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -303,47 +270,3 @@ def find_joint_state(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndar
         if residual <= tol_feas:
             return JointStateResult(_coords_to_hermitian(x, d), residual, it, True)
     return JointStateResult(None, residual, max_iter, False)
-
-
-def check_intrinsic_causality(frame: FrameObservable, system: SystemModel,
-                              omega1: np.ndarray, omega2: np.ndarray,
-                              phi1: np.ndarray | None = None,
-                              phi2: np.ndarray | None = None,
-                              tol_eq: float = TOL_EQ,
-                              tol_feas: float = TOL_FEAS,
-                              tol_supp: float = TOL_SUPP) -> CausalReport:
-    """The full intrinsic-causality pipeline.
-
-    Preconditions: spacelike preparations, Einstein-causal frame, and a
-    joint-state certificate.  The conclusions (commutator for self-adjoint
-    phi, and the swap identity for arbitrary pairs) are computed and
-    reported regardless, but the verdict is "vacuous" unless every
-    precondition holds -- which equal-support preparations never satisfy.
-    """
-    phi1 = system.phi if phi1 is None else phi1
-    phi2 = phi1 if phi2 is None else phi2
-    spacelike_prep = r_spacelike(frame, omega1, omega2, tol_supp)
-    einstein = check_frame_einstein_causal(frame, tol_eq)
-    joint = find_joint_state(frame, omega1, omega2, tol_feas)
-    premise = spacelike_prep and einstein.ok and joint.converged
-
-    # A_k = Phi_wk(phi_k), B_1 = Phi_w2(phi_1), B_2 = Phi_w1(phi_2): one channel per w
-    rf = RelationalField(system, frame)
-    A1, B2 = relativization_channel(rf, omega1)(np.array([phi1, phi2]))
-    B1, A2 = relativization_channel(rf, omega2)(np.array([phi1, phi2]))
-    swap_residual = op_norm(A1 @ A2 - B1 @ B2)
-    self_adjoint = (ops.herm_defect(phi1) <= tol_eq and ops.herm_defect(phi2) <= tol_eq)
-    commutator_residual = op_norm(A1 @ A2 - A2 @ A1) if self_adjoint else float("nan")
-
-    residual = np.maximum(swap_residual,
-                          commutator_residual if self_adjoint else 0.0)
-    return CausalReport.judged(
-        "intrinsic-causality", 1, residual, tol_eq, premise,
-        premise_spacelike=spacelike_prep,
-        premise_einstein_causal=einstein.ok,
-        einstein_residual=einstein.max_residual,
-        joint_state_converged=joint.converged,
-        joint_state_residual=joint.residual,
-        swap_residual=swap_residual,
-        commutator_residual=commutator_residual)
-

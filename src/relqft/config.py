@@ -96,6 +96,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value, key: str, text: str, path: str) -> int:
+    """The value of a key that must be a JSON integer: a bool, a float, a
+    string or null is a ConfigError naming the key's line."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{path}:{_find_line(text, key)}: {key} must be an integer, "
+             f"got {json.dumps(value)}")
+    return value
+
+
 def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     """Parse and structurally validate a JSON scenario document."""
     try:
@@ -117,10 +126,10 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     _require(isinstance(model, dict),
              f"{path}:{_find_line(text, 'model')}: model must be an object")
     _reject_unknown(model, _MODEL_KEYS, "model", text, path)
-    kwargs["N"] = int(model.get("N", cfg.N))
-    kwargs["s"] = int(model.get("s", cfg.s))
-
-    kwargs["window"] = int(doc.get("window", cfg.window))
+    kwargs["N"] = _integer(model.get("N", cfg.N), "N", text, path)
+    kwargs["s"] = _integer(model.get("s", cfg.s), "s", text, path)
+    kwargs["window"] = _integer(doc.get("window", cfg.window), "window",
+                                text, path)
 
     system = doc.get("system", {})
     _require(isinstance(system, dict),
@@ -134,8 +143,9 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
                  and all(isinstance(p, list) and len(p) == 2 for p in momenta),
                  f"{path}:{_find_line(text, 'momenta')}: momenta must be a "
                  "non-empty list of [u, v] pairs")
-        kwargs["momenta"] = tuple(LatticePoint(int(p[0]), int(p[1]))
-                                  for p in momenta)
+        kwargs["momenta"] = tuple(
+            LatticePoint(*(_integer(c, "momenta", text, path) for c in p))
+            for p in momenta)
 
     frames = doc.get("frames", list(cfg.frames))
     _require(isinstance(frames, list) and frames
@@ -157,7 +167,7 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
              "an object")
     kwargs["tolerances"] = normalize_tolerances(tolerances, path=path, text=text)
 
-    kwargs["seed"] = int(doc.get("seed", cfg.seed))
+    kwargs["seed"] = _integer(doc.get("seed", cfg.seed), "seed", text, path)
 
     out = ScenarioConfig(**kwargs)
     try:
@@ -180,7 +190,8 @@ def load_config(path: str) -> ScenarioConfig:
 def normalize_tolerances(overrides: dict, path: str = "<tol>",
                          text: str = "") -> dict:
     """Validate tolerance overrides, accepting names with or without the
-    tol_ prefix; values must be positive floats."""
+    tol_ prefix; values must be positive numbers, or strings of them as
+    ``--tol`` passes, but not booleans."""
     out = {}
     for key, value in overrides.items():
         name = key if key.startswith("tol_") else f"tol_{key}"
@@ -189,6 +200,9 @@ def normalize_tolerances(overrides: dict, path: str = "<tol>",
             raise ConfigError(
                 f"{path}:{line}: unknown tolerance {key!r} "
                 f"(allowed: {', '.join(TOLERANCE_KEYS)})")
+        if isinstance(value, bool):
+            raise ConfigError(f"{path}: tolerance {key!r} is a boolean, "
+                              "not a number")
         try:
             val = float(value)
         except (TypeError, ValueError) as exc:

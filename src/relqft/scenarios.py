@@ -440,16 +440,13 @@ def check_microcausality_implication(cfg: ScenarioConfig,
     worst = 0.0
     for kind, omega1, omega2, phi1, phi2 in instances:
         system = fields.SystemModel(params, rep, phi1)
-        micro = causality.check_r_microcausal(
-            system, fr, omega1, omega2, phi1, phi2, tol_eq=tol,
-            tol_supp=tol_supp)
-        if micro.verdict == "verified":
-            causal = causality.check_r_causal(
-                system, fr, omega1, omega2, phi1, phi2, tol_eq=tol,
-                tol_supp=tol_supp)
-            worst = np.maximum(worst, causal.max_residual)
-            if not Measurement("causal_on_passers", causal.max_residual,
-                               tol).holds:
+        pairs, micro = causality.check_r_microcausal(
+            system, fr, omega1, omega2, phi1, phi2, tol_supp=tol_supp)
+        if pairs > 0 and Measurement("microcausal", micro, tol).holds:
+            causal = causality.check_r_causal(system, fr, omega1, omega2,
+                                              phi1, phi2)
+            worst = np.maximum(worst, causal)
+            if not Measurement("causal_on_passers", causal, tol).holds:
                 counterexamples += 1
                 counts[kind] = counts.get(kind, 0) - 1
             else:
@@ -494,28 +491,44 @@ def check_intrinsic_causality_pipeline(cfg: ScenarioConfig,
                                        rng: np.random.Generator) -> CheckOutcome:
     """Joint-state feasibility for factorizing pair correlations on the
     bundled product-frame witness, plus the preparation-swap identity for
-    the induced relational observables."""
+    the induced relational observables.
+
+    The detail ``pipeline_verdict`` judges the swap identity against
+    tol_eq under the three premises of intrinsic causality: spacelike
+    preparations, an Einstein-causal frame (no spacelike effect pairs, or
+    commutators within tol_eq) and a joint-state certificate."""
     params = _WITNESS_MODEL
     fr, omega = _witness_frame()
-    tol_feas = cfg.tol("tol_feas")
+    tol, tol_feas = cfg.tol("tol_eq"), cfg.tol("tol_feas")
     system = fields.SystemModel(
         params,
         ops.character_representation(
             params, [LatticePoint(1, 0), LatticePoint(2, 0)]),
         ops.random_operator(rng, 2))
-    phi2 = ops.random_operator(rng, 2)
-    report = causality.check_intrinsic_causality(
-        fr, system, omega, omega, system.phi, phi2, tol_eq=cfg.tol("tol_eq"),
-        tol_feas=tol_feas, tol_supp=cfg.tol("tol_supp"))
+    phi1, phi2 = system.phi, ops.random_operator(rng, 2)
+    # equal preparations, which are never spacelike separated
+    omega1 = omega2 = omega
+    spacelike = causality.r_spacelike(fr, omega1, omega2, cfg.tol("tol_supp"))
+    pairs, einstein = causality.check_frame_einstein_causal(fr)
+    einstein_causal = pairs == 0 or Measurement("einstein", einstein, tol).holds
+    joint = causality.find_joint_state(fr, omega1, omega2, tol_feas)
+
+    # A_k = Phi_wk(phi_k), B_1 = Phi_w2(phi_1), B_2 = Phi_w1(phi_2): one
+    # channel per preparation
+    rf = fields.RelationalField(system, fr)
+    A1, B2 = fields.relativization_channel(rf, omega1)(np.array([phi1, phi2]))
+    B1, A2 = fields.relativization_channel(rf, omega2)(np.array([phi1, phi2]))
+    swap = ops.op_norm(A1 @ A2 - B1 @ B2)
+    # the intrinsic-causality conclusion, under its three premises
+    pipeline = verdict([Measurement("intrinsic-causality", swap, tol)],
+                       spacelike and einstein_causal and joint.converged)
     return CheckOutcome(
-        [Measurement("joint_feasibility",
-                     float(report.details["joint_state_residual"]), tol_feas),
-         Measurement("preparation_swap",
-                     float(report.details["swap_residual"]), SWAP_TOL)],
+        [Measurement("joint_feasibility", joint.residual, tol_feas),
+         Measurement("preparation_swap", swap, SWAP_TOL)],
         {"frame_dim": fr.dim, "model": "N=3",
-         "einstein_causal": bool(report.details["premise_einstein_causal"]),
-         "pipeline_verdict": report.verdict},
-        certified=bool(report.details["joint_state_converged"]))
+         "einstein_causal": bool(einstein_causal),
+         "pipeline_verdict": pipeline},
+        certified=joint.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +588,13 @@ def check_wightman_suite(cfg: ScenarioConfig,
     omega1, omega2 = _site_state(params, a), _site_state(params, b)
     local_phi = _site_state(params, (0, 0))
     system = fields.SystemModel(params, rep, local_phi)
-    micro = causality.check_r_microcausal(system, fr, omega1, omega2,
-                                          tol_eq=tol, tol_supp=tol_supp)
-    causal = causality.check_r_causal(system, fr, omega1, omega2,
-                                      tol_eq=tol, tol_supp=tol_supp)
-    premise = micro.verdict == "verified" and causal.verdict == "verified"
+    pairs, micro = causality.check_r_microcausal(system, fr, omega1, omega2,
+                                                 tol_supp=tol_supp)
+    premise = bool(
+        pairs > 0 and Measurement("microcausal", micro, tol).holds
+        and causality.r_spacelike(fr, omega1, omega2, tol_supp)
+        and Measurement("causal", causality.check_r_causal(
+            system, fr, omega1, omega2), tol).holds)
     swap_spec = wightman.VevSpec(((omega1, local_phi), (omega2, local_phi)))
     # a requirement, not a premise: without it the swaps certify nothing,
     # so the check fails rather than turning vacuous

@@ -46,6 +46,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "bad.json:2" in err
 
 
+def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{\n  "model": {"N": "x"}\n}', encoding="utf-8")
+    assert main(["verify", "restriction-duality", "--config", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err
+    assert 'bad.json:2: N must be an integer, got "x"' in err
+
+
 def test_oversized_check_exits_2_naming_it(tmp_path, capsys):
     # at N = 11 the frame space is 1210-dimensional: relativizing a system of
     # dimension 10 against it would need a 12100-dimensional tensor

@@ -37,6 +37,34 @@ def test_momenta_parse_to_lattice_points():
     assert cfg.momenta == (LatticePoint(1, 0), LatticePoint(2, 0))
 
 
+@pytest.mark.parametrize("doc, key", [
+    ('{"model": {"N": "x"}}', "N"),
+    ('{"model": {"N": null}}', "N"),
+    ('{"model": {"N": 5.7}}', "N"),
+    ('{"model": {"N": 5.0}}', "N"),
+    ('{"model": {"s": true}}', "s"),
+    ('{"window": null}', "window"),
+    ('{"window": 2.0}', "window"),
+    ('{"seed": "abc"}', "seed"),
+    ('{"seed": false}', "seed"),
+    ('{"seed": 7.5}', "seed"),
+    ('{"system": {"momenta": [[1.5, 0]]}}', "momenta"),
+    ('{"system": {"momenta": [[1, "0"]]}}', "momenta"),
+    ('{"system": {"momenta": [[1, null]]}}', "momenta"),
+])
+def test_integer_keys_reject_other_json_types(doc, key):
+    # a float is not truncated, nor a string, bool or null converted
+    with pytest.raises(ConfigError, match=rf"<config>:1: {key} must be an integer"):
+        parse_config(doc)
+
+
+def test_integer_keys_accept_integers():
+    cfg = parse_config('{"model": {"N": 7, "s": 3}, "window": 3, "seed": 0, '
+                       '"system": {"momenta": [[1, 0], [0, -2]]}}')
+    assert (cfg.N, cfg.s, cfg.window, cfg.seed) == (7, 3, 3, 0)
+    assert cfg.momenta == (LatticePoint(1, 0), LatticePoint(0, -2))
+
+
 def test_unknown_top_key_reports_line():
     text = '{\n  "model": {"N": 5},\n  "modle": {}\n}'
     with pytest.raises(ConfigError, match=r"<config>:3: unknown key 'modle'"):
@@ -135,6 +163,17 @@ def test_tolerances_reject_unknown_and_nonpositive():
         normalize_tolerances({"eq": 0.0})
     with pytest.raises(ConfigError, match="not a number"):
         normalize_tolerances({"eq": "tight"})
+    with pytest.raises(ConfigError, match="not a number"):
+        normalize_tolerances({"eq": None})
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_a_boolean_tolerance_is_rejected(value):
+    # float(True) would run with tol_eq = 1.0
+    with pytest.raises(ConfigError, match="tolerance 'eq' is a boolean"):
+        parse_config(f'{{"tolerances": {{"eq": {value}}}}}')
+    # strings stay accepted, since --tol passes them
+    assert normalize_tolerances({"eq": "1e-9"}) == {"tol_eq": 1e-9}
 
 
 def test_tol_flag_parsing():

@@ -15,6 +15,10 @@ passes it by keyword or by position, or passes *args or **kwargs.
 A public function or method counts as referenced when any module of the
 package loads its name as a bare name or an attribute, or imports it;
 docstrings and comments are not code, so they never count.
+No comparison in the package reads a verdict by its name outside
+``runner.RunReport.exit_code``: a check or an axiom record derives its
+verdict from measurements, and code that needs a residual judges the
+residual.
 """
 
 import ast
@@ -271,3 +275,66 @@ def test_unset_default_allowances_are_still_needed():
     for key in sorted(UNSET_DEFAULTS):
         assert key in defined, f"{key[0]}({key[1]}) is not defined"
         assert key in unset, f"{key[0]}({key[1]}) is set by a call"
+
+
+#: The names ``tolerances.verdict`` gives a verdict.
+VERDICTS = {"verified", "vacuous", "failed", "no-certificate"}
+
+#: The one function that may compare a verdict with a name: the exit code
+#: maps the run's verdicts to 0 or 1.
+VERDICT_READERS = {("runner", "RunReport.exit_code")}
+
+
+def verdict_comparisons(tree: ast.Module, module: str) -> list[int]:
+    """Line of every comparison with a verdict name, or with a set, tuple
+    or list literal holding one, outside VERDICT_READERS."""
+    lines = []
+
+    def names(node):
+        if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+            return {e.value for e in node.elts if isinstance(e, ast.Constant)}
+        return {node.value} if isinstance(node, ast.Constant) else set()
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{qualname}.{child.name}".lstrip(".")
+                if (module, inner) not in VERDICT_READERS:
+                    visit(child, inner)
+                continue
+            if isinstance(child, ast.Compare) and any(
+                    names(operand) & VERDICTS
+                    for operand in [child.left, *child.comparators]):
+                lines.append(child.lineno)
+            visit(child, qualname)
+
+    visit(tree, "")
+    return lines
+
+
+def test_the_scan_finds_verdict_comparisons():
+    source = ('x = r.verdict == "verified"\n'
+              'if v in ("vacuous", "failed"): pass\n'
+              'y = "no-certificate" != v and v == "verify"\n'
+              'class RunReport:\n'
+              '    def exit_code(self): return self.v in {"failed"}\n')
+    assert verdict_comparisons(ast.parse(source), "runner") == [1, 2, 3]
+    assert verdict_comparisons(ast.parse(source), "net") == [1, 2, 3, 5]
+
+
+def test_no_verdict_is_read_by_its_name():
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        rel = path.relative_to(ROOT).as_posix()
+        found += [f"{rel}:{line}"
+                  for line in verdict_comparisons(tree, path.stem)]
+    assert not found, "comparisons with a verdict name:\n" + "\n".join(found)
+
+
+def test_verdict_readers_are_still_defined():
+    # an allowance for a function that is gone must go
+    definitions = public_definitions()
+    for module, qualname in VERDICT_READERS:
+        assert f"{module}.{qualname}" in definitions

@@ -103,7 +103,7 @@ def test_intrinsic_net_axioms():
               GroupElement(LatticePoint(0, 0), P3.s)]
     pair = (frozenset({LatticePoint(0, 1)}), frozenset({LatticePoint(1, 0)}))
     report = net.verify_net_axioms(nt, regions, sample, spacelike_pairs=[pair])
-    assert report.ok
+    assert all(r.verdict != "failed" for r in report.axioms.values())
     assert report.axioms["isotony"].verdict == "verified"
     assert report.axioms["isotony"].max_residual < 1e-12
     assert report.axioms["covariance"].verdict == "verified"

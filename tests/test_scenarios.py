@@ -51,6 +51,28 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     assert len(calls) == 20
 
 
+def test_microcausality_implication_takes_76_born_measures(monkeypatch):
+    # 24 instances: two site tables each (48), and the two relational
+    # observables of each of the 14 whose fields commute at spacelike pairs
+    # (28); no premise that the check does not read is measured
+    calls = []
+    original = frames.born_measure
+
+    def counting(of):
+        calls.append(of)
+        return original(of)
+
+    for module in (frames, fields, causality, wightman, net):
+        monkeypatch.setattr(module, "born_measure", counting)
+    name = "microcausality-implication"
+    outcome = scenarios.CHECKS[name].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
+    assert outcome.verdict == "verified"
+    assert outcome.details["instances"] == 24
+    assert outcome.details["premise_passing"] == 14
+    assert len(calls) == 76
+
+
 def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
     # the intrinsic and hull-completed nets share one cache keyed by the
     # region an algebra is built on, so each of the 41 regions is built once
@@ -117,9 +139,8 @@ def test_a_nan_causal_residual_is_a_counterexample(monkeypatch):
     original = causality.check_r_causal
 
     def nan_residual(*args, **kwargs):
-        report = original(*args, **kwargs)
-        report.max_residual = float("nan")
-        return report
+        original(*args, **kwargs)
+        return float("nan")
 
     monkeypatch.setattr(causality, "check_r_causal", nan_residual)
     outcome = scenarios.CHECKS["microcausality-implication"].fn(
@@ -186,3 +207,35 @@ def test_disintegration_covariance_matches_the_per_site_loop():
             compared += len(boosts)
     assert outcome.residuals["conditional"] == worst
     assert outcome.details["compared"] == compared
+
+
+def test_intrinsic_causality_details():
+    name = "intrinsic-causality-pipeline"
+    outcome = scenarios.CHECKS[name].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
+    assert outcome.details["einstein_causal"]
+    assert outcome.certified
+    assert outcome.residuals["joint_feasibility"] < 1e-7
+    # equal preparations make the swapped product literally the same
+    # product, so the swap identity holds to rounding
+    assert outcome.residuals["preparation_swap"] < 1e-12
+    # but equal preparations are never spacelike separated, so the
+    # pipeline verdict stays vacuous rather than claiming the conclusion
+    fr, omega = scenarios._witness_frame()
+    assert not causality.r_spacelike(fr, omega, omega)
+    assert outcome.details["pipeline_verdict"] == "vacuous"
+
+
+@pytest.mark.parametrize("pairs, residual, einstein_causal",
+                         [(0, 1.0, True), (3, float("nan"), False)])
+def test_einstein_causal_is_no_pairs_or_a_residual_within_tol_eq(
+        monkeypatch, pairs, residual, einstein_causal):
+    # no spacelike effect pairs make the frame Einstein-causal whatever the
+    # residual; a NaN residual meets no bound
+    monkeypatch.setattr(causality, "check_frame_einstein_causal",
+                        lambda frame: (pairs, residual))
+    name = "intrinsic-causality-pipeline"
+    outcome = scenarios.CHECKS[name].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
+    assert outcome.details["einstein_causal"] is einstein_causal
+    assert outcome.details["pipeline_verdict"] == "vacuous"
