@@ -12,6 +12,9 @@ Four layers, from weakest premise to strongest:
   two Born measures, found (or refuted) by alternating projections
   (``find_joint_state``), feeding the intrinsic-causality pipeline.
 
+Preparations are ``frames.OrientedFrame`` records, each measured once and
+read at its own tol_supp however many predicates read it.
+
 The commutator predicates return what they measured: a commutator norm,
 or the number of point pairs they ran over with the largest commutator
 norm among them (0.0 for none).  They judge nothing.  The checks in
@@ -31,59 +34,51 @@ import numpy as np
 from relqft import lattice, operators as ops
 from relqft.fields import (RelationalField, SystemModel, relational_local_fields,
                            relational_local_observable)
-from relqft.frames import (
-    BornMeasure,
-    FrameObservable,
-    OrientedFrame,
-    born_measure,
-    disintegrate,
-)
+from relqft.frames import BornMeasure, FrameObservable, OrientedFrame
 from relqft.operators import dagger, max_commutator
-from relqft.tolerances import MAX_ITER_FEAS, TOL_FEAS, TOL_SUPP
+from relqft.tolerances import MAX_ITER_FEAS, TOL_FEAS
 
 
 # ---------------------------------------------------------------------------
 # spacelike separation of preparations
 
-def r_spacelike(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndarray,
-                tol_supp: float = TOL_SUPP) -> bool:
-    """Whether the spacetime supports of the Born measures of omega1 and
-    omega2, both read through the one frame, are pairwise spacelike: each
-    support is the ``support`` mask of its disintegration."""
-    points = frame.params.lattice_points()
-    supports = []
-    for omega in (omega1, omega2):
-        mask = disintegrate(born_measure(OrientedFrame(frame, omega)),
-                            tol_supp).support
-        supports.append(frozenset(points[i] for i in np.flatnonzero(mask)))
-    return lattice.region_spacelike(*supports, frame.params)
+def r_spacelike(of1: OrientedFrame, of2: OrientedFrame) -> bool:
+    """Whether the spacetime supports of two preparations are pairwise
+    spacelike: each support is the ``support`` mask of the record's
+    disintegration."""
+    params = of1.frame.params
+    points = params.lattice_points()
+    supports = [frozenset(points[i] for i in
+                          np.flatnonzero(of.disintegration.support))
+                for of in (of1, of2)]
+    return lattice.region_spacelike(*supports, params)
 
 
 # ---------------------------------------------------------------------------
 # commutator checks
 
-def check_r_causal(system: SystemModel, frame: FrameObservable,
-                   omega1: np.ndarray, omega2: np.ndarray,
+def check_r_causal(system: SystemModel, of1: OrientedFrame, of2: OrientedFrame,
                    phi1: np.ndarray | None = None,
                    phi2: np.ndarray | None = None) -> float:
     """The larger operator norm of [A, B] and [A^dag, B] for the relational
-    observables A of phi1 at omega1 and B of phi2 at omega2
+    observables A of phi1 at the preparation of1 and B of phi2 at of2
     (``operators.max_commutator`` on the one pair).  The premise of
     R-causality, spacelike preparations (``r_spacelike``), is the
     caller's."""
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    A = relational_local_observable(RelationalField(system.with_phi(phi1), frame), omega1)
-    B = relational_local_observable(RelationalField(system.with_phi(phi2), frame), omega2)
+    A = relational_local_observable(
+        RelationalField(system.with_phi(phi1), of1.frame), of1)
+    B = relational_local_observable(
+        RelationalField(system.with_phi(phi2), of2.frame), of2)
     return max_commutator(A[None], B[None], np.zeros((1, 2), dtype=int),
                           adjoint=True)
 
 
-def check_r_microcausal(system: SystemModel, frame: FrameObservable,
-                        omega1: np.ndarray, omega2: np.ndarray,
+def check_r_microcausal(system: SystemModel, of1: OrientedFrame,
+                        of2: OrientedFrame,
                         phi1: np.ndarray | None = None,
-                        phi2: np.ndarray | None = None,
-                        tol_supp: float = TOL_SUPP) -> tuple[int, float]:
+                        phi2: np.ndarray | None = None) -> tuple[int, float]:
     """The number of spacelike pairs of supported lattice points, and the
     largest pointwise commutator norm of the relational fields over them.
 
@@ -95,13 +90,13 @@ def check_r_microcausal(system: SystemModel, frame: FrameObservable,
     params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
-    fields1, dis1 = relational_local_fields(
-        RelationalField(system.with_phi(phi1), frame), omega1, tol_supp)
-    fields2, dis2 = relational_local_fields(
-        RelationalField(system.with_phi(phi2), frame), omega2, tol_supp)
+    fields1 = relational_local_fields(
+        RelationalField(system.with_phi(phi1), of1.frame), of1)
+    fields2 = relational_local_fields(
+        RelationalField(system.with_phi(phi2), of2.frame), of2)
     points = params.lattice_points()
-    sites = np.array([(i, j) for i in np.flatnonzero(dis1.support)
-                      for j in np.flatnonzero(dis2.support)
+    sites = np.array([(i, j) for i in np.flatnonzero(of1.disintegration.support)
+                      for j in np.flatnonzero(of2.disintegration.support)
                       if lattice.spacelike(points[i], points[j], params)],
                      dtype=int).reshape(-1, 2)
     return len(sites), max_commutator(fields1, fields2, sites, adjoint=True)
@@ -231,12 +226,12 @@ class JointStateResult:
     converged: bool
 
 
-def find_joint_state(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndarray,
+def find_joint_state(of1: OrientedFrame, of2: OrientedFrame,
                      tol_feas: float = TOL_FEAS,
                      max_iter: int = MAX_ITER_FEAS) -> JointStateResult:
-    """Search for a state whose pair-correlations factorize into the two
-    Born measures, by Dykstra alternating projections between the affine
-    constraint set and the PSD cone.
+    """Search for a state whose pair-correlations factorize into the Born
+    measures of two preparations of one frame, by Dykstra alternating
+    projections between the affine constraint set and the PSD cone.
 
     The affine step is ``affine_projection`` of the constraint system,
     built once from an orthonormal basis of its row space.  Success means
@@ -246,10 +241,11 @@ def find_joint_state(frame: FrameObservable, omega1: np.ndarray, omega2: np.ndar
     outcome: feasibility stays undecided, but for an empty affine set the
     residual cannot vanish.
     """
+    frame = of1.frame
+    if of2.frame is not frame:
+        raise ValueError("a joint state needs two preparations of one frame")
     d = frame.dim
-    pmf1 = born_measure(OrientedFrame(frame, omega1))
-    pmf2 = born_measure(OrientedFrame(frame, omega2))
-    A, b = joint_constraint_system(frame, pmf1, pmf2)
+    A, b = joint_constraint_system(frame, of1.measure, of2.measure)
     project_affine = affine_projection(A, b)
 
     def project_psd(x: np.ndarray) -> np.ndarray:

@@ -128,8 +128,8 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     _reject_unknown(model, _MODEL_KEYS, "model", text, path)
     kwargs["N"] = _integer(model.get("N", cfg.N), "N", text, path)
     kwargs["s"] = _integer(model.get("s", cfg.s), "s", text, path)
-    kwargs["window"] = _integer(doc.get("window", cfg.window), "window",
-                                text, path)
+    kwargs["window"] = _integer(doc.get("window", (kwargs["N"] - 1) // 2),
+                                "window", text, path)
 
     system = doc.get("system", {})
     _require(isinstance(system, dict),

@@ -24,14 +24,17 @@ Two whole-lattice arrays carry the pointwise quantities:
   (|G|, dS, dS) array in frame-point order, so it reshapes to
   (N^2, |C|, dS, dS) with sites first;
 * the site table (``relational_local_fields``): phi_w(x) for every lattice
-  point x as one (N^2, dS, dS) array in lattice_points() order, from one
-  Born measure and one disintegration of w, zero off the support, returned
-  with that disintegration.
+  point x as one (N^2, dS, dS) array in lattice_points() order, from the
+  disintegration of w, zero off the support.
+
+A preparation w is a ``frames.OrientedFrame`` of the field's frame, or a
+bare state, prepared anew at the default tol_supp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,11 +45,10 @@ from relqft.frames import (
     OrientedFrame,
     born_measure,
     born_measure_trace_class,
-    disintegrate,
 )
 from relqft.lattice import FramePoint, LatticePoint, ModelParams
 from relqft.operators import UnitaryRep
-from relqft.tolerances import TOL_EQ, TOL_SUPP
+from relqft.tolerances import TOL_EQ
 
 
 @dataclass
@@ -126,10 +128,19 @@ def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarr
     return ops.partial_trace_frame(W @ O, dimS, dimR)
 
 
-def relational_local_observable(rf: RelationalField, omega: np.ndarray) -> np.ndarray:
+def _prepared(rf: RelationalField, omega) -> OrientedFrame:
+    """omega as a preparation of rf's frame, a bare state prepared anew."""
+    if not isinstance(omega, OrientedFrame):
+        return OrientedFrame(rf.frame, omega)
+    if omega.frame is not rf.frame:
+        raise ValueError("the preparation is of another frame")
+    return omega
+
+
+def relational_local_observable(rf: RelationalField, omega) -> np.ndarray:
     """Phi(w) = sum_f pmf_w(f) phi_f; equals restrict(relativize(.), w)."""
-    bm = born_measure(OrientedFrame(rf.frame, omega))
-    return rf.system.rep.orbit_sum(bm.weights, rf.system.phi)
+    return rf.system.rep.orbit_sum(_prepared(rf, omega).measure.weights,
+                                   rf.system.phi)
 
 
 def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
@@ -138,40 +149,37 @@ def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
     return rf.system.rep.orbit_sum(bm.weights, rf.system.phi)
 
 
-def relational_local_fields(rf: RelationalField, omega: np.ndarray,
-                            tol_supp: float = TOL_SUPP
-                            ) -> tuple[np.ndarray, Disintegration]:
+def relational_local_fields(rf: RelationalField, omega) -> np.ndarray:
     """The site table of phi_w: an (N^2, dS, dS) array whose row x is
     phi_w(x) = sum_lam cond(lam | x) phi_(x, lam), in lattice_points()
-    order, and the disintegration it was read from, whose ``marginal`` and
-    ``support`` are the spacetime marginal and its support mask.
+    order.
 
-    One Born measure, one disintegration, and one contraction of the
-    (N^2, |C|) conditional with the oriented stack read as
-    (N^2, |C|, dS^2).  Rows off the support are zero, since their
-    conditionals are; the extension by zero keeps the reconstruction sum
+    One contraction of the (N^2, |C|) conditional of the preparation's
+    disintegration with the oriented stack read as (N^2, |C|, dS^2).
+    Rows off the support are zero, since their conditionals are; the
+    extension by zero keeps the reconstruction sum
     sum_x marginal(x) phi_w(x) = Phi(w) total over all of M.
     """
-    dis = disintegrate(born_measure(OrientedFrame(rf.frame, omega)), tol_supp)
-    n_sites, dim = len(dis.conditional), rf.system.dim
+    conditional = _prepared(rf, omega).disintegration.conditional
+    n_sites, dim = len(conditional), rf.system.dim
     by_site = oriented_fields(rf.system).reshape(n_sites, -1, dim * dim)
-    table = dis.conditional[:, None, :] @ by_site
-    return table.reshape(n_sites, dim, dim), dis
+    table = conditional[:, None, :] @ by_site
+    return table.reshape(n_sites, dim, dim)
 
 
-def relational_local_field(rf: RelationalField, omega: np.ndarray,
-                           x: LatticePoint, tol_supp: float = TOL_SUPP) -> np.ndarray:
+def relational_local_field(rf: RelationalField, omega,
+                           x: LatticePoint) -> np.ndarray:
     """phi_w(x) = sum_lam cond(lam | x) phi_(x, lam); zero off the support.
 
-    Row x of the site table ``relational_local_fields(rf, omega,
-    tol_supp)``; a caller that needs several points of one preparation
-    should take the table once.
+    Row x of the site table ``relational_local_fields(rf, omega)``; a
+    caller that needs several points of one preparation should take the
+    table once.
     """
-    table, _ = relational_local_fields(rf, omega, tol_supp)
+    table = relational_local_fields(rf, omega)
     return table[rf.params.site_index(LatticePoint(*x))]
 
 
-def predual_polarization(rf: RelationalField, omega: np.ndarray,
+def predual_polarization(rf: RelationalField, omega,
                          rho: np.ndarray) -> np.ndarray:
     """P_w(rho) = sum_f pmf_w(f) U_S(g_f)^dag rho U_S(g_f).
 
@@ -181,26 +189,21 @@ def predual_polarization(rf: RelationalField, omega: np.ndarray,
     g^-1, so this is the orbit sum with the weights read through the group
     inverse.
     """
-    bm = born_measure(OrientedFrame(rf.frame, omega))
+    weights = _prepared(rf, omega).measure.weights
     params = rf.params
     inverses = [params.frame_index(lattice.inverse(g, params))
                 for g in params.group_elements()]
-    return rf.system.rep.orbit_sum(bm.weights[inverses], rho)
+    return rf.system.rep.orbit_sum(weights[inverses], rho)
 
 
-def relativization_channel(rf: RelationalField, omega: np.ndarray):
+def relativization_channel(rf: RelationalField, omega):
     """The restricted relativization as a map phi -> Phi_w(phi).
 
-    Returns a closure; the Born weights are computed once.  The closure
-    takes one (dS, dS) operator or an (m, dS, dS) stack, whose m images
-    come from one orbit sum (``UnitaryRep.orbit_sum``).
+    Returns the orbit sum (``UnitaryRep.orbit_sum``) with the preparation's
+    Born weights bound, which takes one (dS, dS) operator or an (m, dS, dS)
+    stack and maps the m operators of a stack in one orbit sum.
     """
-    bm = born_measure(OrientedFrame(rf.frame, omega))
-
-    def channel(phi: np.ndarray) -> np.ndarray:
-        return rf.system.rep.orbit_sum(bm.weights, phi)
-
-    return channel
+    return partial(rf.system.rep.orbit_sum, _prepared(rf, omega).measure.weights)
 
 
 def certify_globally_oriented(dis: Disintegration, tol_eq: float = TOL_EQ) -> bool:

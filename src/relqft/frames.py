@@ -25,9 +25,9 @@ effect array; the tensor sum takes the frame rows in batches whose
 intermediates stay within ``operators.WORK_BLOCK_BYTES``.  These three
 are the only code that chooses between the kernel and the effect array.
 
-Also here: disintegration of Born measures, whose support mask is the one
-rule for the spacetime support of a preparation; channel composition (with
-CP/unitality validation; the composed POVM is an array, not a frame); the
+Also here: preparations (``OrientedFrame``), which keep their Born measure
+and disintegration, whose support mask is the one spacetime-support rule;
+channel composition (CP/unitality validated; an array, not a frame); the
 vacuum-weight scan and the strict vacuum-orthogonality check.
 """
 
@@ -173,16 +173,26 @@ class FrameObservable:
         return self.rep.conjugate(GroupElement(x, 1), self._origin_fiber_effect)
 
 
-@dataclass
 class OrientedFrame:
-    frame: FrameObservable
-    omega: np.ndarray  # state on H_R
+    """A preparation: a frame, a state omega on H_R and a support
+    tolerance, with its Born measure and its disintegration at tol_supp
+    taken on first read and kept."""
 
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=complex)
-        if self.omega.shape != (self.frame.dim, self.frame.dim):
+    def __init__(self, frame: FrameObservable, omega: np.ndarray,
+                 tol_supp: float = TOL_SUPP):
+        self.frame, self.tol_supp = frame, tol_supp
+        self.omega = np.asarray(omega, dtype=complex)
+        if self.omega.shape != (frame.dim, frame.dim):
             raise ops.SizeError(
-                f"state shape {self.omega.shape} does not match frame dim {self.frame.dim}")
+                f"state shape {self.omega.shape} does not match frame dim {frame.dim}")
+
+    @cached_property
+    def measure(self) -> BornMeasure:
+        return born_measure(self)
+
+    @cached_property
+    def disintegration(self) -> Disintegration:
+        return disintegrate(self.measure, self.tol_supp)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +279,6 @@ class BornMeasure:
     weights: np.ndarray
     params: ModelParams
 
-    def _by_site(self) -> np.ndarray:
-        """The weights as an (N^2, |C|) table: sites by fiber elements."""
-        return self.weights.reshape(self.params.N ** 2, -1)
-
-    def spacetime_marginal(self) -> np.ndarray:
-        """Weight of each lattice point, in lattice_points() order."""
-        return self._by_site().sum(axis=1)
-
 
 def _born_weights(frame: FrameObservable, T: np.ndarray) -> np.ndarray:
     """Tr[T E(f)] for every frame point.
@@ -332,7 +334,7 @@ class Disintegration:
 
 
 def disintegrate(mu: BornMeasure, tol_supp: float = TOL_SUPP) -> Disintegration:
-    joint = np.real(mu._by_site())
+    joint = np.real(mu.weights).reshape(mu.params.N ** 2, -1)
     marginal = joint.sum(axis=1)
     support = np.abs(marginal) > tol_supp
     conditional = np.zeros_like(joint)
@@ -421,7 +423,7 @@ def vacuum_weight_scan() -> list[tuple[int, float]]:
     for N in VACUUM_SCAN_SIZES:
         fr = uniform_frame(ops.lorentz_representation(ModelParams(N, 2)))
         mixed = np.eye(fr.dim, dtype=complex) / fr.dim
-        marginal = born_measure(OrientedFrame(fr, mixed)).spacetime_marginal()
+        marginal = OrientedFrame(fr, mixed).disintegration.marginal
         rows.append((N, float(marginal[fr.params.site_index(LatticePoint(0, 0))])))
     return rows
 
@@ -439,15 +441,19 @@ def strict_vacuum_orthogonality_check(
 
     The residual is the operator norm of F_R(x) P_vac at a single point;
     sums over larger regions are monotone in this, and the whole space
-    would trivially give norm 1 for any normalized frame.  With V an
-    orthonormal basis of the fixed space, P_vac = V V^dag and V^dag is a
-    co-isometry, so |F_R(x) P_vac| = |F_R(x) V|, and the thin product is
-    used; a trivial fixed space (rank 0) gives exactly 0.0.  Every x gives
-    the same norm: F_R(x) = U(x) F_R(0) U(x)^dag and U(x)^dag V = V, so
-    |F_R(x) V| = |F_R(0) V|, and the residual is read at the origin.
+    would trivially give norm 1 for any normalized frame.  The rank of
+    the fixed space is the trace of P_vac, and rank 0 gives exactly 0.0
+    with no eigendecomposition.  Otherwise, with V an orthonormal basis of
+    the fixed space, P_vac = V V^dag and V^dag is a co-isometry, so
+    |F_R(x) P_vac| = |F_R(x) V|, and the thin product is used.  Every x
+    gives the same norm: F_R(x) = U(x) F_R(0) U(x)^dag and U(x)^dag V = V,
+    so |F_R(x) V| = |F_R(0) V|, and the residual is read at the origin.
     """
     averaged = ops.translation_fixed_point_projector(frame.rep)
+    rank = round(float(np.trace(averaged).real))
+    if rank == 0:
+        return StrictOrthogonalityReport(0.0, 0)
     eigenvalues, vectors = np.linalg.eigh(averaged)
     V = vectors[:, eigenvalues > 0.5]
     origin = frame.spacetime_marginal_effect(LatticePoint(0, 0))
-    return StrictOrthogonalityReport(op_norm(origin @ V), V.shape[1])
+    return StrictOrthogonalityReport(op_norm(origin @ V), rank)

@@ -25,7 +25,7 @@ import numpy as np
 from relqft import lattice
 from relqft.causality import check_r_causal, r_spacelike
 from relqft.fields import SystemModel
-from relqft.frames import FrameObservable, born_measure
+from relqft.frames import FrameObservable, OrientedFrame, born_measure
 from relqft.lattice import ModelParams
 from relqft.operators import (AlgebraSubspace, dagger, generated_algebra,
                               max_commutator)
@@ -138,8 +138,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     Causality norms the commutators between the algebra bases of each
     spacelike region pair in batches (``operators.max_commutator``),
     conditional on the relational-causality premise for localized
-    preparations (judged with tol_eq and tol_supp); premise failures make
-    the pair vacuous, not failed.
+    preparations (one per region, prepared at tol_supp and judged with
+    tol_eq); premise failures make the pair vacuous, not failed.
     """
     params = net.frame.params
     axioms = {}
@@ -189,8 +189,16 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
         su, sv = frozenset(u), frozenset(v)
         if not lattice.region_spacelike(su, sv, params):
             raise ValueError("causality pair is not spacelike separated")
-        premise_ok = _r_causal_premise(net, su, sv, tol_eq, tol_supp)
-        if not premise_ok:
+        # each region's representative: its first localized basis state
+        preparations = []
+        for region in (su, sv):
+            basis = states_supported_in(net.frame, region)
+            if basis.shape[1]:
+                v = basis[:, 0]
+                preparations.append(OrientedFrame(
+                    net.frame, np.outer(v, np.conj(v)), tol_supp))
+        if len(preparations) < 2 or not _r_causal_premise(
+                net, *preparations, tol_eq):
             skipped += 1
             continue
         a_u = net.algebra(su).algebra
@@ -222,21 +230,14 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     return NetReport(axioms)
 
 
-def _r_causal_premise(net: LocalAlgebraNet, region_u: frozenset,
-                      region_v: frozenset, tol_eq: float,
-                      tol_supp: float) -> bool:
-    """Relational causality of the system for representative localized
-    preparations, the premise of the causality axiom: the preparations are
-    spacelike (``r_spacelike``) and every system operator's commutator is
-    within tol_eq."""
-    basis_u = states_supported_in(net.frame, region_u)
-    basis_v = states_supported_in(net.frame, region_v)
-    if not basis_u.shape[1] or not basis_v.shape[1]:
-        return False
-    u, v = basis_u[:, 0], basis_v[:, 0]
-    omega_u, omega_v = np.outer(u, np.conj(u)), np.outer(v, np.conj(v))
-    if not r_spacelike(net.frame, omega_u, omega_v, tol_supp):
+def _r_causal_premise(net: LocalAlgebraNet, of_u: OrientedFrame,
+                      of_v: OrientedFrame, tol_eq: float) -> bool:
+    """Relational causality of the system for two localized preparations,
+    the premise of the causality axiom: the preparations are spacelike
+    (``r_spacelike``) and every system operator's commutator is within
+    tol_eq."""
+    if not r_spacelike(of_u, of_v):
         return False
     return all(Measurement("r-causal", check_r_causal(
-        net.system, net.frame, omega_u, omega_v, phi1=phi, phi2=phi),
-        tol_eq).holds for phi in net.system_ops)
+        net.system, of_u, of_v, phi1=phi, phi2=phi), tol_eq).holds
+        for phi in net.system_ops)

@@ -485,23 +485,31 @@ class UnitaryRep:
                 block.shape[:-2] + (d * d,))
         return sums.reshape(A.shape[:-2] + weights.shape[1:] + (d, d))
 
-    def invariance_defect(self, g: GroupElement, A: np.ndarray) -> float:
-        """max |U(g) A U(g)^dag - A| over the entries, with no conjugate of
-        A built: WORK_BLOCK_BYTES of rows at a time (at least one), each
-        row gathered by the inverse table row and phased as
-        ``_conjugates`` phases it, so the value is that of
-        ``eq_defect(conjugate(g, A), A)`` to the bit."""
-        inverse, phases = self._inverse([self.params.frame_index(g)])
-        inv = inverse[0]
+    def invariance_defect(self, g: GroupElement, A: np.ndarray,
+                          right: UnitaryRep | None = None) -> float:
+        """max |V A V^dag - A| over the entries for V = U(g), or for
+        V = U(g) (x) right(g), whose row of ``tensor_product_rep(self,
+        right)`` is formed from the factors' rows alone.  No conjugate of A
+        is built: WORK_BLOCK_BYTES of rows at a time (at least one), each
+        row gathered by the inverse table row and phased (by ones on a
+        permutation representation, which change no modulus), so the value
+        is that of ``eq_defect(conjugate(g, A), A)`` to the bit."""
+        i = self.params.frame_index(g)
+        row, phases = self.table[i], _phase_table(self, i)
+        if right is not None:
+            lattice.require_same_params(self.params, right.params)
+            row = (row[:, None] * right.dim + right.table[i]).reshape(-1)
+            phases = np.outer(phases, _phase_table(right, i)).reshape(-1)
+        inv = np.argsort(row)
+        phases = phases[inv]
         A = np.asarray(A, dtype=complex)
         worst = 0.0
-        step = max(1, WORK_BLOCK_BYTES // (16 * self.dim))
-        for start in range(0, self.dim, step):
+        step = max(1, WORK_BLOCK_BYTES // (16 * len(inv)))
+        for start in range(0, len(inv), step):
             rows = slice(start, start + step)
             moved = A[np.ix_(inv[rows], inv)]
-            if phases is not None:
-                moved *= phases[0, rows, None]
-                moved *= phases[0].conj()
+            moved *= phases[rows, None]
+            moved *= phases.conj()
             moved -= A[rows]
             worst = np.maximum(worst, np.max(np.abs(moved)))
         return float(worst)
@@ -543,11 +551,11 @@ class RegularIndex:
     right_quotient: np.ndarray
 
 
-def _phase_table(rep: UnitaryRep) -> np.ndarray:
-    """``rep.phases``, with ones for a permutation representation."""
+def _phase_table(rep: UnitaryRep, rows=slice(None)) -> np.ndarray:
+    """``rep.phases`` at the rows, ones for a permutation representation."""
     if rep.phases is None:
-        return np.ones(rep.table.shape, dtype=complex)
-    return rep.phases
+        return np.ones(rep.table[rows].shape, dtype=complex)
+    return rep.phases[rows]
 
 
 def require_stack_fits(n: int, dim: int, what: str) -> None:

@@ -190,12 +190,14 @@ def check_field_transformation(cfg: ScenarioConfig,
     tol_supp = cfg.tol("tol_supp")
     worst_point = worst_integral = 0.0
     sample = _group_sample(params, rng, extra=2)
-    unshifted, dis = fields.relational_local_fields(rf, omega, tol_supp)
+    prepared = frames.OrientedFrame(fr, omega, tol_supp)
+    unshifted = fields.relational_local_fields(rf, prepared)
+    dis = prepared.disintegration
     supported = np.flatnonzero(dis.support)
-    observable = fields.relational_local_observable(rf, omega)
+    observable = fields.relational_local_observable(rf, prepared)
     for g in sample:
-        moved, _ = fields.relational_local_fields(
-            rf, fr.rep.conjugate(g, omega), tol_supp)
+        moved = fields.relational_local_fields(rf, frames.OrientedFrame(
+            fr, fr.rep.conjugate(g, omega), tol_supp))
         moved = moved[moves[params.frame_index(g), supported]]
         worst_point = np.maximum(worst_point, ops.eq_defect(
             system.rep.conjugate(g, unshifted[supported]), moved))
@@ -219,9 +221,8 @@ def check_disintegration_covariance(cfg: ScenarioConfig,
     params = cfg.model()
     fr = smeared_frame(ops.regular_representation(params), rng, 0.5)
     omega = ops.random_state(rng, fr.dim)
-    base = frames.disintegrate(
-        frames.born_measure(frames.OrientedFrame(fr, omega)),
-        cfg.tol("tol_supp"))
+    tol_supp = cfg.tol("tol_supp")
+    base = frames.OrientedFrame(fr, omega, tol_supp).disintegration
     # row of g: g.x for each site x, g.boost * lam for each fiber lam
     sites = lattice.site_action_table(params)
     fibers = lattice.fiber_action_table(params)
@@ -230,10 +231,8 @@ def check_disintegration_covariance(cfg: ScenarioConfig,
     mismatches = 0
     sample = _group_sample(params, rng, extra=3)
     for g in sample:
-        shifted = _right_shift(fr.rep, g, omega)
-        moved = frames.disintegrate(
-            frames.born_measure(frames.OrientedFrame(fr, shifted)),
-            cfg.tol("tol_supp"))
+        moved = frames.OrientedFrame(
+            fr, _right_shift(fr.rep, g, omega), tol_supp).disintegration
         row = params.frame_index(g)
         gx = sites[row, moved.support]
         matched = base.support[gx]
@@ -345,11 +344,10 @@ def check_channel_laws(cfg: ScenarioConfig,
                                     np.min(ops.psd_gaps(image_psd)))
 
         relativized = fields.relativize(fields.RelationalField(system, fr))
-        diagonal = ops.tensor_product_rep(system.rep, fr.rep)
         for g in params.generators():
             worst["diagonal_invariance"] = np.maximum(
                 worst["diagonal_invariance"],
-                diagonal.invariance_defect(g, relativized))
+                system.rep.invariance_defect(g, relativized, right=fr.rep))
         del relativized  # freed before the next frame is built
         for x in unrestricted:
             lifted = fields.relativize(
@@ -409,42 +407,41 @@ def check_microcausality_implication(cfg: ScenarioConfig,
     rep = ops.spacetime_representation(params)
     fr = frames.fiber_uniform_spacetime_frame(params)
     d = rep.dim
+    tol_supp = cfg.tol("tol_supp")
+    # one preparation per site state, shared by the instances that read it
+    site = {x: frames.OrientedFrame(fr, _site_state(params, x), tol_supp)
+            for x in dict.fromkeys(sum(_SPACELIKE_SITES + _TWO_SITE_PAIRS, ()))}
     instances = []
     origin = _site_state(params, (0, 0))
     for a, b in _SPACELIKE_SITES:
-        instances.append(("site-projector", _site_state(params, a),
-                          _site_state(params, b), origin, origin))
+        instances.append(("site-projector", site[a], site[b], origin, origin))
     hop = _two_site_operator(params, (0, 0), (1, 1))
     for a, b in _TWO_SITE_PAIRS:
-        instances.append(("two-site", _site_state(params, a),
-                          _site_state(params, b), hop, hop))
+        instances.append(("two-site", site[a], site[b], hop, hop))
     for a, b in _SPACELIKE_SITES[:4]:
-        instances.append(("diagonal", _site_state(params, a),
-                          _site_state(params, b),
+        instances.append(("diagonal", site[a], site[b],
                           np.diag(rng.random(d)).astype(complex),
                           np.diag(rng.random(d)).astype(complex)))
     for a, b in _SPACELIKE_SITES:
-        instances.append(("random-operator", _site_state(params, a),
-                          _site_state(params, b),
+        instances.append(("random-operator", site[a], site[b],
                           ops.random_hermitian(rng, d),
                           ops.random_hermitian(rng, d)))
     for _ in range(4):
-        instances.append(("random-preparation", ops.random_state(rng, d),
-                          ops.random_state(rng, d),
-                          ops.random_hermitian(rng, d),
-                          ops.random_hermitian(rng, d)))
+        instances.append((
+            "random-preparation",
+            frames.OrientedFrame(fr, ops.random_state(rng, d), tol_supp),
+            frames.OrientedFrame(fr, ops.random_state(rng, d), tol_supp),
+            ops.random_hermitian(rng, d), ops.random_hermitian(rng, d)))
     tol = cfg.tol("tol_eq")
-    tol_supp = cfg.tol("tol_supp")
     counts: dict = {}
     passing = vacuous = counterexamples = 0
     worst = 0.0
-    for kind, omega1, omega2, phi1, phi2 in instances:
+    for kind, of1, of2, phi1, phi2 in instances:
         system = fields.SystemModel(params, rep, phi1)
         pairs, micro = causality.check_r_microcausal(
-            system, fr, omega1, omega2, phi1, phi2, tol_supp=tol_supp)
+            system, of1, of2, phi1, phi2)
         if pairs > 0 and Measurement("microcausal", micro, tol).holds:
-            causal = causality.check_r_causal(system, fr, omega1, omega2,
-                                              phi1, phi2)
+            causal = causality.check_r_causal(system, of1, of2, phi1, phi2)
             worst = np.maximum(worst, causal)
             if not Measurement("causal_on_passers", causal, tol).holds:
                 counterexamples += 1
@@ -507,17 +504,17 @@ def check_intrinsic_causality_pipeline(cfg: ScenarioConfig,
         ops.random_operator(rng, 2))
     phi1, phi2 = system.phi, ops.random_operator(rng, 2)
     # equal preparations, which are never spacelike separated
-    omega1 = omega2 = omega
-    spacelike = causality.r_spacelike(fr, omega1, omega2, cfg.tol("tol_supp"))
+    of1 = of2 = frames.OrientedFrame(fr, omega, cfg.tol("tol_supp"))
+    spacelike = causality.r_spacelike(of1, of2)
     pairs, einstein = causality.check_frame_einstein_causal(fr)
     einstein_causal = pairs == 0 or Measurement("einstein", einstein, tol).holds
-    joint = causality.find_joint_state(fr, omega1, omega2, tol_feas)
+    joint = causality.find_joint_state(of1, of2, tol_feas)
 
     # A_k = Phi_wk(phi_k), B_1 = Phi_w2(phi_1), B_2 = Phi_w1(phi_2): one
     # channel per preparation
     rf = fields.RelationalField(system, fr)
-    A1, B2 = fields.relativization_channel(rf, omega1)(np.array([phi1, phi2]))
-    B1, A2 = fields.relativization_channel(rf, omega2)(np.array([phi1, phi2]))
+    A1, B2 = fields.relativization_channel(rf, of1)(np.array([phi1, phi2]))
+    B1, A2 = fields.relativization_channel(rf, of2)(np.array([phi1, phi2]))
     swap = ops.op_norm(A1 @ A2 - B1 @ B2)
     # the intrinsic-causality conclusion, under its three premises
     pipeline = verdict([Measurement("intrinsic-causality", swap, tol)],
@@ -534,16 +531,21 @@ def check_intrinsic_causality_pipeline(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # correlator suite
 
-def _wightman_stage(rng: np.random.Generator):
+def _two_point_spec(cfg: ScenarioConfig, fr: frames.FrameObservable,
+                    rng: np.random.Generator) -> wightman.VevSpec:
+    """Two factors of a drawn state, prepared on fr, and a drawn operator."""
+    return wightman.VevSpec(tuple(
+        (frames.OrientedFrame(fr, ops.random_state(rng, fr.dim), cfg.tol("tol_supp")),
+         ops.random_operator(rng, fr.dim)) for _ in range(2)))
+
+
+def _wightman_stage(cfg: ScenarioConfig, rng: np.random.Generator):
     params = _LIFTED_MODEL
     rep = ops.spacetime_representation(params)
     vacuum = wightman.VacuumModel.pure(
         rep, np.ones(rep.dim, dtype=complex) / params.N)
     fr = frames.fiber_uniform_spacetime_frame(params)
-    spec = wightman.VevSpec((
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim))))
-    return params, rep, vacuum, fr, spec
+    return params, rep, vacuum, fr, _two_point_spec(cfg, fr, rng)
 
 
 def check_wightman_suite(cfg: ScenarioConfig,
@@ -554,29 +556,27 @@ def check_wightman_suite(cfg: ScenarioConfig,
     the step-weighted split of the time-ordered product, and the
     reconstruction of the vev from the kernel and the smearing functions,
     there and on a smeared spacetime frame."""
-    params, rep, vacuum, fr, spec = _wightman_stage(rng)
+    params, rep, vacuum, fr, spec = _wightman_stage(cfg, rng)
     tol = cfg.tol("tol_eq")
     tol_supp = cfg.tol("tol_supp")
-    kernels = wightman.KernelArrays(vacuum, fr, tol_supp)
+    kernels = wightman.KernelArrays(vacuum, fr)
     measurements = [Measurement(
         "hermiticity", wightman.hermiticity_check(kernels, spec), EXACT_TOL)]
-    families = [wightman.VevSpec((
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim))))
-        for _ in range(3)]
+    families = [_two_point_spec(cfg, fr, rng) for _ in range(3)]
     measurements.append(Measurement(
-        "gram_gap", ops.psd_gap(wightman.gram_matrix(vacuum, families, fr)),
+        "gram_gap", ops.psd_gap(wightman.gram_matrix(vacuum, families)),
         -GRAM_TOL, ">="))
 
-    base_value = wightman.vev(vacuum, spec, fr)
+    base_value = wightman.vev(vacuum, spec)
     base_kernel = kernels(spec)
     rows = lattice.site_action_table(params)
     worst_shift = worst_kernel = 0.0
     for g in params.generators():
         shifted_spec = wightman.VevSpec(tuple(
-            (_right_shift(rep, g, omega), phi) for omega, phi in spec.factors))
+            (frames.OrientedFrame(fr, _right_shift(rep, g, of.omega), tol_supp),
+             phi) for of, phi in spec.factors))
         worst_shift = np.maximum(worst_shift, abs(
-            wightman.vev(vacuum, shifted_spec, fr) - base_value))
+            wightman.vev(vacuum, shifted_spec) - base_value))
         # W_shifted(x1, x2) = W(g x1, g x2) at every point pair
         row = rows[params.frame_index(g)]
         worst_kernel = np.maximum(worst_kernel, np.max(np.abs(
@@ -585,24 +585,24 @@ def check_wightman_suite(cfg: ScenarioConfig,
                      Measurement("kernel_shift", worst_kernel, tol)]
 
     a, b = LatticePoint(1, 4), LatticePoint(4, 1)
-    omega1, omega2 = _site_state(params, a), _site_state(params, b)
+    of1, of2 = (frames.OrientedFrame(fr, _site_state(params, x), tol_supp)
+                for x in (a, b))
     local_phi = _site_state(params, (0, 0))
     system = fields.SystemModel(params, rep, local_phi)
-    pairs, micro = causality.check_r_microcausal(system, fr, omega1, omega2,
-                                                 tol_supp=tol_supp)
+    pairs, micro = causality.check_r_microcausal(system, of1, of2)
     premise = bool(
         pairs > 0 and Measurement("microcausal", micro, tol).holds
-        and causality.r_spacelike(fr, omega1, omega2, tol_supp)
+        and causality.r_spacelike(of1, of2)
         and Measurement("causal", causality.check_r_causal(
-            system, fr, omega1, omega2), tol).holds)
-    swap_spec = wightman.VevSpec(((omega1, local_phi), (omega2, local_phi)))
+            system, of1, of2), tol).holds)
+    swap_spec = wightman.VevSpec(((of1, local_phi), (of2, local_phi)))
     # a requirement, not a premise: without it the swaps certify nothing,
     # so the check fails rather than turning vacuous
     measurements += [
         Measurement("swap_premise", premise, True, "=="),
         Measurement("commutativity_swap", abs(
-            wightman.vev(vacuum, swap_spec, fr)
-            - wightman.vev(vacuum, swap_spec.swapped(0), fr)), tol),
+            wightman.vev(vacuum, swap_spec)
+            - wightman.vev(vacuum, swap_spec.swapped(0))), tol),
         Measurement("kernel_swap", wightman.kernel_swap_residual(
             kernels, swap_spec, (a, b), 0), tol)]
 
@@ -619,11 +619,16 @@ def check_wightman_suite(cfg: ScenarioConfig,
         Measurement("time_ordered_split", abs(ordered - split), tol))
 
     # sum_x1,x2 W(x1, x2) mu1(x1) mu2(x2) = vev on the stage and on a
-    # smeared frame, whose seed is the check's last draw
+    # smeared frame, whose seed is the check's last draw, with the spec's
+    # states prepared on it
     smeared = smeared_frame(rep, rng, 0.35)
+    smeared_spec = wightman.VevSpec(tuple(
+        (frames.OrientedFrame(smeared, of.omega, tol_supp), phi)
+        for of, phi in spec.factors))
     measurements.append(Measurement("smearing_reconstruction", np.max([
-        wightman.kernel_reconstruction_defect(arrays, spec) for arrays in (
-            kernels, wightman.KernelArrays(vacuum, smeared, tol_supp))]), tol))
+        wightman.kernel_reconstruction_defect(kernels, spec),
+        wightman.kernel_reconstruction_defect(
+            wightman.KernelArrays(vacuum, smeared), smeared_spec)]), tol))
     return CheckOutcome(
         measurements,
         {"model": "N=5 lifted window=2", "swap_premise": premise,
@@ -648,19 +653,20 @@ def check_spectral_condition(cfg: ScenarioConfig,
     fr, _ = _witness_frame()
     n_sites = params.N ** 2
     n_boosts = len(params.boosts())
-    mixed = ops.tensor(np.eye(n_sites, dtype=complex) / n_sites,
-                       np.eye(n_boosts, dtype=complex) / n_boosts)
+    tol_eq, tol_supp = cfg.tol("tol_eq"), cfg.tol("tol_supp")
+    mixed = frames.OrientedFrame(fr, ops.tensor(
+        np.eye(n_sites, dtype=complex) / n_sites,
+        np.eye(n_boosts, dtype=complex) / n_boosts), tol_supp)
     spec = wightman.VevSpec((
         (mixed, ops.random_operator(rng, rep.dim)),
         (mixed, ops.random_operator(rng, rep.dim))))
-    tol_eq, tol_supp = cfg.tol("tol_eq"), cfg.tol("tol_supp")
-    report = wightman.spectral_check(vacuum, spec, fr, tol_eq, tol_supp)
+    report = wightman.spectral_check(vacuum, spec, tol_eq)
     # the direct transform, with the e^{+2 pi i q.xi / N} pairing of ifftn
     N = params.N
     sites = np.array(params.lattice_points())
     pairing = np.exp(2j * np.pi * (sites @ sites.T) / N) / N ** 2
     direct = pairing @ wightman.difference_kernel(
-        vacuum, spec, fr, tol_eq, tol_supp).reshape(-1)
+        vacuum, spec, tol_eq).reshape(-1)
     oracle_worst = float(np.max(np.abs(direct - report.table.reshape(-1))))
     return CheckOutcome(
         [Measurement("outside_support", report.max_leak, cfg.tol("tol_dft")),
@@ -722,11 +728,11 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
 
     fr = smeared_frame(ops.lorentz_representation(params), rng, 0.4)
     rf = fields.RelationalField(system, fr)
-    omega = ops.random_state(rng, fr.dim)
+    prepared = frames.OrientedFrame(fr, ops.random_state(rng, fr.dim))
     rho = ops.random_state(rng, system.dim)
-    polarized = fields.predual_polarization(rf, omega, rho)
+    polarized = fields.predual_polarization(rf, prepared, rho)
     phi = np.array([ops.random_operator(rng, system.dim) for _ in range(10)])
-    observables = fields.relativization_channel(rf, omega)(phi)
+    observables = fields.relativization_channel(rf, prepared)(phi)
     worst_duality = np.max(np.abs(
         np.trace(rho @ observables, axis1=1, axis2=2)
         - np.trace(polarized @ phi, axis1=1, axis2=2)))
@@ -736,8 +742,7 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
         psi = frames.random_mixed_unitary_channel(rng, fr.dim)
         composed = frames.channel_compose(psi, fr)
         state = ops.random_state(rng, fr.dim)
-        moved = frames.born_measure(
-            frames.OrientedFrame(fr, psi.predual_apply(state)))
+        moved = frames.OrientedFrame(fr, psi.predual_apply(state)).measure
         # Tr[state psi(E(f))] at every frame point
         direct = (composed.reshape(len(composed), -1) @ state.T.reshape(-1)).real
         worst_transform = np.maximum(worst_transform, np.max(np.abs(

@@ -44,15 +44,10 @@ from relqft.fields import (
     relational_local_fields,
     relational_local_observable,
 )
-from relqft.frames import (
-    FrameObservable,
-    OrientedFrame,
-    born_measure,
-    disintegrate,
-)
+from relqft.frames import FrameObservable
 from relqft.lattice import ModelParams
 from relqft.operators import AlgebraSubspace, commutant, dagger, generated_algebra
-from relqft.tolerances import SVD_CUTOFF, TOL_EQ, TOL_SUPP
+from relqft.tolerances import SVD_CUTOFF, TOL_EQ
 
 
 class OrientationError(ValueError):
@@ -101,7 +96,7 @@ class VacuumModel:
 
 @dataclass(frozen=True)
 class VevSpec:
-    """An ordered list of (frame preparation, system operator) factors."""
+    """An ordered list of (``frames.OrientedFrame``, operator) factors."""
 
     factors: tuple
 
@@ -125,36 +120,21 @@ class VevSpec:
         return VevSpec(tuple((w, dagger(phi)) for w, phi in reversed(self.factors)))
 
 
-def _observables(vac: VacuumModel, spec: VevSpec,
-                 frame: FrameObservable) -> list[np.ndarray]:
-    out = []
-    for omega, phi in spec.factors:
-        rf = RelationalField(SystemModel(vac.params, vac.rep, phi), frame)
-        out.append(relational_local_observable(rf, omega))
-    return out
+def _per_factor(read, vac: VacuumModel, spec: VevSpec) -> list[np.ndarray]:
+    """read(rf, of) of each factor's relational field and preparation."""
+    return [read(RelationalField(SystemModel(vac.params, vac.rep, phi),
+                                 of.frame), of) for of, phi in spec.factors]
 
 
-def _site_tables(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                 tol_supp: float = TOL_SUPP) -> list[np.ndarray]:
-    """The site table of each factor's relational field, in factor order;
-    one Born measure per factor serves every point tuple."""
-    tables = []
-    for omega, phi in spec.factors:
-        rf = RelationalField(SystemModel(vac.params, vac.rep, phi), frame)
-        tables.append(relational_local_fields(rf, omega, tol_supp)[0])
-    return tables
-
-
-def vev(vac: VacuumModel, spec: VevSpec, frame: FrameObservable) -> complex:
+def vev(vac: VacuumModel, spec: VevSpec) -> complex:
     """Vacuum expectation of the ordered product of relational observables."""
     acc = np.array(vac.state, dtype=complex)
-    for A in _observables(vac, spec, frame):
+    for A in _per_factor(relational_local_observable, vac, spec):
         acc = acc @ A
     return complex(np.trace(acc))
 
 
-def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                 tol_supp: float = TOL_SUPP) -> np.ndarray:
+def kernel_array(vac: VacuumModel, spec: VevSpec) -> np.ndarray:
     """The kernel at every point tuple: an (N^2,)^n array, one axis per
     factor in lattice_points() order.
 
@@ -163,7 +143,7 @@ def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     einsum rather than a BLAS product, so the bytes do not depend on the
     number of BLAS threads.
     """
-    *first, last = _site_tables(vac, spec, frame, tol_supp)
+    *first, last = _per_factor(relational_local_fields, vac, spec)
     acc = np.array(vac.state, dtype=complex)
     for table in first:
         acc = acc[..., None, :, :] @ table
@@ -171,27 +151,29 @@ def kernel_array(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
 
 
 class KernelArrays:
-    """``kernel_array`` on one vacuum and frame for each spec asked for,
-    built on first request and kept read-only.  A spec is known by a
-    SHA-256 digest of the values of its factors, so a spec rebuilt from the
-    same preparations and operators, such as ``spec.swapped(i)`` taken
-    twice, finds its array."""
+    """``kernel_array`` on one vacuum and frame for each spec prepared on
+    that frame, built on first request and kept read-only.  A spec is known
+    by a SHA-256 digest of the values of its factors (each state, its
+    tol_supp and each operator), so a spec rebuilt from the same
+    preparations and operators, such as ``spec.swapped(i)`` taken twice,
+    finds its array."""
 
-    def __init__(self, vac: VacuumModel, frame: FrameObservable,
-                 tol_supp: float = TOL_SUPP):
+    def __init__(self, vac: VacuumModel, frame: FrameObservable):
         self.vac = vac
         self.frame = frame
-        self.tol_supp = tol_supp
         self._arrays: dict = {}
 
     def __call__(self, spec: VevSpec) -> np.ndarray:
         digest = hashlib.sha256()
-        for factor in spec.factors:
-            for a in factor:
-                digest.update(np.ascontiguousarray(a, dtype=complex))
+        for of, phi in spec.factors:
+            if of.frame is not self.frame:
+                raise ValueError("the spec has a preparation of another frame")
+            digest.update(np.ascontiguousarray(of.omega))
+            digest.update(np.float64(of.tol_supp).tobytes())
+            digest.update(np.ascontiguousarray(phi, dtype=complex))
         key = digest.digest()
         if key not in self._arrays:
-            array = kernel_array(self.vac, spec, self.frame, self.tol_supp)
+            array = kernel_array(self.vac, spec)
             array.flags.writeable = False
             self._arrays[key] = array
         return self._arrays[key]
@@ -211,19 +193,17 @@ def kernel_reconstruction_defect(kernels: KernelArrays, spec: VevSpec) -> float:
     spec's kernel array contracted with each factor's spacetime
     marginal."""
     total = kernels(spec)
-    for omega, _ in reversed(spec.factors):
-        total = total @ born_measure(
-            OrientedFrame(kernels.frame, omega)).spacetime_marginal()
-    return abs(total - vev(kernels.vac, spec, kernels.frame))
+    for of, _ in reversed(spec.factors):
+        total = total @ of.disintegration.marginal
+    return abs(total - vev(kernels.vac, spec))
 
 
 # ---------------------------------------------------------------------------
 # difference kernels and the spectral condition
 
-def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
-                               tol_eq: float, tol_supp: float) -> None:
-    for omega, _ in spec.factors:
-        dis = disintegrate(born_measure(OrientedFrame(frame, omega)), tol_supp)
+def _require_globally_oriented(spec: VevSpec, tol_eq: float) -> None:
+    for of, _ in spec.factors:
+        dis = of.disintegration
         if not certify_globally_oriented(dis, tol_eq):
             raise OrientationError("preparation is not globally oriented")
         if not dis.support.all():
@@ -231,9 +211,8 @@ def _require_globally_oriented(spec: VevSpec, frame: FrameObservable,
                 "difference kernels need a full-support spacetime marginal")
 
 
-def difference_kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                      tol_eq: float = TOL_EQ,
-                      tol_supp: float = TOL_SUPP) -> np.ndarray:
+def difference_kernel(vac: VacuumModel, spec: VevSpec,
+                      tol_eq: float = TOL_EQ) -> np.ndarray:
     """The translation-reduced kernel over the successive differences
     xi_j = x_j - x_(j+1), as an (N, N)^(n-1) array with axes
     (xi_1.u, xi_1.v, ...).
@@ -241,9 +220,9 @@ def difference_kernel(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     Gathered from the kernel array at every base point x_n; well-defined
     for certified globally oriented, fully supported preparations, and
     refused when any base gives a different value."""
-    _require_globally_oriented(spec, frame, tol_eq, tol_supp)
-    N = frame.params.N
-    K = kernel_array(vac, spec, frame, tol_supp)
+    _require_globally_oriented(spec, tol_eq)
+    N = vac.params.N
+    K = kernel_array(vac, spec)
     # base (u, v) first, then (xi_j.u, xi_j.v) for j = 1 .. n-1
     grid = np.ogrid[(slice(0, N),) * (2 * spec.n)]
     u, v = grid[0], grid[1]
@@ -269,9 +248,8 @@ class SpectralReport:
     vacuous: bool
 
 
-def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
-                   tol_eq: float = TOL_EQ,
-                   tol_supp: float = TOL_SUPP) -> SpectralReport:
+def spectral_check(vac: VacuumModel, spec: VevSpec,
+                   tol_eq: float = TOL_EQ) -> SpectralReport:
     """Transform magnitudes must vanish whenever any momentum component
     lies outside the character support of the system representation:
     ``max_leak`` is the largest magnitude there.
@@ -280,9 +258,9 @@ def spectral_check(vac: VacuumModel, spec: VevSpec, frame: FrameObservable,
     (q_1.u, q_1.v, ...).  The assertion is vacuous when the support is all
     of the momentum lattice (for example the regular representation).
     """
-    N = frame.params.N
+    N = vac.params.N
     support = frozenset(ops.translation_character_support(vac.rep))
-    table = np.fft.ifftn(difference_kernel(vac, spec, frame, tol_eq, tol_supp))
+    table = np.fft.ifftn(difference_kernel(vac, spec, tol_eq))
     inside = np.zeros((N, N), dtype=bool)
     inside[tuple(np.array(list(support)).T)] = True
     on = np.ones((), dtype=bool)
@@ -301,21 +279,20 @@ def hermiticity_check(kernels: KernelArrays, spec: VevSpec) -> float:
     """Residual of vev(spec) against the conjugate of the reversed-adjoint
     spec, and of the kernel array against the conjugate of the
     reversed-adjoint one read with its axes reversed, at every tuple."""
-    vac, frame = kernels.vac, kernels.frame
     rev = spec.reversed_adjoint()
-    residual = abs(vev(vac, spec, frame) - np.conj(vev(vac, rev, frame)))
+    residual = abs(vev(kernels.vac, spec) - np.conj(vev(kernels.vac, rev)))
     defects = np.abs(kernels(spec) - np.conj(kernels(rev).T))
     return float(max(residual, np.max(defects)))
 
 
-def gram_matrix(vac: VacuumModel, families, frame: FrameObservable) -> np.ndarray:
+def gram_matrix(vac: VacuumModel, families) -> np.ndarray:
     """G[j, k] = Tr[vacuum A_k^dag A_j] for A_j the ordered product of the
     j-th family's relational observables: one einsum over the stacked
     products; positive semidefinite by the positivity of the vacuum."""
     prods = []
     for spec in families:
         acc = np.eye(vac.dim, dtype=complex)
-        for A in _observables(vac, spec, frame):
+        for A in _per_factor(relational_local_observable, vac, spec):
             acc = acc @ A
         prods.append(acc)
     prods = np.array(prods)
@@ -350,7 +327,7 @@ def time_ordered_detailed(kernels: KernelArrays, spec: VevSpec,
     ``kernel`` of the permuted factors at the permuted points, taken only
     for permutations of nonzero weight; returns the value and whether any
     coincident-time pair invoked theta(0) = 1/2."""
-    params = kernels.frame.params
+    params = kernels.vac.params
     if params.causal_mode != "lifted":
         raise TimeOrderError("time ordering requires the lifted causal mode")
     if len(points) != spec.n:

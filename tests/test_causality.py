@@ -30,6 +30,11 @@ def witness_frame():
     return fr, omega
 
 
+def prepared(fr, *omegas):
+    """One preparation of the frame per state."""
+    return [frames.OrientedFrame(fr, omega) for omega in omegas]
+
+
 def test_frame_einstein_causal_for_commuting_effects():
     fr = frames.fiber_uniform_spacetime_frame(L5)
     pairs, residual = causality.check_frame_einstein_causal(fr)
@@ -41,12 +46,11 @@ def test_spacelike_site_preparations_are_r_causal():
     rep = ops.spacetime_representation(L5)
     fr = frames.fiber_uniform_spacetime_frame(L5)
     system = fields.SystemModel(L5, rep, site_state(L5, (0, 0)))
-    omega1 = site_state(L5, (1, 4))
-    omega2 = site_state(L5, (4, 1))
-    pairs, micro = causality.check_r_microcausal(system, fr, omega1, omega2)
-    causal = causality.check_r_causal(system, fr, omega1, omega2)
+    of1, of2 = prepared(fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    pairs, micro = causality.check_r_microcausal(system, of1, of2)
+    causal = causality.check_r_causal(system, of1, of2)
     assert pairs > 0 and micro <= 1e-10
-    assert causality.r_spacelike(fr, omega1, omega2) and causal <= 1e-10
+    assert causality.r_spacelike(of1, of2) and causal <= 1e-10
     assert causal < 1e-14
 
 
@@ -59,14 +63,12 @@ def test_distinct_diagonal_smearings_on_spacelike_sites(rng):
     phi1 = np.diag(rng.random(rep.dim)).astype(complex)
     phi2 = np.diag(rng.random(rep.dim)).astype(complex)
     system = fields.SystemModel(L5, rep, phi1)
-    omega1 = site_state(L5, (1, 4))
-    omega2 = site_state(L5, (4, 1))
-    pairs, micro = causality.check_r_microcausal(system, fr, omega1, omega2,
-                                                 phi1, phi2)
-    causal = causality.check_r_causal(system, fr, omega1, omega2, phi1, phi2)
+    of1, of2 = prepared(fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    pairs, micro = causality.check_r_microcausal(system, of1, of2, phi1, phi2)
+    causal = causality.check_r_causal(system, of1, of2, phi1, phi2)
     assert pairs > 0 and micro <= 1e-10
     assert causal <= 1e-10
-    assert causality.r_spacelike(fr, omega1, omega2)
+    assert causality.r_spacelike(of1, of2)
 
 
 def test_dense_smearing_breaks_the_pointwise_premise(rng):
@@ -74,9 +76,8 @@ def test_dense_smearing_breaks_the_pointwise_premise(rng):
     fr = frames.fiber_uniform_spacetime_frame(L5)
     phi = ops.random_hermitian(rng, rep.dim)
     system = fields.SystemModel(L5, rep, phi)
-    omega1 = site_state(L5, (1, 4))
-    omega2 = site_state(L5, (4, 1))
-    pairs, micro = causality.check_r_microcausal(system, fr, omega1, omega2)
+    pairs, micro = causality.check_r_microcausal(system, *prepared(
+        fr, site_state(L5, (1, 4)), site_state(L5, (4, 1))))
     assert pairs > 0 and micro > 1e-10
 
 
@@ -84,11 +85,10 @@ def test_timelike_site_preparations_are_vacuous():
     rep = ops.spacetime_representation(L5)
     fr = frames.fiber_uniform_spacetime_frame(L5)
     system = fields.SystemModel(L5, rep, site_state(L5, (0, 0)))
-    omega1 = site_state(L5, (0, 0))
-    omega2 = site_state(L5, (1, 1))
-    pairs, _ = causality.check_r_microcausal(system, fr, omega1, omega2)
+    of1, of2 = prepared(fr, site_state(L5, (0, 0)), site_state(L5, (1, 1)))
+    pairs, _ = causality.check_r_microcausal(system, of1, of2)
     assert pairs == 0
-    assert not causality.r_spacelike(fr, omega1, omega2)
+    assert not causality.r_spacelike(of1, of2)
 
 
 def test_joint_constraint_shape_and_witness_feasibility():
@@ -204,10 +204,10 @@ def test_find_joint_state_peaks_at_about_the_constraint_matrix():
     fr, omega = witness_frame()
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
     A, _ = causality.joint_constraint_system(fr, mu, mu)
-    fr, omega = witness_frame()
+    of = frames.OrientedFrame(*witness_frame())
     tracemalloc.start()
     try:
-        result = causality.find_joint_state(fr, omega, omega)
+        result = causality.find_joint_state(of, of)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -216,8 +216,8 @@ def test_find_joint_state_peaks_at_about_the_constraint_matrix():
 
 
 def test_find_joint_state_certificate():
-    fr, omega = witness_frame()
-    result = causality.find_joint_state(fr, omega, omega)
+    of = frames.OrientedFrame(*witness_frame())
+    result = causality.find_joint_state(of, of)
     assert result.converged
     assert result.iterations == 1
     assert result.residual < 1e-7
@@ -237,7 +237,8 @@ def test_disjoint_site_preparations_admit_no_joint_state():
     stacked = np.hstack([A, b.reshape(-1, 1)])
     assert (np.linalg.matrix_rank(stacked, tol=1e-10)
             > np.linalg.matrix_rank(A, tol=1e-10))
-    result = causality.find_joint_state(fr, omega1, omega2, max_iter=60)
+    result = causality.find_joint_state(*prepared(fr, omega1, omega2),
+                                        max_iter=60)
     assert not result.converged
     assert result.iterations == 60
     assert result.state is None
@@ -248,8 +249,9 @@ def test_r_spacelike_predicate():
     fr, _ = witness_frame()
     omega1 = ops.tensor(site_state(P3, (0, 1)), np.eye(2, dtype=complex) / 2)
     omega2 = ops.tensor(site_state(P3, (1, 0)), np.eye(2, dtype=complex) / 2)
-    assert causality.r_spacelike(fr, omega1, omega2)
-    assert not causality.r_spacelike(fr, omega1, omega1)
+    of1, of2 = prepared(fr, omega1, omega2)
+    assert causality.r_spacelike(of1, of2)
+    assert not causality.r_spacelike(of1, of1)
 
 
 def microcausal_by_pairs(system, fr, omega1, omega2, phi1, phi2):
@@ -291,7 +293,7 @@ def test_batched_microcausality_matches_the_pair_loop(monkeypatch, rng, chunk):
     for (omega1, omega2), (phi1, phi2), commute in cases:
         system = fields.SystemModel(L5, rep, phi1)
         checked, residual = causality.check_r_microcausal(
-            system, fr, omega1, omega2, phi1, phi2)
+            system, *prepared(fr, omega1, omega2), phi1, phi2)
         pairs, worst = microcausal_by_pairs(system, fr, omega1, omega2,
                                             phi1, phi2)
         assert checked == pairs > 0
@@ -306,7 +308,8 @@ def test_batched_microcausality_matches_the_pair_loop(monkeypatch, rng, chunk):
 
 def test_microcausality_takes_one_born_measure_per_preparation(monkeypatch,
                                                                rng):
-    # the pair set comes from the support masks of the two site tables
+    # the pair set comes from the support masks of the two site tables, and
+    # the other predicates read the same two records
     calls = []
     original = frames.born_measure
 
@@ -314,12 +317,22 @@ def test_microcausality_takes_one_born_measure_per_preparation(monkeypatch,
         calls.append(of)
         return original(of)
 
-    for module in (frames, fields, causality):
+    for module in (frames, fields):
         monkeypatch.setattr(module, "born_measure", counting)
     rep = ops.spacetime_representation(L5)
     fr = frames.fiber_uniform_spacetime_frame(L5)
     system = fields.SystemModel(L5, rep, ops.random_operator(rng, rep.dim))
-    pairs, _ = causality.check_r_microcausal(
-        system, fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    of1, of2 = prepared(fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    pairs, _ = causality.check_r_microcausal(system, of1, of2)
     assert pairs == 1
-    assert len(calls) == 2
+    assert causality.r_spacelike(of1, of2)
+    causality.check_r_causal(system, of1, of2)
+    assert calls == [of1, of2]
+
+
+def test_find_joint_state_refuses_preparations_of_two_frames():
+    fr, omega = witness_frame()
+    other, _ = witness_frame()
+    with pytest.raises(ValueError, match="one frame"):
+        causality.find_joint_state(frames.OrientedFrame(fr, omega),
+                                   frames.OrientedFrame(other, omega))

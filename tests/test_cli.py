@@ -190,3 +190,14 @@ def test_malformed_momenta_exit_2(tmp_path, capsys, momenta, message):
     assert out == ""
     assert err.splitlines() == [
         f"config error: config cannot build a system model: {message}"]
+
+
+def test_an_n3_config_without_window_verifies_every_check(tmp_path, capsys):
+    # the omitted window is (N - 1) // 2 = 1, the only one N = 3 admits
+    p = tmp_path / "n3.json"
+    p.write_text('{"model": {"N": 3, "s": 2},'
+                 ' "system": {"momenta": [[1, 0], [2, 0]]}}', encoding="utf-8")
+    assert main(["verify", "all", "--config", str(p), "--format", "json"]) == 0
+    checks = runner.load_report(capsys.readouterr().out)["checks"]
+    assert len(checks) == len(CHECKS)
+    assert {c["verdict"] for c in checks} == {"verified"}

@@ -29,7 +29,12 @@ def test_partial_document_merges():
 
 def test_window_must_fit_the_model():
     with pytest.raises(ConfigError, match="invalid model parameters"):
-        parse_config('{"model": {"N": 3}}')
+        parse_config('{"model": {"N": 3}, "window": 2}')
+
+
+@pytest.mark.parametrize("N, window", [(3, 1), (5, 2), (9, 4)])
+def test_an_omitted_window_is_the_largest_the_model_admits(N, window):
+    assert parse_config(f'{{"model": {{"N": {N}}}}}').window == window
 
 
 def test_momenta_parse_to_lattice_points():

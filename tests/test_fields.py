@@ -88,12 +88,25 @@ def test_field_reconstruction_sums_to_observable(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     rf = fields.RelationalField(system, fr)
     omega = ops.random_state(rng, fr.dim)
-    marginal = frames.born_measure(
-        frames.OrientedFrame(fr, omega)).spacetime_marginal()
+    marginal = frames.OrientedFrame(fr, omega).disintegration.marginal
     rebuilt = sum(w * fields.relational_local_field(rf, omega, x)
                   for x, w in zip(P3.lattice_points(), marginal))
     observable = fields.relational_local_observable(rf, omega)
     assert ops.eq_defect(rebuilt, observable) < 1e-12
+
+
+def test_preparations_of_another_frame_are_refused(rng):
+    params = ModelParams(3, 2)
+    rep = ops.regular_representation(params)
+    fr, other = frames.uniform_frame(rep), frames.uniform_frame(rep)
+    rf = fields.RelationalField(
+        fields.SystemModel(params, rep, ops.random_operator(rng, rep.dim)), fr)
+    omega = ops.random_state(rng, fr.dim)
+    assert ops.eq_defect(
+        fields.relational_local_observable(rf, frames.OrientedFrame(fr, omega)),
+        fields.relational_local_observable(rf, omega)) == 0.0
+    with pytest.raises(ValueError, match="another frame"):
+        fields.relational_local_observable(rf, frames.OrientedFrame(other, omega))
 
 
 def test_extend_trace_class_is_linear(rng):
@@ -316,7 +329,9 @@ def test_site_table_matches_the_definition(rng, kind, N):
              (smeared_frame, ops.random_state(rng, N * N), TOL_SUPP, N * N)]
     for fr, omega, tol_supp, n_supported in cases:
         rf = fields.RelationalField(system, fr)
-        table, dis = fields.relational_local_fields(rf, omega, tol_supp)
+        of = frames.OrientedFrame(fr, omega, tol_supp)
+        table = fields.relational_local_fields(rf, of)
+        dis = of.disintegration
         assert table.shape == (N * N, system.dim, system.dim)
         assert dis.support.sum() == n_supported
         expected = local_fields_by_definition(system, fr, omega, tol_supp)
@@ -324,6 +339,6 @@ def test_site_table_matches_the_definition(rng, kind, N):
             row = table[params.site_index(x)]
             assert ops.eq_defect(row, expected[x]) < 1e-13
             assert ops.eq_defect(
-                fields.relational_local_field(rf, omega, x, tol_supp), row) == 0.0
+                fields.relational_local_field(rf, of, x), row) == 0.0
             if not dis.support[params.site_index(x)]:
                 assert not row.any()

@@ -232,8 +232,7 @@ def test_born_measure_rejects_non_hermitian_state(rng):
 def test_marginals_sum_to_one(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     omega = ops.random_state(rng, fr.dim)
-    mu = frames.born_measure(frames.OrientedFrame(fr, omega))
-    st = mu.spacetime_marginal()
+    st = frames.OrientedFrame(fr, omega).disintegration.marginal
     assert abs(st.sum() - 1.0) < 1e-12
     assert st.shape == (len(P3.lattice_points()),)
 
@@ -424,11 +423,9 @@ def test_array_results_match_a_pointwise_reference(name, N, rng):
 
     for f, w in reference.items():
         assert abs(mu.weights[params.frame_index(f)] - w) < 1e-12
-    for i, x in enumerate(params.lattice_points()):
-        assert abs(mu.spacetime_marginal()[i] - spacetime[x]) < 1e-12
-
     dis = frames.disintegrate(mu)
     for i, x in enumerate(params.lattice_points()):
+        assert abs(dis.marginal[i] - spacetime[x]) < 1e-12
         assert dis.support[i] == (spacetime[x] > 1e-12)
         for j, lam in enumerate(params.boosts()):
             expected = (reference[FramePoint(x, lam)] / spacetime[x]
@@ -503,6 +500,20 @@ def test_strict_orthogonality_on_fixed_free_subspace():
         frames.uniform_frame(reduced))
     assert report.fixed_space_dim == 0
     assert report.residual == 0.0
+
+
+def test_a_fixed_free_frame_takes_no_eigendecomposition(monkeypatch):
+    # the rank of the fixed space is the trace of its projector, and rank 0
+    # decides the residual before any eigh or marginal effect
+    def refused(*args, **kwargs):
+        raise AssertionError("not needed on a fixed-free representation")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(frames.FrameObservable, "spacetime_marginal_effect",
+                        refused)
+    report = frames.strict_vacuum_orthogonality_check(
+        frames.uniform_frame(fixed_free_representation(P3)))
+    assert (report.residual, report.fixed_space_dim) == (0.0, 0)
 
 
 def all_site_residual(frame):

@@ -34,10 +34,13 @@ MODULES = sorted(
     if p.name != "__init__.py")
 
 #: Imports that are kept although the module never reads them, with the
-#: reason.  ``net.born_measure`` is read through the module attribute by
-#: ``perfbench/test_perfbench.py``, which checks that the tracer rebinds
-#: every ``relqft.*`` binding of a function and restores it afterwards.
-ALLOWED = {("src/relqft/net.py", "born_measure")}
+#: reason.  ``fields.born_measure`` and ``net.born_measure`` are read
+#: through the module attribute by ``perfbench/test_perfbench.py``, which
+#: checks that the tracer rebinds every ``relqft.*`` binding of a function
+#: and restores it afterwards; the Born measure itself is taken by
+#: ``frames.OrientedFrame``.
+ALLOWED = {("src/relqft/fields.py", "born_measure"),
+           ("src/relqft/net.py", "born_measure")}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -189,8 +192,6 @@ def test_unreferenced_allowances_are_still_needed():
 UNSET_DEFAULTS = {
     # an oracle: the tests check covariance over the whole group
     ("frames.FrameObservable.covariance_defect", "elements"),
-    # the pointwise reference the tracer wraps and the tests compare with
-    ("fields.relational_local_field", "tol_supp"),
     # the reference the tests compare generated_algebra against
     ("operators.double_commutant", "dim"),
     # the tests cap the iterations to reach the undecided branch
@@ -338,3 +339,58 @@ def test_verdict_readers_are_still_defined():
     definitions = public_definitions()
     for module, qualname in VERDICT_READERS:
         assert f"{module}.{qualname}" in definitions
+
+
+#: The functions that take a support tolerance, with the reason.  A
+#: preparation carries its own (``frames.OrientedFrame``), so a predicate
+#: reads the support of the records it is given and takes no tolerance.
+TOL_SUPP_TAKERS = {
+    # the record of a preparation: its disintegration is taken at it
+    "frames.OrientedFrame.__init__",
+    # the support rule itself, which the record applies
+    "frames.disintegrate",
+    # builds the localized premise preparations of the causality axiom
+    "net.verify_net_axioms",
+}
+
+
+def tol_supp_takers(tree: ast.Module, module: str) -> set[str]:
+    """"module.function" or "module.Class.method" of every function of
+    the module, nested ones included, with a ``tol_supp`` parameter."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                qualname = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    args = child.args
+                    if "tol_supp" in {a.arg for a in [
+                            *args.posonlyargs, *args.args, *args.kwonlyargs]}:
+                        out.add(qualname)
+                visit(child, qualname)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def test_the_scan_finds_tol_supp_parameters():
+    source = ("def f(x, tol_supp=1.0): pass\n"
+              "class C:\n"
+              "    def m(self, *, tol_supp):\n"
+              "        def inner(tol_supp): pass\n"
+              "    def n(self, tol_eq): pass\n")
+    assert tol_supp_takers(ast.parse(source), "mod") == {
+        "mod.f", "mod.C.m", "mod.C.m.inner"}
+
+
+def test_only_the_allowed_functions_take_tol_supp():
+    # the allowance is exact: a function that stops taking tol_supp leaves it
+    found = set()
+    for path in PACKAGE:
+        found |= tol_supp_takers(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == TOL_SUPP_TAKERS

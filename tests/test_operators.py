@@ -591,6 +591,29 @@ def test_invariance_defect_is_the_conjugate_defect_to_the_bit(rng, rep,
         assert rep.invariance_defect(g, invariant) < 1e-12
 
 
+@pytest.mark.parametrize("factors", [
+    ("regular", "lorentz"), ("character", "regular"),
+    ("lorentz", "character"), ("character", "sector")])
+def test_invariance_under_a_product_is_the_product_defect_to_the_bit(
+        rng, factors, monkeypatch):
+    # the row of the product read from its two factors, with and without
+    # phases on either side, against the product representation's own row
+    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 5 * 16 * 64)
+    build = {"regular": ops.regular_representation,
+             "lorentz": ops.lorentz_representation,
+             "character": lambda p: ops.character_representation(
+                 p, [LatticePoint(1, 0), LatticePoint(2, 0)]),
+             "sector": sector_representation}
+    rep1, rep2 = (build[kind](P3) for kind in factors)
+    product = ops.tensor_product_rep(rep1, rep2)
+    A = ops.random_operator(rng, product.dim)
+    invariant = product.orbit_sum(np.ones(len(product.table)), A)
+    for g in [*P3.generators(), *P3.group_elements()[::5]]:
+        for X in (A, invariant):
+            assert rep1.invariance_defect(g, X, right=rep2) == (
+                product.invariance_defect(g, X))
+
+
 def test_invariance_defect_builds_no_conjugate(rng):
     # the diagonal representation of channel-laws at N = 5: Y is 400 x 400
     # (2.56 MB), and the measurement holds about one row batch beside it

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from relqft import causality, fields, net, runner, wightman
+from relqft import causality, fields, frames, net, runner, wightman
 from relqft import operators as ops
 from relqft.config import ConfigError, DEFAULT_CONFIG, load_config
 from relqft.scenarios import CHECKS, CheckOutcome, SUITES
@@ -227,22 +227,25 @@ def test_deciding_measurement_rule():
     ("spectral-condition",
      {"wightman.relational_local_fields", "wightman.difference_kernel",
       "wightman._require_globally_oriented"}, False),
+    ("disintegration-covariance", set(), False),
 ])
 def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
                                                  stub):
-    # every call records the tol_eq / tol_supp parameters it declares
+    # every preparation the check builds carries the overridden tol_supp,
+    # the premise calls are made, and each call that declares tol_eq or
+    # tol_supp receives the overridden value
     tols = {"tol_eq": 3e-10, "tol_supp": 4e-13}
     cfg = dataclasses.replace(DEFAULT_CONFIG, tolerances=tols)
     modules = {"causality": causality, "fields": fields, "net": net,
                "wightman": wightman}
     seen = []
+    prepared = []
 
     def recording(qualname):
         module, name = qualname.split(".")
         original = getattr(modules[module], name)
         signature = inspect.signature(original)
         declared = [k for k in tols if k in signature.parameters]
-        assert declared
 
         def wrapper(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
@@ -256,7 +259,15 @@ def test_tolerance_overrides_reach_premise_calls(monkeypatch, check, calls,
     for qualname in calls:
         module, name = qualname.split(".")
         monkeypatch.setattr(modules[module], name, recording(qualname))
+    init = frames.OrientedFrame.__init__
+
+    def recording_init(of, *args, **kwargs):
+        init(of, *args, **kwargs)
+        prepared.append(of.tol_supp)
+
+    monkeypatch.setattr(frames.OrientedFrame, "__init__", recording_init)
     runner.run(cfg, targets=[check])
+    assert prepared and set(prepared) == {tols["tol_supp"]}
     assert {qualname for qualname, _ in seen} == calls
     for _, received in seen:
         assert received == {k: tols[k] for k in received}

@@ -10,7 +10,6 @@ import pytest
 from relqft import causality, fields, frames, lattice, net, runner, scenarios, wightman
 from relqft import operators as ops
 from relqft.config import DEFAULT_CONFIG
-from relqft.tolerances import TOL_SUPP
 
 
 @pytest.mark.parametrize("name", ["relational-covariance", "vacuum-polarization"])
@@ -39,9 +38,9 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     calls = []
     original = fields.relational_local_fields
 
-    def counting(rf, omega, tol_supp=TOL_SUPP):
+    def counting(rf, omega):
         calls.append(rf)
-        return original(rf, omega, tol_supp)
+        return original(rf, omega)
 
     for module in (fields, wightman, causality):
         monkeypatch.setattr(module, "relational_local_fields", counting)
@@ -51,10 +50,25 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     assert len(calls) == 20
 
 
-def test_microcausality_implication_takes_76_born_measures(monkeypatch):
-    # 24 instances: two site tables each (48), and the two relational
-    # observables of each of the 14 whose fields commute at spacelike pairs
-    # (28); no premise that the check does not read is measured
+@pytest.mark.parametrize("name, measures, details", [
+    # 24 instances on 11 site states and 8 drawn states; the site tables
+    # of all 24 and the observables of the 14 whose fields commute at
+    # spacelike pairs read those 19 preparations
+    ("microcausality-implication", 19,
+     {"instances": 24, "premise_passing": 14}),
+    # spec and its 3 shifts, 3 Gram families, the swap pair, and spec's
+    # states prepared on the smeared frame: 9 two-point specs
+    ("wightman-suite", 18, {}),
+    # one omega on both sides of the swap, the search and the premise
+    ("intrinsic-causality-pipeline", 1, {}),
+    # both factors of the spec share one preparation
+    ("spectral-condition", 1, {}),
+    # each of the two nets prepares one state per region of its pair
+    ("net-axioms", 4, {}),
+], ids=["microcausality-implication", "wightman-suite",
+        "intrinsic-causality-pipeline", "spectral-condition", "net-axioms"])
+def test_checks_take_one_born_measure_per_preparation(monkeypatch, name,
+                                                      measures, details):
     calls = []
     original = frames.born_measure
 
@@ -63,14 +77,12 @@ def test_microcausality_implication_takes_76_born_measures(monkeypatch):
         return original(of)
 
     for module in (frames, fields, causality, wightman, net):
-        monkeypatch.setattr(module, "born_measure", counting)
-    name = "microcausality-implication"
+        monkeypatch.setattr(module, "born_measure", counting, raising=False)
     outcome = scenarios.CHECKS[name].fn(
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
     assert outcome.verdict == "verified"
-    assert outcome.details["instances"] == 24
-    assert outcome.details["premise_passing"] == 14
-    assert len(calls) == 76
+    assert {k: outcome.details[k] for k in details} == details
+    assert len(calls) == len({id(of) for of in calls}) == measures
 
 
 def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
@@ -88,6 +100,18 @@ def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "net-axioms"))
     assert outcome.verdict == "verified"
     assert len(built) == len(set(built)) == 41
+
+
+def test_channel_laws_build_no_product_representation(monkeypatch):
+    # the diagonal invariance reads the product row from its two factors
+    def refused(*args):
+        raise AssertionError("product table built")
+
+    monkeypatch.setattr(ops, "tensor_product_rep", refused)
+    name = "channel-laws"
+    outcome = scenarios.CHECKS[name].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
+    assert outcome.verdict == "verified"
 
 
 def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
@@ -165,11 +189,13 @@ def test_field_transformation_matches_the_per_site_loop():
     omega = ops.random_state(rng, fr.dim)
     rf = fields.RelationalField(system, fr)
     sample = scenarios._group_sample(params, rng, extra=2)
-    unshifted, dis = fields.relational_local_fields(rf, omega)
+    prepared = frames.OrientedFrame(fr, omega)
+    unshifted = fields.relational_local_fields(rf, prepared)
+    dis = prepared.disintegration
     observable = fields.relational_local_observable(rf, omega)
     worst_point = worst_integral = 0.0
     for g in sample:
-        moved, _ = fields.relational_local_fields(rf, fr.rep.conjugate(g, omega))
+        moved = fields.relational_local_fields(rf, fr.rep.conjugate(g, omega))
         rebuilt = 0
         for i in np.flatnonzero(dis.support):
             x = params.lattice_points()[i]
@@ -221,8 +247,8 @@ def test_intrinsic_causality_details():
     assert outcome.residuals["preparation_swap"] < 1e-12
     # but equal preparations are never spacelike separated, so the
     # pipeline verdict stays vacuous rather than claiming the conclusion
-    fr, omega = scenarios._witness_frame()
-    assert not causality.r_spacelike(fr, omega, omega)
+    of = frames.OrientedFrame(*scenarios._witness_frame())
+    assert not causality.r_spacelike(of, of)
     assert outcome.details["pipeline_verdict"] == "vacuous"
 
 

@@ -18,14 +18,22 @@ L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+def spec_on(fr, *factors):
+    """The spec of (state, operator) factors, each state prepared on fr."""
+    return wightman.VevSpec(tuple((frames.OrientedFrame(fr, omega), phi)
+                                  for omega, phi in factors))
+
+
+def random_spec(rng, fr, dim, n=2):
+    return spec_on(fr, *((ops.random_state(rng, fr.dim),
+                          ops.random_operator(rng, dim)) for _ in range(n)))
+
+
 def lifted_stage(rng):
     rep = ops.spacetime_representation(L5)
     vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim, dtype=complex))
     fr = frames.fiber_uniform_spacetime_frame(L5)
-    spec = wightman.VevSpec((
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim))))
-    return rep, vac, fr, spec
+    return rep, vac, fr, random_spec(rng, fr, rep.dim)
 
 
 def orbit_rep(params, seed_momentum):
@@ -61,11 +69,10 @@ def test_one_point_vev_is_the_observable_expectation(rng):
     rep, vac, fr, _ = lifted_stage(rng)
     omega = ops.random_state(rng, fr.dim)
     phi = ops.random_operator(rng, rep.dim)
-    spec = wightman.VevSpec(((omega, phi),))
+    spec = spec_on(fr, (omega, phi))
     rf = fields.RelationalField(fields.SystemModel(L5, rep, phi), fr)
     A = fields.relational_local_observable(rf, omega)
-    assert abs(wightman.vev(vac, spec, fr)
-               - np.trace(vac.state @ A)) < 1e-14
+    assert abs(wightman.vev(vac, spec) - np.trace(vac.state @ A)) < 1e-14
 
 
 def test_hermiticity_identity_for_generic_operators(rng):
@@ -76,21 +83,18 @@ def test_hermiticity_identity_for_generic_operators(rng):
 
 def test_gram_matrix_is_positive(rng):
     rep, vac, fr, _ = lifted_stage(rng)
-    families = [wightman.VevSpec((
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim)),
-        (ops.random_state(rng, rep.dim), ops.random_operator(rng, rep.dim))))
-        for _ in range(3)]
-    G = wightman.gram_matrix(vac, families, fr)
+    families = [random_spec(rng, fr, rep.dim) for _ in range(3)]
+    G = wightman.gram_matrix(vac, families)
     assert ops.herm_defect(G) < 1e-12
     assert ops.psd_gap(G) >= -1e-10
     # the einsum against the per-entry trace definition
     prods = []
     for spec in families:
         acc = np.eye(vac.dim, dtype=complex)
-        for omega, phi in spec.factors:
+        for of, phi in spec.factors:
             acc = acc @ fields.relational_local_observable(
                 fields.RelationalField(fields.SystemModel(L5, rep, phi), fr),
-                omega)
+                of.omega)
         prods.append(acc)
     for j, A in enumerate(prods):
         for k, B in enumerate(prods):
@@ -106,13 +110,11 @@ def test_kernel_reconstruction(rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_array_is_the_product_of_table_rows(rng, n):
     rep, vac, fr, _ = lifted_stage(rng)
-    spec = wightman.VevSpec(tuple(
-        (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim))
-        for _ in range(n)))
+    spec = random_spec(rng, fr, rep.dim, n)
     tables = [fields.relational_local_fields(
-        fields.RelationalField(fields.SystemModel(L5, rep, phi), fr), omega)[0]
-        for omega, phi in spec.factors]
-    K = wightman.kernel_array(vac, spec, fr)
+        fields.RelationalField(fields.SystemModel(L5, rep, phi), fr),
+        of.omega) for of, phi in spec.factors]
+    K = wightman.kernel_array(vac, spec)
     assert K.shape == (25,) * n
     kernels = wightman.KernelArrays(vac, fr)
     points = L5.lattice_points()
@@ -135,8 +137,8 @@ def test_kernel_array_does_not_depend_on_blas_threads():
         "from relqft import runner, scenarios, wightman\n"
         "from relqft.config import DEFAULT_CONFIG\n"
         "rng = runner.check_rng(DEFAULT_CONFIG.seed, 'wightman-suite')\n"
-        "_, _, vacuum, fr, spec = scenarios._wightman_stage(rng)\n"
-        "print(hashlib.sha256(wightman.kernel_array(vacuum, spec, fr)"
+        "_, _, vacuum, _, spec = scenarios._wightman_stage(DEFAULT_CONFIG, rng)\n"
+        "print(hashlib.sha256(wightman.kernel_array(vacuum, spec)"
         ".tobytes()).hexdigest())\n")
     digests = []
     for threads in ("1", "2"):
@@ -152,10 +154,9 @@ def test_kernel_array_does_not_depend_on_blas_threads():
 def test_difference_kernel_base_independence(rng):
     rep, vac, fr, _ = lifted_stage(rng)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
-    spec = wightman.VevSpec((
-        (omega, ops.random_operator(rng, rep.dim)),
-        (omega, ops.random_operator(rng, rep.dim))))
-    table = wightman.difference_kernel(vac, spec, fr)
+    spec = spec_on(fr, (omega, ops.random_operator(rng, rep.dim)),
+                   (omega, ops.random_operator(rng, rep.dim)))
+    table = wightman.difference_kernel(vac, spec)
     assert table.shape == (5, 5)
     kernels = wightman.KernelArrays(vac, fr)
     # the reduced kernel equals the pointwise kernel anchored anywhere
@@ -169,11 +170,10 @@ def test_difference_kernel_needs_oriented_full_support(rng):
     rep, vac, fr, _ = lifted_stage(rng)
     site = np.zeros((fr.dim, fr.dim), dtype=complex)
     site[0, 0] = 1.0
-    spec = wightman.VevSpec((
-        (site, ops.random_operator(rng, rep.dim)),
-        (site, ops.random_operator(rng, rep.dim))))
+    spec = spec_on(fr, (site, ops.random_operator(rng, rep.dim)),
+                   (site, ops.random_operator(rng, rep.dim)))
     with pytest.raises(wightman.OrientationError):
-        wightman.difference_kernel(vac, spec, fr)
+        wightman.difference_kernel(vac, spec)
 
 
 def test_spectral_support_tracks_momentum_sign():
@@ -188,9 +188,9 @@ def test_spectral_support_tracks_momentum_sign():
     fr = frames.fiber_uniform_spacetime_frame(P7)
     rng = ops.make_rng(11)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
-    spec = wightman.VevSpec(((omega, ops.random_operator(rng, rep.dim)),
-                             (omega, ops.random_operator(rng, rep.dim))))
-    report = wightman.spectral_check(vac, spec, fr)
+    spec = spec_on(fr, (omega, ops.random_operator(rng, rep.dim)),
+                   (omega, ops.random_operator(rng, rep.dim)))
+    report = wightman.spectral_check(vac, spec)
     assert not report.vacuous
     assert report.max_leak <= 1e-9
     sigma = set(ops.translation_character_support(rep)) - {LatticePoint(0, 0)}
@@ -209,9 +209,9 @@ def test_mixed_vacuum_leaks_onto_momentum_differences():
     fr = frames.fiber_uniform_spacetime_frame(P3)
     rng = ops.make_rng(11)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
-    spec = wightman.VevSpec(((omega, ops.random_operator(rng, rep.dim)),
-                             (omega, ops.random_operator(rng, rep.dim))))
-    report = wightman.spectral_check(vac, spec, fr)
+    spec = spec_on(fr, (omega, ops.random_operator(rng, rep.dim)),
+                   (omega, ops.random_operator(rng, rep.dim)))
+    report = wightman.spectral_check(vac, spec)
     assert not report.vacuous
     assert report.max_leak > 1e-9
     leak_zero = abs(report.table[LatticePoint(0, 0)])
@@ -231,12 +231,12 @@ def test_spectral_check_vacuous_for_full_support(rng):
     vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim))
     fr = frames.fiber_uniform_spacetime_frame(P3)
     omega = np.eye(fr.dim, dtype=complex) / fr.dim
-    spec = wightman.VevSpec(((omega, ops.random_operator(rng, rep.dim)),
-                             (omega, ops.random_operator(rng, rep.dim))))
-    report = wightman.spectral_check(vac, spec, fr)
+    spec = spec_on(fr, (omega, ops.random_operator(rng, rep.dim)),
+                   (omega, ops.random_operator(rng, rep.dim)))
+    report = wightman.spectral_check(vac, spec)
     assert report.vacuous
     # one factor: no differences, so the table is the zero-dimensional vev
-    one = wightman.spectral_check(vac, wightman.VevSpec(spec.factors[:1]), fr)
+    one = wightman.spectral_check(vac, wightman.VevSpec(spec.factors[:1]))
     assert one.table.shape == ()
     assert one.vacuous
 
@@ -251,9 +251,7 @@ def test_time_ordering_requires_lifted_mode(rng):
     rep = ops.spacetime_representation(P3)
     vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim))
     fr = frames.fiber_uniform_spacetime_frame(P3)
-    spec = wightman.VevSpec((
-        (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim)),
-        (ops.random_state(rng, fr.dim), ops.random_operator(rng, rep.dim))))
+    spec = random_spec(rng, fr, rep.dim)
     kernels = wightman.KernelArrays(vac, fr)
     with pytest.raises(wightman.TimeOrderError):
         wightman.time_ordered_detailed(kernels, spec,
@@ -276,13 +274,18 @@ def test_time_ordered_two_point_split(rng):
 
 def test_point_quantities_are_kernel_array_entries(rng):
     _, vac, fr, spec = lifted_stage(rng)
-    K = wightman.kernel_array(vac, spec, fr)
-    K_swapped = wightman.kernel_array(vac, spec.swapped(0), fr)
+    K = wightman.kernel_array(vac, spec)
+    K_swapped = wightman.kernel_array(vac, spec.swapped(0))
     kernels = wightman.KernelArrays(vac, fr)
     # a spec rebuilt from the same factors finds the array built for it
     assert np.array_equal(kernels(spec.swapped(0)), K_swapped)
     assert kernels(spec.swapped(0)) is kernels(spec.swapped(0))
     assert kernels(spec) is not kernels(spec.swapped(0))
+    # a spec prepared on another frame is not this one's
+    elsewhere = spec_on(frames.fiber_uniform_spacetime_frame(L5),
+                        *((of.omega, phi) for of, phi in spec.factors))
+    with pytest.raises(ValueError, match="another frame"):
+        kernels(elsewhere)
     later, earlier, level = LatticePoint(1, 1), LatticePoint(0, 0), LatticePoint(1, 4)
     for x1, x2 in ((later, earlier), (earlier, later), (earlier, level)):
         i, j = L5.site_index(x1), L5.site_index(x2)
