@@ -9,8 +9,9 @@ Four layers, from weakest premise to strongest:
 * commutativity of the frame's own effects at spacelike separation
   (``check_frame_einstein_causal``);
 * statistical independence: a joint frame state reproducing the product of
-  two Born measures, found (or refuted) by alternating projections
-  (``find_joint_state``), feeding the intrinsic-causality pipeline.
+  two Born measures, found (or refuted) by alternating projections on the
+  d x d density matrix (``find_joint_state``), feeding the
+  intrinsic-causality pipeline.
 
 Preparations are ``frames.OrientedFrame`` records, each measured once and
 read at its own tol_supp however many predicates read it.
@@ -27,7 +28,6 @@ so equal preparations are never spacelike separated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -118,71 +118,27 @@ def check_frame_einstein_causal(frame: FrameObservable) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # statistical independence via alternating projections
 
-@lru_cache(maxsize=None)
-def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat row-major positions in a d x d matrix of the diagonal, of the
-    strict upper triangle in ``triu_indices`` order, and of its mirror
-    image in the lower triangle; read-only, built once per d."""
-    iu, ju = np.triu_indices(d, k=1)
-    index = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
-    for positions in index:
-        positions.flags.writeable = False
-    return index
-
-
-def _hermitian_basis_coords(H: np.ndarray) -> np.ndarray:
-    """Coordinates of a Hermitian matrix, or of each matrix of a stack,
-    in the orthonormal real basis {E_ii} + {(E_ij + E_ji)/sqrt2} +
-    {i(E_ij - E_ji)/sqrt2}: the diagonal, then the strict upper triangle
-    in ``triu_indices`` order."""
-    d = H.shape[-1]
-    diag, upper, _ = _hermitian_index(d)
-    flat = H.reshape(*H.shape[:-2], d * d)
-    off = flat.take(upper, axis=-1)
-    return np.concatenate([
-        np.real(flat.take(diag, axis=-1)),
-        np.sqrt(2.0) * np.real(off),
-        np.sqrt(2.0) * np.imag(off),
-    ], axis=-1)
-
-
-def _coords_to_hermitian(x: np.ndarray, d: int) -> np.ndarray:
-    diag, upper, lower = _hermitian_index(d)
-    n_off = upper.size
-    H = np.zeros(d * d, dtype=complex)
-    H[diag] = x[:d]
-    vals = (x[d:d + n_off] + 1j * x[d + n_off:]) / np.sqrt(2.0)
-    H[upper] = vals
-    H[lower] = np.conj(vals)
-    return H.reshape(d, d)
-
-
 def joint_constraint_system(frame: FrameObservable, pmf1: BornMeasure,
                             pmf2: BornMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """The affine system A x = b for {Tr[w E(p)E(q)] = pmf1(p) pmf2(q)}.
+    """The complex affine system A x = b, x = vec(w) for a d x d w, for
+    {Tr[w E(p)E(q)] = pmf1(p) pmf2(q)} and Tr[w] = 1.
 
-    x parametrizes a Hermitian w in the orthonormal real basis; each pair
-    (p, q), p-major, contributes a real and an imaginary row, the
-    coordinates of the Hermitian and anti-Hermitian parts of E(p)E(q), and
-    the trace-one condition is the final row.  Each E(p) takes its |F|
-    products E(p)E(q) as one batched product whose rows are written into
-    A, so the work memory beside A is one (|F|, d, d) stack; A itself is
-    refused before allocation above ops.MAX_FRAME_BYTES.
+    Row (p, q), p-major, is vec((E(p)E(q))^T), so row . vec(w) is
+    Tr[w E(p)E(q)]; the trace row vec(1) is the last.  Each E(p) takes its
+    |F| products E(p)E(q) as one batched product, so the work memory
+    beside A is one (|F|, d, d) stack; A itself is refused before
+    allocation above ops.MAX_FRAME_BYTES.
     """
     E, d = frame.effects, frame.dim
     n = len(E)
     ops.require_stack_fits(n * n, d, f"a constraint system of {n * n} effect pairs")
-    A = np.empty((2 * n * n + 1, d * d))
-    pair_rows = A[:-1].reshape(n, n, 2, d * d)
+    A = np.empty((n * n + 1, d * d), dtype=complex)
+    pair_rows = A[:-1].reshape(n, n, d, d)
     for p, Ep in enumerate(E):
-        B = Ep @ E  # B[q] = E(p) E(q)
-        B_dag = dagger(B)
-        pair_rows[p, :, 0] = _hermitian_basis_coords((B + B_dag) / 2)
-        pair_rows[p, :, 1] = _hermitian_basis_coords((B - B_dag) / 2j)
-    A[-1] = _hermitian_basis_coords(np.eye(d, dtype=complex))
-    b = np.zeros(2 * n * n + 1)
-    b[:-1].reshape(n, n, 2)[..., 0] = np.outer(np.real(pmf1.weights),
-                                               np.real(pmf2.weights))
+        pair_rows[p] = (Ep @ E).swapaxes(-1, -2)  # row q: (E(p) E(q))^T
+    A[-1] = np.eye(d).reshape(-1)
+    b = np.empty(n * n + 1)
+    b[:-1] = np.outer(np.real(pmf1.weights), np.real(pmf2.weights)).reshape(-1)
     b[-1] = 1.0
     return A, b
 
@@ -194,24 +150,26 @@ PROJECTION_RCOND = 1e-10
 
 
 def affine_projection(A: np.ndarray, b: np.ndarray):
-    """The map x -> x - A^+ (A x - b) for a real matrix A: the orthogonal
-    projection onto {x : A x = b}, or onto its least-squares set when that
-    is empty.
+    """The map x -> x - A^+ (A x - b) for a real or complex matrix A: the
+    orthogonal projection onto {x : A x = b}, or onto its least-squares
+    set when that is empty.
 
-    A^+ is taken as Q (A Q)^+ with Q an orthonormal basis of the row space
-    of A, so no pseudo-inverse of A itself is formed.  Q is grown a block
-    of rows at a time (``operators.fresh_directions``); a block takes a
-    third of ops.WORK_BLOCK_BYTES (at least one row), since its residual
-    and its singular vectors are as large again.  The work memory beside A
-    is then a few blocks and the (len(A), rank) matrix A Q."""
+    A^+ is taken as Q (A Q)^+ with Q an orthonormal basis of the range of
+    A^dag, so no pseudo-inverse of A itself is formed.  Q is grown from
+    the adjoint of a block of rows at a time (``operators.fresh_directions``);
+    a block takes a third of ops.WORK_BLOCK_BYTES (at least one row), since
+    its residual and its singular vectors are as large again.  The row
+    norms are read through a real view, so the work memory beside A is a
+    few blocks and the (len(A), rank) matrix A Q."""
     n = A.shape[1]
-    scale = float(np.sqrt(np.max(np.einsum("ij,ij->i", A, A), initial=0.0)))
+    real = A.view(np.float64)
+    scale = float(np.sqrt(np.max(np.einsum("ij,ij->i", real, real), initial=0.0)))
     step = max(1, ops.WORK_BLOCK_BYTES // (3 * A.itemsize * n))
-    Q = np.zeros((n, 0))
+    Q = np.zeros((n, 0), dtype=A.dtype)
     for start in range(0, len(A), step):
         if Q.shape[1] == n:
             break
-        fresh = ops.fresh_directions(Q, A[start:start + step].T,
+        fresh = ops.fresh_directions(Q, A[start:start + step].conj().T,
                                      PROJECTION_RCOND * scale)
         Q = np.concatenate([Q, fresh], axis=1)
     pinv = np.linalg.pinv(A @ Q, rcond=PROJECTION_RCOND)
@@ -231,15 +189,18 @@ def find_joint_state(of1: OrientedFrame, of2: OrientedFrame,
                      max_iter: int = MAX_ITER_FEAS) -> JointStateResult:
     """Search for a state whose pair-correlations factorize into the Born
     measures of two preparations of one frame, by Dykstra alternating
-    projections between the affine constraint set and the PSD cone.
+    projections between the affine constraint set and the PSD cone, on
+    the flattened d x d operator itself.
 
     The affine step is ``affine_projection`` of the constraint system,
-    built once from an orthonormal basis of its row space.  Success means
-    the returned iterate is PSD (exactly, after eigenvalue clipping) and
-    satisfies every affine constraint within tol_feas.  A
-    residual bounded away from zero after max_iter is a no-certificate
-    outcome: feasibility stays undecided, but for an empty affine set the
-    residual cannot vanish.
+    built once; the PSD step clips the eigenvalues of the Hermitian part.
+    The limit, the projection of the start 1/d onto the intersection, is
+    Hermitian, since both sets are closed under w -> w^dag.  Success means
+    the returned iterate, as a d x d matrix, is PSD (exactly, after
+    eigenvalue clipping) and satisfies every affine constraint within
+    tol_feas.  A residual bounded away from zero after max_iter is a
+    no-certificate outcome: feasibility stays undecided, but for an empty
+    affine set the residual cannot vanish.
     """
     frame = of1.frame
     if of2.frame is not frame:
@@ -249,20 +210,18 @@ def find_joint_state(of1: OrientedFrame, of2: OrientedFrame,
     project_affine = affine_projection(A, b)
 
     def project_psd(x: np.ndarray) -> np.ndarray:
-        H = _coords_to_hermitian(x, d)
-        eigs, V = np.linalg.eigh(H)
-        eigs = np.clip(eigs, 0.0, None)
-        return _hermitian_basis_coords((V * eigs) @ dagger(V))
+        W = x.reshape(d, d)
+        eigs, V = np.linalg.eigh((W + dagger(W)) / 2)
+        return ((V * np.clip(eigs, 0.0, None)) @ dagger(V)).reshape(-1)
 
-    x = _hermitian_basis_coords(np.eye(d, dtype=complex) / d)
+    x = (np.eye(d, dtype=complex) / d).reshape(-1)
     correction = np.zeros_like(x)
     residual = np.inf
     for it in range(1, max_iter + 1):
-        y = project_affine(x)
-        z = y + correction
+        z = project_affine(x) + correction
         x = project_psd(z)
         correction = z - x
         residual = float(np.max(np.abs(A @ x - b)))
         if residual <= tol_feas:
-            return JointStateResult(_coords_to_hermitian(x, d), residual, it, True)
+            return JointStateResult(x.reshape(d, d), residual, it, True)
     return JointStateResult(None, residual, max_iter, False)

@@ -117,15 +117,17 @@ def relativize(rf: RelationalField) -> np.ndarray:
 
 
 def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarray:
-    """State-conditioned partial trace G_w(O) = Tr_R[(1 (x) w) O].
+    """State-conditioned partial trace G_w(O) = Tr_R[(1 (x) w) O], as one
+    contraction of w with O read as (dS, dR, dS, dR): G[a, b] =
+    sum_(r, s) w[r, s] O[(a, s), (b, r)].
 
     Satisfies the duality Tr[rho G_w(O)] = Tr[(rho (x) w) O] for all rho.
     """
     O = np.asarray(O, dtype=complex)
     if O.shape != (dimS * dimR, dimS * dimR):
         raise ops.SizeError(f"expected dim {dimS * dimR}, got {O.shape}")
-    W = np.kron(np.eye(dimS, dtype=complex), np.asarray(omega, dtype=complex))
-    return ops.partial_trace_frame(W @ O, dimS, dimR)
+    return np.einsum("rs,asbr->ab", np.asarray(omega, dtype=complex),
+                     O.reshape(dimS, dimR, dimS, dimR))
 
 
 def _prepared(rf: RelationalField, omega) -> OrientedFrame:

@@ -27,8 +27,9 @@ are the only code that chooses between the kernel and the effect array.
 
 Also here: preparations (``OrientedFrame``), which keep their Born measure
 and disintegration, whose support mask is the one spacetime-support rule;
-channel composition (CP/unitality validated; an array, not a frame); the
-vacuum-weight scan and the strict vacuum-orthogonality check.
+channels, each held as its Kraus operators, and channel composition
+(unitality validated; an array, not a frame); the vacuum-weight scan and
+the strict vacuum-orthogonality check.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from relqft.tolerances import (
     SVD_CUTOFF,
     TOL_EQ,
     TOL_HERM,
-    TOL_PSD,
     TOL_SUPP,
 )
 
@@ -60,7 +60,7 @@ class DegenerateSeedError(ValueError):
 
 
 class ChannelValidationError(ValueError):
-    """Raised when a map fails the complete-positivity or unitality check."""
+    """Raised when a channel fails the unitality check."""
 
 
 # ---------------------------------------------------------------------------
@@ -346,64 +346,50 @@ def disintegrate(mu: BornMeasure, tol_supp: float = TOL_SUPP) -> Disintegration:
 # channels
 
 class Channel:
-    """A linear map on d x d operators, stored as its d^2 x d^2 matrix
-    acting on row-major flattened operators."""
+    """A completely positive map on d x d operators, held as its Kraus
+    stack K, a (k, d, d) array: psi(A) = sum_k K_k^dag A K_k in the
+    Heisenberg picture, and psi_*(rho) = sum_k K_k rho K_k^dag."""
 
-    def __init__(self, matrix: np.ndarray, dim: int):
-        self.M = np.asarray(matrix, dtype=complex)
-        self.dim = dim
-        if self.M.shape != (dim * dim, dim * dim):
-            raise ops.SizeError(f"channel matrix shape {self.M.shape} != {(dim*dim,)*2}")
+    def __init__(self, kraus: np.ndarray):
+        self.kraus = np.asarray(kraus, dtype=complex)
+        if self.kraus.ndim != 3 or self.kraus.shape[1] != self.kraus.shape[2]:
+            raise ops.SizeError(f"Kraus stack shape {self.kraus.shape} is not (k, d, d)")
 
     def apply(self, A: np.ndarray) -> np.ndarray:
-        return ops.unvec(self.M @ ops.vec(A), self.dim)
-
-    def choi(self) -> np.ndarray:
-        d = self.dim
-        return self.M.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        """psi(A), for one operator or for each operator of a stack."""
+        return sum(dagger(K) @ A @ K for K in self.kraus)
 
     def unitality_defect(self) -> float:
-        eye = np.eye(self.dim, dtype=complex)
+        eye = np.eye(self.kraus.shape[-1], dtype=complex)
         return eq_defect(self.apply(eye), eye)
-
-    def cp_gap(self) -> float:
-        """Most negative eigenvalue of the Choi matrix (>= -tol_psd for CP)."""
-        C = self.choi()
-        return ops.psd_gap((C + dagger(C)) / 2, tol_herm=np.inf)
 
     def predual_apply(self, rho: np.ndarray) -> np.ndarray:
         """The Schroedinger-picture map: Tr[psi_*(rho) A] = Tr[rho psi(A)]."""
-        return dagger(ops.unvec(dagger(self.M) @ ops.vec(dagger(rho)), self.dim))
+        return sum(K @ rho @ dagger(K) for K in self.kraus)
 
 
 def random_mixed_unitary_channel(rng: np.random.Generator, dim: int) -> Channel:
-    """Random convex mixture of three unitary conjugations (unital and CP)."""
+    """Random convex mixture of three unitary conjugations A -> Q A Q^dag
+    (unital and CP), with Kraus operators sqrt(w) Q^dag."""
     weights = rng.random(3)
     weights /= weights.sum()
-    M = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for w in weights:
-        A = ops.random_operator(rng, dim)
-        Q, _ = np.linalg.qr(A)
-        M += w * np.kron(Q, Q.conj())
-    return Channel(M, dim)
+    unitaries = [np.linalg.qr(ops.random_operator(rng, dim))[0] for _ in weights]
+    return Channel(np.sqrt(weights)[:, None, None] * dagger(np.array(unitaries)))
 
 
 def channel_compose(psi: Channel, frame: FrameObservable) -> np.ndarray:
     """psi(E(f)) for every frame point, as one (|F|, d, d) array in
     frame_points() order: the frame post-processed by a unital CP map.
 
-    Validates complete positivity (Choi) and unitality before composing,
-    so the result is a normalized POVM.  It is a frame only when psi is
-    equivariant, which a generic channel is not, so it stays an array.
+    A Kraus stack is completely positive by construction; unitality is
+    validated before composing, so the result is a normalized POVM.  It
+    is a frame only when psi is equivariant, which a generic channel is
+    not, so it stays an array.
     """
-    if psi.cp_gap() < -TOL_PSD:
-        raise ChannelValidationError(f"Choi matrix not PSD (gap {psi.cp_gap():.3e})")
     if psi.unitality_defect() > TOL_EQ:
         raise ChannelValidationError(
             f"channel is not unital (defect {psi.unitality_defect():.3e})")
-    # psi.apply on every effect at once: rows are row-major flattened effects
-    flat = frame.effects.reshape(len(frame.effects), -1)
-    return (flat @ psi.M.T).reshape(frame.effects.shape)
+    return psi.apply(frame.effects)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ span exactly the images of the matrix units |v_i><v_j| of an orthonormal
 basis V of K_O.  Each phi contributes one orbit sum with the (|G|, k^2)
 Born weights of those units (``UnitaryRep.orbit_sum``), and the algebra is
 the word closure of all of them (``operators.generated_algebra``).  The
-deterministic variant localizes in the causal hull instead, which is what
-makes the time-slice comparison a computation rather than a definition.
-A net caches each algebra under the region it was built on (the hull, for
-a deterministic net), so two nets of one frame and system can share one
-cache.
+deterministic variant localizes in the causal hull instead.  A net caches
+each algebra under the region it was built on (the hull, for a
+deterministic net), so two nets of one frame and system can share one
+cache.  So the time-slice axiom holds by definition: two regions with one
+hull read one cached algebra, and their residual is the rounding of
+comparing it with itself.  An intrinsic net has no time-slice pairs.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
                                   premise_failures=skipped)
 
     # time-slice for deterministic nets: a region containing a Cauchy slice
-    # of another region's hull generates the same algebra
+    # of another region's hull reads the algebra cached under that hull
     worst = 0.0
     count = 0
     if net.deterministic:

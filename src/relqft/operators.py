@@ -105,25 +105,25 @@ def herm_defect(A: np.ndarray) -> float:
     return eq_defect(A, dagger(A))
 
 
-def psd_gap(A: np.ndarray, tol_herm: float = TOL_HERM) -> float:
+def psd_gap(A: np.ndarray) -> float:
     """Minimum eigenvalue of a Hermitian matrix: ``psd_gaps`` of the one
     matrix.
 
     A is accepted as positive semidefinite when psd_gap(A) >= -tol_psd.
     """
-    return float(psd_gaps(np.asarray(A)[None], tol_herm)[0])
+    return float(psd_gaps(np.asarray(A)[None])[0])
 
 
-def psd_gaps(stack: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
+def psd_gaps(stack: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of every matrix of an (n, d, d) stack of
     Hermitian matrices, from one batched ``eigvalsh`` of their Hermitian
     parts.  Non-Hermitian input is a usage error, not a numerical
     condition: HermiticityError when any matrix is not Hermitian within
-    tol_herm."""
+    TOL_HERM."""
     stack = np.asarray(stack)
     adjoint = dagger(stack)
-    if not eq_defect(stack, adjoint) <= tol_herm:
-        raise HermiticityError(f"matrix is not Hermitian within {tol_herm}")
+    if not eq_defect(stack, adjoint) <= TOL_HERM:
+        raise HermiticityError(f"matrix is not Hermitian within {TOL_HERM}")
     return np.linalg.eigvalsh((stack + adjoint) / 2)[..., 0]
 
 
@@ -141,13 +141,6 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if d > MAX_DIM:
         raise SizeError(f"tensor product dimension {d} exceeds {MAX_DIM}")
     return np.kron(A, B)
-
-
-def partial_trace_frame(O: np.ndarray, dimS: int, dimR: int) -> np.ndarray:
-    """Trace over the second (frame) tensor factor of an S (x) R operator."""
-    if O.shape != (dimS * dimR, dimS * dimR):
-        raise SizeError(f"expected shape {(dimS * dimR,) * 2}, got {O.shape}")
-    return np.einsum("arbr->ab", O.reshape(dimS, dimR, dimS, dimR))
 
 
 def vec(A: np.ndarray) -> np.ndarray:

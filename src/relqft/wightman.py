@@ -242,6 +242,7 @@ def difference_kernel(vac: VacuumModel, spec: VevSpec,
 @dataclass
 class SpectralReport:
     support: frozenset
+    kernel: np.ndarray
     table: np.ndarray
     max_leak: float
     max_on_support: float
@@ -254,13 +255,15 @@ def spectral_check(vac: VacuumModel, spec: VevSpec,
     lies outside the character support of the system representation:
     ``max_leak`` is the largest magnitude there.
 
-    The table is the inverse DFT of the difference kernel, axes
-    (q_1.u, q_1.v, ...).  The assertion is vacuous when the support is all
-    of the momentum lattice (for example the regular representation).
+    The report keeps the difference kernel it transformed, and the table,
+    its inverse DFT with axes (q_1.u, q_1.v, ...).  The assertion is
+    vacuous when the support is all of the momentum lattice (for example
+    the regular representation).
     """
     N = vac.params.N
     support = frozenset(ops.translation_character_support(vac.rep))
-    table = np.fft.ifftn(difference_kernel(vac, spec, tol_eq))
+    kernel = difference_kernel(vac, spec, tol_eq)
+    table = np.fft.ifftn(kernel)
     inside = np.zeros((N, N), dtype=bool)
     inside[tuple(np.array(list(support)).T)] = True
     on = np.ones((), dtype=bool)
@@ -268,7 +271,7 @@ def spectral_check(vac: VacuumModel, spec: VevSpec,
         on = np.logical_and.outer(on, inside)
     leak = float(np.max(np.abs(table[~on]), initial=0.0))
     on_support = float(np.max(np.abs(table[on]), initial=0.0))
-    return SpectralReport(support, table, leak, on_support,
+    return SpectralReport(support, kernel, table, leak, on_support,
                           len(support) == N ** 2)
 
 

@@ -6,6 +6,7 @@ import pytest
 from relqft import causality, fields, frames, lattice
 from relqft import operators as ops
 from relqft.lattice import LatticePoint, ModelParams
+from relqft.tolerances import TOL_FEAS
 
 P3 = ModelParams(3, 2)
 L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
@@ -95,11 +96,13 @@ def test_joint_constraint_shape_and_witness_feasibility():
     fr, omega = witness_frame()
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
     A, b = causality.joint_constraint_system(fr, mu, mu)
-    # one real and one imaginary row per ordered pair, plus the trace row,
-    # over d^2 real coordinates
+    # one complex row per ordered pair, plus the trace row, over the d^2
+    # entries of the operator
     n_points = len(fr.frame_points())
-    assert A.shape == (2 * n_points ** 2 + 1, fr.dim ** 2)
-    assert b.shape == (2 * n_points ** 2 + 1,)
+    assert A.shape == (n_points ** 2 + 1, fr.dim ** 2)
+    assert A.dtype == complex
+    assert b.shape == (n_points ** 2 + 1,)
+    assert np.max(np.abs(A @ omega.reshape(-1) - b)) < 1e-14
     # the preparation itself satisfies every factorization constraint
     worst = 0.0
     for Ep, wp in zip(fr.effects, mu.weights):
@@ -110,24 +113,14 @@ def test_joint_constraint_shape_and_witness_feasibility():
 
 
 def per_pair_constraint_system(fr, mu1, mu2):
-    """The oracle: the constraint rows one effect pair at a time."""
-    d = fr.dim
-    iu, ju = np.triu_indices(d, k=1)
-
-    def coords(H):
-        return np.concatenate([np.real(np.diag(H)),
-                               np.sqrt(2.0) * np.real(H[iu, ju]),
-                               np.sqrt(2.0) * np.imag(H[iu, ju])])
-
+    """The oracle: the constraint rows one effect pair at a time, row
+    (p, q) the flattened transpose of E(p)E(q)."""
     rows, rhs = [], []
     for Ep, w1 in zip(fr.effects, np.real(mu1.weights)):
         for Eq, w2 in zip(fr.effects, np.real(mu2.weights)):
-            B = Ep @ Eq
-            rows.append(coords((B + ops.dagger(B)) / 2))
+            rows.append((Ep @ Eq).T.reshape(-1))
             rhs.append(float(w1 * w2))
-            rows.append(coords((B - ops.dagger(B)) / 2j))
-            rhs.append(0.0)
-    rows.append(coords(np.eye(d, dtype=complex)))
+    rows.append(np.eye(fr.dim, dtype=complex).reshape(-1))
     rhs.append(1.0)
     return np.array(rows), np.array(rhs)
 
@@ -179,23 +172,30 @@ def test_affine_projection_equals_the_pseudo_inverse_projection(rng, monkeypatch
     for A, b in (witness, disjoint_site_system()):
         project = causality.affine_projection(A, b)
         for _ in range(3):
-            x = rng.standard_normal(A.shape[1])
+            x = ops.random_operator(rng, fr.dim).reshape(-1)
             assert np.max(np.abs(project(x) - pinv_projection(A, b, x))) < 1e-12
     # rank 9 of 16 coordinates in row blocks of 8: the first block spans 4
     # directions, the second only combines the first, the third adds 3
-    # and the fourth 2; b is off the range, so the system is inconsistent
-    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 3 * 8 * 16 * 8)
-    R = rng.standard_normal((9, 16))
-    first = rng.standard_normal((8, 4)) @ R[:4]
-    A = np.concatenate([first, rng.standard_normal((8, 8)) @ first,
-                        rng.standard_normal((8, 7)) @ R[:7],
-                        rng.standard_normal((8, 9)) @ R])
-    assert np.linalg.matrix_rank(A) == 9
-    for b in (A @ rng.standard_normal(16), rng.standard_normal(len(A))):
-        project = causality.affine_projection(A, b)
-        for _ in range(3):
-            x = rng.standard_normal(16)
-            assert np.max(np.abs(project(x) - pinv_projection(A, b, x))) < 1e-12
+    # and the fourth 2; b is off the range, so the system is inconsistent.
+    # A complex draw has the same blocks; its row space is the range of
+    # A^dag, and its row norms count both parts of each entry
+    for complex_draw in (False, True):
+        def draw(*shape):
+            z = rng.standard_normal(shape)
+            return z + 1j * rng.standard_normal(shape) if complex_draw else z
+
+        R = draw(9, 16)
+        first = rng.standard_normal((8, 4)) @ R[:4]
+        A = np.concatenate([first, rng.standard_normal((8, 8)) @ first,
+                            rng.standard_normal((8, 7)) @ R[:7],
+                            rng.standard_normal((8, 9)) @ R])
+        assert np.linalg.matrix_rank(A) == 9
+        monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 3 * 8 * A.itemsize * 16)
+        for b in (A @ rng.standard_normal(16), rng.standard_normal(len(A))):
+            project = causality.affine_projection(A, b)
+            for _ in range(3):
+                x = draw(16)
+                assert np.max(np.abs(project(x) - pinv_projection(A, b, x))) < 1e-12
 
 
 def test_find_joint_state_peaks_at_about_the_constraint_matrix():
@@ -222,6 +222,16 @@ def test_find_joint_state_certificate():
     assert result.iterations == 1
     assert result.residual < 1e-7
     assert ops.is_state(result.state)
+
+
+def test_witness_certificate_meets_every_pair_constraint():
+    # Tr[rho E(p)E(q)] = mu(p) mu(q) for every ordered pair, one at a time
+    of = frames.OrientedFrame(*witness_frame())
+    rho = causality.find_joint_state(of, of).state
+    effects, weights = of.frame.effects, of.measure.weights
+    for Ep, wp in zip(effects, weights):
+        for Eq, wq in zip(effects, weights):
+            assert abs(np.trace(rho @ Ep @ Eq) - wp * wq) <= TOL_FEAS
 
 
 def test_disjoint_site_preparations_admit_no_joint_state():

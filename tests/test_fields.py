@@ -54,6 +54,21 @@ def test_relational_observable_is_restricted_relativization(rng):
     assert ops.eq_defect(direct, via_restrict) < 1e-12
 
 
+def lifted_restrict(O, omega, dimS, dimR):
+    """The reference: the lifted state 1 (x) w times O, then the partial
+    trace over the frame factor."""
+    W = np.kron(np.eye(dimS), omega)
+    return np.einsum("arbr->ab", (W @ O).reshape(dimS, dimR, dimS, dimR))
+
+
+@pytest.mark.parametrize("dimS, dimR", [(1, 5), (3, 4), (4, 6)])
+def test_restrict_equals_the_lifted_partial_trace(rng, dimS, dimR):
+    O = ops.random_operator(rng, dimS * dimR)
+    omega = ops.random_state(rng, dimR)
+    assert ops.eq_defect(fields.restrict(O, omega, dimS, dimR),
+                         lifted_restrict(O, omega, dimS, dimR)) < 1e-14
+
+
 def test_restrict_duality(rng):
     dimS, dimR = 3, 4
     O = ops.random_operator(rng, dimS * dimR)

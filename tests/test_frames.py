@@ -436,19 +436,22 @@ def test_array_results_match_a_pointwise_reference(name, N, rng):
 def test_channel_kraus_and_predual(rng):
     d = 4
     psi = frames.random_mixed_unitary_channel(rng, d)
+    assert psi.kraus.shape == (3, d, d)
     assert psi.unitality_defect() < 1e-12
-    assert psi.cp_gap() > -1e-10
     rho = ops.random_state(rng, d)
     A = ops.random_operator(rng, d)
     lhs = np.trace(rho @ psi.apply(A))
     rhs = np.trace(psi.predual_apply(rho) @ A)
     assert abs(lhs - rhs) < 1e-12
+    # a stack maps operator by operator
+    stack = np.array([A, ops.dagger(A) @ A])
+    assert ops.eq_defect(psi.apply(stack)[1], psi.apply(stack[1])) < 1e-14
 
 
 def test_channel_compose_requires_unital():
     fr = frames.uniform_frame(ops.lorentz_representation(P3))
     d = fr.dim
-    halve = frames.Channel(0.5 * np.eye(d * d), d)
+    halve = frames.Channel([np.eye(d) / np.sqrt(2)])
     with pytest.raises(frames.ChannelValidationError):
         frames.channel_compose(halve, fr)
 

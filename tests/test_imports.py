@@ -18,7 +18,8 @@ docstrings and comments are not code, so they never count.
 No comparison in the package reads a verdict by its name outside
 ``runner.RunReport.exit_code``: a check or an axiom record derives its
 verdict from measurements, and code that needs a residual judges the
-residual.
+residual.  No function of the package calls ``np.kron`` outside a short
+allowance, so operators stay d x d matrices.
 """
 
 import ast
@@ -394,3 +395,61 @@ def test_only_the_allowed_functions_take_tol_supp():
         found |= tol_supp_takers(
             ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == TOL_SUPP_TAKERS
+
+
+#: The functions that may call ``np.kron``, with the reason.  Every other
+#: operator of the package stays a d x d matrix, or a stack of them: a
+#: map on operators is a contraction or a Kraus stack, not a lifted
+#: d^2 x d^2 matrix.
+KRON_CALLERS = {
+    # the tensor product of two operators, with its size guard
+    "operators.tensor",
+    # the Gram operator of the commutator maps on vectorized matrices
+    "operators.commutant",
+}
+
+
+def kron_callers(tree: ast.Module, module: str) -> set[str]:
+    """"module.function" or "module.Class.method" of every function of
+    the module that calls ``np.kron`` or ``numpy.kron``, or a bare
+    ``kron``, in its own body."""
+    out = set()
+
+    def is_kron(call):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return (func.attr == "kron" and isinstance(func.value, ast.Name)
+                    and func.value.id in {"np", "numpy"})
+        return isinstance(func, ast.Name) and func.id == "kron"
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, f"{qualname}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and is_kron(child):
+                out.add(qualname)
+            visit(child, qualname)
+
+    visit(tree, module)
+    return out
+
+
+def test_the_scan_finds_kron_calls():
+    source = ("import numpy as np\n"
+              "x = np.kron(a, b)\n"
+              "def f(a): return numpy.kron(a, a)\n"
+              "class C:\n"
+              "    def m(self): return kron(self, self)\n"
+              "    def n(self): return np.tensordot(self, self)\n")
+    assert kron_callers(ast.parse(source), "mod") == {"mod", "mod.f", "mod.C.m"}
+
+
+def test_operators_stay_square():
+    # the allowance is exact: a function that stops calling np.kron leaves it
+    found = set()
+    for path in PACKAGE:
+        found |= kron_callers(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == KRON_CALLERS

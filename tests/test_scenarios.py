@@ -50,6 +50,22 @@ def test_wightman_suite_takes_each_site_table_once(monkeypatch):
     assert len(calls) == 20
 
 
+def test_spectral_condition_builds_one_kernel_array(monkeypatch):
+    # the leak and the direct-transform oracle read one difference kernel
+    calls = []
+    original = wightman.kernel_array
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wightman, "kernel_array", counting)
+    outcome = scenarios.CHECKS["spectral-condition"].fn(
+        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "spectral-condition"))
+    assert outcome.verdict == "verified"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name, measures, details", [
     # 24 instances on 11 site states and 8 drawn states; the site tables
     # of all 24 and the observables of the 14 whose fields commute at
