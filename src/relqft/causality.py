@@ -44,14 +44,11 @@ from relqft.tolerances import MAX_ITER_FEAS, TOL_FEAS
 
 def r_spacelike(of1: OrientedFrame, of2: OrientedFrame) -> bool:
     """Whether the spacetime supports of two preparations are pairwise
-    spacelike: each support is the ``support`` mask of the record's
-    disintegration."""
-    params = of1.frame.params
-    points = params.lattice_points()
-    supports = [frozenset(points[i] for i in
-                          np.flatnonzero(of.disintegration.support))
-                for of in (of1, of2)]
-    return lattice.region_spacelike(*supports, params)
+    spacelike in ``lattice.spacelike_table``: each support is the
+    ``support`` mask of the record's disintegration."""
+    table = lattice.spacelike_table(of1.frame.params)
+    s1, s2 = of1.disintegration.support, of2.disintegration.support
+    return not (s1[:, None] & s2[None, :] & ~table).any()
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +78,23 @@ def check_r_microcausal(system: SystemModel, of1: OrientedFrame,
                         phi2: np.ndarray | None = None) -> tuple[int, float]:
     """The number of spacelike pairs of supported lattice points, and the
     largest pointwise commutator norm of the relational fields over them.
+    The pairs are read from ``lattice.spacelike_table``, in row-major
+    order.
 
     Both fields come from one site table per preparation
     (``relational_local_fields``); the commutators [A, B] and [A^dag, B]
     are normed in batches (``operators.max_commutator``), which forms the
     adjoint ones only when the first table is not exactly Hermitian, as
     it is for Hermitian phi1."""
-    params = system.params
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
     fields1 = relational_local_fields(
         RelationalField(system.with_phi(phi1), of1.frame), of1)
     fields2 = relational_local_fields(
         RelationalField(system.with_phi(phi2), of2.frame), of2)
-    points = params.lattice_points()
-    sites = np.array([(i, j) for i in np.flatnonzero(of1.disintegration.support)
-                      for j in np.flatnonzero(of2.disintegration.support)
-                      if lattice.spacelike(points[i], points[j], params)],
-                     dtype=int).reshape(-1, 2)
+    s1, s2 = of1.disintegration.support, of2.disintegration.support
+    sites = np.argwhere(lattice.spacelike_table(system.params)
+                        & s1[:, None] & s2[None, :])
     return len(sites), max_commutator(fields1, fields2, sites, adjoint=True)
 
 
@@ -107,10 +103,8 @@ def check_frame_einstein_causal(frame: FrameObservable) -> tuple[int, float]:
     spacelike, and the largest commutator norm of their effects, batched
     as in ``check_r_microcausal``."""
     params = frame.params
-    points = params.lattice_points()
-    spacelike = np.array([[lattice.spacelike(x, y, params) for y in points]
-                          for x in points])
-    site = np.repeat(np.arange(len(points)), len(params.boosts()))
+    site = np.repeat(np.arange(params.N ** 2), len(params.boosts()))
+    spacelike = lattice.spacelike_table(params)
     pairs = np.argwhere(np.triu(spacelike[np.ix_(site, site)], k=1))
     return len(pairs), max_commutator(frame.effects, frame.effects, pairs)
 

@@ -4,7 +4,8 @@ A scenario is a small JSON document choosing the model scale, the momenta
 of the system and the frames for the generic batteries, the suites to run,
 tolerance overrides, and the seed for every randomized draw.  Parsing is
 strict: unknown keys are rejected with the line they appear on, so a typo
-in a config never silently degrades a run.
+in a config never silently degrades a run.  A ``window`` key sets
+nothing: the lifted chart is (N - 1) // 2, and any other value is refused.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class ScenarioConfig:
 
     N: int = 5
     s: int = 2
-    window: int = 2
     momenta: tuple = (LatticePoint(1, 0), LatticePoint(2, 0),
                       LatticePoint(4, 0), LatticePoint(3, 0))
     frames: tuple = ("smeared-regular", "smeared-regular-strong",
@@ -46,10 +46,6 @@ class ScenarioConfig:
     def model(self) -> ModelParams:
         return ModelParams(self.N, self.s)
 
-    def lifted_model(self) -> ModelParams:
-        return ModelParams(self.N, self.s, causal_mode="lifted",
-                           window=self.window)
-
     def tol(self, name: str) -> float:
         base = defaults()
         if name not in base:
@@ -60,7 +56,6 @@ class ScenarioConfig:
         return {
             "schema": SCHEMA_VERSION,
             "model": {"N": self.N, "s": self.s},
-            "window": self.window,
             "system": {"momenta": [[p.u, p.v] for p in self.momenta]},
             "frames": list(self.frames),
             "suites": list(self.suites),
@@ -117,7 +112,7 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     cfg = DEFAULT_CONFIG
     kwargs: dict = {}
 
-    schema = doc.get("schema", SCHEMA_VERSION)
+    schema = _integer(doc.get("schema", SCHEMA_VERSION), "schema", text, path)
     _require(schema == SCHEMA_VERSION,
              f"{path}:{_find_line(text, 'schema')}: unsupported schema "
              f"{schema!r} (this build reads schema {SCHEMA_VERSION})")
@@ -128,8 +123,8 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
     _reject_unknown(model, _MODEL_KEYS, "model", text, path)
     kwargs["N"] = _integer(model.get("N", cfg.N), "N", text, path)
     kwargs["s"] = _integer(model.get("s", cfg.s), "s", text, path)
-    kwargs["window"] = _integer(doc.get("window", (kwargs["N"] - 1) // 2),
-                                "window", text, path)
+    window = (_integer(doc["window"], "window", text, path)
+              if "window" in doc else None)
 
     system = doc.get("system", {})
     _require(isinstance(system, dict),
@@ -171,8 +166,8 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
 
     out = ScenarioConfig(**kwargs)
     try:
-        out.model()
-        out.lifted_model()
+        # the lifted chart validates N and s, and a window against itself
+        ModelParams(out.N, out.s, causal_mode="lifted", window=window)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid model parameters: {exc}") from exc
     return out

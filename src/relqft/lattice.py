@@ -18,10 +18,12 @@ permutation representations in ``operators`` are these tables.
 
 Two causal conventions coexist.  ``modular`` declares x, y spacelike when
 the centered lift of du*dv mod N is negative; it is invariant under the
-whole group but wraps around the torus.  ``lifted`` lifts coordinates to
-centered integer representatives first; it is only translation-invariant
-but gives honest lightcones inside a window, which is what causal hulls
-and time-slice arguments need.
+whole group but wraps around the torus.  ``lifted`` reads coordinates as
+centered representatives in (-N/2, N/2), a chart that covers the lattice;
+its spacelike relation is only translation-invariant, and its causal
+order is what causal hulls and time-slice arguments need.  Both relations
+also act elementwise on points of integer arrays, which builds the site
+tables.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class ModelMismatchError(ValueError):
 
 
 class WindowViolationError(ValueError):
-    """Raised when a lifted-mode region escapes the causal window."""
+    """Raised when a causal hull is asked of a modular model."""
 
 
 class LatticePoint(NamedTuple):
@@ -71,9 +73,9 @@ class ModelParams:
     """Size and causal convention of the toy model.
 
     N must be odd (unique centered lifts) and s a unit mod N; C is the
-    cyclic group generated by s.  ``window`` bounds the causal diamond used
-    by lifted-mode hull computations: points with centered coordinates in
-    [-window, window]^2.
+    cyclic group generated by s.  ``window`` is the half-width (N - 1) // 2
+    of the lifted chart, which covers the lattice; it is None in modular
+    mode, and no other value is admitted.
     """
 
     N: int
@@ -88,11 +90,11 @@ class ModelParams:
             raise ValueError(f"s must be a unit mod N, got s={self.s}, N={self.N}")
         if self.causal_mode not in ("modular", "lifted"):
             raise ValueError(f"unknown causal_mode {self.causal_mode!r}")
-        if self.window is not None:
-            if self.causal_mode != "lifted":
-                raise ValueError("window only makes sense in lifted mode")
-            if not 1 <= self.window <= (self.N - 1) // 2:
-                raise ValueError(f"window must lie in [1, (N-1)/2], got {self.window}")
+        chart = (self.N - 1) // 2 if self.causal_mode == "lifted" else None
+        if self.window not in (None, chart):
+            raise ValueError(f"window must be {chart} in {self.causal_mode} mode "
+                             f"(the lifted chart covers the lattice), got {self.window}")
+        object.__setattr__(self, "window", chart)
         object.__setattr__(self, "s", self.s % self.N)
 
     def boosts(self) -> tuple[int, ...]:
@@ -237,8 +239,9 @@ def time_coordinate(x: LatticePoint, params: ModelParams) -> int:
     return centered_lift(x.u, params.N) + centered_lift(x.v, params.N)
 
 
-def spacelike(x: LatticePoint, y: LatticePoint, params: ModelParams) -> bool:
-    """Whether x and y are spacelike separated under the model's convention."""
+def spacelike(x: LatticePoint, y: LatticePoint, params: ModelParams):
+    """Whether x and y are spacelike separated under the model's
+    convention; elementwise on points of integer arrays."""
     N = params.N
     du = (x.u - y.u) % N
     dv = (x.v - y.v) % N
@@ -247,56 +250,47 @@ def spacelike(x: LatticePoint, y: LatticePoint, params: ModelParams) -> bool:
     return centered_lift(du, N) * centered_lift(dv, N) < 0
 
 
+def causal_leq(x: LatticePoint, y: LatticePoint, params: ModelParams):
+    """Causal order x <= y on centered representatives: both lightcone
+    coordinate differences nonnegative; elementwise on points of integer
+    arrays.  Comparisons happen on the lifted integers, never re-reduced
+    mod N."""
+    N = params.N
+    return ((centered_lift(y.u, N) - centered_lift(x.u, N) >= 0)
+            & (centered_lift(y.v, N) - centered_lift(x.v, N) >= 0))
+
+
+def _site_pairs(params: ModelParams) -> tuple[LatticePoint, LatticePoint]:
+    """Every site as a column and as a row: points of integer arrays that
+    broadcast to an (N^2, N^2) table in lattice_points() order."""
+    sites = np.arange(params.N ** 2)
+    u, v = sites // params.N, sites % params.N
+    return (LatticePoint(u[:, None], v[:, None]),
+            LatticePoint(u[None, :], v[None, :]))
+
+
+def spacelike_table(params: ModelParams) -> np.ndarray:
+    """The (N^2, N^2) boolean table of ``spacelike`` on every site pair."""
+    return spacelike(*_site_pairs(params), params)
+
+
 def region_spacelike(U: Iterable[LatticePoint], V: Iterable[LatticePoint],
                      params: ModelParams) -> bool:
-    """Pairwise spacelike separation; vacuously true for empty regions."""
-    U = tuple(U)
-    V = tuple(V)
-    return all(spacelike(x, y, params) for x in U for y in V)
-
-
-def _lift_point(x: LatticePoint, params: ModelParams) -> tuple[int, int]:
-    return centered_lift(x.u, params.N), centered_lift(x.v, params.N)
-
-
-def _require_window(params: ModelParams) -> int:
-    if params.causal_mode != "lifted" or params.window is None:
-        raise WindowViolationError(
-            "causal hulls need lifted mode with a window set")
-    return params.window
-
-
-def _in_window(x: LatticePoint, params: ModelParams) -> bool:
-    w = params.window
-    lu, lv = _lift_point(x, params)
-    return abs(lu) <= w and abs(lv) <= w
-
-
-def causal_leq(x: LatticePoint, y: LatticePoint, params: ModelParams) -> bool:
-    """Causal order x <= y on centered representatives: both lightcone
-    coordinate differences nonnegative.  Comparisons happen on the lifted
-    integers, never re-reduced mod N, so window points cannot alias."""
-    xu, xv = _lift_point(x, params)
-    yu, yv = _lift_point(y, params)
-    return yu - xu >= 0 and yv - xv >= 0
+    """Pairwise spacelike separation of two regions of reduced points;
+    vacuously true for empty regions."""
+    rows = [params.site_index(x) for x in U]
+    cols = [params.site_index(y) for y in V]
+    return bool(spacelike_table(params)[np.ix_(rows, cols)].all())
 
 
 def causal_hull(U: Iterable[LatticePoint], params: ModelParams) -> frozenset[LatticePoint]:
-    """J+(U) intersect J-(U) inside the window diamond (lifted mode only)."""
-    w = _require_window(params)
-    U = frozenset(U)
-    for x in U:
-        if not _in_window(x, params):
-            raise WindowViolationError(
-                f"{x} lies outside the window diamond (window={w})")
-    if not U:
-        return frozenset()
-    N = params.N
-    diamond = [
-        LatticePoint(lu % N, lv % N)
-        for lu in range(-w, w + 1)
-        for lv in range(-w, w + 1)
-    ]
-    future = {y for y in diamond if any(causal_leq(p, y, params) for p in U)}
-    past = {y for y in diamond if any(causal_leq(y, q, params) for q in U)}
-    return frozenset(future & past)
+    """J+(U) intersect J-(U) for a region of reduced points (lifted mode
+    only): the sites above some point of U and below some point of U in
+    the ``causal_leq`` table."""
+    if params.causal_mode != "lifted":
+        raise WindowViolationError("causal hulls need lifted mode")
+    index = [params.site_index(x) for x in U]
+    leq = causal_leq(*_site_pairs(params), params)
+    inside = leq[index].any(axis=0) & leq[:, index].any(axis=1)
+    return frozenset(LatticePoint(*divmod(i, params.N))
+                     for i in np.flatnonzero(inside).tolist())

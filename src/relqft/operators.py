@@ -143,15 +143,6 @@ def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.kron(A, B)
 
 
-def vec(A: np.ndarray) -> np.ndarray:
-    """Row-major flattening; Tr[A^dag B] = vec(A)^dag vec(B)."""
-    return np.asarray(A).reshape(-1)
-
-
-def unvec(x: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(x).reshape(d, d)
-
-
 # ---------------------------------------------------------------------------
 # matrix subspaces and commutants
 
@@ -159,9 +150,10 @@ class AlgebraSubspace:
     """A subspace of d x d matrices, stored as an orthonormal basis.
 
     The basis is orthonormal for the Hilbert-Schmidt inner product, held as
-    the columns of a d^2 x k matrix of flattened operators.  Closure under
-    products is checked on demand (``is_product_closed``), not enforced,
-    because the same container also carries plain generator spans.
+    the columns of a d^2 x k matrix of row-major flattened operators.
+    Closure under products is checked on demand (``is_product_closed``),
+    not enforced, because the same container also carries plain generator
+    spans.
     """
 
     def __init__(self, dim: int, basis_matrix: np.ndarray):
@@ -173,7 +165,7 @@ class AlgebraSubspace:
         ops = list(ops)
         if not ops:
             return cls(dim, np.zeros((dim * dim, 0), dtype=complex))
-        M = np.stack([vec(A) for A in ops], axis=1)
+        M = np.stack([np.reshape(A, -1) for A in ops], axis=1)
         U, svals, _ = np.linalg.svd(M, full_matrices=False)
         if svals.size and svals[0] > 0:
             rank = int(np.sum(svals > SVD_CUTOFF * svals[0]))
@@ -190,8 +182,8 @@ class AlgebraSubspace:
         return self.Q.T.reshape(-1, self.dim, self.dim)
 
     def project(self, A: np.ndarray) -> np.ndarray:
-        x = vec(A)
-        return unvec(self.Q @ (dagger(self.Q) @ x), self.dim)
+        x = np.reshape(A, -1)
+        return (self.Q @ (dagger(self.Q) @ x)).reshape(self.dim, self.dim)
 
     def membership_defect(self, A: np.ndarray) -> float:
         """Entrywise distance from A to its projection onto the subspace."""

@@ -368,7 +368,7 @@ def check_channel_laws(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # causality suite
 
-#: Spacelike site pairs at N = 5 in the lifted window-2 chart.
+#: Spacelike site pairs of the lifted N = 5 model.
 _SPACELIKE_SITES = (((1, 4), (4, 1)), ((4, 1), (1, 4)), ((2, 4), (4, 2)),
                     ((1, 3), (3, 1)), ((0, 1), (1, 0)), ((4, 3), (3, 4)))
 
@@ -379,7 +379,12 @@ _TWO_SITE_PAIRS = (((1, 3), (0, 0)), ((0, 0), (1, 3)),
                    ((2, 4), (0, 0)), ((0, 0), (2, 4)))
 
 #: The lifted N = 5 model of the causality, correlator and net witnesses.
-_LIFTED_MODEL = ModelParams(5, 2, causal_mode="lifted", window=2)
+_LIFTED_MODEL = ModelParams(5, 2, causal_mode="lifted")
+
+
+def _model_detail(params: ModelParams) -> str:
+    """A lifted model as the details name it, e.g. "N=5 lifted window=2"."""
+    return f"N={params.N} {params.causal_mode} window={params.window}"
 
 
 def _site_state(params: ModelParams, x) -> np.ndarray:
@@ -458,7 +463,7 @@ def check_microcausality_implication(cfg: ScenarioConfig,
          Measurement("counterexamples", counterexamples, 0, "==")],
         {"instances": len(instances), "premise_passing": passing,
          "vacuous": vacuous, "counterexamples": counterexamples,
-         "passing_by_kind": counts, "model": "N=5 lifted window=2"},
+         "passing_by_kind": counts, "model": _model_detail(params)},
         premise=passing + counterexamples > 0)
 
 
@@ -631,7 +636,7 @@ def check_wightman_suite(cfg: ScenarioConfig,
             wightman.KernelArrays(vacuum, smeared), smeared_spec)]), tol))
     return CheckOutcome(
         measurements,
-        {"model": "N=5 lifted window=2", "swap_premise": premise,
+        {"model": _model_detail(params), "swap_premise": premise,
          "coincident_times": bool(coincident),
          "times": [int(t1), int(t2)], "gram_families": 3})
 
@@ -822,7 +827,7 @@ def check_net_axioms(cfg: ScenarioConfig,
     return CheckOutcome(
         measurements + pairs,
         {"verdicts": verdicts, "algebra_dims": dims,
-         "group_sample": len(sample), "model": "N=5 lifted window=2"})
+         "group_sample": len(sample), "model": _model_detail(params)})
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,15 @@ def test_frame_einstein_causal_for_commuting_effects():
     assert residual < 1e-14
 
 
+@pytest.mark.parametrize("params", [P3, L5], ids=["modular", "lifted"])
+def test_einstein_pairs_are_the_spacelike_pairs_of_frame_points(params):
+    fr = frames.fiber_uniform_spacetime_frame(params)
+    points = params.frame_points()
+    expected = sum(lattice.spacelike(f.x, g.x, params)
+                   for i, f in enumerate(points) for g in points[i + 1:])
+    assert causality.check_frame_einstein_causal(fr)[0] == expected > 0
+
+
 def test_spacelike_site_preparations_are_r_causal():
     rep = ops.spacetime_representation(L5)
     fr = frames.fiber_uniform_spacetime_frame(L5)
@@ -262,6 +271,22 @@ def test_r_spacelike_predicate():
     of1, of2 = prepared(fr, omega1, omega2)
     assert causality.r_spacelike(of1, of2)
     assert not causality.r_spacelike(of1, of1)
+
+
+def test_r_spacelike_is_the_pairwise_rule_on_supports():
+    fr = frames.fiber_uniform_spacetime_frame(L5)
+    points = L5.lattice_points()
+    # one, two and five supported sites: pure and mixed site states
+    omegas = [site_state(L5, (1, 4)), site_state(L5, (4, 1)),
+              (site_state(L5, (0, 1)) + site_state(L5, (1, 0))) / 2,
+              sum(site_state(L5, (u, 0)) for u in range(5)) / 5]
+    records = prepared(fr, *omegas)
+    for of1 in records:
+        for of2 in records:
+            s1, s2 = ([points[i] for i in np.flatnonzero(
+                of.disintegration.support)] for of in (of1, of2))
+            assert causality.r_spacelike(of1, of2) == all(
+                lattice.spacelike(x, y, L5) for x in s1 for y in s2)
 
 
 def microcausal_by_pairs(system, fr, omega1, omega2, phi1, phi2):

@@ -46,6 +46,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "bad.json:2" in err
 
 
+def test_a_window_other_than_the_lifted_chart_exits_2(tmp_path, capsys):
+    p = tmp_path / "narrow.json"
+    p.write_text('{"model": {"N": 5}, "window": 1}', encoding="utf-8")
+    assert main(["verify", "restriction-duality", "--config", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err and "lifted chart" in err
+
+
 def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{\n  "model": {"N": "x"}\n}', encoding="utf-8")

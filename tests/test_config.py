@@ -6,7 +6,7 @@ import pytest
 from relqft.config import (ConfigError, DEFAULT_CONFIG, SCHEMA_VERSION,
                            ScenarioConfig, load_config, normalize_tolerances,
                            parse_config, parse_tol_flags, with_overrides)
-from relqft.lattice import LatticePoint
+from relqft.lattice import LatticePoint, ModelParams
 from relqft.tolerances import TOLERANCE_KEYS, defaults
 
 
@@ -32,9 +32,19 @@ def test_window_must_fit_the_model():
         parse_config('{"model": {"N": 3}, "window": 2}')
 
 
-@pytest.mark.parametrize("N, window", [(3, 1), (5, 2), (9, 4)])
+@pytest.mark.parametrize("N, window", [(5, 1), (7, 2), (9, 1), (9, 3)])
+def test_a_window_narrower_than_the_lattice_is_refused(N, window):
+    with pytest.raises(ConfigError, match="lifted chart"):
+        parse_config(f'{{"model": {{"N": {N}}}, "window": {window}}}')
+
+
+@pytest.mark.parametrize("N, window", [(3, 1), (5, 2), (7, 3), (9, 4)])
 def test_an_omitted_window_is_the_largest_the_model_admits(N, window):
-    assert parse_config(f'{{"model": {{"N": {N}}}}}').window == window
+    # the key sets nothing: a config with the lifted chart's window is the
+    # config without the key, and to_dict writes none
+    cfg = parse_config(f'{{"model": {{"N": {N}}}}}')
+    assert parse_config(f'{{"model": {{"N": {N}}}, "window": {window}}}') == cfg
+    assert "window" not in cfg.to_dict()
 
 
 def test_momenta_parse_to_lattice_points():
@@ -53,6 +63,7 @@ def test_momenta_parse_to_lattice_points():
     ('{"seed": "abc"}', "seed"),
     ('{"seed": false}', "seed"),
     ('{"seed": 7.5}', "seed"),
+    ('{"schema": 3.0}', "schema"),
     ('{"system": {"momenta": [[1.5, 0]]}}', "momenta"),
     ('{"system": {"momenta": [[1, "0"]]}}', "momenta"),
     ('{"system": {"momenta": [[1, null]]}}', "momenta"),
@@ -66,7 +77,7 @@ def test_integer_keys_reject_other_json_types(doc, key):
 def test_integer_keys_accept_integers():
     cfg = parse_config('{"model": {"N": 7, "s": 3}, "window": 3, "seed": 0, '
                        '"system": {"momenta": [[1, 0], [0, -2]]}}')
-    assert (cfg.N, cfg.s, cfg.window, cfg.seed) == (7, 3, 3, 0)
+    assert (cfg.N, cfg.s, cfg.seed) == (7, 3, 0)
     assert cfg.momenta == (LatticePoint(1, 0), LatticePoint(0, -2))
 
 
@@ -221,8 +232,6 @@ def test_load_config(tmp_path):
 
 
 def test_model_constructors():
-    cfg = ScenarioConfig(N=5, s=2, window=2)
+    cfg = ScenarioConfig(N=5, s=2)
+    assert cfg.model() == ModelParams(5, 2)
     assert cfg.model().causal_mode == "modular"
-    lifted = cfg.lifted_model()
-    assert lifted.causal_mode == "lifted"
-    assert lifted.window == 2

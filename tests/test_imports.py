@@ -19,7 +19,9 @@ No comparison in the package reads a verdict by its name outside
 ``runner.RunReport.exit_code``: a check or an axiom record derives its
 verdict from measurements, and code that needs a residual judges the
 residual.  No function of the package calls ``np.kron`` outside a short
-allowance, so operators stay d x d matrices.
+allowance, so operators stay d x d matrices.  No module but ``lattice``
+calls the point relations ``spacelike`` and ``causal_leq``: the others
+read the site tables.
 """
 
 import ast
@@ -453,3 +455,40 @@ def test_operators_stay_square():
         found |= kron_callers(
             ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == KRON_CALLERS
+
+
+#: The causal relations on a pair of points.  ``lattice`` builds its site
+#: tables from them; every other module reads the tables
+#: (``lattice.spacelike_table``, ``lattice.causal_hull``,
+#: ``lattice.region_spacelike``).
+POINT_RELATIONS = {"spacelike", "causal_leq"}
+
+
+def point_relation_calls(tree: ast.Module) -> list[int]:
+    """Line of every call of a point relation, by bare name or as an
+    attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in POINT_RELATIONS
+             or getattr(node.func, "attr", None) in POINT_RELATIONS))
+
+
+def test_the_scan_finds_point_relation_calls():
+    source = ("from relqft import lattice\n"
+              "a = lattice.spacelike(x, y, p)\n"
+              "b = [causal_leq(x, y, p) for x in xs]\n"
+              "c = lattice.spacelike_table(p)\n"
+              "spacelike = c[0, 1]\n")
+    assert point_relation_calls(ast.parse(source)) == [2, 3]
+
+
+def test_only_lattice_evaluates_point_relations():
+    found = []
+    for path in PACKAGE:
+        if path.stem == "lattice":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        rel = path.relative_to(ROOT).as_posix()
+        found += [f"{rel}:{line}" for line in point_relation_calls(tree)]
+    assert not found, "point relations called outside lattice:\n" + "\n".join(found)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from relqft.lattice import (
     inverse,
     region_spacelike,
     spacelike,
+    spacelike_table,
     time_coordinate,
     transporter,
 )
@@ -195,9 +198,80 @@ def test_time_coordinate_lifted():
 
 
 def test_window_violation():
-    narrow = ModelParams(5, 2, causal_mode="lifted", window=1)
-    with pytest.raises(lattice.WindowViolationError):
-        causal_hull({LatticePoint(2, 2)}, narrow)
+    # a chart narrower than the lattice is refused before any hull
+    with pytest.raises(ValueError, match="lifted chart"):
+        ModelParams(5, 2, causal_mode="lifted", window=1)
     # hulls are a lifted-mode notion
     with pytest.raises(lattice.WindowViolationError):
         causal_hull({LatticePoint(0, 0)}, P5)
+
+
+def test_the_lifted_chart_covers_the_lattice():
+    assert ModelParams(5, 2, "lifted") == L5
+    assert [ModelParams(N, 1, "lifted").window for N in (3, 5, 7, 9)] == [
+        1, 2, 3, 4]
+    assert P5.window is None
+    for N, window in [(7, 2), (7, 4)]:
+        with pytest.raises(ValueError):
+            ModelParams(N, 1, causal_mode="lifted", window=window)
+
+
+class WindowedHull:
+    """The causal hull as it was computed inside a window w, point by
+    point: the points of the diamond [-w, w]^2 of centered coordinates
+    that lie above some point of U and below some point of U.  The future
+    and the past of each diamond point are listed once."""
+
+    def __init__(self, N: int, w: int):
+        def lift(x):
+            return centered_lift(x.u, N), centered_lift(x.v, N)
+
+        def leq(x, y):
+            (xu, xv), (yu, yv) = lift(x), lift(y)
+            return yu - xu >= 0 and yv - xv >= 0
+
+        self.diamond = [LatticePoint(lu % N, lv % N)
+                        for lu in range(-w, w + 1) for lv in range(-w, w + 1)]
+        self.future = {p: {y for y in self.diamond if leq(p, y)}
+                       for p in self.diamond}
+        self.past = {q: {y for y in self.diamond if leq(y, q)}
+                     for q in self.diamond}
+
+    def __call__(self, U) -> frozenset:
+        # a point outside the window raises KeyError, as it was refused
+        future = set().union(*(self.future[p] for p in U))
+        past = set().union(*(self.past[q] for q in U))
+        return frozenset(future & past)
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_no_window_changes_a_hull(N):
+    # every region of one to three sites inside any window hulls, inside
+    # that window, to the hull on the whole lattice
+    params = ModelParams(N, 1, causal_mode="lifted")
+    checked = 0
+    for w in range(1, (N - 1) // 2 + 1):
+        windowed = WindowedHull(N, w)
+        for k in (1, 2, 3):
+            for region in combinations(windowed.diamond, k):
+                assert causal_hull(region, params) == windowed(region), region
+                checked += 1
+    assert checked == {5: 129 + 2625, 7: 129 + 2625 + 19649}[N]
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("mode", ["modular", "lifted"])
+def test_spacelike_table_is_the_scalar_rule(N, mode):
+    params = ModelParams(N, 1, causal_mode=mode)
+    points = params.lattice_points()
+    table = spacelike_table(params)
+    assert table.dtype == bool and table.shape == (N * N, N * N)
+    assert table.tolist() == [[spacelike(x, y, params) for y in points]
+                              for x in points]
+
+
+def test_regions_are_reduced_points():
+    with pytest.raises(ValueError, match="not reduced"):
+        causal_hull({LatticePoint(-1, 0)}, L5)
+    with pytest.raises(ValueError, match="not reduced"):
+        region_spacelike({LatticePoint(5, 0)}, {LatticePoint(0, 1)}, L5)

@@ -452,11 +452,6 @@ def test_tensor_and_partial_traces(rng):
                          np.trace(B) * A) < 1e-12
 
 
-def test_vec_unvec_roundtrip(rng):
-    A = ops.random_operator(rng, 5)
-    assert ops.eq_defect(ops.unvec(ops.vec(A), 5), A) < 1e-15
-
-
 def test_random_state_properties(rng):
     for d in (2, 5):
         rho = ops.random_state(rng, d)
