@@ -15,6 +15,7 @@ deterministic net), so two nets of one frame and system can share one
 cache.  So the time-slice axiom holds by definition: two regions with one
 hull read one cached algebra, and their residual is the rounding of
 comparing it with itself.  An intrinsic net has no time-slice pairs.
+Such nets can share the judged causality premises too.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ class LocalAlgebraNet:
     system_ops: list
     deterministic: bool = False
     algebras: dict = dc_field(default_factory=dict)
+    premises: dict = dc_field(default_factory=dict)
 
     def algebra(self, region) -> LocalAlgebra:
         """The algebra of the region, or of its causal hull (lifted mode
@@ -141,7 +143,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     spacelike region pair in batches (``operators.max_commutator``),
     conditional on the relational-causality premise for localized
     preparations (one per region, prepared at tol_supp and judged with
-    tol_eq); premise failures make the pair vacuous, not failed.
+    tol_eq, once per pair and tolerances, and kept in ``net.premises``);
+    premise failures make the pair vacuous, not failed.
     """
     params = net.frame.params
     axioms = {}
@@ -184,16 +187,24 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
         su, sv = frozenset(u), frozenset(v)
         if not lattice.region_spacelike(su, sv, params):
             raise ValueError("causality pair is not spacelike separated")
-        # each region's representative: its first localized basis state
-        preparations = []
-        for region in (su, sv):
-            basis = states_supported_in(net.frame, region)
-            if basis.shape[1]:
-                v = basis[:, 0]
-                preparations.append(OrientedFrame(
-                    net.frame, np.outer(v, np.conj(v)), tol_supp))
-        if len(preparations) < 2 or not _r_causal_premise(
-                net, *preparations, tol_eq):
+        key = (su, sv, tol_eq, tol_supp)
+        if key not in net.premises:
+            # each region's representative: its first localized basis state
+            preparations = []
+            for region in (su, sv):
+                basis = states_supported_in(net.frame, region)
+                if basis.shape[1]:
+                    v = basis[:, 0]
+                    preparations.append(OrientedFrame(
+                        net.frame, np.outer(v, np.conj(v)), tol_supp))
+            # R-causal: spacelike preparations, and every system operator's
+            # commutator within tol_eq
+            net.premises[key] = (
+                len(preparations) == 2 and r_spacelike(*preparations)
+                and all(Measurement("r-causal", check_r_causal(
+                    net.system, *preparations, phi1=phi, phi2=phi), tol_eq).holds
+                    for phi in net.system_ops))
+        if not net.premises[key]:
             skipped += 1
             continue
         a_u = net.algebra(su).algebra
@@ -224,15 +235,3 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     axioms["time-slice"] = _judged("time-slice", count, worst, tol_eq)
     return NetReport(axioms)
 
-
-def _r_causal_premise(net: LocalAlgebraNet, of_u: OrientedFrame,
-                      of_v: OrientedFrame, tol_eq: float) -> bool:
-    """Relational causality of the system for two localized preparations,
-    the premise of the causality axiom: the preparations are spacelike
-    (``r_spacelike``) and every system operator's commutator is within
-    tol_eq."""
-    if not r_spacelike(of_u, of_v):
-        return False
-    return all(Measurement("r-causal", check_r_causal(
-        net.system, of_u, of_v, phi1=phi, phi2=phi), tol_eq).holds
-        for phi in net.system_ops)

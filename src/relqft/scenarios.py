@@ -2,12 +2,14 @@
 
 Each check function builds a fully specified model instance, measures the
 residuals of one family of identities on it, and returns a CheckOutcome.
-Instances come in two flavours.  Generic ones are built from the scenario
-config (system representation, frame list, random draws from the per-check
-generator).  Constructed witnesses pin their own geometry (spacelike site
-pairs, orthogonal frames, two-character systems) because the property
-being exercised needs a specific shape; those record their pinned
-parameters in the outcome details so reports stay self-describing.
+Generic instances are built from the scenario config (system
+representation, frame list, random draws from the per-check generator);
+the causality, correlator and net checks take the configured N and s in
+the lifted convention and read their site pairs and regions from the
+lattice's tables.  Constructed witnesses pin their own geometry (the N = 3
+product frame, bare dimensions) because the property being exercised
+needs a specific shape; those record their pinned parameters in the
+outcome details so reports stay self-describing.
 
 Each check declares its measurements, every value with the bound it must
 meet; ``tolerances.verdict`` derives the verdict from them, from the premise
@@ -368,18 +370,18 @@ def check_channel_laws(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # causality suite
 
-#: Spacelike site pairs of the lifted N = 5 model.
-_SPACELIKE_SITES = (((1, 4), (4, 1)), ((4, 1), (1, 4)), ((2, 4), (4, 2)),
-                    ((1, 3), (3, 1)), ((0, 1), (1, 0)), ((4, 3), (3, 4)))
+def _spacelike_pairs(params: ModelParams) -> list[tuple]:
+    """The origin with each site spacelike to it: one site pair per
+    spacelike separation, up to translation."""
+    origin = LatticePoint(0, 0)
+    row = lattice.spacelike_table(params)[params.site_index(origin)]
+    return [(origin, LatticePoint(*divmod(i, params.N)))
+            for i in np.flatnonzero(row).tolist()]
 
-#: Separations avoiding the boost orbit of (1,1) and its difference set,
-#: so two-site operators keep disjoint translates (worked out against the
-#: orbit {(1,1),(2,3),(3,2),(4,4)} at N = 5, s = 2).
-_TWO_SITE_PAIRS = (((1, 3), (0, 0)), ((0, 0), (1, 3)),
-                   ((2, 4), (0, 0)), ((0, 0), (2, 4)))
 
-#: The lifted N = 5 model of the causality, correlator and net witnesses.
-_LIFTED_MODEL = ModelParams(5, 2, causal_mode="lifted")
+def _mirror_pair(params: ModelParams) -> tuple[LatticePoint, LatticePoint]:
+    """The sites (1, -1) and (-1, 1), spacelike at every N."""
+    return LatticePoint(1, params.N - 1), LatticePoint(params.N - 1, 1)
 
 
 def _model_detail(params: ModelParams) -> str:
@@ -407,27 +409,29 @@ def check_microcausality_implication(cfg: ScenarioConfig,
     """On every battery instance whose relational fields commute at
     spacelike supports, the commutator of the relational observables must
     vanish; instances failing the premise count as vacuous, never as
-    counterexamples."""
-    params = _LIFTED_MODEL
+    counterexamples.  Site instances prepare the origin and each site
+    spacelike to it, and the premise sorts the two-site hops on them."""
+    params = ModelParams(cfg.N, cfg.s, causal_mode="lifted")
     rep = ops.spacetime_representation(params)
     fr = frames.fiber_uniform_spacetime_frame(params)
     d = rep.dim
     tol_supp = cfg.tol("tol_supp")
+    spacelike = _spacelike_pairs(params)
     # one preparation per site state, shared by the instances that read it
     site = {x: frames.OrientedFrame(fr, _site_state(params, x), tol_supp)
-            for x in dict.fromkeys(sum(_SPACELIKE_SITES + _TWO_SITE_PAIRS, ()))}
+            for x in dict.fromkeys(sum(spacelike, ()))}
     instances = []
     origin = _site_state(params, (0, 0))
-    for a, b in _SPACELIKE_SITES:
+    for a, b in spacelike:
         instances.append(("site-projector", site[a], site[b], origin, origin))
     hop = _two_site_operator(params, (0, 0), (1, 1))
-    for a, b in _TWO_SITE_PAIRS:
+    for a, b in spacelike:
         instances.append(("two-site", site[a], site[b], hop, hop))
-    for a, b in _SPACELIKE_SITES[:4]:
+    for a, b in spacelike[:4]:
         instances.append(("diagonal", site[a], site[b],
                           np.diag(rng.random(d)).astype(complex),
                           np.diag(rng.random(d)).astype(complex)))
-    for a, b in _SPACELIKE_SITES:
+    for a, b in spacelike:
         instances.append(("random-operator", site[a], site[b],
                           ops.random_hermitian(rng, d),
                           ops.random_hermitian(rng, d)))
@@ -545,7 +549,7 @@ def _two_point_spec(cfg: ScenarioConfig, fr: frames.FrameObservable,
 
 
 def _wightman_stage(cfg: ScenarioConfig, rng: np.random.Generator):
-    params = _LIFTED_MODEL
+    params = ModelParams(cfg.N, cfg.s, causal_mode="lifted")
     rep = ops.spacetime_representation(params)
     vacuum = wightman.VacuumModel.pure(
         rep, np.ones(rep.dim, dtype=complex) / params.N)
@@ -589,7 +593,7 @@ def check_wightman_suite(cfg: ScenarioConfig,
     measurements += [Measurement("preparation_shift", worst_shift, tol),
                      Measurement("kernel_shift", worst_kernel, tol)]
 
-    a, b = LatticePoint(1, 4), LatticePoint(4, 1)
+    a, b = _mirror_pair(params)
     of1, of2 = (frames.OrientedFrame(fr, _site_state(params, x), tol_supp)
                 for x in (a, b))
     local_phi = _site_state(params, (0, 0))
@@ -762,18 +766,15 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # net suite
 
-_NET_SLICE = ((0, 2), (1, 1), (2, 0))
-_NET_TIPS = ((0, 0), (2, 2))
-_NET_DIAMOND = tuple((u, v) for u in range(3) for v in range(3))
-_NET_SPACELIKE = (((1, 4),), ((4, 1),))
-
-
-def _net_regions() -> list[frozenset]:
-    slice_pts = frozenset(LatticePoint(*x) for x in _NET_SLICE)
-    tips = frozenset(LatticePoint(*x) for x in _NET_TIPS)
-    diamond = frozenset(LatticePoint(*x) for x in _NET_DIAMOND)
-    return [frozenset(), frozenset({LatticePoint(1, 1)}), slice_pts,
-            slice_pts | tips, diamond]
+def _net_regions(params: ModelParams) -> list[frozenset]:
+    """With w = (N - 1) // 2: the empty region, the site (1, 1), the Cauchy
+    slice {(u, w - u)}, the tips (0, 0) and (w, w), and the diamond, their
+    causal hull."""
+    w = (params.N - 1) // 2
+    tips = frozenset({LatticePoint(0, 0), LatticePoint(w, w)})
+    return [frozenset(), frozenset({LatticePoint(1, 1)}),
+            frozenset(LatticePoint(u, w - u) for u in range(w + 1)), tips,
+            lattice.causal_hull(tips, params)]
 
 
 def check_net_axioms(cfg: ScenarioConfig,
@@ -781,14 +782,13 @@ def check_net_axioms(cfg: ScenarioConfig,
     """Isotony, covariance, and causality for the intrinsic local net of a
     sharp-position frame with a site generator, plus isotony, causality,
     and the time-slice property for its hull-completed variant."""
-    params = _LIFTED_MODEL
+    params = ModelParams(cfg.N, cfg.s, causal_mode="lifted")
     rep = ops.spacetime_representation(params)
     system = fields.SystemModel(params, rep, _site_state(params, (0, 0)))
     fr = frames.fiber_uniform_spacetime_frame(params)
     system_ops = [system.phi]
-    regions = _net_regions()
-    pair = (frozenset(LatticePoint(*x) for x in _NET_SPACELIKE[0]),
-            frozenset(LatticePoint(*x) for x in _NET_SPACELIKE[1]))
+    regions = _net_regions(params)
+    pair = tuple(frozenset({x}) for x in _mirror_pair(params))
     sample = _group_sample(params, rng,
                            extra=max(0, 10 - len(params.generators())))
 
@@ -801,7 +801,8 @@ def check_net_axioms(cfg: ScenarioConfig,
 
     deterministic = net.LocalAlgebraNet(fr, system, system_ops,
                                         deterministic=True,
-                                        algebras=intrinsic.algebras)
+                                        algebras=intrinsic.algebras,
+                                        premises=intrinsic.premises)
     deterministic_report = net.verify_net_axioms(
         deterministic, regions, [], spacelike_pairs=[pair], tol_eq=tol,
         tol_supp=tol_supp)

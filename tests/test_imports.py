@@ -21,7 +21,9 @@ verdict from measurements, and code that needs a residual judges the
 residual.  No function of the package calls ``np.kron`` outside a short
 allowance, so operators stay d x d matrices.  No module but ``lattice``
 calls the point relations ``spacelike`` and ``causal_leq``: the others
-read the site tables.
+read the site tables.  Every ``ModelParams`` that ``scenarios`` builds
+takes N and s from the config, but the one pinned witness model, so a
+run checks one model.
 """
 
 import ast
@@ -492,3 +494,59 @@ def test_only_lattice_evaluates_point_relations():
         rel = path.relative_to(ROOT).as_posix()
         found += [f"{rel}:{line}" for line in point_relation_calls(tree)]
     assert not found, "point relations called outside lattice:\n" + "\n".join(found)
+
+
+#: The models of ``scenarios`` that do not read N and s from the config,
+#: with the reason.
+PINNED_MODELS = {
+    # the N = 3 product-frame witness of intrinsic-causality-pipeline and
+    # spectral-condition, whose joint state is exact there
+    "_WITNESS_MODEL",
+}
+
+
+def pinned_model_calls(tree: ast.Module) -> list[int]:
+    """Line of every ``ModelParams`` call whose N and s, by position or
+    keyword, are not ``cfg.N`` and ``cfg.s``, outside the assignment of a
+    name in PINNED_MODELS."""
+    allowed = {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and {getattr(t, "id", None) for t in node.targets} & PINNED_MODELS}
+
+    def from_config(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and getattr(node.value, "id", None) == "cfg")
+
+    lines = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, ast.Call) or id(node) in allowed
+                or getattr(node.func, "id", getattr(node.func, "attr", None))
+                != "ModelParams"):
+            continue
+        given = dict(zip(("N", "s"), node.args))
+        given.update((k.arg, k.value) for k in node.keywords)
+        if not all(from_config(given.get(attr), attr) for attr in ("N", "s")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_pinned_models():
+    source = ("_WITNESS_MODEL = ModelParams(3, 2)\n"
+              "_LIFTED = ModelParams(5, 2, causal_mode='lifted')\n"
+              "def f(cfg, other):\n"
+              "    a = ModelParams(cfg.N, cfg.s, causal_mode='lifted')\n"
+              "    b = lattice.ModelParams(N=cfg.N, s=2)\n"
+              "    c = ModelParams(cfg.N, s=cfg.s)\n"
+              "    d = ModelParams(other.N, other.s)\n"
+              "    e = ModelParams(cfg.s, cfg.N)\n")
+    assert pinned_model_calls(ast.parse(source)) == [2, 5, 7, 8]
+
+
+def test_scenarios_build_the_configured_model():
+    tree = ast.parse((ROOT / "src" / "relqft" / "scenarios.py").read_text(
+        encoding="utf-8"))
+    assert pinned_model_calls(tree) == [], "models not read from the config"
+    # an allowance for a model that is gone must go
+    assigned = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert PINNED_MODELS <= assigned

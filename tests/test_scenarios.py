@@ -10,6 +10,7 @@ import pytest
 from relqft import causality, fields, frames, lattice, net, runner, scenarios, wightman
 from relqft import operators as ops
 from relqft.config import DEFAULT_CONFIG
+from relqft.lattice import ModelParams
 
 
 @pytest.mark.parametrize("name", ["relational-covariance", "vacuum-polarization"])
@@ -27,6 +28,29 @@ def test_frame_loops_hold_one_effect_array_at_a_time(name):
         tracemalloc.stop()
     assert outcome.verdict == "verified"
     assert peak < 1.3 * effect_bytes, peak / effect_bytes
+
+
+@pytest.mark.parametrize("N, s", [(3, 1), (5, 2), (7, 3)])
+def test_lifted_instances_come_from_the_lattice(N, s):
+    params = ModelParams(N, s, causal_mode="lifted")
+    pairs = scenarios._spacelike_pairs(params)
+    # the origin with one site per spacelike separation up to translation
+    points = np.array(params.lattice_points())
+    rows, cols = np.nonzero(lattice.spacelike_table(params))
+    separations = set(map(tuple, ((points[cols] - points[rows]) % N).tolist()))
+    assert [a for a, _ in pairs] == [(0, 0)] * len(pairs)
+    assert sorted(b for _, b in pairs) == sorted(separations)
+    assert len(pairs) == {3: 2, 5: 8, 7: 18}[N]
+    for a, b in [*pairs, scenarios._mirror_pair(params)]:
+        assert lattice.region_spacelike({a}, {b}, params)
+
+    regions = scenarios._net_regions(params)
+    tips, diamond = regions[-2:]
+    assert diamond == lattice.causal_hull(tips, params)
+    nested = [(u, v) for u in regions for v in regions if u < v]
+    assert nested  # isotony pairs
+    assert any(lattice.causal_hull(u, params) == lattice.causal_hull(v, params)
+               for u, v in nested)  # time-slice pairs
 
 
 def test_wightman_suite_takes_each_site_table_once(monkeypatch):
@@ -67,11 +91,12 @@ def test_spectral_condition_builds_one_kernel_array(monkeypatch):
 
 
 @pytest.mark.parametrize("name, measures, details", [
-    # 24 instances on 11 site states and 8 drawn states; the site tables
-    # of all 24 and the observables of the 14 whose fields commute at
-    # spacelike pairs read those 19 preparations
-    ("microcausality-implication", 19,
-     {"instances": 24, "premise_passing": 14}),
+    # 32 instances on 9 site states (the origin and the 8 sites spacelike
+    # to it) and 8 drawn states; the site tables of all 32 and the
+    # observables of the 16 whose fields commute at spacelike pairs read
+    # those 17 preparations
+    ("microcausality-implication", 17,
+     {"instances": 32, "premise_passing": 16}),
     # spec and its 3 shifts, 3 Gram families, the swap pair, and spec's
     # states prepared on the smeared frame: 9 two-point specs
     ("wightman-suite", 18, {}),
@@ -79,8 +104,9 @@ def test_spectral_condition_builds_one_kernel_array(monkeypatch):
     ("intrinsic-causality-pipeline", 1, {}),
     # both factors of the spec share one preparation
     ("spectral-condition", 1, {}),
-    # each of the two nets prepares one state per region of its pair
-    ("net-axioms", 4, {}),
+    # one state per region of the causality pair, prepared and judged
+    # once for both nets
+    ("net-axioms", 2, {}),
 ], ids=["microcausality-implication", "wightman-suite",
         "intrinsic-causality-pipeline", "spectral-condition", "net-axioms"])
 def test_checks_take_one_born_measure_per_preparation(monkeypatch, name,
