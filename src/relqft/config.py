@@ -5,7 +5,8 @@ of the system and the frames for the generic batteries, the suites to run,
 tolerance overrides, and the seed for every randomized draw.  Parsing is
 strict: unknown keys are rejected with the line they appear on, so a typo
 in a config never silently degrades a run.  A ``window`` key sets
-nothing: the lifted chart is (N - 1) // 2, and any other value is refused.
+nothing: the model's one causal structure is the lifted chart of
+half-width (N - 1) // 2, and any other value is refused.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def parse_config(text: str, path: str = "<config>") -> ScenarioConfig:
 
     out = ScenarioConfig(**kwargs)
     try:
-        # the lifted chart validates N and s, and a window against itself
-        ModelParams(out.N, out.s, causal_mode="lifted", window=window)
+        ModelParams(out.N, out.s, window=window)
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid model parameters: {exc}") from exc
     return out

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from relqft import lattice, operators as ops
-from relqft.lattice import FramePoint, GroupElement, LatticePoint, ModelParams
+from relqft.lattice import GroupElement, LatticePoint, ModelParams
 from relqft.operators import (
     UnitaryRep,
     dagger,
@@ -137,9 +137,6 @@ class FrameObservable:
                 Y = np.take_along_axis(Z, index.left_quotient[k, None, :], axis=2)
                 blocks[:, k] = Y.reshape(-1, m, m, d).transpose(1, 0, 2, 3)
         return blocks.reshape(m * d, m * d)
-
-    def frame_points(self) -> tuple[FramePoint, ...]:
-        return self.params.frame_points()
 
     def normalization_defect(self) -> float:
         return eq_defect(_orbit_sum(self.rep, self.seed), np.eye(self.dim))

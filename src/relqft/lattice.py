@@ -16,14 +16,12 @@ base point to, and the ``*_action_table`` functions give the actions on
 M, C and F as integer index tables, one row per group element: the
 permutation representations in ``operators`` are these tables.
 
-Two causal conventions coexist.  ``modular`` declares x, y spacelike when
-the centered lift of du*dv mod N is negative; it is invariant under the
-whole group but wraps around the torus.  ``lifted`` reads coordinates as
-centered representatives in (-N/2, N/2), a chart that covers the lattice;
-its spacelike relation is only translation-invariant, and its causal
-order is what causal hulls and time-slice arguments need.  Both relations
-also act elementwise on points of integer arrays, which builds the site
-tables.
+The causal structure is the lifted chart's: coordinates are read as
+centered representatives in (-N/2, N/2), a chart that covers the lattice.
+Its spacelike relation is translation-invariant but not boost-invariant,
+and its causal order is what causal hulls and time-slice arguments need.
+Both relations also act elementwise on points of integer arrays, which
+builds the site tables.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ import numpy as np
 
 class ModelMismatchError(ValueError):
     """Raised when objects built for different model parameters meet."""
-
-
-class WindowViolationError(ValueError):
-    """Raised when a causal hull is asked of a modular model."""
 
 
 class LatticePoint(NamedTuple):
@@ -70,17 +64,17 @@ def centered_lift(k: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Size and causal convention of the toy model.
+    """Size of the toy model.
 
     N must be odd (unique centered lifts) and s a unit mod N; C is the
-    cyclic group generated by s.  ``window`` is the half-width (N - 1) // 2
-    of the lifted chart, which covers the lattice; it is None in modular
-    mode, and no other value is admitted.
+    cyclic group generated by s.  ``causal_mode`` and ``window`` each admit
+    one value: the lifted chart, of half-width (N - 1) // 2, which covers
+    the lattice.
     """
 
     N: int
     s: int
-    causal_mode: str = "modular"
+    causal_mode: str = "lifted"
     window: int | None = None
 
     def __post_init__(self):
@@ -88,12 +82,12 @@ class ModelParams:
             raise ValueError(f"N must be odd and >= 3, got {self.N}")
         if math.gcd(self.s % self.N, self.N) != 1:
             raise ValueError(f"s must be a unit mod N, got s={self.s}, N={self.N}")
-        if self.causal_mode not in ("modular", "lifted"):
-            raise ValueError(f"unknown causal_mode {self.causal_mode!r}")
-        chart = (self.N - 1) // 2 if self.causal_mode == "lifted" else None
+        if self.causal_mode != "lifted":
+            raise ValueError(f"causal_mode must be 'lifted', got {self.causal_mode!r}")
+        chart = (self.N - 1) // 2
         if self.window not in (None, chart):
-            raise ValueError(f"window must be {chart} in {self.causal_mode} mode "
-                             f"(the lifted chart covers the lattice), got {self.window}")
+            raise ValueError(f"window must be {chart} (the lifted chart covers "
+                             f"the lattice), got {self.window}")
         object.__setattr__(self, "window", chart)
         object.__setattr__(self, "s", self.s % self.N)
 
@@ -235,19 +229,16 @@ def transporter(f1: FramePoint, f2: FramePoint, params: ModelParams) -> GroupEle
 
 
 def time_coordinate(x: LatticePoint, params: ModelParams) -> int:
-    """t(x) = lift(u) + lift(v); only meaningful in lifted mode."""
+    """t(x) = lift(u) + lift(v) in the lifted chart."""
     return centered_lift(x.u, params.N) + centered_lift(x.v, params.N)
 
 
 def spacelike(x: LatticePoint, y: LatticePoint, params: ModelParams):
-    """Whether x and y are spacelike separated under the model's
-    convention; elementwise on points of integer arrays."""
+    """Whether x and y are spacelike separated in the lifted chart: the
+    centered lifts of du and dv have opposite signs; elementwise on points
+    of integer arrays."""
     N = params.N
-    du = (x.u - y.u) % N
-    dv = (x.v - y.v) % N
-    if params.causal_mode == "modular":
-        return centered_lift((du * dv) % N, N) < 0
-    return centered_lift(du, N) * centered_lift(dv, N) < 0
+    return centered_lift(x.u - y.u, N) * centered_lift(x.v - y.v, N) < 0
 
 
 def causal_leq(x: LatticePoint, y: LatticePoint, params: ModelParams):
@@ -284,11 +275,9 @@ def region_spacelike(U: Iterable[LatticePoint], V: Iterable[LatticePoint],
 
 
 def causal_hull(U: Iterable[LatticePoint], params: ModelParams) -> frozenset[LatticePoint]:
-    """J+(U) intersect J-(U) for a region of reduced points (lifted mode
-    only): the sites above some point of U and below some point of U in
-    the ``causal_leq`` table."""
-    if params.causal_mode != "lifted":
-        raise WindowViolationError("causal hulls need lifted mode")
+    """J+(U) intersect J-(U) for a region of reduced points: the sites
+    above some point of U and below some point of U in the ``causal_leq``
+    table."""
     index = [params.site_index(x) for x in U]
     leq = causal_leq(*_site_pairs(params), params)
     inside = leq[index].any(axis=0) & leq[:, index].any(axis=1)

@@ -71,9 +71,8 @@ class LocalAlgebraNet:
     premises: dict = dc_field(default_factory=dict)
 
     def algebra(self, region) -> LocalAlgebra:
-        """The algebra of the region, or of its causal hull (lifted mode
-        only) on a deterministic net, cached under the region it is built
-        on."""
+        """The algebra of the region, or of its causal hull on a
+        deterministic net, cached under the region it is built on."""
         key = frozenset(region)
         if self.deterministic:
             key = lattice.causal_hull(key, self.frame.params)

@@ -299,12 +299,13 @@ def generated_algebra(ops, dim: int) -> AlgebraSubspace:
     an orthonormal basis of span{S, S^dag} and squares them, projects out
     the basis so far, and keeps new directions above SVD_CUTOFF times the
     largest product norm seen, until a round adds nothing or all d^2
-    matrices are spanned.  Each round multiplies the rounding error outside
-    the algebra by up to |G| / (kept singular value); the squares cut the
-    rounds of a long chain to about log2 of its length, yet one Hermitian
-    generator with d = 48 distinct eigenvalues can still return all d^2
-    matrices.  For *-closed S this is double_commutant(S) (bicommutant
-    theorem) at d x d cost.
+    matrices are spanned; all of M_d gets the matrix units as its basis.
+    Each round multiplies the rounding error outside the algebra by up to
+    |G| / (kept singular value); the squares cut the rounds of a long
+    chain to about log2 of its length, yet one Hermitian generator with
+    d = 48 distinct eigenvalues can still return all d^2 matrices.  For
+    *-closed S this is double_commutant(S) (bicommutant theorem) at d x d
+    cost.
     """
     ops = list(ops)
     d2 = dim * dim
@@ -327,6 +328,9 @@ def generated_algebra(ops, dim: int) -> AlgebraSubspace:
             if Q.shape[1] >= d2:
                 break
         newest = np.concatenate(added, axis=1)
+    if Q.shape[1] >= d2:
+        # all of M_d: the matrix units, free of the rounding Q has gathered
+        Q = np.eye(d2, dtype=complex)
     return AlgebraSubspace(dim, Q)
 
 

@@ -4,12 +4,12 @@ Each check function builds a fully specified model instance, measures the
 residuals of one family of identities on it, and returns a CheckOutcome.
 Generic instances are built from the scenario config (system
 representation, frame list, random draws from the per-check generator);
-the causality, correlator and net checks take the configured N and s in
-the lifted convention and read their site pairs and regions from the
-lattice's tables.  Constructed witnesses pin their own geometry (the N = 3
-product frame, bare dimensions) because the property being exercised
-needs a specific shape; those record their pinned parameters in the
-outcome details so reports stay self-describing.
+the causality, correlator and net checks read their site pairs and
+regions from the configured lattice's tables.  Constructed witnesses pin
+their own geometry (the N = 3 product frame, bare dimensions) because the
+property being exercised needs a specific shape; those record their
+pinned parameters in the outcome details so reports stay
+self-describing.
 
 Each check declares its measurements, every value with the bound it must
 meet; ``tolerances.verdict`` derives the verdict from them, from the premise
@@ -385,7 +385,7 @@ def _mirror_pair(params: ModelParams) -> tuple[LatticePoint, LatticePoint]:
 
 
 def _model_detail(params: ModelParams) -> str:
-    """A lifted model as the details name it, e.g. "N=5 lifted window=2"."""
+    """The model as the details name it, e.g. "N=5 lifted window=2"."""
     return f"N={params.N} {params.causal_mode} window={params.window}"
 
 
@@ -411,7 +411,7 @@ def check_microcausality_implication(cfg: ScenarioConfig,
     vanish; instances failing the premise count as vacuous, never as
     counterexamples.  Site instances prepare the origin and each site
     spacelike to it, and the premise sorts the two-site hops on them."""
-    params = ModelParams(cfg.N, cfg.s, causal_mode="lifted")
+    params = cfg.model()
     rep = ops.spacetime_representation(params)
     fr = frames.fiber_uniform_spacetime_frame(params)
     d = rep.dim
@@ -549,7 +549,7 @@ def _two_point_spec(cfg: ScenarioConfig, fr: frames.FrameObservable,
 
 
 def _wightman_stage(cfg: ScenarioConfig, rng: np.random.Generator):
-    params = ModelParams(cfg.N, cfg.s, causal_mode="lifted")
+    params = cfg.model()
     rep = ops.spacetime_representation(params)
     vacuum = wightman.VacuumModel.pure(
         rep, np.ones(rep.dim, dtype=complex) / params.N)
@@ -559,7 +559,7 @@ def _wightman_stage(cfg: ScenarioConfig, rng: np.random.Generator):
 
 def check_wightman_suite(cfg: ScenarioConfig,
                          rng: np.random.Generator) -> CheckOutcome:
-    """Two-point correlator laws on the lifted sharp-position stage:
+    """Two-point correlator laws on the sharp-position stage:
     Hermiticity, Gram positivity, invariance under simultaneous preparation
     shifts with the kernel shift law, premise-gated commutativity swaps,
     the step-weighted split of the time-ordered product, and the
@@ -782,7 +782,7 @@ def check_net_axioms(cfg: ScenarioConfig,
     """Isotony, covariance, and causality for the intrinsic local net of a
     sharp-position frame with a site generator, plus isotony, causality,
     and the time-slice property for its hull-completed variant."""
-    params = ModelParams(cfg.N, cfg.s, causal_mode="lifted")
+    params = cfg.model()
     rep = ops.spacetime_representation(params)
     system = fields.SystemModel(params, rep, _site_state(params, (0, 0)))
     fr = frames.fiber_uniform_spacetime_frame(params)

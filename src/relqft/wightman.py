@@ -59,11 +59,6 @@ class InvarianceError(ValueError):
     """Raised when a vacuum state is not invariant under the group."""
 
 
-class TimeOrderError(ValueError):
-    """Raised when time-ordering is requested outside the lifted causal
-    mode, where the time coordinate has no chart-independent meaning."""
-
-
 @dataclass(frozen=True)
 class VacuumModel:
     """An invariant state on the system, with its representation; the
@@ -331,8 +326,6 @@ def time_ordered_detailed(kernels: KernelArrays, spec: VevSpec,
     for permutations of nonzero weight; returns the value and whether any
     coincident-time pair invoked theta(0) = 1/2."""
     params = kernels.vac.params
-    if params.causal_mode != "lifted":
-        raise TimeOrderError("time ordering requires the lifted causal mode")
     if len(points) != spec.n:
         raise ValueError("one lattice point per factor required")
     taus = [lattice.time_coordinate(x, params) for x in points]

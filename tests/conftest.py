@@ -15,10 +15,5 @@ def params5():
 
 
 @pytest.fixture
-def lifted5():
-    return ModelParams(5, 2, causal_mode="lifted", window=2)
-
-
-@pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=[1234, 0]))

@@ -9,7 +9,7 @@ from relqft.lattice import LatticePoint, ModelParams
 from relqft.tolerances import TOL_FEAS
 
 P3 = ModelParams(3, 2)
-L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
+P5 = ModelParams(5, 2)
 
 
 def site_state(params, x):
@@ -37,13 +37,13 @@ def prepared(fr, *omegas):
 
 
 def test_frame_einstein_causal_for_commuting_effects():
-    fr = frames.fiber_uniform_spacetime_frame(L5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
     pairs, residual = causality.check_frame_einstein_causal(fr)
     assert pairs > 0 and residual <= 1e-10
     assert residual < 1e-14
 
 
-@pytest.mark.parametrize("params", [P3, L5], ids=["modular", "lifted"])
+@pytest.mark.parametrize("params", [P3, P5], ids=["N3", "N5"])
 def test_einstein_pairs_are_the_spacelike_pairs_of_frame_points(params):
     fr = frames.fiber_uniform_spacetime_frame(params)
     points = params.frame_points()
@@ -53,10 +53,10 @@ def test_einstein_pairs_are_the_spacelike_pairs_of_frame_points(params):
 
 
 def test_spacelike_site_preparations_are_r_causal():
-    rep = ops.spacetime_representation(L5)
-    fr = frames.fiber_uniform_spacetime_frame(L5)
-    system = fields.SystemModel(L5, rep, site_state(L5, (0, 0)))
-    of1, of2 = prepared(fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    rep = ops.spacetime_representation(P5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
+    system = fields.SystemModel(P5, rep, site_state(P5, (0, 0)))
+    of1, of2 = prepared(fr, site_state(P5, (1, 4)), site_state(P5, (4, 1)))
     pairs, micro = causality.check_r_microcausal(system, of1, of2)
     causal = causality.check_r_causal(system, of1, of2)
     assert pairs > 0 and micro <= 1e-10
@@ -68,12 +68,12 @@ def test_distinct_diagonal_smearings_on_spacelike_sites(rng):
     # diagonal smearings commute with the sharp site effects, so both the
     # pointwise and the integrated commutators vanish; a generic dense
     # smearing would break the pointwise premise instead
-    rep = ops.spacetime_representation(L5)
-    fr = frames.fiber_uniform_spacetime_frame(L5)
+    rep = ops.spacetime_representation(P5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
     phi1 = np.diag(rng.random(rep.dim)).astype(complex)
     phi2 = np.diag(rng.random(rep.dim)).astype(complex)
-    system = fields.SystemModel(L5, rep, phi1)
-    of1, of2 = prepared(fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    system = fields.SystemModel(P5, rep, phi1)
+    of1, of2 = prepared(fr, site_state(P5, (1, 4)), site_state(P5, (4, 1)))
     pairs, micro = causality.check_r_microcausal(system, of1, of2, phi1, phi2)
     causal = causality.check_r_causal(system, of1, of2, phi1, phi2)
     assert pairs > 0 and micro <= 1e-10
@@ -82,20 +82,20 @@ def test_distinct_diagonal_smearings_on_spacelike_sites(rng):
 
 
 def test_dense_smearing_breaks_the_pointwise_premise(rng):
-    rep = ops.spacetime_representation(L5)
-    fr = frames.fiber_uniform_spacetime_frame(L5)
+    rep = ops.spacetime_representation(P5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
     phi = ops.random_hermitian(rng, rep.dim)
-    system = fields.SystemModel(L5, rep, phi)
+    system = fields.SystemModel(P5, rep, phi)
     pairs, micro = causality.check_r_microcausal(system, *prepared(
-        fr, site_state(L5, (1, 4)), site_state(L5, (4, 1))))
+        fr, site_state(P5, (1, 4)), site_state(P5, (4, 1))))
     assert pairs > 0 and micro > 1e-10
 
 
 def test_timelike_site_preparations_are_vacuous():
-    rep = ops.spacetime_representation(L5)
-    fr = frames.fiber_uniform_spacetime_frame(L5)
-    system = fields.SystemModel(L5, rep, site_state(L5, (0, 0)))
-    of1, of2 = prepared(fr, site_state(L5, (0, 0)), site_state(L5, (1, 1)))
+    rep = ops.spacetime_representation(P5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
+    system = fields.SystemModel(P5, rep, site_state(P5, (0, 0)))
+    of1, of2 = prepared(fr, site_state(P5, (0, 0)), site_state(P5, (1, 1)))
     pairs, _ = causality.check_r_microcausal(system, of1, of2)
     assert pairs == 0
     assert not causality.r_spacelike(of1, of2)
@@ -107,7 +107,7 @@ def test_joint_constraint_shape_and_witness_feasibility():
     A, b = causality.joint_constraint_system(fr, mu, mu)
     # one complex row per ordered pair, plus the trace row, over the d^2
     # entries of the operator
-    n_points = len(fr.frame_points())
+    n_points = len(fr.params.frame_points())
     assert A.shape == (n_points ** 2 + 1, fr.dim ** 2)
     assert A.dtype == complex
     assert b.shape == (n_points ** 2 + 1,)
@@ -274,19 +274,19 @@ def test_r_spacelike_predicate():
 
 
 def test_r_spacelike_is_the_pairwise_rule_on_supports():
-    fr = frames.fiber_uniform_spacetime_frame(L5)
-    points = L5.lattice_points()
+    fr = frames.fiber_uniform_spacetime_frame(P5)
+    points = P5.lattice_points()
     # one, two and five supported sites: pure and mixed site states
-    omegas = [site_state(L5, (1, 4)), site_state(L5, (4, 1)),
-              (site_state(L5, (0, 1)) + site_state(L5, (1, 0))) / 2,
-              sum(site_state(L5, (u, 0)) for u in range(5)) / 5]
+    omegas = [site_state(P5, (1, 4)), site_state(P5, (4, 1)),
+              (site_state(P5, (0, 1)) + site_state(P5, (1, 0))) / 2,
+              sum(site_state(P5, (u, 0)) for u in range(5)) / 5]
     records = prepared(fr, *omegas)
     for of1 in records:
         for of2 in records:
             s1, s2 = ([points[i] for i in np.flatnonzero(
                 of.disintegration.support)] for of in (of1, of2))
             assert causality.r_spacelike(of1, of2) == all(
-                lattice.spacelike(x, y, L5) for x in s1 for y in s2)
+                lattice.spacelike(x, y, P5) for x in s1 for y in s2)
 
 
 def microcausal_by_pairs(system, fr, omega1, omega2, phi1, phi2):
@@ -314,19 +314,19 @@ def microcausal_by_pairs(system, fr, omega1, omega2, phi1, phi2):
 @pytest.mark.parametrize("chunk", [ops.PAIR_CHUNK, 7])
 def test_batched_microcausality_matches_the_pair_loop(monkeypatch, rng, chunk):
     monkeypatch.setattr(ops, "PAIR_CHUNK", chunk)
-    rep = ops.spacetime_representation(L5)
-    fr = frames.fiber_uniform_spacetime_frame(L5)
+    rep = ops.spacetime_representation(P5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
     diagonal = [np.diag(rng.random(rep.dim)).astype(complex) for _ in range(2)]
     dense = [ops.random_operator(rng, rep.dim) for _ in range(2)]
     full = [ops.random_state(rng, rep.dim) for _ in range(2)]
-    sites = [(site_state(L5, (1, 4)) + site_state(L5, (2, 2))) / 2,
-             site_state(L5, (4, 1))]
+    sites = [(site_state(P5, (1, 4)) + site_state(P5, (2, 2))) / 2,
+             site_state(P5, (4, 1))]
     # whether the fields commute at every spacelike pair of the supports
     cases = [(full, dense, False), (full, diagonal, True),
              (sites, dense, False), (sites, diagonal, True)]
     counts = []
     for (omega1, omega2), (phi1, phi2), commute in cases:
-        system = fields.SystemModel(L5, rep, phi1)
+        system = fields.SystemModel(P5, rep, phi1)
         checked, residual = causality.check_r_microcausal(
             system, *prepared(fr, omega1, omega2), phi1, phi2)
         pairs, worst = microcausal_by_pairs(system, fr, omega1, omega2,
@@ -354,10 +354,10 @@ def test_microcausality_takes_one_born_measure_per_preparation(monkeypatch,
 
     for module in (frames, fields):
         monkeypatch.setattr(module, "born_measure", counting)
-    rep = ops.spacetime_representation(L5)
-    fr = frames.fiber_uniform_spacetime_frame(L5)
-    system = fields.SystemModel(L5, rep, ops.random_operator(rng, rep.dim))
-    of1, of2 = prepared(fr, site_state(L5, (1, 4)), site_state(L5, (4, 1)))
+    rep = ops.spacetime_representation(P5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
+    system = fields.SystemModel(P5, rep, ops.random_operator(rng, rep.dim))
+    of1, of2 = prepared(fr, site_state(P5, (1, 4)), site_state(P5, (4, 1)))
     pairs, _ = causality.check_r_microcausal(system, of1, of2)
     assert pairs == 1
     assert causality.r_spacelike(of1, of2)

@@ -234,4 +234,5 @@ def test_load_config(tmp_path):
 def test_model_constructors():
     cfg = ScenarioConfig(N=5, s=2)
     assert cfg.model() == ModelParams(5, 2)
-    assert cfg.model().causal_mode == "modular"
+    # the constructor's one-value fields name the same model
+    assert cfg.model() == ModelParams(5, 2, causal_mode="lifted", window=2)

@@ -23,7 +23,7 @@ def test_builtin_frames_are_normalized_covariant():
                frames.fiber_uniform_spacetime_frame(P3)):
         assert fr.normalization_defect() < 1e-12
         assert fr.covariance_defect() < 1e-12
-        assert len(fr.frame_points()) == len(P3.frame_points())
+        assert len(fr.params.frame_points()) == len(P3.frame_points())
 
 
 def test_build_frame_normalizes_smeared_seed(rng):
@@ -213,7 +213,7 @@ def test_born_measure_probability(rng):
     fr = smeared(ops.regular_representation(P3), rng)
     omega = ops.random_state(rng, fr.dim)
     mu = frames.born_measure(frames.OrientedFrame(fr, omega))
-    assert mu.weights.shape == (len(fr.frame_points()),)
+    assert mu.weights.shape == (len(fr.params.frame_points()),)
     assert mu.weights.dtype == np.float64
     assert mu.weights.min() >= -1e-9
     assert abs(mu.weights.sum() - 1.0) < 1e-12
@@ -381,7 +381,8 @@ def test_tensor_sum_does_not_depend_on_its_row_batches(rep, rows, rng,
     # 64-row sum to the bit
     fr = smeared(rep, rng)
     m = 4 if rep.params.N == 5 else 3
-    stack = np.array([ops.random_operator(rng, m) for _ in fr.frame_points()])
+    stack = np.array([ops.random_operator(rng, m)
+                      for _ in fr.params.frame_points()])
     if rows is not None:
         monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 16 * rows * stack.size)
     assert np.array_equal(fr.tensor_sum(stack), fixed_batch_tensor_sum(fr, stack))

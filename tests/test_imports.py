@@ -21,9 +21,10 @@ verdict from measurements, and code that needs a residual judges the
 residual.  No function of the package calls ``np.kron`` outside a short
 allowance, so operators stay d x d matrices.  No module but ``lattice``
 calls the point relations ``spacelike`` and ``causal_leq``: the others
-read the site tables.  Every ``ModelParams`` that ``scenarios`` builds
-takes N and s from the config, but the one pinned witness model, so a
-run checks one model.
+read the site tables.  No comparison reads ``causal_mode`` outside
+``ModelParams.__post_init__``, so the model has one causal structure.
+Every ``ModelParams`` that ``scenarios`` builds takes N and s from the
+config, but the one pinned witness model, so a run checks one model.
 """
 
 import ast
@@ -413,18 +414,11 @@ KRON_CALLERS = {
 }
 
 
-def kron_callers(tree: ast.Module, module: str) -> set[str]:
+def functions_with(tree: ast.Module, module: str, hit) -> set[str]:
     """"module.function" or "module.Class.method" of every function of
-    the module that calls ``np.kron`` or ``numpy.kron``, or a bare
-    ``kron``, in its own body."""
+    the module with a node in its own body for which hit(node) holds;
+    "module" for the module body."""
     out = set()
-
-    def is_kron(call):
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            return (func.attr == "kron" and isinstance(func.value, ast.Name)
-                    and func.value.id in {"np", "numpy"})
-        return isinstance(func, ast.Name) and func.id == "kron"
 
     def visit(node, qualname):
         for child in ast.iter_child_nodes(node):
@@ -432,12 +426,28 @@ def kron_callers(tree: ast.Module, module: str) -> set[str]:
                                   ast.AsyncFunctionDef)):
                 visit(child, f"{qualname}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and is_kron(child):
+            if hit(child):
                 out.add(qualname)
             visit(child, qualname)
 
     visit(tree, module)
     return out
+
+
+def kron_callers(tree: ast.Module, module: str) -> set[str]:
+    """The functions of the module that call ``np.kron`` or
+    ``numpy.kron``, or a bare ``kron``, in their own body."""
+
+    def is_kron(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            return (func.attr == "kron" and isinstance(func.value, ast.Name)
+                    and func.value.id in {"np", "numpy"})
+        return isinstance(func, ast.Name) and func.id == "kron"
+
+    return functions_with(tree, module, is_kron)
 
 
 def test_the_scan_finds_kron_calls():
@@ -457,6 +467,48 @@ def test_operators_stay_square():
         found |= kron_callers(
             ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == KRON_CALLERS
+
+
+#: The functions that may compare ``causal_mode`` with anything: the
+#: lifted chart is the model's one causal structure, and only the
+#: constructor reads the field, to refuse any other value.
+CAUSAL_MODE_READERS = {"lattice.ModelParams.__post_init__"}
+
+
+def causal_mode_readers(tree: ast.Module, module: str) -> set[str]:
+    """The functions of the module with a comparison, in their own body,
+    that reads ``causal_mode`` as a name or an attribute."""
+
+    def reads_mode(node):
+        return isinstance(node, ast.Compare) and any(
+            getattr(operand, "attr", getattr(operand, "id", None)) == "causal_mode"
+            for operand in [node.left, *node.comparators])
+
+    return functions_with(tree, module, reads_mode)
+
+
+def test_the_scan_finds_causal_mode_comparisons():
+    source = ("class ModelParams:\n"
+              "    def __post_init__(self):\n"
+              "        if self.causal_mode != 'lifted': raise ValueError\n"
+              "def spacelike(x, y, params):\n"
+              "    return x if params.causal_mode == 'modular' else y\n"
+              "def hull(params, causal_mode):\n"
+              "    mode = params.causal_mode\n"
+              "    return 'lifted' in (mode, causal_mode)\n"
+              "flag = 'lifted' is causal_mode\n")
+    assert causal_mode_readers(ast.parse(source), "mod") == {
+        "mod", "mod.ModelParams.__post_init__", "mod.spacelike"}
+
+
+def test_one_causal_structure():
+    # the allowance is exact: a constructor that stops reading the field
+    # leaves it
+    found = set()
+    for path in PACKAGE:
+        found |= causal_mode_readers(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == CAUSAL_MODE_READERS
 
 
 #: The causal relations on a pair of points.  ``lattice`` builds its site

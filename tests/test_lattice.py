@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from relqft.lattice import (
 )
 
 P5 = ModelParams(5, 2)
-L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
 
 
 def elements(params):
@@ -51,12 +51,12 @@ def test_params_validation():
         ModelParams(4, 3)
     with pytest.raises(ValueError):
         ModelParams(9, 3)  # 3 is not a unit mod 9
+    # the lifted chart is the one causal structure
+    for mode in ("modular", "nonsense"):
+        with pytest.raises(ValueError, match="causal_mode"):
+            ModelParams(5, 2, causal_mode=mode)
     with pytest.raises(ValueError):
-        ModelParams(5, 2, causal_mode="nonsense")
-    with pytest.raises(ValueError):
-        ModelParams(5, 2, window=2)  # window needs lifted mode
-    with pytest.raises(ValueError):
-        ModelParams(5, 2, causal_mode="lifted", window=3)
+        ModelParams(5, 2, window=3)
 
 
 def test_sizes():
@@ -146,74 +146,79 @@ def test_spacelike_symmetric_irreflexive(u1, v1, u2, v2):
     assert not spacelike(x, x, P5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(elements(P5), st.integers(0, 4), st.integers(0, 4),
-       st.integers(0, 4), st.integers(0, 4))
-def test_spacelike_invariant_under_group(g, u1, v1, u2, v2):
-    x, y = LatticePoint(u1, v1), LatticePoint(u2, v2)
-    assert spacelike(x, y, P5) == spacelike(
-        act_point(g, x, P5), act_point(g, y, P5), P5)
+def moved_entries(params, g) -> int:
+    """Entries of the spacelike table that the group element g changes:
+    (x, y) against (g.x, g.y)."""
+    table = spacelike_table(params)
+    sites = lattice.site_action_table(params)[params.group_elements().index(g)]
+    return int((table[np.ix_(sites, sites)] != table).sum())
+
+
+def test_spacelike_table_is_translation_invariant_not_boost_invariant():
+    for params in (P5, ModelParams(7, 2)):
+        for a in params.lattice_points():
+            assert moved_entries(params, GroupElement(a, 1)) == 0
+    # at N = 5 the boosts by 2 and 3 each move 200 of the 625 entries, and
+    # the boost by 4 = -1, (u, v) -> (-u, -v), moves none
+    origin = LatticePoint(0, 0)
+    assert [moved_entries(P5, GroupElement(origin, b))
+            for b in P5.boosts()] == [0, 200, 0, 200]
 
 
 def test_causal_hull_diamond():
-    hull = causal_hull({LatticePoint(0, 0), LatticePoint(2, 2)}, L5)
+    hull = causal_hull({LatticePoint(0, 0), LatticePoint(2, 2)}, P5)
     diamond = {LatticePoint(u, v) for u in range(3) for v in range(3)}
     assert hull == diamond
     # an achronal slice hulls to itself, not to the diamond
     slice_pts = {LatticePoint(0, 2), LatticePoint(1, 1), LatticePoint(2, 0)}
-    assert causal_hull(slice_pts, L5) == slice_pts
+    assert causal_hull(slice_pts, P5) == slice_pts
     # slice plus tips recovers the diamond
     assert causal_hull(slice_pts | {LatticePoint(0, 0), LatticePoint(2, 2)},
-                       L5) == diamond
+                       P5) == diamond
 
 
 def test_causal_hull_idempotent():
     region = {LatticePoint(0, 0), LatticePoint(1, 1), LatticePoint(1, 4)}
-    hull = causal_hull(region, L5)
-    assert causal_hull(hull, L5) == hull
+    hull = causal_hull(region, P5)
+    assert causal_hull(hull, P5) == hull
 
 
 def test_causal_leq_partial_order():
-    window = [x for x in L5.lattice_points()
+    window = [x for x in P5.lattice_points()
               if max(abs(centered_lift(x.u, 5)), abs(centered_lift(x.v, 5))) <= 2]
     for x in window:
-        assert causal_leq(x, x, L5)
+        assert causal_leq(x, x, P5)
         for y in window:
-            if causal_leq(x, y, L5) and causal_leq(y, x, L5):
+            if causal_leq(x, y, P5) and causal_leq(y, x, P5):
                 assert x == y
 
 
 def test_region_spacelike():
     u = {LatticePoint(1, 4)}
     v = {LatticePoint(4, 1)}
-    assert region_spacelike(u, v, L5)
-    assert not region_spacelike(u, {LatticePoint(1, 1)} | v, L5)
-    assert not region_spacelike(u, u, L5)
+    assert region_spacelike(u, v, P5)
+    assert not region_spacelike(u, {LatticePoint(1, 1)} | v, P5)
+    assert not region_spacelike(u, u, P5)
 
 
 def test_time_coordinate_lifted():
-    assert time_coordinate(LatticePoint(1, 1), L5) == 2
-    assert time_coordinate(LatticePoint(0, 0), L5) == 0
-    assert time_coordinate(LatticePoint(4, 4), L5) == -2
+    assert time_coordinate(LatticePoint(1, 1), P5) == 2
+    assert time_coordinate(LatticePoint(0, 0), P5) == 0
+    assert time_coordinate(LatticePoint(4, 4), P5) == -2
 
 
 def test_window_violation():
     # a chart narrower than the lattice is refused before any hull
     with pytest.raises(ValueError, match="lifted chart"):
-        ModelParams(5, 2, causal_mode="lifted", window=1)
-    # hulls are a lifted-mode notion
-    with pytest.raises(lattice.WindowViolationError):
-        causal_hull({LatticePoint(0, 0)}, P5)
+        ModelParams(5, 2, window=1)
 
 
 def test_the_lifted_chart_covers_the_lattice():
-    assert ModelParams(5, 2, "lifted") == L5
-    assert [ModelParams(N, 1, "lifted").window for N in (3, 5, 7, 9)] == [
-        1, 2, 3, 4]
-    assert P5.window is None
+    assert ModelParams(5, 2, "lifted", window=2) == P5
+    assert [ModelParams(N, 1).window for N in (3, 5, 7, 9)] == [1, 2, 3, 4]
     for N, window in [(7, 2), (7, 4)]:
         with pytest.raises(ValueError):
-            ModelParams(N, 1, causal_mode="lifted", window=window)
+            ModelParams(N, 1, window=window)
 
 
 class WindowedHull:
@@ -248,7 +253,7 @@ class WindowedHull:
 def test_no_window_changes_a_hull(N):
     # every region of one to three sites inside any window hulls, inside
     # that window, to the hull on the whole lattice
-    params = ModelParams(N, 1, causal_mode="lifted")
+    params = ModelParams(N, 1)
     checked = 0
     for w in range(1, (N - 1) // 2 + 1):
         windowed = WindowedHull(N, w)
@@ -259,10 +264,9 @@ def test_no_window_changes_a_hull(N):
     assert checked == {5: 129 + 2625, 7: 129 + 2625 + 19649}[N]
 
 
-@pytest.mark.parametrize("N", [3, 5, 7])
-@pytest.mark.parametrize("mode", ["modular", "lifted"])
-def test_spacelike_table_is_the_scalar_rule(N, mode):
-    params = ModelParams(N, 1, causal_mode=mode)
+@pytest.mark.parametrize("N", [3, 5, 7], ids=lambda N: f"lifted-{N}")
+def test_spacelike_table_is_the_scalar_rule(N):
+    params = ModelParams(N, 1)
     points = params.lattice_points()
     table = spacelike_table(params)
     assert table.dtype == bool and table.shape == (N * N, N * N)
@@ -272,6 +276,6 @@ def test_spacelike_table_is_the_scalar_rule(N, mode):
 
 def test_regions_are_reduced_points():
     with pytest.raises(ValueError, match="not reduced"):
-        causal_hull({LatticePoint(-1, 0)}, L5)
+        causal_hull({LatticePoint(-1, 0)}, P5)
     with pytest.raises(ValueError, match="not reduced"):
-        region_spacelike({LatticePoint(5, 0)}, {LatticePoint(0, 1)}, L5)
+        region_spacelike({LatticePoint(5, 0)}, {LatticePoint(0, 1)}, P5)

@@ -4,9 +4,10 @@ import pytest
 from relqft import fields, frames, lattice, net, scenarios
 from relqft import operators as ops
 from relqft.lattice import GroupElement, LatticePoint, ModelParams
+from relqft.tolerances import TOL_EQ
 
 P3 = ModelParams(3, 2)
-L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
+P5 = ModelParams(5, 2)
 
 
 def diagonal_net(params, deterministic=False):
@@ -72,7 +73,7 @@ def test_local_algebra_dims_for_diagonal_generator():
 def test_local_algebra_matches_the_projector_family(region):
     # the matrix-unit orbit sums span the same generators as one relational
     # observable per basis and superposition projector
-    nt = diagonal_net(L5)
+    nt = diagonal_net(P5)
     region = frozenset(LatticePoint(*x) for x in region)
     built = nt.algebra(region).algebra
     reference = projector_family_algebra(nt.frame, nt.system, nt.system_ops,
@@ -116,12 +117,12 @@ def test_intrinsic_net_axioms():
 
 
 def test_deterministic_net_time_slice():
-    nt = diagonal_net(L5, deterministic=True)
+    nt = diagonal_net(P5, deterministic=True)
     slice_tips = frozenset({LatticePoint(0, 2), LatticePoint(1, 1),
                             LatticePoint(2, 0), LatticePoint(0, 0),
                             LatticePoint(2, 2)})
     diamond = frozenset(LatticePoint(u, v) for u in range(3) for v in range(3))
-    assert lattice.causal_hull(slice_tips, L5) == diamond
+    assert lattice.causal_hull(slice_tips, P5) == diamond
     pair = (frozenset({LatticePoint(1, 4)}), frozenset({LatticePoint(4, 1)}))
     report = net.verify_net_axioms(nt, [slice_tips, diamond], [],
                                    spacelike_pairs=[pair])
@@ -143,3 +144,22 @@ def test_causality_rejects_non_spacelike_pair():
     with pytest.raises(ValueError):
         net.verify_net_axioms(nt, [], [], spacelike_pairs=[pair])
 
+
+
+def test_an_algebra_of_all_of_m_d_has_the_matrix_units_as_basis():
+    # the site projector at (0, 0) and the hop (0, 0)-(1, 1) generate all
+    # of M_25 on the diamond; a basis accumulated over the closure's rounds
+    # drifted 3.5e-10 from orthonormal and failed isotony at 1.5e-10
+    rep = ops.spacetime_representation(P5)
+    system_ops = [scenarios._site_state(P5, (0, 0)),
+                  scenarios._two_site_operator(P5, (0, 0), (1, 1))]
+    system = fields.SystemModel(P5, rep, system_ops[0])
+    nt = net.LocalAlgebraNet(frames.fiber_uniform_spacetime_frame(P5),
+                             system, system_ops)
+    regions = scenarios._net_regions(P5)
+    report = net.verify_net_axioms(nt, regions, [])
+    isotony = report.axioms["isotony"]
+    assert isotony.verdict == "verified" and isotony.max_residual <= TOL_EQ
+    Q = nt.algebra(regions[-1]).algebra.Q
+    assert Q.shape == (625, 625)
+    assert np.array_equal(Q, np.eye(625))

@@ -30,9 +30,24 @@ def test_frame_loops_hold_one_effect_array_at_a_time(name):
     assert peak < 1.3 * effect_bytes, peak / effect_bytes
 
 
+def test_a_run_builds_one_model_of_its_size(monkeypatch):
+    # a frame or preparation built for one check is valid for every other
+    built = []
+    post_init = ModelParams.__post_init__
+
+    def record(params):
+        post_init(params)
+        built.append(params)
+
+    monkeypatch.setattr(ModelParams, "__post_init__", record)
+    cfg = DEFAULT_CONFIG
+    runner.run(cfg)
+    assert {p for p in built if (p.N, p.s) == (cfg.N, cfg.s)} == {cfg.model()}
+
+
 @pytest.mark.parametrize("N, s", [(3, 1), (5, 2), (7, 3)])
 def test_lifted_instances_come_from_the_lattice(N, s):
-    params = ModelParams(N, s, causal_mode="lifted")
+    params = ModelParams(N, s)
     pairs = scenarios._spacelike_pairs(params)
     # the origin with one site per spacelike separation up to translation
     points = np.array(params.lattice_points())

@@ -14,7 +14,7 @@ from relqft.wightman import InvarianceError
 
 P3 = ModelParams(3, 2)
 P7 = ModelParams(7, 2)
-L5 = ModelParams(5, 2, causal_mode="lifted", window=2)
+P5 = ModelParams(5, 2)
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
@@ -30,9 +30,9 @@ def random_spec(rng, fr, dim, n=2):
 
 
 def lifted_stage(rng):
-    rep = ops.spacetime_representation(L5)
+    rep = ops.spacetime_representation(P5)
     vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim, dtype=complex))
-    fr = frames.fiber_uniform_spacetime_frame(L5)
+    fr = frames.fiber_uniform_spacetime_frame(P5)
     return rep, vac, fr, random_spec(rng, fr, rep.dim)
 
 
@@ -70,7 +70,7 @@ def test_one_point_vev_is_the_observable_expectation(rng):
     omega = ops.random_state(rng, fr.dim)
     phi = ops.random_operator(rng, rep.dim)
     spec = spec_on(fr, (omega, phi))
-    rf = fields.RelationalField(fields.SystemModel(L5, rep, phi), fr)
+    rf = fields.RelationalField(fields.SystemModel(P5, rep, phi), fr)
     A = fields.relational_local_observable(rf, omega)
     assert abs(wightman.vev(vac, spec) - np.trace(vac.state @ A)) < 1e-14
 
@@ -93,7 +93,7 @@ def test_gram_matrix_is_positive(rng):
         acc = np.eye(vac.dim, dtype=complex)
         for of, phi in spec.factors:
             acc = acc @ fields.relational_local_observable(
-                fields.RelationalField(fields.SystemModel(L5, rep, phi), fr),
+                fields.RelationalField(fields.SystemModel(P5, rep, phi), fr),
                 of.omega)
         prods.append(acc)
     for j, A in enumerate(prods):
@@ -112,12 +112,12 @@ def test_kernel_array_is_the_product_of_table_rows(rng, n):
     rep, vac, fr, _ = lifted_stage(rng)
     spec = random_spec(rng, fr, rep.dim, n)
     tables = [fields.relational_local_fields(
-        fields.RelationalField(fields.SystemModel(L5, rep, phi), fr),
+        fields.RelationalField(fields.SystemModel(P5, rep, phi), fr),
         of.omega) for of, phi in spec.factors]
     K = wightman.kernel_array(vac, spec)
     assert K.shape == (25,) * n
     kernels = wightman.KernelArrays(vac, fr)
-    points = L5.lattice_points()
+    points = P5.lattice_points()
     for idx in rng.integers(25, size=(20, n)):
         acc = np.array(vac.state, dtype=complex)
         for table, i in zip(tables, idx):
@@ -247,21 +247,10 @@ def test_theta_step_weights():
     assert wightman.theta(0) == 0.5
 
 
-def test_time_ordering_requires_lifted_mode(rng):
-    rep = ops.spacetime_representation(P3)
-    vac = wightman.VacuumModel.pure(rep, np.ones(rep.dim))
-    fr = frames.fiber_uniform_spacetime_frame(P3)
-    spec = random_spec(rng, fr, rep.dim)
-    kernels = wightman.KernelArrays(vac, fr)
-    with pytest.raises(wightman.TimeOrderError):
-        wightman.time_ordered_detailed(kernels, spec,
-                                       (LatticePoint(0, 0), LatticePoint(1, 1)))
-
-
 def test_time_ordered_two_point_split(rng):
     _, vac, fr, spec = lifted_stage(rng)
     x1, x2 = LatticePoint(1, 1), LatticePoint(0, 0)
-    assert lattice.time_coordinate(x1, L5) > lattice.time_coordinate(x2, L5)
+    assert lattice.time_coordinate(x1, P5) > lattice.time_coordinate(x2, P5)
     kernels = wightman.KernelArrays(vac, fr)
     ordered, coincident = wightman.time_ordered_detailed(kernels, spec, (x1, x2))
     assert not coincident
@@ -282,18 +271,18 @@ def test_point_quantities_are_kernel_array_entries(rng):
     assert kernels(spec.swapped(0)) is kernels(spec.swapped(0))
     assert kernels(spec) is not kernels(spec.swapped(0))
     # a spec prepared on another frame is not this one's
-    elsewhere = spec_on(frames.fiber_uniform_spacetime_frame(L5),
+    elsewhere = spec_on(frames.fiber_uniform_spacetime_frame(P5),
                         *((of.omega, phi) for of, phi in spec.factors))
     with pytest.raises(ValueError, match="another frame"):
         kernels(elsewhere)
     later, earlier, level = LatticePoint(1, 1), LatticePoint(0, 0), LatticePoint(1, 4)
     for x1, x2 in ((later, earlier), (earlier, later), (earlier, level)):
-        i, j = L5.site_index(x1), L5.site_index(x2)
+        i, j = P5.site_index(x1), P5.site_index(x2)
         assert wightman.kernel(kernels, spec, (x1, x2)) == K[i, j]
         assert wightman.kernel_swap_residual(kernels, spec, (x1, x2), 0) == abs(
             K[i, j] - K_swapped[j, i])
     # theta picks the time-sorted order, and splits evenly at equal times
-    i, j, k = (L5.site_index(x) for x in (later, earlier, level))
+    i, j, k = (P5.site_index(x) for x in (later, earlier, level))
     assert wightman.time_ordered_detailed(kernels, spec, (later, earlier)) == (
         K[i, j], False)
     assert wightman.time_ordered_detailed(kernels, spec, (earlier, later)) == (
@@ -307,7 +296,7 @@ def test_point_quantities_are_kernel_array_entries(rng):
 def test_time_ordered_flags_coincident_times(rng):
     _, vac, fr, spec = lifted_stage(rng)
     x1, x2 = LatticePoint(0, 0), LatticePoint(1, 4)
-    assert lattice.time_coordinate(x1, L5) == lattice.time_coordinate(x2, L5)
+    assert lattice.time_coordinate(x1, P5) == lattice.time_coordinate(x2, P5)
     kernels = wightman.KernelArrays(vac, fr)
     _, coincident = wightman.time_ordered_detailed(kernels, spec, (x1, x2))
     assert coincident
