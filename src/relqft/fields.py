@@ -9,6 +9,7 @@ system via the Born weights:
     relativize:    Y(phi)      = sum_f phi_f (x) E(f)
     restrict:      G_w(O)      = Tr_R[(1 (x) w) O]
     observable:    Phi(w)      = sum_f pmf_w(f) phi_f = G_w(Y(phi))
+    units:         Phi(T)      for the matrix units T of V with Born weight
     local field:   phi_w(x)    = sum_lam cond_w(lam | x) phi_(x,lam)
 
 All sums are finite, so the covariance and reconstruction identities hold
@@ -149,6 +150,22 @@ def extend_trace_class(rf: RelationalField, T: np.ndarray) -> np.ndarray:
     """Phi(T) = sum_f Tr[T E(f)] phi_f, linear in an arbitrary T."""
     bm = born_measure_trace_class(rf.frame, T)
     return rf.system.rep.orbit_sum(bm.weights, rf.system.phi)
+
+
+def unit_observables(frame: FrameObservable, rep: UnitaryRep, system_ops,
+                     V: np.ndarray | None = None) -> np.ndarray:
+    """Phi(T) of each system operator at each matrix unit T of V's
+    columns (of the frame space when V is None) that carries Born weight,
+    as one (len(system_ops), m, dS, dS) stack.
+
+    For T = |v_i><v_j|, Tr[T E(f)] = <v_j|E(f)|v_i>, so V^dag E V read as
+    (|F|, k^2), a view of the effect array when V is None, holds the
+    weights of every unit, in the order (j, i).  A unit of zero weight at
+    every f has Phi(T) = 0 and is dropped; the rest are one orbit sum."""
+    effects = frame.effects if V is None else ops.dagger(V) @ frame.effects @ V
+    weights = effects.reshape(len(effects), -1)
+    weights = weights[:, weights.any(axis=0)]
+    return rep.orbit_sum(weights, system_ops)
 
 
 def relational_local_fields(rf: RelationalField, omega) -> np.ndarray:

@@ -6,16 +6,17 @@ localized in the region O and a caller-chosen family of system operators
 phi.  The localized preparations are the states on the joint kernel K_O of
 the complementary marginal effects; Phi is linear in w, so the generators
 span exactly the images of the matrix units |v_i><v_j| of an orthonormal
-basis V of K_O.  Each phi contributes one orbit sum with the (|G|, k^2)
-Born weights of those units (``UnitaryRep.orbit_sum``), and the algebra is
-the word closure of all of them (``operators.generated_algebra``).  The
-deterministic variant localizes in the causal hull instead.  A net caches
-each algebra under the region it was built on (the hull, for a
-deterministic net), so two nets of one frame and system can share one
-cache.  So the time-slice axiom holds by definition: two regions with one
-hull read one cached algebra, and their residual is the rounding of
-comparing it with itself.  An intrinsic net has no time-slice pairs.
-Such nets can share the judged causality premises too.
+basis V of K_O.  Those images are ``fields.unit_observables``: one orbit
+sum per phi, with the units of zero Born weight dropped.  The algebra is
+their word closure (``operators.generated_algebra``), and its record keeps
+V, the localized basis it was built from.  The deterministic variant
+localizes in the causal hull instead.  A net caches each algebra under the
+region it was built on (the hull, for a deterministic net), so two nets of
+one frame and system can share one cache.  So the time-slice axiom holds
+by definition: two regions with one hull read one cached algebra, and
+their residual is the rounding of comparing it with itself.  An intrinsic
+net has no time-slice pairs.  Such nets can share the judged causality
+premises too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from relqft import lattice
 from relqft.causality import check_r_causal, r_spacelike
-from relqft.fields import SystemModel
+from relqft.fields import SystemModel, unit_observables
 from relqft.frames import FrameObservable, OrientedFrame, born_measure
 from relqft.lattice import ModelParams
 from relqft.operators import (AlgebraSubspace, dagger, generated_algebra,
@@ -58,7 +59,10 @@ def states_supported_in(frame: FrameObservable, region) -> np.ndarray:
 
 @dataclass
 class LocalAlgebra:
+    """A region's algebra and the (d, k) localized basis it was built from."""
+
     algebra: AlgebraSubspace
+    states: np.ndarray
 
 
 @dataclass
@@ -86,17 +90,13 @@ def local_algebra(frame: FrameObservable, system: SystemModel, system_ops,
                   region) -> LocalAlgebra:
     """Unital *-algebra generated, by word closure, by the relational
     observables of the given system operators at every preparation
-    localized in the region: the orbit sums of each operator with the Born
-    weights W[f, (i, j)] = <v_j|E(f)|v_i> of the matrix units |v_i><v_j|
-    of K's basis V."""
+    localized in the region: ``fields.unit_observables`` of the matrix
+    units of K's basis V."""
     lattice.require_same_params(frame.params, system.params)
     V = states_supported_in(frame, region)
-    units = dagger(V) @ frame.effects @ V  # units[f, j, i] = <v_j|E(f)|v_i>
-    weights = units.transpose(0, 2, 1).reshape(len(units), V.shape[1] ** 2)
-    weights = weights[:, weights.any(axis=0)]  # zero-weight units sum to 0
-    generators = [A for phi in system_ops
-                  for A in system.rep.orbit_sum(weights, phi)]
-    return LocalAlgebra(generated_algebra(generators, system.dim))
+    generators = unit_observables(frame, system.rep, system_ops, V)
+    return LocalAlgebra(generated_algebra(
+        generators.reshape(-1, system.dim, system.dim), system.dim), V)
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +147,21 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     """
     params = net.frame.params
     axioms = {}
+    regions = [frozenset(u) for u in regions]
+    nested = [(su, sv) for su in regions for sv in regions if su < sv]
 
     # isotony over all nested pairs in the given list
     worst = 0.0
-    count = 0
-    for u in regions:
-        for v in regions:
-            su, sv = frozenset(u), frozenset(v)
-            if su == sv or not su.issubset(sv):
-                continue
-            a_u = net.algebra(su).algebra
-            a_v = net.algebra(sv).algebra
-            worst = np.maximum(worst, a_u.containment_defect(a_v))
-            count += 1
-    axioms["isotony"] = _judged("isotony", count, worst, tol_eq)
+    for su, sv in nested:
+        worst = np.maximum(worst, net.algebra(su).algebra.containment_defect(
+            net.algebra(sv).algebra))
+    axioms["isotony"] = _judged("isotony", len(nested), worst, tol_eq)
 
     # covariance: conjugated algebra equals algebra of the transformed region
     worst = 0.0
     count = 0
     for g in group_sample:
-        for u in regions:
-            su = frozenset(u)
+        for su in regions:
             moved = _transform_region(g, su, params)
             a_u = net.algebra(su).algebra
             a_moved = net.algebra(moved).algebra
@@ -188,10 +182,11 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
             raise ValueError("causality pair is not spacelike separated")
         key = (su, sv, tol_eq, tol_supp)
         if key not in net.premises:
-            # each region's representative: its first localized basis state
+            # each region's representative: the first state of the basis
+            # its algebra was built from
             preparations = []
             for region in (su, sv):
-                basis = states_supported_in(net.frame, region)
+                basis = net.algebra(region).states
                 if basis.shape[1]:
                     v = basis[:, 0]
                     preparations.append(OrientedFrame(
@@ -217,20 +212,12 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
 
     # time-slice for deterministic nets: a region containing a Cauchy slice
     # of another region's hull reads the algebra cached under that hull
+    slices = [(su, sv) for su, sv in nested if net.deterministic and
+              lattice.causal_hull(su, params) == lattice.causal_hull(sv, params)]
     worst = 0.0
-    count = 0
-    if net.deterministic:
-        for u in regions:
-            for v in regions:
-                su, sv = frozenset(u), frozenset(v)
-                if su == sv or not su.issubset(sv):
-                    continue
-                if lattice.causal_hull(su, params) != lattice.causal_hull(sv, params):
-                    continue
-                a_u = net.algebra(su).algebra
-                a_v = net.algebra(sv).algebra
-                worst = np.maximum(worst, a_u.equality_defect(a_v))
-                count += 1
-    axioms["time-slice"] = _judged("time-slice", count, worst, tol_eq)
+    for su, sv in slices:
+        worst = np.maximum(worst, net.algebra(su).algebra.equality_defect(
+            net.algebra(sv).algebra))
+    axioms["time-slice"] = _judged("time-slice", len(slices), worst, tol_eq)
     return NetReport(axioms)
 

@@ -1,9 +1,10 @@
 """Dense complex-matrix operator tools.
 
-States, effects, tensor products, partial traces, commutants and unitary
-representations of the toy group.  Everything is a plain numpy array; the
-classes here only bundle arrays with the bookkeeping the rest of the
-package needs (representation tables, subspace bases).
+States, effects, tensor products, commutants, generated algebras and
+unitary representations of the toy group (the partial trace is
+``fields.restrict``).  Everything is a plain numpy array; the classes
+here only bundle arrays with the bookkeeping the rest of the package
+needs (representation tables, subspace bases).
 
 Every representation is monomial, a permutation times a diagonal of
 phases, and ``UnitaryRep`` holds it in that one format: an index table and

@@ -43,6 +43,7 @@ from relqft.fields import (
     certify_globally_oriented,
     relational_local_fields,
     relational_local_observable,
+    unit_observables,
 )
 from relqft.frames import FrameObservable
 from relqft.lattice import ModelParams
@@ -352,17 +353,11 @@ def time_ordered_detailed(kernels: KernelArrays, spec: VevSpec,
 
 def field_operator_span(rf: RelationalField) -> list[np.ndarray]:
     """Orthonormal spanning basis of {extend_trace_class(rf, T)} as T runs
-    over a full matrix-unit basis of the frame space.
-
-    For the unit T = e_ij, Tr[T E(f)] = E(f)[j, i], so the effect array
-    read as (|F|, d^2), a view, holds the weights of every unit at once and
-    the whole raw span is one orbit sum (``UnitaryRep.orbit_sum``); its
-    rows are then put back in the unit order i, j."""
-    d_s, d_r = rf.system.dim, rf.frame.dim
-    weights = rf.frame.effects.reshape(len(rf.frame.effects), -1)
-    raw = rf.system.rep.orbit_sum(weights, rf.system.phi)
-    raw = raw.reshape(d_r, d_r, d_s, d_s).transpose(1, 0, 2, 3)
-    return AlgebraSubspace.from_spanning(d_s, raw.reshape(-1, d_s, d_s)).basis_ops()
+    over a full matrix-unit basis of the frame space: the span of the
+    units that carry Born weight, whose images ``fields.unit_observables``
+    evaluates from a view of the effect array in one orbit sum."""
+    raw = unit_observables(rf.frame, rf.system.rep, [rf.system.phi])[0]
+    return AlgebraSubspace.from_spanning(rf.system.dim, raw).basis_ops()
 
 
 @dataclass

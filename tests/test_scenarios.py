@@ -144,19 +144,28 @@ def test_checks_take_one_born_measure_per_preparation(monkeypatch, name,
 
 def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
     # the intrinsic and hull-completed nets share one cache keyed by the
-    # region an algebra is built on, so each of the 41 regions is built once
-    built = []
+    # region an algebra is built on, so each of the 41 regions is built
+    # once, and the causality premise reads the localized basis its
+    # algebra keeps rather than taking it again
+    built, localized = [], []
     original = net.local_algebra
+    original_states = net.states_supported_in
 
     def counting(frame, system, system_ops, region):
         built.append(frozenset(region))
         return original(frame, system, system_ops, region)
 
+    def counting_states(frame, region):
+        localized.append(frozenset(region))
+        return original_states(frame, region)
+
     monkeypatch.setattr(net, "local_algebra", counting)
+    monkeypatch.setattr(net, "states_supported_in", counting_states)
     outcome = scenarios.CHECKS["net-axioms"].fn(
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, "net-axioms"))
     assert outcome.verdict == "verified"
     assert len(built) == len(set(built)) == 41
+    assert len(localized) == len(set(localized)) == 41
 
 
 def test_channel_laws_build_no_product_representation(monkeypatch):

@@ -360,8 +360,15 @@ def test_field_span_is_the_per_unit_loop(monkeypatch, rng, case):
     monkeypatch.setattr(ops.AlgebraSubspace, "from_spanning", spy)
     basis = wightman.field_operator_span(rf)
     monkeypatch.undo()
+    # the units in the effect view's column order: units[(j, i)] = e_ij
     units = np.eye(fr.dim ** 2, dtype=complex).reshape(-1, fr.dim, fr.dim)
+    units = units.transpose(0, 2, 1)
+    weighted = np.array([frames.born_measure_trace_class(fr, T).weights.any()
+                         for T in units])
     loop = np.array([fields.extend_trace_class(rf, T) for T in units])
-    assert spanned[0].shape == loop.shape
-    assert np.max(np.abs(spanned[0] - loop)) < 1e-13
+    assert spanned[0].shape == loop[weighted].shape
+    assert np.max(np.abs(spanned[0] - loop[weighted])) < 1e-13
+    assert not loop[~weighted].any()
+    if case.endswith("sharp"):
+        assert len(spanned[0]) == P3.N ** 2
     assert len(basis) == ops.AlgebraSubspace.from_spanning(rep.dim, loop).subspace_dim
