@@ -7,6 +7,7 @@ H_S (x) H_R, and conditioning on a frame state collapses that back to the
 system via the Born weights:
 
     relativize:    Y(phi)      = sum_f phi_f (x) E(f)
+    invariance:    max_g |V Y(phi) V^dag - Y(phi)|, V = U_S(g) (x) U_R(g)
     restrict:      G_w(O)      = Tr_R[(1 (x) w) O]
     observable:    Phi(w)      = sum_f pmf_w(f) phi_f = G_w(Y(phi))
     units:         Phi(T)      for the matrix units T of V with Born weight
@@ -105,16 +106,32 @@ def oriented_fields(system: SystemModel) -> np.ndarray:
     return system.rep.orbit(system.phi)
 
 
+def _require_product_fits(rf: RelationalField) -> None:
+    """Refuse H_S (x) H_R above ops.MAX_DIM, like ``tensor``."""
+    dimS, dimR = rf.system.dim, rf.frame.dim
+    if dimS * dimR > ops.MAX_DIM:
+        raise ops.SizeError(
+            f"tensor product dimension {dimS * dimR} exceeds {ops.MAX_DIM}")
+
+
 def relativize(rf: RelationalField) -> np.ndarray:
     """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action;
     refused before allocation above ops.MAX_DIM, like ``tensor``.  The
     frame sums the stacked oriented fields against its effects
     (``FrameObservable.tensor_sum``)."""
-    dimS, dimR = rf.system.dim, rf.frame.dim
-    if dimS * dimR > ops.MAX_DIM:
-        raise ops.SizeError(
-            f"tensor product dimension {dimS * dimR} exceeds {ops.MAX_DIM}")
+    _require_product_fits(rf)
     return rf.frame.tensor_sum(oriented_fields(rf.system))
+
+
+def relativization_invariance_defect(rf: RelationalField, elements) -> float:
+    """max over g in elements of |V Y(phi) V^dag - Y(phi)| with
+    V = U_S(g) (x) U_R(g): the diagonal invariance of ``relativize``,
+    refused above ops.MAX_DIM as it is.  The frame measures it from the
+    stacked oriented fields (``FrameObservable.diagonal_invariance_defect``),
+    on a regular representation without forming Y."""
+    _require_product_fits(rf)
+    return rf.frame.diagonal_invariance_defect(
+        oriented_fields(rf.system), rf.system.rep, elements)
 
 
 def restrict(O: np.ndarray, omega: np.ndarray, dimS: int, dimR: int) -> np.ndarray:

@@ -15,15 +15,27 @@ read and kept; a Born measure is one length-|F| weight array.  Both are in
 reshaping to (N^2, |C|, ...) and summing the fiber axis gives the
 spacetime marginal.  A spacetime marginal effect is read from the seed.
 
-On the regular representation the group acts freely and transitively on
-the basis, so a frame is a convolution kernel on the group
-(``FrameObservable.convolution_kernel``).  The orbit sum, the Born weights
-and the tensor sum sum_f A_f (x) E(f) (``FrameObservable.tensor_sum``,
-which ``fields.relativize`` calls) read that kernel through the
-representation's index tables (``UnitaryRep.regular_index``) and build no
-effect array; the tensor sum takes the frame rows in batches whose
-intermediates stay within ``operators.WORK_BLOCK_BYTES``.  These three
-are the only code that chooses between the kernel and the effect array.
+A frame is read in one of three layouts, by its representation's tables:
+
+* regular: the group acts freely and transitively on the basis
+  (``UnitaryRep.regular_index``), so a frame is a convolution kernel on
+  the group (``FrameObservable.convolution_kernel``);
+* translation: the translations act freely and transitively on the basis
+  (``UnitaryRep.translation_index``, the spacetime representation), so the
+  effect of (a, b) is the translation by a of the boosted seed D_b, and a
+  frame is read from its |C| boost conjugates (``_fiber_kernel``);
+* effects: any other representation reads the effect array.
+
+The orbit sum and the Born weights take all three; the tensor sum
+sum_f A_f (x) E(f) (``FrameObservable.tensor_sum``, which
+``fields.relativize`` calls) and its diagonal invariance
+(``FrameObservable.diagonal_invariance_defect``) read the regular kernel
+or the effect array, in frame-row or kernel-column batches whose
+intermediates stay within ``operators.WORK_BLOCK_BYTES``.  These are the
+only code that chooses a layout.  The readers that need every effect
+build the effect array on any layout: ``fields.unit_observables``,
+``covariance_defect``, ``channel_compose`` and the joint-state
+constraints and Einstein-causal pairs of ``causality``.
 
 Also here: preparations (``OrientedFrame``), which keep their Born measure
 and disintegration, whose support mask is the one spacetime-support rule;
@@ -65,6 +77,12 @@ class ChannelValidationError(ValueError):
 
 # ---------------------------------------------------------------------------
 # frame observables
+
+#: Most column batches of ``FrameObservable.diagonal_invariance_defect``:
+#: each batch gathers the whole stack again, so a batch takes at least
+#: this share of the columns, even beyond ops.WORK_BLOCK_BYTES.
+MAX_COLUMN_BATCHES = 8
+
 
 class FrameObservable:
     """A normalized covariant POVM over the frame space, held as its
@@ -109,34 +127,92 @@ class FrameObservable:
     def dim(self) -> int:
         return self.rep.dim
 
+    def _kernel_product(self, flat: np.ndarray, rows: slice,
+                        columns: slice = slice(None)) -> np.ndarray:
+        """Z[k, (a, b), r] = sum_h flat[k h^-1, (a, b)] B[h, r] at the
+        frame rows k and the kernel columns r, for B the convolution
+        kernel and an (|F|, m m) flattened stack: a batched GEMM, one per
+        row, of the stack gathered by right quotient with B."""
+        gathered = flat[self.rep.regular_index.right_quotient[rows]]
+        return gathered.transpose(0, 2, 1) @ self.convolution_kernel[:, columns]
+
+    @staticmethod
+    def _row_step(flat: np.ndarray) -> int:
+        """Rows k of one ``_kernel_product`` batch: as many as keep its
+        gathered (rows, d, m m) stack within ops.WORK_BLOCK_BYTES, at
+        least one."""
+        return max(1, ops.WORK_BLOCK_BYTES // (16 * flat.size))
+
     def tensor_sum(self, stack: np.ndarray) -> np.ndarray:
         """sum_f stack[f] (x) E(f) for an (|F|, m, m) stack in
         frame_points() order, as one (m d, m d) array.
 
         On a regular representation, with B the convolution kernel, the
-        frame block (k, l) of the sum is sum_h stack[k h^-1] B[h, k^-1 l]:
-        a batched GEMM of the stack, gathered by right quotient, with B,
-        then a gather by left quotient, over as many rows k at a time as
-        keep one gathered (rows, d, m m) batch within ops.WORK_BLOCK_BYTES
-        (at least one row), so the intermediates do not grow with the
-        result.  Any other representation takes one contraction of the
-        stack with the effect array."""
+        frame block (k, l) of the sum is Z[k, :, k^-1 l] for the product
+        Z[k, :, r] = sum_h stack[k h^-1] B[h, r] (``_kernel_product``): a
+        gather by left quotient of each batch of rows, so the
+        intermediates do not grow with the result.  Any other
+        representation takes one contraction of the stack with the effect
+        array."""
         n, m, d = len(stack), stack.shape[1], self.dim
         flat = stack.reshape(n, -1)
-        B = self.convolution_kernel
-        if B is None:
+        if self.convolution_kernel is None:
             total = flat.T @ self.effects.reshape(n, -1)
             blocks = total.reshape(m, m, d, d).transpose(0, 2, 1, 3)
         else:
-            index = self.rep.regular_index
+            left_quotient = self.rep.regular_index.left_quotient
             blocks = np.empty((m, d, m, d), dtype=complex)
-            step = max(1, ops.WORK_BLOCK_BYTES // (16 * flat.size))
+            step = self._row_step(flat)
             for start in range(0, d, step):
                 k = slice(start, start + step)
-                Z = flat[index.right_quotient[k]].transpose(0, 2, 1) @ B  # (k, mm', r)
-                Y = np.take_along_axis(Z, index.left_quotient[k, None, :], axis=2)
+                Y = np.take_along_axis(self._kernel_product(flat, k),
+                                       left_quotient[k, None, :], axis=2)
                 blocks[:, k] = Y.reshape(-1, m, m, d).transpose(1, 0, 2, 3)
         return blocks.reshape(m * d, m * d)
+
+    def diagonal_invariance_defect(self, stack: np.ndarray, rep: UnitaryRep,
+                                   elements) -> float:
+        """max over g in elements of |V Y V^dag - Y| for the tensor sum
+        Y = tensor_sum(stack) and V = rep(g) (x) U_R(g), rep acting on the
+        stack's space: ``UnitaryRep.invariance_defect`` of Y with
+        right=self.rep, over the same entry pairs.
+
+        On a regular representation no Y is formed.  Y[(a, k), (b, l)] is
+        Z[k, (a, b), k^-1 l] for the product Z of the tensor sum, and
+        U_R(g) sends k to g.k and keeps r = k^-1 l, so with inv and c the
+        inverse row and phases of rep(g) (``UnitaryRep.inverse_rows``) the
+        defect is the max of
+        |c[a] Z[k, (inv[a], inv[b]), r] conj(c[b]) - Z[g.k, (a, b), r]|.
+        It is taken over batches of columns r, each holding Z at every row
+        and serving every g: as many columns as keep one batch within
+        ops.WORK_BLOCK_BYTES, but at least a 1/MAX_COLUMN_BATCHES share,
+        since each batch gathers the whole stack again.  Any other
+        representation forms Y."""
+        if self.convolution_kernel is None:
+            Y = self.tensor_sum(stack)
+            return max((rep.invariance_defect(g, Y, right=self.rep)
+                        for g in elements), default=0.0)
+        n, m, d = len(stack), stack.shape[1], self.dim
+        flat = stack.reshape(n, -1)
+        moves = []
+        for g in elements:
+            i = self.params.frame_index(g)
+            inverse, phases = rep.inverse_rows([i])
+            moves.append((self.rep.table[i], inverse[0],
+                          None if phases is None else phases[0]))
+        columns = max(ops.WORK_BLOCK_BYTES // (16 * flat.size),
+                      -(-d // MAX_COLUMN_BATCHES))
+        step = self._row_step(flat)
+        worst = 0.0
+        for first in range(0, d, columns):
+            r = slice(first, first + columns)
+            Z = np.empty((d, m * m, min(columns, d - first)), dtype=complex)
+            for start in range(0, d, step):
+                k = slice(start, start + step)
+                Z[k] = self._kernel_product(flat, k, r)
+            Z = Z.reshape(d, m, m, -1).transpose(0, 3, 1, 2)  # (k, r, a, b)
+            worst = max([worst, *(_moved_defect(Z, *move) for move in moves)])
+        return worst
 
     def normalization_defect(self) -> float:
         return eq_defect(_orbit_sum(self.rep, self.seed), np.eye(self.dim))
@@ -170,6 +246,26 @@ class FrameObservable:
         return self.rep.conjugate(GroupElement(x, 1), self._origin_fiber_effect)
 
 
+def _moved_defect(Z: np.ndarray, row: np.ndarray, inverse: np.ndarray,
+                  phases: np.ndarray | None) -> float:
+    """max |c[a] Z[k, r, inv[a], inv[b]] conj(c[b]) - Z[row[k], r, a, b]|
+    over a (k, r, a, b) array, for the inverse row inv and phases c of a
+    system element (None for ones) and the frame row of the same element,
+    as many rows k at a time as keep one moved block within
+    ops.WORK_BLOCK_BYTES (at least one)."""
+    step = max(1, ops.WORK_BLOCK_BYTES // Z[0].nbytes)
+    worst = 0.0
+    for start in range(0, len(Z), step):
+        k = slice(start, start + step)
+        moved = Z[k][:, :, inverse[:, None], inverse]
+        if phases is not None:
+            moved *= phases[:, None]
+            moved *= phases.conj()
+        moved -= Z[row[k]]
+        worst = max(worst, float(np.max(np.abs(moved))))
+    return worst
+
+
 class OrientedFrame:
     """A preparation: a frame, a state omega on H_R and a support
     tolerance, with its Born measure and its disintegration at tol_supp
@@ -200,7 +296,19 @@ def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
     if eigs[0] <= SVD_CUTOFF * eigs[-1]:
         raise DegenerateSeedError(
             f"orbit sum is numerically singular (eigs in [{eigs[0]:.3e}, {eigs[-1]:.3e}])")
-    return V @ np.diag(eigs**-0.5) @ dagger(V)
+    return (V * eigs**-0.5) @ dagger(V)
+
+
+def _fiber_kernel(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
+    """B[b, x, a] = A_b[x, a + x] on the translation layout
+    (``UnitaryRep.translation_index`` names a + x), for the |C| boost
+    conjugates A_b = U(0, b) A U(0, b)^dag in boosts() order: one
+    (|C|, d, N^2) array, of the size of the conjugates."""
+    origin = LatticePoint(0, 0)
+    conjugates = np.stack([rep.conjugate(GroupElement(origin, b), A)
+                           for b in rep.params.boosts()])
+    return np.take_along_axis(conjugates, rep.translation_index.shift.T[None],
+                              axis=2)
 
 
 def _orbit_sum(rep: UnitaryRep, seed: np.ndarray) -> np.ndarray:
@@ -208,12 +316,20 @@ def _orbit_sum(rep: UnitaryRep, seed: np.ndarray) -> np.ndarray:
 
     K commutes with the representation.  On a regular one that makes it a
     convolution, K[k, l] = v[k^-1 l] with v[r] = sum_k seed[k, k.r]: one
-    gather of d^2 entries.  Elsewhere K is the sum of the seed's orbit."""
+    gather of d^2 entries.  On the translation layout the element (a, b)
+    is the translation by a after the boost b, so K[x, y] =
+    sum_a F0[x - a, y - a] = v[y - x] with F0 the sum of the seed's |C|
+    boost conjugates and v[a] = sum_k F0[k, a + k], the sum of the seed's
+    fiber kernel (``_fiber_kernel``) over its first two axes.  Elsewhere K
+    is the sum of the seed's orbit."""
     index = rep.regular_index
-    if index is None:
-        return rep.orbit(seed).sum(axis=0)
-    v = np.take_along_axis(seed, index.product, axis=1).sum(axis=0)
-    return v[index.left_quotient]
+    if index is not None:
+        v = np.take_along_axis(seed, index.product, axis=1).sum(axis=0)
+        return v[index.left_quotient]
+    shifts = rep.translation_index
+    if shifts is not None:
+        return _fiber_kernel(rep, seed).sum(axis=(0, 1))[shifts.difference]
+    return rep.orbit(seed).sum(axis=0)
 
 
 def build_frame(rep: UnitaryRep, seed_effect: np.ndarray) -> FrameObservable:
@@ -283,15 +399,28 @@ def _born_weights(frame: FrameObservable, T: np.ndarray) -> np.ndarray:
     On a regular representation, with t its table and B the frame's
     convolution kernel: A[k, r] = T[k.r, k], C = A B^T, and the weight of
     the element at row i is sum_j C[t[i, j], j], so one d x d GEMM gives
-    every weight.  On any other representation it is one contraction
-    with the frame's effect array."""
+    every weight.  On the translation layout the effect of (a, b) is
+    T_a D_b T_a^dag, with D_b the boost conjugates of D, so
+    w(a, b) = sum_(x, y) T[y + a, x + a] D_b[x, y].  With B the frame's
+    fiber kernel (``_fiber_kernel``): A[z, a] = T[a + z, z],
+    C[z, (b, x)] = sum_a A[z, a] B[b, x, a], and w(a, b) is
+    sum_x C[a + x, (b, x)]: one d x |C| d GEMM.  The kernel is built
+    for each measure and not kept: its |C| conjugates cost less than the
+    GEMM.  On any other
+    representation it is one contraction with the frame's effect array."""
     T = np.asarray(T, dtype=complex)
-    B = frame.convolution_kernel
-    if B is None:
+    rep, B = frame.rep, frame.convolution_kernel
+    if B is not None:
+        C = np.take_along_axis(T.T, rep.regular_index.product, axis=1) @ B.T
+        return np.take_along_axis(C, rep.table, axis=0).sum(axis=1)
+    shifts = rep.translation_index
+    if shifts is None:
         return frame.effects.reshape(len(frame.effects), -1) @ T.T.reshape(-1)
-    rep = frame.rep
-    C = np.take_along_axis(T.T, rep.regular_index.product, axis=1) @ B.T
-    return np.take_along_axis(C, rep.table, axis=0).sum(axis=1)
+    B = _fiber_kernel(rep, frame.seed)
+    A = np.take_along_axis(T.T, shifts.shift.T, axis=1)
+    C = (A @ B.reshape(-1, B.shape[2]).T).reshape(len(A), len(B), -1)
+    weights = np.take_along_axis(C.transpose(1, 0, 2), shifts.shift[None], axis=1)
+    return weights.sum(axis=2).T.reshape(-1)
 
 
 def born_measure(of: OrientedFrame) -> BornMeasure:

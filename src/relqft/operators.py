@@ -352,7 +352,9 @@ class UnitaryRep:
     phases and build no unitary; ``rep(g)`` scatters the tables into one
     dense U(g), for test oracles only.  ``regular_index`` holds the index
     tables of a regular representation, on which the frames read their
-    orbits as convolutions.  Builders below cover the
+    orbits as convolutions, and ``translation_index`` those of a
+    representation on whose basis the translations act freely and
+    transitively (the spacetime one).  Builders below cover the
     permutation representations (regular, spacetime, Lorentz), the trivial
     and character representations, direct sums and tensor products, which
     is everything the workbench uses.
@@ -373,10 +375,11 @@ class UnitaryRep:
         U[self.table[i], np.arange(self.dim)] = _phase_table(self)[i]
         return U
 
-    def _inverse(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
+    def inverse_rows(self, rows) -> tuple[np.ndarray, np.ndarray | None]:
         """The inverse of the table rows at ``rows``, argsort(table[rows],
         axis=1), and the phases read through it (None for a permutation
-        representation)."""
+        representation): with inv and c those of g, U(g) A U(g)^dag has
+        entry (j, k) c[j] A[inv[j], inv[k]] conj(c[k])."""
         inverse = np.argsort(self.table[rows], axis=1)
         if self.phases is None:
             return inverse, None
@@ -384,14 +387,14 @@ class UnitaryRep:
 
     @cached_property
     def _inverse_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """``_inverse`` of every row, built on first read and kept for the
+        """``inverse_rows`` of every row, built on first read and kept for the
         orbits and orbit sums: |G| dim entries each."""
-        return self._inverse(slice(None))
+        return self.inverse_rows(slice(None))
 
     def _conjugates(self, inverse: np.ndarray, phases: np.ndarray | None,
                     A: np.ndarray, what: str) -> np.ndarray:
         """U(g) A U(g)^dag for the group elements whose inverse table rows
-        and phases (``_inverse``) are given, as a (k, dim, dim) array, or
+        and phases (``inverse_rows``) are given, as a (k, dim, dim) array, or
         (m, k, dim, dim) for an (m, dim, dim) stack A, each operator's
         conjugates contiguous: the gather (k, l) -> c[k] A[inv[k], inv[l]]
         conj(c[l]), with inv the inverse of the table row and c =
@@ -429,7 +432,7 @@ class UnitaryRep:
         operator of an (m, dim, dim) stack.  Only the one table row is
         inverted, so a conjugation on a large representation keeps no
         |G| x dim table."""
-        return self._conjugates(*self._inverse([self.params.frame_index(g)]),
+        return self._conjugates(*self.inverse_rows([self.params.frame_index(g)]),
                                 A, "a conjugate")[..., 0, :, :]
 
     def orbit(self, A: np.ndarray) -> np.ndarray:
@@ -522,6 +525,24 @@ class UnitaryRep:
                             left_quotient=np.argsort(t, axis=1)[order],
                             right_quotient=np.argsort(t, axis=0))
 
+    @cached_property
+    def translation_index(self) -> TranslationIndex | None:
+        """The index tables of the translations, built on first read and
+        kept; None unless the translations act freely and transitively on
+        the basis.
+
+        They do when the representation permutes (no phases) a basis of
+        N^2 vectors and the translations' images of basis vector 0 are the
+        whole basis: an abelian group of N^2 elements acting transitively
+        on N^2 points acts freely."""
+        shift = self.table[::len(self.params.boosts())]
+        if self.phases is not None or self.dim != len(shift):
+            return None
+        if not np.array_equal(np.sort(shift[:, 0]), np.arange(self.dim)):
+            return None
+        return TranslationIndex(shift=shift,
+                                difference=np.argsort(shift, axis=0).T)
+
 
 @dataclass(frozen=True)
 class RegularIndex:
@@ -539,6 +560,22 @@ class RegularIndex:
     product: np.ndarray
     left_quotient: np.ndarray
     right_quotient: np.ndarray
+
+
+@dataclass(frozen=True)
+class TranslationIndex:
+    """Index tables of a permutation representation on whose basis the
+    translations act freely and transitively, with table t.  Translations
+    are named by their position a in lattice_points() order, and exactly
+    one of them takes basis vector x to basis vector y:
+
+    * ``shift[a, x]`` is the index a + x of U(a) e_x: the table row of
+      the translation, t[a |C|];
+    * ``difference[x, y]`` is the a with a + x = y.
+    """
+
+    shift: np.ndarray
+    difference: np.ndarray
 
 
 def _phase_table(rep: UnitaryRep, rows=slice(None)) -> np.ndarray:

@@ -139,6 +139,14 @@ def _right_shift(rep: ops.UnitaryRep, g: GroupElement,
     return rep.conjugate(lattice.inverse(g, rep.params), omega)
 
 
+def _shifted(prepared: frames.OrientedFrame, g: GroupElement):
+    """U(g) omega U(g)^dag for the preparation's state omega, or the
+    preparation itself when g fixes omega to the bit (a translation on the
+    Lorentz frame), so that its Born measure is taken once."""
+    moved = prepared.frame.rep.conjugate(g, prepared.omega)
+    return prepared if np.array_equal(moved, prepared.omega) else moved
+
+
 def _group_sample(params: ModelParams, rng: np.random.Generator,
                   extra: int) -> list[GroupElement]:
     sample = list(params.generators())
@@ -164,14 +172,14 @@ def check_relational_covariance(cfg: ScenarioConfig,
         fr = FRAME_BUILDERS[name](params, rng)
         omega = ops.random_state(rng, fr.dim)
         rf = fields.RelationalField(system, fr)
-        observable = fields.relational_local_observable(rf, omega)
+        prepared = frames.OrientedFrame(fr, omega)
+        observable = fields.relational_local_observable(rf, prepared)
         for g in params.generators():
             lhs = system.rep.conjugate(g, observable)
-            rhs = fields.relational_local_observable(
-                rf, fr.rep.conjugate(g, omega))
+            rhs = fields.relational_local_observable(rf, _shifted(prepared, g))
             worst = np.maximum(worst, ops.eq_defect(lhs, rhs))
         used.append({"frame": name, "dim": fr.dim})
-        del fr, rf  # one live effect array: free this frame before the next
+        del fr, rf, prepared  # free this frame before the next
     return CheckOutcome(
         [Measurement("covariance", worst, cfg.tol("tol_eq"))],
         {"frames": used, "generators": len(params.generators()),
@@ -345,12 +353,10 @@ def check_channel_laws(cfg: ScenarioConfig,
         min_positivity = np.minimum(min_positivity,
                                     np.min(ops.psd_gaps(image_psd)))
 
-        relativized = fields.relativize(fields.RelationalField(system, fr))
-        for g in params.generators():
-            worst["diagonal_invariance"] = np.maximum(
-                worst["diagonal_invariance"],
-                system.rep.invariance_defect(g, relativized, right=fr.rep))
-        del relativized  # freed before the next frame is built
+        worst["diagonal_invariance"] = np.maximum(
+            worst["diagonal_invariance"],
+            fields.relativization_invariance_defect(
+                fields.RelationalField(system, fr), params.generators()))
         for x in unrestricted:
             lifted = fields.relativize(
                 fields.RelationalField(system.with_phi(x), fr))
@@ -732,7 +738,7 @@ def check_vacuum_polarization(cfg: ScenarioConfig,
         rf = fields.RelationalField(system, fr)
         worst_fixed = np.maximum(worst_fixed, ops.eq_defect(
             fields.predual_polarization(rf, omega, invariant), invariant))
-        del fr, rf  # one live effect array: free this frame before the next
+        del fr, rf  # free this frame before the next
 
     fr = smeared_frame(ops.lorentz_representation(params), rng, 0.4)
     rf = fields.RelationalField(system, fr)

@@ -135,6 +135,36 @@ def test_seed_held_frames_match_the_effect_array(name, rng):
     assert ops.eq_defect(lifted, reference) < 1e-14
 
 
+@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("name", ["smeared-spacetime", "fiber-uniform-spacetime"])
+def test_spacetime_frames_read_their_fiber_seeds(name, N, rng):
+    # translations act freely and transitively on l2(M): the orbit sum and
+    # the Born weights are read from the |C| boosted seeds, and no effect
+    # array is built
+    params = ModelParams(N, 2)
+    fr = scenarios.FRAME_BUILDERS[name](params, rng)
+    rep, d = fr.rep, fr.dim
+    assert rep.translation_index is not None and fr.convolution_kernel is None
+    raw = ops.random_psd(rng, d)
+    K = rep.orbit(raw).sum(axis=0)
+    assert ops.eq_defect(frames._orbit_sum(rep, raw), K) <= 1e-14 * np.abs(K).max()
+    flat = rep.orbit(fr.seed).reshape(len(params.frame_points()), -1)
+    for X in (ops.random_state(rng, d), ops.random_operator(rng, d)):
+        reference = flat @ X.T.reshape(-1)
+        weights = frames.born_measure_trace_class(fr, X).weights
+        assert ops.eq_defect(weights, reference) <= 1e-14 * np.abs(reference).max()
+    assert fr.normalization_defect() < 1e-13
+    assert "effects" not in vars(fr)
+
+
+def test_translation_index_detects_only_free_transitive_translations():
+    assert ops.spacetime_representation(P5).translation_index is not None
+    for rep in (ops.regular_representation(P5), ops.lorentz_representation(P5),
+                ops.direct_sum_rep([ops.spacetime_representation(P3)] * 2),
+                ops.character_representation(P3, P3.lattice_points())):
+        assert rep.translation_index is None
+
+
 @pytest.mark.parametrize("rep", [
     ops.lorentz_representation(P3), ops.spacetime_representation(P3),
     # |G| basis vectors, but two orbits
@@ -386,6 +416,46 @@ def test_tensor_sum_does_not_depend_on_its_row_batches(rep, rows, rng,
     if rows is not None:
         monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 16 * rows * stack.size)
     assert np.array_equal(fr.tensor_sum(stack), fixed_batch_tensor_sum(fr, stack))
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", ["smeared-regular", "uniform-regular",
+                                  "sharp-regular"])
+def test_diagonal_invariance_is_read_from_the_kernel_product(name, N, rng):
+    # a phased system, the boost orbit of the momentum (1, 0): the defect
+    # of the kernel layout against the relativization Y it never forms
+    params = ModelParams(N, 2)
+    momenta = {ops.momentum_boost(b, LatticePoint(1, 0), params)
+               for b in params.boosts()}
+    character = ops.character_representation(params, sorted(momenta))
+    assert character.phases is not None
+    system = fields.SystemModel(params, character,
+                                ops.random_operator(rng, character.dim))
+    fr = scenarios.FRAME_BUILDERS[name](params, rng)
+    assert fr.convolution_kernel is not None
+    rf = fields.RelationalField(system, fr)
+    lifted = fields.relativize(rf)
+    for g in params.generators():
+        expected = system.rep.invariance_defect(g, lifted, right=fr.rep)
+        assert abs(fields.relativization_invariance_defect(rf, [g])
+                   - expected) <= 1e-15
+
+
+def test_diagonal_invariance_does_not_depend_on_its_batches(rng, monkeypatch):
+    # at N = 5 the budget takes 27 of the 75 columns and rows at a time; a
+    # budget below one row takes single rows and the floor of 10 columns
+    params = P5
+    momenta = [LatticePoint(1, 0), LatticePoint(2, 0),
+               LatticePoint(4, 0), LatticePoint(3, 0)]
+    system = fields.SystemModel(
+        params, ops.character_representation(params, momenta),
+        ops.random_operator(rng, len(momenta)))
+    rf = fields.RelationalField(
+        system, smeared(ops.regular_representation(params), rng))
+    budget = fields.relativization_invariance_defect(rf, params.generators())
+    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 1)
+    floor = fields.relativization_invariance_defect(rf, params.generators())
+    assert 0 < budget and abs(floor - budget) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

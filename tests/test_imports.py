@@ -24,7 +24,9 @@ calls the point relations ``spacelike`` and ``causal_leq``: the others
 read the site tables.  No comparison reads ``causal_mode`` outside
 ``ModelParams.__post_init__``, so the model has one causal structure.
 Every ``ModelParams`` that ``scenarios`` builds takes N and s from the
-config, but the one pinned witness model, so a run checks one model.
+config, but the one pinned witness model, so a run checks one model.  No
+module but ``frames`` reads a frame's layout (``convolution_kernel``,
+``regular_index``, ``translation_index``), so no caller branches on it.
 """
 
 import ast
@@ -636,3 +638,42 @@ def test_scenarios_build_the_configured_model():
     assigned = {t.id for node in tree.body if isinstance(node, ast.Assign)
                 for t in node.targets if isinstance(t, ast.Name)}
     assert PINNED_MODELS <= assigned
+
+
+#: The names that choose a frame's layout: the kernel of a frame on the
+#: regular representation and the index tables of the regular and the
+#: translation layouts.  ``operators`` defines the tables and ``frames``
+#: alone reads them, so no caller branches on a frame's layout.
+LAYOUT_NAMES = {"convolution_kernel", "regular_index", "translation_index"}
+
+
+def layout_reads(tree: ast.Module) -> list[int]:
+    """Line of every load of a layout name, as a bare name or an
+    attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and (getattr(node, "attr", None) in LAYOUT_NAMES
+             or getattr(node, "id", None) in LAYOUT_NAMES))
+
+
+def test_the_scan_finds_layout_reads():
+    source = ("B = frame.convolution_kernel\n"
+              "if rf.frame.rep.regular_index is None: pass\n"
+              "shift = translation_index.shift\n"
+              "class UnitaryRep:\n"
+              "    def regular_index(self): return None\n"
+              "    translation_index = None\n"
+              "frame.convolution_kernel = B\n")
+    assert layout_reads(ast.parse(source)) == [1, 2, 3]
+
+
+def test_only_frames_reads_a_frame_layout():
+    found = []
+    for path in PACKAGE:
+        if path.stem == "frames":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        rel = path.relative_to(ROOT).as_posix()
+        found += [f"{rel}:{line}" for line in layout_reads(tree)]
+    assert not found, "frame layouts read outside frames:\n" + "\n".join(found)

@@ -2,6 +2,7 @@
 drop, and the per-site loops their array forms are checked against."""
 
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 
 from relqft import causality, fields, frames, lattice, net, runner, scenarios, wightman
 from relqft import operators as ops
-from relqft.config import DEFAULT_CONFIG
+from relqft.config import DEFAULT_CONFIG, load_config
 from relqft.lattice import ModelParams
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["relational-covariance", "vacuum-polarization"])
@@ -106,6 +109,10 @@ def test_spectral_condition_builds_one_kernel_array(monkeypatch):
 
 
 @pytest.mark.parametrize("name, measures, details", [
+    # each of the 5 frames prepares omega and its 3 generator shifts, but
+    # the two translations fix omega on the Lorentz frame, which acts on
+    # the boosts alone: 18 preparations
+    ("relational-covariance", 18, {"generators": 3}),
     # 32 instances on 9 site states (the origin and the 8 sites spacelike
     # to it) and 8 drawn states; the site tables of all 32 and the
     # observables of the 16 whose fields commute at spacelike pairs read
@@ -122,7 +129,7 @@ def test_spectral_condition_builds_one_kernel_array(monkeypatch):
     # one state per region of the causality pair, prepared and judged
     # once for both nets
     ("net-axioms", 2, {}),
-], ids=["microcausality-implication", "wightman-suite",
+], ids=["relational-covariance", "microcausality-implication", "wightman-suite",
         "intrinsic-causality-pipeline", "spectral-condition", "net-axioms"])
 def test_checks_take_one_born_measure_per_preparation(monkeypatch, name,
                                                       measures, details):
@@ -140,6 +147,26 @@ def test_checks_take_one_born_measure_per_preparation(monkeypatch, name,
     assert outcome.verdict == "verified"
     assert {k: outcome.details[k] for k in details} == details
     assert len(calls) == len({id(of) for of in calls}) == measures
+
+
+@pytest.mark.parametrize("config", [None, "perfbench/n7.json"],
+                         ids=["default", "n7"])
+def test_channel_laws_relativize_no_regular_frame(monkeypatch, config):
+    # diagonal invariance on a regular frame is read from the tensor sum's
+    # kernel product, so Y is formed only on the small Lorentz frames
+    cfg = DEFAULT_CONFIG if config is None else load_config(str(ROOT / config))
+    frame_reps = []
+    original = fields.relativize
+
+    def recording(rf):
+        frame_reps.append(rf.frame.rep)
+        return original(rf)
+
+    monkeypatch.setattr(fields, "relativize", recording)
+    outcome = scenarios.CHECKS["channel-laws"].fn(
+        cfg, runner.check_rng(cfg.seed, "channel-laws"))
+    assert outcome.verdict == "verified"
+    assert frame_reps and all(rep.regular_index is None for rep in frame_reps)
 
 
 def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
