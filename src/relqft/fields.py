@@ -27,7 +27,8 @@ Two whole-lattice arrays carry the pointwise quantities:
   (N^2, |C|, dS, dS) with sites first;
 * the site table (``relational_local_fields``): phi_w(x) for every lattice
   point x as one (N^2, dS, dS) array in lattice_points() order, from the
-  disintegration of w, zero off the support.
+  disintegration of w and the oriented fields of the supported sites,
+  zero off the support.
 
 A preparation w is a ``frames.OrientedFrame`` of the field's frame, or a
 bare state, prepared anew at the default tol_supp.
@@ -190,16 +191,23 @@ def relational_local_fields(rf: RelationalField, omega) -> np.ndarray:
     phi_w(x) = sum_lam cond(lam | x) phi_(x, lam), in lattice_points()
     order.
 
-    One contraction of the (N^2, |C|) conditional of the preparation's
-    disintegration with the oriented stack read as (N^2, |C|, dS^2).
-    Rows off the support are zero, since their conditionals are; the
-    extension by zero keeps the reconstruction sum
-    sum_x marginal(x) phi_w(x) = Phi(w) total over all of M.
+    The oriented fields are gathered at the frame points of the supported
+    sites only, rows site |C| + fiber of the orbit of phi, and contracted
+    with those sites' rows of the (N^2, |C|) conditional of the
+    preparation's disintegration.  Rows off the support are zero, as
+    their conditionals are; the extension by zero keeps the
+    reconstruction sum sum_x marginal(x) phi_w(x) = Phi(w) total over all
+    of M.
     """
-    conditional = _prepared(rf, omega).disintegration.conditional
-    n_sites, dim = len(conditional), rf.system.dim
-    by_site = oriented_fields(rf.system).reshape(n_sites, -1, dim * dim)
-    table = conditional[:, None, :] @ by_site
+    dis = _prepared(rf, omega).disintegration
+    (n_sites, n_fibers), dim = dis.conditional.shape, rf.system.dim
+    sites = np.flatnonzero(dis.support)
+    rows = (sites[:, None] * n_fibers + np.arange(n_fibers)).reshape(-1)
+    # the gather is freed before the table is allocated
+    supported = dis.conditional[sites, None, :] @ rf.system.rep.orbit(
+        rf.system.phi, rows).reshape(len(sites), n_fibers, dim * dim)
+    table = np.zeros((n_sites, 1, dim * dim), dtype=complex)
+    table[sites] = supported
     return table.reshape(n_sites, dim, dim)
 
 

@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from relqft import lattice, operators as ops
-from relqft.lattice import GroupElement, LatticePoint, ModelParams
+from relqft.lattice import LatticePoint, ModelParams
 from relqft.operators import (
     UnitaryRep,
     dagger,
@@ -174,8 +174,8 @@ class FrameObservable:
                                    elements) -> float:
         """max over g in elements of |V Y V^dag - Y| for the tensor sum
         Y = tensor_sum(stack) and V = rep(g) (x) U_R(g), rep acting on the
-        stack's space: ``UnitaryRep.invariance_defect`` of Y with
-        right=self.rep, over the same entry pairs.
+        stack's space: the largest entry of the conjugates of Y under
+        ``ops.tensor_product_rep(rep, self.rep)`` less Y.
 
         On a regular representation no Y is formed.  Y[(a, k), (b, l)] is
         Z[k, (a, b), k^-1 l] for the product Z of the tensor sum, and
@@ -187,11 +187,12 @@ class FrameObservable:
         and serving every g: as many columns as keep one batch within
         ops.WORK_BLOCK_BYTES, but at least a 1/MAX_COLUMN_BATCHES share,
         since each batch gathers the whole stack again.  Any other
-        representation forms Y."""
+        representation forms Y and gathers its conjugates."""
         if self.convolution_kernel is None:
             Y = self.tensor_sum(stack)
-            return max((rep.invariance_defect(g, Y, right=self.rep)
-                        for g in elements), default=0.0)
+            rows = [self.params.frame_index(g) for g in elements]
+            diagonal = ops.tensor_product_rep(rep, self.rep)
+            return eq_defect(diagonal.orbit(Y, rows), Y)
         n, m, d = len(stack), stack.shape[1], self.dim
         flat = stack.reshape(n, -1)
         moves = []
@@ -231,19 +232,18 @@ class FrameObservable:
     @cached_property
     def _origin_fiber_effect(self) -> np.ndarray:
         """F_R(0): the sum, in boosts() order, of the |C| boost conjugates
-        of D, taken one at a time so that no (|C|, d, d) stack is built."""
-        origin = LatticePoint(0, 0)
-        first, *rest = self.params.boosts()
-        total = self.rep.conjugate(GroupElement(origin, first), self.seed)
-        for b in rest:
-            total += self.rep.conjugate(GroupElement(origin, b), self.seed)
-        return total
+        of D, the first |C| rows of its orbit."""
+        fiber = slice(len(self.params.boosts()))
+        return self.rep.orbit(self.seed, fiber).sum(axis=0)
 
-    def spacetime_marginal_effect(self, x: LatticePoint) -> np.ndarray:
-        """F_R(x), the sum of the effects over the Lorentz fiber of x:
-        U(x) F_R(0) U(x)^dag, one conjugate of the cached F_R(0) by the
-        translation to x, since the frame point (x, lam) is x after lam."""
-        return self.rep.conjugate(GroupElement(x, 1), self._origin_fiber_effect)
+    def spacetime_marginal_effects(self, points) -> np.ndarray:
+        """F_R(x) for each lattice point x, the sum of the effects over the
+        Lorentz fiber of x, as one (k, d, d) stack: U(x) F_R(0) U(x)^dag,
+        since the frame point (x, lam) is x after lam, so one gather of the
+        cached F_R(0) at the rows of the translations to the points."""
+        params = self.params
+        rows = [params.site_index(x) * len(params.boosts()) for x in points]
+        return self.rep.orbit(self._origin_fiber_effect, rows)
 
 
 def _moved_defect(Z: np.ndarray, row: np.ndarray, inverse: np.ndarray,
@@ -302,11 +302,10 @@ def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
 def _fiber_kernel(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
     """B[b, x, a] = A_b[x, a + x] on the translation layout
     (``UnitaryRep.translation_index`` names a + x), for the |C| boost
-    conjugates A_b = U(0, b) A U(0, b)^dag in boosts() order: one
-    (|C|, d, N^2) array, of the size of the conjugates."""
-    origin = LatticePoint(0, 0)
-    conjugates = np.stack([rep.conjugate(GroupElement(origin, b), A)
-                           for b in rep.params.boosts()])
+    conjugates A_b = U(0, b) A U(0, b)^dag in boosts() order, the first
+    |C| rows of A's orbit: one (|C|, d, N^2) array, of the size of the
+    conjugates."""
+    conjugates = rep.orbit(A, slice(len(rep.params.boosts())))
     return np.take_along_axis(conjugates, rep.translation_index.shift.T[None],
                               axis=2)
 
@@ -567,5 +566,5 @@ def strict_vacuum_orthogonality_check(
         return StrictOrthogonalityReport(0.0, 0)
     eigenvalues, vectors = np.linalg.eigh(averaged)
     V = vectors[:, eigenvalues > 0.5]
-    origin = frame.spacetime_marginal_effect(LatticePoint(0, 0))
+    origin = frame.spacetime_marginal_effects([LatticePoint(0, 0)])[0]
     return StrictOrthogonalityReport(op_norm(origin @ V), rank)

@@ -49,8 +49,7 @@ def states_supported_in(frame: FrameObservable, region) -> np.ndarray:
     outside = [x for x in frame.params.lattice_points() if x not in region]
     if not outside:
         return np.eye(frame.dim, dtype=complex)
-    stacked = np.concatenate(
-        [frame.spacetime_marginal_effect(x) for x in outside], axis=0)
+    stacked = frame.spacetime_marginal_effects(outside).reshape(-1, frame.dim)
     _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
     scale = max(float(svals[0]) if svals.size else 0.0, 1.0)
     rank = int(np.sum(svals > SVD_CUTOFF * scale))
@@ -166,8 +165,7 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
             a_u = net.algebra(su).algebra
             a_moved = net.algebra(moved).algebra
             conjugated = AlgebraSubspace.from_spanning(
-                net.system.dim,
-                [net.system.rep.conjugate(g, A) for A in a_u.basis_ops()])
+                net.system.dim, net.system.rep.conjugate(g, a_u.basis_ops()))
             worst = np.maximum(worst, conjugated.equality_defect(a_moved))
             count += 1
     axioms["covariance"] = _judged("covariance", count, worst, tol_eq)

@@ -8,8 +8,11 @@ needs (representation tables, subspace bases).
 
 Every representation is monomial, a permutation times a diagonal of
 phases, and ``UnitaryRep`` holds it in that one format: an index table and
-a phase table over the group.  Conjugations, orbits and orbit sums are
-gathers on the tables; a dense U(g) is built only for test oracles.
+a phase table over the group.  ``UnitaryRep.orbit(A, rows)``, the
+conjugates of A by the elements at the rows, is the one gather on the
+tables: a conjugation is its one-row read, and an orbit sum contracts its
+operator blocks with the weights.  A dense U(g) is built only for test
+oracles.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ MAX_DIM = 4096  # guard for runaway tensor products
 #: the regular representation at N = 9 fits (1.7 GiB), N = 11 does not.
 MAX_FRAME_BYTES = 2 * 1024**3
 #: Bytes of one block of work memory (at least one row or operator per
-#: block): the gather index of ``UnitaryRep._conjugates``, the operator
-#: blocks of a stacked ``UnitaryRep.orbit_sum``, the row batches of
-#: ``UnitaryRep.invariance_defect`` and ``FrameObservable.tensor_sum``,
-#: and the row blocks of the joint-state projection in ``causality``.
+#: block): the gather index of ``UnitaryRep.orbit``, the operator blocks
+#: of a stacked ``UnitaryRep.orbit_sum``, the row and column batches of
+#: ``FrameObservable.tensor_sum`` and ``diagonal_invariance_defect``, and
+#: the row blocks of the joint-state projection in ``causality``.
 WORK_BLOCK_BYTES = 2**19
 #: Operator pairs whose commutators ``max_commutator`` forms at once;
 #: bounds its working memory at a few (chunk, d, d) stacks.
@@ -348,9 +351,11 @@ class UnitaryRep:
     its phase, so U(g) e_j = phases[i, j] e_table[i, j].  ``phases`` is
     None for a permutation representation (every phase 1).
 
-    ``conjugate``, ``orbit`` and ``orbit_sum`` are index gathers times
-    phases and build no unitary; ``rep(g)`` scatters the tables into one
-    dense U(g), for test oracles only.  ``regular_index`` holds the index
+    ``orbit(A, rows)`` gathers the conjugates of A by the elements at the
+    rows, an index gather times phases that builds no unitary;
+    ``conjugate`` reads its one row and ``orbit_sum`` contracts it with
+    weights.  ``rep(g)`` scatters the tables into one dense U(g), for test
+    oracles only.  ``regular_index`` holds the index
     tables of a regular representation, on which the frames read their
     orbits as convolutions, and ``translation_index`` those of a
     representation on whose basis the translations act freely and
@@ -385,12 +390,6 @@ class UnitaryRep:
             return inverse, None
         return inverse, np.take_along_axis(self.phases[rows], inverse, axis=1)
 
-    @cached_property
-    def _inverse_tables(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """``inverse_rows`` of every row, built on first read and kept for the
-        orbits and orbit sums: |G| dim entries each."""
-        return self.inverse_rows(slice(None))
-
     def _conjugates(self, inverse: np.ndarray, phases: np.ndarray | None,
                     A: np.ndarray, what: str) -> np.ndarray:
         """U(g) A U(g)^dag for the group elements whose inverse table rows
@@ -419,31 +418,32 @@ class UnitaryRep:
             stack *= phases.conj()[:, None, :]
         return stack.reshape(A.shape[:-2] + (n, d, d))
 
-    def _cached_conjugates(self, rows, A: np.ndarray, what: str) -> np.ndarray:
-        """``_conjugates`` by the elements at ``rows``, read through the
-        kept inverse tables."""
-        inverse, phases = self._inverse_tables
-        return self._conjugates(inverse[rows],
-                                None if phases is None else phases[rows],
-                                A, what)
+    def _require_conjugates_fit(self, n: int, A: np.ndarray) -> str:
+        """Refuse n conjugates of A, one operator or each of an (m, dim,
+        dim) stack, above MAX_FRAME_BYTES; returns the stack's name."""
+        what = f"a stack of {n} conjugates"
+        if A.ndim == 3:
+            what += f" of {len(A)} operators"
+        require_stack_fits(n * (len(A) if A.ndim == 3 else 1), self.dim, what)
+        return what
+
+    def orbit(self, A: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """U(g) A U(g)^dag for the elements g at ``rows`` (a slice or a
+        sequence of positions in group_elements() order; every element by
+        default), from one gather: a (k, dim, dim) array, or (m, k, dim,
+        dim) for an (m, dim, dim) stack A, equal to the rows of the whole
+        orbit to the bit.  Refused before any allocation, the gather index
+        included, when it would exceed MAX_FRAME_BYTES."""
+        A = np.asarray(A, dtype=complex)
+        n = (len(range(len(self.table))[rows]) if isinstance(rows, slice)
+             else len(rows))
+        what = self._require_conjugates_fit(n, A)
+        return self._conjugates(*self.inverse_rows(rows), A, what)
 
     def conjugate(self, g: GroupElement, A: np.ndarray) -> np.ndarray:
-        """U(g) A U(g)^dag, as one gather, of one operator or of each
-        operator of an (m, dim, dim) stack.  Only the one table row is
-        inverted, so a conjugation on a large representation keeps no
-        |G| x dim table."""
-        return self._conjugates(*self.inverse_rows([self.params.frame_index(g)]),
-                                A, "a conjugate")[..., 0, :, :]
-
-    def orbit(self, A: np.ndarray) -> np.ndarray:
-        """Every U(g) A U(g)^dag as one (|G|, dim, dim) array in
-        group_elements() order, from one gather; refused before any
-        allocation, the gather index included, when it would exceed
-        MAX_FRAME_BYTES."""
-        n = len(self.table)
-        what = f"a stack of {n} conjugates"
-        require_stack_fits(n, self.dim, what)
-        return self._cached_conjugates(slice(None), A, what)
+        """U(g) A U(g)^dag, of one operator or of each operator of an (m,
+        dim, dim) stack: the one-row ``orbit``."""
+        return self.orbit(A, [self.params.frame_index(g)])[..., 0, :, :]
 
     def orbit_sum(self, weights, A: np.ndarray) -> np.ndarray:
         """sum_g weights[g] U(g) A U(g)^dag, weights in group_elements()
@@ -454,58 +454,29 @@ class UnitaryRep:
         weights[:, k], as one (m, dim, dim) array: the gather then takes
         the elements with any nonzero weight.  An (n, dim, dim) stack A
         gives n results, result[i] being orbit_sum(weights, A[i]) to the
-        bit: the operators are gathered and contracted in blocks of about
-        WORK_BLOCK_BYTES of conjugates (at least one operator), each
-        operator's conjugates with the weights on their own.  The
-        conjugates of the whole stack are refused before any allocation
-        when they would exceed MAX_FRAME_BYTES, as if built at once."""
+        bit: the table rows are inverted once, and the operators are
+        gathered and contracted in blocks of about WORK_BLOCK_BYTES of
+        conjugates (at least one operator), each operator's conjugates
+        with the weights on their own.  The conjugates of the whole stack
+        are refused before any allocation when they would exceed
+        MAX_FRAME_BYTES, as if built at once."""
         weights = np.asarray(weights)
         rows = np.flatnonzero(weights if weights.ndim == 1 else weights.any(axis=1))
         if len(rows) < len(weights):  # no copy when every element is taken
             weights = weights[rows]
         A = np.asarray(A, dtype=complex)
         d = self.dim
-        what = f"a stack of {len(rows)} conjugates"
-        if A.ndim == 3:
-            what += f" of {len(A)} operators"
+        what = self._require_conjugates_fit(len(rows), A)
+        inverse, phases = self.inverse_rows(rows)
         stack = A.reshape(-1, d, d)
-        require_stack_fits(len(stack) * len(rows), d, what)
         sums = np.empty((len(stack),) + weights.shape[1:] + (d * d,), dtype=complex)
         step = max(1, WORK_BLOCK_BYTES // (16 * d * d * max(1, len(rows))))
         for start in range(0, len(stack), step):
-            block = self._cached_conjugates(rows, stack[start:start + step], what)
+            block = self._conjugates(inverse, phases,
+                                     stack[start:start + step], what)
             sums[start:start + step] = weights.T @ block.reshape(
                 block.shape[:-2] + (d * d,))
         return sums.reshape(A.shape[:-2] + weights.shape[1:] + (d, d))
-
-    def invariance_defect(self, g: GroupElement, A: np.ndarray,
-                          right: UnitaryRep | None = None) -> float:
-        """max |V A V^dag - A| over the entries for V = U(g), or for
-        V = U(g) (x) right(g), whose row of ``tensor_product_rep(self,
-        right)`` is formed from the factors' rows alone.  No conjugate of A
-        is built: WORK_BLOCK_BYTES of rows at a time (at least one), each
-        row gathered by the inverse table row and phased (by ones on a
-        permutation representation, which change no modulus), so the value
-        is that of ``eq_defect(conjugate(g, A), A)`` to the bit."""
-        i = self.params.frame_index(g)
-        row, phases = self.table[i], _phase_table(self, i)
-        if right is not None:
-            lattice.require_same_params(self.params, right.params)
-            row = (row[:, None] * right.dim + right.table[i]).reshape(-1)
-            phases = np.outer(phases, _phase_table(right, i)).reshape(-1)
-        inv = np.argsort(row)
-        phases = phases[inv]
-        A = np.asarray(A, dtype=complex)
-        worst = 0.0
-        step = max(1, WORK_BLOCK_BYTES // (16 * len(inv)))
-        for start in range(0, len(inv), step):
-            rows = slice(start, start + step)
-            moved = A[np.ix_(inv[rows], inv)]
-            moved *= phases[rows, None]
-            moved *= phases.conj()
-            moved -= A[rows]
-            worst = np.maximum(worst, np.max(np.abs(moved)))
-        return float(worst)
 
     @cached_property
     def regular_index(self) -> RegularIndex | None:
@@ -578,11 +549,11 @@ class TranslationIndex:
     difference: np.ndarray
 
 
-def _phase_table(rep: UnitaryRep, rows=slice(None)) -> np.ndarray:
-    """``rep.phases`` at the rows, ones for a permutation representation."""
+def _phase_table(rep: UnitaryRep) -> np.ndarray:
+    """``rep.phases``, ones for a permutation representation."""
     if rep.phases is None:
-        return np.ones(rep.table[rows].shape, dtype=complex)
-    return rep.phases[rows]
+        return np.ones(rep.table.shape, dtype=complex)
+    return rep.phases
 
 
 def require_stack_fits(n: int, dim: int, what: str) -> None:

@@ -71,9 +71,9 @@ class VacuumModel:
     def __post_init__(self):
         if not ops.is_state(np.asarray(self.state, dtype=complex)):
             raise ops.HermiticityError("vacuum is not a density matrix")
-        for g in self.params.generators():
-            if self.rep.invariance_defect(g, self.state) > TOL_EQ:
-                raise InvarianceError("vacuum state is not group-invariant")
+        rows = [self.params.frame_index(g) for g in self.params.generators()]
+        if ops.eq_defect(self.rep.orbit(self.state, rows), self.state) > TOL_EQ:
+            raise InvarianceError("vacuum state is not group-invariant")
 
     @property
     def params(self) -> ModelParams:

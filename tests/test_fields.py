@@ -357,3 +357,34 @@ def test_site_table_matches_the_definition(rng, kind, N):
                 fields.relational_local_field(rf, of, x), row) == 0.0
             if not dis.support[params.site_index(x)]:
                 assert not row.any()
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_site_table_gathers_only_the_supported_frame_points(rng, N, monkeypatch):
+    # a one-site preparation gathers the |C| oriented fields of its site,
+    # not all |G|, and every table is the contraction of the whole oriented
+    # stack to the bit
+    params = ModelParams(N, 2)
+    system = table_system("character", params, rng)
+    fr = frames.fiber_uniform_spacetime_frame(params)
+    rf = fields.RelationalField(system, fr)
+    cases = [(site_mixture(params, {(1, 2): 1.0}), len(params.boosts())),
+             (np.eye(N * N, dtype=complex) / N ** 2, len(params.frame_points()))]
+    orbit = ops.UnitaryRep.orbit
+    gathered = []
+
+    def counting(rep, A, *rows):
+        stack = orbit(rep, A, *rows)
+        if rep is system.rep:
+            gathered.append(len(stack))
+        return stack
+
+    monkeypatch.setattr(ops.UnitaryRep, "orbit", counting)
+    by_site = fields.oriented_fields(system).reshape(N * N, -1, system.dim ** 2)
+    for omega, n_rows in cases:
+        of = frames.OrientedFrame(fr, omega)
+        gathered.clear()
+        table = fields.relational_local_fields(rf, of)
+        assert gathered == [n_rows]
+        whole = of.disintegration.conditional[:, None, :] @ by_site
+        assert np.array_equal(table, whole.reshape(table.shape))

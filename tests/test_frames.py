@@ -361,8 +361,9 @@ def test_spacetime_marginal_effect_is_the_fiber_sum(N, rng):
     params = ModelParams(N, 2)
     for name, fr in _marginal_cases(params, rng):
         fibers = fr.effects.reshape(N * N, -1, fr.dim, fr.dim)
+        marginals = fr.spacetime_marginal_effects(params.lattice_points())
         for i, x in enumerate(params.lattice_points()):
-            assert ops.eq_defect(fr.spacetime_marginal_effect(x),
+            assert ops.eq_defect(marginals[i],
                                  fibers[i].sum(axis=0)) <= 1e-15, (name, x)
 
 
@@ -435,8 +436,9 @@ def test_diagonal_invariance_is_read_from_the_kernel_product(name, N, rng):
     assert fr.convolution_kernel is not None
     rf = fields.RelationalField(system, fr)
     lifted = fields.relativize(rf)
+    diagonal = ops.tensor_product_rep(system.rep, fr.rep)
     for g in params.generators():
-        expected = system.rep.invariance_defect(g, lifted, right=fr.rep)
+        expected = ops.eq_defect(diagonal.conjugate(g, lifted), lifted)
         assert abs(fields.relativization_invariance_defect(rf, [g])
                    - expected) <= 1e-15
 
@@ -559,8 +561,8 @@ def test_strict_orthogonality_thin_norm_equals_the_projector_norm():
     vals, vecs = np.linalg.eigh(fixed)
     V = vecs[:, vals > 0.5]
     projector_norm = max(
-        ops.op_norm(fr.spacetime_marginal_effect(x) @ V @ ops.dagger(V))
-        for x in P3.lattice_points())
+        ops.op_norm(F @ V @ ops.dagger(V))
+        for F in fr.spacetime_marginal_effects(P3.lattice_points()))
     assert report.fixed_space_dim == V.shape[1] >= 1
     assert abs(report.residual - projector_norm) < 1e-14
 
@@ -583,7 +585,7 @@ def test_a_fixed_free_frame_takes_no_eigendecomposition(monkeypatch):
         raise AssertionError("not needed on a fixed-free representation")
 
     monkeypatch.setattr(np.linalg, "eigh", refused)
-    monkeypatch.setattr(frames.FrameObservable, "spacetime_marginal_effect",
+    monkeypatch.setattr(frames.FrameObservable, "spacetime_marginal_effects",
                         refused)
     report = frames.strict_vacuum_orthogonality_check(
         frames.uniform_frame(fixed_free_representation(P3)))
@@ -595,8 +597,8 @@ def all_site_residual(frame):
     every site x, with V an orthonormal basis of the fixed space."""
     vals, vecs = np.linalg.eigh(ops.translation_fixed_point_projector(frame.rep))
     V = vecs[:, vals > 0.5]
-    return max(ops.op_norm(frame.spacetime_marginal_effect(x) @ V)
-               for x in frame.params.lattice_points())
+    return max(ops.op_norm(F @ V) for F in
+               frame.spacetime_marginal_effects(frame.params.lattice_points()))
 
 
 @pytest.mark.parametrize("N", [3, 5])

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,7 +193,7 @@ def test_permutation_representations_are_homomorphisms_on_all_pairs():
                                       rep.table[i1][rep.table[i2]])
 
 
-def test_conjugate_matches_dense_products(rng):
+def test_conjugate_matches_dense_products(rng, monkeypatch):
     character = ops.character_representation(
         P3, [LatticePoint(1, 0), LatticePoint(2, 0)])
     reps = [ops.regular_representation(P3), ops.spacetime_representation(P3),
@@ -202,6 +201,8 @@ def test_conjugate_matches_dense_products(rng):
             ops.direct_sum_rep([ops.trivial_representation(P3), character]),
             ops.tensor_product_rep(character, ops.lorentz_representation(P3)),
             sector_representation(P3)]
+    row_kinds = [slice(3, 11), slice(None, None, 5), [7, 0, 7, 17],
+                 np.array([16, 2]), []]
     for rep in reps:
         A = ops.random_operator(rng, rep.dim)
         orbit = rep.orbit(A)
@@ -209,6 +210,27 @@ def test_conjugate_matches_dense_products(rng):
             U = rep(g)
             assert ops.eq_defect(rep.conjugate(g, A), U @ A @ ops.dagger(U)) < 1e-15
             assert np.array_equal(conjugated, rep.conjugate(g, A))
+        # the rows of a gather are the rows of the whole orbit to the bit,
+        # of one operator and of each operator of a stack
+        stack = np.array([ops.random_operator(rng, rep.dim) for _ in range(3)])
+        orbits = rep.orbit(stack)
+        assert orbits.shape == (3, len(rep.table), rep.dim, rep.dim)
+        for rows in row_kinds:
+            assert np.array_equal(rep.orbit(A, rows), orbit[rows])
+            assert np.array_equal(rep.orbit(stack, rows), orbits[:, rows])
+    # a gather is refused by the count of its rows: 4 conjugates of 9 x 9
+    # take 5184 bytes, 5 take 6480
+    monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 6000)
+    rep = ops.spacetime_representation(P3)
+    assert rep.orbit(np.eye(9), slice(4)).shape == (4, 9, 9)
+    for rows in (slice(2, 7), [0, 1, 2, 3, 4], np.arange(13, 18)):
+        with pytest.raises(ops.SizeError, match="stack of 5 conjugates of 9x9"):
+            rep.orbit(np.eye(9), rows)
+    with pytest.raises(ops.SizeError,
+                       match="stack of 2 conjugates of 3 operators of 9x9"):
+        rep.orbit(np.zeros((3, 9, 9)), [0, 1])
+    with pytest.raises(ops.SizeError, match="stack of 18 conjugates"):
+        rep.orbit(np.eye(9))
 
 
 def test_orbit_sum_matches_dense_conjugations_and_is_capped(rng, monkeypatch):
@@ -566,65 +588,6 @@ def test_stacked_conjugate_matches_one_operator_at_a_time(rng, rep):
         assert conjugated.shape == stack.shape
         for A, moved in zip(stack, conjugated):
             assert np.array_equal(moved, rep.conjugate(g, A))
-
-
-@pytest.mark.parametrize("rep", [
-    ops.regular_representation(P3), sector_representation(P3),
-    ops.tensor_product_rep(
-        ops.character_representation(P3, [LatticePoint(1, 0), LatticePoint(2, 0)]),
-        ops.regular_representation(P3))],
-    ids=["permutation", "phased", "tensor-product"])
-def test_invariance_defect_is_the_conjugate_defect_to_the_bit(rng, rep,
-                                                              monkeypatch):
-    # rows of 5 entries a batch: the last batch is partial
-    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 5 * 16 * rep.dim)
-    A = ops.random_operator(rng, rep.dim)
-    invariant = rep.orbit_sum(np.ones(len(rep.table)), A)
-    for g in [*P3.generators(), *P3.group_elements()[::5]]:
-        assert rep.invariance_defect(g, A) == ops.eq_defect(rep.conjugate(g, A), A)
-        assert rep.invariance_defect(g, invariant) == ops.eq_defect(
-            rep.conjugate(g, invariant), invariant)
-        assert rep.invariance_defect(g, invariant) < 1e-12
-
-
-@pytest.mark.parametrize("factors", [
-    ("regular", "lorentz"), ("character", "regular"),
-    ("lorentz", "character"), ("character", "sector")])
-def test_invariance_under_a_product_is_the_product_defect_to_the_bit(
-        rng, factors, monkeypatch):
-    # the row of the product read from its two factors, with and without
-    # phases on either side, against the product representation's own row
-    monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 5 * 16 * 64)
-    build = {"regular": ops.regular_representation,
-             "lorentz": ops.lorentz_representation,
-             "character": lambda p: ops.character_representation(
-                 p, [LatticePoint(1, 0), LatticePoint(2, 0)]),
-             "sector": sector_representation}
-    rep1, rep2 = (build[kind](P3) for kind in factors)
-    product = ops.tensor_product_rep(rep1, rep2)
-    A = ops.random_operator(rng, product.dim)
-    invariant = product.orbit_sum(np.ones(len(product.table)), A)
-    for g in [*P3.generators(), *P3.group_elements()[::5]]:
-        for X in (A, invariant):
-            assert rep1.invariance_defect(g, X, right=rep2) == (
-                product.invariance_defect(g, X))
-
-
-def test_invariance_defect_builds_no_conjugate(rng):
-    # the diagonal representation of channel-laws at N = 5: Y is 400 x 400
-    # (2.56 MB), and the measurement holds about one row batch beside it
-    rep = ops.tensor_product_rep(
-        ops.character_representation(P5, [LatticePoint(k, 0) for k in range(1, 5)]),
-        ops.regular_representation(P5))
-    Y = ops.random_operator(rng, rep.dim)
-    tracemalloc.start()
-    try:
-        for g in P5.generators():
-            rep.invariance_defect(g, Y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * ops.WORK_BLOCK_BYTES < Y.nbytes, peak
 
 
 def test_stacked_orbit_sum_is_capped_naming_the_stack(monkeypatch):

@@ -294,20 +294,23 @@ def test_n7_run_builds_no_dense_unitary(monkeypatch):
 
 
 def test_n7_workload_builds_no_regular_effect_array(monkeypatch):
-    # frames are read from their dressed seeds; UnitaryRep.orbit is the only
-    # code that builds a whole orbit, and no stack over a representation as
-    # large as l2(M) is built: not on the regular representation (147), nor
-    # on the fixed-free sector of vacuum-orthogonality (144), nor on the
-    # spacetime representation (49), whose frames read their fiber seeds
+    # frames are read from their dressed seeds; UnitaryRep.orbit is the one
+    # gather of conjugates, and on a representation as large as l2(M) it
+    # gathers at most the |C| rows of a fiber: no whole orbit on the regular
+    # representation (147), on the fixed-free sector of vacuum-orthogonality
+    # (144), or on the spacetime representation (49), whose frames read
+    # their fiber seeds
     orbit = ops.UnitaryRep.orbit
     built = set()
 
-    def guarded(rep, A):
-        if rep.dim >= rep.params.N ** 2:
-            raise AssertionError(f"orbit stack built on a representation"
+    def guarded(rep, A, rows=slice(None)):
+        n = len(np.arange(len(rep.table))[rows])
+        if rep.dim >= rep.params.N ** 2 and n > len(rep.params.boosts()):
+            raise AssertionError(f"{n} conjugates gathered on a representation"
                                  f" of dim {rep.dim}")
-        built.add(rep.dim)
-        return orbit(rep, A)
+        if n == len(rep.table):
+            built.add(rep.dim)
+        return orbit(rep, A, rows)
 
     monkeypatch.setattr(ops.UnitaryRep, "orbit", guarded)
     # the checks of the benchmark's n7 workload

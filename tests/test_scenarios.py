@@ -195,18 +195,6 @@ def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
     assert len(localized) == len(set(localized)) == 41
 
 
-def test_channel_laws_build_no_product_representation(monkeypatch):
-    # the diagonal invariance reads the product row from its two factors
-    def refused(*args):
-        raise AssertionError("product table built")
-
-    monkeypatch.setattr(ops, "tensor_product_rep", refused)
-    name = "channel-laws"
-    outcome = scenarios.CHECKS[name].fn(
-        DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
-    assert outcome.verdict == "verified"
-
-
 def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
     # an asymmetric kernel tells the e^{+2 pi i q.xi / N} pairing of ifftn
     # from its conjugate; the bundled one has a negation-closed support
