@@ -118,8 +118,8 @@ def _require_product_fits(rf: RelationalField) -> None:
 def relativize(rf: RelationalField) -> np.ndarray:
     """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action;
     refused before allocation above ops.MAX_DIM, like ``tensor``.  The
-    frame sums the stacked oriented fields against its effects
-    (``FrameObservable.tensor_sum``)."""
+    frame contracts the stacked oriented fields with its effect array
+    (``FrameObservable.tensor_sum``), which it builds on any layout."""
     _require_product_fits(rf)
     return rf.frame.tensor_sum(oriented_fields(rf.system))
 

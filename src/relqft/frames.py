@@ -15,27 +15,27 @@ read and kept; a Born measure is one length-|F| weight array.  Both are in
 reshaping to (N^2, |C|, ...) and summing the fiber axis gives the
 spacetime marginal.  A spacetime marginal effect is read from the seed.
 
-A frame is read in one of three layouts, by its representation's tables:
+A frame is read in one of two layouts, by its representation's tables:
 
-* regular: the group acts freely and transitively on the basis
-  (``UnitaryRep.regular_index``), so a frame is a convolution kernel on
-  the group (``FrameObservable.convolution_kernel``);
-* translation: the translations act freely and transitively on the basis
-  (``UnitaryRep.translation_index``, the spacetime representation), so the
-  effect of (a, b) is the translation by a of the boosted seed D_b, and a
-  frame is read from its |C| boost conjugates (``_fiber_kernel``);
+* free: a subgroup H acts freely and transitively on the basis
+  (``UnitaryRep.free_index``), the whole group on a regular
+  representation and the translations on the spacetime one.  The
+  element at row h c + j is h after the j-th of the c elements that fix
+  e_0, so its effect is the H-translate by h of the seed's j-th
+  stabilizer conjugate, and a frame is one convolution kernel over H, a
+  (c, d, d) array (``FrameObservable.convolution_kernel``);
 * effects: any other representation reads the effect array.
 
-The orbit sum and the Born weights take all three; the tensor sum
-sum_f A_f (x) E(f) (``FrameObservable.tensor_sum``, which
-``fields.relativize`` calls) and its diagonal invariance
-(``FrameObservable.diagonal_invariance_defect``) read the regular kernel
-or the effect array, in frame-row or kernel-column batches whose
+The orbit sum and the Born weights take both.  The diagonal invariance
+of the tensor sum (``FrameObservable.diagonal_invariance_defect``) reads
+the kernel when H is the whole group, in kernel-column batches whose
 intermediates stay within ``operators.WORK_BLOCK_BYTES``.  These are the
 only code that chooses a layout.  The readers that need every effect
-build the effect array on any layout: ``fields.unit_observables``,
-``covariance_defect``, ``channel_compose`` and the joint-state
-constraints and Einstein-causal pairs of ``causality``.
+build the effect array on any layout: the tensor sum sum_f A_f (x) E(f)
+(``FrameObservable.tensor_sum``, which ``fields.relativize`` calls),
+``fields.unit_observables``, ``covariance_defect``, ``channel_compose``
+and the joint-state constraints and Einstein-causal pairs of
+``causality``.
 
 Also here: preparations (``OrientedFrame``), which keep their Born measure
 and disintegration, whose support mask is the one spacetime-support rule;
@@ -114,61 +114,25 @@ class FrameObservable:
 
     @cached_property
     def convolution_kernel(self) -> np.ndarray | None:
-        """B[k, r] = D[k, k.r] on a regular representation
-        (``UnitaryRep.regular_index`` names k.r), and None on any other.
-        The effects are relabellings of B: the effect at g has entry
-        B[k, r] at (g.k, g.k.r)."""
-        index = self.rep.regular_index
-        if index is None:
+        """The seed kernel B of D (``_seed_kernel``) on a free layout
+        (``UnitaryRep.free_index``), and None on any other.  The effects
+        are relabellings of B: the effect at h after the stabilizer
+        element j has entry B[j, x, r] at (h.x, h.x.r)."""
+        if self.rep.free_index is None:
             return None
-        return np.take_along_axis(self.seed, index.product, axis=1)
+        return _seed_kernel(self.rep, self.seed)
 
     @property
     def dim(self) -> int:
         return self.rep.dim
 
-    def _kernel_product(self, flat: np.ndarray, rows: slice,
-                        columns: slice = slice(None)) -> np.ndarray:
-        """Z[k, (a, b), r] = sum_h flat[k h^-1, (a, b)] B[h, r] at the
-        frame rows k and the kernel columns r, for B the convolution
-        kernel and an (|F|, m m) flattened stack: a batched GEMM, one per
-        row, of the stack gathered by right quotient with B."""
-        gathered = flat[self.rep.regular_index.right_quotient[rows]]
-        return gathered.transpose(0, 2, 1) @ self.convolution_kernel[:, columns]
-
-    @staticmethod
-    def _row_step(flat: np.ndarray) -> int:
-        """Rows k of one ``_kernel_product`` batch: as many as keep its
-        gathered (rows, d, m m) stack within ops.WORK_BLOCK_BYTES, at
-        least one."""
-        return max(1, ops.WORK_BLOCK_BYTES // (16 * flat.size))
-
     def tensor_sum(self, stack: np.ndarray) -> np.ndarray:
         """sum_f stack[f] (x) E(f) for an (|F|, m, m) stack in
-        frame_points() order, as one (m d, m d) array.
-
-        On a regular representation, with B the convolution kernel, the
-        frame block (k, l) of the sum is Z[k, :, k^-1 l] for the product
-        Z[k, :, r] = sum_h stack[k h^-1] B[h, r] (``_kernel_product``): a
-        gather by left quotient of each batch of rows, so the
-        intermediates do not grow with the result.  Any other
-        representation takes one contraction of the stack with the effect
-        array."""
+        frame_points() order, as one (m d, m d) array: one contraction of
+        the stack with the effect array."""
         n, m, d = len(stack), stack.shape[1], self.dim
-        flat = stack.reshape(n, -1)
-        if self.convolution_kernel is None:
-            total = flat.T @ self.effects.reshape(n, -1)
-            blocks = total.reshape(m, m, d, d).transpose(0, 2, 1, 3)
-        else:
-            left_quotient = self.rep.regular_index.left_quotient
-            blocks = np.empty((m, d, m, d), dtype=complex)
-            step = self._row_step(flat)
-            for start in range(0, d, step):
-                k = slice(start, start + step)
-                Y = np.take_along_axis(self._kernel_product(flat, k),
-                                       left_quotient[k, None, :], axis=2)
-                blocks[:, k] = Y.reshape(-1, m, m, d).transpose(1, 0, 2, 3)
-        return blocks.reshape(m * d, m * d)
+        total = stack.reshape(n, -1).T @ self.effects.reshape(n, -1)
+        return total.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
     def diagonal_invariance_defect(self, stack: np.ndarray, rep: UnitaryRep,
                                    elements) -> float:
@@ -177,22 +141,30 @@ class FrameObservable:
         stack's space: the largest entry of the conjugates of Y under
         ``ops.tensor_product_rep(rep, self.rep)`` less Y.
 
-        On a regular representation no Y is formed.  Y[(a, k), (b, l)] is
-        Z[k, (a, b), k^-1 l] for the product Z of the tensor sum, and
-        U_R(g) sends k to g.k and keeps r = k^-1 l, so with inv and c the
-        inverse row and phases of rep(g) (``UnitaryRep.inverse_rows``) the
-        defect is the max of
+        When the whole group acts freely (a stabilizer of one element, as
+        on a regular representation) no Y is formed.  With B the
+        convolution kernel's one (d, d) block, Y[(a, k), (b, l)] is
+        Z[k, (a, b), k^-1 l] for Z[k, :, r] = sum_h stack[k h^-1] B[h, r],
+        a batched GEMM of the stack gathered by right quotient (the row of
+        the element that takes h to k) with B.  U_R(g) sends k to g.k and
+        keeps r = k^-1 l, so with inv and c the inverse row and phases of
+        rep(g) (``UnitaryRep.inverse_rows``) the defect is the max of
         |c[a] Z[k, (inv[a], inv[b]), r] conj(c[b]) - Z[g.k, (a, b), r]|.
         It is taken over batches of columns r, each holding Z at every row
         and serving every g: as many columns as keep one batch within
         ops.WORK_BLOCK_BYTES, but at least a 1/MAX_COLUMN_BATCHES share,
-        since each batch gathers the whole stack again.  Any other
-        representation forms Y and gathers its conjugates."""
-        if self.convolution_kernel is None:
+        since each batch gathers the whole stack again.  Z is filled as
+        many rows k at a time as keep their gathered (rows, d, m m) stack
+        within ops.WORK_BLOCK_BYTES (at least one).  Any other layout forms
+        Y and gathers its conjugates."""
+        B = self.convolution_kernel
+        if B is None or len(B) > 1:
             Y = self.tensor_sum(stack)
             rows = [self.params.frame_index(g) for g in elements]
             diagonal = ops.tensor_product_rep(rep, self.rep)
             return eq_defect(diagonal.orbit(Y, rows), Y)
+        B = B[0]
+        right_quotient = np.argsort(self.rep.table, axis=0)
         n, m, d = len(stack), stack.shape[1], self.dim
         flat = stack.reshape(n, -1)
         moves = []
@@ -201,16 +173,15 @@ class FrameObservable:
             inverse, phases = rep.inverse_rows([i])
             moves.append((self.rep.table[i], inverse[0],
                           None if phases is None else phases[0]))
-        columns = max(ops.WORK_BLOCK_BYTES // (16 * flat.size),
-                      -(-d // MAX_COLUMN_BATCHES))
-        step = self._row_step(flat)
+        fit = ops.WORK_BLOCK_BYTES // (16 * flat.size)
+        columns, step = max(fit, -(-d // MAX_COLUMN_BATCHES)), max(1, fit)
         worst = 0.0
         for first in range(0, d, columns):
             r = slice(first, first + columns)
             Z = np.empty((d, m * m, min(columns, d - first)), dtype=complex)
             for start in range(0, d, step):
                 k = slice(start, start + step)
-                Z[k] = self._kernel_product(flat, k, r)
+                Z[k] = flat[right_quotient[k]].transpose(0, 2, 1) @ B[:, r]
             Z = Z.reshape(d, m, m, -1).transpose(0, 3, 1, 2)  # (k, r, a, b)
             worst = max([worst, *(_moved_defect(Z, *move) for move in moves)])
         return worst
@@ -299,36 +270,32 @@ def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
     return (V * eigs**-0.5) @ dagger(V)
 
 
-def _fiber_kernel(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
-    """B[b, x, a] = A_b[x, a + x] on the translation layout
-    (``UnitaryRep.translation_index`` names a + x), for the |C| boost
-    conjugates A_b = U(0, b) A U(0, b)^dag in boosts() order, the first
-    |C| rows of A's orbit: one (|C|, d, N^2) array, of the size of the
-    conjugates."""
-    conjugates = rep.orbit(A, slice(len(rep.params.boosts())))
-    return np.take_along_axis(conjugates, rep.translation_index.shift.T[None],
-                              axis=2)
+def _seed_kernel(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
+    """B[j, x, r] = A_j[x, x.r] on a free layout (``UnitaryRep.free_index``
+    names x.r), for the conjugates A_j of A by the c elements that fix
+    e_0, the first c rows of A's orbit: one (c, d, d) array, of the size
+    of the conjugates.  When c = 1 the one conjugate is A itself, read as
+    is."""
+    index = rep.free_index
+    c = index.stabilizer
+    conjugates = A[None] if c == 1 else rep.orbit(A, slice(c))
+    return np.take_along_axis(conjugates, index.product[None], axis=2)
 
 
 def _orbit_sum(rep: UnitaryRep, seed: np.ndarray) -> np.ndarray:
     """K = sum_g U(g) seed U(g)^dag.
 
-    K commutes with the representation.  On a regular one that makes it a
-    convolution, K[k, l] = v[k^-1 l] with v[r] = sum_k seed[k, k.r]: one
-    gather of d^2 entries.  On the translation layout the element (a, b)
-    is the translation by a after the boost b, so K[x, y] =
-    sum_a F0[x - a, y - a] = v[y - x] with F0 the sum of the seed's |C|
-    boost conjugates and v[a] = sum_k F0[k, a + k], the sum of the seed's
-    fiber kernel (``_fiber_kernel``) over its first two axes.  Elsewhere K
-    is the sum of the seed's orbit."""
-    index = rep.regular_index
-    if index is not None:
-        v = np.take_along_axis(seed, index.product, axis=1).sum(axis=0)
-        return v[index.left_quotient]
-    shifts = rep.translation_index
-    if shifts is not None:
-        return _fiber_kernel(rep, seed).sum(axis=(0, 1))[shifts.difference]
-    return rep.orbit(seed).sum(axis=0)
+    K commutes with the representation.  On a free layout the element at
+    row h c + j is h after the stabilizer element j, so K =
+    sum_h U(h) F0 U(h)^dag with F0 the sum of the seed's c stabilizer
+    conjugates: a convolution over H, K[x, y] = v[r] for the r with
+    x.r = y, where v[r] = sum_x F0[x, x.r] is the sum of the seed kernel
+    (``_seed_kernel``) over its first two axes.  Elsewhere K is the sum of
+    the seed's orbit."""
+    index = rep.free_index
+    if index is None:
+        return rep.orbit(seed).sum(axis=0)
+    return _seed_kernel(rep, seed).sum(axis=(0, 1))[index.quotient]
 
 
 def build_frame(rep: UnitaryRep, seed_effect: np.ndarray) -> FrameObservable:
@@ -395,30 +362,23 @@ class BornMeasure:
 def _born_weights(frame: FrameObservable, T: np.ndarray) -> np.ndarray:
     """Tr[T E(f)] for every frame point.
 
-    On a regular representation, with t its table and B the frame's
-    convolution kernel: A[k, r] = T[k.r, k], C = A B^T, and the weight of
-    the element at row i is sum_j C[t[i, j], j], so one d x d GEMM gives
-    every weight.  On the translation layout the effect of (a, b) is
-    T_a D_b T_a^dag, with D_b the boost conjugates of D, so
-    w(a, b) = sum_(x, y) T[y + a, x + a] D_b[x, y].  With B the frame's
-    fiber kernel (``_fiber_kernel``): A[z, a] = T[a + z, z],
-    C[z, (b, x)] = sum_a A[z, a] B[b, x, a], and w(a, b) is
-    sum_x C[a + x, (b, x)]: one d x |C| d GEMM.  The kernel is built
-    for each measure and not kept: its |C| conjugates cost less than the
-    GEMM.  On any other
-    representation it is one contraction with the frame's effect array."""
+    On a free layout, with B the frame's convolution kernel, the effect of
+    h after the stabilizer element j is U(h) D_j U(h)^dag, D_j the
+    stabilizer conjugates of D, so its weight is
+    sum_(x, r) T[h.x.r, h.x] B[j, x, r].  With A[z, r] = T[z.r, z] and
+    C[z, (j, x)] = sum_r A[z, r] B[j, x, r], the weight is
+    sum_x C[h.x, (j, x)]: one d x c d GEMM gives every weight, a d x d
+    one on a regular representation.  On any other representation it is
+    one contraction with the frame's effect array."""
     T = np.asarray(T, dtype=complex)
-    rep, B = frame.rep, frame.convolution_kernel
-    if B is not None:
-        C = np.take_along_axis(T.T, rep.regular_index.product, axis=1) @ B.T
-        return np.take_along_axis(C, rep.table, axis=0).sum(axis=1)
-    shifts = rep.translation_index
-    if shifts is None:
+    B = frame.convolution_kernel
+    if B is None:
         return frame.effects.reshape(len(frame.effects), -1) @ T.T.reshape(-1)
-    B = _fiber_kernel(rep, frame.seed)
-    A = np.take_along_axis(T.T, shifts.shift.T, axis=1)
-    C = (A @ B.reshape(-1, B.shape[2]).T).reshape(len(A), len(B), -1)
-    weights = np.take_along_axis(C.transpose(1, 0, 2), shifts.shift[None], axis=1)
+    index = frame.rep.free_index
+    c, d = B.shape[:2]
+    C = np.take_along_axis(T.T, index.product, axis=1) @ B.reshape(-1, d).T
+    C = C.reshape(d, c, d).transpose(1, 0, 2)
+    weights = np.take_along_axis(C, index.act[None], axis=1)
     return weights.sum(axis=2).T.reshape(-1)
 
 

@@ -42,8 +42,8 @@ MAX_FRAME_BYTES = 2 * 1024**3
 #: Bytes of one block of work memory (at least one row or operator per
 #: block): the gather index of ``UnitaryRep.orbit``, the operator blocks
 #: of a stacked ``UnitaryRep.orbit_sum``, the row and column batches of
-#: ``FrameObservable.tensor_sum`` and ``diagonal_invariance_defect``, and
-#: the row blocks of the joint-state projection in ``causality``.
+#: ``FrameObservable.diagonal_invariance_defect``, and the row blocks of
+#: the joint-state projection in ``causality``.
 WORK_BLOCK_BYTES = 2**19
 #: Operator pairs whose commutators ``max_commutator`` forms at once;
 #: bounds its working memory at a few (chunk, d, d) stacks.
@@ -355,14 +355,13 @@ class UnitaryRep:
     rows, an index gather times phases that builds no unitary;
     ``conjugate`` reads its one row and ``orbit_sum`` contracts it with
     weights.  ``rep(g)`` scatters the tables into one dense U(g), for test
-    oracles only.  ``regular_index`` holds the index
-    tables of a regular representation, on which the frames read their
-    orbits as convolutions, and ``translation_index`` those of a
-    representation on whose basis the translations act freely and
-    transitively (the spacetime one).  Builders below cover the
-    permutation representations (regular, spacetime, Lorentz), the trivial
-    and character representations, direct sums and tensor products, which
-    is everything the workbench uses.
+    oracles only.  ``free_index`` holds the index tables of a subgroup
+    that acts freely and transitively on the basis (the whole group on a
+    regular representation, the translations on the spacetime one), on
+    which the frames read their orbits as convolutions.  Builders below
+    cover the permutation representations (regular, spacetime, Lorentz),
+    the trivial and character representations, direct sums and tensor
+    products, which is everything the workbench uses.
     """
 
     def __init__(self, params: ModelParams, table: np.ndarray,
@@ -479,74 +478,52 @@ class UnitaryRep:
         return sums.reshape(A.shape[:-2] + weights.shape[1:] + (d, d))
 
     @cached_property
-    def regular_index(self) -> RegularIndex | None:
-        """The index tables of a regular representation, built on first
-        read and kept; None when this representation is not regular.
+    def free_index(self) -> FreeIndex | None:
+        """The index tables of a subgroup H that acts freely and
+        transitively on the basis, built on first read and kept; None
+        when there is none of the form below.
 
-        It is regular when it permutes (no phases) a basis of |G| vectors
-        and the orbit of basis vector 0 is the whole basis, so that the
-        group acts freely and transitively on the basis."""
+        With c the number of leading table rows that fix basis vector 0
+        (at least one), H is the set of elements at rows 0, c, 2c, ...:
+        the whole group when c = 1 (a regular representation), the
+        translations when c = |C| (the spacetime one), the identity when
+        c = |G|.  The layout is free when the representation permutes (no
+        phases) the basis, |H| c = |G|, and the images of basis vector 0
+        under H are the whole basis, each once.  Then the first c rows are
+        the stabilizer of basis vector 0, and the element at row h c + j
+        is h after the stabilizer element j."""
         t = self.table
-        if self.phases is not None or self.dim != len(t):
+        moved = np.flatnonzero(t[:, 0])
+        c = int(moved[0]) if len(moved) else len(t)
+        if self.phases is not None or c == 0:
             return None
-        order = np.argsort(t[:, 0])
-        if not np.array_equal(t[order, 0], np.arange(self.dim)):
+        act = t[::c]
+        if len(act) * c != len(t):
             return None
-        return RegularIndex(product=t[order],
-                            left_quotient=np.argsort(t, axis=1)[order],
-                            right_quotient=np.argsort(t, axis=0))
-
-    @cached_property
-    def translation_index(self) -> TranslationIndex | None:
-        """The index tables of the translations, built on first read and
-        kept; None unless the translations act freely and transitively on
-        the basis.
-
-        They do when the representation permutes (no phases) a basis of
-        N^2 vectors and the translations' images of basis vector 0 are the
-        whole basis: an abelian group of N^2 elements acting transitively
-        on N^2 points acts freely."""
-        shift = self.table[::len(self.params.boosts())]
-        if self.phases is not None or self.dim != len(shift):
+        order = np.argsort(act[:, 0])
+        if not np.array_equal(act[order, 0], np.arange(self.dim)):
             return None
-        if not np.array_equal(np.sort(shift[:, 0]), np.arange(self.dim)):
-            return None
-        return TranslationIndex(shift=shift,
-                                difference=np.argsort(shift, axis=0).T)
+        return FreeIndex(stabilizer=c, act=act, product=act[order],
+                         quotient=np.argsort(act, axis=1)[order])
 
 
 @dataclass(frozen=True)
-class RegularIndex:
-    """Index tables of a regular representation with table t.
+class FreeIndex:
+    """Index tables of a subgroup H acting freely and transitively on the
+    basis of a permutation representation.  Basis vector x is h_x e_0 for
+    exactly one h_x in H, so basis indices name the elements of H, and
+    x.r is the basis index of h_x h_r, that is h_x e_r:
 
-    Basis vector k is U(g) e_0 for exactly one g, so basis indices name
-    group elements, and k.r is the basis index of their product:
-
-    * ``product[k, r]`` is k.r;
-    * ``left_quotient[k, l]`` is the r with k.r = l;
-    * ``right_quotient[k, h]`` is the row i of the element with
-      t[i, h] = k, in group_elements() order.
+    * ``stabilizer`` is c, the count of leading table rows that fix e_0;
+    * ``act[h, x]`` is h.x, the table row h c;
+    * ``product[x, r]`` is x.r;
+    * ``quotient[x, y]`` is the r with x.r = y.
     """
 
+    stabilizer: int
+    act: np.ndarray
     product: np.ndarray
-    left_quotient: np.ndarray
-    right_quotient: np.ndarray
-
-
-@dataclass(frozen=True)
-class TranslationIndex:
-    """Index tables of a permutation representation on whose basis the
-    translations act freely and transitively, with table t.  Translations
-    are named by their position a in lattice_points() order, and exactly
-    one of them takes basis vector x to basis vector y:
-
-    * ``shift[a, x]`` is the index a + x of U(a) e_x: the table row of
-      the translation, t[a |C|];
-    * ``difference[x, y]`` is the a with a + x = y.
-    """
-
-    shift: np.ndarray
-    difference: np.ndarray
+    quotient: np.ndarray
 
 
 def _phase_table(rep: UnitaryRep) -> np.ndarray:

@@ -87,7 +87,7 @@ def test_smeared_regular_frame_builds_no_dense_matrix(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# seed-held frames on the regular representation against the effect array
+# seed-held frames on the free layout against the effect array
 
 def _witness_rep(params: ModelParams) -> ops.UnitaryRep:
     return ops.tensor_product_rep(ops.spacetime_representation(params),
@@ -99,6 +99,8 @@ REGULAR_REPS = {
     "regular-N5": lambda: ops.regular_representation(P5),
     "regular-N7": lambda: ops.regular_representation(ModelParams(7, 2)),
     "witness-N3": lambda: _witness_rep(P3),
+    # |C| = 1: the translations are the whole group
+    "spacetime-N5-s1": lambda: ops.spacetime_representation(ModelParams(5, 1)),
 }
 
 
@@ -106,7 +108,7 @@ REGULAR_REPS = {
 def test_seed_held_frames_match_the_effect_array(name, rng):
     rep = REGULAR_REPS[name]()
     d = rep.dim
-    assert rep.regular_index is not None
+    assert rep.free_index.stabilizer == 1
     raw = np.eye(d, dtype=complex) / d + 0.5 * ops.random_psd(rng, d) / d
     K = rep.orbit(raw).sum(axis=0)
     assert ops.eq_defect(frames._orbit_sum(rep, raw), K) < 1e-14 * np.abs(K).max()
@@ -139,12 +141,13 @@ def test_seed_held_frames_match_the_effect_array(name, rng):
 @pytest.mark.parametrize("name", ["smeared-spacetime", "fiber-uniform-spacetime"])
 def test_spacetime_frames_read_their_fiber_seeds(name, N, rng):
     # translations act freely and transitively on l2(M): the orbit sum and
-    # the Born weights are read from the |C| boosted seeds, and no effect
-    # array is built
+    # the Born weights are read from the seed kernel of the |C| boosted
+    # seeds, and no effect array is built
     params = ModelParams(N, 2)
     fr = scenarios.FRAME_BUILDERS[name](params, rng)
     rep, d = fr.rep, fr.dim
-    assert rep.translation_index is not None and fr.convolution_kernel is None
+    assert rep.free_index.stabilizer == len(params.boosts())
+    assert fr.convolution_kernel.shape == (len(params.boosts()), d, d)
     raw = ops.random_psd(rng, d)
     K = rep.orbit(raw).sum(axis=0)
     assert ops.eq_defect(frames._orbit_sum(rep, raw), K) <= 1e-14 * np.abs(K).max()
@@ -157,25 +160,58 @@ def test_spacetime_frames_read_their_fiber_seeds(name, N, rng):
     assert "effects" not in vars(fr)
 
 
-def test_translation_index_detects_only_free_transitive_translations():
-    assert ops.spacetime_representation(P5).translation_index is not None
-    for rep in (ops.regular_representation(P5), ops.lorentz_representation(P5),
+def free_tables_by_loop(rep, c):
+    """act, product and quotient of the free layout by a plain loop over
+    the table: H is the elements at rows 0, c, 2c, ..., and basis index x
+    names the h with h e_0 = e_x."""
+    t, d = rep.table, rep.dim
+    act = np.array([[t[h, x] for x in range(d)] for h in range(0, len(t), c)])
+    element = {t[h, 0]: h for h in range(0, len(t), c)}
+    product = np.array([[t[element[x], r] for r in range(d)] for x in range(d)])
+    quotient = np.zeros((d, d), dtype=int)
+    for x in range(d):
+        for r in range(d):
+            quotient[x, product[x, r]] = r
+    return act, product, quotient
+
+
+def test_free_index_detects_free_transitive_subgroups():
+    swapped = ops.regular_representation(P3).table.copy()
+    swapped[[0, 3]] = swapped[[3, 0]]  # row 0 moves e_0
+    n_boosts = len(P5.boosts())
+    free = [(ops.regular_representation(P5), 1),
+            (ops.spacetime_representation(P5), n_boosts),
+            (ops.spacetime_representation(ModelParams(5, 1)), 1),
+            (_witness_rep(P3), 1),
+            (ops.trivial_representation(P5), len(P5.group_elements()))]
+    for rep, c in free:
+        index = rep.free_index
+        assert index.stabilizer == c
+        for table, expected in zip((index.act, index.product, index.quotient),
+                                   free_tables_by_loop(rep, c)):
+            assert np.array_equal(table, expected)
+    for rep in (ops.lorentz_representation(P5),
                 ops.direct_sum_rep([ops.spacetime_representation(P3)] * 2),
-                ops.character_representation(P3, P3.lattice_points())):
-        assert rep.translation_index is None
+                ops.character_representation(P3, P3.lattice_points()),
+                # the regular representation in the momentum basis
+                ops.tensor_product_rep(
+                    ops.character_representation(P3, P3.lattice_points()),
+                    ops.lorentz_representation(P3)),
+                ops.UnitaryRep(P3, swapped)):
+        assert rep.free_index is None
 
 
 @pytest.mark.parametrize("rep", [
-    ops.lorentz_representation(P3), ops.spacetime_representation(P3),
+    ops.lorentz_representation(P3),
     # |G| basis vectors, but two orbits
     ops.direct_sum_rep([ops.spacetime_representation(P3)] * 2),
     # the regular representation in the momentum basis: phased
     ops.tensor_product_rep(
         ops.character_representation(P3, P3.lattice_points()),
         ops.lorentz_representation(P3)),
-], ids=["lorentz", "spacetime", "two-orbits", "phased"])
+], ids=["lorentz", "two-orbits", "phased"])
 def test_other_representations_take_the_dense_path(rep, rng):
-    assert rep.regular_index is None
+    assert rep.free_index is None
     fr = smeared(rep, rng)
     assert fr.convolution_kernel is None
     assert fr.normalization_defect() < 1e-12
@@ -381,42 +417,24 @@ def test_reading_effects_peaks_at_about_the_array():
     assert peak < 1.2 * effects.nbytes
 
 
-def fixed_batch_tensor_sum(frame, stack):
-    """The reference tensor sum: on a regular representation the
-    convolution formula over fixed batches of 64 frame rows, on any other
-    one contraction with the effect array."""
+def kernel_product_tensor_sum(frame, stack):
+    """The reference tensor sum on a regular representation, over fixed
+    batches of 64 frame rows: with B the convolution kernel's one block,
+    the frame block (k, l) of the sum is Z[k, :, k^-1 l] for the kernel
+    product Z[k, :, r] = sum_h stack[k h^-1] B[h, r], gathered by right
+    quotient (the row of the element that takes h to k)."""
     n, m, d = len(stack), stack.shape[1], frame.dim
     flat = stack.reshape(n, -1)
-    B = frame.convolution_kernel
-    if B is None:
-        total = flat.T @ frame.effects.reshape(n, -1)
-        return total.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
-    index = frame.rep.regular_index
+    (B,) = frame.convolution_kernel
+    right_quotient = np.argsort(frame.rep.table, axis=0)
+    quotient = frame.rep.free_index.quotient
     blocks = np.empty((m, d, m, d), dtype=complex)
     for start in range(0, d, 64):
         k = slice(start, start + 64)
-        Z = flat[index.right_quotient[k]].transpose(0, 2, 1) @ B
-        Y = np.take_along_axis(Z, index.left_quotient[k, None, :], axis=2)
+        Z = flat[right_quotient[k]].transpose(0, 2, 1) @ B
+        Y = np.take_along_axis(Z, quotient[k, None, :], axis=2)
         blocks[:, k] = Y.reshape(-1, m, m, d).transpose(1, 0, 2, 3)
     return blocks.reshape(m * d, m * d)
-
-
-@pytest.mark.parametrize("rows", [None, 3])
-@pytest.mark.parametrize("rep", [
-    ops.regular_representation(P5), ops.regular_representation(ModelParams(7, 2)),
-    ops.lorentz_representation(P5)], ids=["regular-N5", "regular-N7", "lorentz-N5"])
-def test_tensor_sum_does_not_depend_on_its_row_batches(rep, rows, rng,
-                                                       monkeypatch):
-    # each frame row's block is one GEMM of its own, so batches of the
-    # budget's size (20 rows at N = 5, 24 at N = 7) or of 3 rows give the
-    # 64-row sum to the bit
-    fr = smeared(rep, rng)
-    m = 4 if rep.params.N == 5 else 3
-    stack = np.array([ops.random_operator(rng, m)
-                      for _ in fr.params.frame_points()])
-    if rows is not None:
-        monkeypatch.setattr(ops, "WORK_BLOCK_BYTES", 16 * rows * stack.size)
-    assert np.array_equal(fr.tensor_sum(stack), fixed_batch_tensor_sum(fr, stack))
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -424,7 +442,8 @@ def test_tensor_sum_does_not_depend_on_its_row_batches(rep, rows, rng,
                                   "sharp-regular"])
 def test_diagonal_invariance_is_read_from_the_kernel_product(name, N, rng):
     # a phased system, the boost orbit of the momentum (1, 0): the defect
-    # of the kernel layout against the relativization Y it never forms
+    # of the kernel layout against the relativization Y it never forms,
+    # built by the same kernel product
     params = ModelParams(N, 2)
     momenta = {ops.momentum_boost(b, LatticePoint(1, 0), params)
                for b in params.boosts()}
@@ -435,7 +454,8 @@ def test_diagonal_invariance_is_read_from_the_kernel_product(name, N, rng):
     fr = scenarios.FRAME_BUILDERS[name](params, rng)
     assert fr.convolution_kernel is not None
     rf = fields.RelationalField(system, fr)
-    lifted = fields.relativize(rf)
+    lifted = kernel_product_tensor_sum(fr, fields.oriented_fields(system))
+    assert ops.eq_defect(lifted, fields.relativize(rf)) < 1e-14
     diagonal = ops.tensor_product_rep(system.rep, fr.rep)
     for g in params.generators():
         expected = ops.eq_defect(diagonal.conjugate(g, lifted), lifted)

@@ -26,7 +26,7 @@ read the site tables.  No comparison reads ``causal_mode`` outside
 Every ``ModelParams`` that ``scenarios`` builds takes N and s from the
 config, but the one pinned witness model, so a run checks one model.  No
 module but ``frames`` reads a frame's layout (``convolution_kernel``,
-``regular_index``, ``translation_index``), so no caller branches on it.
+``free_index``), so no caller branches on it.
 """
 
 import ast
@@ -641,10 +641,10 @@ def test_scenarios_build_the_configured_model():
 
 
 #: The names that choose a frame's layout: the kernel of a frame on the
-#: regular representation and the index tables of the regular and the
-#: translation layouts.  ``operators`` defines the tables and ``frames``
-#: alone reads them, so no caller branches on a frame's layout.
-LAYOUT_NAMES = {"convolution_kernel", "regular_index", "translation_index"}
+#: free layout and the index tables of that layout.  ``operators`` defines
+#: the tables and ``frames`` alone reads them, so no caller branches on a
+#: frame's layout.
+LAYOUT_NAMES = {"convolution_kernel", "free_index"}
 
 
 def layout_reads(tree: ast.Module) -> list[int]:
@@ -659,11 +659,11 @@ def layout_reads(tree: ast.Module) -> list[int]:
 
 def test_the_scan_finds_layout_reads():
     source = ("B = frame.convolution_kernel\n"
-              "if rf.frame.rep.regular_index is None: pass\n"
-              "shift = translation_index.shift\n"
+              "if rf.frame.rep.free_index is None: pass\n"
+              "act = free_index.act\n"
               "class UnitaryRep:\n"
-              "    def regular_index(self): return None\n"
-              "    translation_index = None\n"
+              "    def free_index(self): return None\n"
+              "    free_index = None\n"
               "frame.convolution_kernel = B\n")
     assert layout_reads(ast.parse(source)) == [1, 2, 3]
 

@@ -2,6 +2,7 @@
 drop, and the per-site loops their array forms are checked against."""
 
 import dataclasses
+import json
 import pathlib
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 
 from relqft import causality, fields, frames, lattice, net, runner, scenarios, wightman
 from relqft import operators as ops
-from relqft.config import DEFAULT_CONFIG, load_config
+from relqft.config import DEFAULT_CONFIG, load_config, parse_config
 from relqft.lattice import ModelParams
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -152,8 +153,9 @@ def test_checks_take_one_born_measure_per_preparation(monkeypatch, name,
 @pytest.mark.parametrize("config", [None, "perfbench/n7.json"],
                          ids=["default", "n7"])
 def test_channel_laws_relativize_no_regular_frame(monkeypatch, config):
-    # diagonal invariance on a regular frame is read from the tensor sum's
-    # kernel product, so Y is formed only on the small Lorentz frames
+    # diagonal invariance on a regular frame is read from the product of
+    # the stack with the frame's convolution kernel, so Y is formed only on
+    # the small Lorentz frames
     cfg = DEFAULT_CONFIG if config is None else load_config(str(ROOT / config))
     frame_reps = []
     original = fields.relativize
@@ -166,7 +168,21 @@ def test_channel_laws_relativize_no_regular_frame(monkeypatch, config):
     outcome = scenarios.CHECKS["channel-laws"].fn(
         cfg, runner.check_rng(cfg.seed, "channel-laws"))
     assert outcome.verdict == "verified"
-    assert frame_reps and all(rep.regular_index is None for rep in frame_reps)
+    assert frame_reps and all(rep.free_index is None for rep in frame_reps)
+
+
+def test_channel_laws_leave_an_unmeasured_unrestricted_gap_out():
+    # d = 12: the Lorentz frames have dim 6 and the regular frames dim 294,
+    # so no battery frame is small enough for the unrestricted
+    # relativization, and no Kadison-Schwarz gap of it is reported
+    momenta = [[k, 0] for k in range(1, 7)] + [[0, k] for k in range(1, 7)]
+    cfg = parse_config(json.dumps({"model": {"N": 7, "s": 3},
+                                   "system": {"momenta": momenta}}))
+    report = runner.run(cfg, targets=["channel-laws"])
+    (outcome,) = report.outcomes
+    assert outcome.verdict == "verified"
+    assert "order_gap_unrestricted" not in {m.name for m in outcome.measurements}
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
