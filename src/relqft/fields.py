@@ -174,16 +174,11 @@ def unit_observables(frame: FrameObservable, rep: UnitaryRep, system_ops,
                      V: np.ndarray | None = None) -> np.ndarray:
     """Phi(T) of each system operator at each matrix unit T of V's
     columns (of the frame space when V is None) that carries Born weight,
-    as one (len(system_ops), m, dS, dS) stack.
-
-    For T = |v_i><v_j|, Tr[T E(f)] = <v_j|E(f)|v_i>, so V^dag E V read as
-    (|F|, k^2), a view of the effect array when V is None, holds the
-    weights of every unit, in the order (j, i).  A unit of zero weight at
-    every f has Phi(T) = 0 and is dropped; the rest are one orbit sum."""
-    effects = frame.effects if V is None else ops.dagger(V) @ frame.effects @ V
-    weights = effects.reshape(len(effects), -1)
-    weights = weights[:, weights.any(axis=0)]
-    return rep.orbit_sum(weights, system_ops)
+    as one (len(system_ops), m, dS, dS) stack: one orbit sum with the
+    frame's unit weights (``FrameObservable.unit_weights``), in the order
+    (j, i) of T = |v_i><v_j|.  A unit of zero weight at every f has
+    Phi(T) = 0 and is dropped there."""
+    return rep.orbit_sum(frame.unit_weights(V), system_ops)
 
 
 def relational_local_fields(rf: RelationalField, omega) -> np.ndarray:

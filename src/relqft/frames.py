@@ -26,16 +26,18 @@ A frame is read in one of two layouts, by its representation's tables:
   (c, d, d) array (``FrameObservable.convolution_kernel``);
 * effects: any other representation reads the effect array.
 
-The orbit sum and the Born weights take both.  The diagonal invariance
-of the tensor sum (``FrameObservable.diagonal_invariance_defect``) reads
-the kernel when H is the whole group, in kernel-column batches whose
-intermediates stay within ``operators.WORK_BLOCK_BYTES``.  These are the
-only code that chooses a layout.  The readers that need every effect
-build the effect array on any layout: the tensor sum sum_f A_f (x) E(f)
+The orbit sum, the Born weights and the Born weights of matrix units
+(``FrameObservable.unit_weights``, which ``fields.unit_observables``
+calls) take both: on a free layout they read the seed and no effect
+array.  The diagonal invariance of the tensor sum
+(``FrameObservable.diagonal_invariance_defect``) reads the kernel when H
+is the whole group, in kernel-column batches whose intermediates stay
+within ``operators.WORK_BLOCK_BYTES``.  These are the only code that
+chooses a layout.  The readers that need every effect build the effect
+array on any layout: the tensor sum sum_f A_f (x) E(f)
 (``FrameObservable.tensor_sum``, which ``fields.relativize`` calls),
-``fields.unit_observables``, ``covariance_defect``, ``channel_compose``
-and the joint-state constraints and Einstein-causal pairs of
-``causality``.
+``covariance_defect``, ``channel_compose`` and the joint-state
+constraints and Einstein-causal pairs of ``causality``.
 
 Also here: preparations (``OrientedFrame``), which keep their Born measure
 and disintegration, whose support mask is the one spacetime-support rule;
@@ -133,6 +135,54 @@ class FrameObservable:
         n, m, d = len(stack), stack.shape[1], self.dim
         total = stack.reshape(n, -1).T @ self.effects.reshape(n, -1)
         return total.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
+
+    def unit_weights(self, V: np.ndarray | None = None) -> np.ndarray:
+        """Tr[T E(f)] at every frame point f for each matrix unit
+        T = |v_i><v_j| of V's columns (of the frame space's basis when V is
+        None) that carries weight at some f, as one (|F|, m) array.  The
+        weight is <v_j|E(f)|v_i>, entry (j, i) of V^dag E(f) V, and the
+        columns keep the row-major order of (j, i); a unit of zero weight
+        at every f is dropped.  The weights are refused before allocation
+        above ops.MAX_FRAME_BYTES.
+
+        On a free layout no effect is formed.  The effect at row h c + j is
+        U(h) D_j U(h)^dag, D_j the seed's c stabilizer conjugates, and
+        U(h)^dag V is W_h, the rows h.x of V, so with a basis V its block
+        is W_h^dag D_j W_h, formed for as many h at a time as keep their
+        (c, k, d) products within ops.WORK_BLOCK_BYTES (at least one).
+        With V None that effect has entry B[j, x, r] at (h.x, h.x.r), B the
+        convolution kernel, so the units with weight are the (a, a.r) for
+        r in the kernel's support, and their weights are a gather of B,
+        equal to the effects' entries to the bit.  Any other layout reads
+        the effect array."""
+        B = self.convolution_kernel
+        if B is None:
+            effects = self.effects if V is None else dagger(V) @ self.effects @ V
+            weights = effects.reshape(len(effects), -1)
+            return weights[:, weights.any(axis=0)]
+        index = self.rep.free_index
+        n, (c, d) = len(index.act), B.shape[:2]
+        if V is None:
+            units = np.flatnonzero(B.any(axis=(0, 1))[index.quotient])
+            ops.require_fits((n * c, len(units)),
+                             f"the weights of {len(units)} matrix units")
+            a, b = np.divmod(units, d)
+            r = index.quotient[a, b]
+            x = index.quotient[index.act[:, :1], a]  # h.x = a
+            weights = np.empty((n, c, len(units)), dtype=complex)
+            for j in range(c):
+                weights[:, j] = B[j][x, r]
+            return weights.reshape(n * c, -1)
+        k = V.shape[1]
+        ops.require_fits((n * c, k, k), f"the weights of {k * k} matrix units")
+        D = _stabilizer_conjugates(self.rep, self.seed)
+        blocks = np.empty((n, c, k, k), dtype=complex)
+        step = max(1, ops.WORK_BLOCK_BYTES // (16 * c * d * max(k, 1)))
+        for start in range(0, n, step):
+            W = V[index.act[start:start + step]][:, None]
+            blocks[start:start + step] = dagger(W) @ D @ W
+        weights = blocks.reshape(n * c, -1)
+        return weights[:, weights.any(axis=0)]
 
     def diagonal_invariance_defect(self, stack: np.ndarray, rep: UnitaryRep,
                                    elements) -> float:
@@ -270,16 +320,21 @@ def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
     return (V * eigs**-0.5) @ dagger(V)
 
 
+def _stabilizer_conjugates(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
+    """The conjugates A_j of A by the c elements that fix e_0 on a free
+    layout (``UnitaryRep.free_index``), the first c rows of A's orbit, as
+    one (c, d, d) array.  When c = 1 the one conjugate is A itself, read
+    as is."""
+    c = rep.free_index.stabilizer
+    return A[None] if c == 1 else rep.orbit(A, slice(c))
+
+
 def _seed_kernel(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
     """B[j, x, r] = A_j[x, x.r] on a free layout (``UnitaryRep.free_index``
-    names x.r), for the conjugates A_j of A by the c elements that fix
-    e_0, the first c rows of A's orbit: one (c, d, d) array, of the size
-    of the conjugates.  When c = 1 the one conjugate is A itself, read as
-    is."""
-    index = rep.free_index
-    c = index.stabilizer
-    conjugates = A[None] if c == 1 else rep.orbit(A, slice(c))
-    return np.take_along_axis(conjugates, index.product[None], axis=2)
+    names x.r), for the stabilizer conjugates A_j of A
+    (``_stabilizer_conjugates``): one (c, d, d) array, of their size."""
+    return np.take_along_axis(_stabilizer_conjugates(rep, A),
+                              rep.free_index.product[None], axis=2)
 
 
 def _orbit_sum(rep: UnitaryRep, seed: np.ndarray) -> np.ndarray:

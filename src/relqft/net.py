@@ -7,12 +7,15 @@ phi.  The localized preparations are the states on the joint kernel K_O of
 the complementary marginal effects; Phi is linear in w, so the generators
 span exactly the images of the matrix units |v_i><v_j| of an orthonormal
 basis V of K_O.  Those images are ``fields.unit_observables``: one orbit
-sum per phi, with the units of zero Born weight dropped.  The algebra is
-their word closure (``operators.generated_algebra``), and its record keeps
-V, the localized basis it was built from.  The deterministic variant
-localizes in the causal hull instead.  A net caches each algebra under the
-region it was built on (the hull, for a deterministic net), so two nets of
-one frame and system can share one cache.  So the time-slice axiom holds
+sum per phi, with the units of zero Born weight dropped.  The frame reads
+the units' weights from its seed (``FrameObservable.unit_weights``), so
+on a free layout, as on the fiber-uniform frame, no effect array is
+built.  The algebra is their word closure
+(``operators.generated_algebra``), and its record keeps V, the localized
+basis it was built from.  The deterministic variant localizes in the
+causal hull instead.  A net caches each algebra under the region it was
+built on (the hull, for a deterministic net), so two nets of one frame
+and system can share one cache.  So the time-slice axiom holds
 by definition: two regions with one hull read one cached algebra, and
 their residual is the rounding of comparing it with itself.  An intrinsic
 net has no time-slice pairs.  Such nets can share the judged causality

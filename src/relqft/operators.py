@@ -17,6 +17,7 @@ oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,8 @@ class SizeError(ValueError):
 MAX_DIM = 4096  # guard for runaway tensor products
 #: Cap on the |F| d^2 complex entries of one frame's effect array (2 GiB):
 #: the regular representation at N = 9 fits (1.7 GiB), N = 11 does not.
+#: Stacks of conjugates, the joint-state constraints of ``causality`` and
+#: a frame's unit weights are held to the same cap.
 MAX_FRAME_BYTES = 2 * 1024**3
 #: Bytes of one block of work memory (at least one row or operator per
 #: block): the gather index of ``UnitaryRep.orbit``, the operator blocks
@@ -533,14 +536,20 @@ def _phase_table(rep: UnitaryRep) -> np.ndarray:
     return rep.phases
 
 
+def require_fits(shape: tuple[int, ...], what: str) -> None:
+    """Raise SizeError when a complex array of the shape would exceed
+    MAX_FRAME_BYTES; ``what`` names it in the error."""
+    nbytes = math.prod(shape) * np.dtype(complex).itemsize
+    if nbytes > MAX_FRAME_BYTES:
+        raise SizeError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB,"
+            f" over the {MAX_FRAME_BYTES / 2**30:.0f} GiB cap")
+
+
 def require_stack_fits(n: int, dim: int, what: str) -> None:
     """Raise SizeError when a complex (n, dim, dim) array would exceed
     MAX_FRAME_BYTES; ``what`` names it in the error."""
-    nbytes = n * dim * dim * np.dtype(complex).itemsize
-    if nbytes > MAX_FRAME_BYTES:
-        raise SizeError(
-            f"{what} of {dim}x{dim} needs {nbytes / 2**30:.1f} GiB,"
-            f" over the {MAX_FRAME_BYTES / 2**30:.0f} GiB cap")
+    require_fits((n, dim, dim), f"{what} of {dim}x{dim}")
 
 
 def zero_stack(n: int, dim: int, what: str) -> np.ndarray:

@@ -355,7 +355,8 @@ def field_operator_span(rf: RelationalField) -> list[np.ndarray]:
     """Orthonormal spanning basis of {extend_trace_class(rf, T)} as T runs
     over a full matrix-unit basis of the frame space: the span of the
     units that carry Born weight, whose images ``fields.unit_observables``
-    evaluates from a view of the effect array in one orbit sum."""
+    evaluates in one orbit sum, with weights the frame reads from its seed
+    on a free layout (``FrameObservable.unit_weights``)."""
     raw = unit_observables(rf.frame, rf.system.rep, [rf.system.phi])[0]
     return AlgebraSubspace.from_spanning(rf.system.dim, raw).basis_ops()
 

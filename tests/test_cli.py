@@ -82,6 +82,19 @@ def test_oversized_check_exits_2_naming_it(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_irreducibility_at_n11(tmp_path, capsys):
+    # the field span reads its unit weights from the frame's seed, so the
+    # (1210, 121, 121) effect array of the fiber-uniform frame is never built
+    p = tmp_path / "n11.json"
+    p.write_text(json.dumps({"model": {"N": 11, "s": 2}, "system": {
+        "momenta": [[k, 0] for k in range(1, 11)]}}), encoding="utf-8")
+    assert main(["verify", "irreducibility", "--config", str(p),
+                 "--format", "json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["verdict"] == "verified"
+    assert check["details"]["span_dim"] == 11
+
+
 def test_irreducibility_is_vacuous_on_a_one_dimensional_system(tmp_path,
                                                                capsys):
     # every algebra on C^1 is irreducible, so the identity contrast cannot

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relqft import fields, frames, lattice
+from relqft import fields, frames, lattice, net, scenarios
 from relqft import operators as ops
 from relqft.lattice import FramePoint, GroupElement, LatticePoint, ModelParams
 from relqft.tolerances import TOL_SUPP
@@ -284,6 +284,84 @@ def test_relativize_refuses_oversized_products_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# unit weights read from the seed, against the effect array
+
+#: Every builder's frame at N = 3 and 5, and the product-frame witness.
+UNIT_WEIGHT_FRAMES = [*((name, N) for N in (3, 5)
+                        for name in scenarios.FRAME_BUILDERS), ("witness", 3)]
+
+
+def unit_weight_frame(name, N, rng):
+    if name == "witness":
+        return scenarios._witness_frame()[0]
+    return scenarios.FRAME_BUILDERS[name](ModelParams(N, 2), rng)
+
+
+def weighted_columns(effects):
+    """The columns of an (|F|, k, k) stack read as (|F|, k^2) that are
+    nonzero at some frame point."""
+    flat = effects.reshape(len(effects), -1)
+    return flat[:, flat.any(axis=0)]
+
+
+@pytest.mark.parametrize("name, N", UNIT_WEIGHT_FRAMES,
+                         ids=[f"{name}-{N}" for name, N in UNIT_WEIGHT_FRAMES])
+def test_unit_weights_equal_the_effect_array(name, N, rng):
+    fr = unit_weight_frame(name, N, rng)
+    effects = fr.rep.orbit(fr.seed)  # the oracle, not the frame's cache
+    weights = fr.unit_weights()
+    reference = weighted_columns(effects)
+    assert weights.shape == reference.shape
+    assert weights.tobytes() == reference.tobytes()
+    # the localized bases of the net's regions: empty, site, slice, diamond
+    empty, site, cauchy, _, diamond = scenarios._net_regions(fr.params)
+    for region in (empty, site, cauchy, diamond):
+        V = net.states_supported_in(fr, region)
+        weights = fr.unit_weights(V)
+        reference = weighted_columns(ops.dagger(V) @ effects @ V)
+        assert weights.shape == reference.shape
+        assert np.max(np.abs(weights - reference), initial=0.0) <= 1e-15
+    # only frames with no free layout read their effect array
+    assert ("effects" in vars(fr)) == (fr.rep.free_index is None)
+    assert (fr.rep.free_index is None) == ("lorentz" in name)
+
+
+@pytest.mark.parametrize("name", [n for n in scenarios.FRAME_BUILDERS
+                                  if n.startswith("smeared")])
+def test_unit_weights_of_a_generic_basis(name, rng):
+    # on a smeared frame every unit of a generic basis carries weight
+    fr = scenarios.FRAME_BUILDERS[name](ModelParams(5, 2), rng)
+    V = np.linalg.qr(ops.random_operator(rng, fr.dim))[0][:, :(fr.dim + 2) // 3]
+    weights = fr.unit_weights(V)
+    reference = weighted_columns(ops.dagger(V) @ fr.rep.orbit(fr.seed) @ V)
+    assert weights.shape == reference.shape == (len(fr.params.frame_points()),
+                                                V.shape[1] ** 2)
+    assert np.max(np.abs(weights - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize("basis", [False, True], ids=["units", "basis"])
+def test_unit_weights_refuse_oversized_arrays_before_allocating(basis,
+                                                                monkeypatch):
+    # a smeared regular frame at N = 7 puts weight on all 147^2 units, whose
+    # (147, 147^2) weights are 51 MB
+    P7 = ModelParams(7, 2)
+    fr = scenarios.smeared_frame(ops.regular_representation(P7),
+                                 ops.make_rng(5), 0.35)
+    V = np.eye(fr.dim, dtype=complex) if basis else None
+    assert fr.convolution_kernel.nbytes < 2**19  # kept by the frame
+    monkeypatch.setattr(ops, "MAX_FRAME_BYTES", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ops.SizeError, match="weights of 21609 matrix units"):
+            fr.unit_weights(V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "effects" not in vars(fr)
 
 
 #: One boost-closed momentum orbit per model, for the character systems.

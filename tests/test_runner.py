@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import json
 import pathlib
@@ -321,3 +322,28 @@ def test_n7_workload_builds_no_regular_effect_array(monkeypatch):
     assert {o.verdict for o in report.outcomes} == {"verified"}
     # the orbits left are those of the system and the Lorentz frames
     assert 0 < max(built) < 49
+
+
+@pytest.mark.parametrize("path", [None, N7_CONFIG], ids=["default", "n7"])
+def test_run_reads_no_effect_array_as_large_as_the_lattice(monkeypatch, path):
+    # the local algebras and the field span read their unit weights from
+    # the frame's seed: only the Lorentz frames (dim |C|) and the N = 3
+    # product-frame witness (dim 18) read an effect array in a whole run
+    cfg = DEFAULT_CONFIG if path is None else load_config(str(path))
+    lattice_dim = cfg.model().N ** 2
+    effects = frames.FrameObservable.effects
+    read = set()
+
+    def guarded(frame):
+        read.add(frame.dim)
+        if frame.dim >= lattice_dim:
+            raise AssertionError(f"effect array read at dim {frame.dim}")
+        return effects.func(frame)
+
+    guarded_effects = functools.cached_property(guarded)
+    guarded_effects.__set_name__(frames.FrameObservable, "effects")
+    monkeypatch.setattr(frames.FrameObservable, "effects", guarded_effects)
+    report = runner.run(cfg)
+    assert len(report.outcomes) == 13
+    assert {o.verdict for o in report.outcomes} == {"verified"}
+    assert 18 in read and max(read) < lattice_dim
