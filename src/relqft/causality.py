@@ -23,6 +23,12 @@ norm among them (0.0 for none).  They judge nothing.  The checks in
 ``tolerances.verdict``, under premises that several of these implications
 make hard or impossible to meet: no lattice point is spacelike to itself,
 so equal preparations are never spacelike separated.
+
+A premise that only compares a commutator norm with its tol_eq passes
+that bound to the predicate, which then returns a certified value on the
+bound's side (``operators.max_commutator``): at most the bound exactly
+when the largest norm is, so a ``Measurement`` against the bound holds
+as it would on the exact norm.  Recorded residuals take no bound.
 """
 
 from __future__ import annotations
@@ -56,12 +62,13 @@ def r_spacelike(of1: OrientedFrame, of2: OrientedFrame) -> bool:
 
 def check_r_causal(system: SystemModel, of1: OrientedFrame, of2: OrientedFrame,
                    phi1: np.ndarray | None = None,
-                   phi2: np.ndarray | None = None) -> float:
+                   phi2: np.ndarray | None = None,
+                   bound: float | None = None) -> float:
     """The larger operator norm of [A, B] and [A^dag, B] for the relational
     observables A of phi1 at the preparation of1 and B of phi2 at of2
-    (``operators.max_commutator`` on the one pair).  The premise of
-    R-causality, spacelike preparations (``r_spacelike``), is the
-    caller's."""
+    (``operators.max_commutator`` on the one pair, certified on the side
+    of ``bound`` when one is given).  The premise of R-causality,
+    spacelike preparations (``r_spacelike``), is the caller's."""
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
     A = relational_local_observable(
@@ -69,13 +76,14 @@ def check_r_causal(system: SystemModel, of1: OrientedFrame, of2: OrientedFrame,
     B = relational_local_observable(
         RelationalField(system.with_phi(phi2), of2.frame), of2)
     return max_commutator(A[None], B[None], np.zeros((1, 2), dtype=int),
-                          adjoint=True)
+                          adjoint=True, bound=bound)
 
 
 def check_r_microcausal(system: SystemModel, of1: OrientedFrame,
                         of2: OrientedFrame,
                         phi1: np.ndarray | None = None,
-                        phi2: np.ndarray | None = None) -> tuple[int, float]:
+                        phi2: np.ndarray | None = None,
+                        bound: float | None = None) -> tuple[int, float]:
     """The number of spacelike pairs of supported lattice points, and the
     largest pointwise commutator norm of the relational fields over them.
     The pairs are read from ``lattice.spacelike_table``, in row-major
@@ -84,8 +92,9 @@ def check_r_microcausal(system: SystemModel, of1: OrientedFrame,
     Both fields come from one site table per preparation
     (``relational_local_fields``); the commutators [A, B] and [A^dag, B]
     are normed in batches (``operators.max_commutator``), which forms the
-    adjoint ones only when the first table is not exactly Hermitian, as
-    it is for Hermitian phi1."""
+    adjoint ones only when the first table's rows that the pairs read are
+    not exactly Hermitian, as they are for Hermitian phi1.  Given a bound,
+    the norm is certified on its side."""
     phi1 = system.phi if phi1 is None else phi1
     phi2 = phi1 if phi2 is None else phi2
     fields1 = relational_local_fields(
@@ -95,18 +104,21 @@ def check_r_microcausal(system: SystemModel, of1: OrientedFrame,
     s1, s2 = of1.disintegration.support, of2.disintegration.support
     sites = np.argwhere(lattice.spacelike_table(system.params)
                         & s1[:, None] & s2[None, :])
-    return len(sites), max_commutator(fields1, fields2, sites, adjoint=True)
+    return len(sites), max_commutator(fields1, fields2, sites, adjoint=True,
+                                      bound=bound)
 
 
-def check_frame_einstein_causal(frame: FrameObservable) -> tuple[int, float]:
+def check_frame_einstein_causal(frame: FrameObservable,
+                                bound: float | None = None) -> tuple[int, float]:
     """The number of pairs of frame points whose spacetime projections are
     spacelike, and the largest commutator norm of their effects, batched
-    as in ``check_r_microcausal``."""
+    and certified on the side of ``bound`` as in ``check_r_microcausal``."""
     params = frame.params
     site = np.repeat(np.arange(params.N ** 2), len(params.boosts()))
     spacelike = lattice.spacelike_table(params)
     pairs = np.argwhere(np.triu(spacelike[np.ix_(site, site)], k=1))
-    return len(pairs), max_commutator(frame.effects, frame.effects, pairs)
+    return len(pairs), max_commutator(frame.effects, frame.effects, pairs,
+                                      bound=bound)
 
 
 # ---------------------------------------------------------------------------

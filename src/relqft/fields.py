@@ -107,30 +107,22 @@ def oriented_fields(system: SystemModel) -> np.ndarray:
     return system.rep.orbit(system.phi)
 
 
-def _require_product_fits(rf: RelationalField) -> None:
-    """Refuse H_S (x) H_R above ops.MAX_DIM, like ``tensor``."""
-    dimS, dimR = rf.system.dim, rf.frame.dim
-    if dimS * dimR > ops.MAX_DIM:
-        raise ops.SizeError(
-            f"tensor product dimension {dimS * dimR} exceeds {ops.MAX_DIM}")
-
-
 def relativize(rf: RelationalField) -> np.ndarray:
     """Y(phi) = sum_f phi_f (x) E(f), invariant under the diagonal action;
     refused before allocation above ops.MAX_DIM, like ``tensor``.  The
     frame contracts the stacked oriented fields with its effect array
     (``FrameObservable.tensor_sum``), which it builds on any layout."""
-    _require_product_fits(rf)
+    ops.require_tensor_fits(rf.system.dim * rf.frame.dim)
     return rf.frame.tensor_sum(oriented_fields(rf.system))
 
 
 def relativization_invariance_defect(rf: RelationalField, elements) -> float:
     """max over g in elements of |V Y(phi) V^dag - Y(phi)| with
-    V = U_S(g) (x) U_R(g): the diagonal invariance of ``relativize``,
-    refused above ops.MAX_DIM as it is.  The frame measures it from the
-    stacked oriented fields (``FrameObservable.diagonal_invariance_defect``),
-    on a regular representation without forming Y."""
-    _require_product_fits(rf)
+    V = U_S(g) (x) U_R(g): the diagonal invariance of ``relativize``.  The
+    frame measures it from the stacked oriented fields
+    (``FrameObservable.diagonal_invariance_defect``), on a regular
+    representation without forming Y, so the ops.MAX_DIM guard of Y holds
+    only on the other layouts."""
     return rf.frame.diagonal_invariance_defect(
         oriented_fields(rf.system), rf.system.rep, elements)
 
@@ -177,7 +169,8 @@ def unit_observables(frame: FrameObservable, rep: UnitaryRep, system_ops,
     as one (len(system_ops), m, dS, dS) stack: one orbit sum with the
     frame's unit weights (``FrameObservable.unit_weights``), in the order
     (j, i) of T = |v_i><v_j|.  A unit of zero weight at every f has
-    Phi(T) = 0 and is dropped there."""
+    Phi(T) = 0, and one whose weights are all at most SVD_CUTOFF times the
+    largest is rounding residue of such a unit; both are dropped there."""
     return rep.orbit_sum(frame.unit_weights(V), system_ops)
 
 

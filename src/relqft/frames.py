@@ -86,6 +86,13 @@ class ChannelValidationError(ValueError):
 MAX_COLUMN_BATCHES = 8
 
 
+def _weighted(weights: np.ndarray) -> np.ndarray:
+    """The columns of an (|F|, k) array of unit weights that carry weight:
+    a largest magnitude above SVD_CUTOFF times that of the whole array."""
+    magnitudes = np.abs(weights).max(axis=0, initial=0.0)
+    return weights[:, magnitudes > SVD_CUTOFF * magnitudes.max(initial=0.0)]
+
+
 class FrameObservable:
     """A normalized covariant POVM over the frame space, held as its
     representation and its dressed seed D: the effect of the frame point
@@ -131,8 +138,10 @@ class FrameObservable:
     def tensor_sum(self, stack: np.ndarray) -> np.ndarray:
         """sum_f stack[f] (x) E(f) for an (|F|, m, m) stack in
         frame_points() order, as one (m d, m d) array: one contraction of
-        the stack with the effect array."""
+        the stack with the effect array, refused above ops.MAX_DIM like
+        ``ops.tensor``."""
         n, m, d = len(stack), stack.shape[1], self.dim
+        ops.require_tensor_fits(m * d)
         total = stack.reshape(n, -1).T @ self.effects.reshape(n, -1)
         return total.reshape(m, m, d, d).transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
@@ -141,9 +150,10 @@ class FrameObservable:
         T = |v_i><v_j| of V's columns (of the frame space's basis when V is
         None) that carries weight at some f, as one (|F|, m) array.  The
         weight is <v_j|E(f)|v_i>, entry (j, i) of V^dag E(f) V, and the
-        columns keep the row-major order of (j, i); a unit of zero weight
-        at every f is dropped.  The weights are refused before allocation
-        above ops.MAX_FRAME_BYTES.
+        columns keep the row-major order of (j, i); a unit is dropped when
+        its largest weight is at most SVD_CUTOFF times the largest of all
+        (``_weighted``), so exact zeros and rounding residue alike.  The
+        weights are refused before allocation above ops.MAX_FRAME_BYTES.
 
         On a free layout no effect is formed.  The effect at row h c + j is
         U(h) D_j U(h)^dag, D_j the seed's c stabilizer conjugates, and
@@ -152,18 +162,19 @@ class FrameObservable:
         (c, k, d) products within ops.WORK_BLOCK_BYTES (at least one).
         With V None that effect has entry B[j, x, r] at (h.x, h.x.r), B the
         convolution kernel, so the units with weight are the (a, a.r) for
-        r in the kernel's support, and their weights are a gather of B,
-        equal to the effects' entries to the bit.  Any other layout reads
-        the effect array."""
+        r whose kernel column B[:, :, r] carries weight, and their weights
+        are a gather of B, equal to the effects' entries to the bit.  Any
+        other layout reads the effect array."""
         B = self.convolution_kernel
         if B is None:
             effects = self.effects if V is None else dagger(V) @ self.effects @ V
-            weights = effects.reshape(len(effects), -1)
-            return weights[:, weights.any(axis=0)]
+            return _weighted(effects.reshape(len(effects), -1))
         index = self.rep.free_index
         n, (c, d) = len(index.act), B.shape[:2]
         if V is None:
-            units = np.flatnonzero(B.any(axis=(0, 1))[index.quotient])
+            magnitudes = np.abs(B).max(axis=(0, 1))
+            kept = magnitudes > SVD_CUTOFF * magnitudes.max()
+            units = np.flatnonzero(kept[index.quotient])
             ops.require_fits((n * c, len(units)),
                              f"the weights of {len(units)} matrix units")
             a, b = np.divmod(units, d)
@@ -181,8 +192,7 @@ class FrameObservable:
         for start in range(0, n, step):
             W = V[index.act[start:start + step]][:, None]
             blocks[start:start + step] = dagger(W) @ D @ W
-        weights = blocks.reshape(n * c, -1)
-        return weights[:, weights.any(axis=0)]
+        return _weighted(blocks.reshape(n * c, -1))
 
     def diagonal_invariance_defect(self, stack: np.ndarray, rep: UnitaryRep,
                                    elements) -> float:
@@ -206,7 +216,8 @@ class FrameObservable:
         since each batch gathers the whole stack again.  Z is filled as
         many rows k at a time as keep their gathered (rows, d, m m) stack
         within ops.WORK_BLOCK_BYTES (at least one).  Any other layout forms
-        Y and gathers its conjugates."""
+        Y (``tensor_sum``, refused above ops.MAX_DIM) and gathers its
+        conjugates."""
         B = self.convolution_kernel
         if B is None or len(B) > 1:
             Y = self.tensor_sum(stack)

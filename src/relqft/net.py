@@ -144,7 +144,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
     spacelike region pair in batches (``operators.max_commutator``),
     conditional on the relational-causality premise for localized
     preparations (one per region, prepared at tol_supp and judged with
-    tol_eq, once per pair and tolerances, and kept in ``net.premises``);
+    tol_eq, which bounds their certified commutator norms, once per pair
+    and tolerances, and kept in ``net.premises``);
     premise failures make the pair vacuous, not failed.
     """
     params = net.frame.params
@@ -197,7 +198,8 @@ def verify_net_axioms(net: LocalAlgebraNet, regions, group_sample,
             net.premises[key] = (
                 len(preparations) == 2 and r_spacelike(*preparations)
                 and all(Measurement("r-causal", check_r_causal(
-                    net.system, *preparations, phi1=phi, phi2=phi), tol_eq).holds
+                    net.system, *preparations, phi1=phi, phi2=phi,
+                    bound=tol_eq), tol_eq).holds
                     for phi in net.system_ops))
         if not net.premises[key]:
             skipped += 1

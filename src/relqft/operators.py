@@ -87,15 +87,26 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
-                   adjoint: bool = False) -> float:
+                   adjoint: bool = False, bound: float | None = None) -> float:
     """Largest operator norm of [left[i], right[j]] over the (n, 2) index
     pairs (i, j) of two (m, d, d) stacks, and of [left[i]^dag, right[j]]
     too when ``adjoint``: PAIR_CHUNK pairs at a time, normed by one
-    ``op_norms`` call per chunk; 0.0 for no pairs, NaN when any norm is.
-    When ``left`` is exactly Hermitian the adjoint commutators are the
-    plain ones, so they are not formed again."""
-    if adjoint and np.array_equal(left, dagger(left)):
-        adjoint = False
+    ``op_norms`` call per chunk; 0.0 for no pairs.  When the rows of
+    ``left`` that the pairs read are exactly Hermitian the adjoint
+    commutators are the plain ones, so they are not formed again.
+
+    A caller that only compares the largest norm with a bound passes the
+    bound, and the value returned is then certified only on the bound's
+    side: at most the bound exactly when the largest norm is, and NaN
+    when a commutator holds a NaN.  Each chunk is first bracketed
+    (``_norm_bracket``): a chunk whose upper bound is within the bound
+    holds without ``op_norms`` and counts with that upper bound; a lower
+    bound above the bound ends the scan and is returned; only a chunk the
+    bracket leaves open is normed, and a norm above the bound ends the
+    scan."""
+    if adjoint:
+        read = left[np.bincount(pairs[:, 0], minlength=len(left)) > 0]
+        adjoint = not np.array_equal(read, dagger(read))
     worst = 0.0
     for start in range(0, len(pairs), PAIR_CHUNK):
         chunk = pairs[start:start + PAIR_CHUNK]
@@ -104,8 +115,42 @@ def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,
         if adjoint:
             A_dag = dagger(A)
             commutators = np.concatenate([commutators, A_dag @ B - B @ A_dag])
+        if bound is not None:
+            lower, upper = _norm_bracket(commutators)
+            if math.isnan(upper):
+                return math.nan
+            if upper <= bound:
+                worst = max(worst, upper)
+                continue
+            if lower > bound:
+                return lower
         worst = np.maximum(worst, op_norms(commutators).max())
+        if bound is not None and worst > bound:
+            break
     return float(worst)
+
+
+def _norm_bracket(stack: np.ndarray) -> tuple[float, float]:
+    """Bounds lower <= max ||C||_2 <= upper over an (n, d, d) stack, from
+    ||C e_j|| <= ||C||_2 <= ||C||_F (Golub & Van Loan, Matrix
+    Computations, 2.3) with c the largest column norm and F the Frobenius
+    norm of each C, read in one pass over the squares of the real and
+    imaginary parts.  c^2 and F^2 are sums of nonnegative terms, within
+    about d ulps of their values, and ``op_norms`` reads ||C||_2^2 from a
+    Gram matrix whose rounding moves its largest eigenvalue by about
+    d F^2 ulps.  A margin m of 4 d ulps covers both: upper^2 =
+    (1 + m) max F^2 and lower^2 = max((1 - m) c^2 - m F^2) bound the norm
+    that ``op_norms`` computes as well as the exact one.  NaN when any
+    entry is."""
+    n, d = len(stack), stack.shape[-1]
+    margin = 4 * d * np.finfo(float).eps
+    parts = stack.view(stack.real.dtype)  # real and imaginary interleaved
+    squares = np.einsum("nij,nij->nj", parts, parts)
+    columns = squares.reshape(n, d, -1).sum(axis=-1)
+    frobenius = columns.sum(axis=-1)
+    upper = math.sqrt((1 + margin) * frobenius.max(initial=0.0))
+    lower = (1 - margin) * columns.max(axis=-1, initial=0.0) - margin * frobenius
+    return math.sqrt(max(lower.max(initial=0.0), 0.0)), upper
 
 
 def herm_defect(A: np.ndarray) -> float:
@@ -142,11 +187,16 @@ def is_state(rho: np.ndarray) -> bool:
     )
 
 
-def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product, with a size guard."""
-    d = A.shape[0] * B.shape[0]
+def require_tensor_fits(d: int) -> None:
+    """Raise SizeError when a tensor product space of dimension d would
+    exceed MAX_DIM."""
     if d > MAX_DIM:
         raise SizeError(f"tensor product dimension {d} exceeds {MAX_DIM}")
+
+
+def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker product, with a size guard."""
+    require_tensor_fits(A.shape[0] * B.shape[0])
     return np.kron(A, B)
 
 

@@ -455,7 +455,7 @@ def check_microcausality_implication(cfg: ScenarioConfig,
     for kind, of1, of2, phi1, phi2 in instances:
         system = fields.SystemModel(params, rep, phi1)
         pairs, micro = causality.check_r_microcausal(
-            system, of1, of2, phi1, phi2)
+            system, of1, of2, phi1, phi2, bound=tol)
         if pairs > 0 and Measurement("microcausal", micro, tol).holds:
             causal = causality.check_r_causal(system, of1, of2, phi1, phi2)
             worst = np.maximum(worst, causal)
@@ -522,7 +522,7 @@ def check_intrinsic_causality_pipeline(cfg: ScenarioConfig,
     # equal preparations, which are never spacelike separated
     of1 = of2 = frames.OrientedFrame(fr, omega, cfg.tol("tol_supp"))
     spacelike = causality.r_spacelike(of1, of2)
-    pairs, einstein = causality.check_frame_einstein_causal(fr)
+    pairs, einstein = causality.check_frame_einstein_causal(fr, bound=tol)
     einstein_causal = pairs == 0 or Measurement("einstein", einstein, tol).holds
     joint = causality.find_joint_state(of1, of2, tol_feas)
 
@@ -605,12 +605,12 @@ def check_wightman_suite(cfg: ScenarioConfig,
                 for x in (a, b))
     local_phi = _site_state(params, (0, 0))
     system = fields.SystemModel(params, rep, local_phi)
-    pairs, micro = causality.check_r_microcausal(system, of1, of2)
+    pairs, micro = causality.check_r_microcausal(system, of1, of2, bound=tol)
     premise = bool(
         pairs > 0 and Measurement("microcausal", micro, tol).holds
         and causality.r_spacelike(of1, of2)
         and Measurement("causal", causality.check_r_causal(
-            system, of1, of2), tol).holds)
+            system, of1, of2, bound=tol), tol).holds)
     swap_spec = wightman.VevSpec(((of1, local_phi), (of2, local_phi)))
     # a requirement, not a premise: without it the swaps certify nothing,
     # so the check fails rather than turning vacuous

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relqft import operators as ops
 from relqft import runner
 from relqft.cli import main
 from relqft.scenarios import CHECKS
@@ -65,20 +66,18 @@ def test_a_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
     assert 'bad.json:2: N must be an integer, got "x"' in err
 
 
-def test_oversized_check_exits_2_naming_it(tmp_path, capsys):
-    # at N = 11 the frame space is 1210-dimensional: relativizing a system of
-    # dimension 10 against it would need a 12100-dimensional tensor
-    # product, which the size guard refuses before allocation
-    p = tmp_path / "n11.json"
-    p.write_text(json.dumps({"model": {"N": 11, "s": 2}, "system": {
-        "momenta": [[1, 0], [2, 0], [4, 0], [8, 0], [5, 0], [10, 0], [9, 0],
-                    [7, 0], [3, 0], [6, 0]]}}), encoding="utf-8")
-    assert main(["verify", "channel-laws", "--config", str(p)]) == 2
+def test_oversized_check_exits_2_naming_it(monkeypatch, capsys):
+    # with the tensor-product guard lowered to 15, relativizing the default
+    # system (dimension 4) on the Lorentz frame (dimension 4) would need a
+    # 16-dimensional tensor product, which the guard refuses before
+    # allocation; the regular frame before it forms no such product
+    monkeypatch.setattr(ops, "MAX_DIM", 15)
+    assert main(["verify", "channel-laws"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [
-        "config error: check 'channel-laws': tensor product dimension 12100"
-        " exceeds 4096"]
+        "config error: check 'channel-laws': tensor product dimension 16"
+        " exceeds 15"]
     assert "Traceback" not in err
 
 

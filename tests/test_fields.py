@@ -286,6 +286,29 @@ def test_relativize_refuses_oversized_products_before_allocating():
     assert peak < 2**20
 
 
+def test_invariance_defect_is_refused_only_where_y_is_formed(rng,
+                                                             monkeypatch):
+    # the regular frame measures diagonal invariance without forming Y, so
+    # the tensor-product guard refuses only the Lorentz frame, which forms
+    # its 4 x 4-dimensional Y
+    P5 = ModelParams(5, 2)
+    rep = ops.character_representation(
+        P5, [LatticePoint(k, 0) for k in (1, 2, 4, 3)])
+    system = fields.SystemModel(P5, rep, ops.random_operator(rng, rep.dim))
+    regular = frames.uniform_frame(ops.regular_representation(P5))
+    lorentz = frames.uniform_frame(ops.lorentz_representation(P5))
+    defect = fields.relativization_invariance_defect(
+        fields.RelationalField(system, regular), P5.generators())
+    monkeypatch.setattr(ops, "MAX_DIM", 15)
+    assert fields.relativization_invariance_defect(
+        fields.RelationalField(system, regular), P5.generators()) == defect
+    with pytest.raises(ops.SizeError, match="dimension 16 exceeds 15"):
+        fields.relativization_invariance_defect(
+            fields.RelationalField(system, lorentz), P5.generators())
+    with pytest.raises(ops.SizeError, match="dimension 400 exceeds 15"):
+        fields.relativize(fields.RelationalField(system, regular))
+
+
 # ---------------------------------------------------------------------------
 # unit weights read from the seed, against the effect array
 
@@ -340,6 +363,24 @@ def test_unit_weights_of_a_generic_basis(name, rng):
     assert weights.shape == reference.shape == (len(fr.params.frame_points()),
                                                 V.shape[1] ** 2)
     assert np.max(np.abs(weights - reference)) <= 1e-15
+
+
+def test_unit_weights_drop_the_rounding_residue_of_zero_weights(rng):
+    # the uniform frame's effects are multiples of the identity, so of the
+    # units of an isometry only the k diagonal ones carry weight; the
+    # off-diagonal ones are rounding residue, whose exact zeros differ
+    # between the seed path and the effect array
+    fr = scenarios.FRAME_BUILDERS["uniform-regular"](ModelParams(5, 2), rng)
+    effect_array = frames.FrameObservable(fr.rep, fr.seed)
+    vars(effect_array)["convolution_kernel"] = None  # read the effect array
+    for _ in range(3):
+        V = np.linalg.qr(ops.random_operator(rng, fr.dim))[0][:, :33]
+        weights = fr.unit_weights(V)
+        reference = effect_array.unit_weights(V)
+        assert weights.shape == reference.shape == (fr.dim, 33)
+        assert np.max(np.abs(weights - reference)) <= 1e-15
+        assert np.max(np.abs(weights - 1 / fr.dim)) <= 1e-15
+    assert "effects" not in vars(fr) and "effects" in vars(effect_array)
 
 
 @pytest.mark.parametrize("basis", [False, True], ids=["units", "basis"])

@@ -547,6 +547,146 @@ def test_max_commutator_of_commuting_pairs_is_zero(rng):
     assert ops.max_commutator(stack, stack, pairs[3:], adjoint=True) == 0.0
 
 
+# ---------------------------------------------------------------------------
+# max_commutator with a bound: certified on the bound's side
+
+def decisions_agree(left, right, pairs, bound, adjoint=False):
+    """The bounded value is on the bound's side of the oracle's norm, and
+    brackets it: at least the norm when it holds, at most when it fails."""
+    exact = per_pair_commutator_norm(left, right, pairs, adjoint)
+    got = ops.max_commutator(left, right, pairs, adjoint=adjoint, bound=bound)
+    assert (got <= bound) == (exact <= bound), (got, exact, bound)
+    if got <= bound:
+        assert got >= exact * (1 - 1e-14)
+    else:
+        assert got <= exact * (1 + 1e-14)
+    return got
+
+
+def count_op_norms(monkeypatch):
+    calls = []
+    op_norms = ops.op_norms
+
+    def counted(stack):
+        calls.append(len(stack))
+        return op_norms(stack)
+
+    monkeypatch.setattr(ops, "op_norms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_bounded_max_commutator_decides_like_the_exact_norm(rng, hermitian):
+    draw = ops.random_hermitian if hermitian else ops.random_operator
+    left = np.array([draw(rng, 5) for _ in range(9)])
+    right = np.array([ops.random_operator(rng, 5) for _ in range(8)])
+    pairs = np.argwhere(np.ones((9, 8), dtype=bool))[:2 * ops.PAIR_CHUNK + 7]
+    for adjoint in (False, True):
+        exact = per_pair_commutator_norm(left, right, pairs, adjoint)
+        for bound in (0.0, 1e-9, exact * (1 - 1e-12), exact * (1 + 1e-12),
+                      4 * exact, np.inf):
+            decisions_agree(left, right, pairs, bound, adjoint)
+    assert ops.max_commutator(left, right, pairs[:0], bound=1e-9) == 0.0
+
+
+def test_bounded_max_commutator_norms_only_undecided_chunks(rng, monkeypatch):
+    # a bound far from every norm is settled by the bracket alone; a bound
+    # within the bracket of the chunk holding the largest norm is not
+    left = np.array([ops.random_operator(rng, 6) for _ in range(4)])
+    pairs = np.argwhere(np.ones((4, 4), dtype=bool))
+    exact = per_pair_commutator_norm(left, left, pairs, True)
+    calls = count_op_norms(monkeypatch)
+    assert ops.max_commutator(left, left, pairs, True, bound=1e-9) > 1e-9
+    assert ops.max_commutator(left, left, pairs, True, bound=1e3) <= 1e3
+    assert calls == []
+    decisions_agree(left, left, pairs, exact * (1 + 1e-12), adjoint=True)
+    assert calls == [2 * len(pairs)]
+
+
+def test_bounded_max_commutator_of_commuting_pairs(rng, monkeypatch):
+    stack = np.array([ops.random_operator(rng, 6) for _ in range(3)]
+                     + [np.eye(6, dtype=complex)])
+    pairs = np.array([[0, 0], [1, 1], [2, 2], [3, 0], [3, 1], [3, 2]])
+    calls = count_op_norms(monkeypatch)
+    for bound in (0.0, 1e-300, 1e-9):
+        assert ops.max_commutator(stack, stack, pairs, bound=bound) == 0.0
+    assert calls == []
+    # one pair that does not commute, in a later chunk
+    many = np.concatenate([np.tile(pairs, (ops.PAIR_CHUNK, 1)), [[0, 1]]])
+    assert ops.max_commutator(stack, stack, many, bound=1e-9) > 1e-9
+    decisions_agree(stack, stack, many, 0.0)
+
+
+def test_bounded_max_commutator_propagates_nan(rng):
+    stack = np.array([ops.random_operator(rng, 4) for _ in range(3)])
+    stack[1, 2, 3] = np.nan
+    for bound in (1e-9, 1e3, np.inf):
+        assert np.isnan(ops.max_commutator(stack, stack, np.array([[1, 0]]),
+                                           bound=bound))
+    # after chunks that hold, and in the adjoint commutators only
+    pairs = np.array([[0, 0]] * ops.PAIR_CHUNK + [[2, 1]])
+    assert np.isnan(ops.max_commutator(stack, stack, pairs, bound=1e3))
+    assert np.isnan(ops.max_commutator(stack[1:2], stack[:1],
+                                       np.array([[0, 0]]), adjoint=True,
+                                       bound=1e3))
+    # a norm above the bound ends the scan before the NaN is reached
+    pairs[:-1] = [0, 2]
+    assert ops.max_commutator(stack, stack, pairs, bound=1e-9) > 1e-9
+
+
+def exact_norm_stacks():
+    """Pairs whose commutators have norms that every path computes exactly:
+    rank one ([2 E_01, E_00] = -2 E_01, norm 2), and full rank on a block
+    ([sigma_x, sigma_z] = -2i sigma_y, norm 2, Frobenius norm 2 sqrt 2)."""
+    e00, e01 = np.zeros((2, 4, 4), dtype=complex)
+    e00[0, 0] = e01[0, 1] = 1.0
+    sigma_x, sigma_z = np.zeros((2, 4, 4), dtype=complex)
+    sigma_x[:2, :2] = [[0, 1], [1, 0]]
+    sigma_z[:2, :2] = [[1, 0], [0, -1]]
+    return [np.array([2 * e01, e00]), np.array([sigma_x, sigma_z])]
+
+
+@pytest.mark.parametrize("stack", exact_norm_stacks(), ids=["rank-one", "block"])
+def test_bounded_max_commutator_a_few_ulps_from_the_bound(stack):
+    pairs = np.array([[0, 1]] * (ops.PAIR_CHUNK + 3))
+    assert per_pair_commutator_norm(stack, stack, pairs[:1], False) == 2.0
+    assert ops.max_commutator(stack, stack, pairs) == 2.0
+    below = above = 2.0
+    for _ in range(8):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 4.0)
+        for bound in (below, 2.0, above):
+            decisions_agree(stack, stack, pairs, bound)
+            decisions_agree(stack, stack, pairs, bound, adjoint=True)
+
+
+def rank_one_commutators(rng, d=7, n=64):
+    """A_k = |u_k><e_0| for random u_k, then n copies of E_00: the
+    commutators [A_k, E_00] = |w_k><e_0|, w_k being u_k with its first
+    entry zeroed, are rank one, so their column norm, Frobenius norm and
+    operator norm are one value, ||w_k||, reached by differently rounded
+    sums."""
+    e0 = np.zeros((d, d), dtype=complex)
+    e0[0, 0] = 1.0
+    u = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    A = np.zeros((n, d, d), dtype=complex)
+    A[:, :, 0] = u
+    return np.concatenate([A, np.broadcast_to(e0, (n, d, d))])
+
+
+def test_bounded_max_commutator_agrees_with_the_unbounded_a_few_ulps_away(rng):
+    stack = rank_one_commutators(rng)
+    n = len(stack) // 2
+    for k in range(n):
+        pairs = np.array([[k, n + k]])
+        exact = ops.max_commutator(stack, stack, pairs)
+        below = above = exact
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 2 * exact)
+            for bound in (below, exact, above):
+                got = ops.max_commutator(stack, stack, pairs, bound=bound)
+                assert (got <= bound) == (exact <= bound), (k, got, exact, bound)
+
+
 def stacked_orbit_sum_reps():
     return [ops.spacetime_representation(P3),
             ops.character_representation(

@@ -324,6 +324,39 @@ def test_n7_workload_builds_no_regular_effect_array(monkeypatch):
     assert 0 < max(built) < 49
 
 
+def test_n7_microcausal_premise_norms_at_most_once_per_random_preparation(
+        monkeypatch):
+    # the premise passes tol_eq to max_commutator, whose norm bracket
+    # settles the site instances' commutators (exactly zero, or far above
+    # the bound) and ends a random preparation's scan at its first chunk;
+    # so op_norms runs at most once per random-preparation instance, not
+    # once per chunk of every instance's spacelike site pairs
+    calls = []
+    op_norms, microcausal = ops.op_norms, causality.check_r_microcausal
+    premise_calls = []
+
+    def counted_norms(stack):
+        calls.append(len(stack))
+        return op_norms(stack)
+
+    def counted_premise(*args, **kwargs):
+        before = len(calls)
+        result = microcausal(*args, **kwargs)
+        premise_calls.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(ops, "op_norms", counted_norms)
+    monkeypatch.setattr(causality, "check_r_microcausal", counted_premise)
+    report = runner.run(load_config(str(N7_CONFIG)),
+                        targets=["microcausality-implication"])
+    (outcome,) = report.outcomes
+    assert outcome.verdict == "verified"
+    assert len(premise_calls) == outcome.details["instances"]
+    random_preparations = 4
+    assert max(premise_calls) <= 1
+    assert sum(premise_calls) <= random_preparations
+
+
 @pytest.mark.parametrize("path", [None, N7_CONFIG], ids=["default", "n7"])
 def test_run_reads_no_effect_array_as_large_as_the_lattice(monkeypatch, path):
     # the local algebras and the field span read their unit weights from

@@ -354,9 +354,10 @@ def test_intrinsic_causality_details():
 def test_einstein_causal_is_no_pairs_or_a_residual_within_tol_eq(
         monkeypatch, pairs, residual, einstein_causal):
     # no spacelike effect pairs make the frame Einstein-causal whatever the
-    # residual; a NaN residual meets no bound
+    # residual; a NaN residual meets no bound.  The premise passes its
+    # bound, tol_eq, to the predicate.
     monkeypatch.setattr(causality, "check_frame_einstein_causal",
-                        lambda frame: (pairs, residual))
+                        lambda frame, bound: (pairs, residual))
     name = "intrinsic-causality-pipeline"
     outcome = scenarios.CHECKS[name].fn(
         DEFAULT_CONFIG, runner.check_rng(DEFAULT_CONFIG.seed, name))
