@@ -7,7 +7,12 @@ fixed by its representation and one dressed seed,
 E(g.X0) = U(g) D U(g)^dag, and ``FrameObservable`` holds that pair.
 Orbit-averaging a seed with a symmetric K^(-1/2) .. K^(-1/2)
 normalization produces such POVMs for any invertible orbit sum; sharp and
-uniform frames are special cases.
+uniform frames are special cases.  K commutes with the representation;
+where the translations act freely on the site axis (``_site_shifts``: the
+regular, spacetime and product-witness representations), a DFT over the
+two site axes splits it into N^2 blocks of d / N^2 on a side, and
+``build_frame`` reads K^(-1/2) from them (``_block_inverse_sqrt``); any
+other representation takes one dense ``eigh`` of K.
 
 The effect array, (|F|, d, d), is the orbit of the seed, built on first
 read and kept; a Born measure is one length-|F| weight array.  Both are in
@@ -25,6 +30,11 @@ A frame is read in one of two layouts, by its representation's tables:
   stabilizer conjugate, and a frame is one convolution kernel over H, a
   (c, d, d) array (``FrameObservable.convolution_kernel``);
 * effects: any other representation reads the effect array.
+
+The normalization does not read this layout but the translations'
+action on the sites (``_site_shifts``): at s = 1 the Lorentz
+representation, whose one basis vector every element fixes, is a free
+layout with H the identity, and it takes the dense ``eigh``.
 
 The orbit sum, the Born weights and the Born weights of matrix units
 (``FrameObservable.unit_weights``, which ``fields.unit_observables``
@@ -48,6 +58,7 @@ the strict vacuum-orthogonality check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -277,6 +288,15 @@ class FrameObservable:
         rows = [params.site_index(x) * len(params.boosts()) for x in points]
         return self.rep.orbit(self._origin_fiber_effect, rows)
 
+    def spacetime_marginal_sum(self, points) -> np.ndarray:
+        """The sum of F_R(x) over the lattice points, one (d, d) array:
+        one orbit sum of the cached F_R(0) with weight 1 at the rows of the
+        translations to the points."""
+        params = self.params
+        weights = np.zeros(len(self.rep.table))
+        weights[[params.site_index(x) * len(params.boosts()) for x in points]] = 1.0
+        return self.rep.orbit_sum(weights, self._origin_fiber_effect)
+
 
 def _moved_defect(Z: np.ndarray, row: np.ndarray, inverse: np.ndarray,
                   phases: np.ndarray | None) -> float:
@@ -324,11 +344,75 @@ class OrientedFrame:
 # builders
 
 def _inverse_sqrt(K: np.ndarray) -> np.ndarray:
+    """K^(-1/2) of a Hermitian matrix, or of each matrix of a stack, from
+    one (batched) ``eigh``.  Raises DegenerateSeedError when the smallest
+    eigenvalue of them all is at most SVD_CUTOFF times the largest."""
     eigs, V = np.linalg.eigh(K)
-    if eigs[0] <= SVD_CUTOFF * eigs[-1]:
+    low, high = eigs[..., 0].min(), eigs[..., -1].max()
+    if low <= SVD_CUTOFF * high:
         raise DegenerateSeedError(
-            f"orbit sum is numerically singular (eigs in [{eigs[0]:.3e}, {eigs[-1]:.3e}])")
-    return (V * eigs**-0.5) @ dagger(V)
+            f"orbit sum is numerically singular (eigs in [{low:.3e}, {high:.3e}])")
+    return (V * eigs[..., None, :] ** -0.5) @ dagger(V)
+
+
+def _site_shifts(rep: UnitaryRep) -> np.ndarray | None:
+    """The translations' action on the sites, an (N^2, N^2) table in
+    lattice_points() order whose row a holds the site of x + a for every
+    x, when the translations act freely on the site axis: the
+    representation permutes the basis (no phases), its dimension is N^2 b,
+    and the translation by a sends basis index x b + j to (x + a) b + j.
+    So on the regular, spacetime and product-witness representations; None
+    on any other, as on the Lorentz and character representations, and at
+    s = 1 on the Lorentz one, whose one basis vector every element fixes."""
+    params = rep.params
+    sites, rows = params.N ** 2, len(params.boosts())
+    b, rest = divmod(rep.dim, sites)
+    if rep.phases is not None or rest:
+        return None
+    shifts = lattice.site_action_table(params)[::rows]  # boost 1: translations
+    moved = (shifts[:, :, None] * b + np.arange(b)).reshape(sites, -1)
+    return shifts if np.array_equal(rep.table[::rows], moved) else None
+
+
+def _site_dft(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_x W[p_u, x_u] W[p_v, x_v] A[(x, j), k] over the sites x = (x_u,
+    x_v) of an (N^2 b, m) array A whose rows are (site, j) in
+    lattice_points() order, as one (N^2, b, m) array over p: two products
+    with the N x N matrix W, one per site axis."""
+    N = len(W)
+    rows = W @ (W @ A.reshape(N, -1)).reshape(N, N, -1)
+    return rows.reshape(N * N, -1, A.shape[-1])
+
+
+def _block_inverse_sqrt(columns: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """K^(-1/2), as one d x d array, for a Hermitian K that commutes with
+    translations acting as the site shifts (``_site_shifts``), from K's
+    first b columns, a (d, b) array, d = N^2 b.
+
+    K[(x, j), (y, l)] is C[x - y][j, l], C[x] the b x b blocks of those
+    columns, so on the vectors conj(chi_p) (x) w, with chi_p(x) =
+    exp(2 pi i p.x / N), K acts as the block Kh[p] = sum_x chi_p(x) C[x]:
+    the DFT of the columns over the two site axes (``_site_dft``, with the
+    character matrix W[k, u] = exp(2 pi i k u / N); no FFT).  One batched
+    ``eigh`` gives every Kh[p]^(-1/2) (``_inverse_sqrt``), and the
+    inverse DFT J[x] = N^-2 sum_p conj(chi_p(x)) Kh[p]^(-1/2) gives
+    K^(-1/2)[(x, j), (y, l)] = J[x - y][j, l], one gather.
+    The p = 0 block is taken from every block before the inverse DFT and
+    added back at x = 0, so when K is a multiple of the identity, and its
+    blocks are all equal, K^(-1/2) is that multiple's inverse square root
+    to the bit."""
+    sites, (d, b) = len(shifts), columns.shape
+    N = math.isqrt(sites)
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    W = roots[np.outer(np.arange(N), np.arange(N)) % N]
+    inverse = _inverse_sqrt(_site_dft(columns, W))
+    origin = inverse[0].copy()
+    inverse -= origin
+    J = _site_dft(inverse.reshape(d, b), W.conj())
+    J /= sites
+    J[0] += origin
+    difference = np.argsort(shifts, axis=0)  # the site of x - y: y + a = x
+    return J[difference].transpose(0, 2, 1, 3).reshape(d, d)
 
 
 def _stabilizer_conjugates(rep: UnitaryRep, A: np.ndarray) -> np.ndarray:
@@ -375,9 +459,22 @@ def build_frame(rep: UnitaryRep, seed_effect: np.ndarray) -> FrameObservable:
     up to rounding.  The build makes no effect array.  On a permutation
     representation the effects, once read, are exact relabellings of D, so
     covariance holds exactly.
+
+    K^(-1/2) is read from K's N^2 translation-Fourier blocks
+    (``_block_inverse_sqrt``) when the translations act freely on the site
+    axis (``_site_shifts``), and from one dense ``eigh`` of K otherwise;
+    D is then two dense products.  Either way DegenerateSeedError is
+    raised when the smallest eigenvalue of K is at most SVD_CUTOFF times
+    the largest.  On the blocks a seed whose K is exactly 1 is kept to the
+    bit.
     """
     seed = np.asarray(seed_effect, dtype=complex)
-    Kinv = _inverse_sqrt(_orbit_sum(rep, seed))
+    shifts = _site_shifts(rep)
+    if shifts is None:
+        Kinv = _inverse_sqrt(_orbit_sum(rep, seed))
+    else:  # K's first b columns; K is freed before the products
+        b = rep.dim // len(shifts)
+        Kinv = _block_inverse_sqrt(_orbit_sum(rep, seed)[:, :b], shifts)
     return FrameObservable(rep, Kinv @ seed @ Kinv)
 
 

@@ -33,8 +33,7 @@ from relqft.causality import check_r_causal, r_spacelike
 from relqft.fields import SystemModel, unit_observables
 from relqft.frames import FrameObservable, OrientedFrame, born_measure
 from relqft.lattice import ModelParams
-from relqft.operators import (AlgebraSubspace, dagger, generated_algebra,
-                              max_commutator)
+from relqft.operators import AlgebraSubspace, generated_algebra, max_commutator
 from relqft.tolerances import (SVD_CUTOFF, TOL_EQ, TOL_SUPP, Measurement,
                                verdict)
 
@@ -46,17 +45,18 @@ def states_supported_in(frame: FrameObservable, region) -> np.ndarray:
 
     A state puts zero weight on x exactly when its range lies in the kernel
     of the marginal effect F_R(x), so K is the joint kernel of all outside
-    effects.  k = 0 when K = {0}.
+    effects.  They are positive semidefinite, so that is the kernel of
+    their sum M (``FrameObservable.spacetime_marginal_sum``), read from one
+    ``eigh`` of M: K is spanned by the eigenvectors whose eigenvalues are at
+    most SVD_CUTOFF times the largest, or than 1 when that is smaller.
+    k = 0 when K = {0}.
     """
     region = frozenset(region)
     outside = [x for x in frame.params.lattice_points() if x not in region]
     if not outside:
         return np.eye(frame.dim, dtype=complex)
-    stacked = frame.spacetime_marginal_effects(outside).reshape(-1, frame.dim)
-    _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
-    scale = max(float(svals[0]) if svals.size else 0.0, 1.0)
-    rank = int(np.sum(svals > SVD_CUTOFF * scale))
-    return dagger(Vh)[:, rank:]
+    eigs, V = np.linalg.eigh(frame.spacetime_marginal_sum(outside))
+    return V[:, :np.sum(eigs <= SVD_CUTOFF * max(float(eigs[-1]), 1.0))]
 
 
 @dataclass

@@ -77,13 +77,20 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     the largest eigenvalue of the smaller Gram matrix, C^dag C or C C^dag,
     from one batched ``eigvalsh``.  Squaring costs accuracy only in the
     small singular values, not in the largest; an all-zero matrix gives
-    exactly 0.0."""
+    exactly 0.0.  A matrix whose Gram matrix has a NaN or infinite entry
+    (a non-finite entry of its own, or an overflow) gives NaN: its Gram
+    matrix is zeroed before the ``eigvalsh``, which does not converge on
+    it."""
     stack = np.asarray(stack)
     if min(stack.shape[-2:]) == 0:
         return np.zeros(stack.shape[:-2])
     adjoint = dagger(stack)
     gram = adjoint @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ adjoint
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    if not finite.all():
+        gram = np.where(finite[..., None, None], gram, 0.0)
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return np.where(finite, norms, np.nan)
 
 
 def max_commutator(left: np.ndarray, right: np.ndarray, pairs: np.ndarray,

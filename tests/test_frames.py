@@ -34,6 +34,11 @@ def test_build_frame_normalizes_smeared_seed(rng):
         assert ops.psd_gap(E) > -1e-10
 
 
+def _witness_rep(params: ModelParams) -> ops.UnitaryRep:
+    return ops.tensor_product_rep(ops.spacetime_representation(params),
+                                  ops.lorentz_representation(params))
+
+
 def two_pass_frame(rep, seed):
     """Reference build: conjugate the seed to every point with dense
     matrices, then dress each effect with K^(-1/2) on both sides."""
@@ -43,19 +48,129 @@ def two_pass_frame(rep, seed):
     return Kinv @ orbit @ Kinv
 
 
+def block_inverse_sqrt(rep: ops.UnitaryRep, K: np.ndarray) -> np.ndarray:
+    """K^(-1/2) from K's translation-Fourier blocks."""
+    shifts = frames._site_shifts(rep)
+    return frames._block_inverse_sqrt(K[:, :rep.dim // len(shifts)], shifts)
+
+
 def test_build_frame_matches_the_two_pass_oracle(rng):
+    # the regular, spacetime and witness representations take the
+    # translation-Fourier blocks, whose K^(-1/2) matches the dense one
     character = ops.character_representation(
         P5, [LatticePoint(1, 0), LatticePoint(2, 0),
              LatticePoint(4, 0), LatticePoint(3, 0)])
     for rep in (ops.regular_representation(P3),
                 ops.regular_representation(P5),
+                ops.regular_representation(ModelParams(7, 2)),
                 ops.spacetime_representation(P5),
-                ops.lorentz_representation(P5), character):
+                _witness_rep(P3), ops.lorentz_representation(P5), character):
         d = rep.dim
         seed = np.eye(d, dtype=complex) / d + 0.5 * ops.random_psd(rng, d) / d
         fr = frames.build_frame(rep, seed)
         assert ops.eq_defect(fr.effects, two_pass_frame(rep, seed)) < 1e-13
         assert fr.normalization_defect() < 1e-13
+        if frames._site_shifts(rep) is not None:
+            K = frames._orbit_sum(rep, seed)
+            assert ops.eq_defect(block_inverse_sqrt(rep, K),
+                                 frames._inverse_sqrt(K)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the orbit sum in translation-Fourier blocks
+
+BLOCK_REPS = {
+    "regular-N7": lambda: ops.regular_representation(ModelParams(7, 2)),
+    "witness-N3": lambda: _witness_rep(P3),
+    "spacetime-N5": lambda: ops.spacetime_representation(P5),
+}
+
+
+def _plane_wave_projector(params: ModelParams) -> np.ndarray:
+    """|e_0><e_0| (x) 1 on the regular representation, e_0 the constant
+    unit vector over the sites: the projector onto the p = 0 Fourier block."""
+    sites, fiber = params.N ** 2, len(params.boosts())
+    constant = np.full((sites, sites), 1.0 / sites, dtype=complex)
+    return ops.tensor(constant, np.eye(fiber, dtype=complex))
+
+
+def test_block_build_rejects_a_seed_singular_on_some_blocks(rng):
+    params = P5
+    rep = ops.regular_representation(params)
+    P0 = _plane_wave_projector(params)
+    w = ops.random_operator(rng, rep.dim)[:, 0]
+    w = P0 @ w / np.linalg.norm(P0 @ w)  # e_0 (x) w
+    # the orbit sum of |e_0 (x) w><e_0 (x) w| lives on the p = 0 block alone;
+    # that of 1 - (1 - eps) P0 is 1 on every block but p = 0, where it is
+    # eps: each block is well conditioned, the stack of them is not
+    eye = np.eye(rep.dim, dtype=complex)
+    for seed in (np.outer(w, w.conj()), eye - (1 - 1e-9) * P0):
+        K = frames._orbit_sum(rep, seed)
+        with pytest.raises(frames.DegenerateSeedError):
+            frames._inverse_sqrt(K)
+        with pytest.raises(frames.DegenerateSeedError):
+            frames.build_frame(rep, seed)
+    # at eps = 1e-6 the blocks give K^(-1/2) = (1 - P0 + P0 / sqrt(eps)) /
+    # sqrt(|G|), K being |G| times 1 - (1 - eps) P0; the rounding of the
+    # seed's entries moves the p = 0 block's eigenvalue eps by about 1e-16,
+    # so its inverse square root by about 1e-10 of itself
+    eps, n = 1e-6, len(params.group_elements())
+    K = frames._orbit_sum(rep, eye - (1 - eps) * P0)
+    block = block_inverse_sqrt(rep, K)
+    exact = (eye - P0 + P0 / np.sqrt(eps)) / np.sqrt(n)
+    assert ops.eq_defect(block, exact) < 1e-8 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("name", BLOCK_REPS)
+def test_block_build_keeps_a_normalized_seed_to_the_bit(name):
+    # K = 1: the sharp seed |e_0><e_0| on a regular representation,
+    # |0><0| (x) 1/|C| on the witness and |0><0| / |C| on the spacetime one
+    rep = BLOCK_REPS[name]()
+    params, d = rep.params, rep.dim
+    seed = np.zeros((d, d), dtype=complex)
+    if name.startswith("regular"):
+        seed[0, 0] = 1.0
+    else:
+        fiber = d // params.N ** 2
+        seed[:fiber, :fiber] = np.eye(fiber) / len(params.boosts())
+    assert np.array_equal(frames._orbit_sum(rep, seed), np.eye(d))
+    assert np.array_equal(frames.build_frame(rep, seed).seed, seed)
+
+
+LAYOUT_REPS = {
+    # the translations act freely on the site axis: blocks
+    "regular": (ops.regular_representation, True),
+    "spacetime": (ops.spacetime_representation, True),
+    "witness": (_witness_rep, True),
+    # any other: one dense eigh
+    "lorentz": (ops.lorentz_representation, False),
+    "character": (lambda p: ops.character_representation(
+        p, sorted({ops.momentum_boost(b, LatticePoint(1, 0), p)
+                   for b in p.boosts()})), False),
+}
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("name", LAYOUT_REPS)
+def test_build_frame_takes_blocks_only_where_translations_shift_sites(
+        name, s, rng, monkeypatch):
+    # at s = 1 the Lorentz representation has one basis vector, which every
+    # element fixes: a free layout (free_index) on which the translations
+    # do not act freely, so it stays dense
+    make, blocked = LAYOUT_REPS[name]
+    rep = make(ModelParams(5, s))
+    assert (frames._site_shifts(rep) is not None) == blocked
+
+    inverse_sqrt = frames._inverse_sqrt
+
+    def checked(K):
+        assert (K.ndim == 3) == blocked  # the blocks, or one dense K
+        return inverse_sqrt(K)
+
+    monkeypatch.setattr(frames, "_inverse_sqrt", checked)
+    d = rep.dim
+    seed = np.eye(d, dtype=complex) / d + 0.5 * ops.random_psd(rng, d) / d
+    assert frames.build_frame(rep, seed).normalization_defect() < 1e-13
 
 
 def test_build_frame_is_exactly_covariant_on_permutation_reps(rng):
@@ -88,11 +203,6 @@ def test_smeared_regular_frame_builds_no_dense_matrix(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # seed-held frames on the free layout against the effect array
-
-def _witness_rep(params: ModelParams) -> ops.UnitaryRep:
-    return ops.tensor_product_rep(ops.spacetime_representation(params),
-                                  ops.lorentz_representation(params))
-
 
 REGULAR_REPS = {
     "regular-N3": lambda: ops.regular_representation(P3),

@@ -26,7 +26,8 @@ read the site tables.  No comparison reads ``causal_mode`` outside
 Every ``ModelParams`` that ``scenarios`` builds takes N and s from the
 config, but the one pinned witness model, so a run checks one model.  No
 module but ``frames`` reads a frame's layout (``convolution_kernel``,
-``free_index``), so no caller branches on it.
+``free_index``), so no caller branches on it.  No function of the
+package reads ``numpy.fft`` outside a short allowance.
 """
 
 import ast
@@ -677,3 +678,61 @@ def test_only_frames_reads_a_frame_layout():
         rel = path.relative_to(ROOT).as_posix()
         found += [f"{rel}:{line}" for line in layout_reads(tree)]
     assert not found, "frame layouts read outside frames:\n" + "\n".join(found)
+
+
+
+#: The functions that may read ``numpy.fft``, with the reason.  Importing
+#: it and taking a first small ``fft2`` add about 0.5 MB to the resident
+#: set of a process that has already run its first BLAS product (numpy
+#: 2.4), where the products with the N x N character matrix that
+#: ``frames._site_dft`` takes add nothing of their own; so a run that does
+#: not check the spectral condition never imports it.
+FFT_READERS = {
+    # the recorded spectral table, which spectral-condition cross-checks
+    # against a directly summed transform
+    "wightman.spectral_check",
+}
+
+
+def fft_readers(tree: ast.Module, module: str) -> set[str]:
+    """The functions of the module that read ``np.fft`` or ``numpy.fft``
+    as an attribute, or import ``numpy.fft`` or a name from it, in their
+    own body."""
+
+    def reads_fft(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                    and node.value.id in {"np", "numpy"})
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.fft") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy"
+                and any(alias.name == "fft" for alias in node.names))
+        return False
+
+    return functions_with(tree, module, reads_fft)
+
+
+def test_the_scan_finds_fft_reads():
+    source = ("import numpy as np\n"
+              "import numpy.fft\n"
+              "def f(x): return np.fft.fft2(x)\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from numpy import fft, linalg\n"
+              "    def n(self):\n"
+              "        from numpy.fft import ifft2\n"
+              "    def o(self): return np.linalg.eigh(self), self.fft\n")
+    assert fft_readers(ast.parse(source), "mod") == {
+        "mod", "mod.f", "mod.C.m", "mod.C.n"}
+
+
+def test_only_the_allowed_functions_read_numpy_fft():
+    # the allowance is exact: a function that stops reading numpy.fft
+    # leaves it
+    found = set()
+    for path in PACKAGE:
+        found |= fft_readers(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == FFT_READERS

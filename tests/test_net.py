@@ -138,6 +138,25 @@ def test_deterministic_net_time_slice():
     assert diamond in nt.algebras and slice_tips not in nt.algebras
 
 
+def test_a_nan_algebra_fails_the_causality_axiom():
+    # the premise holds on the pair, and a NaN in one basis operator makes
+    # the recorded residual NaN, which meets no bound: the axiom fails, the
+    # run goes on
+    nt = diagonal_net(P3)
+    pair = (frozenset({LatticePoint(0, 1)}), frozenset({LatticePoint(1, 0)}))
+    local = nt.algebra(pair[0])
+    Q = local.algebra.Q.copy()
+    Q[0, 0] = np.nan
+    nt.algebras[pair[0]] = net.LocalAlgebra(
+        ops.AlgebraSubspace(local.algebra.dim, Q), local.states)
+    with np.errstate(invalid="ignore"):
+        report = net.verify_net_axioms(nt, [], [], spacelike_pairs=[pair])
+    causality = report.axioms["causality"]
+    assert causality.pairs_checked == 1
+    assert np.isnan(causality.max_residual)
+    assert causality.verdict == "failed"
+
+
 def test_causality_rejects_non_spacelike_pair():
     nt = diagonal_net(P3)
     pair = (frozenset({LatticePoint(0, 0)}), frozenset({LatticePoint(1, 1)}))

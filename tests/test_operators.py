@@ -511,6 +511,31 @@ def test_op_norms_of_empty_stacks():
     assert ops.op_norms(np.zeros((2, 0, 5))).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 4, 4), (3, 5, 2)])
+def test_op_norms_give_nan_for_matrices_with_non_finite_entries(rng, entry, shape):
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    finite = ops.op_norms(stack)
+    stack[1, 2, 1] = entry
+    with np.errstate(invalid="ignore"):
+        norms = ops.op_norms(stack)
+        assert np.isnan(ops.op_norm(stack[1]))
+    assert np.isnan(norms[1])
+    assert norms[[0, 2]].tolist() == finite[[0, 2]].tolist()
+
+
+def test_unbounded_max_commutator_propagates_nan(rng):
+    stack = np.array([ops.random_operator(rng, 4) for _ in range(3)])
+    stack[1, 2, 3] = np.nan
+    chunk = [[0, 2]] * ops.PAIR_CHUNK
+    with np.errstate(invalid="ignore"):
+        # alone, after a chunk of finite commutators and before one
+        for pairs in ([[1, 0]], chunk + [[2, 1]], [[1, 0]] + chunk):
+            assert np.isnan(ops.max_commutator(stack, stack, np.array(pairs)))
+        assert np.isnan(ops.max_commutator(stack[1:2], stack[:1],
+                                           np.array([[0, 0]]), adjoint=True))
+
+
 def per_pair_commutator_norm(left, right, pairs, adjoint):
     """The oracle: max_commutator one pair at a time, by a dense SVD."""
     worst = 0.0

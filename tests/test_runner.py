@@ -3,6 +3,7 @@ import functools
 import inspect
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -355,6 +356,40 @@ def test_n7_microcausal_premise_norms_at_most_once_per_random_preparation(
     random_preparations = 4
     assert max(premise_calls) <= 1
     assert sum(premise_calls) <= random_preparations
+
+
+#: The functions that may call ``np.linalg.eigh`` on a matrix of dimension
+#: at least N^2 in a run, with the reason: the sum of the marginal effects
+#: outside a region is the one such matrix, and the region leaves it no
+#: translation symmetry to split it by.
+LATTICE_SIZED_EIGH = {"states_supported_in"}
+
+
+@pytest.mark.parametrize("path", [None, N7_CONFIG], ids=["default", "n7"])
+def test_run_takes_no_eigh_as_large_as_the_lattice(monkeypatch, path):
+    # the orbit sums of the regular, spacetime and product-witness frames
+    # are normalized in N^2 translation-Fourier blocks of |C| x |C|, 1 x 1
+    # and |C| x |C| (frames._block_inverse_sqrt); what else a run decomposes
+    # is at most the N = 3 witnesses' 18 x 18
+    cfg = DEFAULT_CONFIG if path is None else load_config(str(path))
+    lattice_dim = cfg.model().N ** 2
+    eigh = np.linalg.eigh
+    sizes = {}
+
+    def guarded(a, *args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        sizes.setdefault(caller, set()).add(np.shape(a)[-1])
+        if np.shape(a)[-1] >= lattice_dim and caller not in LATTICE_SIZED_EIGH:
+            raise AssertionError(f"{caller} decomposed a {np.shape(a)} array")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", guarded)
+    report = runner.run(cfg)
+    assert {o.verdict for o in report.outcomes} == {"verified"}
+    assert max(sizes.pop("_inverse_sqrt")) < lattice_dim
+    assert max(max(dims) for dims in sizes.values()) >= 18
+    # the allowance is exact: its callers still decompose at that size
+    assert all(max(sizes[caller]) >= lattice_dim for caller in LATTICE_SIZED_EIGH)
 
 
 @pytest.mark.parametrize("path", [None, N7_CONFIG], ids=["default", "n7"])
