@@ -26,8 +26,8 @@ read the site tables.  No comparison reads ``causal_mode`` outside
 Every ``ModelParams`` that ``scenarios`` builds takes N and s from the
 config, but the one pinned witness model, so a run checks one model.  No
 module but ``frames`` reads a frame's layout (``convolution_kernel``,
-``free_index``), so no caller branches on it.  No function of the
-package reads ``numpy.fft`` outside a short allowance.
+``free_index``, ``_site_shifts``), so no caller branches on it.  No
+function of the package reads ``numpy.fft`` outside a short allowance.
 """
 
 import ast
@@ -642,10 +642,11 @@ def test_scenarios_build_the_configured_model():
 
 
 #: The names that choose a frame's layout: the kernel of a frame on the
-#: free layout and the index tables of that layout.  ``operators`` defines
-#: the tables and ``frames`` alone reads them, so no caller branches on a
-#: frame's layout.
-LAYOUT_NAMES = {"convolution_kernel", "free_index"}
+#: free layout, the index tables of that layout, and the translations'
+#: free action on the sites that selects the block normalization of
+#: ``build_frame``.  ``operators`` defines the tables and ``frames`` alone
+#: reads them, so no caller branches on a frame's layout.
+LAYOUT_NAMES = {"convolution_kernel", "free_index", "_site_shifts"}
 
 
 def layout_reads(tree: ast.Module) -> list[int]:
@@ -665,8 +666,9 @@ def test_the_scan_finds_layout_reads():
               "class UnitaryRep:\n"
               "    def free_index(self): return None\n"
               "    free_index = None\n"
-              "frame.convolution_kernel = B\n")
-    assert layout_reads(ast.parse(source)) == [1, 2, 3]
+              "frame.convolution_kernel = B\n"
+              "shifts = frames._site_shifts(rep)\n")
+    assert layout_reads(ast.parse(source)) == [1, 2, 3, 8]
 
 
 def test_only_frames_reads_a_frame_layout():
@@ -682,14 +684,16 @@ def test_only_frames_reads_a_frame_layout():
 
 
 #: The functions that may read ``numpy.fft``, with the reason.  Importing
-#: it and taking a first small ``fft2`` add about 0.5 MB to the resident
+#: it and taking a first small ``fft2`` add 0.3 to 0.5 MB to the resident
 #: set of a process that has already run its first BLAS product (numpy
 #: 2.4), where the products with the N x N character matrix that
 #: ``frames._site_dft`` takes add nothing of their own; so a run that does
 #: not check the spectral condition never imports it.
 FFT_READERS = {
-    # the recorded spectral table, which spectral-condition cross-checks
-    # against a directly summed transform
+    # the spectral table, which spectral-condition cross-checks against a
+    # directly summed transform and whose largest entry on the support is
+    # the recorded ``on_support_max`` detail: another transform could move
+    # its last bits
     "wightman.spectral_check",
 }
 

@@ -4,7 +4,7 @@ import pytest
 from relqft import fields, frames, lattice, net, scenarios
 from relqft import operators as ops
 from relqft.lattice import GroupElement, LatticePoint, ModelParams
-from relqft.tolerances import TOL_EQ
+from relqft.tolerances import SVD_CUTOFF, TOL_EQ
 
 P3 = ModelParams(3, 2)
 P5 = ModelParams(5, 2)
@@ -45,6 +45,30 @@ def test_states_supported_in_single_site():
     expected = np.zeros((9, 9), dtype=complex)
     expected[index, index] = 1.0
     assert np.allclose(np.outer(V[:, 0], np.conj(V[:, 0])), expected)
+
+
+def stacked_svd_kernel(frame, region):
+    """The reference: the joint kernel of the outside marginal effects
+    from the SVD of their (|outside| d, d) stack."""
+    outside = [x for x in frame.params.lattice_points() if x not in region]
+    stacked = frame.spacetime_marginal_effects(outside).reshape(-1, frame.dim)
+    _, svals, Vh = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.sum(svals > SVD_CUTOFF * max(float(svals[0]), 1.0)))
+    return ops.dagger(Vh)[:, rank:]
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("name", scenarios.FRAME_BUILDERS)
+def test_states_supported_in_matches_the_stacked_svd(name, N, rng):
+    # the outside effects are PSD, so the kernel of their sum is their
+    # joint kernel: the same dimension and the same projector
+    fr = scenarios.FRAME_BUILDERS[name](ModelParams(N, 2), rng)
+    for region in scenarios._net_regions(fr.params):
+        V = net.states_supported_in(fr, region)
+        reference = stacked_svd_kernel(fr, region)
+        assert V.shape == reference.shape
+        assert ops.eq_defect(V @ ops.dagger(V),
+                             reference @ ops.dagger(reference)) < 1e-12
 
 
 def test_empty_region_gives_scalars():
