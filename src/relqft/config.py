@@ -12,6 +12,7 @@ half-width (N - 1) // 2, and any other value is refused.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from relqft.lattice import LatticePoint, ModelParams
@@ -185,8 +186,9 @@ def load_config(path: str) -> ScenarioConfig:
 def normalize_tolerances(overrides: dict, path: str = "<tol>",
                          text: str = "") -> dict:
     """Validate tolerance overrides, accepting names with or without the
-    tol_ prefix; values must be positive numbers, or strings of them as
-    ``--tol`` passes, but not booleans."""
+    tol_ prefix; values must be positive finite numbers, or strings of
+    them as ``--tol`` passes, but not booleans: an infinite bound would
+    verify any measurement, and JSON has no infinity to report it in."""
     out = {}
     for key, value in overrides.items():
         name = key if key.startswith("tol_") else f"tol_{key}"
@@ -203,8 +205,9 @@ def normalize_tolerances(overrides: dict, path: str = "<tol>",
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{path}: tolerance {key!r} is not a number: {value!r}") from exc
-        if not val > 0:
-            raise ConfigError(f"{path}: tolerance {key!r} must be positive")
+        if not 0 < val < math.inf:
+            raise ConfigError(
+                f"{path}: tolerance {key!r} must be positive and finite, got {val!r}")
         out[name] = val
     return out
 

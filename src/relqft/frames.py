@@ -9,10 +9,12 @@ Orbit-averaging a seed with a symmetric K^(-1/2) .. K^(-1/2)
 normalization produces such POVMs for any invertible orbit sum; sharp and
 uniform frames are special cases.  K commutes with the representation;
 where the translations act freely on the site axis (``_site_shifts``: the
-regular, spacetime and product-witness representations), a DFT over the
-two site axes splits it into N^2 blocks of d / N^2 on a side, and
-``build_frame`` reads K^(-1/2) from them (``_block_inverse_sqrt``); any
-other representation takes one dense ``eigh`` of K.
+regular, spacetime and product-witness representations), the transform
+over the two site axes by the translation characters
+(``lattice.site_transform``) splits it into N^2 blocks of d / N^2 on a
+side, and ``build_frame`` reads K^(-1/2) from them
+(``_block_inverse_sqrt``); any other representation takes one dense
+``eigh`` of K.
 
 The effect array, (|F|, d, d), is the orbit of the seed, built on first
 read and kept; a Born measure is one length-|F| weight array.  Both are in
@@ -374,16 +376,6 @@ def _site_shifts(rep: UnitaryRep) -> np.ndarray | None:
     return shifts if np.array_equal(rep.table[::rows], moved) else None
 
 
-def _site_dft(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_x W[p_u, x_u] W[p_v, x_v] A[(x, j), k] over the sites x = (x_u,
-    x_v) of an (N^2 b, m) array A whose rows are (site, j) in
-    lattice_points() order, as one (N^2, b, m) array over p: two products
-    with the N x N matrix W, one per site axis."""
-    N = len(W)
-    rows = W @ (W @ A.reshape(N, -1)).reshape(N, N, -1)
-    return rows.reshape(N * N, -1, A.shape[-1])
-
-
 def _block_inverse_sqrt(columns: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """K^(-1/2), as one d x d array, for a Hermitian K that commutes with
     translations acting as the site shifts (``_site_shifts``), from K's
@@ -392,23 +384,23 @@ def _block_inverse_sqrt(columns: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     K[(x, j), (y, l)] is C[x - y][j, l], C[x] the b x b blocks of those
     columns, so on the vectors conj(chi_p) (x) w, with chi_p(x) =
     exp(2 pi i p.x / N), K acts as the block Kh[p] = sum_x chi_p(x) C[x]:
-    the DFT of the columns over the two site axes (``_site_dft``, with the
-    character matrix W[k, u] = exp(2 pi i k u / N); no FFT).  One batched
-    ``eigh`` gives every Kh[p]^(-1/2) (``_inverse_sqrt``), and the
-    inverse DFT J[x] = N^-2 sum_p conj(chi_p(x)) Kh[p]^(-1/2) gives
+    the transform of the columns over the two site axes
+    (``lattice.site_transform`` with W = ``lattice.characters(N)``).  One
+    batched ``eigh`` gives every Kh[p]^(-1/2) (``_inverse_sqrt``), and the
+    inverse transform J[x] = N^-2 sum_p conj(chi_p(x)) Kh[p]^(-1/2) gives
     K^(-1/2)[(x, j), (y, l)] = J[x - y][j, l], one gather.
-    The p = 0 block is taken from every block before the inverse DFT and
-    added back at x = 0, so when K is a multiple of the identity, and its
+    The p = 0 block is taken from every block before the inverse transform
+    and added back at x = 0, so when K is a multiple of the identity, and its
     blocks are all equal, K^(-1/2) is that multiple's inverse square root
     to the bit."""
     sites, (d, b) = len(shifts), columns.shape
     N = math.isqrt(sites)
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    W = roots[np.outer(np.arange(N), np.arange(N)) % N]
-    inverse = _inverse_sqrt(_site_dft(columns, W))
+    W = lattice.characters(N)
+    blocks = lattice.site_transform(columns, W).reshape(sites, b, b)
+    inverse = _inverse_sqrt(blocks)
     origin = inverse[0].copy()
     inverse -= origin
-    J = _site_dft(inverse.reshape(d, b), W.conj())
+    J = lattice.site_transform(inverse, W.conj())
     J /= sites
     J[0] += origin
     difference = np.argsort(shifts, axis=0)  # the site of x - y: y + a = x
@@ -676,17 +668,19 @@ def strict_vacuum_orthogonality_check(
     The residual is the operator norm of F_R(x) P_vac at a single point;
     sums over larger regions are monotone in this, and the whole space
     would trivially give norm 1 for any normalized frame.  The rank of
-    the fixed space is the trace of P_vac, and rank 0 gives exactly 0.0
-    with no eigendecomposition.  Otherwise, with V an orthonormal basis of
-    the fixed space, P_vac = V V^dag and V^dag is a co-isometry, so
-    |F_R(x) P_vac| = |F_R(x) V|, and the thin product is used.  Every x
-    gives the same norm: F_R(x) = U(x) F_R(0) U(x)^dag and U(x)^dag V = V,
-    so |F_R(x) V| = |F_R(0) V|, and the residual is read at the origin.
+    the fixed space is the multiplicity of the trivial character
+    (``ops.translation_multiplicities`` at p = 0), and rank 0 gives
+    exactly 0.0 with no projector and no eigendecomposition.  Otherwise,
+    with V an orthonormal basis of the fixed space, P_vac = V V^dag and
+    V^dag is a co-isometry, so |F_R(x) P_vac| = |F_R(x) V|, and the thin
+    product is used.  Every x gives the same norm: F_R(x) = U(x) F_R(0)
+    U(x)^dag and U(x)^dag V = V, so |F_R(x) V| = |F_R(0) V|, and the
+    residual is read at the origin.
     """
-    averaged = ops.translation_fixed_point_projector(frame.rep)
-    rank = round(float(np.trace(averaged).real))
+    rank = round(float(ops.translation_multiplicities(frame.rep)[0, 0]))
     if rank == 0:
         return StrictOrthogonalityReport(0.0, 0)
+    averaged = ops.translation_fixed_point_projector(frame.rep)
     eigenvalues, vectors = np.linalg.eigh(averaged)
     V = vectors[:, eigenvalues > 0.5]
     origin = frame.spacetime_marginal_effects([LatticePoint(0, 0)])[0]

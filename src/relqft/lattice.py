@@ -22,6 +22,10 @@ Its spacelike relation is translation-invariant but not boost-invariant,
 and its causal order is what causal hulls and time-slice arguments need.
 Both relations also act elementwise on points of integer arrays, which
 builds the site tables.
+
+The translation characters chi_p(a) = exp(2 pi i p.a / N) have one table,
+``characters(N)``, and every sum over sites weighted by them in the
+package is one ``site_transform``.
 """
 
 from __future__ import annotations
@@ -283,3 +287,22 @@ def causal_hull(U: Iterable[LatticePoint], params: ModelParams) -> frozenset[Lat
     inside = leq[index].any(axis=0) & leq[:, index].any(axis=1)
     return frozenset(LatticePoint(*divmod(i, params.N))
                      for i in np.flatnonzero(inside).tolist())
+
+
+def characters(N: int) -> np.ndarray:
+    """The N x N character table W[k, u] = exp(2 pi i k u / N) of Z_N: the
+    N roots of unity, one ``np.exp`` over arange(N), gathered at k u mod N.
+    chi_p(a) is W[p_u, a_u] W[p_v, a_v], and row 1 holds the roots."""
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    return roots[np.outer(np.arange(N), np.arange(N)) % N]
+
+
+def site_transform(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_x W[p_u, x_u] W[p_v, x_v] A[x, ...] over the sites x = (x_u, x_v)
+    of an array whose leading axes are the sites, (N^2, ...) in
+    lattice_points() order or (N, N, ...), returned in A's shape with the
+    momenta p in place of the sites: two products with the N x N matrix W,
+    one per site axis.  W = characters(N) pairs with e^{+2 pi i p.x / N};
+    its conjugate gives the inverse transform, unnormalized."""
+    N = len(W)
+    return (W @ (W @ A.reshape(N, -1)).reshape(N, N, -1)).reshape(A.shape)

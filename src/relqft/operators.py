@@ -12,7 +12,8 @@ a phase table over the group.  ``UnitaryRep.orbit(A, rows)``, the
 conjugates of A by the elements at the rows, is the one gather on the
 tables: a conjugation is its one-row read, and an orbit sum contracts its
 operator blocks with the weights.  A dense U(g) is built only for test
-oracles.
+oracles.  The multiplicities of a representation's translation
+characters are read from the same tables, with no projector.
 """
 
 from __future__ import annotations
@@ -638,11 +639,6 @@ def trivial_representation(params: ModelParams) -> UnitaryRep:
     return UnitaryRep(params, table)
 
 
-def character_phase(p: LatticePoint, a: LatticePoint, N: int) -> complex:
-    """chi_p(a) = exp(2 pi i (p_u a_u + p_v a_v) / N)."""
-    return np.exp(2j * np.pi * ((p.u * a.u + p.v * a.v) % N) / N)
-
-
 def momentum_boost(b: int, p: LatticePoint, params: ModelParams) -> LatticePoint:
     """Action of a boost on momentum labels.
 
@@ -683,8 +679,7 @@ def character_representation(params: ModelParams,
     qu = (inverse[:, None] * p[:, 0]) % N
     qv = (boost[:, None] * p[:, 1]) % N
     # chi_q(a) depends only on q.a mod N: one root of unity per residue
-    roots = np.array([character_phase(LatticePoint(k, 0), LatticePoint(1, 0), N)
-                      for k in range(N)])
+    roots = lattice.characters(N)[1]
     phases = roots[(qu * shift[:, :1] + qv * shift[:, 1:]) % N]
     return UnitaryRep(params, index[qu, qv], phases)
 
@@ -717,31 +712,42 @@ def tensor_product_rep(rep1: UnitaryRep, rep2: UnitaryRep) -> UnitaryRep:
 # ---------------------------------------------------------------------------
 # translation characters of a representation
 
+def translation_multiplicities(rep: UnitaryRep) -> np.ndarray:
+    """The multiplicity of every translation character chi_p, an (N, N)
+    real array over p = (p_u, p_v), integers up to rounding: the inner
+    product (1/N^2) sum_a conj(chi_p(a)) Tr U(a), one inverse
+    ``lattice.site_transform`` of the traces.  Tr U(a) is the sum of the
+    phases of the basis indices that the translation by a fixes.  The
+    character support, the finite analog of the joint spectrum of the
+    translation generators, is where the multiplicity exceeds 1/2."""
+    N = rep.params.N
+    rows = slice(None, None, len(rep.params.boosts()))  # the translations
+    fixed = rep.table[rows] == np.arange(rep.dim)
+    if rep.phases is not None:
+        fixed = np.where(fixed, rep.phases[rows], 0.0)
+    traces = fixed.sum(axis=1).reshape(N, N)
+    inner = lattice.site_transform(traces, lattice.characters(N).conj())
+    return inner.real / N**2
+
+
 def translation_character_projector(rep: UnitaryRep, p: LatticePoint) -> np.ndarray:
     """Projector onto the chi_p eigenspace of the translation subgroup:
-    P_p = (1/N^2) sum_a conj(chi_p(a)) U(a).
+    P_p = (1/N^2) sum_a conj(chi_p(a)) U(a), built for test oracles and
+    for the fixed vectors of ``translation_fixed_point_projector``.
 
-    Each term is scattered at the entries (table[a], j) of U(a), so no
-    dense U(a) is built."""
+    chi_p(a) is the root of unity of p.a mod N in ``lattice.characters``,
+    and every term is scattered at the entries (table[a], j) of U(a) by
+    one ``np.add.at`` over the translation rows, so no dense U(a) is
+    built."""
     params = rep.params
+    N = params.N
+    rows = slice(None, None, len(params.boosts()))  # the translations
+    a = np.arange(N * N)
+    chi = lattice.characters(N)[1][(p.u * (a // N) + p.v * (a % N)) % N]
     P = np.zeros((rep.dim, rep.dim), dtype=complex)
-    columns = np.arange(rep.dim)
-    phases = _phase_table(rep)
-    for a in params.lattice_points():
-        i = params.frame_index(GroupElement(a, 1))
-        P[rep.table[i], columns] += (
-            np.conj(character_phase(p, a, params.N)) * phases[i])
-    return P / params.N**2
-
-
-def translation_character_support(rep: UnitaryRep) -> list[LatticePoint]:
-    """Momenta whose character projector is nonzero: the finite analog of
-    the joint spectrum of the translation generators."""
-    out = []
-    for p in rep.params.lattice_points():
-        if op_norm(translation_character_projector(rep, p)) > TOL_EQ:
-            out.append(p)
-    return out
+    np.add.at(P, (rep.table[rows], np.arange(rep.dim)),
+              chi.conj()[:, None] * _phase_table(rep)[rows])
+    return P / N**2
 
 
 def translation_fixed_point_projector(rep: UnitaryRep) -> np.ndarray:

@@ -677,7 +677,8 @@ def check_spectral_condition(cfg: ScenarioConfig,
         (mixed, ops.random_operator(rng, rep.dim)),
         (mixed, ops.random_operator(rng, rep.dim))))
     report = wightman.spectral_check(vacuum, spec, tol_eq)
-    # the direct transform, with the e^{+2 pi i q.xi / N} pairing of ifftn
+    # the direct transform, with the e^{+2 pi i q.xi / N} pairing of
+    # lattice.characters
     N = params.N
     sites = np.array(params.lattice_points())
     pairing = np.exp(2j * np.pi * (sites @ sites.T) / N) / N ** 2
@@ -686,8 +687,8 @@ def check_spectral_condition(cfg: ScenarioConfig,
     return CheckOutcome(
         [Measurement("outside_support", report.max_leak, cfg.tol("tol_dft")),
          Measurement("oracle_mismatch", oracle_worst, cfg.tol("tol_dft"))],
-        {"support_size": len(report.support),
-         "outside_points": params.N ** 2 - len(report.support),
+        {"support_size": int(report.support.sum()),
+         "outside_points": int((~report.support).sum()),
          "on_support_max": report.max_on_support, "model": "N=3"},
         premise=not report.vacuous)
 

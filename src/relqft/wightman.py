@@ -4,10 +4,11 @@ Everything here is a finite sum evaluated exactly: n-point vacuum
 expectation values, their pointwise spacetime kernels, difference kernels
 for globally oriented frames, discrete spectral (momentum-support) checks,
 time-ordered correlators, and irreducibility of the trace-class field
-span.  The discrete Fourier transform uses the e^{+2 pi i q.xi / N}
-character pairing, so momentum support lands on the character support of
-the system representation rather than its negation; the sign is pinned by
-a unit test against the character projectors.
+span.  The spectral table transforms by the translation characters of
+``lattice.characters``, the e^{+2 pi i q.xi / N} pairing, so momentum
+support lands on the character support of the system representation
+rather than its negation; the sign is pinned by a unit test against the
+character projectors.
 
 Three whole-lattice arrays carry the pointwise quantities of an n-factor
 spec:
@@ -237,7 +238,7 @@ def difference_kernel(vac: VacuumModel, spec: VevSpec,
 
 @dataclass
 class SpectralReport:
-    support: frozenset
+    support: np.ndarray
     kernel: np.ndarray
     table: np.ndarray
     max_leak: float
@@ -251,24 +252,29 @@ def spectral_check(vac: VacuumModel, spec: VevSpec,
     lies outside the character support of the system representation:
     ``max_leak`` is the largest magnitude there.
 
-    The report keeps the difference kernel it transformed, and the table,
-    its inverse DFT with axes (q_1.u, q_1.v, ...).  The assertion is
-    vacuous when the support is all of the momentum lattice (for example
-    the regular representation).
+    The support is the (N, N) mask of the momenta whose multiplicity
+    (``operators.translation_multiplicities``) exceeds 1/2.  The report
+    keeps the difference kernel it transformed, and the table, its
+    inverse transform with axes (q_1.u, q_1.v, ...): a
+    ``lattice.site_transform`` by ``lattice.characters(N)`` over each
+    difference's pair of axes, the pair then rotated to the back, divided
+    by N^(2(n-1)).  The assertion is vacuous when the support is all of
+    the momentum lattice (for example the regular representation).
     """
     N = vac.params.N
-    support = frozenset(ops.translation_character_support(vac.rep))
+    inside = ops.translation_multiplicities(vac.rep) > 0.5
     kernel = difference_kernel(vac, spec, tol_eq)
-    table = np.fft.ifftn(kernel)
-    inside = np.zeros((N, N), dtype=bool)
-    inside[tuple(np.array(list(support)).T)] = True
+    W = lattice.characters(N)
+    table = kernel
     on = np.ones((), dtype=bool)
     for _ in range(spec.n - 1):
+        table = np.moveaxis(lattice.site_transform(table, W), (0, 1), (-2, -1))
         on = np.logical_and.outer(on, inside)
+    table = table / N ** (2 * (spec.n - 1))
     leak = float(np.max(np.abs(table[~on]), initial=0.0))
     on_support = float(np.max(np.abs(table[on]), initial=0.0))
-    return SpectralReport(support, kernel, table, leak, on_support,
-                          len(support) == N ** 2)
+    return SpectralReport(inside, kernel, table, leak, on_support,
+                          bool(inside.all()))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,12 @@ def test_bad_tol_flag_exits_2(capsys):
     assert "unknown tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_an_infinite_tol_flag_exits_2(value, capsys):
+    assert main(["verify", "restriction-duality", "--tol", f"eq={value}"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_list_checks_covers_registry(capsys):
     assert main(["list-checks"]) == 0
     out = capsys.readouterr().out

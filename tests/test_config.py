@@ -183,6 +183,21 @@ def test_tolerances_reject_unknown_and_nonpositive():
         normalize_tolerances({"eq": None})
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan",
+                                   float("inf")])
+def test_a_non_finite_tolerance_is_rejected(value):
+    # an infinite bound verifies every measurement it bounds
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        normalize_tolerances({"eq": value})
+
+
+def test_a_config_tolerance_that_overflows_is_rejected():
+    # JSON reads 1e999 as infinity
+    with pytest.raises(ConfigError, match="tolerance 'eq' must be positive "
+                                          "and finite, got inf"):
+        parse_config('{"tolerances": {"eq": 1e999}}')
+
+
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_a_boolean_tolerance_is_rejected(value):
     # float(True) would run with tol_eq = 1.0

@@ -709,12 +709,14 @@ def test_strict_orthogonality_on_fixed_free_subspace():
 
 
 def test_a_fixed_free_frame_takes_no_eigendecomposition(monkeypatch):
-    # the rank of the fixed space is the trace of its projector, and rank 0
-    # decides the residual before any eigh or marginal effect
+    # the rank of the fixed space is the multiplicity of the trivial
+    # character, and rank 0 decides the residual before any projector, eigh
+    # or marginal effect
     def refused(*args, **kwargs):
         raise AssertionError("not needed on a fixed-free representation")
 
     monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(ops, "translation_character_projector", refused)
     monkeypatch.setattr(frames.FrameObservable, "spacetime_marginal_effects",
                         refused)
     report = frames.strict_vacuum_orthogonality_check(

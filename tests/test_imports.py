@@ -27,11 +27,16 @@ Every ``ModelParams`` that ``scenarios`` builds takes N and s from the
 config, but the one pinned witness model, so a run checks one model.  No
 module but ``frames`` reads a frame's layout (``convolution_kernel``,
 ``free_index``, ``_site_shifts``), so no caller branches on it.  No
-function of the package reads ``numpy.fft`` outside a short allowance.
+function of the package reads ``numpy.fft``: every sum over translation
+characters is ``lattice.site_transform`` by ``lattice.characters``, and a
+run of every check never imports it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -683,19 +688,12 @@ def test_only_frames_reads_a_frame_layout():
 
 
 
-#: The functions that may read ``numpy.fft``, with the reason.  Importing
-#: it and taking a first small ``fft2`` add 0.3 to 0.5 MB to the resident
-#: set of a process that has already run its first BLAS product (numpy
-#: 2.4), where the products with the N x N character matrix that
-#: ``frames._site_dft`` takes add nothing of their own; so a run that does
-#: not check the spectral condition never imports it.
-FFT_READERS = {
-    # the spectral table, which spectral-condition cross-checks against a
-    # directly summed transform and whose largest entry on the support is
-    # the recorded ``on_support_max`` detail: another transform could move
-    # its last bits
-    "wightman.spectral_check",
-}
+#: The functions that may read ``numpy.fft``: none.  Importing it and
+#: taking a first small ``fft2`` add 0.3 to 0.5 MB to the resident set of
+#: a process that has already run its first BLAS product (numpy 2.4),
+#: where the products with the N x N character table that
+#: ``lattice.site_transform`` takes add nothing of their own.
+FFT_READERS: set[str] = set()
 
 
 def fft_readers(tree: ast.Module, module: str) -> set[str]:
@@ -733,10 +731,23 @@ def test_the_scan_finds_fft_reads():
 
 
 def test_only_the_allowed_functions_read_numpy_fft():
-    # the allowance is exact: a function that stops reading numpy.fft
-    # leaves it
     found = set()
     for path in PACKAGE:
         found |= fft_readers(
             ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == FFT_READERS
+
+
+def test_a_run_of_every_check_never_imports_numpy_fft():
+    # a fresh interpreter, since the test process may have imported it
+    script = ("import sys\n"
+              "from relqft import runner\n"
+              "from relqft.config import DEFAULT_CONFIG\n"
+              "report = runner.run(DEFAULT_CONFIG)\n"
+              "assert report.exit_code == 0 and len(report.outcomes) == 13\n"
+              "print('numpy.fft' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -279,3 +279,22 @@ def test_regions_are_reduced_points():
         causal_hull({LatticePoint(-1, 0)}, P5)
     with pytest.raises(ValueError, match="not reduced"):
         region_spacelike({LatticePoint(5, 0)}, {LatticePoint(0, 1)}, P5)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
+def test_site_transform_is_the_two_dimensional_dft(N, rng):
+    # W = characters(N) pairs with e^{+2 pi i p.x / N}, N^2 ifft2; its
+    # conjugate with e^{-2 pi i p.x / N}, fft2; the sites lead, flat or as
+    # two axes, and the shape is kept
+    W = lattice.characters(N)
+    assert W.shape == (N, N)
+    assert np.array_equal(W, W.T) and np.array_equal(W[0], np.ones(N))
+    flat = rng.standard_normal((N * N, 4)) + 1j * rng.standard_normal((N * N, 4))
+    grid = rng.standard_normal((N, N, 2, 3)) + 1j * rng.standard_normal((N, N, 2, 3))
+    for A, sites in ((flat, flat.reshape(N, N, 4)), (grid, grid)):
+        plus = N * N * np.fft.ifft2(sites, axes=(0, 1))
+        minus = np.fft.fft2(sites, axes=(0, 1))
+        for table, oracle in ((W, plus), (W.conj(), minus)):
+            out = lattice.site_transform(A, table)
+            assert out.shape == A.shape
+            assert np.max(np.abs(out - oracle.reshape(A.shape))) <= 1e-12

@@ -92,7 +92,8 @@ def test_character_support():
     momenta = [LatticePoint(1, 0), LatticePoint(2, 0)]
     rep = ops.direct_sum_rep([ops.trivial_representation(P3),
                               ops.character_representation(P3, momenta)])
-    assert set(ops.translation_character_support(rep)) == {
+    support = ops.translation_multiplicities(rep) > 0.5
+    assert {LatticePoint(*p) for p in np.argwhere(support).tolist()} == {
         LatticePoint(0, 0), LatticePoint(1, 0), LatticePoint(2, 0)}
 
 
@@ -111,7 +112,8 @@ def test_character_projector_scatter_matches_the_dense_sum(params, kind,
     build = getattr(ops, f"{kind}_representation", sector_representation)
     rep = build(params)
     expected = {
-        p: sum(np.conj(ops.character_phase(p, a, params.N))
+        p: sum(np.exp(-2j * np.pi * ((p.u * a.u + p.v * a.v) % params.N)
+                      / params.N)
                * rep(GroupElement(a, 1))
                for a in params.lattice_points()) / params.N ** 2
         for p in params.lattice_points()}
@@ -123,6 +125,45 @@ def test_character_projector_scatter_matches_the_dense_sum(params, kind,
     for p in params.lattice_points():
         assert ops.eq_defect(ops.translation_character_projector(rep, p),
                              expected[p]) < 1e-15
+
+
+def witness_representation(params):
+    """The product frame's system: spacetime (x) Lorentz."""
+    return ops.tensor_product_rep(ops.spacetime_representation(params),
+                                  ops.lorentz_representation(params))
+
+
+def trivial_plus_character(params):
+    """The spectral-condition system: the trivial character plus the
+    boost orbit {(1, 0), (2, 0)} of N = 3."""
+    momenta = [LatticePoint(1, 0), LatticePoint(2, 0)]
+    return ops.direct_sum_rep([ops.trivial_representation(params),
+                               ops.character_representation(params, momenta)])
+
+
+MULTIPLICITY_CASES = [
+    (params, build) for params in (P3, P5)
+    for build in (ops.regular_representation, ops.spacetime_representation,
+                  ops.lorentz_representation, ops.trivial_representation,
+                  sector_representation, witness_representation)
+] + [(P3, trivial_plus_character)]
+
+
+@pytest.mark.parametrize("params, build", MULTIPLICITY_CASES, ids=[
+    f"N{params.N}-{build.__name__}" for params, build in MULTIPLICITY_CASES])
+def test_multiplicities_are_the_projector_traces(params, build):
+    # the inner product of characters against the rank of each dense
+    # character projector
+    rep = build(params)
+    multiplicities = ops.translation_multiplicities(rep)
+    assert multiplicities.shape == (params.N, params.N)
+    counts = np.rint(multiplicities)
+    assert np.max(np.abs(multiplicities - counts)) <= 1e-12
+    assert counts.min() >= 0 and counts.sum() == rep.dim
+    for p in params.lattice_points():
+        rank = np.trace(ops.translation_character_projector(rep, p)).real
+        assert round(rank) == counts[p]
+        assert abs(rank - multiplicities[p]) <= 1e-12
 
 
 def test_fixed_point_projector_rank():

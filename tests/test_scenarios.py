@@ -212,8 +212,9 @@ def test_net_axioms_builds_each_local_algebra_once(monkeypatch):
 
 
 def test_spectral_oracle_pairs_with_the_inverse_transform(monkeypatch):
-    # an asymmetric kernel tells the e^{+2 pi i q.xi / N} pairing of ifftn
-    # from its conjugate; the bundled one has a negation-closed support
+    # an asymmetric kernel tells the e^{+2 pi i q.xi / N} pairing of
+    # lattice.characters from its conjugate; the bundled one has a
+    # negation-closed support
     fixed = np.arange(9).reshape(3, 3) * (1.0 + 0.5j) + 1j * np.eye(3)[0]
     monkeypatch.setattr(wightman, "difference_kernel", lambda *args: fixed)
     outcome = scenarios.CHECKS["spectral-condition"].fn(

@@ -193,11 +193,29 @@ def test_spectral_support_tracks_momentum_sign():
     report = wightman.spectral_check(vac, spec)
     assert not report.vacuous
     assert report.max_leak <= 1e-9
-    sigma = set(ops.translation_character_support(rep)) - {LatticePoint(0, 0)}
+    sigma = ({LatticePoint(*q) for q in np.argwhere(report.support).tolist()}
+             - {LatticePoint(0, 0)})
     mirror = {LatticePoint((-q.u) % 7, (-q.v) % 7) for q in sigma}
     assert sigma.isdisjoint(mirror)
     assert max(abs(report.table[q]) for q in sigma) > 0.1
     assert max(abs(report.table[q]) for q in mirror) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_table_is_the_inverse_fft(n):
+    # two and more differences run the transform over each pair of axes
+    rep = ops.direct_sum_rep([ops.trivial_representation(P5),
+                              orbit_rep(P5, (1, 0))])
+    vac = wightman.VacuumModel.pure(rep, np.eye(rep.dim)[0])
+    fr = frames.fiber_uniform_spacetime_frame(P5)
+    rng = ops.make_rng(11)
+    omega = np.eye(fr.dim, dtype=complex) / fr.dim
+    spec = spec_on(fr, *((omega, ops.random_operator(rng, rep.dim))
+                         for _ in range(n)))
+    report = wightman.spectral_check(vac, spec)
+    assert report.table.shape == report.kernel.shape == (5, 5) * (n - 1)
+    assert np.max(np.abs(report.table - np.fft.ifftn(report.kernel))) <= 1e-14
+    assert not report.vacuous and report.max_leak <= 1e-12
 
 
 def test_mixed_vacuum_leaks_onto_momentum_differences():
